@@ -40,7 +40,7 @@ from .ratiolimit import (
     detect_radical,
     ratio_metric,
 )
-from .reports import write_csv, write_json
+from .reports import write_csv, write_json, write_text_atomic
 from .spectral import local_limit_exponent, spectral_radius
 
 
@@ -99,14 +99,21 @@ class Workspace:
     def cache(self):
         if self._cache is None:
             cfg = self.cfg
-            key = cfg.content_hash()
-            artifact = self.cache_dir / f"powers-{key}.json" if self.cache_dir else None
+            engine = cfg.get("walk", "engine")
+            name = (pick_engine(cfg.descriptor, cfg.measure)
+                    if engine == "auto" else engine)
+            support_cap = cfg.getint("walk", "support_cap")
+            memory_budget_mb = cfg.getint("walk", "memory_budget_mb")
+            # the file name carries every setting that changes the content,
+            # so a cache truncated under one budget is never reused under another
+            artifact = (
+                self.cache_dir / (f"powers-{cfg.content_hash()}-{name}"
+                                  f"-cap{support_cap}-mem{memory_budget_mb}.json")
+                if self.cache_dir else None
+            )
             if artifact is not None and artifact.exists():
                 self._cache = import_cache_json(artifact.read_text(encoding="utf-8"))
             else:
-                engine = cfg.get("walk", "engine")
-                name = (pick_engine(cfg.descriptor, cfg.measure)
-                        if engine == "auto" else engine)
                 # a track set only matters for the engines with a memory
                 # fallback; the generic engine is governed by support_cap
                 track = (self.track_elements()
@@ -114,18 +121,18 @@ class Workspace:
                 self._cache = convolution_powers(
                     cfg.descriptor, cfg.measure,
                     cfg.getint("walk", "depth"),
-                    engine=engine,
-                    support_cap=cfg.getint("walk", "support_cap"),
-                    memory_budget_mb=cfg.getint("walk", "memory_budget_mb"),
+                    engine=name,
+                    support_cap=support_cap,
+                    memory_budget_mb=memory_budget_mb,
                     track=track,
                 )
                 if artifact is not None:
                     try:
-                        artifact.parent.mkdir(parents=True, exist_ok=True)
-                        artifact.write_text(export_cache_json(self._cache),
-                                            encoding="utf-8")
+                        text = export_cache_json(self._cache)
                     except CoverageError:
                         pass  # tracked caches are not exportable
+                    else:
+                        write_text_atomic(str(artifact), text)
         return self._cache
 
     def spectral(self):
@@ -192,7 +199,7 @@ def cmd_spectrum(ws: Workspace) -> int:
     cache = ws.cache()
     if not cache.complete:
         raise BudgetExceededError(cache.budget_note)
-    report = validate_measure(ws.cfg.measure, ws.cfg.descriptor)
+    report = validate_measure(ws.cfg.measure, ws.cfg.descriptor, cache=cache)
     est = ws.spectral()
     payload = est.as_dict()
     payload["alpha"] = ws.alpha()

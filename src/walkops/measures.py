@@ -6,9 +6,10 @@ scale factor.  Ratios of entries of one measure are then exact float
 quotients of mantissas, which is what every ratio-limit estimate consumes.
 
 Also here: the measure-file grammar, structural validation (mass,
-symmetry, aperiodicity probe, semigroup generation evidence), and the
-radial calculus for isotropic measures on free groups, built on the
-homogeneous-tree sphere counts.
+symmetry, semigroup generation evidence, and the period read off the
+return times of a convolution-powers cache by ``powers.is_aperiodic``),
+and the radial calculus for isotropic measures on free groups, built on
+the homogeneous-tree sphere counts.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ def convolve(mu: ScaledMeasure, nu: ScaledMeasure, descriptor: GroupDescriptor,
     ``powers`` provide faster equivalents and are tested against this one.
     """
     out: dict = {}
+    nu_items = sorted(nu.support.items(), key=lambda gv: descriptor.sort_key(gv[0]))
     for u, a in sorted(mu.support.items(), key=lambda gv: descriptor.sort_key(gv[0])):
-        for w, b in sorted(nu.support.items(), key=lambda gv: descriptor.sort_key(gv[0])):
+        for w, b in nu_items:
             g = descriptor.multiply(u, w)
             out[g] = out.get(g, 0.0) + a * b
     if support_cap is not None and len(out) > support_cap:
@@ -134,13 +136,6 @@ def parse_measure(text: str, descriptor: GroupDescriptor) -> ScaledMeasure:
     return ScaledMeasure.from_values(values, descriptor)
 
 
-def format_measure(mu: ScaledMeasure, descriptor: GroupDescriptor) -> str:
-    lines = []
-    for g, v in sorted(mu.items_values(), key=lambda gv: descriptor.sort_key(gv[0])):
-        lines.append(f"{descriptor.format(g)} {v!r}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -160,13 +155,22 @@ class MeasureReport:
 
 def validate_measure(mu: ScaledMeasure, descriptor: GroupDescriptor,
                      r_check: int = 3, probe_depth: int = 12,
-                     mass_tol: float = MASS_TOL) -> MeasureReport:
-    """Structural checks: mass 1, nonnegativity, symmetry flag, aperiodicity
-    probe, and semigroup-generation evidence up to ``ball(r_check)``.
+                     mass_tol: float = MASS_TOL, cache=None) -> MeasureReport:
+    """Structural checks: mass 1, nonnegativity, symmetry flag, period, and
+    semigroup-generation evidence up to ``ball(r_check)``.
+
+    The period is the gcd of the return times to the identity within
+    ``probe_depth`` steps, read by ``powers.is_aperiodic`` from ``cache``,
+    a convolution-powers cache of ``mu`` (the one a run already built).
+    Without one, a cache of depth ``probe_depth`` is built with a support
+    cap of 200,000; when that cap stops it early, the period comes from the
+    levels it reached and a message says so.
 
     Generation beyond the probe horizon is reported "inconclusive", never
     proved; it is evidence in the sense of the irreducibility assumption.
     """
+    from .powers import convolution_powers, is_aperiodic
+
     messages = []
     mass = mu.total_mass()
     mass_ok = abs(mass - 1.0) <= mass_tol
@@ -183,26 +187,22 @@ def validate_measure(mu: ScaledMeasure, descriptor: GroupDescriptor,
             symmetric = False
             break
 
-    # aperiodicity probe: gcd of return times of small convolution powers
+    # period: gcd of the return times to the identity within probe_depth
+    if cache is None:
+        cache = convolution_powers(descriptor, mu, probe_depth, support_cap=200_000)
+    if not cache.complete and cache.depth < probe_depth:
+        messages.append("aperiodicity probe hit its support cap")
     period: int | None = None
     aperiodic: bool | None = None
-    e = descriptor.identity()
-    power = ScaledMeasure.point_mass(descriptor)
-    returns = []
     try:
-        for m in range(1, probe_depth + 1):
-            power = convolve(power, mu, descriptor, support_cap=200_000)
-            if power.support.get(e, 0.0) > 0.0:
-                returns.append(m)
-    except BudgetExceededError:
-        messages.append("aperiodicity probe hit its support cap")
-    if returns:
-        period = math.gcd(*returns)
-        aperiodic = period == 1
-    else:
-        messages.append(f"no return to identity within {probe_depth} steps")
+        aperiodic, period = is_aperiodic(cache, probe_depth)
+    except PreconditionError:
+        messages.append(
+            f"no return to identity within {min(probe_depth, cache.depth)} steps"
+        )
 
     # semigroup generation: products of support elements must reach ball(r_check)
+    e = descriptor.identity()
     target = set(descriptor.ball(r_check))
     supp = list(mu.support.keys())
     reached = {e}

@@ -127,15 +127,23 @@ def transition(cache: PowersCache, n: int, x, y) -> float:
 
 
 def is_aperiodic(cache: PowersCache, probe_depth: int | None = None):
-    """(aperiodic, period) from the gcd of return times within the cache."""
+    """(aperiodic, period) from the gcd of return times within the cache.
+
+    The gcd is folded level by level and the scan stops once it is 1, so an
+    aperiodic walk costs as many lookups as its first coprime return times.
+    """
     e = cache.descriptor.identity()
     top = cache.depth if probe_depth is None else min(probe_depth, cache.depth)
-    returns = [m for m in range(1, top + 1) if cache.has_value(m, e)]
-    if not returns:
+    period = 0
+    for m in range(1, top + 1):
+        if cache.has_value(m, e):
+            period = math.gcd(period, m)
+            if period == 1:
+                break
+    if not period:
         raise PreconditionError(
             f"no return to identity within {top} steps; period undetectable"
         )
-    period = math.gcd(*returns)
     return period == 1, period
 
 
@@ -886,6 +894,7 @@ def export_cache_json(cache: PowersCache) -> str:
         "engine": cache.engine_name,
         "depth": cache.depth,
         "complete": cache.complete,
+        "budget_note": cache.budget_note,
         "measure": {
             "entries": mu_entries,
             "log_scale": cache.mu.log_scale,
@@ -908,4 +917,5 @@ def import_cache_json(text: str) -> PowersCache:
     cls = _ENGINES[doc["engine"]]
     cache = cls._from_payload(descriptor, mu, doc["payload"])
     cache.complete = doc["complete"]
+    cache.budget_note = doc.get("budget_note", "")
     return cache

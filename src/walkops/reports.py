@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 
 
@@ -53,12 +54,36 @@ def _jsonable(obj):
 
 
 def write_text_atomic(path: str, text: str):
-    """Write via a temp file + rename so partial outputs never appear."""
-    tmp = f"{path}.tmp"
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write via a temp file + rename so partial outputs never appear.
+
+    The temp file is unique and sits in the target directory, so concurrent
+    writers of one path never share it and the rename stays on one file
+    system; the last rename wins with a complete file.
+    """
+    target_dir = os.path.dirname(os.path.abspath(path))
+    os.makedirs(target_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=target_dir, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
+    )
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            # mkstemp creates the file private (0600); give the output the
+            # mode a plain open() would have
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def write_json(path: str, payload) -> None:

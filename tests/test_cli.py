@@ -339,3 +339,41 @@ def test_provenance_fields_present(cfg_file, tmp_path):
     prov = doc["provenance"]
     for key in ("M", "rho_hat", "acceleration", "config_hash", "engine", "seed"):
         assert key in prov
+
+
+LAMP_CAP_CFG = """
+[group]
+family = lamplighter(1)
+
+[measure]
+inline =
+    (0,{{}}) 1/4
+    (1,{{}}) 1/4
+    (-1,{{}}) 1/4
+    (0,{{0}}) 1/4
+
+[walk]
+depth = 12
+support_cap = {cap}
+"""
+
+
+def test_cache_dir_truncated_artifact_not_reused(tmp_path, capsys):
+    """A cache truncated by a small support_cap is not reloaded once the cap
+    is raised, and a reloaded truncated cache keeps its budget note."""
+    cache_dir = tmp_path / "cache"
+    cfg = tmp_path / "lamp.ini"
+
+    def spectrum(cap):
+        cfg.write_text(LAMP_CAP_CFG.format(cap=cap), encoding="utf-8")
+        code = main(["spectrum", "--config", str(cfg), "--out",
+                     str(tmp_path / f"out{cap}"), "--cache-dir", str(cache_dir)])
+        return code, capsys.readouterr().err
+
+    code, err = spectrum(100)
+    assert code == 3 and "stopped at level 5" in err
+    code, err = spectrum(100000)
+    assert code == 0 and err == ""
+    assert len(list(cache_dir.glob("powers-*.json"))) == 2
+    code, err = spectrum(100)  # reloads the truncated artifact
+    assert code == 3 and "stopped at level 5" in err

@@ -54,6 +54,48 @@ def test_validate_flags_bad_mass(lattice1):
     assert not rep.mass_ok and not rep.valid
 
 
+@pytest.mark.parametrize("family, text, period", [
+    ("lattice(1)", "(0) 1/2\n(1) 1/4\n(-1) 1/4", 1),
+    ("lattice(1)", "(1) 1/2\n(-1) 1/2", 2),
+    ("free(2)", "a 1/4\nA 1/4\nb 1/4\nB 1/4", 2),
+    ("lamplighter(1)", "(0,{}) 1/4\n(1,{}) 1/4\n(-1,{}) 1/4\n(0,{0}) 1/4", 1),
+])
+def test_validate_with_cache_matches_own_probe(family, text, period):
+    desc = w.descriptor_from_string(family)
+    mu = w.parse_measure(text, desc)
+    own = w.validate_measure(mu, desc)
+    cached = w.validate_measure(mu, desc, cache=w.convolution_powers(desc, mu, 16))
+    assert own.period == cached.period == period
+    assert own.aperiodic == cached.aperiodic == (period == 1)
+    assert own.valid == cached.valid
+    assert own.generates == cached.generates
+
+
+def test_validate_isotropic_f2_has_no_probe_cap(free2, iso_f2):
+    rep = w.validate_measure(iso_f2, free2)
+    assert rep.aperiodic and rep.period == 1
+    assert not any("support cap" in msg for msg in rep.messages)
+
+
+def test_validate_probe_cap_message(lamp1, lamp_mu):
+    # a cache stopped by its support cap before the probe depth
+    cache = w.convolution_powers(lamp1, lamp_mu, 12, support_cap=50)
+    assert not cache.complete and cache.depth < 12
+    rep = w.validate_measure(lamp_mu, lamp1, cache=cache)
+    assert "aperiodicity probe hit its support cap" in rep.messages
+    assert rep.aperiodic and rep.period == 1
+
+
+def test_validate_no_return_within_probe(lattice1):
+    # first return to 0 at m = 4 (three -1 steps balance one +3)
+    mu = w.parse_measure("(3) 1/2\n(-1) 1/2", lattice1)
+    rep = w.validate_measure(mu, lattice1, probe_depth=3)
+    assert rep.period is None and rep.aperiodic is None
+    assert "no return to identity within 3 steps" in rep.messages
+    rep = w.validate_measure(mu, lattice1, probe_depth=4)
+    assert rep.period == 4 and rep.aperiodic is False
+
+
 def test_convolve_examples(lattice1, free2, lazy_z):
     delta = w.ScaledMeasure.point_mass(lattice1)
     conv = w.convolve(delta, lazy_z, lattice1)

@@ -9,7 +9,7 @@ import pytest
 import walkops as w
 from walkops import _kernels_py
 from walkops._backend import kernels
-from walkops.errors import CoverageError
+from walkops.errors import CoverageError, PreconditionError
 from walkops.powers import (
     DenseLatticePowers,
     GenericPowers,
@@ -145,6 +145,44 @@ def test_is_aperiodic(lattice1, lazy_z, free2):
     assert not aper and period == 2
 
 
+class _CountingCache:
+    """Records the levels an is_aperiodic scan reads from a real cache."""
+
+    def __init__(self, cache):
+        self.cache = cache
+        self.descriptor = cache.descriptor
+        self.depth = cache.depth
+        self.levels_read = []
+
+    def has_value(self, m, g):
+        self.levels_read.append(m)
+        return self.cache.has_value(m, g)
+
+
+def test_is_aperiodic_early_exit(lattice1, lazy_z):
+    lazy = _CountingCache(w.convolution_powers(lattice1, lazy_z, 16))
+    assert w.is_aperiodic(lazy) == (True, 1)
+    assert lazy.levels_read == [1]
+    # steps {+2, -1}: returns only at multiples of 3, so every level is read
+    mu = w.parse_measure("(2) 1/2\n(-1) 1/2", lattice1)
+    period3 = _CountingCache(w.convolution_powers(lattice1, mu, 16))
+    assert w.is_aperiodic(period3) == (False, 3)
+    assert period3.levels_read == list(range(1, 17))
+    # steps {+-1, +-2}: first return at m = 2, gcd 1 only at m = 3
+    mu = w.parse_measure("(1) 1/4\n(-1) 1/4\n(2) 1/4\n(-2) 1/4", lattice1)
+    late = _CountingCache(w.convolution_powers(lattice1, mu, 16))
+    assert w.is_aperiodic(late) == (True, 1)
+    assert late.levels_read == [1, 2, 3]
+
+
+def test_is_aperiodic_no_return(lattice1):
+    mu = w.parse_measure("(3) 1/2\n(-1) 1/2", lattice1)
+    cache = w.convolution_powers(lattice1, mu, 8)
+    with pytest.raises(PreconditionError, match="no return to identity within 3"):
+        w.is_aperiodic(cache, probe_depth=3)
+    assert w.is_aperiodic(cache) == (False, 4)
+
+
 def test_support_cap_keeps_complete_prefix(lamp1, lamp_mu):
     cache = w.convolution_powers(lamp1, lamp_mu, 12, engine="generic",
                                  support_cap=50)
@@ -226,6 +264,17 @@ def test_export_import_round_trip(lattice1, lamp1, free2, lazy_z, lamp_mu, iso_f
                     cache.log_value(m, g), rel=1e-12
                 )
         assert json.loads(text)["format"] == "walkops-powers-cache"
+
+
+def test_export_keeps_budget_note(lamp1, lamp_mu):
+    cache = w.convolution_powers(lamp1, lamp_mu, 12, support_cap=50)
+    assert cache.budget_note.startswith("stopped at level")
+    doc = json.loads(w.export_cache_json(cache))
+    back = w.import_cache_json(json.dumps(doc))
+    assert not back.complete and back.budget_note == cache.budget_note
+    # artifacts written before the note was persisted read back with ""
+    del doc["budget_note"]
+    assert w.import_cache_json(json.dumps(doc)).budget_note == ""
 
 
 def test_deep_levels_log_scaled(free2, iso_f2):
