@@ -1,19 +1,16 @@
-"""Selects the compiled kernel extension when available, else the fallback.
+"""The generic engine's scatter-add kernel.
 
-Set the environment variable ``WALKOPS_PURE_PYTHON=1`` to force the
-fallback (used by the benchmark to compare both backends in one process).
+``np.add.at`` is unbuffered and adds in index order, row-major over
+``rows``, so the summation order, and with it every bit of the result, is
+fixed.
 """
 
-import os
+import numpy as np
 
-if os.environ.get("WALKOPS_PURE_PYTHON"):
-    from . import _kernels_py as kernels
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as kernels
+BACKEND = "python"
 
-BACKEND = kernels.BACKEND
-scatter_add = kernels.scatter_add
-scatter_add_outer = kernels.scatter_add_outer
+
+def scatter_add_outer(acc, rows, level_vals, mu_vals):
+    """acc[rows[i, j]] += level_vals[i] * mu_vals[j]."""
+    weights = level_vals[:, None] * mu_vals[None, :]
+    np.add.at(acc, rows.ravel(), weights.ravel())

@@ -112,8 +112,13 @@ class Workspace:
                 if self.cache_dir else None
             )
             if artifact is not None and artifact.exists():
-                self._cache = import_cache_json(artifact.read_text(encoding="utf-8"))
-            else:
+                try:
+                    self._cache = import_cache_json(
+                        artifact.read_text(encoding="utf-8"))
+                except ValueError as exc:  # damaged, or an older format
+                    print(f"walkops: rebuilding unreadable cache artifact "
+                          f"{artifact.name}: {exc}", file=sys.stderr)
+            if self._cache is None:
                 # a track set only matters for the engines with a memory
                 # fallback; the generic engine is governed by support_cap
                 track = (self.track_elements()

@@ -1,13 +1,14 @@
 """Convolution-power caches: every level of mu^{*m} for m = 0..M.
 
 Iterative powering (never binary) so that ratio sequences can read every
-level.  Four engines share one query interface:
+level.  Three engines share one query interface:
 
-* ``dense``          lattice walks, one box-shaped array per level
 * ``radial``         isotropic free-group walks, O(m) radii per level
-* ``radial-lattice`` Cartesian (isotropic free) x (lattice) walks
+* lattice array      one array over (tree radius, lattice point) per level;
+                     serves lattice walks as ``dense`` (a trivial tree, one
+                     radius) and Cartesian (isotropic free) x (lattice)
+                     walks as ``radial-lattice``
 * ``generic``        anything else, interned-element scatter-add loops
-                     (the hot kernel; compiled when the extension built)
 
 An entry of mu^{*m} "exists" exactly when it is present/positive in the
 level storage; zeros are never stored.  Each level keeps mantissas with a
@@ -53,6 +54,9 @@ from .measures import (
 
 DEFAULT_SUPPORT_CAP = 2_000_000
 DEFAULT_MEMORY_BUDGET_MB = 512
+# version 2: one array payload (lat_lo, (r, *lattice) values) for the
+# dense and radial-lattice engines
+ARTIFACT_VERSION = 2
 
 
 class PowersCache:
@@ -118,6 +122,23 @@ class PowersCache:
 
     def export_payload(self) -> dict:
         raise NotImplementedError
+
+    def _setup(self):
+        """Measure-derived state, shared by construction and import."""
+        raise NotImplementedError
+
+    def _load_level(self, lv: dict):
+        """Append one exported level (an entry of ``export_payload``)."""
+        raise NotImplementedError
+
+    @classmethod
+    def _from_payload(cls, descriptor, mu, payload):
+        self = cls.__new__(cls)
+        PowersCache.__init__(self, descriptor, mu)
+        self._setup()
+        for lv in payload["levels"]:
+            self._load_level(lv)
+        return self
 
 
 def transition(cache: PowersCache, n: int, x, y) -> float:
@@ -187,18 +208,10 @@ class GenericPowers(PowersCache):
     def __init__(self, descriptor, mu, depth, support_cap=DEFAULT_SUPPORT_CAP,
                  track=None):
         super().__init__(descriptor, mu)
-        items = sorted(mu.support.items(), key=lambda gv: descriptor.sort_key(gv[0]))
-        self._mu_elems = [g for g, _ in items]
-        self._mu_vals = np.array([v for _, v in items])
-        self._mu_ls = mu.log_scale
-        self._interner = _Interner(descriptor)
-        self._rows = np.full((256, len(self._mu_elems)), -1, dtype=np.int64)
-        self._track_set = None
+        self._setup()
         if track is not None:
             self._track_set = set(track)
             self._track_set.add(descriptor.identity())
-        self._levels: list = []
-        self._tracked_levels: list = []
         self._push_level(np.array([0], dtype=np.int64), np.array([1.0]), 0.0)
         for m in range(1, depth + 1):
             try:
@@ -207,6 +220,18 @@ class GenericPowers(PowersCache):
                 self.complete = False
                 self.budget_note = f"stopped at level {m - 1}: {exc}"
                 break
+
+    def _setup(self):
+        items = sorted(self.mu.support.items(),
+                       key=lambda gv: self.descriptor.sort_key(gv[0]))
+        self._mu_elems = [g for g, _ in items]
+        self._mu_vals = np.array([v for _, v in items])
+        self._mu_ls = self.mu.log_scale
+        self._interner = _Interner(self.descriptor)
+        self._rows = np.full((256, len(self._mu_elems)), -1, dtype=np.int64)
+        self._track_set = None
+        self._levels: list = []
+        self._tracked_levels: list = []
 
     def _push_level(self, ids, vals, log_scale):
         mass = math.exp(math.log(math.fsum(vals)) + log_scale)
@@ -330,184 +355,12 @@ class GenericPowers(PowersCache):
             })
         return {"levels": levels}
 
-    @classmethod
-    def _from_payload(cls, descriptor, mu, payload):
-        self = cls.__new__(cls)
-        PowersCache.__init__(self, descriptor, mu)
-        items = sorted(mu.support.items(), key=lambda gv: descriptor.sort_key(gv[0]))
-        self._mu_elems = [g for g, _ in items]
-        self._mu_vals = np.array([v for _, v in items])
-        self._mu_ls = mu.log_scale
-        self._interner = _Interner(descriptor)
-        self._rows = np.full((256, len(self._mu_elems)), -1, dtype=np.int64)
-        self._track_set = None
-        self._levels = []
-        self._tracked_levels = []
-        for lv in payload["levels"]:
-            pairs = [(self._interner.intern(descriptor.parse(t)), v)
-                     for t, v in lv["entries"]]
-            pairs.sort()
-            ids = np.array([i for i, _ in pairs], dtype=np.int64)
-            vals = np.array([v for _, v in pairs])
-            self._push_level(ids, vals, lv["log_scale"])
-        return self
-
-
-# ---------------------------------------------------------------------------
-# dense lattice engine
-# ---------------------------------------------------------------------------
-
-class DenseLatticePowers(PowersCache):
-    """Z^d walks: one box array per level; steps are shifted adds."""
-
-    engine_name = "dense"
-
-    def __init__(self, descriptor: LatticeGroup, mu, depth,
-                 memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB, track=None):
-        super().__init__(descriptor, mu)
-        d = descriptor.dimension
-        items = sorted(mu.support.items(), key=lambda gv: descriptor.sort_key(gv[0]))
-        self._offsets = [g for g, _ in items]
-        self._ovals = [v for _, v in items]
-        self._mu_ls = mu.log_scale
-        self._lo_step = tuple(min(g[i] for g in self._offsets) for i in range(d))
-        self._hi_step = tuple(max(g[i] for g in self._offsets) for i in range(d))
-
-        est = self._estimate_bytes(depth)
-        self._track_box = None
-        if est > memory_budget_mb * 2**20:
-            if track is None:
-                raise BudgetExceededError(
-                    f"full retention needs ~{est / 2**20:.0f} MiB "
-                    f"(budget {memory_budget_mb} MiB); pass a track set"
-                )
-            pts = list(track) + [descriptor.identity()]
-            self._track_box = (
-                tuple(min(p[i] for p in pts) for i in range(d)),
-                tuple(max(p[i] for p in pts) for i in range(d)),
-            )
-        # levels: (lo, array, log_scale, mass)
-        self._levels = [((0,) * d, np.ones((1,) * d), 0.0, 1.0)]
-        self._current = self._levels[0]
-        for _ in range(depth):
-            self._step()
-
-    def _estimate_bytes(self, depth):
-        total = 0
-        width = tuple(h - l for l, h in zip(self._lo_step, self._hi_step))
-        for m in range(depth + 1):
-            cells = 1
-            for w in width:
-                cells *= m * w + 1
-            total += cells * 8
-        return total
-
-    def _step(self):
-        lo, arr, ls, _ = self._current
-        d = len(lo)
-        lo_new = tuple(l + s for l, s in zip(lo, self._lo_step))
-        hi_new = tuple(
-            l + n - 1 + s for l, n, s in zip(lo, arr.shape, self._hi_step)
-        )
-        shape = tuple(h - l + 1 for l, h in zip(lo_new, hi_new))
-        out = np.zeros(shape)
-        for g, v in zip(self._offsets, self._ovals):
-            start = tuple(ol + gc - nl for ol, gc, nl in zip(lo, g, lo_new))
-            sl = tuple(slice(s, s + n) for s, n in zip(start, arr.shape))
-            out[sl] += v * arr
-        peak = out.max()
-        out /= peak
-        ls_new = ls + self._mu_ls + math.log(peak)
-        mass = math.exp(math.log(out.sum()) + ls_new)
-        full = (lo_new, out, ls_new, mass)
-        self._current = full
-        if self._track_box is None:
-            self._levels.append(full)
-        else:
-            tlo = tuple(max(a, b) for a, b in zip(lo_new, self._track_box[0]))
-            thi = tuple(
-                min(l + n - 1, b)
-                for l, n, b in zip(lo_new, shape, self._track_box[1])
-            )
-            if any(a > b for a, b in zip(tlo, thi)):
-                self._levels.append((tlo, np.zeros((0,) * len(lo)), ls_new, mass))
-            else:
-                sl = tuple(
-                    slice(a - l, b - l + 1) for a, b, l in zip(tlo, thi, lo_new)
-                )
-                self._levels.append((tlo, out[sl].copy(), ls_new, mass))
-
-    @property
-    def depth(self):
-        return len(self._levels) - 1
-
-    def log_value(self, m, g):
-        self._check_level(m)
-        lo, arr, ls, _ = self._levels[m]
-        idx = tuple(c - l for c, l in zip(g, lo))
-        if any(i < 0 or i >= n for i, n in zip(idx, arr.shape)):
-            if self._track_box is not None and not self._inside_track(g):
-                raise CoverageError("element outside the tracked box of this cache")
-            return NEG_INF
-        v = arr[idx]
-        return math.log(v) + ls if v > 0.0 else NEG_INF
-
-    def _inside_track(self, g):
-        lo, hi = self._track_box
-        return all(a <= c <= b for c, a, b in zip(g, lo, hi))
-
-    def level_mass(self, m):
-        self._check_level(m)
-        return self._levels[m][3]
-
-    def level_log_scale(self, m):
-        self._check_level(m)
-        return self._levels[m][2]
-
-    def level_measure(self, m):
-        self._check_level(m)
-        if self._track_box is not None:
-            raise CoverageError("tracked cache cannot materialize full levels")
-        lo, arr, ls, _ = self._levels[m]
-        support = {}
-        for idx in np.argwhere(arr > 0.0):
-            g = tuple(int(i + l) for i, l in zip(idx, lo))
-            support[g] = float(arr[tuple(idx)])
-        return ScaledMeasure(support=support, log_scale=ls, step_index=m)
-
-    def export_payload(self):
-        if self._track_box is not None:
-            raise CoverageError("tracked caches are not exportable")
-        levels = []
-        for lo, arr, ls, _ in self._levels:
-            levels.append({
-                "lo": list(lo),
-                "shape": list(arr.shape),
-                "values": [float(v) for v in arr.ravel()],
-                "log_scale": ls,
-            })
-        return {"levels": levels}
-
-    @classmethod
-    def _from_payload(cls, descriptor, mu, payload):
-        self = cls.__new__(cls)
-        PowersCache.__init__(self, descriptor, mu)
-        items = sorted(mu.support.items(), key=lambda gv: descriptor.sort_key(gv[0]))
-        self._offsets = [g for g, _ in items]
-        self._ovals = [v for _, v in items]
-        self._mu_ls = mu.log_scale
-        d = descriptor.dimension
-        self._lo_step = tuple(min(g[i] for g in self._offsets) for i in range(d))
-        self._hi_step = tuple(max(g[i] for g in self._offsets) for i in range(d))
-        self._track_box = None
-        self._levels = []
-        for lv in payload["levels"]:
-            arr = np.array(lv["values"]).reshape(lv["shape"])
-            ls = lv["log_scale"]
-            mass = math.exp(math.log(arr.sum()) + ls) if arr.size else 0.0
-            self._levels.append((tuple(lv["lo"]), arr, ls, mass))
-        self._current = self._levels[-1]
-        return self
+    def _load_level(self, lv):
+        parse = self.descriptor.parse
+        pairs = sorted((self._interner.intern(parse(t)), v) for t, v in lv["entries"])
+        ids = np.array([i for i, _ in pairs], dtype=np.int64)
+        vals = np.array([v for _, v in pairs])
+        self._push_level(ids, vals, lv["log_scale"])
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +374,18 @@ class RadialFreePowers(PowersCache):
 
     def __init__(self, descriptor: FreeGroup, mu, depth):
         super().__init__(descriptor, mu)
-        radial = radial_reduce(mu, descriptor)
+        self._setup()
+        self._levels.append((np.array([1.0]), 0.0, 1.0))
+        for _ in range(depth):
+            self._step()
+
+    def _setup(self):
+        radial = radial_reduce(self.mu, self.descriptor)
         self.q = radial.tree_degree
         self._mu_vals = radial.values
         self._mu_ls = radial.log_scale
         # levels: (values, log_scale, mass)
-        self._levels = [(np.array([1.0]), 0.0, 1.0)]
-        for _ in range(depth):
-            self._step()
+        self._levels = []
 
     def _step(self):
         vals, ls, _ = self._levels[-1]
@@ -582,35 +439,32 @@ class RadialFreePowers(PowersCache):
             ]
         }
 
-    @classmethod
-    def _from_payload(cls, descriptor, mu, payload):
-        self = cls.__new__(cls)
-        PowersCache.__init__(self, descriptor, mu)
-        radial = radial_reduce(mu, descriptor)
-        self.q = radial.tree_degree
-        self._mu_vals = radial.values
-        self._mu_ls = radial.log_scale
-        self._levels = []
-        for lv in payload["levels"]:
-            vals = np.array(lv["values"])
-            ls = lv["log_scale"]
-            mass = math.exp(log_radial_mass(vals, self.q) + ls)
-            self._levels.append((vals, ls, mass))
-        return self
+    def _load_level(self, lv):
+        vals = np.array(lv["values"])
+        ls = lv["log_scale"]
+        self._levels.append((vals, ls, math.exp(log_radial_mass(vals, self.q) + ls)))
 
 
 # ---------------------------------------------------------------------------
-# Cartesian (isotropic free) x (lattice) engine
+# lattice and Cartesian (isotropic free) x (lattice) engine
 # ---------------------------------------------------------------------------
 
-def _cartesian_split(descriptor: ProductGroup, mu: ScaledMeasure):
-    """Split a Cartesian measure on free x lattice into radial + offset parts.
+def _cartesian_split(descriptor: GroupDescriptor, mu: ScaledMeasure):
+    """Split a lattice or Cartesian free x lattice measure into radial tree
+    values + lattice offsets.
 
     Returns (tree_values, lattice_offsets) in mantissa units, or None when
     the measure moves both coordinates at once (not a Cartesian mixture).
     Mass at the identity is carried by the tree part (either choice acts as
-    the identity in the step).
+    the identity in the step); on a lattice, whose tree factor is trivial,
+    that is all the tree part holds.
     """
+    if isinstance(descriptor, LatticeGroup):
+        zero = descriptor.identity()
+        lat = {v: mass for v, mass in mu.support.items() if v != zero}
+        return np.array([mu.support.get(zero, 0.0)]), lat
+    if not isinstance(descriptor, ProductGroup):
+        return None
     left, right = descriptor.left, descriptor.right
     if not isinstance(left, FreeGroup) or not isinstance(right, LatticeGroup):
         return None
@@ -647,50 +501,76 @@ def _cartesian_split(descriptor: ProductGroup, mu: ScaledMeasure):
     return tree_vals, lat
 
 
+def _lattice_coords(v):
+    return 0, v
+
+
+def _product_coords(g):
+    return len(g[0]), g[1]
+
+
 class RadialLatticePowers(PowersCache):
-    """Cartesian walks on F_s x Z^d with an isotropic tree factor.
+    """Walks on Z^d, and Cartesian walks on F_s x Z^d with an isotropic
+    tree factor.
 
     Level state: value per (tree radius, lattice point); the step is a
     radial tree move plus lattice shifted adds, both linear in the state.
+    A lattice walk is the case of the trivial tree (degree 0, radius 0
+    only); its engine name is ``dense``, a product's is ``radial-lattice``.
     """
 
-    engine_name = "radial-lattice"
-
-    def __init__(self, descriptor: ProductGroup, mu, depth,
+    def __init__(self, descriptor, mu, depth,
                  memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB, track=None):
         super().__init__(descriptor, mu)
-        split = _cartesian_split(descriptor, mu)
-        if split is None:
-            raise PreconditionError(
-                "measure is not a Cartesian mixture on free x lattice"
-            )
-        self._tree_vals, self._lat = split
-        self.q = 2 * descriptor.left.rank
-        self._mu_ls = mu.log_scale
-        d = descriptor.right.dimension
-        offs = list(self._lat.keys()) + [descriptor.right.identity()]
-        self._lo_step = tuple(min(o[i] for o in offs) for i in range(d))
-        self._hi_step = tuple(max(o[i] for o in offs) for i in range(d))
-        self._r_step = len(self._tree_vals) - 1
-
+        self._setup()
+        d = len(self._lo_step)
         est = self._estimate_bytes(depth)
-        self._track_region = None
         if est > memory_budget_mb * 2**20:
             if track is None:
                 raise BudgetExceededError(
                     f"full retention needs ~{est / 2**20:.0f} MiB "
                     f"(budget {memory_budget_mb} MiB); pass a track set"
                 )
-            pts = list(track) + [descriptor.identity()]
-            r_keep = max(len(w) for w, _ in pts)
-            lat_lo = tuple(min(p[1][i] for p in pts) for i in range(d))
-            lat_hi = tuple(max(p[1][i] for p in pts) for i in range(d))
-            self._track_region = (r_keep, lat_lo, lat_hi)
-        # levels: (lat_lo, array[(r, *lattice)], log_scale, mass)
-        self._levels = [((0,) * d, np.ones((1,) * (d + 1)), 0.0, 1.0)]
-        self._current = self._levels[0]
+            pts = [self._coords(g) for g in list(track) + [descriptor.identity()]]
+            self._track_region = (
+                max(r for r, _ in pts),
+                tuple(min(v[i] for _, v in pts) for i in range(d)),
+                tuple(max(v[i] for _, v in pts) for i in range(d)),
+            )
+        self._current = ((0,) * d, np.ones((1,) * (d + 1)), 0.0, 1.0)
+        self._levels.append(self._current)
         for _ in range(depth):
             self._step()
+
+    def _setup(self):
+        descriptor = self.descriptor
+        split = _cartesian_split(descriptor, self.mu)
+        if split is None:
+            raise PreconditionError(
+                "measure is not a Cartesian mixture on free x lattice"
+            )
+        self._tree_vals, lat = split
+        if isinstance(descriptor, LatticeGroup):
+            self.engine_name = "dense"
+            self.q = 0
+            lattice = descriptor
+            self._coords = _lattice_coords
+        else:
+            self.engine_name = "radial-lattice"
+            self.q = 2 * descriptor.left.rank
+            lattice = descriptor.right
+            self._coords = _product_coords
+        # the order of the shifted adds fixes the summation order, hence the bits
+        self._moves = sorted(lat.items(), key=lambda vm: lattice.sort_key(vm[0]))
+        self._mu_ls = self.mu.log_scale
+        d = lattice.dimension
+        offs = list(lat) + [lattice.identity()]
+        self._lo_step = tuple(min(o[i] for o in offs) for i in range(d))
+        self._hi_step = tuple(max(o[i] for o in offs) for i in range(d))
+        self._r_step = len(self._tree_vals) - 1
+        self._track_region = None
+        # levels: (lat_lo, array[(r, *lattice)], log_scale, mass)
+        self._levels = []
 
     def _estimate_bytes(self, depth):
         total = 0
@@ -711,18 +591,16 @@ class RadialLatticePowers(PowersCache):
             for l, n, s in zip(lat_lo, arr.shape[1:], self._hi_step)
         )
         lat_shape = tuple(h - l + 1 for l, h in zip(lo_new, hi_new))
-        r_size = arr.shape[0] + self._r_step
-        out = np.zeros((r_size,) + lat_shape)
-        # tree-factor move: radial step along axis 0, lattice unchanged
+        out = np.zeros((arr.shape[0] + self._r_step,) + lat_shape)
+        # tree-factor move (and the identity mass): radial step along axis 0,
+        # lattice unchanged
         emb = tuple(
             slice(ol - nl, ol - nl + n)
             for ol, nl, n in zip(lat_lo, lo_new, arr.shape[1:])
         )
-        out[(slice(0, arr.shape[0] + self._r_step),) + emb] += radial_step(
-            arr, self._tree_vals, self.q
-        )
+        out[(slice(None),) + emb] += radial_step(arr, self._tree_vals, self.q)
         # lattice-factor moves: shifted adds at fixed tree radius
-        for v, mass in sorted(self._lat.items()):
+        for v, mass in self._moves:
             start = tuple(ol + vc - nl for ol, vc, nl in zip(lat_lo, v, lo_new))
             sl = tuple(slice(s, s + n) for s, n in zip(start, arr.shape[1:]))
             out[(slice(0, arr.shape[0]),) + sl] += mass * arr
@@ -758,24 +636,19 @@ class RadialLatticePowers(PowersCache):
 
     def log_value(self, m, g):
         self._check_level(m)
-        w, v = g
+        r, v = self._coords(g)
         lat_lo, arr, ls, _ = self._levels[m]
-        r = len(w)
-        idx = tuple(c - l for c, l in zip(v, lat_lo))
-        inside = r < arr.shape[0] and all(
-            0 <= i < n for i, n in zip(idx, arr.shape[1:])
-        )
-        if not inside:
-            if self._track_region is not None and not self._inside_track(g):
+        idx = (r,) + tuple(c - l for c, l in zip(v, lat_lo))
+        if not all(0 <= i < n for i, n in zip(idx, arr.shape)):
+            if self._track_region is not None and not self._inside_track(r, v):
                 raise CoverageError("element outside the tracked region of this cache")
             return NEG_INF
-        val = arr[(r,) + idx]
+        val = arr[idx]
         return math.log(val) + ls if val > 0.0 else NEG_INF
 
-    def _inside_track(self, g):
-        w, v = g
+    def _inside_track(self, r, v):
         r_keep, tlo, thi = self._track_region
-        return len(w) <= r_keep and all(a <= c <= b for c, a, b in zip(v, tlo, thi))
+        return r <= r_keep and all(a <= c <= b for c, a, b in zip(v, tlo, thi))
 
     def level_mass(self, m):
         self._check_level(m)
@@ -784,6 +657,22 @@ class RadialLatticePowers(PowersCache):
     def level_log_scale(self, m):
         self._check_level(m)
         return self._levels[m][2]
+
+    def level_measure(self, m):
+        """A lattice level as a measure.  On a product a tree radius stands
+        for a whole sphere of elements, so product levels are not
+        materialized (CoverageError)."""
+        if self.q:
+            return super().level_measure(m)
+        self._check_level(m)
+        if self._track_region is not None:
+            raise CoverageError("tracked cache cannot materialize full levels")
+        lat_lo, arr, ls, _ = self._levels[m]
+        support = {}
+        for idx in np.argwhere(arr[0] > 0.0):
+            g = tuple(int(i + l) for i, l in zip(idx, lat_lo))
+            support[g] = float(arr[(0,) + tuple(idx)])
+        return ScaledMeasure(support=support, log_scale=ls, step_index=m)
 
     def export_payload(self):
         if self._track_region is not None:
@@ -798,22 +687,11 @@ class RadialLatticePowers(PowersCache):
             })
         return {"levels": levels}
 
-    @classmethod
-    def _from_payload(cls, descriptor, mu, payload):
-        self = cls.__new__(cls)
-        PowersCache.__init__(self, descriptor, mu)
-        split = _cartesian_split(descriptor, mu)
-        self._tree_vals, self._lat = split
-        self.q = 2 * descriptor.left.rank
-        self._mu_ls = mu.log_scale
-        self._track_region = None
-        self._levels = []
-        for lv in payload["levels"]:
-            arr = np.array(lv["values"]).reshape(lv["shape"])
-            ls = lv["log_scale"]
-            self._levels.append((tuple(lv["lat_lo"]), arr, ls, self._mass_of(arr, ls)))
-        self._current = self._levels[-1]
-        return self
+    def _load_level(self, lv):
+        arr = np.array(lv["values"]).reshape(lv["shape"])
+        ls = lv["log_scale"]
+        self._current = (tuple(lv["lat_lo"]), arr, ls, self._mass_of(arr, ls))
+        self._levels.append(self._current)
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +700,7 @@ class RadialLatticePowers(PowersCache):
 
 _ENGINES = {
     "generic": GenericPowers,
-    "dense": DenseLatticePowers,
+    "dense": RadialLatticePowers,
     "radial": RadialFreePowers,
     "radial-lattice": RadialLatticePowers,
 }
@@ -861,13 +739,9 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
     if depth < 0:
         raise ValueError("depth must be >= 0")
     name = pick_engine(descriptor, mu) if engine == "auto" else engine
-    if name == "dense":
-        return DenseLatticePowers(
-            descriptor, mu, depth, memory_budget_mb=memory_budget_mb, track=track
-        )
     if name == "radial":
         return RadialFreePowers(descriptor, mu, depth)
-    if name == "radial-lattice":
+    if name in ("dense", "radial-lattice"):
         return RadialLatticePowers(
             descriptor, mu, depth, memory_budget_mb=memory_budget_mb, track=track
         )
@@ -889,7 +763,7 @@ def export_cache_json(cache: PowersCache) -> str:
     ]
     doc = {
         "format": "walkops-powers-cache",
-        "version": 1,
+        "version": ARTIFACT_VERSION,
         "descriptor": cache.descriptor.spec_string(),
         "engine": cache.engine_name,
         "depth": cache.depth,
@@ -908,6 +782,11 @@ def import_cache_json(text: str) -> PowersCache:
     doc = json.loads(text)
     if doc.get("format") != "walkops-powers-cache":
         raise ValueError("not a walkops powers-cache artifact")
+    if doc.get("version") != ARTIFACT_VERSION:
+        raise ValueError(
+            f"powers-cache artifact version {doc.get('version')!r}, "
+            f"expected {ARTIFACT_VERSION}"
+        )
     descriptor = descriptor_from_string(doc["descriptor"])
     mu = ScaledMeasure(
         support={descriptor.parse(t): v for t, v in doc["measure"]["entries"]},

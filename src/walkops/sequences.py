@@ -24,12 +24,6 @@ def aitken_step(s0: float, s1: float, s2: float) -> float:
     return s2 - (s2 - s1) ** 2 / d2
 
 
-def aitken(seq) -> np.ndarray:
-    """Aitken delta-squared over consecutive triples (len(seq) - 2 values)."""
-    s = np.asarray(seq, dtype=float)
-    return np.array([aitken_step(s[i], s[i + 1], s[i + 2]) for i in range(len(s) - 2)])
-
-
 def richardson_harmonic(ms, rs) -> np.ndarray:
     """Eliminate an a + b/m correction from consecutive samples.
 
@@ -63,16 +57,3 @@ def halving_ladder(top: int, floor: int, max_points: int = 5) -> list[int]:
     out.reverse()
     return out
 
-
-def geometric_aitken_tail(ms, log_values) -> np.ndarray:
-    """Aitken on log-values sampled at (approximately) geometric indices.
-
-    Returns the accelerated values exp(a) for each consecutive triple,
-    ordered from coarsest to finest.  Exact for log r_m = L + c/m along a
-    doubling ladder.
-    """
-    logs = np.asarray(log_values, dtype=float)
-    if len(logs) < 3:
-        raise ValueError("need at least three ladder points")
-    acc = aitken(logs)
-    return np.exp(acc)

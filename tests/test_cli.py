@@ -377,3 +377,61 @@ def test_cache_dir_truncated_artifact_not_reused(tmp_path, capsys):
     assert len(list(cache_dir.glob("powers-*.json"))) == 2
     code, err = spectrum(100)  # reloads the truncated artifact
     assert code == 3 and "stopped at level 5" in err
+
+
+LAZY_Z_CFG = """
+[group]
+family = lattice(1)
+
+[measure]
+inline =
+    (0) 1/2
+    (1) 1/4
+    (-1) 1/4
+
+[walk]
+depth = 64
+"""
+
+
+def _truncate(text):
+    return text[:100]
+
+
+def _as_version_1(text):
+    """The artifact as the version-1 dense format wrote it: ``lo`` and a
+    lattice-only shape, no tree-radius axis."""
+    doc = json.loads(text)
+    doc["version"] = 1
+    doc["payload"]["levels"] = [
+        {"lo": lv["lat_lo"], "shape": lv["shape"][1:], "values": lv["values"],
+         "log_scale": lv["log_scale"]}
+        for lv in doc["payload"]["levels"]
+    ]
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _as_version_1])
+def test_cache_dir_unreadable_artifact_rebuilt(tmp_path, capsys, damage):
+    """A truncated or old-format artifact is a cache miss: the run rebuilds
+    and rewrites it, and its outputs equal a fresh run's."""
+    cfg = tmp_path / "lazy.ini"
+    cfg.write_text(LAZY_Z_CFG, encoding="utf-8")
+    cache_dir = tmp_path / "cache"
+
+    def spectrum(out):
+        code = main(["spectrum", "--config", str(cfg), "--out",
+                     str(tmp_path / out), "--cache-dir", str(cache_dir)])
+        return code, capsys.readouterr().err
+
+    assert spectrum("fresh") == (0, "")
+    (artifact,) = cache_dir.glob("powers-*.json")
+    good = artifact.read_text(encoding="utf-8")
+    artifact.write_text(damage(good), encoding="utf-8")
+    code, err = spectrum("rebuilt")
+    assert code == 0
+    assert len(err.splitlines()) == 1 and "rebuilding" in err
+    assert artifact.read_text(encoding="utf-8") == good
+    assert ((tmp_path / "rebuilt" / "spectrum.json").read_bytes()
+            == (tmp_path / "fresh" / "spectrum.json").read_bytes())
+    assert spectrum("reused") == (0, "")

@@ -3,18 +3,11 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 import walkops as w
-from walkops import _kernels_py
-from walkops._backend import kernels
 from walkops.errors import CoverageError, PreconditionError
-from walkops.powers import (
-    DenseLatticePowers,
-    GenericPowers,
-    RadialLatticePowers,
-)
+from walkops.powers import GenericPowers
 
 
 def test_engine_selection(lattice1, lattice2, free2, lamp1, lazy_z, lazy_z2,
@@ -89,15 +82,17 @@ def test_chapman_kolmogorov_radial(f2_cache):
         )
 
 
-def test_dense_vs_generic_equality(lattice1, lazy_z):
-    dense = w.convolution_powers(lattice1, lazy_z, 24, engine="dense")
-    generic = w.convolution_powers(lattice1, lazy_z, 24, engine="generic")
-    for m in (0, 3, 11, 24):
-        dl = dense.level_measure(m)
-        gl = generic.level_measure(m)
-        assert set(dl.support) == set(gl.support)
-        for g, v in dl.items_values():
-            assert gl.value(g) == pytest.approx(v, rel=1e-12)
+def test_dense_vs_generic_equality(lattice1, lattice2, lazy_z, lazy_z2):
+    up2_down1 = w.parse_measure("(2) 1/2\n(-1) 1/2", lattice1)
+    for desc, mu in ((lattice1, lazy_z), (lattice1, up2_down1), (lattice2, lazy_z2)):
+        dense = w.convolution_powers(desc, mu, 24, engine="dense")
+        generic = w.convolution_powers(desc, mu, 24, engine="generic")
+        for m in (0, 3, 11, 24):
+            dl = dense.level_measure(m)
+            gl = generic.level_measure(m)
+            assert set(dl.support) == set(gl.support)
+            for g, v in dl.items_values():
+                assert gl.value(g) == pytest.approx(v, rel=1e-12)
 
 
 def test_radial_vs_generic_equality(free2, iso_f2):
@@ -207,8 +202,8 @@ def test_tracked_generic_matches_full(lamp1, lamp_mu):
 
 def test_tracked_dense_matches_full(lattice1, lazy_z):
     full = w.convolution_powers(lattice1, lazy_z, 32)
-    tracked = DenseLatticePowers(lattice1, lazy_z, 32, memory_budget_mb=0,
-                                 track=[(-3,), (3,)])
+    tracked = w.convolution_powers(lattice1, lazy_z, 32, engine="dense",
+                                   memory_budget_mb=0, track=[(-3,), (3,)])
     for m in (1, 9, 32):
         for v in range(-3, 4):
             assert tracked.log_value(m, (v,)) == full.log_value(m, (v,))
@@ -222,8 +217,9 @@ def test_tracked_radial_lattice_matches_full():
         "(e|(0)) 0.35\n(a|(0)) 1/10\n(A|(0)) 1/10\n(b|(0)) 1/10\n(B|(0)) 1/10\n"
         "(e|(1)) 1/8\n(e|(-1)) 1/8", desc)
     track = [((1, 1), (2,)), ((), (-2,))]
-    full = RadialLatticePowers(desc, mu, 10)
-    tracked = RadialLatticePowers(desc, mu, 10, memory_budget_mb=0, track=track)
+    full = w.convolution_powers(desc, mu, 10, engine="radial-lattice")
+    tracked = w.convolution_powers(desc, mu, 10, engine="radial-lattice",
+                                   memory_budget_mb=0, track=track)
     for m in (3, 10):
         for g in [((), (0,)), ((1,), (1,)), ((1, 2), (-2,))]:
             assert tracked.log_value(m, g) == full.log_value(m, g)
@@ -285,23 +281,19 @@ def test_deep_levels_log_scaled(free2, iso_f2):
     assert math.exp(lv) >= 0.0
 
 
-def test_scatter_backends_bit_identical():
-    rng = np.random.default_rng(42)
-    idx = rng.integers(0, 50, size=400).astype(np.int64)
-    vals = rng.standard_normal(400)
-    a = np.zeros(50)
-    b = np.zeros(50)
-    kernels.scatter_add(a, idx, vals)
-    _kernels_py.scatter_add(b, idx, vals)
-    assert np.array_equal(a, b)
-    rows = rng.integers(0, 50, size=(30, 7)).astype(np.int64)
-    lv = rng.random(30)
-    mv = rng.random(7)
-    a2 = np.zeros(50)
-    b2 = np.zeros(50)
-    kernels.scatter_add_outer(a2, rows, lv, mv)
-    _kernels_py.scatter_add_outer(b2, rows, lv, mv)
-    assert np.array_equal(a2, b2)
+def test_generic_matches_reference_convolve(lamp1, lamp_mu, free2):
+    """Generic-engine levels equal iterated ``measures.convolve``, the
+    keyed-collection reference, on a lamplighter and an anisotropic free walk."""
+    aniso = w.parse_measure("a 1/2\nA 1/6\nb 1/6\nB 1/6", free2)
+    for desc, mu in ((lamp1, lamp_mu), (free2, aniso)):
+        cache = w.convolution_powers(desc, mu, 6, engine="generic")
+        ref = w.ScaledMeasure.point_mass(desc)
+        for m in range(7):
+            level = cache.level_measure(m)
+            assert set(level.support) == set(ref.support), (desc, m)
+            for g, v in ref.items_values():
+                assert level.value(g) == pytest.approx(v, rel=1e-12), (desc, m, g)
+            ref = w.convolve(ref, mu, desc)
 
 
 def test_determinism_same_inputs(lamp1, lamp_mu):
