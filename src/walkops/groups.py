@@ -44,6 +44,12 @@ class GroupDescriptor:
         raise NotImplementedError
 
     def multiply(self, a, b):
+        """Group law on checked operands; see ``_mul`` for the unchecked one."""
+        self.check(a, b)
+        return self._mul(a, b)
+
+    def _mul(self, a, b):
+        """Group law on canonical elements, without checking them."""
         raise NotImplementedError
 
     def inverse(self, a):
@@ -159,8 +165,7 @@ class LatticeGroup(GroupDescriptor):
     def identity(self):
         return (0,) * self.dimension
 
-    def multiply(self, a, b):
-        self.check(a, b)
+    def _mul(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
     def inverse(self, a):
@@ -232,8 +237,7 @@ class FreeGroup(GroupDescriptor):
     def identity(self):
         return ()
 
-    def multiply(self, a, b):
-        self.check(a, b)
+    def _mul(self, a, b):
         i = len(a)
         j = 0
         while i > 0 and j < len(b) and a[i - 1] == -b[j]:
@@ -323,8 +327,7 @@ class LamplighterGroup(GroupDescriptor):
     def identity(self):
         return (self._base.identity(), ())
 
-    def multiply(self, a, b):
-        self.check(a, b)
+    def _mul(self, a, b):
         (x, w), (y, u) = a, b
         pos = tuple(p + q for p, q in zip(x, y))
         shifted = {tuple(p + q for p, q in zip(lamp, x)) for lamp in u}
@@ -463,11 +466,10 @@ class ProductGroup(GroupDescriptor):
     def identity(self):
         return (self.left.identity(), self.right.identity())
 
-    def multiply(self, a, b):
-        self.check(a, b)
+    def _mul(self, a, b):
         return (
-            self.left.multiply(a[0], b[0]),
-            self.right.multiply(a[1], b[1]),
+            self.left._mul(a[0], b[0]),
+            self.right._mul(a[1], b[1]),
         )
 
     def inverse(self, a):

@@ -18,6 +18,13 @@ quotients.
 Retention is ``full`` (every level queryable everywhere) or ``tracked``
 (every level queryable on a declared element set / region only, bounding
 memory for deep caches).
+
+``export_cache_json`` writes a version-3 JSON artifact.  The generic
+engine's payload is an element table (each interned element formatted
+once, in id order) plus, per level, sorted ``ids`` into that table and
+their ``vals``; the array engines store their value arrays.  Any other
+version is rejected by ``import_cache_json``, as is any malformed artifact
+(ValueError).
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .errors import (
     BudgetExceededError,
     CoverageError,
     PreconditionError,
+    WalkopsError,
 )
 from .groups import (
     FreeGroup,
@@ -55,8 +63,9 @@ from .measures import (
 DEFAULT_SUPPORT_CAP = 2_000_000
 DEFAULT_MEMORY_BUDGET_MB = 512
 # version 2: one array payload (lat_lo, (r, *lattice) values) for the
-# dense and radial-lattice engines
-ARTIFACT_VERSION = 2
+# dense and radial-lattice engines; version 3: the generic payload is an
+# element table plus per-level id and value lists
+ARTIFACT_VERSION = 3
 
 
 class PowersCache:
@@ -131,13 +140,17 @@ class PowersCache:
         """Append one exported level (an entry of ``export_payload``)."""
         raise NotImplementedError
 
+    def _load_payload(self, payload: dict):
+        """Restore the levels of ``export_payload``; runs after ``_setup``."""
+        for lv in payload["levels"]:
+            self._load_level(lv)
+
     @classmethod
     def _from_payload(cls, descriptor, mu, payload):
         self = cls.__new__(cls)
         PowersCache.__init__(self, descriptor, mu)
         self._setup()
-        for lv in payload["levels"]:
-            self._load_level(lv)
+        self._load_payload(payload)
         return self
 
 
@@ -173,20 +186,37 @@ def is_aperiodic(cache: PowersCache, probe_depth: int | None = None):
 # ---------------------------------------------------------------------------
 
 class _Interner:
-    """Stable element <-> integer-id table shared by all levels."""
+    """Stable element <-> integer-id table shared by all levels.
+
+    The per-element work happens here, once per distinct element: a new
+    element is checked when it enters, and the artifact stores the table
+    once, so export formats and import parses each element once.
+    """
 
     def __init__(self, descriptor):
         e = descriptor.identity()
+        self._check = descriptor.check
         self.elements = [e]
         self.index = {e: 0}
 
     def intern(self, g) -> int:
         i = self.index.get(g)
         if i is None:
+            self._check(g)
             i = len(self.elements)
             self.index[g] = i
             self.elements.append(g)
         return i
+
+    def load(self, elements: list):
+        """Replace the table by ``elements`` (parsed, hence canonical)."""
+        index = {g: i for i, g in enumerate(elements)}
+        if not elements or elements[0] != self.elements[0]:
+            raise ValueError("generic payload: the identity is not element 0")
+        if len(index) != len(elements):
+            raise ValueError("generic payload: two element strings name one element")
+        self.elements = elements
+        self.index = index
 
     def __len__(self):
         return len(self.elements)
@@ -225,6 +255,8 @@ class GenericPowers(PowersCache):
         items = sorted(self.mu.support.items(),
                        key=lambda gv: self.descriptor.sort_key(gv[0]))
         self._mu_elems = [g for g, _ in items]
+        # the one check of the operands; products are checked as interned
+        self.descriptor.check(*self._mu_elems)
         self._mu_vals = np.array([v for _, v in items])
         self._mu_ls = self.mu.log_scale
         self._interner = _Interner(self.descriptor)
@@ -251,7 +283,7 @@ class GenericPowers(PowersCache):
 
     def _ensure_rows(self, ids):
         inter = self._interner
-        mul = self.descriptor.multiply
+        mul = self.descriptor._mul
         elems = inter.elements
         missing = ids[self._rows[ids, 0] < 0]
         for i in missing.tolist():
@@ -343,24 +375,37 @@ class GenericPowers(PowersCache):
         if self._track_set is not None:
             raise CoverageError("tracked caches are not exportable")
         fmt = self.descriptor.format
-        elems = self._interner.elements
-        levels = []
-        for level in self._levels:
-            levels.append({
-                "log_scale": level.log_scale,
-                "entries": [
-                    [fmt(elems[i]), float(v)]
-                    for i, v in zip(level.ids.tolist(), level.vals)
-                ],
-            })
-        return {"levels": levels}
+        return {
+            "elements": [fmt(g) for g in self._interner.elements],
+            "levels": [
+                {"log_scale": level.log_scale, "ids": level.ids.tolist(),
+                 "vals": level.vals.tolist()}
+                for level in self._levels
+            ],
+        }
 
-    def _load_level(self, lv):
+    def _load_payload(self, payload):
         parse = self.descriptor.parse
-        pairs = sorted((self._interner.intern(parse(t)), v) for t, v in lv["entries"])
-        ids = np.array([i for i, _ in pairs], dtype=np.int64)
-        vals = np.array([v for _, v in pairs])
-        self._push_level(ids, vals, lv["log_scale"])
+        self._interner.load([parse(t) for t in payload["elements"]])
+        n = len(self._interner)
+        for lv in payload["levels"]:
+            ids = np.asarray(lv["ids"])
+            vals = np.asarray(lv["vals"], dtype=float)
+            log_scale = float(lv["log_scale"])
+            if (ids.ndim != 1 or ids.dtype.kind != "i" or not len(ids)
+                    or ids[0] < 0 or ids[-1] >= n or np.any(ids[1:] <= ids[:-1])):
+                raise ValueError(
+                    "generic payload: level ids are not strictly increasing "
+                    f"ids below {n}"
+                )
+            if vals.shape != ids.shape or not np.all(np.isfinite(vals) & (vals > 0.0)):
+                raise ValueError(
+                    "generic payload: level vals are not one finite positive "
+                    "value per id"
+                )
+            if not math.isfinite(log_scale):
+                raise ValueError("generic payload: level log_scale is not finite")
+            self._push_level(ids.astype(np.int64), vals, log_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -779,22 +824,43 @@ def export_cache_json(cache: PowersCache) -> str:
 
 
 def import_cache_json(text: str) -> PowersCache:
+    """Rebuild a cache from ``export_cache_json`` text.
+
+    Any malformed artifact (bad JSON, another format or version, missing or
+    mistyped fields, an inconsistent payload) raises ValueError, which
+    callers treat as a cache miss.
+    """
     doc = json.loads(text)
-    if doc.get("format") != "walkops-powers-cache":
+    if not isinstance(doc, dict) or doc.get("format") != "walkops-powers-cache":
         raise ValueError("not a walkops powers-cache artifact")
     if doc.get("version") != ARTIFACT_VERSION:
         raise ValueError(
             f"powers-cache artifact version {doc.get('version')!r}, "
             f"expected {ARTIFACT_VERSION}"
         )
-    descriptor = descriptor_from_string(doc["descriptor"])
-    mu = ScaledMeasure(
-        support={descriptor.parse(t): v for t, v in doc["measure"]["entries"]},
-        log_scale=doc["measure"]["log_scale"],
-        step_index=1,
-    )
-    cls = _ENGINES[doc["engine"]]
-    cache = cls._from_payload(descriptor, mu, doc["payload"])
-    cache.complete = doc["complete"]
-    cache.budget_note = doc.get("budget_note", "")
+    engine = doc.get("engine")
+    cls = _ENGINES.get(engine) if isinstance(engine, str) else None
+    if cls is None:
+        raise ValueError(f"unknown engine {engine!r} in powers-cache artifact")
+    try:
+        descriptor = descriptor_from_string(doc["descriptor"])
+        mu = ScaledMeasure(
+            support={descriptor.parse(t): float(v) for t, v in doc["measure"]["entries"]},
+            log_scale=float(doc["measure"]["log_scale"]),
+            step_index=1,
+        )
+        cache = cls._from_payload(descriptor, mu, doc["payload"])
+        complete = doc["complete"]
+        budget_note = doc.get("budget_note", "")
+        depth = doc["depth"]
+    except (LookupError, TypeError, AttributeError, WalkopsError) as exc:
+        raise ValueError(f"malformed powers-cache artifact: {exc!r}") from exc
+    if not isinstance(complete, bool) or not isinstance(budget_note, str):
+        raise ValueError("malformed powers-cache artifact: bad complete/budget_note")
+    if depth != cache.depth:
+        raise ValueError(
+            f"powers-cache artifact depth {depth!r} but {cache.depth} levels stored"
+        )
+    cache.complete = complete
+    cache.budget_note = budget_note
     return cache

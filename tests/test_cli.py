@@ -411,10 +411,22 @@ def _as_version_1(text):
     return json.dumps(doc, sort_keys=True)
 
 
-@pytest.mark.parametrize("damage", [_truncate, _as_version_1])
+def _as_empty_list(text):
+    return "[]"
+
+
+def _without_payload(text):
+    doc = json.loads(text)
+    assert doc["version"] == 3
+    del doc["payload"]
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "damage", [_truncate, _as_version_1, _as_empty_list, _without_payload])
 def test_cache_dir_unreadable_artifact_rebuilt(tmp_path, capsys, damage):
-    """A truncated or old-format artifact is a cache miss: the run rebuilds
-    and rewrites it, and its outputs equal a fresh run's."""
+    """A truncated, old-format or malformed artifact is a cache miss: the
+    run rebuilds and rewrites it, and its outputs equal a fresh run's."""
     cfg = tmp_path / "lazy.ini"
     cfg.write_text(LAZY_Z_CFG, encoding="utf-8")
     cache_dir = tmp_path / "cache"

@@ -1,12 +1,13 @@
 """Convolution-power engines: cross-engine equality, invariants, budgets."""
 
+import copy
 import json
 import math
 
 import pytest
 
 import walkops as w
-from walkops.errors import CoverageError, PreconditionError
+from walkops.errors import CoverageError, DescriptorMismatchError, PreconditionError
 from walkops.powers import GenericPowers
 
 
@@ -271,6 +272,124 @@ def test_export_keeps_budget_note(lamp1, lamp_mu):
     # artifacts written before the note was persisted read back with ""
     del doc["budget_note"]
     assert w.import_cache_json(json.dumps(doc)).budget_note == ""
+
+
+LAMP_Z2 = ("((0,0),{}) 1/6\n((1,0),{}) 1/6\n((-1,0),{}) 1/6\n((0,1),{}) 1/6\n"
+           "((0,-1),{}) 1/6\n((0,0),{(0,0)}) 1/6")
+ANISO_F2 = "a 1/2\nA 1/6\nb 1/6\nB 1/6"
+
+
+def test_generic_round_trip_exact(lamp1, lamp_mu, free2):
+    """A re-imported generic cache answers every query exactly as the
+    original: lamplighter over Z and Z^2 (nested parentheses in the element
+    text), a non-isotropic F2 walk, and a support-capped cache whose element
+    table runs past its last stored level."""
+    lamp2 = w.LamplighterGroup(2)
+    capped = w.convolution_powers(lamp1, lamp_mu, 12, engine="generic",
+                                  support_cap=50)
+    last_id = max(int(level.ids[-1]) for level in capped._levels)
+    assert len(capped._interner) > last_id + 1
+    caches = [
+        w.convolution_powers(lamp1, lamp_mu, 8, engine="generic"),
+        w.convolution_powers(lamp2, w.parse_measure(LAMP_Z2, lamp2), 5,
+                             engine="generic"),
+        w.convolution_powers(free2, w.parse_measure(ANISO_F2, free2), 8,
+                             engine="generic"),
+        capped,
+    ]
+    for cache in caches:
+        back = w.import_cache_json(w.export_cache_json(cache))
+        assert (back.depth, back.complete) == (cache.depth, cache.complete)
+        ball = cache.descriptor.ball(3)
+        for m in range(cache.depth + 1):
+            assert ([back.log_value(m, g) for g in ball]
+                    == [cache.log_value(m, g) for g in ball])
+            assert back.level_mass(m) == cache.level_mass(m)
+            assert back.level_log_scale(m) == cache.level_log_scale(m)
+            assert back.support_size(m) == cache.support_size(m)
+            assert back.level_measure(m).support == cache.level_measure(m).support
+
+
+@pytest.fixture(scope="module")
+def generic_artifact(free2):
+    cache = w.convolution_powers(free2, w.parse_measure(ANISO_F2, free2), 4,
+                                 engine="generic")
+    return json.loads(w.export_cache_json(cache))
+
+
+def _swap_first_two(seq):
+    seq[0], seq[1] = seq[1], seq[0]
+
+
+TAMPERS = {
+    "duplicate element": lambda p: p["elements"].__setitem__(2, p["elements"][1]),
+    # "aA" parses to the identity, already element 0
+    "duplicate after parse": lambda p: p["elements"].__setitem__(1, "aA"),
+    "identity not at id 0": lambda p: _swap_first_two(p["elements"]),
+    "unsorted ids": lambda p: (_swap_first_two(p["levels"][2]["ids"]),
+                               _swap_first_two(p["levels"][2]["vals"])),
+    "id past the table": lambda p: p["levels"][3]["ids"].__setitem__(
+        -1, len(p["elements"])),
+    "negative id": lambda p: p["levels"][1]["ids"].__setitem__(0, -1),
+    "zero value": lambda p: p["levels"][2]["vals"].__setitem__(0, 0.0),
+    "negative value": lambda p: p["levels"][2]["vals"].__setitem__(0, -0.5),
+    "NaN value": lambda p: p["levels"][2]["vals"].__setitem__(0, math.nan),
+    "more vals than ids": lambda p: p["levels"][2]["vals"].append(0.5),
+    "fewer vals than ids": lambda p: p["levels"][2]["vals"].pop(),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERS))
+def test_generic_tampered_artifact_rejected(generic_artifact, tamper):
+    assert w.import_cache_json(json.dumps(generic_artifact)).depth == 4
+    doc = copy.deepcopy(generic_artifact)
+    TAMPERS[tamper](doc["payload"])
+    with pytest.raises(ValueError):
+        w.import_cache_json(json.dumps(doc))
+
+
+def test_malformed_artifact_is_value_error(generic_artifact):
+    """Whatever is wrong with an artifact, import raises ValueError, the
+    one error a cache reader treats as a miss."""
+    for text in ("[]", "3", '{"format": "walkops-powers-cache", "version": 3}'):
+        with pytest.raises(ValueError):
+            w.import_cache_json(text)
+    doc = copy.deepcopy(generic_artifact)
+    doc["engine"] = "fast"
+    with pytest.raises(ValueError, match="unknown engine"):
+        w.import_cache_json(json.dumps(doc))
+    for key in ("descriptor", "measure", "payload", "complete", "depth"):
+        doc = copy.deepcopy(generic_artifact)
+        del doc[key]
+        with pytest.raises(ValueError):
+            w.import_cache_json(json.dumps(doc))
+    for key, bad in (("payload", []), ("measure", {"entries": 3}),
+                     ("complete", "yes"), ("depth", 7)):
+        doc = copy.deepcopy(generic_artifact)
+        doc[key] = bad
+        with pytest.raises(ValueError):
+            w.import_cache_json(json.dumps(doc))
+
+
+class _UnsortedLamplighter(w.LamplighterGroup):
+    """A broken group law: lamps come back in reverse order."""
+
+    def _mul(self, a, b):
+        pos, lamps = super()._mul(a, b)
+        return pos, tuple(reversed(lamps))
+
+
+def test_generic_checks_each_element_once(lamp1, lamp_mu):
+    """The generic engine multiplies unchecked, so it checks the measure's
+    support on setup and every product as it enters the element table."""
+    unsorted = ((0,), ((1,), (0,)))
+    assert not lamp1.contains(unsorted)
+    mu = w.ScaledMeasure(support={lamp1.identity(): 1.0, unsorted: 1.0})
+    with pytest.raises(DescriptorMismatchError):
+        w.convolution_powers(lamp1, mu, 3, engine="generic")
+    broken = _UnsortedLamplighter(1)
+    with pytest.raises(DescriptorMismatchError):
+        w.convolution_powers(broken, lamp_mu, 4, engine="generic")
 
 
 def test_deep_levels_log_scaled(free2, iso_f2):
