@@ -45,7 +45,8 @@ from .spectral import local_limit_exponent, spectral_radius
 
 
 class Workspace:
-    """Memoizes the cache / spectral estimate / kernel table for one run."""
+    """Memoizes the cache / spectral estimate / kernel table / Fock window
+    for one run."""
 
     def __init__(self, cfg: RunConfig, out_dir: Path, cache_dir: Path | None = None):
         self.cfg = cfg
@@ -55,6 +56,7 @@ class Workspace:
         self._spectral = None
         self._alpha = None
         self._table = None
+        self._window = None
 
     # -- shared pipeline pieces ------------------------------------------------
 
@@ -154,6 +156,19 @@ class Workspace:
         if self._table is None:
             self._table = KernelTable(self.cache(), rho_hat=self.spectral().rho_hat)
         return self._table
+
+    def fock_window(self) -> fk.FockWindow:
+        """The [fock] window, built once and shared by fock and covariance."""
+        if self._window is None:
+            cfg = self.cfg
+            self._window = fk.FockWindow(
+                self.cache(),
+                max_level=cfg.getint("fock", "max_level"),
+                x_radius=cfg.getint("fock", "x_radius"),
+                z_radius=cfg.getint("fock", "z_radius"),
+                interior_margin=cfg.getint("fock", "interior_margin"),
+            )
+        return self._window
 
     def boundary_sequence(self, optional: bool = False) -> list:
         cfg = self.cfg
@@ -325,17 +340,6 @@ def cmd_boundary(ws: Workspace) -> int:
     return 0 if report.passed else 1
 
 
-def _fock_window(ws: Workspace) -> fk.FockWindow:
-    cfg = ws.cfg
-    return fk.FockWindow(
-        ws.cache(),
-        max_level=cfg.getint("fock", "max_level"),
-        x_radius=cfg.getint("fock", "x_radius"),
-        z_radius=cfg.getint("fock", "z_radius"),
-        interior_margin=cfg.getint("fock", "interior_margin"),
-    )
-
-
 def _fock_xy(ws: Workspace):
     cfg = ws.cfg
     desc = cfg.descriptor
@@ -348,7 +352,7 @@ def _fock_xy(ws: Workspace):
 def cmd_fock(ws: Workspace) -> int:
     cfg = ws.cfg
     desc = cfg.descriptor
-    window = _fock_window(ws)
+    window = ws.fock_window()
     table = ws.table()
     tol = cfg.getfloat("tolerances", "exact")
     e = desc.identity()
@@ -392,7 +396,7 @@ def cmd_fock(ws: Workspace) -> int:
 def cmd_covariance(ws: Workspace) -> int:
     cfg = ws.cfg
     desc = cfg.descriptor
-    window = _fock_window(ws)
+    window = ws.fock_window()
     g = cfg.element("covariance", "g")
     zeta = complex(cfg.get("covariance", "zeta").replace("i", "j"))
     n = cfg.getint("covariance", "n")

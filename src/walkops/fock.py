@@ -8,6 +8,13 @@ window are excluded at construction, and defect norms never look at the
 top ``interior_margin`` levels, so truncation artifacts cannot be misread
 as algebraic defects.
 
+The basis is stored as integer arrays (level, row id into the x-ball,
+fiber id into the z-ball) with a position table over (level, row,
+fiber); basis queries and builders work on these arrays, and each group
+product they need is computed once per ball element or ball pair.  The
+``basis`` tuple list, in the same (m, x, z) order, is kept for export,
+since that order fixes the CSR order and so the exported triplets.
+
 The defect suite certifies the "relations modulo compacts" numerically:
 each identity holds exactly (float tolerance) above a per-fiber edge
 threshold m_0 computed from the cache, with sub-threshold defects
@@ -17,7 +24,7 @@ reported rather than hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,8 +37,23 @@ from .reports import DiagnosticsReport
 EXACT_TOL = 1e-12
 
 
+_NO_POSITIONS = np.zeros(0, dtype=np.intp)
+
+
+def _positions_by(ids: np.ndarray, count: int) -> list:
+    """Ascending positions of each id in 0..count-1 within ``ids``."""
+    order = np.argsort(ids, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(ids, minlength=count))[:-1])
+
+
 class FockWindow:
-    """Finite slice of the Fock basis with interior-level bookkeeping."""
+    """Finite slice of the Fock basis with interior-level bookkeeping.
+
+    The basis lives in integer arrays: ``level``, ``row`` (position of x in
+    ``x_elems``) and ``fiber`` (position of z in ``z_elems``), in (m, x, z)
+    order.  ``basis`` holds the same vectors as tuples, for export and
+    lookups by key.
+    """
 
     def __init__(self, cache: PowersCache, max_level: int, x_radius: int,
                  z_radius: int, interior_margin: int):
@@ -50,39 +72,125 @@ class FockWindow:
         self.interior_top = max_level - interior_margin
         self.x_elems = self.descriptor.ball(x_radius)
         self.z_elems = self.descriptor.ball(z_radius)
-        self.basis: list = []
-        self.index: dict = {}
-        self._log_p: dict = {}
-        for m in range(max_level + 1):
-            for x in self.x_elems:
-                for z in self.z_elems:
-                    lp = cache.log_transition(m, x, z)
-                    if lp > NEG_INF:
-                        self.index[(m, x, z)] = len(self.basis)
-                        self.basis.append((m, x, z))
-                        self._log_p[(m, x, z)] = lp
-        self._by_row: dict = {}
-        for i, (m, x, z) in enumerate(self.basis):
-            self._by_row.setdefault(x, []).append(i)
+        self._row_id = {x: i for i, x in enumerate(self.x_elems)}
+        self._fiber_id = {z: j for j, z in enumerate(self.z_elems)}
+        self._quotients: dict = {}  # x -> [x^-1 z for z in z_elems]
+        self._columns: dict = {}    # g -> [log mu^{*m}(g) for m <= max_level]
+        # log P^(m)_{x,z} over (level, row, fiber); -inf where absent
+        self._lp = np.stack([self._log_p_table(x) for x in self.x_elems], axis=1)
+        present = self._lp > NEG_INF
+        self.level, self.row, self.fiber = np.nonzero(present)
+        # basis position of each present (level, row, fiber), -1 elsewhere
+        self._pos = np.full(present.shape, -1, dtype=np.intp)
+        self._pos[present] = np.arange(len(self.level), dtype=np.intp)
+        xs, zs = self.x_elems, self.z_elems
+        self.basis: list = [
+            (m, xs[i], zs[j])
+            for m, i, j in zip(self.level.tolist(), self.row.tolist(),
+                               self.fiber.tolist())
+        ]
+        self.index: dict = {key: k for k, key in enumerate(self.basis)}
+        # ascending basis positions per row and per fiber; the basis is
+        # level-major, so levels are non-decreasing along each
+        self._by_row = _positions_by(self.row, len(xs))
+        self._by_fiber = _positions_by(self.fiber, len(zs))
         self._thresholds: dict = {}
+
+    def _left_quotients(self, x) -> list:
+        """x^-1 z for every z in ``z_elems``: one product per pair, memoized."""
+        q = self._quotients.get(x)
+        if q is None:
+            desc = self.descriptor
+            xinv = desc.inverse(x)
+            q = self._quotients[x] = [desc.multiply(xinv, z) for z in self.z_elems]
+        return q
+
+    def _column(self, g) -> list:
+        """log mu^{*m}(g) for m = 0..max_level, read from the cache once."""
+        col = self._columns.get(g)
+        if col is None:
+            log_value = self.cache.log_value
+            col = self._columns[g] = [log_value(m, g)
+                                      for m in range(self.max_level + 1)]
+        return col
+
+    def _transition_column(self, x, z) -> list:
+        """log P^(m)_{x,z} for m = 0..max_level."""
+        j = self._fiber_id.get(z)
+        if j is None:
+            desc = self.descriptor
+            return self._column(desc.multiply(desc.inverse(x), z))
+        return self._column(self._left_quotients(x)[j])
+
+    def _log_p_table(self, x) -> np.ndarray:
+        """log P^(m)_{x,z} over (level, fiber) for any row element x."""
+        return np.array([self._column(g) for g in self._left_quotients(x)],
+                        dtype=float).T
+
+    def _row_positions(self, x) -> np.ndarray:
+        i = self._row_id.get(x)
+        return _NO_POSITIONS if i is None else self._by_row[i]
+
+    def _shift_pairs(self, src, dst, n: int):
+        """(out, in) basis positions of e^(m)_{src,z} -> e^(m+n)_{dst,z}, in
+        input order, for the inputs whose target is in the window."""
+        cols = self._row_positions(src)
+        i = self._row_id.get(dst)
+        if i is None:
+            return cols[:0], cols[:0]
+        target = self.level[cols] + n
+        inside = (target >= 0) & (target <= self.max_level)
+        cols = cols[inside]
+        rows = self._pos[target[inside], i, self.fiber[cols]]
+        keep = rows >= 0
+        return rows[keep], cols[keep]
+
+    def _translate_basis(self, g):
+        """Row and fiber positions of (g x, g z) for every basis vector
+        e^(m)_{x,z}, -1 where g x or g z leaves its ball; one product per
+        ball element."""
+        mul = self.descriptor.multiply
+        rows = np.array([self._row_id.get(mul(g, x), -1) for x in self.x_elems],
+                        dtype=np.intp)
+        fibers = np.array([self._fiber_id.get(mul(g, z), -1) for z in self.z_elems],
+                          dtype=np.intp)
+        return rows[self.row], fibers[self.fiber]
+
+    def _kernel_weights(self, x, y, table, fibers: np.ndarray, weight) -> list:
+        """weight(H(x^-1 y, x^-1 z)) for each fiber position, one table
+        lookup per distinct fiber, in order of first appearance."""
+        desc = self.descriptor
+        xy = desc.multiply(desc.inverse(x), y)
+        if not len(fibers):
+            return []
+        quot = self._left_quotients(x)
+        memo: dict = {}
+        out = []
+        for j in fibers.tolist():
+            v = memo.get(j)
+            if v is None:
+                v = memo[j] = weight(table.get(xy, quot[j]).estimate)
+            out.append(v)
+        return out
 
     @property
     def size(self) -> int:
         return len(self.basis)
 
     def has(self, m, x, z) -> bool:
-        return (m, x, z) in self.index
+        i, j = self._row_id.get(x), self._fiber_id.get(z)
+        return (i is not None and j is not None and 0 <= m <= self.max_level
+                and bool(self._pos[m, i, j] >= 0))
 
     def log_p(self, m, x, z) -> float:
-        """log P^(m)_{x,z}; memoized, -inf when absent."""
-        key = (m, x, z)
-        if key not in self._log_p:
-            self._log_p[key] = self.cache.log_transition(m, x, z)
-        return self._log_p[key]
+        """log P^(m)_{x,z}; memoized up to the window top, -inf when absent."""
+        if 0 <= m <= self.max_level:
+            return self._transition_column(x, z)[m]
+        return self.cache.log_transition(m, x, z)
 
     def row_indices(self, x) -> list:
         """Basis positions with row element x."""
-        return self._by_row.get(x, [])
+        return self._row_positions(x).tolist()
 
     def edge_threshold(self, rows, z) -> int:
         """First level from which every (row, z) transition stays present
@@ -91,30 +199,27 @@ class FockWindow:
         for r in rows:
             key = (r, z)
             if key not in self._thresholds:
-                val = self.max_level + 1
-                for m in range(self.max_level, -1, -1):
-                    if self.log_p(m, r, z) > NEG_INF:
-                        val = m
-                    else:
-                        break
-                self._thresholds[key] = val
+                absent = np.flatnonzero(
+                    np.array(self._transition_column(r, z)) == NEG_INF)
+                self._thresholds[key] = int(absent[-1]) + 1 if len(absent) else 0
             t = max(t, self._thresholds[key])
         return t
 
     def select(self, rows=None, fiber=None, level_lo=0, level_hi=None) -> np.ndarray:
         """Basis positions filtered by row set, column fiber and level band."""
         hi = self.max_level if level_hi is None else level_hi
-        rowset = None if rows is None else set(rows)
-        out = []
-        for i, (m, x, z) in enumerate(self.basis):
-            if m < level_lo or m > hi:
-                continue
-            if rowset is not None and x not in rowset:
-                continue
-            if fiber is not None and z != fiber:
-                continue
-            out.append(i)
-        return np.array(out, dtype=np.intp)
+        if fiber is None:
+            cand = np.arange(self.size, dtype=np.intp)
+        else:
+            j = self._fiber_id.get(fiber)
+            cand = _NO_POSITIONS if j is None else self._by_fiber[j]
+        levels = self.level[cand]
+        cand = cand[np.searchsorted(levels, level_lo, "left"):
+                    np.searchsorted(levels, hi, "right")]
+        if rows is not None:
+            ids = [self._row_id[r] for r in set(rows) if r in self._row_id]
+            cand = cand[np.isin(self.row[cand], ids)]
+        return cand.copy()  # never a view of the window's own tables
 
     def spec_dict(self) -> dict:
         return {
@@ -127,10 +232,13 @@ class FockWindow:
 
     def export_payload(self) -> dict:
         fmt = self.descriptor.format
+        xs = [fmt(x) for x in self.x_elems]
+        zs = [fmt(z) for z in self.z_elems]
         return {
             "window": self.spec_dict(),
             "descriptor": self.descriptor.spec_string(),
-            "basis": [[m, fmt(x), fmt(z)] for (m, x, z) in self.basis],
+            "basis": [[m, xs[i], zs[j]] for m, i, j in zip(
+                self.level.tolist(), self.row.tolist(), self.fiber.tolist())],
         }
 
 
@@ -142,6 +250,16 @@ class WindowedOperator:
     label: str
     params: dict
     matrix: sp.csr_matrix
+    _csc: sp.csc_matrix | None = field(default=None, init=False, repr=False,
+                                       compare=False)
+
+    @property
+    def csc(self) -> sp.csc_matrix:
+        """The matrix in CSC form, converted once for column queries
+        (operators are never modified in place)."""
+        if self._csc is None:
+            self._csc = self.matrix.tocsc()
+        return self._csc
 
     def adjoint(self) -> "WindowedOperator":
         return WindowedOperator(
@@ -194,7 +312,7 @@ class WindowedOperator:
         """sup over the selected input vectors of the output 2-norm."""
         if len(cols) == 0:
             return 0.0
-        sub = self.matrix.tocsc()[:, cols]
+        sub = self.csc[:, cols]
         if sub.nnz == 0:
             return 0.0
         col_sq = np.asarray(sub.multiply(sub.conj()).sum(axis=0)).ravel()
@@ -245,17 +363,23 @@ def operator_norm(matrix, tol: float = 1e-10, seed: int = 7,
     return math.sqrt(max(lam, 0.0))
 
 
-def _build(window, label, params, entries, dtype=float) -> WindowedOperator:
-    rows, cols, data = [], [], []
-    for out_key, in_key, coeff in entries:
-        rows.append(window.index[out_key])
-        cols.append(window.index[in_key])
-        data.append(coeff)
+def _build(window, label, params, rows, cols, data, dtype=float) -> WindowedOperator:
+    """CSR operator with entries (rows[k], cols[k]) -> data[k]."""
     matrix = sp.csr_matrix(
         (np.array(data, dtype=dtype), (rows, cols)),
         shape=(window.size, window.size),
     )
     return WindowedOperator(window=window, label=label, params=params, matrix=matrix)
+
+
+def _diagonal(window, label, params, cols, data, dtype=float) -> WindowedOperator:
+    return _build(window, label, params, cols, cols, data, dtype=dtype)
+
+
+def _log_p_at(window: FockWindow, positions: np.ndarray) -> list:
+    """log P of the basis vectors at ``positions``, as Python floats."""
+    return window._lp[window.level[positions], window.row[positions],
+                      window.fiber[positions]].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +392,12 @@ def build_S(window: FockWindow, n: int, x, y) -> WindowedOperator:
     log_pn = window.cache.log_transition(n, x, y)
     if log_pn == NEG_INF:
         raise PreconditionError("(x, y) is not an edge of P^n")
-    entries = []
-    for j in window.row_indices(y):
-        m, _, z = window.basis[j]
-        if m + n > window.max_level or not window.has(m + n, x, z):
-            continue
-        coeff = math.exp(0.5 * (
-            log_pn + window.log_p(m, y, z) - window.log_p(m + n, x, z)
-        ))
-        entries.append(((m + n, x, z), (m, y, z), coeff))
-    return _build(window, f"S^{n}", {"n": n, "x": x, "y": y}, entries)
+    rows, cols = window._shift_pairs(y, x, n)
+    data = [
+        math.exp(0.5 * (log_pn + lp_in - lp_out))
+        for lp_in, lp_out in zip(_log_p_at(window, cols), _log_p_at(window, rows))
+    ]
+    return _build(window, f"S^{n}", {"n": n, "x": x, "y": y}, rows, cols, data)
 
 
 def build_T(window: FockWindow, n: int, x, y, rho_hat: float) -> WindowedOperator:
@@ -288,156 +408,109 @@ def build_T(window: FockWindow, n: int, x, y, rho_hat: float) -> WindowedOperato
     """
     if window.cache.log_transition(n, x, y) == NEG_INF:
         raise PreconditionError("(x, y) is not an edge of P^n")
-    entries = []
-    for j in window.row_indices(y):
-        m, _, z = window.basis[j]
-        if m + n > window.max_level or not window.has(m + n, x, z):
-            continue
-        coeff = math.exp(0.5 * (
-            n * math.log(rho_hat) + window.log_p(m, y, z) - window.log_p(m + n, x, z)
-        ))
-        entries.append(((m + n, x, z), (m, y, z), coeff))
+    rows, cols = window._shift_pairs(y, x, n)
+    log_rho_n = n * math.log(rho_hat)
+    data = [
+        math.exp(0.5 * (log_rho_n + lp_in - lp_out))
+        for lp_in, lp_out in zip(_log_p_at(window, cols), _log_p_at(window, rows))
+    ]
     return _build(window, f"T^{n}", {"n": n, "x": x, "y": y, "rho_hat": rho_hat},
-                  entries)
+                  rows, cols, data)
 
 
 def build_W(window: FockWindow, n: int, x, y, table) -> WindowedOperator:
     """W^(n)_{x,y}: e^(m)_{y,z} -> sqrt(H(x^-1 y, x^-1 z)) e^(m+n)_{x,z}."""
     if window.cache.log_transition(n, x, y) == NEG_INF:
         raise PreconditionError("(x, y) is not an edge of P^n")
-    desc = window.descriptor
-    xinv = desc.inverse(x)
-    xy = desc.multiply(xinv, y)
-    entries = []
-    for j in window.row_indices(y):
-        m, _, z = window.basis[j]
-        if m + n > window.max_level or not window.has(m + n, x, z):
-            continue
-        h = table.get(xy, desc.multiply(xinv, z)).estimate
-        entries.append(((m + n, x, z), (m, y, z), math.sqrt(h)))
-    return _build(window, f"W^{n}", {"n": n, "x": x, "y": y}, entries)
+    rows, cols = window._shift_pairs(y, x, n)
+    data = window._kernel_weights(x, y, table, window.fiber[cols], math.sqrt)
+    return _build(window, f"W^{n}", {"n": n, "x": x, "y": y}, rows, cols, data)
 
 
 def build_V(window: FockWindow, n: int, x, y) -> WindowedOperator:
     """Plain shift V^(n)_{x,y}: e^(m)_{y,z} -> e^(m+n)_{x,z}."""
     if window.cache.log_transition(n, x, y) == NEG_INF:
         raise PreconditionError("(x, y) is not an edge of P^n")
-    entries = []
-    for j in window.row_indices(y):
-        m, _, z = window.basis[j]
-        if m + n > window.max_level or not window.has(m + n, x, z):
-            continue
-        entries.append(((m + n, x, z), (m, y, z), 1.0))
-    return _build(window, f"V^{n}", {"n": n, "x": x, "y": y}, entries)
+    rows, cols = window._shift_pairs(y, x, n)
+    return _build(window, f"V^{n}", {"n": n, "x": x, "y": y}, rows, cols,
+                  np.ones(len(rows)))
 
 
 def build_R(window: FockWindow, x, y, table, inverse: bool = False) -> WindowedOperator:
     """Level-preserving weight R_{x,y} (or its spectral inverse R'):
     e^(m)_{y,z} -> H(x^-1 y, x^-1 z)^{+-1/2} e^(m)_{y,z}."""
-    desc = window.descriptor
-    xinv = desc.inverse(x)
-    xy = desc.multiply(xinv, y)
     power = -0.5 if inverse else 0.5
-    entries = []
-    for j in window.row_indices(y):
-        m, _, z = window.basis[j]
-        h = table.get(xy, desc.multiply(xinv, z)).estimate
-        entries.append(((m, y, z), (m, y, z), h ** power))
-    return _build(window, "R'" if inverse else "R", {"x": x, "y": y}, entries)
+    cols = window._row_positions(y)
+    data = window._kernel_weights(x, y, table, window.fiber[cols],
+                                  lambda h: h ** power)
+    return _diagonal(window, "R'" if inverse else "R", {"x": x, "y": y}, cols, data)
 
 
 def build_E(window: FockWindow, x, y) -> WindowedOperator:
     """Row swap E_{x,y}: e^(m)_{y,z} -> e^(m)_{x,z} when (x,z) in E(P^m)."""
-    entries = []
-    for j in window.row_indices(y):
-        m, _, z = window.basis[j]
-        if window.has(m, x, z):
-            entries.append(((m, x, z), (m, y, z), 1.0))
-    return _build(window, "E", {"x": x, "y": y}, entries)
+    rows, cols = window._shift_pairs(y, x, 0)
+    return _build(window, "E", {"x": x, "y": y}, rows, cols, np.ones(len(rows)))
 
 
 def build_U_row(window: FockWindow, x) -> WindowedOperator:
     """U_x: e^(m)_{x,z} -> e^(m+1)_{x,z} when the target exists."""
-    entries = []
-    for j in window.row_indices(x):
-        m, _, z = window.basis[j]
-        if m + 1 <= window.max_level and window.has(m + 1, x, z):
-            entries.append(((m + 1, x, z), (m, x, z), 1.0))
-    return _build(window, "U_x", {"x": x}, entries)
+    rows, cols = window._shift_pairs(x, x, 1)
+    return _build(window, "U_x", {"x": x}, rows, cols, np.ones(len(rows)))
 
 
 def build_U(window: FockWindow) -> WindowedOperator:
     """U = direct sum of the U_x over every row of the window."""
-    entries = []
-    for m, x, z in window.basis:
-        if m + 1 <= window.max_level and window.has(m + 1, x, z):
-            entries.append(((m + 1, x, z), (m, x, z), 1.0))
-    return _build(window, "U", {}, entries)
+    target = window.level + 1
+    cols = np.flatnonzero(target <= window.max_level)
+    rows = window._pos[target[cols], window.row[cols], window.fiber[cols]]
+    keep = rows >= 0
+    return _build(window, "U", {}, rows[keep], cols[keep], np.ones(int(keep.sum())))
 
 
 def build_Hop(window: FockWindow, z0, x, y, table) -> WindowedOperator:
     """H^(z0)_{x,y} = E_{z0,y} R_{x,y} E_{y,z0}: the diagonal weight
     sqrt(H(x^-1 y, x^-1 w)) on row z0, guarded by (y,w) presence."""
-    desc = window.descriptor
-    xinv = desc.inverse(x)
-    xy = desc.multiply(xinv, y)
-    entries = []
-    for j in window.row_indices(z0):
-        m, _, w = window.basis[j]
-        if window.log_p(m, y, w) == NEG_INF:
-            continue
-        h = table.get(xy, desc.multiply(xinv, w)).estimate
-        entries.append(((m, z0, w), (m, z0, w), math.sqrt(h)))
-    return _build(window, "H^(z0)", {"z0": z0, "x": x, "y": y}, entries)
+    cols = window._row_positions(z0)
+    present_y = window._log_p_table(y) > NEG_INF
+    cols = cols[present_y[window.level[cols], window.fiber[cols]]]
+    data = window._kernel_weights(x, y, table, window.fiber[cols], math.sqrt)
+    return _diagonal(window, "H^(z0)", {"z0": z0, "x": x, "y": y}, cols, data)
 
 
 def build_H_diag(window: FockWindow, x, y, table) -> WindowedOperator:
     """H_{x,y} = direct sum over z0 of H^(z0)_{x,y} (acts on every row)."""
-    desc = window.descriptor
-    xinv = desc.inverse(x)
-    xy = desc.multiply(xinv, y)
-    entries = []
-    for m, r, w in window.basis:
-        if window.log_p(m, y, w) == NEG_INF:
-            continue
-        h = table.get(xy, desc.multiply(xinv, w)).estimate
-        entries.append(((m, r, w), (m, r, w), math.sqrt(h)))
-    return _build(window, "H", {"x": x, "y": y}, entries)
+    present_y = window._log_p_table(y) > NEG_INF
+    cols = np.flatnonzero(present_y[window.level, window.fiber])
+    data = window._kernel_weights(x, y, table, window.fiber[cols], math.sqrt)
+    return _diagonal(window, "H", {"x": x, "y": y}, cols, data)
 
 
 def build_projection(window: FockWindow, x) -> WindowedOperator:
     """p_x = S^(0)_{x,x}: the diagonal projection onto row x."""
-    entries = []
-    for j in window.row_indices(x):
-        key = window.basis[j]
-        entries.append((key, key, 1.0))
-    return _build(window, "p", {"x": x}, entries)
+    cols = window._row_positions(x)
+    return _diagonal(window, "p", {"x": x}, cols, np.ones(len(cols)))
 
 
 def build_Vg(window: FockWindow, g) -> WindowedOperator:
     """Left-translation unitary V_g: e^(m)_{x,z} -> e^(m)_{gx,gz},
     restricted to pairs whose image stays in the window."""
-    desc = window.descriptor
-    entries = []
-    for m, x, z in window.basis:
-        gx = desc.multiply(g, x)
-        gz = desc.multiply(g, z)
-        if window.has(m, gx, gz):
-            entries.append(((m, gx, gz), (m, x, z), 1.0))
-    return _build(window, "V_g", {"g": g}, entries)
+    r2, f2 = window._translate_basis(g)
+    cols = np.flatnonzero((r2 >= 0) & (f2 >= 0))
+    rows = window._pos[window.level[cols], r2[cols], f2[cols]]
+    keep = rows >= 0
+    return _build(window, "V_g", {"g": g}, rows[keep], cols[keep],
+                  np.ones(int(keep.sum())))
 
 
 def build_Uzeta(window: FockWindow, zeta) -> WindowedOperator:
     """Gauge unitary U_zeta: e^(m)_{x,z} -> zeta^m e^(m)_{x,z}."""
     zeta = complex(zeta)
     real = zeta.imag == 0.0
-    entries = []
-    for key in window.basis:
-        m = key[0]
-        phase = zeta ** m
-        entries.append((key, key, phase.real if real else phase))
-    return _build(window, "U_zeta", {"zeta": zeta}, entries,
-                  dtype=float if real else complex)
+    phases = [zeta ** m for m in range(window.max_level + 1)]
+    by_level = np.array([p.real for p in phases] if real else phases)
+    return _diagonal(window, "U_zeta", {"zeta": zeta},
+                     np.arange(window.size, dtype=np.intp), by_level[window.level],
+                     dtype=float if real else complex)
 
 
 def identity_operator(window: FockWindow) -> WindowedOperator:
@@ -699,14 +772,19 @@ def covariance_check(window: FockWindow, g, zeta, n: int, x, y,
     vg = build_Vg(window, g)
     lhs = vg @ s_op
     rhs = sg_op @ vg
-    region = []
-    for i, (m, r, w) in enumerate(window.basis):
-        if m + n > window.max_level:
-            continue
-        if window.has(m, desc.multiply(g, r), desc.multiply(g, w)):
-            if window.has(m + n, desc.multiply(g, x), desc.multiply(g, w)) or r != y:
-                region.append(i)
-    region = np.array(region, dtype=np.intp)
+    # inputs e^(m)_{r,w} with m + n in the window whose image e^(m)_{gr,gw}
+    # is in the window, and, on row y (the only row S^(n)_{x,y} moves),
+    # whose shifted image e^(m+n)_{gx,gw} is in the window too
+    r2, f2 = window._translate_basis(g)
+    lifted = window.level + n
+    stable = (lifted <= window.max_level) & (r2 >= 0) & (f2 >= 0)
+    stable[stable] = window._pos[window.level[stable], r2[stable], f2[stable]] >= 0
+    lands = np.zeros(window.size, dtype=bool)
+    gx_row = window._row_id.get(gx)
+    if gx_row is not None:
+        lands[stable] = window._pos[lifted[stable], gx_row, f2[stable]] >= 0
+    off_y = window.row != window._row_id.get(y, -1)
+    region = np.flatnonzero(stable & (lands | off_y))
     if len(region) == 0:
         raise PreconditionError("empty covariance comparison region")
     cov = lhs.sub(rhs).max_abs_on_columns(region)
@@ -812,7 +890,7 @@ def quotient_norm_estimate(window: FockWindow, op: WindowedOperator,
             if len(idx) == 0:
                 vals.append((m, 0.0))
                 continue
-            sub = op.matrix.tocsc()[:, idx][idx, :]
+            sub = op.csc[:, idx][idx, :]
             vals.append((m, operator_norm(sp.csr_matrix(sub), tol=tol, seed=seed)))
         per_fiber[window.descriptor.format(z)] = vals
         tail = [v for _, v in vals if v > 0.0]

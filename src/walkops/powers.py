@@ -19,6 +19,12 @@ Retention is ``full`` (every level queryable everywhere) or ``tracked``
 (every level queryable on a declared element set / region only, bounding
 memory for deep caches).
 
+The radial and array engines compute a level's mass on the first
+``level_mass`` call and memoize it: ``log_radial_mass`` is an O(m) Python
+loop per level, which no build needs.  A level keeps what its mass needs
+(its radial values, or the per-radius row sums of its full array, also
+where a tracked level keeps only part of that array).
+
 ``export_cache_json`` writes a version-3 JSON artifact.  The generic
 engine's payload is an element table (each interned element formatted
 once, in id order) plus, per level, sorted ``ids`` into that table and
@@ -179,6 +185,12 @@ def is_aperiodic(cache: PowersCache, probe_depth: int | None = None):
             f"no return to identity within {top} steps; period undetectable"
         )
     return period == 1, period
+
+
+def _radial_level_mass(row_values: np.ndarray, q: int, log_scale: float) -> float:
+    """Mass of a level from its per-radius values (mantissa units)."""
+    logs = log_radial_mass(row_values, q)
+    return math.exp(logs + log_scale) if logs > NEG_INF else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +432,7 @@ class RadialFreePowers(PowersCache):
     def __init__(self, descriptor: FreeGroup, mu, depth):
         super().__init__(descriptor, mu)
         self._setup()
-        self._levels.append((np.array([1.0]), 0.0, 1.0))
+        self._levels.append((np.array([1.0]), 0.0))
         for _ in range(depth):
             self._step()
 
@@ -429,17 +441,16 @@ class RadialFreePowers(PowersCache):
         self.q = radial.tree_degree
         self._mu_vals = radial.values
         self._mu_ls = radial.log_scale
-        # levels: (values, log_scale, mass)
+        # levels: (values, log_scale); masses are computed on first request
         self._levels = []
+        self._masses: dict = {}
 
     def _step(self):
-        vals, ls, _ = self._levels[-1]
+        vals, ls = self._levels[-1]
         out = radial_step(vals, self._mu_vals, self.q)
         peak = out.max()
         out /= peak
-        ls_new = ls + self._mu_ls + math.log(peak)
-        mass = math.exp(log_radial_mass(out, self.q) + ls_new)
-        self._levels.append((out, ls_new, mass))
+        self._levels.append((out, ls + self._mu_ls + math.log(peak)))
 
     @property
     def depth(self):
@@ -447,7 +458,7 @@ class RadialFreePowers(PowersCache):
 
     def log_value_at_radius(self, m, r):
         self._check_level(m)
-        vals, ls, _ = self._levels[m]
+        vals, ls = self._levels[m]
         if 0 <= r < len(vals) and vals[r] > 0.0:
             return math.log(vals[r]) + ls
         return NEG_INF
@@ -457,7 +468,10 @@ class RadialFreePowers(PowersCache):
 
     def level_mass(self, m):
         self._check_level(m)
-        return self._levels[m][2]
+        if m not in self._masses:
+            vals, ls = self._levels[m]
+            self._masses[m] = _radial_level_mass(vals, self.q, ls)
+        return self._masses[m]
 
     def level_log_scale(self, m):
         self._check_level(m)
@@ -465,7 +479,7 @@ class RadialFreePowers(PowersCache):
 
     def level_radial(self, m) -> RadialMeasure:
         self._check_level(m)
-        vals, ls, _ = self._levels[m]
+        vals, ls = self._levels[m]
         return RadialMeasure(
             values=vals.copy(), log_scale=ls, tree_degree=self.q, step_index=m
         )
@@ -480,14 +494,12 @@ class RadialFreePowers(PowersCache):
         return {
             "levels": [
                 {"values": [float(v) for v in vals], "log_scale": ls}
-                for vals, ls, _ in self._levels
+                for vals, ls in self._levels
             ]
         }
 
     def _load_level(self, lv):
-        vals = np.array(lv["values"])
-        ls = lv["log_scale"]
-        self._levels.append((vals, ls, math.exp(log_radial_mass(vals, self.q) + ls)))
+        self._levels.append((np.array(lv["values"]), lv["log_scale"]))
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +558,11 @@ def _cartesian_split(descriptor: GroupDescriptor, mu: ScaledMeasure):
     return tree_vals, lat
 
 
+def _row_sums(arr: np.ndarray) -> np.ndarray:
+    """Per-tree-radius sums of a (r, *lattice) level array."""
+    return arr.reshape(arr.shape[0], -1).sum(axis=1)
+
+
 def _lattice_coords(v):
     return 0, v
 
@@ -582,7 +599,7 @@ class RadialLatticePowers(PowersCache):
                 tuple(min(v[i] for _, v in pts) for i in range(d)),
                 tuple(max(v[i] for _, v in pts) for i in range(d)),
             )
-        self._current = ((0,) * d, np.ones((1,) * (d + 1)), 0.0, 1.0)
+        self._current = ((0,) * d, np.ones((1,) * (d + 1)), 0.0, np.ones(1))
         self._levels.append(self._current)
         for _ in range(depth):
             self._step()
@@ -614,8 +631,11 @@ class RadialLatticePowers(PowersCache):
         self._hi_step = tuple(max(o[i] for o in offs) for i in range(d))
         self._r_step = len(self._tree_vals) - 1
         self._track_region = None
-        # levels: (lat_lo, array[(r, *lattice)], log_scale, mass)
+        # levels: (lat_lo, array[(r, *lattice)], log_scale, row sums); the
+        # row sums are those of the full level array, which a tracked level
+        # does not keep, and give its mass on first request
         self._levels = []
+        self._masses: dict = {}
 
     def _estimate_bytes(self, depth):
         total = 0
@@ -652,8 +672,8 @@ class RadialLatticePowers(PowersCache):
         peak = out.max()
         out /= peak
         ls_new = ls + self._mu_ls + math.log(peak)
-        mass = self._mass_of(out, ls_new)
-        full = (lo_new, out, ls_new, mass)
+        sums = _row_sums(out)
+        full = (lo_new, out, ls_new, sums)
         self._current = full
         if self._track_region is None:
             self._levels.append(full)
@@ -664,16 +684,11 @@ class RadialLatticePowers(PowersCache):
                 min(l + n - 1, b) for l, n, b in zip(lo_new, lat_shape, thi)
             )
             if any(a > b for a, b in zip(clo, chi)):
-                self._levels.append((clo, np.zeros((0,) * (d + 1)), ls_new, mass))
+                self._levels.append((clo, np.zeros((0,) * (d + 1)), ls_new, sums))
             else:
                 sl = tuple(slice(a - l, b - l + 1) for a, b, l in zip(clo, chi, lo_new))
                 keep = out[(slice(0, min(r_keep + 1, out.shape[0])),) + sl].copy()
-                self._levels.append((clo, keep, ls_new, mass))
-
-    def _mass_of(self, arr, ls):
-        flat = arr.reshape(arr.shape[0], -1).sum(axis=1)
-        logs = log_radial_mass(flat, self.q)
-        return math.exp(logs + ls) if logs > NEG_INF else 0.0
+                self._levels.append((clo, keep, ls_new, sums))
 
     @property
     def depth(self):
@@ -697,7 +712,10 @@ class RadialLatticePowers(PowersCache):
 
     def level_mass(self, m):
         self._check_level(m)
-        return self._levels[m][3]
+        if m not in self._masses:
+            _, _, ls, sums = self._levels[m]
+            self._masses[m] = _radial_level_mass(sums, self.q, ls)
+        return self._masses[m]
 
     def level_log_scale(self, m):
         self._check_level(m)
@@ -734,8 +752,7 @@ class RadialLatticePowers(PowersCache):
 
     def _load_level(self, lv):
         arr = np.array(lv["values"]).reshape(lv["shape"])
-        ls = lv["log_scale"]
-        self._current = (tuple(lv["lat_lo"]), arr, ls, self._mass_of(arr, ls))
+        self._current = (tuple(lv["lat_lo"]), arr, lv["log_scale"], _row_sums(arr))
         self._levels.append(self._current)
 
 

@@ -112,6 +112,22 @@ def test_report_runs_all_jobs_and_is_deterministic(cfg_file, tmp_path):
     }
 
 
+def test_report_builds_one_fock_window(cfg_file, tmp_path, monkeypatch):
+    """fock and covariance share the run's one window."""
+    import walkops.fock as fk
+
+    built = []
+    init = fk.FockWindow.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fk.FockWindow, "__init__", counting_init)
+    assert main(["report", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 0
+    assert len(built) == 1
+
+
 def test_spectrum_artifact_schema(cfg_file, tmp_path):
     out = tmp_path / "spec"
     assert main(["spectrum", "--config", str(cfg_file), "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 """Fock windows, operator constructions and the defect certification suite."""
 
+import itertools
 import math
 
 import numpy as np
@@ -69,6 +70,74 @@ def test_edge_threshold(z_window):
     assert z_window.edge_threshold([(0,)], (3,)) == 3
     assert z_window.edge_threshold([(0,)], (0,)) == 0
     assert z_window.edge_threshold([(0,), (2,)], (3,)) == 3
+
+
+def _select_reference(win, rows=None, fiber=None, level_lo=0, level_hi=None):
+    """The basis scan ``select`` replaces: one pass over the basis tuples."""
+    hi = win.max_level if level_hi is None else level_hi
+    rowset = None if rows is None else set(rows)
+    out = []
+    for i, (m, x, z) in enumerate(win.basis):
+        if m < level_lo or m > hi:
+            continue
+        if rowset is not None and x not in rowset:
+            continue
+        if fiber is not None and z != fiber:
+            continue
+        out.append(i)
+    return np.array(out, dtype=np.intp)
+
+
+def _outside(win, radius):
+    """An element one sphere beyond ``radius``."""
+    return win.descriptor.ball(radius + 1)[-1]
+
+
+@pytest.mark.parametrize("name", ["z_window", "f2_window"])
+def test_select_matches_reference_scan(name, request):
+    win = request.getfixturevalue(name)
+    xs, zs = win.x_elems, win.z_elems
+    far_row, far_fiber = _outside(win, win.x_radius), _outside(win, win.z_radius)
+    row_sets = [None, [], [xs[0]], xs[1:3], [far_row], [xs[1], far_row], list(xs)]
+    fibers = [None, zs[0], zs[-1], far_fiber]
+    top = win.max_level
+    bands = [(0, None), (2, 5), (5, 2), (3, 3), (0, -1), (win.interior_top, None),
+             (-3, top + 5), (top, top)]
+    for rows, fiber, (lo, hi) in itertools.product(row_sets, fibers, bands):
+        got = win.select(rows=rows, fiber=fiber, level_lo=lo, level_hi=hi)
+        want = _select_reference(win, rows, fiber, lo, hi)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, want, err_msg=str((rows, fiber, lo, hi)))
+
+
+@pytest.mark.parametrize("name", ["z_window", "f2_window"])
+def test_window_queries_match_cache(name, request):
+    """Basis order, index, has, log_p, row_indices and edge_threshold agree
+    with per-entry reads of the cache, rows outside the ball included."""
+    win = request.getfixturevalue(name)
+    cache = win.cache
+    far_row, far_fiber = _outside(win, win.x_radius), _outside(win, win.z_radius)
+    fibers = list(win.z_elems) + [far_fiber]
+    basis = [(m, x, z) for m in range(win.max_level + 1)
+             for x in win.x_elems for z in win.z_elems
+             if cache.log_transition(m, x, z) > -math.inf]
+    assert win.basis == basis
+    assert win.index == {key: i for i, key in enumerate(basis)}
+    for m in range(-1, win.max_level + 2):
+        for x in list(win.x_elems) + [far_row]:
+            for z in fibers:
+                assert win.has(m, x, z) is ((m, x, z) in win.index)
+                if 0 <= m <= win.max_level:
+                    assert win.log_p(m, x, z) == cache.log_transition(m, x, z)
+    for x in list(win.x_elems) + [far_row]:
+        assert win.row_indices(x) == [i for i, k in enumerate(basis) if k[1] == x]
+        for z in fibers:
+            want = win.max_level + 1
+            for m in range(win.max_level, -1, -1):
+                if cache.log_transition(m, x, z) == -math.inf:
+                    break
+                want = m
+            assert win.edge_threshold([x], z) == want, (x, z)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +246,159 @@ def test_u_row_unit_shift_interior(z_window):
         key_in = (m, (1,), (0,))
         key_out = (m + 1, (1,), (0,))
         assert u1.coefficient(key_out, key_in) == 1.0
+
+
+# Per-entry references: each builder's action formula evaluated vector by
+# vector over the basis tuples, with one group product per entry.
+
+def _ref_operator(win, entries, dtype=float):
+    rows = [win.index[out_key] for out_key, _, _ in entries]
+    cols = [win.index[in_key] for _, in_key, _ in entries]
+    data = np.array([c for _, _, c in entries], dtype=dtype)
+    return sp.csr_matrix((data, (rows, cols)), shape=(win.size, win.size))
+
+
+def _ref_shift(win, n, x, y, coeff):
+    """e^(m)_{y,z} -> coeff(m, z) e^(m+n)_{x,z} where the target exists."""
+    return [((m + n, x, z), (m, y, z), coeff(m, z)) for m, r, z in win.basis
+            if r == y and m + n <= win.max_level and (m + n, x, z) in win.index]
+
+
+def _ref_diagonal(win, keep, coeff):
+    return [(k, k, coeff(*k)) for k in win.basis if keep(*k)]
+
+
+def _ref_H(win, x, y, table):
+    desc = win.descriptor
+    xinv = desc.inverse(x)
+    xy = desc.multiply(xinv, y)
+    return lambda w: table.get(xy, desc.multiply(xinv, w)).estimate
+
+
+def _reference_builders(win, table, rho_hat, cases):
+    """(name, built operator, reference matrix) for every builder."""
+    desc, cache = win.descriptor, win.cache
+    lt = cache.log_transition
+    e = desc.identity()
+    out = []
+    for n, x, y in cases["shift"]:
+        log_pn = lt(n, x, y)
+        h = _ref_H(win, x, y, table)
+        out += [
+            (f"S{n}{x}{y}", fk.build_S(win, n, x, y), _ref_operator(win, _ref_shift(
+                win, n, x, y,
+                lambda m, z: math.exp(0.5 * (log_pn + lt(m, y, z) - lt(m + n, x, z)))))),
+            (f"T{n}{x}{y}", fk.build_T(win, n, x, y, rho_hat), _ref_operator(win, _ref_shift(
+                win, n, x, y,
+                lambda m, z: math.exp(0.5 * (n * math.log(rho_hat) + lt(m, y, z)
+                                             - lt(m + n, x, z)))))),
+            (f"W{n}{x}{y}", fk.build_W(win, n, x, y, table), _ref_operator(win, _ref_shift(
+                win, n, x, y, lambda m, z: math.sqrt(h(z))))),
+            (f"V{n}{x}{y}", fk.build_V(win, n, x, y), _ref_operator(win, _ref_shift(
+                win, n, x, y, lambda m, z: 1.0))),
+        ]
+    for x, y in cases["pair"]:
+        h = _ref_H(win, x, y, table)
+        for inverse, power in ((False, 0.5), (True, -0.5)):
+            out.append((f"R{x}{y}{inverse}", fk.build_R(win, x, y, table, inverse=inverse),
+                        _ref_operator(win, _ref_diagonal(
+                            win, lambda m, r, z: r == y, lambda m, r, z: h(z) ** power))))
+        out += [
+            (f"E{x}{y}", fk.build_E(win, x, y),
+             _ref_operator(win, _ref_shift(win, 0, x, y, lambda m, z: 1.0))),
+            (f"Hop{x}{y}", fk.build_Hop(win, e, x, y, table),
+             _ref_operator(win, _ref_diagonal(
+                 win, lambda m, r, w: r == e and lt(m, y, w) > -math.inf,
+                 lambda m, r, w: math.sqrt(h(w))))),
+            (f"H{x}{y}", fk.build_H_diag(win, x, y, table),
+             _ref_operator(win, _ref_diagonal(
+                 win, lambda m, r, w: lt(m, y, w) > -math.inf,
+                 lambda m, r, w: math.sqrt(h(w))))),
+        ]
+    for x in cases["row"]:
+        out += [
+            (f"U_row{x}", fk.build_U_row(win, x),
+             _ref_operator(win, _ref_shift(win, 1, x, x, lambda m, z: 1.0))),
+            (f"p{x}", fk.build_projection(win, x),
+             _ref_operator(win, _ref_diagonal(win, lambda m, r, z: r == x,
+                                              lambda m, r, z: 1.0))),
+        ]
+    out.append(("U", fk.build_U(win), _ref_operator(win, [
+        ((m + 1, x, z), (m, x, z), 1.0) for m, x, z in win.basis
+        if m + 1 <= win.max_level and (m + 1, x, z) in win.index])))
+    for g in cases["translate"]:
+        mul = desc.multiply
+        out.append((f"Vg{g}", fk.build_Vg(win, g), _ref_operator(win, [
+            ((m, mul(g, x), mul(g, z)), (m, x, z), 1.0) for m, x, z in win.basis
+            if (m, mul(g, x), mul(g, z)) in win.index])))
+    for zeta in cases["zeta"]:
+        zc = complex(zeta)
+        real = zc.imag == 0.0
+        out.append((f"Uzeta{zeta}", fk.build_Uzeta(win, zeta), _ref_operator(
+            win, [(k, k, (zc ** k[0]).real if real else zc ** k[0]) for k in win.basis],
+            dtype=float if real else complex)))
+    return out
+
+
+_Z_CASES = {
+    # (4,) and (5,) lie outside the radius-3 balls
+    "shift": [(1, (0,), (1,)), (2, (0,), (1,)), (0, (1,), (1,)), (1, (4,), (3,)),
+              (1, (3,), (4,)), (3, (-1,), (1,))],
+    "pair": [((0,), (1,)), ((2,), (0,)), ((1,), (1,)), ((4,), (0,)), ((0,), (4,)),
+             ((1,), (-1,))],
+    "row": [(0,), (1,), (-3,), (4,)],
+    "translate": [(0,), (1,), (-2,), (5,)],
+    "zeta": [1.0, -1.0, 1j, 0.6 + 0.8j],
+}
+
+_F2_CASES = {
+    "shift": [(1, (), (1,)), (2, (1,), (1, 2)), (1, (1, 2), (1, 2, 2)), (0, (2,), (2,))],
+    "pair": [((), (1,)), ((1,), (2,)), ((2, -1), ()), ((1, 1, 1), (1,)),
+             ((), (1, 1, 1))],
+    "row": [(), (-2,), (1, 2), (1, 1, 1)],
+    "translate": [(), (1,), (2, -1), (1, 1, 1)],
+    "zeta": [1.0, 1j],
+}
+
+
+@pytest.mark.parametrize("name,table_name,cases", [
+    ("z_window", "lazy_z_table", _Z_CASES),
+    ("f2_window", "f2_table", _F2_CASES),
+])
+def test_builders_match_per_entry_reference(name, table_name, cases, request):
+    """Every builder's CSR arrays equal those of its action formula
+    evaluated entry by entry: same indptr, indices and data, bit for bit."""
+    win = request.getfixturevalue(name)
+    table = request.getfixturevalue(table_name)
+    rho_hat = 0.9
+    for label, op, ref in _reference_builders(win, table, rho_hat, cases):
+        got = op.matrix
+        assert got.dtype == ref.dtype, label
+        np.testing.assert_array_equal(got.indptr, ref.indptr, err_msg=label)
+        np.testing.assert_array_equal(got.indices, ref.indices, err_msg=label)
+        assert got.data.tobytes() == ref.data.tobytes(), label
+
+
+@pytest.mark.parametrize("g,n,x,y", [
+    ((1,), 1, (0,), (1,)), ((-2,), 1, (1,), (0,)), ((0,), 2, (0,), (1,)),
+])
+def test_covariance_region_matches_reference(z_window, g, n, x, y):
+    """The g-stable comparison region, rebuilt entry by entry."""
+    win, desc = z_window, z_window.descriptor
+    mul = desc.multiply
+    region = []
+    for i, (m, r, w) in enumerate(win.basis):
+        if m + n > win.max_level:
+            continue
+        if win.has(m, mul(g, r), mul(g, w)):
+            if win.has(m + n, mul(g, x), mul(g, w)) or r != y:
+                region.append(i)
+    rep = fk.covariance_check(win, g, 1j, n, x, y)
+    lhs = fk.build_Vg(win, g) @ fk.build_S(win, n, x, y)
+    rhs = fk.build_S(win, n, mul(g, x), mul(g, y)) @ fk.build_Vg(win, g)
+    cov = lhs.sub(rhs).max_abs_on_columns(np.array(region, dtype=np.intp))
+    assert rep.residuals[0]["region_size"] == len(region)
+    assert rep.residuals[0]["residual"] == cov
 
 
 # ---------------------------------------------------------------------------

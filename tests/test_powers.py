@@ -8,6 +8,7 @@ import pytest
 
 import walkops as w
 from walkops.errors import CoverageError, DescriptorMismatchError, PreconditionError
+from walkops.measures import log_radial_mass
 from walkops.powers import GenericPowers
 
 
@@ -224,6 +225,62 @@ def test_tracked_radial_lattice_matches_full():
     for m in (3, 10):
         for g in [((), (0,)), ((1,), (1,)), ((1, 2), (-2,))]:
             assert tracked.log_value(m, g) == full.log_value(m, g)
+
+
+def _eager_level_masses(cache):
+    """Every level mass computed eagerly from the engine's stored levels, as
+    the engines did at build time: log_radial_mass of the per-radius values
+    (the radial values, or the row sums of a full level array)."""
+    if cache.engine_name == "radial":
+        rows = [(cache.level_radial(m).values, cache.level_log_scale(m))
+                for m in range(cache.depth + 1)]
+    else:
+        rows = [(arr.reshape(arr.shape[0], -1).sum(axis=1), ls)
+                for _, arr, ls, _ in cache._levels]
+    out = []
+    for values, ls in rows:
+        logs = log_radial_mass(values, cache.q)
+        out.append(math.exp(logs + ls) if logs > -math.inf else 0.0)
+    return out
+
+
+def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2,
+                                      iso_f2):
+    """level_mass, computed on first request, equals the eager log_radial_mass
+    of every level bit for bit, and level_log_scale is unchanged: radial,
+    dense and radial-lattice caches, full and tracked, and re-imports."""
+    product = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1))
+    cartesian = w.parse_measure(
+        "(e|(0)) 0.35\n(a|(0)) 1/10\n(A|(0)) 1/10\n(b|(0)) 1/10\n(B|(0)) 1/10\n"
+        "(e|(1)) 1/8\n(e|(-1)) 1/8", product)
+    srw_f2 = w.parse_measure("a 1/4\nA 1/4\nb 1/4\nB 1/4", free2)
+    z_up = w.parse_measure("(1) 1/3\n(2) 2/3", lattice1)  # never returns to 0
+    cases = [  # (full cache, tracked twin or None)
+        (w.convolution_powers(free2, iso_f2, 400), None),
+        (w.convolution_powers(free2, srw_f2, 120), None),
+        (w.convolution_powers(lattice1, lazy_z, 64),
+         w.convolution_powers(lattice1, lazy_z, 64, engine="dense",
+                              memory_budget_mb=0, track=[(-3,), (3,)])),
+        (w.convolution_powers(lattice1, z_up, 40), None),
+        (w.convolution_powers(lattice2, lazy_z2, 30),
+         w.convolution_powers(lattice2, lazy_z2, 30, engine="dense",
+                              memory_budget_mb=0, track=[(1, -2), (0, 2)])),
+        (w.convolution_powers(product, cartesian, 40),
+         w.convolution_powers(product, cartesian, 40, engine="radial-lattice",
+                              memory_budget_mb=0, track=[((1, 1), (2,)), ((), (-2,))])),
+    ]
+    for full, tracked in cases:
+        eager = _eager_level_masses(full)
+        scales = [full.level_log_scale(m) for m in range(full.depth + 1)]
+        back = w.import_cache_json(w.export_cache_json(full))
+        for cache in (full, back, tracked):
+            if cache is None:
+                continue
+            assert cache.depth == full.depth
+            levels = range(cache.depth, -1, -1)  # first requests out of order
+            assert [cache.level_mass(m) for m in levels] == eager[::-1]
+            assert [cache.level_mass(m) for m in levels] == eager[::-1]
+            assert [cache.level_log_scale(m) for m in levels] == scales[::-1]
 
 
 def test_support_in_ball(f2_cache, free2):

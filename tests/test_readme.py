@@ -1,0 +1,38 @@
+"""The README's examples run as written: the library tour and the example
+run config.  An API change that breaks them fails here."""
+
+import re
+import time
+from pathlib import Path
+
+from walkops.config import RunConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _block(lang: str, after: str) -> str:
+    """The first fenced ``lang`` block after the heading line ``after``."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(after)
+    match = re.compile(rf"```{lang}\n(.*?)```", re.S).search(text, start)
+    assert match is not None, f"no {lang} block after {after!r}"
+    return match.group(1)
+
+
+def test_library_tour_runs():
+    code = _block("python", "## Library tour")
+    scope: dict = {}
+    start = time.perf_counter()
+    exec(compile(code, "README.md (Library tour)", "exec"), scope)
+    elapsed = time.perf_counter() - start
+    print(f"README library tour: {elapsed:.2f} s")
+    assert scope["rep"].passed
+    assert scope["entry"].lo <= scope["entry"].estimate <= scope["entry"].hi
+
+
+def test_example_config_validates():
+    cfg = RunConfig.from_text(_block("ini", "Example config:"))
+    cfg.validate()
+    assert cfg.get("report", "jobs").split() == [
+        "spectrum", "kernel", "radical", "metric", "boundary", "fock", "covariance",
+    ]
