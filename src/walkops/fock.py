@@ -75,7 +75,6 @@ class FockWindow:
         self._row_id = {x: i for i, x in enumerate(self.x_elems)}
         self._fiber_id = {z: j for j, z in enumerate(self.z_elems)}
         self._quotients: dict = {}  # x -> [x^-1 z for z in z_elems]
-        self._columns: dict = {}    # g -> [log mu^{*m}(g) for m <= max_level]
         # log P^(m)_{x,z} over (level, row, fiber); -inf where absent
         self._lp = np.stack([self._log_p_table(x) for x in self.x_elems], axis=1)
         present = self._lp > NEG_INF
@@ -105,16 +104,11 @@ class FockWindow:
             q = self._quotients[x] = [desc.multiply(xinv, z) for z in self.z_elems]
         return q
 
-    def _column(self, g) -> list:
-        """log mu^{*m}(g) for m = 0..max_level, read from the cache once."""
-        col = self._columns.get(g)
-        if col is None:
-            log_value = self.cache.log_value
-            col = self._columns[g] = [log_value(m, g)
-                                      for m in range(self.max_level + 1)]
-        return col
+    def _column(self, g) -> np.ndarray:
+        """log mu^{*m}(g) for m = 0..max_level: a view of the cache's column."""
+        return self.cache.log_column(g)[: self.max_level + 1]
 
-    def _transition_column(self, x, z) -> list:
+    def _transition_column(self, x, z) -> np.ndarray:
         """log P^(m)_{x,z} for m = 0..max_level."""
         j = self._fiber_id.get(z)
         if j is None:
@@ -185,7 +179,7 @@ class FockWindow:
     def log_p(self, m, x, z) -> float:
         """log P^(m)_{x,z}; memoized up to the window top, -inf when absent."""
         if 0 <= m <= self.max_level:
-            return self._transition_column(x, z)[m]
+            return float(self._transition_column(x, z)[m])
         return self.cache.log_transition(m, x, z)
 
     def row_indices(self, x) -> list:
@@ -199,8 +193,7 @@ class FockWindow:
         for r in rows:
             key = (r, z)
             if key not in self._thresholds:
-                absent = np.flatnonzero(
-                    np.array(self._transition_column(r, z)) == NEG_INF)
+                absent = np.flatnonzero(self._transition_column(r, z) == NEG_INF)
                 self._thresholds[key] = int(absent[-1]) + 1 if len(absent) else 0
             t = max(t, self._thresholds[key])
         return t

@@ -25,6 +25,21 @@ loop per level, which no build needs.  A level keeps what its mass needs
 (its radial values, or the per-radius row sums of its full array, also
 where a tracked level keeps only part of that array).
 
+``log_column(g)`` is the whole history of one entry: log mu^{*m}(g) for
+m = 0..depth as a read-only float array, -inf where the entry is absent.
+Each entry is computed exactly as ``log_value`` computes it, so the two
+agree bit for bit, and the cache memoizes one column per key, built on
+first request.  The key is what the entry depends on in each engine: the
+tree radius ``len(g)`` on ``radial`` (so a ratio sequence there depends
+only on |x^-1 y| and |y|), the (tree radius, lattice point) coordinates on
+the array engine, and the element itself on ``generic`` (one
+``searchsorted`` per level).  A tracked cache raises ``CoverageError`` for
+an element outside its tracked set or region, as ``log_value`` does.  Scans
+over levels (ratio sequences, bound constants, return ratios, Green sums,
+the Fock window) read columns, never ``log_value`` level by level; the
+period of the walk is read once per cache from the identity's column
+(``aperiodicity``).
+
 ``export_cache_json`` writes a version-3 JSON artifact.  The generic
 engine's payload is an element table (each interned element formatted
 once, in id order) plus, per level, sorted ``ids`` into that table and
@@ -84,6 +99,8 @@ class PowersCache:
         self.mu = mu
         self.complete = True
         self.budget_note = ""
+        self._columns: dict = {}     # column key -> read-only log column
+        self._aperiodicity = None    # (aperiodic, period) over the whole cache
 
     # -- to be provided by engines ------------------------------------------
 
@@ -93,6 +110,16 @@ class PowersCache:
 
     def log_value(self, m: int, g) -> float:
         """log mu^{*m}(g); -inf when the entry is absent (true zero)."""
+        raise NotImplementedError
+
+    def _column_key(self, g):
+        """What log mu^{*m}(g) depends on here; CoverageError where a tracked
+        cache does not keep g."""
+        raise NotImplementedError
+
+    def _column_values(self, key) -> list:
+        """log mu^{*m} at ``key`` for m = 0..depth, as ``log_value`` computes
+        each entry."""
         raise NotImplementedError
 
     def level_mass(self, m: int) -> float:
@@ -106,6 +133,24 @@ class PowersCache:
     def _check_level(self, m: int):
         if not 0 <= m <= self.depth:
             raise CoverageError(f"level {m} outside cache depth {self.depth}")
+
+    def log_column(self, g) -> np.ndarray:
+        """log mu^{*m}(g) for m = 0..depth, -inf where absent; read-only and
+        memoized per engine key, and equal to ``log_value`` bit for bit."""
+        key = self._column_key(g)
+        col = self._columns.get(key)
+        if col is None:
+            col = np.array(self._column_values(key), dtype=float)
+            col.flags.writeable = False
+            self._columns[key] = col
+        return col
+
+    def aperiodicity(self) -> tuple:
+        """(aperiodic, period) of the walk over the whole cache, derived
+        once by ``is_aperiodic``."""
+        if self._aperiodicity is None:
+            self._aperiodicity = is_aperiodic(self)
+        return self._aperiodicity
 
     def value(self, m: int, g) -> float:
         lv = self.log_value(m, g)
@@ -169,14 +214,16 @@ def transition(cache: PowersCache, n: int, x, y) -> float:
 def is_aperiodic(cache: PowersCache, probe_depth: int | None = None):
     """(aperiodic, period) from the gcd of return times within the cache.
 
-    The gcd is folded level by level and the scan stops once it is 1, so an
-    aperiodic walk costs as many lookups as its first coprime return times.
+    The gcd is folded along the identity's column and the scan stops once
+    it is 1, so an aperiodic walk reads as many levels as its first coprime
+    return times.  ``PowersCache.aperiodicity`` memoizes the full-depth
+    answer.
     """
-    e = cache.descriptor.identity()
+    col = cache.log_column(cache.descriptor.identity())
     top = cache.depth if probe_depth is None else min(probe_depth, cache.depth)
     period = 0
     for m in range(1, top + 1):
-        if cache.has_value(m, e):
+        if col[m] > NEG_INF:
             period = math.gcd(period, m)
             if period == 1:
                 break
@@ -185,6 +232,13 @@ def is_aperiodic(cache: PowersCache, probe_depth: int | None = None):
             f"no return to identity within {top} steps; period undetectable"
         )
     return period == 1, period
+
+
+def _log_entry(val, log_scale: float) -> float:
+    """log of a stored entry (mantissa ``val`` under the level's log scale);
+    -inf when the entry is absent (zero).  The one formula behind
+    ``log_value`` and ``log_column`` on every engine."""
+    return math.log(val) + log_scale if val > 0.0 else NEG_INF
 
 
 def _radial_level_mass(row_values: np.ndarray, q: int, log_scale: float) -> float:
@@ -240,6 +294,13 @@ class _Level:
     vals: np.ndarray      # mantissas, max 1
     log_scale: float
     mass: float
+
+
+def _stored(level: _Level, i: int):
+    """The mantissa of interned id ``i`` in ``level`` (one searchsorted),
+    0.0 when the level does not hold it."""
+    pos = int(np.searchsorted(level.ids, i))
+    return level.vals[pos] if pos < len(level.ids) and level.ids[pos] == i else 0.0
 
 
 class GenericPowers(PowersCache):
@@ -342,16 +403,26 @@ class GenericPowers(PowersCache):
                     "element not in the tracked set of this cache"
                 )
             tracked, ls, _ = self._tracked_levels[m]
-            v = tracked.get(g, 0.0)
-            return math.log(v) + ls if v else NEG_INF
+            return _log_entry(tracked.get(g, 0.0), ls)
         i = self._interner.index.get(g)
         if i is None:
             return NEG_INF
         level = self._levels[m]
-        pos = int(np.searchsorted(level.ids, i))
-        if pos < len(level.ids) and level.ids[pos] == i:
-            return math.log(level.vals[pos]) + level.log_scale
-        return NEG_INF
+        return _log_entry(_stored(level, i), level.log_scale)
+
+    def _column_key(self, g):
+        if self._track_set is not None and g not in self._track_set:
+            raise CoverageError("element not in the tracked set of this cache")
+        return g
+
+    def _column_values(self, g):
+        if self._track_set is not None:
+            return [_log_entry(tracked.get(g, 0.0), ls)
+                    for tracked, ls, _ in self._tracked_levels]
+        i = self._interner.index.get(g)
+        if i is None:
+            return [NEG_INF] * len(self._levels)
+        return [_log_entry(_stored(level, i), level.log_scale) for level in self._levels]
 
     def level_mass(self, m):
         self._check_level(m)
@@ -459,12 +530,17 @@ class RadialFreePowers(PowersCache):
     def log_value_at_radius(self, m, r):
         self._check_level(m)
         vals, ls = self._levels[m]
-        if 0 <= r < len(vals) and vals[r] > 0.0:
-            return math.log(vals[r]) + ls
-        return NEG_INF
+        return _log_entry(vals[r] if 0 <= r < len(vals) else 0.0, ls)
 
     def log_value(self, m, g):
         return self.log_value_at_radius(m, len(g))
+
+    def _column_key(self, g):
+        return len(g)
+
+    def _column_values(self, r):
+        return [_log_entry(vals[r] if r < len(vals) else 0.0, ls)
+                for vals, ls in self._levels]
 
     def level_mass(self, m):
         self._check_level(m)
@@ -561,6 +637,14 @@ def _cartesian_split(descriptor: GroupDescriptor, mu: ScaledMeasure):
 def _row_sums(arr: np.ndarray) -> np.ndarray:
     """Per-tree-radius sums of a (r, *lattice) level array."""
     return arr.reshape(arr.shape[0], -1).sum(axis=1)
+
+
+def _cell(level, r, v):
+    """The stored mantissa at (tree radius r, lattice point v) of an array
+    level, 0.0 when the point lies outside its array."""
+    lat_lo, arr, _, _ = level
+    idx = (r,) + tuple(c - l for c, l in zip(v, lat_lo))
+    return arr[idx] if all(0 <= i < n for i, n in zip(idx, arr.shape)) else 0.0
 
 
 def _lattice_coords(v):
@@ -696,15 +780,21 @@ class RadialLatticePowers(PowersCache):
 
     def log_value(self, m, g):
         self._check_level(m)
+        r, v = self._column_key(g)
+        level = self._levels[m]
+        return _log_entry(_cell(level, r, v), level[2])
+
+    def _column_key(self, g):
+        # a tracked level's array lies inside the tracked region, so a point
+        # outside the region is outside every stored level
         r, v = self._coords(g)
-        lat_lo, arr, ls, _ = self._levels[m]
-        idx = (r,) + tuple(c - l for c, l in zip(v, lat_lo))
-        if not all(0 <= i < n for i, n in zip(idx, arr.shape)):
-            if self._track_region is not None and not self._inside_track(r, v):
-                raise CoverageError("element outside the tracked region of this cache")
-            return NEG_INF
-        val = arr[idx]
-        return math.log(val) + ls if val > 0.0 else NEG_INF
+        if self._track_region is not None and not self._inside_track(r, v):
+            raise CoverageError("element outside the tracked region of this cache")
+        return r, v
+
+    def _column_values(self, key):
+        r, v = key
+        return [_log_entry(_cell(level, r, v), level[2]) for level in self._levels]
 
     def _inside_track(self, r, v):
         r_keep, tlo, thi = self._track_region

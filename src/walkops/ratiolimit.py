@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CoverageError, PreconditionError
 from .groups import FreeGroup, GroupDescriptor
 from .measures import NEG_INF, ScaledMeasure
-from .powers import PowersCache, convolution_powers, is_aperiodic
+from .powers import PowersCache, convolution_powers
 from .reports import DiagnosticsReport
 from .sequences import aitken_step, halving_ladder, richardson_harmonic
 from .spectral import MetricValue
@@ -37,25 +37,23 @@ def ratio_sequence(cache: PowersCache, x, y):
 
     Ratios are exact mantissa quotients (shared level log-scale cancels).
     Requires an aperiodic walk; gaps (levels where the denominator entry is
-    absent) are simply skipped.
+    absent) are simply skipped.  Both entries are read from their cache
+    columns.
     """
-    aperiodic, period = is_aperiodic(cache)
+    aperiodic, period = cache.aperiodicity()
     if not aperiodic:
         raise PreconditionError(
             f"ratio sequences need an aperiodic walk (period {period} detected)"
         )
     desc = cache.descriptor
-    num = desc.multiply(desc.inverse(x), y)
-    ms, rs = [], []
-    for m in range(1, cache.depth + 1):
-        ln = cache.log_value(m, num)
-        ld = cache.log_value(m, y)
-        if ln > NEG_INF and ld > NEG_INF:
-            ms.append(m)
-            rs.append(math.exp(ln - ld))
-    if not ms:
+    ln = cache.log_column(desc.multiply(desc.inverse(x), y))[1:]
+    ld = cache.log_column(y)[1:]
+    both = (ln > NEG_INF) & (ld > NEG_INF)
+    ms = np.flatnonzero(both) + 1
+    if not len(ms):
         raise CoverageError("y never reached within the cache depth")
-    return np.array(ms), np.array(rs)
+    rs = np.array([math.exp(d) for d in (ln[both] - ld[both]).tolist()])
+    return ms, rs
 
 
 @dataclass
@@ -67,7 +65,9 @@ class KernelEntry:
     hi: float
     m_window: tuple
     accelerated: bool
-    raw_tail: list = field(default_factory=list, repr=False)
+    # rows (m, r_m) of the ratio tail from level depth // 4 on
+    raw_tail: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)),
+                                 repr=False, compare=False)
 
     @property
     def uncertainty(self) -> float:
@@ -87,30 +87,28 @@ def estimate_H(cache: PowersCache, x, y, ladder_points: int = 5,
     desc = cache.descriptor
     if x == desc.identity():
         return KernelEntry(x=x, y=y, estimate=1.0, lo=1.0, hi=1.0,
-                           m_window=(0, cache.depth), accelerated=False,
-                           raw_tail=[])
+                           m_window=(0, cache.depth), accelerated=False)
     ms, rs = ratio_sequence(cache, x, y)
-    defined = dict(zip(ms.tolist(), rs.tolist()))
     depth = int(ms[-1])
     floor = ladder_floor if ladder_floor is not None else max(4, depth // 16)
     floor = max(floor, int(ms[0]))
-    ladder = []
-    for h in halving_ladder(depth, floor, max_points=ladder_points):
-        # nudge upward past parity/presence gaps
-        for probe in range(h, min(h + 4, depth + 1)):
-            if probe in defined:
-                if not ladder or ladder[-1][0] != probe:
-                    ladder.append((probe, defined[probe]))
-                break
+    # each rung moves up to the first defined level within 3 above it
+    # (past parity/presence gaps); a rung with none there is dropped
+    rungs = np.array(halving_ladder(depth, floor, max_points=ladder_points),
+                     dtype=np.intp)
+    at = np.searchsorted(ms, rungs)
+    found = at < len(ms)
+    at, rungs = at[found], rungs[found]
+    at = np.unique(at[ms[at] < rungs + 4])
     tail_from = np.searchsorted(ms, max(1, depth // 4))
-    raw_tail = list(zip(ms[tail_from:].tolist(), rs[tail_from:].tolist()))
-    if len(ladder) < 3:
-        vals = [r for _, r in raw_tail] or rs.tolist()
+    raw_tail = np.column_stack((ms[tail_from:], rs[tail_from:]))
+    if len(at) < 3:
+        vals = rs[tail_from:] if tail_from < len(rs) else rs
         return KernelEntry(x=x, y=y, estimate=float(rs[-1]),
-                           lo=float(min(vals)), hi=float(max(vals)),
+                           lo=float(vals.min()), hi=float(vals.max()),
                            m_window=(int(ms[0]), depth), accelerated=False,
                            raw_tail=raw_tail)
-    logs = [math.log(r) for _, r in ladder]
+    logs = [math.log(r) for r in rs[at].tolist()]
     acc = [math.exp(aitken_step(logs[i], logs[i + 1], logs[i + 2]))
            for i in range(len(logs) - 2)]
     return KernelEntry(
@@ -118,7 +116,7 @@ def estimate_H(cache: PowersCache, x, y, ladder_points: int = 5,
         estimate=float(acc[-1]),
         lo=float(min(acc)),
         hi=float(max(acc)),
-        m_window=(ladder[0][0], ladder[-1][0]),
+        m_window=(int(ms[at[0]]), int(ms[at[-1]])),
         accelerated=True,
         raw_tail=raw_tail,
     )
@@ -138,20 +136,17 @@ def bound_constants(cache: PowersCache, x, rho_hat: float) -> BoundConstants:
     minimal levels where x (resp. x^-1) is first reached."""
     desc = cache.descriptor
     inv = desc.inverse(x)
-    n_plus = n_minus = None
-    for m in range(cache.depth + 1):
-        if n_plus is None and cache.has_value(m, x):
-            n_plus = m
-        if n_minus is None and cache.has_value(m, inv):
-            n_minus = m
-        if n_plus is not None and n_minus is not None:
-            break
-    if n_plus is None or n_minus is None:
+    col_x = cache.log_column(x)
+    col_inv = cache.log_column(inv)
+    reach_x = np.flatnonzero(col_x > NEG_INF)
+    reach_inv = np.flatnonzero(col_inv > NEG_INF)
+    if not len(reach_x) or not len(reach_inv):
         raise CoverageError(
             f"{desc.format(x)} or its inverse unreachable within depth {cache.depth}"
         )
-    big = math.exp(n_plus * math.log(rho_hat) - cache.log_value(n_plus, x))
-    small = math.exp(cache.log_value(n_minus, inv) - n_minus * math.log(rho_hat))
+    n_plus, n_minus = int(reach_x[0]), int(reach_inv[0])
+    big = math.exp(n_plus * math.log(rho_hat) - float(col_x[n_plus]))
+    small = math.exp(float(col_inv[n_minus]) - n_minus * math.log(rho_hat))
     return BoundConstants(x=x, c=small, C=big, n_plus=n_plus, n_minus=n_minus)
 
 
@@ -164,7 +159,7 @@ class KernelTable:
 
     def __init__(self, cache: PowersCache, rho_hat: float | None = None,
                  ladder_points: int = 5, ladder_floor: int | None = None):
-        aperiodic, period = is_aperiodic(cache)
+        aperiodic, period = cache.aperiodicity()
         if not aperiodic:
             raise PreconditionError(
                 f"kernel estimation needs an aperiodic walk (period {period})"
@@ -238,7 +233,7 @@ class ClosedFormFreeTable:
     def get(self, x, y) -> KernelEntry:
         v = closed_form_H_free_isotropic(self.descriptor.rank, x, y)
         return KernelEntry(x=x, y=y, estimate=v, lo=v, hi=v,
-                           m_window=(0, 0), accelerated=False, raw_tail=[])
+                           m_window=(0, 0), accelerated=False)
 
     def bound_constant(self, x) -> BoundConstants:
         if x not in self._bounds:
@@ -266,8 +261,7 @@ class ConstantKernelTable:
 
     def get(self, x, y) -> KernelEntry:
         return KernelEntry(x=x, y=y, estimate=self.value, lo=self.value,
-                           hi=self.value, m_window=(0, 0), accelerated=False,
-                           raw_tail=[])
+                           hi=self.value, m_window=(0, 0), accelerated=False)
 
     def provenance(self) -> dict:
         return {"kernel": "constant", "value": self.value}
@@ -288,7 +282,7 @@ class CartesianKernelTable:
         lo = e1.lo * e2.lo
         hi = e1.hi * e2.hi
         return KernelEntry(x=x, y=y, estimate=est, lo=lo, hi=hi,
-                           m_window=(0, 0), accelerated=False, raw_tail=[])
+                           m_window=(0, 0), accelerated=False)
 
     def provenance(self) -> dict:
         return {
@@ -315,7 +309,7 @@ def srlp_diagnostic(cache: PowersCache, ball_radius: int, tol: float,
     tail (the kernel-entry window width) is compared against ``tol``.  The
     verdict is consistency evidence only, never a proof.
     """
-    aperiodic, period = is_aperiodic(cache)
+    aperiodic, period = cache.aperiodicity()
     if not aperiodic:
         raise PreconditionError(
             f"SRLP diagnostic needs an aperiodic walk (period {period})"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .measures import NEG_INF
-from .powers import PowersCache, is_aperiodic
+from .powers import PowersCache
 from .sequences import fit_harmonic, richardson_harmonic, aitken_step
 
 
@@ -40,19 +40,11 @@ class SpectralEstimate:
 
 
 def _return_ratio_tail(cache: PowersCache, period: int):
-    """(m, mu^{*(m+p)}(e)/mu^{*m}(e)) over the deepest defined stretch."""
-    e = cache.descriptor.identity()
-    logs = {}
-    for m in range(cache.depth + 1):
-        lv = cache.log_value(m, e)
-        if lv > NEG_INF:
-            logs[m] = lv
-    ms, rs = [], []
-    for m in sorted(logs):
-        if m + period in logs:
-            ms.append(m)
-            rs.append(math.exp(logs[m + period] - logs[m]))
-    return np.array(ms), np.array(rs)
+    """(m, mu^{*(m+p)}(e)/mu^{*m}(e)) over the levels where both returns exist."""
+    col = cache.log_column(cache.descriptor.identity())
+    ms = np.flatnonzero((col[:-period] > NEG_INF) & (col[period:] > NEG_INF))
+    rs = np.array([math.exp(d) for d in (col[ms + period] - col[ms]).tolist()])
+    return ms, rs
 
 
 def spectral_radius(cache: PowersCache, tail_window: int | None = None) -> SpectralEstimate:
@@ -63,7 +55,7 @@ def spectral_radius(cache: PowersCache, tail_window: int | None = None) -> Spect
     step removes the 1 + c/m correction; the reported spread is the
     oscillation of the extrapolated tail.
     """
-    aperiodic, period = is_aperiodic(cache)
+    aperiodic, period = cache.aperiodicity()
     ms, rs = _return_ratio_tail(cache, period)
     if len(ms) < 2:
         raise PreconditionError("cache too shallow for spectral-radius ratios")
@@ -142,24 +134,19 @@ def green(cache: PowersCache, x, y, z: float, terms: int | None = None,
         raise PreconditionError("Green kernel is evaluated for z >= 0 only")
     top = cache.depth if terms is None else min(terms, cache.depth)
     g = cache.descriptor.multiply(cache.descriptor.inverse(x), y)
-    log_z = math.log(z) if z > 0 else NEG_INF
-    total = 0.0
-    tail_terms = []
-    for n in range(top + 1):
-        lv = cache.log_value(n, g)
-        if lv > NEG_INF:
-            if n == 0:
-                t = math.exp(lv)
-            elif z == 0.0:
-                t = 0.0
-            else:
-                t = math.exp(lv + n * log_z)
-            total += t
-            if n > top - 6 and t > 0.0:
-                tail_terms.append(t)
-        # absent entries contribute nothing; presence may resume later
+    col = cache.log_column(g)[: max(top + 1, 0)]
     if z == 0.0:
+        # only the n = 0 term survives
+        total = math.exp(col[0]) if len(col) and col[0] > NEG_INF else 0.0
         return GreenValue(value=total, truncation_bound=0.0, terms_used=top, z=z)
+    # absent entries contribute nothing; presence may resume later
+    ns = np.flatnonzero(col > NEG_INF)
+    # n * log z is 0.0 at n = 0, so that term is exp(log mu^{*0}(g))
+    ts = [math.exp(v) for v in (col[ns] + ns * math.log(z)).tolist()]
+    total = 0.0
+    for t in ts:  # left to right, in the order of the series
+        total += t
+    tail_terms = [t for n, t in zip(ns.tolist(), ts) if n > top - 6 and t > 0.0]
     if total == 0.0:
         # y not reached within the summed terms: nothing to anchor a tail
         # model on, so the partial sum bounds nothing

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 
 import walkops as w
@@ -151,9 +152,20 @@ class _CountingCache:
         self.depth = cache.depth
         self.levels_read = []
 
-    def has_value(self, m, g):
+    def log_column(self, g):
+        return _RecordingColumn(self.cache.log_column(g), self.levels_read)
+
+
+class _RecordingColumn:
+    """A log column that records each level read from it."""
+
+    def __init__(self, col, levels_read):
+        self.col = col
+        self.levels_read = levels_read
+
+    def __getitem__(self, m):
         self.levels_read.append(m)
-        return self.cache.has_value(m, g)
+        return self.col[m]
 
 
 def test_is_aperiodic_early_exit(lattice1, lazy_z):
@@ -281,6 +293,93 @@ def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2
             assert [cache.level_mass(m) for m in levels] == eager[::-1]
             assert [cache.level_mass(m) for m in levels] == eager[::-1]
             assert [cache.level_log_scale(m) for m in levels] == scales[::-1]
+
+
+def _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2, lamp1, lamp_mu):
+    """(label, cache, elements to compare, elements outside a tracked cache)."""
+    product = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1))
+    cartesian = w.parse_measure(
+        "(e|(0)) 0.35\n(a|(0)) 1/10\n(A|(0)) 1/10\n(b|(0)) 1/10\n(B|(0)) 1/10\n"
+        "(e|(1)) 1/8\n(e|(-1)) 1/8", product)
+    srw_f2 = w.parse_measure("a 1/4\nA 1/4\nb 1/4\nB 1/4", free2)
+    z_up = w.parse_measure("(1) 1/3\n(2) 2/3", lattice1)  # never returns to 0
+    f2_skew = w.parse_measure("a 1/2\nA 1/6\nb 1/6\nB 1/6", free2)
+    far_f2 = [(1,) * 12, (1, 2, 1, 2, 1, 2, 1, 2, 1)]
+    lamp_track = [((0,), ()), ((1,), ((0,),)), ((-1,), ((0,), (1,)))]
+    full = [
+        ("radial", w.convolution_powers(free2, iso_f2, 60), free2.ball(3) + far_f2),
+        ("radial srw", w.convolution_powers(free2, srw_f2, 40), free2.ball(3) + far_f2),
+        ("dense", w.convolution_powers(lattice1, lazy_z, 64),
+         lattice1.ball(4) + [(70,), (-200,)]),
+        ("dense z_up", w.convolution_powers(lattice1, z_up, 20),
+         lattice1.ball(4) + [(45,)]),
+        ("dense Z^2", w.convolution_powers(lattice2, lazy_z2, 24),
+         lattice2.ball(3) + [(30, 0)]),
+        ("radial-lattice", w.convolution_powers(product, cartesian, 30),
+         product.ball(2) + [((1,) * 40, (0,)), ((), (31,))]),
+        ("generic lamplighter", w.convolution_powers(lamp1, lamp_mu, 8, engine="generic"),
+         lamp1.ball(3) + [((20,), ())]),
+        ("generic F2", w.convolution_powers(free2, f2_skew, 7), free2.ball(3) + far_f2),
+    ]
+    cases = [(label, cache, elems, []) for label, cache, elems in full]
+    cases += [(label + " re-imported", w.import_cache_json(w.export_cache_json(cache)),
+               elems, []) for label, cache, elems in full]
+    cases += [
+        ("dense tracked",
+         w.convolution_powers(lattice1, lazy_z, 64, engine="dense",
+                              memory_budget_mb=0, track=[(-3,), (3,)]),
+         [(v,) for v in range(-3, 4)], [(4,), (-9,)]),
+        ("dense Z^2 tracked",
+         w.convolution_powers(lattice2, lazy_z2, 24, engine="dense",
+                              memory_budget_mb=0, track=[(1, -2), (0, 2)]),
+         [(a, b) for a in range(0, 2) for b in range(-2, 3)], [(2, 0), (0, 3)]),
+        ("radial-lattice tracked",
+         w.convolution_powers(product, cartesian, 30, engine="radial-lattice",
+                              memory_budget_mb=0, track=[((1, 1), (2,)), ((), (-2,))]),
+         [(word, (v,)) for word in product.left.ball(2) for v in range(-2, 3)],
+         [((1, 1, 1), (0,)), ((), (3,))]),
+        ("generic tracked",
+         w.convolution_powers(lamp1, lamp_mu, 8, engine="generic", track=lamp_track),
+         lamp_track + [lamp1.identity()], [((1,), ()), ((20,), ())]),
+    ]
+    return cases
+
+
+def test_log_column_matches_log_value(lattice1, lattice2, lazy_z, lazy_z2, free2,
+                                      iso_f2, lamp1, lamp_mu):
+    """log_column(g) equals [log_value(m, g) for m in 0..depth] bit for bit,
+    absent entries (-inf) included, on every engine, full, tracked and
+    re-imported; an element a tracked cache does not keep raises
+    CoverageError from both calls."""
+    cases = _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2,
+                          lamp1, lamp_mu)
+    for label, cache, elems, outside in cases:
+        absent = 0
+        for g in elems:
+            ref = np.array([cache.log_value(m, g) for m in range(cache.depth + 1)])
+            col = cache.log_column(g)
+            assert col.dtype == np.float64 and col.shape == ref.shape, label
+            assert col.tobytes() == ref.tobytes(), (label, g)
+            assert cache.log_column(g) is col  # memoized
+            assert not col.flags.writeable
+            absent += int(np.sum(col == -math.inf))
+        assert absent, label  # every case covers absent entries
+        for g in outside:
+            with pytest.raises(CoverageError):
+                cache.log_value(0, g)
+            with pytest.raises(CoverageError):
+                cache.log_column(g)
+
+
+def test_log_column_keys(free2, iso_f2, product_f2z, cartesian_mu):
+    """The radial engine keeps one column per radius and the array engine
+    one per (radius, lattice point): elements with equal keys share it."""
+    radial = w.convolution_powers(free2, iso_f2, 20)
+    assert radial.log_column((1, 2)) is radial.log_column((-2, -1))
+    assert radial.log_column((1,)) is not radial.log_column((1, 2))
+    product = w.convolution_powers(product_f2z, cartesian_mu, 20)
+    assert product.log_column(((1, 2), (3,))) is product.log_column(((-1, -1), (3,)))
+    assert product.log_column(((1, 2), (3,))) is not product.log_column(((1, 2), (2,)))
 
 
 def test_support_in_ball(f2_cache, free2):
