@@ -15,12 +15,29 @@ Because elements are immutable values, all operations here are pure and
 safe to share across concurrent tasks.  Ball enumeration is BFS by word
 length with a deterministic tie-break, which fixes the enumeration
 ``phi`` (1-based position in the ball) used by the boundary metrics.
+
+Besides the text grammar, each family has an array codec for whole element
+lists (``encode_elements``/``decode_elements``), which the cache artifacts
+use:
+
+* lattice:      ``coords`` (n, d)
+* free:         ``lengths`` (n,) and the concatenated ``letters``
+* lamplighter:  ``pos`` (n, d), lamp ``counts`` (n,) and the concatenated
+                ``lamps`` (sum of counts, d)
+* product:      the factors' arrays under ``left.`` and ``right.`` keys
+
+Decoding checks canonical form with vectorized checks and raises
+ElementParseError for arrays that do not name canonical elements.
 """
 
 from __future__ import annotations
 
+import operator
 import string
 from functools import lru_cache
+from itertools import chain, islice
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -133,6 +150,19 @@ class GroupDescriptor:
         """Round-trippable descriptor text, e.g. ``product(free(2),lattice(1))``."""
         raise NotImplementedError
 
+    # -- array codec ---------------------------------------------------------
+
+    def encode_elements(self, elems) -> dict:
+        """Canonical elements as named integer arrays (see the module
+        docstring for each family's arrays)."""
+        raise NotImplementedError
+
+    def decode_elements(self, arrays) -> list:
+        """The elements of ``encode_elements`` arrays, as tuples of Python
+        ints; ElementParseError when the arrays do not name canonical
+        elements."""
+        raise NotImplementedError
+
     # -- misc ----------------------------------------------------------------
 
     _ball_cache: tuple | None = None
@@ -145,6 +175,58 @@ class GroupDescriptor:
 
     def __hash__(self):
         return hash(self.spec_string())
+
+
+def _int_array(arrays, key, ndim):
+    """``arrays[key]`` as an integer array of ``ndim`` dimensions."""
+    arr = np.asarray(arrays[key])
+    if arr.dtype.kind != "i" or arr.ndim != ndim:
+        raise ElementParseError(f"element array {key!r} is not a {ndim}-d integer array")
+    return arr
+
+
+def _check_counts(counts, total, what):
+    if np.any(counts < 0) or int(counts.sum(dtype=np.int64)) != total:
+        raise ElementParseError(f"{what} are not counts summing to {total}")
+
+
+def _inside(counts, pairs):
+    """``pairs`` holds one flag per consecutive pair of a concatenation of
+    runs of the given lengths; clear the flags of pairs that straddle two
+    runs."""
+    ends = np.cumsum(counts, dtype=np.int64)[:-1]
+    pairs[ends[(ends > 0) & (ends <= len(pairs))] - 1] = False
+    return pairs
+
+
+def _rows_increase(rows):
+    """One flag per consecutive pair of rows of an (n, d) array: is the
+    first row lexicographically smaller (Python tuple order)?"""
+    a, b = rows[:-1], rows[1:]
+    ne = a != b
+    at = (np.arange(len(a)), ne.argmax(axis=1))
+    return ne[at] & (a[at] < b[at])
+
+
+def _row_tuples(rows):
+    """The rows of an (n, d) integer array as tuples of Python ints; equal
+    rows share one tuple."""
+    if not len(rows):
+        return []
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    which = np.empty(len(rows), dtype=np.int64)
+    which[order] = np.cumsum(first) - 1
+    table = [tuple(r) for r in ranked[first].tolist()]
+    return list(map(table.__getitem__, which.tolist()))
+
+
+def _runs(items, counts):
+    """Consecutive runs of ``items`` with the given lengths, as tuples."""
+    it = iter(items)
+    return [tuple(islice(it, n)) for n in counts.tolist()]
 
 
 def _lattice_key(v):
@@ -215,6 +297,19 @@ class LatticeGroup(GroupDescriptor):
 
     def spec_string(self):
         return f"lattice({self.dimension})"
+
+    def encode_elements(self, elems):
+        coords = np.array(elems, dtype=np.int64).reshape(len(elems), self.dimension)
+        return {"coords": coords}
+
+    def decode_elements(self, arrays):
+        coords = _int_array(arrays, "coords", 2)
+        if coords.shape[1] != self.dimension:
+            raise ElementParseError(
+                f"lattice coords have {coords.shape[1]} columns, "
+                f"expected {self.dimension}"
+            )
+        return _row_tuples(coords)
 
 
 class FreeGroup(GroupDescriptor):
@@ -306,6 +401,24 @@ class FreeGroup(GroupDescriptor):
     def spec_string(self):
         return f"free({self.rank})"
 
+    def encode_elements(self, elems):
+        return {
+            "lengths": np.fromiter(map(len, elems), dtype=np.int64, count=len(elems)),
+            "letters": np.fromiter(chain.from_iterable(elems), dtype=np.int64),
+        }
+
+    def decode_elements(self, arrays):
+        lengths = _int_array(arrays, "lengths", 1)
+        letters = _int_array(arrays, "letters", 1)
+        _check_counts(lengths, len(letters), "free word lengths")
+        if np.any((letters == 0) | (letters < -self.rank) | (letters > self.rank)):
+            raise ElementParseError(
+                f"free letters outside the rank-{self.rank} alphabet"
+            )
+        if np.any(_inside(lengths, letters[1:] == -letters[:-1])):
+            raise ElementParseError("a free word is not reduced")
+        return _runs(letters.tolist(), lengths)
+
 
 class LamplighterGroup(GroupDescriptor):
     """Wreath product (sum of Z_2 copies) over Z^d.
@@ -330,6 +443,8 @@ class LamplighterGroup(GroupDescriptor):
     def _mul(self, a, b):
         (x, w), (y, u) = a, b
         pos = tuple(p + q for p, q in zip(x, y))
+        if not u:
+            return (pos, w)
         shifted = {tuple(p + q for p, q in zip(lamp, x)) for lamp in u}
         lamps = set(w) ^ shifted
         return (pos, tuple(sorted(lamps)))
@@ -352,11 +467,13 @@ class LamplighterGroup(GroupDescriptor):
         if not (isinstance(a, tuple) and len(a) == 2):
             return False
         pos, lamps = a
-        if not self._base.contains(pos) or not isinstance(lamps, tuple):
-            return False
-        if list(lamps) != sorted(set(lamps)):
-            return False
-        return all(self._base.contains(p) for p in lamps)
+        base = self._base
+        return (
+            base.contains(pos)
+            and isinstance(lamps, tuple)
+            and all(map(base.contains, lamps))
+            and all(map(operator.lt, lamps, lamps[1:]))
+        )
 
     def sort_key(self, a):
         pos, lamps = a
@@ -439,6 +556,34 @@ class LamplighterGroup(GroupDescriptor):
 
     def spec_string(self):
         return f"lamplighter({self.dimension})"
+
+    def encode_elements(self, elems):
+        encode = self._base.encode_elements
+        return {
+            "pos": encode([x for x, _ in elems])["coords"],
+            "counts": np.fromiter((len(w) for _, w in elems), dtype=np.int64,
+                                  count=len(elems)),
+            "lamps": encode(list(chain.from_iterable(w for _, w in elems)))["coords"],
+        }
+
+    def decode_elements(self, arrays):
+        decode = self._base.decode_elements
+        pos = decode({"coords": arrays["pos"]})
+        counts = _int_array(arrays, "counts", 1)
+        if len(counts) != len(pos):
+            raise ElementParseError(
+                f"{len(counts)} lamp counts for {len(pos)} lamplighter positions"
+            )
+        lamps = _int_array(arrays, "lamps", 2)
+        _check_counts(counts, len(lamps), "lamp counts")
+        if np.any(_inside(counts, ~_rows_increase(lamps))):
+            raise ElementParseError("lamps are not strictly increasing")
+        # equal lamp sets share one tuple, as positions and lamps already do
+        canon: dict = {}
+        return [
+            (x, canon.setdefault(w, w))
+            for x, w in zip(pos, _runs(decode({"coords": lamps}), counts))
+        ]
 
 
 class ProductGroup(GroupDescriptor):
@@ -527,6 +672,26 @@ class ProductGroup(GroupDescriptor):
 
     def spec_string(self):
         return f"product({self.left.spec_string()},{self.right.spec_string()})"
+
+    def encode_elements(self, elems):
+        arrays = {}
+        for side, factor, part in (("left", self.left, 0), ("right", self.right, 1)):
+            for key, arr in factor.encode_elements([g[part] for g in elems]).items():
+                arrays[f"{side}.{key}"] = arr
+        return arrays
+
+    def decode_elements(self, arrays):
+        def factor_arrays(side):
+            return {key[len(side):]: arr for key, arr in arrays.items()
+                    if key.startswith(side)}
+
+        left = self.left.decode_elements(factor_arrays("left."))
+        right = self.right.decode_elements(factor_arrays("right."))
+        if len(left) != len(right):
+            raise ElementParseError(
+                f"product factors hold {len(left)} and {len(right)} elements"
+            )
+        return list(zip(left, right))
 
 
 @lru_cache(maxsize=None)

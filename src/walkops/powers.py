@@ -40,16 +40,33 @@ the Fock window) read columns, never ``log_value`` level by level; the
 period of the walk is read once per cache from the identity's column
 (``aperiodicity``).
 
-``export_cache_json`` writes a version-3 JSON artifact.  The generic
-engine's payload is an element table (each interned element formatted
-once, in id order) plus, per level, sorted ``ids`` into that table and
-their ``vals``; the array engines store their value arrays.  Any other
-version is rejected by ``import_cache_json``, as is any malformed artifact
-(ValueError).
+``export_cache_json`` writes a version-4 JSON artifact whose numbers are
+packed arrays (``_pack``: dtype, shape and the base64 of the little-endian
+bytes; integers as ``<i4`` where they fit, else ``<i8``, floats as ``<f8``,
+so every bit survives).  Every engine stores its levels concatenated, with
+per-level ``sizes`` (or ``shapes``) and ``log_scales``:
+
+* ``generic``        the element table as the descriptor's
+                     ``encode_elements`` arrays (elements in id order), one
+                     ``ids`` array of sorted per-level ids into that table
+                     and one ``vals`` array
+* ``radial``         one ``values`` array of per-radius values
+* lattice array      ``lat_lo`` (levels, d), ``shapes`` (levels, d + 1) and
+                     the raveled level arrays as one ``values`` array
+
+``import_cache_json`` rejects any other version and any malformed artifact
+with ValueError: a packed array whose bytes do not fill its shape, or whose
+dtype is not one of the three; elements that do not decode to canonical,
+distinct elements with the identity at id 0; ids that are not strictly
+increasing within a level or fall outside the table; stored values that
+are not finite and positive (non-negative on the array and radial
+engines); empty levels; log scales that are not finite.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass
@@ -85,8 +102,10 @@ DEFAULT_SUPPORT_CAP = 2_000_000
 DEFAULT_MEMORY_BUDGET_MB = 512
 # version 2: one array payload (lat_lo, (r, *lattice) values) for the
 # dense and radial-lattice engines; version 3: the generic payload is an
-# element table plus per-level id and value lists
-ARTIFACT_VERSION = 3
+# element table plus per-level id and value lists; version 4: every payload
+# is packed arrays, the generic element table included
+ARTIFACT_VERSION = 4
+_PACKED_DTYPES = ("<i4", "<i8", "<f8")
 
 
 class PowersCache:
@@ -187,14 +206,10 @@ class PowersCache:
         """Measure-derived state, shared by construction and import."""
         raise NotImplementedError
 
-    def _load_level(self, lv: dict):
-        """Append one exported level (an entry of ``export_payload``)."""
-        raise NotImplementedError
-
     def _load_payload(self, payload: dict):
-        """Restore the levels of ``export_payload``; runs after ``_setup``."""
-        for lv in payload["levels"]:
-            self._load_level(lv)
+        """Restore and check the levels of ``export_payload``; runs after
+        ``_setup``."""
+        raise NotImplementedError
 
     @classmethod
     def _from_payload(cls, descriptor, mu, payload):
@@ -241,6 +256,75 @@ def _log_entry(val, log_scale: float) -> float:
     return math.log(val) + log_scale if val > 0.0 else NEG_INF
 
 
+def _pack(arr) -> dict:
+    """A numeric array as JSON: dtype, shape and the base64 of its
+    little-endian bytes.  Integers are stored as ``<i4`` where they fit,
+    else ``<i8``; floats as ``<f8``, bit for bit."""
+    arr = np.asarray(arr)
+    if arr.dtype.kind == "f":
+        dtype = "<f8"
+    elif arr.dtype.kind == "i":
+        fits = not arr.size or (arr.min() >= -2**31 and arr.max() < 2**31)
+        dtype = "<i4" if fits else "<i8"
+    else:
+        raise TypeError(f"cannot pack a {arr.dtype} array")
+    data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
+    return {"dtype": dtype, "shape": list(arr.shape),
+            "data": base64.b64encode(data).decode("ascii")}
+
+
+def _unpack(doc) -> np.ndarray:
+    """The read-only array of a ``_pack`` document; ValueError when the
+    document is malformed or its bytes do not fill its shape."""
+    dtype, shape, data = doc["dtype"], doc["shape"], doc["data"]
+    if dtype not in _PACKED_DTYPES:
+        raise ValueError(f"packed array dtype {dtype!r}, expected one of "
+                         f"{_PACKED_DTYPES}")
+    if not (isinstance(shape, list) and all(
+            type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"packed array shape {shape!r}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (binascii.Error, TypeError) as exc:
+        raise ValueError(f"packed array data is not base64: {exc}") from exc
+    dt = np.dtype(dtype)
+    if len(raw) != math.prod(shape) * dt.itemsize:
+        raise ValueError(
+            f"packed array holds {len(raw)} bytes, shape {shape} of {dtype} "
+            f"needs {math.prod(shape) * dt.itemsize}"
+        )
+    return np.frombuffer(raw, dtype=dt).reshape(shape)
+
+
+def _unpack_values(doc, what: str, positive: bool = False) -> np.ndarray:
+    """A packed 1-d float array of stored values, finite and non-negative
+    (positive when ``positive``)."""
+    vals = _unpack(doc)
+    if (vals.dtype.kind != "f" or vals.ndim != 1 or not np.all(np.isfinite(vals))
+            or not np.all(vals > 0.0 if positive else vals >= 0.0)):
+        raise ValueError(
+            f"{what}: values are not one 1-d array of finite "
+            f"{'positive' if positive else 'non-negative'} floats"
+        )
+    return vals
+
+
+def _level_bounds(payload, what: str, total: int, sizes: np.ndarray) -> tuple:
+    """Where a concatenation of ``total`` level entries splits into levels
+    of ``sizes`` entries (each at least 1, all entries used), and the
+    payload's finite ``log_scales``, one per level, as Python floats."""
+    log_scales = _unpack(payload["log_scales"])
+    if (sizes.dtype.kind != "i" or sizes.ndim != 1 or np.any(sizes < 1)
+            or int(sizes.sum(dtype=np.int64)) != total):
+        raise ValueError(
+            f"{what}: level sizes are not positive counts summing to {total}"
+        )
+    if (log_scales.dtype.kind != "f" or log_scales.shape != sizes.shape
+            or not np.all(np.isfinite(log_scales))):
+        raise ValueError(f"{what}: log_scales are not one finite float per level")
+    return np.cumsum(sizes, dtype=np.int64)[:-1], log_scales.tolist()
+
+
 def _radial_level_mass(row_values: np.ndarray, q: int, log_scale: float) -> float:
     """Mass of a level from its per-radius values (mantissa units)."""
     logs = log_radial_mass(row_values, q)
@@ -256,7 +340,7 @@ class _Interner:
 
     The per-element work happens here, once per distinct element: a new
     element is checked when it enters, and the artifact stores the table
-    once, so export formats and import parses each element once.
+    once, as the descriptor's element arrays.
     """
 
     def __init__(self, descriptor):
@@ -275,12 +359,12 @@ class _Interner:
         return i
 
     def load(self, elements: list):
-        """Replace the table by ``elements`` (parsed, hence canonical)."""
+        """Replace the table by ``elements`` (decoded, hence canonical)."""
         index = {g: i for i, g in enumerate(elements)}
         if not elements or elements[0] != self.elements[0]:
             raise ValueError("generic payload: the identity is not element 0")
         if len(index) != len(elements):
-            raise ValueError("generic payload: two element strings name one element")
+            raise ValueError("generic payload: the element table repeats an element")
         self.elements = elements
         self.index = index
 
@@ -457,38 +541,36 @@ class GenericPowers(PowersCache):
     def export_payload(self):
         if self._track_set is not None:
             raise CoverageError("tracked caches are not exportable")
-        fmt = self.descriptor.format
+        arrays = self.descriptor.encode_elements(self._interner.elements)
+        levels = self._levels
         return {
-            "elements": [fmt(g) for g in self._interner.elements],
-            "levels": [
-                {"log_scale": level.log_scale, "ids": level.ids.tolist(),
-                 "vals": level.vals.tolist()}
-                for level in self._levels
-            ],
+            "elements": {key: _pack(arr) for key, arr in arrays.items()},
+            "sizes": _pack([len(level.ids) for level in levels]),
+            "log_scales": _pack([level.log_scale for level in levels]),
+            "ids": _pack(np.concatenate([level.ids for level in levels])),
+            "vals": _pack(np.concatenate([level.vals for level in levels])),
         }
 
     def _load_payload(self, payload):
-        parse = self.descriptor.parse
-        self._interner.load([parse(t) for t in payload["elements"]])
+        arrays = {key: _unpack(doc) for key, doc in payload["elements"].items()}
+        self._interner.load(self.descriptor.decode_elements(arrays))
         n = len(self._interner)
-        for lv in payload["levels"]:
-            ids = np.asarray(lv["ids"])
-            vals = np.asarray(lv["vals"], dtype=float)
-            log_scale = float(lv["log_scale"])
-            if (ids.ndim != 1 or ids.dtype.kind != "i" or not len(ids)
-                    or ids[0] < 0 or ids[-1] >= n or np.any(ids[1:] <= ids[:-1])):
-                raise ValueError(
-                    "generic payload: level ids are not strictly increasing "
-                    f"ids below {n}"
-                )
-            if vals.shape != ids.shape or not np.all(np.isfinite(vals) & (vals > 0.0)):
-                raise ValueError(
-                    "generic payload: level vals are not one finite positive "
-                    "value per id"
-                )
-            if not math.isfinite(log_scale):
-                raise ValueError("generic payload: level log_scale is not finite")
-            self._push_level(ids.astype(np.int64), vals, log_scale)
+        ids = _unpack(payload["ids"])
+        vals = _unpack_values(payload["vals"], "generic payload", positive=True)
+        if ids.dtype.kind != "i" or ids.shape != vals.shape:
+            raise ValueError("generic payload: ids and vals are not one id per value")
+        bounds, log_scales = _level_bounds(payload, "generic payload", len(ids),
+                                           _unpack(payload["sizes"]))
+        id_levels = np.split(ids.astype(np.int64), bounds)
+        if (len(ids) and (ids.min() < 0 or ids.max() >= n)) or any(
+                np.any(level[1:] <= level[:-1]) for level in id_levels):
+            raise ValueError(
+                "generic payload: level ids are not strictly increasing "
+                f"ids below {n}"
+            )
+        for level_ids, level_vals, log_scale in zip(
+                id_levels, np.split(vals, bounds), log_scales):
+            self._push_level(level_ids, level_vals, log_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +650,16 @@ class RadialFreePowers(PowersCache):
 
     def export_payload(self):
         return {
-            "levels": [
-                {"values": [float(v) for v in vals], "log_scale": ls}
-                for vals, ls in self._levels
-            ]
+            "sizes": _pack([len(vals) for vals, _ in self._levels]),
+            "log_scales": _pack([ls for _, ls in self._levels]),
+            "values": _pack(np.concatenate([vals for vals, _ in self._levels])),
         }
 
-    def _load_level(self, lv):
-        self._levels.append((np.array(lv["values"]), lv["log_scale"]))
+    def _load_payload(self, payload):
+        values = _unpack_values(payload["values"], "radial payload")
+        bounds, log_scales = _level_bounds(payload, "radial payload", len(values),
+                                           _unpack(payload["sizes"]))
+        self._levels = list(zip(np.split(values, bounds), log_scales))
 
 
 # ---------------------------------------------------------------------------
@@ -830,20 +914,34 @@ class RadialLatticePowers(PowersCache):
     def export_payload(self):
         if self._track_region is not None:
             raise CoverageError("tracked caches are not exportable")
-        levels = []
-        for lat_lo, arr, ls, _ in self._levels:
-            levels.append({
-                "lat_lo": list(lat_lo),
-                "shape": list(arr.shape),
-                "values": [float(v) for v in arr.ravel()],
-                "log_scale": ls,
-            })
-        return {"levels": levels}
+        levels = self._levels
+        return {
+            "lat_lo": _pack([lat_lo for lat_lo, _, _, _ in levels]),
+            "shapes": _pack([arr.shape for _, arr, _, _ in levels]),
+            "log_scales": _pack([ls for _, _, ls, _ in levels]),
+            "values": _pack(np.concatenate([arr.ravel() for _, arr, _, _ in levels])),
+        }
 
-    def _load_level(self, lv):
-        arr = np.array(lv["values"]).reshape(lv["shape"])
-        self._current = (tuple(lv["lat_lo"]), arr, lv["log_scale"], _row_sums(arr))
-        self._levels.append(self._current)
+    def _load_payload(self, payload):
+        what = f"{self.engine_name} payload"
+        values = _unpack_values(payload["values"], what)
+        lat_lo = _unpack(payload["lat_lo"])
+        shapes = _unpack(payload["shapes"])
+        d = len(self._lo_step)
+        if (lat_lo.dtype.kind != "i" or shapes.dtype.kind != "i"
+                or lat_lo.ndim != 2 or lat_lo.shape[1] != d
+                or shapes.shape != (len(lat_lo), d + 1) or np.any(shapes < 1)):
+            raise ValueError(
+                f"{what}: lat_lo and shapes do not give one (r, *lattice) array "
+                "per level"
+            )
+        bounds, log_scales = _level_bounds(payload, what, len(values),
+                                           shapes.prod(axis=1, dtype=np.int64))
+        for lo, shape, flat, ls in zip(lat_lo.tolist(), shapes.tolist(),
+                                       np.split(values, bounds), log_scales):
+            arr = flat.reshape(shape)
+            self._current = (tuple(lo), arr, ls, _row_sums(arr))
+            self._levels.append(self._current)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from walkops.cli import main
 from walkops.config import RunConfig
+from walkops.powers import _unpack
+
+DATA = Path(__file__).parent / "data"
 
 FREE2_CFG = """
 [group]
@@ -416,15 +420,25 @@ def _truncate(text):
 
 def _as_version_1(text):
     """The artifact as the version-1 dense format wrote it: ``lo`` and a
-    lattice-only shape, no tree-radius axis."""
+    lattice-only shape, no tree-radius axis, values as a float list."""
     doc = json.loads(text)
+    payload = {key: _unpack(arr) for key, arr in doc["payload"].items()}
+    bounds = np.cumsum(payload["shapes"].prod(axis=1))[:-1]
     doc["version"] = 1
-    doc["payload"]["levels"] = [
-        {"lo": lv["lat_lo"], "shape": lv["shape"][1:], "values": lv["values"],
-         "log_scale": lv["log_scale"]}
-        for lv in doc["payload"]["levels"]
-    ]
+    doc["payload"] = {"levels": [
+        {"lo": lo, "shape": shape[1:], "values": values.tolist(),
+         "log_scale": log_scale}
+        for lo, shape, values, log_scale in zip(
+            payload["lat_lo"].tolist(), payload["shapes"].tolist(),
+            np.split(payload["values"], bounds), payload["log_scales"].tolist())
+    ]}
     return json.dumps(doc, sort_keys=True)
+
+
+def _as_version_3(text):
+    """This config's artifact as the version-3 format wrote it (per-level
+    float lists), kept under tests/data."""
+    return (DATA / "lazy-z-depth64-v3.json").read_text(encoding="utf-8")
 
 
 def _as_empty_list(text):
@@ -433,13 +447,14 @@ def _as_empty_list(text):
 
 def _without_payload(text):
     doc = json.loads(text)
-    assert doc["version"] == 3
+    assert doc["version"] == 4
     del doc["payload"]
     return json.dumps(doc, sort_keys=True)
 
 
 @pytest.mark.parametrize(
-    "damage", [_truncate, _as_version_1, _as_empty_list, _without_payload])
+    "damage",
+    [_truncate, _as_version_1, _as_version_3, _as_empty_list, _without_payload])
 def test_cache_dir_unreadable_artifact_rebuilt(tmp_path, capsys, damage):
     """A truncated, old-format or malformed artifact is a cache miss: the
     run rebuilds and rewrites it, and its outputs equal a fresh run's."""

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import walkops as w
@@ -10,6 +11,7 @@ from walkops.errors import (
     ElementParseError,
     RadiusExhaustedError,
 )
+from walkops.powers import _pack, _unpack
 
 ALL_DESCRIPTORS = [
     w.LatticeGroup(1),
@@ -77,6 +79,107 @@ def test_lattice_examples(lattice2):
 def test_lamplighter_multiplication_rule(lamp1):
     g = ((1,), ((0,),))
     assert lamp1.multiply(g, g) == ((2,), ((0,), (1,)))
+
+
+def test_lamplighter_contains(lamp1):
+    lamp2 = w.LamplighterGroup(2)
+    assert lamp1.contains(((1,), ((-2,), (0,), (3,))))
+    assert lamp2.contains(((0, 1), ((-1, 5), (0, -1), (0, 2))))
+    for bad in (
+        ((0,), ((1,), (1,))),            # duplicate lamp
+        ((0,), ((2,), (1,))),            # lamps out of order
+        ((0,), ((0, 1),)),               # lamp of the wrong dimension
+        ((0,), ((1.0,),)),               # non-int lamp coordinate
+        ((0.0,), ()),                    # non-int position
+        ((0,), [(1,)]),                  # lamps not a tuple
+        ((0,), ((0,), [1])),             # lamp not a tuple
+        ((0,), ()) + ((),),              # not a pair
+    ):
+        assert not lamp1.contains(bad), bad
+    assert not lamp2.contains(((0, 0), ((0, 1), (0, 1))))
+    assert not lamp2.contains(((0, 0), ((0, 1), (0,))))
+
+
+def _mul_by_symmetric_difference(a, b):
+    (x, w_), (y, u) = a, b
+    shifted = {tuple(p + q for p, q in zip(lamp, x)) for lamp in u}
+    return (tuple(p + q for p, q in zip(x, y)), tuple(sorted(set(w_) ^ shifted)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lamplighter_mul_matches_symmetric_difference(dim):
+    """``_mul`` against the set rule, right factors without lamps included
+    (the short-circuit path)."""
+    lamp = w.LamplighterGroup(dim)
+    rng = random.Random(2024 + dim)
+    xs = _samples(lamp, rng, count=60)
+    dark = [(x, ()) for x, _ in xs]
+    assert sum(not u for _, u in xs) < len(xs)
+    for _ in range(400):
+        a = rng.choice(xs)
+        b = rng.choice(xs + dark)
+        got = lamp._mul(a, b)
+        assert got == _mul_by_symmetric_difference(a, b)
+        assert lamp.contains(got)
+
+
+def _types(g):
+    """The nested tuple/int structure of an element, by type."""
+    if isinstance(g, tuple):
+        return tuple(_types(c) for c in g)
+    return type(g)
+
+
+@pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=lambda d: d.spec_string())
+def test_element_codec_round_trip(desc):
+    """decode(encode(xs)) == xs with Python-int tuples, also through the
+    packed form the cache artifacts store (int32 arrays)."""
+    xs = desc.ball(3) + _samples(desc, random.Random(5), count=40)
+    assert desc.decode_elements(desc.encode_elements([])) == []
+    arrays = desc.encode_elements(xs)
+    assert all(arr.dtype.kind == "i" for arr in arrays.values())
+    for arrs in (arrays, {k: _unpack(_pack(v)) for k, v in arrays.items()}):
+        back = desc.decode_elements(arrs)
+        assert back == xs
+        assert [_types(g) for g in back] == [_types(g) for g in xs]
+
+
+def _decode(desc, **arrays):
+    return desc.decode_elements({k: np.array(v) for k, v in arrays.items()})
+
+
+def test_element_codec_rejects_non_canonical_arrays(lattice2, free2, lamp1):
+    assert _decode(free2, lengths=[1, 1, 0, 2], letters=[1, -1, 2, -1]) == [
+        (1,), (-1,), (), (2, -1)]
+    assert _decode(lamp1, pos=[[0], [0]], counts=[2, 1],
+                   lamps=[[0], [3], [1]]) == [((0,), ((0,), (3,))), ((0,), ((1,),))]
+    product = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1))
+    bad = [
+        (lattice2, {"coords": [[0, 0, 0]]}),                     # wrong width
+        (lattice2, {"coords": [0, 0]}),                          # not 2-d
+        (lattice2, {"coords": [[0.0, 1.0]]}),                    # not integers
+        (free2, {"lengths": [2], "letters": [1, -1]}),           # not reduced
+        (free2, {"lengths": [1], "letters": [0]}),               # zero letter
+        (free2, {"lengths": [1], "letters": [3]}),               # outside rank
+        (free2, {"lengths": [1], "letters": [-3]}),
+        (free2, {"lengths": [1], "letters": [-2**31]}),
+        (free2, {"lengths": [1, 1], "letters": [1]}),            # past the letters
+        (free2, {"lengths": [-1, 2], "letters": [1]}),           # negative length
+        (lamp1, {"pos": [[0]], "counts": [2], "lamps": [[1], [1]]}),   # duplicate
+        (lamp1, {"pos": [[0]], "counts": [2], "lamps": [[2], [1]]}),   # decreasing
+        (lamp1, {"pos": [[0]], "counts": [1], "lamps": [[1, 0]]}),     # wrong width
+        (lamp1, {"pos": [[0]], "counts": [2], "lamps": [[1]]}),        # short
+        (lamp1, {"pos": [[0], [0]], "counts": [-1, 2], "lamps": [[1]]}),
+        (lamp1, {"pos": [[0]], "counts": [0, 0], "lamps": np.zeros((0, 1), int)}),
+        (product, {"left.lengths": [0, 0], "left.letters": np.zeros(0, int),
+                   "right.coords": [[0]]}),                      # unequal factors
+    ]
+    for desc, arrays in bad:
+        with pytest.raises(ElementParseError):
+            _decode(desc, **arrays)
+    with pytest.raises(ElementParseError):
+        _decode(w.LamplighterGroup(2), pos=[[0, 0]], counts=[2],
+                lamps=[[0, 1], [0, 1]])
 
 
 def test_lamplighter_inverse_by_brute_force(lamp1):

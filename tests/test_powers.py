@@ -10,7 +10,7 @@ import pytest
 import walkops as w
 from walkops.errors import CoverageError, DescriptorMismatchError, PreconditionError
 from walkops.measures import log_radial_mass
-from walkops.powers import GenericPowers
+from walkops.powers import GenericPowers, _pack, _unpack
 
 
 def test_engine_selection(lattice1, lattice2, free2, lamp1, lazy_z, lazy_z2,
@@ -412,10 +412,12 @@ def test_export_import_round_trip(lattice1, lamp1, free2, lazy_z, lamp_mu, iso_f
         assert back.depth == cache.depth
         ball = desc.ball(3)
         for m in range(depth + 1):
-            for g in ball:
-                assert back.log_value(m, g) == pytest.approx(
-                    cache.log_value(m, g), rel=1e-12
-                )
+            assert ([back.log_value(m, g) for g in ball]
+                    == [cache.log_value(m, g) for g in ball])
+            assert back.level_mass(m) == cache.level_mass(m)
+            assert back.level_log_scale(m) == cache.level_log_scale(m)
+            if cache.engine_name in ("dense", "generic"):
+                assert back.level_measure(m) == cache.level_measure(m)
         assert json.loads(text)["format"] == "walkops-powers-cache"
 
 
@@ -473,25 +475,97 @@ def generic_artifact(free2):
     return json.loads(w.export_cache_json(cache))
 
 
-def _swap_first_two(seq):
-    seq[0], seq[1] = seq[1], seq[0]
+def _edit(doc, fn):
+    """Repack the packed array ``doc`` after ``fn`` edits a writable copy
+    of it, or with what ``fn`` returns in its place."""
+    arr = _unpack(doc).copy()
+    out = fn(arr)
+    return _pack(arr if out is None else out)
 
 
+def _edit_key(key, fn):
+    def tamper(p):
+        p[key] = _edit(p[key], fn)
+    return tamper
+
+
+def _level_entry(p, m, k):
+    """Index into the concatenated ids/vals of entry ``k`` of level ``m``."""
+    sizes = _unpack(p["sizes"]).tolist()
+    return sum(sizes[:m]) + (k if k >= 0 else sizes[m] + k)
+
+
+def _edit_level(key, m, k, value):
+    def tamper(p):
+        i = _level_entry(p, m, k)
+        p[key] = _edit(p[key], lambda arr: arr.__setitem__(i, value))
+    return tamper
+
+
+def _edit_elements(fn):
+    """Re-encode the F2 element table after ``fn`` edits the decoded list
+    (encoding does not check canonical form)."""
+    def tamper(p):
+        elems = FREE2.decode_elements(
+            {key: _unpack(doc) for key, doc in p["elements"].items()})
+        fn(elems)
+        p["elements"] = {key: _pack(arr)
+                         for key, arr in FREE2.encode_elements(elems).items()}
+    return tamper
+
+
+def _swap(seq, i, j):
+    seq[i], seq[j] = seq[j], seq[i]
+
+
+def _swap_in_level(m):
+    def tamper(p):
+        i = _level_entry(p, m, 0)
+        for key in ("ids", "vals"):
+            p[key] = _edit(p[key], lambda arr: _swap(arr, i, i + 1))
+    return tamper
+
+
+def _table_size(p):
+    return len(_unpack(p["elements"]["lengths"]))
+
+
+def _empty_level_1(sizes):
+    sizes[2] += sizes[1]
+    sizes[1] = 0
+
+
+FREE2 = w.FreeGroup(2)
 TAMPERS = {
-    "duplicate element": lambda p: p["elements"].__setitem__(2, p["elements"][1]),
-    # "aA" parses to the identity, already element 0
-    "duplicate after parse": lambda p: p["elements"].__setitem__(1, "aA"),
-    "identity not at id 0": lambda p: _swap_first_two(p["elements"]),
-    "unsorted ids": lambda p: (_swap_first_two(p["levels"][2]["ids"]),
-                               _swap_first_two(p["levels"][2]["vals"])),
-    "id past the table": lambda p: p["levels"][3]["ids"].__setitem__(
-        -1, len(p["elements"])),
-    "negative id": lambda p: p["levels"][1]["ids"].__setitem__(0, -1),
-    "zero value": lambda p: p["levels"][2]["vals"].__setitem__(0, 0.0),
-    "negative value": lambda p: p["levels"][2]["vals"].__setitem__(0, -0.5),
-    "NaN value": lambda p: p["levels"][2]["vals"].__setitem__(0, math.nan),
-    "more vals than ids": lambda p: p["levels"][2]["vals"].append(0.5),
-    "fewer vals than ids": lambda p: p["levels"][2]["vals"].pop(),
+    "duplicate element": _edit_elements(lambda xs: xs.__setitem__(2, xs[1])),
+    "non-reduced word": _edit_elements(lambda xs: xs.__setitem__(1, (1, -1))),
+    "identity not at id 0": _edit_elements(lambda xs: _swap(xs, 0, 1)),
+    "letter outside the rank": _edit_elements(lambda xs: xs.__setitem__(1, (3,))),
+    "zero letter": _edit_elements(lambda xs: xs.__setitem__(1, (0,))),
+    "word lengths past the letters": lambda p: p["elements"].__setitem__(
+        "lengths", _edit(p["elements"]["lengths"],
+                         lambda arr: arr.__setitem__(-1, arr[-1] + 1))),
+    "unsorted ids": _swap_in_level(2),
+    "id past the table": lambda p: _edit_level("ids", 3, -1, _table_size(p))(p),
+    "negative id": _edit_level("ids", 1, 0, -1),
+    "zero value": _edit_level("vals", 2, 0, 0.0),
+    "negative value": _edit_level("vals", 2, 0, -0.5),
+    "NaN value": _edit_level("vals", 2, 0, math.nan),
+    "infinite value": _edit_level("vals", 2, 0, math.inf),
+    "more vals than ids": _edit_key("vals", lambda arr: np.append(arr, 0.5)),
+    "fewer vals than ids": _edit_key("vals", lambda arr: arr[:-1]),
+    "float ids": _edit_key("ids", lambda arr: arr.astype(float)),
+    "empty level": _edit_key("sizes", _empty_level_1),
+    "sizes short of the ids": _edit_key(
+        "sizes", lambda arr: arr.__setitem__(-1, arr[-1] - 1)),
+    "infinite log_scale": _edit_key(
+        "log_scales", lambda arr: arr.__setitem__(2, math.inf)),
+    "one log_scale short": _edit_key("log_scales", lambda arr: arr[:-1]),
+    "bad dtype": lambda p: p["ids"].__setitem__("dtype", "<i2"),
+    "invalid base64": lambda p: p["vals"].__setitem__("data", "not base64!"),
+    "shape past the data": lambda p: p["vals"].__setitem__(
+        "shape", [p["vals"]["shape"][0] + 1]),
+    "shape not a list": lambda p: p["vals"].__setitem__("shape", "7"),
 }
 
 
@@ -504,10 +578,107 @@ def test_generic_tampered_artifact_rejected(generic_artifact, tamper):
         w.import_cache_json(json.dumps(doc))
 
 
+def test_generic_lamplighter_tampered_lamps_rejected(lamp1, lamp_mu):
+    """An element table whose lamps are not strictly increasing within an
+    element is rejected at import."""
+    cache = w.convolution_powers(lamp1, lamp_mu, 3, engine="generic")
+    doc = json.loads(w.export_cache_json(cache))
+    elements = doc["payload"]["elements"]
+    counts = _unpack(elements["counts"])
+    i = int(np.cumsum(counts)[np.argmax(counts >= 2)]) - 1  # last lamp of a pair
+    elements["lamps"] = _edit(elements["lamps"],
+                              lambda arr: arr.__setitem__(i, arr[i - 1]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        w.import_cache_json(json.dumps(doc))
+
+
+def _array_tampers(sizes_key):
+    """Tampers for the radial ("sizes") and array ("shapes") payloads."""
+    common = {
+        "NaN value": _edit_key("values", lambda arr: arr.__setitem__(3, math.nan)),
+        "negative value": _edit_key("values", lambda arr: arr.__setitem__(3, -0.25)),
+        "infinite value": _edit_key("values", lambda arr: arr.__setitem__(3, math.inf)),
+        "one value too many": _edit_key("values", lambda arr: np.append(arr, 0.5)),
+        "values shape past the data": lambda p: p["values"].__setitem__(
+            "shape", [p["values"]["shape"][0] + 1]),
+        "integer values": _edit_key("values", lambda arr: arr.astype(np.int64)),
+        "infinite log_scale": _edit_key(
+            "log_scales", lambda arr: arr.__setitem__(1, math.inf)),
+        "NaN log_scale": _edit_key(
+            "log_scales", lambda arr: arr.__setitem__(1, math.nan)),
+        "string log_scales": lambda p: p.__setitem__("log_scales", "0.0"),
+        "integer log_scales": _edit_key(
+            "log_scales", lambda arr: np.zeros(len(arr), dtype=np.int64)),
+        "one log_scale short": _edit_key("log_scales", lambda arr: arr[:-1]),
+        "bad dtype": lambda p: p["values"].__setitem__("dtype", "<f4"),
+        "invalid base64": lambda p: p["values"].__setitem__("data", "@@@@"),
+    }
+    if sizes_key == "sizes":
+        common["empty level"] = _edit_key("sizes", _empty_level_1)
+        common["sizes past the values"] = _edit_key(
+            "sizes", lambda arr: arr.__setitem__(-1, arr[-1] + 1))
+    else:
+        common["empty level"] = _edit_key(
+            "shapes", lambda arr: arr.__setitem__((1, 1), 0))
+        common["shapes past the values"] = _edit_key(
+            "shapes", lambda arr: arr.__setitem__((-1, -1), arr[-1, -1] + 1))
+        common["lat_lo of the wrong width"] = _edit_key(
+            "lat_lo", lambda arr: np.hstack([arr, arr]))
+        common["float lat_lo"] = _edit_key("lat_lo", lambda arr: arr.astype(float))
+    return common
+
+
+ARRAY_CASES = [
+    ("radial", "sizes"), ("dense", "shapes"), ("radial-lattice", "shapes")]
+
+
+@pytest.fixture(scope="module")
+def array_artifacts(lattice1, lazy_z, free2, iso_f2, product_f2z, cartesian_mu):
+    caches = [
+        w.convolution_powers(free2, iso_f2, 6),
+        w.convolution_powers(lattice1, lazy_z, 6),
+        w.convolution_powers(product_f2z, cartesian_mu, 5),
+    ]
+    assert [c.engine_name for c in caches] == [e for e, _ in ARRAY_CASES]
+    return {c.engine_name: json.loads(w.export_cache_json(c)) for c in caches}
+
+
+@pytest.mark.parametrize("engine,tamper", [
+    (engine, name) for engine, key in ARRAY_CASES
+    for name in sorted(_array_tampers(key))])
+def test_array_tampered_artifact_rejected(array_artifacts, engine, tamper):
+    """The radial, dense and radial-lattice payloads are checked at import
+    as the generic one is."""
+    assert w.import_cache_json(json.dumps(array_artifacts[engine])).engine_name == engine
+    doc = copy.deepcopy(array_artifacts[engine])
+    key = dict(ARRAY_CASES)[engine]
+    _array_tampers(key)[tamper](doc["payload"])
+    with pytest.raises(ValueError):
+        w.import_cache_json(json.dumps(doc))
+
+
+def test_packed_arrays_keep_every_bit():
+    """Integers pack as <i4 where they fit, else <i8; floats as <f8."""
+    floats = np.array([0.1, -0.0, 5e-324, 1.7976931348623157e308, math.pi])
+    for arr, dtype in (
+        (np.array([[0, -2**31], [2**31 - 1, 5]]), "<i4"),
+        (np.array([2**31]), "<i8"),
+        (np.array([-2**31 - 1]), "<i8"),
+        (np.zeros((0, 3), dtype=np.int64), "<i4"),
+        (floats, "<f8"),
+    ):
+        doc = _pack(arr)
+        assert doc["dtype"] == dtype and doc["shape"] == list(arr.shape)
+        back = _unpack(json.loads(json.dumps(doc)))
+        assert back.shape == arr.shape and back.dtype.kind == arr.dtype.kind
+        assert back.tobytes() == arr.astype(back.dtype).tobytes()
+    assert _unpack(_pack(floats)).tobytes() == floats.tobytes()
+
+
 def test_malformed_artifact_is_value_error(generic_artifact):
     """Whatever is wrong with an artifact, import raises ValueError, the
     one error a cache reader treats as a miss."""
-    for text in ("[]", "3", '{"format": "walkops-powers-cache", "version": 3}'):
+    for text in ("[]", "3", '{"format": "walkops-powers-cache", "version": 4}'):
         with pytest.raises(ValueError):
             w.import_cache_json(text)
     doc = copy.deepcopy(generic_artifact)
