@@ -115,11 +115,17 @@ class Workspace:
             )
             if artifact is not None and artifact.exists():
                 try:
-                    self._cache = import_cache_json(
-                        artifact.read_text(encoding="utf-8"))
+                    cache = import_cache_json(artifact.read_text(encoding="utf-8"))
                 except ValueError as exc:  # damaged, or an older format
                     print(f"walkops: rebuilding unreadable cache artifact "
                           f"{artifact.name}: {exc}", file=sys.stderr)
+                else:
+                    mismatch = self._cache_mismatch(cache, name)
+                    if mismatch:
+                        print(f"walkops: rebuilding cache artifact {artifact.name}, "
+                              f"which holds another walk: {mismatch}", file=sys.stderr)
+                    else:
+                        self._cache = cache
             if self._cache is None:
                 # a track set only matters for the engines with a memory
                 # fallback; the generic engine is governed by support_cap
@@ -141,6 +147,24 @@ class Workspace:
                     else:
                         write_text_atomic(str(artifact), text)
         return self._cache
+
+    def _cache_mismatch(self, cache, engine: str) -> str:
+        """How an imported cache differs from what this config would build
+        (descriptor, engine, measure, depth); "" when it does not.  A cache
+        stopped by its budget holds fewer levels than the configured depth."""
+        cfg = self.cfg
+        spec = cfg.descriptor.spec_string()
+        depth = cfg.getint("walk", "depth")
+        if cache.descriptor.spec_string() != spec:
+            return f"descriptor {cache.descriptor.spec_string()}, not {spec}"
+        if cache.engine_name != engine:
+            return f"engine {cache.engine_name}, not {engine}"
+        if (cache.mu.support != cfg.measure.support
+                or cache.mu.log_scale != cfg.measure.log_scale):
+            return "another measure"
+        if not (cache.depth == depth or (not cache.complete and cache.depth < depth)):
+            return f"depth {cache.depth}, not {depth}"
+        return ""
 
     def spectral(self):
         if self._spectral is None:

@@ -26,8 +26,29 @@ use:
                 ``lamps`` (sum of counts, d)
 * product:      the factors' arrays under ``left.`` and ``right.`` keys
 
-Decoding checks canonical form with vectorized checks and raises
-ElementParseError for arrays that do not name canonical elements.
+``codec_runs`` names the concatenated arrays and the per-element counts
+that split them into runs (free ``letters`` by ``lengths``, lamplighter
+``lamps`` by ``counts``); ``take_encoded`` gathers a subset of a batch in
+any order.  ``check_encoded`` checks canonical form with vectorized checks
+and raises ElementParseError for arrays that do not name canonical
+elements; ``decode_elements`` is that check plus building the tuples.
+
+``mul_encoded(arrays, s)`` is the group law on arrays: every element of a
+batch times one fixed canonical element ``s`` on the right, equal array for
+array to encoding the ``_mul`` products:
+
+* lattice:      ``coords + s``
+* free:         cancel ``s``'s prefix against each word's suffix, then
+                append the rest of ``s``
+* lamplighter:  ``pos + y`` for ``s = (y, u)``; the lamps are
+                ``w`` (symmetric difference) ``u + pos``, one lexsort by
+                owner then lamp that drops equal adjacent pairs
+* product:      each factor's law on its ``left.``/``right.`` arrays
+
+The generic convolution-power engine keeps its element table as these
+arrays and steps a whole frontier per support element with
+``mul_encoded``; ``ball``, ``measures.convolve`` and the other per-element
+callers use ``multiply``/``_mul``.
 """
 
 from __future__ import annotations
@@ -163,6 +184,33 @@ class GroupDescriptor:
         elements."""
         raise NotImplementedError
 
+    def check_encoded(self, arrays) -> int:
+        """The number of elements ``encode_elements`` arrays hold;
+        ElementParseError when they do not name canonical elements."""
+        raise NotImplementedError
+
+    def codec_runs(self) -> dict:
+        """{key of a concatenated array: key of the per-element counts that
+        split it into one run per element}; the other arrays hold one row
+        per element."""
+        return {}
+
+    def take_encoded(self, arrays, idx) -> dict:
+        """The arrays of the elements at positions ``idx``, in that order."""
+        runs = self.codec_runs()
+        out = {key: arr[idx] for key, arr in arrays.items() if key not in runs}
+        for key, counts_key in runs.items():
+            counts = arrays[counts_key]
+            starts = np.cumsum(counts) - counts
+            out[key] = arrays[key][_ranges(starts[idx], counts[idx])]
+        return out
+
+    def mul_encoded(self, arrays, s) -> dict:
+        """The arrays of every element of the batch ``arrays`` times the
+        canonical element ``s`` on the right: ``_mul`` on a whole batch,
+        unchecked."""
+        raise NotImplementedError
+
     # -- misc ----------------------------------------------------------------
 
     _ball_cache: tuple | None = None
@@ -203,9 +251,10 @@ def _rows_increase(rows):
     """One flag per consecutive pair of rows of an (n, d) array: is the
     first row lexicographically smaller (Python tuple order)?"""
     a, b = rows[:-1], rows[1:]
-    ne = a != b
-    at = (np.arange(len(a)), ne.argmax(axis=1))
-    return ne[at] & (a[at] < b[at])
+    less = np.zeros(len(a), dtype=bool)
+    for c in reversed(range(rows.shape[1])):
+        less = (a[:, c] < b[:, c]) | ((a[:, c] == b[:, c]) & less)
+    return less
 
 
 def _row_tuples(rows):
@@ -221,6 +270,13 @@ def _row_tuples(rows):
     which[order] = np.cumsum(first) - 1
     table = [tuple(r) for r in ranked[first].tolist()]
     return list(map(table.__getitem__, which.tolist()))
+
+
+def _ranges(starts, counts):
+    """The concatenated index ranges ``starts[i] .. starts[i] + counts[i] - 1``."""
+    ends = np.cumsum(counts)
+    return np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(
+        starts - (ends - counts), counts)
 
 
 def _runs(items, counts):
@@ -302,14 +358,22 @@ class LatticeGroup(GroupDescriptor):
         coords = np.array(elems, dtype=np.int64).reshape(len(elems), self.dimension)
         return {"coords": coords}
 
-    def decode_elements(self, arrays):
+    def check_encoded(self, arrays):
         coords = _int_array(arrays, "coords", 2)
         if coords.shape[1] != self.dimension:
             raise ElementParseError(
                 f"lattice coords have {coords.shape[1]} columns, "
                 f"expected {self.dimension}"
             )
-        return _row_tuples(coords)
+        return len(coords)
+
+    def decode_elements(self, arrays):
+        self.check_encoded(arrays)
+        return _row_tuples(np.asarray(arrays["coords"]))
+
+    def mul_encoded(self, arrays, s):
+        coords = arrays["coords"]
+        return {"coords": coords + np.array(s, dtype=coords.dtype)}
 
 
 class FreeGroup(GroupDescriptor):
@@ -407,7 +471,7 @@ class FreeGroup(GroupDescriptor):
             "letters": np.fromiter(chain.from_iterable(elems), dtype=np.int64),
         }
 
-    def decode_elements(self, arrays):
+    def check_encoded(self, arrays):
         lengths = _int_array(arrays, "lengths", 1)
         letters = _int_array(arrays, "letters", 1)
         _check_counts(lengths, len(letters), "free word lengths")
@@ -417,7 +481,35 @@ class FreeGroup(GroupDescriptor):
             )
         if np.any(_inside(lengths, letters[1:] == -letters[:-1])):
             raise ElementParseError("a free word is not reduced")
-        return _runs(letters.tolist(), lengths)
+        return len(lengths)
+
+    def decode_elements(self, arrays):
+        self.check_encoded(arrays)
+        return _runs(np.asarray(arrays["letters"]).tolist(),
+                     np.asarray(arrays["lengths"]))
+
+    def codec_runs(self):
+        return {"letters": "lengths"}
+
+    def mul_encoded(self, arrays, s):
+        lengths, letters = arrays["lengths"], arrays["letters"]
+        ends = np.cumsum(lengths)
+        # cut[i]: how many of s's first letters cancel word i's last ones
+        cut = np.zeros(len(lengths), dtype=lengths.dtype)
+        live = np.ones(len(lengths), dtype=bool)
+        for t, x in enumerate(s):
+            live &= lengths > t
+            live[live] = letters[ends[live] - 1 - t] == -x
+            cut += live
+        keep = lengths - cut
+        rest = len(s) - cut
+        out_lengths = keep + rest
+        starts = np.cumsum(out_lengths) - out_lengths
+        out = np.empty(int(out_lengths.sum()), dtype=letters.dtype)
+        out[_ranges(starts, keep)] = letters[_ranges(ends - lengths, keep)]
+        out[_ranges(starts + keep, rest)] = np.array(s, dtype=letters.dtype)[
+            _ranges(cut, rest)]
+        return {"lengths": out_lengths, "letters": out}
 
 
 class LamplighterGroup(GroupDescriptor):
@@ -566,24 +658,55 @@ class LamplighterGroup(GroupDescriptor):
             "lamps": encode(list(chain.from_iterable(w for _, w in elems)))["coords"],
         }
 
-    def decode_elements(self, arrays):
-        decode = self._base.decode_elements
-        pos = decode({"coords": arrays["pos"]})
+    def check_encoded(self, arrays):
+        check = self._base.check_encoded
+        n = check({"coords": arrays["pos"]})
         counts = _int_array(arrays, "counts", 1)
-        if len(counts) != len(pos):
+        if len(counts) != n:
             raise ElementParseError(
-                f"{len(counts)} lamp counts for {len(pos)} lamplighter positions"
+                f"{len(counts)} lamp counts for {n} lamplighter positions"
             )
         lamps = _int_array(arrays, "lamps", 2)
         _check_counts(counts, len(lamps), "lamp counts")
         if np.any(_inside(counts, ~_rows_increase(lamps))):
             raise ElementParseError("lamps are not strictly increasing")
+        check({"coords": lamps})
+        return n
+
+    def decode_elements(self, arrays):
+        self.check_encoded(arrays)
+        pos = _row_tuples(np.asarray(arrays["pos"]))
+        lamps = _row_tuples(np.asarray(arrays["lamps"]))
         # equal lamp sets share one tuple, as positions and lamps already do
         canon: dict = {}
         return [
             (x, canon.setdefault(w, w))
-            for x, w in zip(pos, _runs(decode({"coords": lamps}), counts))
+            for x, w in zip(pos, _runs(lamps, np.asarray(arrays["counts"])))
         ]
+
+    def codec_runs(self):
+        return {"lamps": "counts"}
+
+    def mul_encoded(self, arrays, s):
+        y, u = s
+        pos, counts, lamps = arrays["pos"], arrays["counts"], arrays["lamps"]
+        out_pos = pos + np.array(y, dtype=pos.dtype)
+        if not u:
+            return {"pos": out_pos, "counts": counts, "lamps": lamps}
+        n = len(pos)
+        shifted = np.array(u, dtype=lamps.dtype)[None, :, :] + pos[:, None, :]
+        both = np.concatenate([lamps, shifted.reshape(-1, self.dimension)])
+        owner = np.concatenate([np.repeat(np.arange(n), counts),
+                                np.repeat(np.arange(n), len(u))])
+        order = np.lexsort((*both.T[::-1], owner))
+        owner, both = owner[order], both[order]
+        # a lamp lit in w and in u + pos appears twice: drop both copies
+        twice = (owner[1:] == owner[:-1]) & np.all(both[1:] == both[:-1], axis=1)
+        keep = np.ones(len(owner), dtype=bool)
+        keep[:-1] &= ~twice
+        keep[1:] &= ~twice
+        return {"pos": out_pos, "counts": np.bincount(owner[keep], minlength=n),
+                "lamps": both[keep]}
 
 
 class ProductGroup(GroupDescriptor):
@@ -674,24 +797,52 @@ class ProductGroup(GroupDescriptor):
         return f"product({self.left.spec_string()},{self.right.spec_string()})"
 
     def encode_elements(self, elems):
-        arrays = {}
-        for side, factor, part in (("left", self.left, 0), ("right", self.right, 1)):
-            for key, arr in factor.encode_elements([g[part] for g in elems]).items():
-                arrays[f"{side}.{key}"] = arr
-        return arrays
+        return _prefixed({
+            "left": self.left.encode_elements([g[0] for g in elems]),
+            "right": self.right.encode_elements([g[1] for g in elems]),
+        })
+
+    def check_encoded(self, arrays):
+        n_left = self.left.check_encoded(_factor_arrays(arrays, "left"))
+        n_right = self.right.check_encoded(_factor_arrays(arrays, "right"))
+        if n_left != n_right:
+            raise ElementParseError(
+                f"product factors hold {n_left} and {n_right} elements"
+            )
+        return n_left
 
     def decode_elements(self, arrays):
-        def factor_arrays(side):
-            return {key[len(side):]: arr for key, arr in arrays.items()
-                    if key.startswith(side)}
-
-        left = self.left.decode_elements(factor_arrays("left."))
-        right = self.right.decode_elements(factor_arrays("right."))
+        left = self.left.decode_elements(_factor_arrays(arrays, "left"))
+        right = self.right.decode_elements(_factor_arrays(arrays, "right"))
         if len(left) != len(right):
             raise ElementParseError(
                 f"product factors hold {len(left)} and {len(right)} elements"
             )
         return list(zip(left, right))
+
+    def codec_runs(self):
+        return {f"{side}.{key}": f"{side}.{counts}"
+                for side, factor in (("left", self.left), ("right", self.right))
+                for key, counts in factor.codec_runs().items()}
+
+    def mul_encoded(self, arrays, s):
+        return _prefixed({
+            "left": self.left.mul_encoded(_factor_arrays(arrays, "left"), s[0]),
+            "right": self.right.mul_encoded(_factor_arrays(arrays, "right"), s[1]),
+        })
+
+
+def _prefixed(by_side):
+    """The factors' arrays under ``left.`` and ``right.`` keys."""
+    return {f"{side}.{key}": arr for side, arrays in by_side.items()
+            for key, arr in arrays.items()}
+
+
+def _factor_arrays(arrays, side):
+    """A product factor's arrays: those under ``side + "."``, unprefixed."""
+    prefix = side + "."
+    return {key[len(prefix):]: arr for key, arr in arrays.items()
+            if key.startswith(prefix)}
 
 
 @lru_cache(maxsize=None)

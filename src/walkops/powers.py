@@ -8,7 +8,10 @@ level.  Three engines share one query interface:
                      serves lattice walks as ``dense`` (a trivial tree, one
                      radius) and Cartesian (isotropic free) x (lattice)
                      walks as ``radial-lattice``
-* ``generic``        anything else, interned-element scatter-add loops
+* ``generic``        anything else: a table of the descriptor's element
+                     arrays with an exact hash index, grown one
+                     ``mul_encoded`` batch per support element per step;
+                     scatter-add over interned ids
 
 An entry of mu^{*m} "exists" exactly when it is present/positive in the
 level storage; zeros are never stored.  Each level keeps mantissas with a
@@ -56,8 +59,9 @@ per-level ``sizes`` (or ``shapes``) and ``log_scales``:
 
 ``import_cache_json`` rejects any other version and any malformed artifact
 with ValueError: a packed array whose bytes do not fill its shape, or whose
-dtype is not one of the three; elements that do not decode to canonical,
-distinct elements with the identity at id 0; ids that are not strictly
+dtype is not one of the three; element arrays that fail the descriptor's
+``check_encoded``, repeat an element or do not hold the identity at id 0
+(the generic import builds no element tuples); ids that are not strictly
 increasing within a level or fall outside the table; stored values that
 are not finite and positive (non-negative on the array and radial
 engines); empty levels; log scales that are not finite.
@@ -77,6 +81,8 @@ from . import _backend
 from .errors import (
     BudgetExceededError,
     CoverageError,
+    DescriptorMismatchError,
+    ElementParseError,
     PreconditionError,
     WalkopsError,
 )
@@ -85,6 +91,7 @@ from .groups import (
     GroupDescriptor,
     LatticeGroup,
     ProductGroup,
+    _ranges,
     descriptor_from_string,
 )
 from .measures import (
@@ -335,41 +342,177 @@ def _radial_level_mass(row_values: np.ndarray, q: int, log_scale: float) -> floa
 # generic engine
 # ---------------------------------------------------------------------------
 
-class _Interner:
-    """Stable element <-> integer-id table shared by all levels.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
-    The per-element work happens here, once per distinct element: a new
-    element is checked when it enters, and the artifact stores the table
-    once, as the descriptor's element arrays.
+
+def _mix(h):
+    """splitmix64's finalizer on a uint64 array (wrapping arithmetic)."""
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
+
+
+def _as_rows(arr):
+    """A 1-d array as a one-column 2-d array; a 2-d array as it is."""
+    return arr[:, None] if arr.ndim == 1 else arr
+
+
+def _row_hashes(arr):
+    """One uint64 hash per row of a 1-d or 2-d integer array."""
+    cols = np.ascontiguousarray(_as_rows(arr), dtype=np.int64).view(np.uint64)
+    h = np.zeros(len(arr), dtype=np.uint64)
+    for col in cols.T:
+        h = _mix(h * _GOLDEN + col)
+    return h
+
+
+def _element_hashes(descriptor, arrays) -> np.ndarray:
+    """One 64-bit hash per element of ``encode_elements`` arrays, computed
+    as uint64 and returned as int64 (numpy's searchsorted is faster on
+    int64).  A run is hashed item by item with each item's place in its
+    run, and the items' hashes summed per element.  Equal hashes do not
+    make equal elements: ``_ElementTable`` compares the arrays."""
+    runs = descriptor.codec_runs()
+    h = np.uint64(0)
+    for key in sorted(arrays):
+        arr = arrays[key]
+        if key in runs:
+            counts = arrays[runs[key]]
+            ends = np.cumsum(counts)
+            place = np.arange(len(arr)) - np.repeat(ends - counts, counts)
+            items = _row_hashes(np.column_stack([arr, place]))
+            sums = np.concatenate([np.zeros(1, dtype=np.uint64), np.cumsum(items)])
+            part = sums[ends] - sums[ends - counts]
+        else:
+            part = _row_hashes(arr)
+        h = _mix(h * _GOLDEN + part)
+    return h.view(np.int64)
+
+
+def _same(descriptor, x, y) -> np.ndarray:
+    """Element-wise equality of two batches of ``encode_elements`` arrays of
+    the same length."""
+    runs = descriptor.codec_runs()
+    same = None
+    for key in x.keys() - runs.keys():
+        eq = _as_rows(x[key] == y[key]).all(axis=1)
+        same = eq if same is None else same & eq
+    # equal per-element counts align the runs of the remaining elements
+    sub = np.flatnonzero(same)
+    if runs and len(sub):
+        if len(sub) < len(same):
+            x = descriptor.take_encoded(x, sub)
+            y = descriptor.take_encoded(y, sub)
+        for key, counts_key in runs.items():
+            diff = _as_rows(x[key] != y[key]).any(axis=1)
+            same[np.repeat(sub, x[counts_key])[diff]] = False
+    return same
+
+
+class _ElementTable:
+    """The generic engine's element table: the descriptor's element arrays,
+    elements in id order, and an exact hash index over them.
+
+    The index keeps every element's ``_element_hashes`` value sorted, beside
+    the id that carries it.  A lookup compares the query with every stored
+    element of equal hash, so two distinct elements never share an id, and
+    an element repeated in the table is found at import.
     """
 
-    def __init__(self, descriptor):
-        e = descriptor.identity()
-        self._check = descriptor.check
-        self.elements = [e]
-        self.index = {e: 0}
+    def __init__(self, descriptor, arrays):
+        self.descriptor = descriptor
+        self.arrays = {key: np.asarray(arr, dtype=np.int64)
+                       for key, arr in arrays.items()}
+        hashes = _element_hashes(descriptor, self.arrays)
+        self._ids = np.argsort(hashes)
+        self._hashes = hashes[self._ids]
+        self.size = len(hashes)
 
-    def intern(self, g) -> int:
-        i = self.index.get(g)
-        if i is None:
-            self._check(g)
-            i = len(self.elements)
-            self.index[g] = i
-            self.elements.append(g)
-        return i
-
-    def load(self, elements: list):
-        """Replace the table by ``elements`` (decoded, hence canonical)."""
-        index = {g: i for i, g in enumerate(elements)}
-        if not elements or elements[0] != self.elements[0]:
+    @classmethod
+    def load(cls, descriptor, arrays):
+        """The table of imported, checked arrays; ValueError unless the
+        identity is element 0 and no element repeats."""
+        table = cls(descriptor, arrays)
+        identity = descriptor.encode_elements([descriptor.identity()])
+        take = descriptor.take_encoded
+        if not table.size or not _same(descriptor, take(table.arrays, [0]), identity)[0]:
             raise ValueError("generic payload: the identity is not element 0")
-        if len(index) != len(elements):
+        hashes = np.empty_like(table._hashes)
+        hashes[table._ids] = table._hashes
+        first = _first_equal(descriptor, table.arrays, hashes)
+        if np.any(first != np.arange(table.size)):
             raise ValueError("generic payload: the element table repeats an element")
-        self.elements = elements
-        self.index = index
+        return table
 
-    def __len__(self):
-        return len(self.elements)
+    def find(self, batch, hashes) -> np.ndarray:
+        """The id of each element of ``batch`` (with its ``hashes``), -1
+        where the table does not hold it."""
+        # sorted needles make searchsorted's bisections cache-friendly
+        order = np.argsort(hashes)
+        needles = hashes[order]
+        lo = np.searchsorted(self._hashes, needles, "left")
+        counts = np.searchsorted(self._hashes, needles, "right") - lo
+        query = np.repeat(order, counts)
+        cand = self._ids[_ranges(lo, counts)]
+        take = self.descriptor.take_encoded
+        same = _same(self.descriptor, take(batch, query), take(self.arrays, cand))
+        ids = np.full(len(hashes), -1, dtype=np.int64)
+        ids[query[same]] = cand[same]
+        return ids
+
+    def intern(self, batch, seen) -> np.ndarray:
+        """The id of each element of ``batch``.  Elements the table lacks
+        are appended once each, in the order of their first position in
+        ``seen`` (a permutation of the batch positions), and take the next
+        ids."""
+        desc = self.descriptor
+        hashes = _element_hashes(desc, batch)
+        ids = self.find(batch, hashes)
+        new = seen[ids[seen] < 0]
+        if not len(new):
+            return ids
+        fresh = desc.take_encoded(batch, new)
+        first = _first_equal(desc, fresh, hashes[new])
+        heads = np.flatnonzero(first == np.arange(len(new)))
+        rank = np.empty(len(new), dtype=np.int64)
+        rank[heads] = np.arange(len(heads))
+        ids[new] = self.size + rank[first]
+        added = desc.take_encoded(fresh, heads)
+        self.arrays = {key: np.concatenate([arr, added[key]])
+                       for key, arr in self.arrays.items()}
+        added_hashes = hashes[new[heads]]
+        order = np.argsort(added_hashes)
+        at = np.searchsorted(self._hashes, added_hashes[order], "right")
+        self._hashes = np.insert(self._hashes, at, added_hashes[order])
+        self._ids = np.insert(self._ids, at, self.size + order)
+        self.size += len(heads)
+        return ids
+
+
+def _first_equal(descriptor, batch, hashes) -> np.ndarray:
+    """For each element of ``batch``, the position of the first element of
+    the batch equal to it."""
+    first = np.arange(len(hashes))
+    # only elements that share their hash need comparing
+    order = np.argsort(hashes)
+    h = hashes[order]
+    shared = np.zeros(len(h), dtype=bool)
+    shared[1:] = h[1:] == h[:-1]
+    shared[:-1] |= shared[1:]
+    pending = order[shared]
+    # pending stays sorted by (hash, position); each round settles every
+    # element equal to the first pending element of its hash group
+    pending = pending[np.lexsort((pending, hashes[pending]))]
+    take = descriptor.take_encoded
+    while len(pending):
+        h = hashes[pending]
+        starts = np.ones(len(pending), dtype=bool)
+        starts[1:] = h[1:] != h[:-1]
+        head = pending[np.flatnonzero(starts)[np.cumsum(starts) - 1]]
+        same = _same(descriptor, take(batch, pending), take(batch, head))
+        first[pending[same]] = head[same]
+        pending = pending[~same]
+    return first
 
 
 @dataclass
@@ -388,7 +531,15 @@ def _stored(level: _Level, i: int):
 
 
 class GenericPowers(PowersCache):
-    """Keyed-support engine over interned ids; scatter-add hot loop."""
+    """Keyed-support engine over interned ids; scatter-add hot loop.
+
+    The element table is the descriptor's element arrays (``_ElementTable``).
+    A step multiplies the elements of the level that have no row yet by each
+    support element in one ``mul_encoded`` batch, checks the products with
+    ``check_encoded`` and interns them; new ids follow first appearance over
+    (source id, support element), row-major, so ids, scatter order and level
+    bits do not depend on the hash.
+    """
 
     engine_name = "generic"
 
@@ -399,6 +550,10 @@ class GenericPowers(PowersCache):
         if track is not None:
             self._track_set = set(track)
             self._track_set.add(descriptor.identity())
+            # only canonical elements can ever be in the table
+            elems = [g for g in self._track_set if descriptor.contains(g)]
+            arrays = descriptor.encode_elements(elems)
+            self._track = (elems, arrays, _element_hashes(descriptor, arrays))
         self._push_level(np.array([0], dtype=np.int64), np.array([1.0]), 0.0)
         for m in range(1, depth + 1):
             try:
@@ -409,57 +564,65 @@ class GenericPowers(PowersCache):
                 break
 
     def _setup(self):
-        items = sorted(self.mu.support.items(),
-                       key=lambda gv: self.descriptor.sort_key(gv[0]))
+        desc = self.descriptor
+        items = sorted(self.mu.support.items(), key=lambda gv: desc.sort_key(gv[0]))
         self._mu_elems = [g for g, _ in items]
         # the one check of the operands; products are checked as interned
-        self.descriptor.check(*self._mu_elems)
+        desc.check(*self._mu_elems)
         self._mu_vals = np.array([v for _, v in items])
         self._mu_ls = self.mu.log_scale
-        self._interner = _Interner(self.descriptor)
+        self._table = _ElementTable(desc, desc.encode_elements([desc.identity()]))
         self._rows = np.full((256, len(self._mu_elems)), -1, dtype=np.int64)
         self._track_set = None
+        self._track = None           # (elements, arrays, hashes) of the track set
+        self._queried: dict = {}     # queried element -> id, -1 where absent
         self._levels: list = []
         self._tracked_levels: list = []
 
     def _push_level(self, ids, vals, log_scale):
-        mass = math.exp(math.log(math.fsum(vals)) + log_scale)
+        mass = math.exp(math.log(math.fsum(vals.tolist())) + log_scale)
         level = _Level(ids=ids, vals=vals, log_scale=log_scale, mass=mass)
         if self._track_set is None:
             self._levels.append(level)
         else:
-            tracked = {}
-            for g in self._track_set:
-                i = self._interner.index.get(g)
-                if i is not None:
-                    pos = np.searchsorted(ids, i)
-                    if pos < len(ids) and ids[pos] == i:
-                        tracked[g] = float(vals[pos])
+            elems, arrays, hashes = self._track
+            found = self._table.find(arrays, hashes)
+            pos = np.minimum(np.searchsorted(ids, found), len(ids) - 1)
+            held = (found >= 0) & (ids[pos] == found)
+            tracked = {elems[j]: float(vals[pos[j]]) for j in np.flatnonzero(held)}
             self._tracked_levels.append((tracked, log_scale, mass))
             self._current = level
 
     def _ensure_rows(self, ids):
-        inter = self._interner
-        mul = self.descriptor._mul
-        elems = inter.elements
         missing = ids[self._rows[ids, 0] < 0]
-        for i in missing.tolist():
-            g = elems[i]
-            row = [inter.intern(mul(g, s)) for s in self._mu_elems]
-            if len(inter) > self._rows.shape[0]:
-                grown = np.full(
-                    (max(2 * self._rows.shape[0], len(inter)), self._rows.shape[1]),
-                    -1,
-                    dtype=np.int64,
-                )
-                grown[: self._rows.shape[0]] = self._rows
-                self._rows = grown
-            self._rows[i] = row
+        if not len(missing):
+            return
+        desc = self.descriptor
+        frontier = desc.take_encoded(self._table.arrays, missing)
+        batches = [desc.mul_encoded(frontier, s) for s in self._mu_elems]
+        products = {key: np.concatenate([batch[key] for batch in batches])
+                    for key in batches[0]}
+        try:
+            desc.check_encoded(products)
+        except ElementParseError as exc:
+            raise DescriptorMismatchError(
+                f"the group law of {desc.spec_string()} made a non-canonical "
+                f"element: {exc}") from exc
+        # products[j * n + i] = element missing[i] times support element j,
+        # seen row-major: by source id, then by support element
+        n, k = len(missing), len(self._mu_elems)
+        ids = self._table.intern(products, seen=np.arange(n * k).reshape(k, n).T.ravel())
+        if self._table.size > self._rows.shape[0]:
+            grown = np.full((max(2 * self._rows.shape[0], self._table.size), k), -1,
+                            dtype=np.int64)
+            grown[: self._rows.shape[0]] = self._rows
+            self._rows = grown
+        self._rows[missing] = ids.reshape(k, n).T
 
     def _step(self, support_cap):
         level = self._levels[-1] if self._track_set is None else self._current
         self._ensure_rows(level.ids)
-        acc = np.zeros(len(self._interner))
+        acc = np.zeros(self._table.size)
         _backend.scatter_add_outer(
             acc, np.ascontiguousarray(self._rows[level.ids]), level.vals, self._mu_vals
         )
@@ -473,6 +636,19 @@ class GenericPowers(PowersCache):
         self._push_level(
             ids, vals / peak, level.log_scale + self._mu_ls + math.log(peak)
         )
+
+    def _id_of(self, g) -> int:
+        """The id of element ``g``, -1 where the table does not hold it;
+        memoized per queried element."""
+        i = self._queried.get(g)
+        if i is None:
+            i = -1
+            desc = self.descriptor
+            if desc.contains(g):
+                arrays = desc.encode_elements([g])
+                i = int(self._table.find(arrays, _element_hashes(desc, arrays))[0])
+            self._queried[g] = i
+        return i
 
     @property
     def depth(self):
@@ -488,8 +664,8 @@ class GenericPowers(PowersCache):
                 )
             tracked, ls, _ = self._tracked_levels[m]
             return _log_entry(tracked.get(g, 0.0), ls)
-        i = self._interner.index.get(g)
-        if i is None:
+        i = self._id_of(g)
+        if i < 0:
             return NEG_INF
         level = self._levels[m]
         return _log_entry(_stored(level, i), level.log_scale)
@@ -503,8 +679,8 @@ class GenericPowers(PowersCache):
         if self._track_set is not None:
             return [_log_entry(tracked.get(g, 0.0), ls)
                     for tracked, ls, _ in self._tracked_levels]
-        i = self._interner.index.get(g)
-        if i is None:
+        i = self._id_of(g)
+        if i < 0:
             return [NEG_INF] * len(self._levels)
         return [_log_entry(_stored(level, i), level.log_scale) for level in self._levels]
 
@@ -525,9 +701,10 @@ class GenericPowers(PowersCache):
         if self._track_set is not None:
             raise CoverageError("tracked cache cannot materialize full levels")
         level = self._levels[m]
-        elems = self._interner.elements
+        desc = self.descriptor
+        elems = desc.decode_elements(desc.take_encoded(self._table.arrays, level.ids))
         return ScaledMeasure(
-            support={elems[i]: float(v) for i, v in zip(level.ids.tolist(), level.vals)},
+            support={g: float(v) for g, v in zip(elems, level.vals)},
             log_scale=level.log_scale,
             step_index=m,
         )
@@ -541,10 +718,9 @@ class GenericPowers(PowersCache):
     def export_payload(self):
         if self._track_set is not None:
             raise CoverageError("tracked caches are not exportable")
-        arrays = self.descriptor.encode_elements(self._interner.elements)
         levels = self._levels
         return {
-            "elements": {key: _pack(arr) for key, arr in arrays.items()},
+            "elements": {key: _pack(arr) for key, arr in self._table.arrays.items()},
             "sizes": _pack([len(level.ids) for level in levels]),
             "log_scales": _pack([level.log_scale for level in levels]),
             "ids": _pack(np.concatenate([level.ids for level in levels])),
@@ -552,9 +728,12 @@ class GenericPowers(PowersCache):
         }
 
     def _load_payload(self, payload):
-        arrays = {key: _unpack(doc) for key, doc in payload["elements"].items()}
-        self._interner.load(self.descriptor.decode_elements(arrays))
-        n = len(self._interner)
+        desc = self.descriptor
+        elements = payload["elements"]
+        arrays = {key: _unpack(elements[key]) for key in desc.encode_elements([])}
+        desc.check_encoded(arrays)
+        self._table = _ElementTable.load(desc, arrays)
+        n = self._table.size
         ids = _unpack(payload["ids"])
         vals = _unpack_values(payload["vals"], "generic payload", positive=True)
         if ids.dtype.kind != "i" or ids.shape != vals.shape:

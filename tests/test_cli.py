@@ -478,3 +478,37 @@ def test_cache_dir_unreadable_artifact_rebuilt(tmp_path, capsys, damage):
     assert ((tmp_path / "rebuilt" / "spectrum.json").read_bytes()
             == (tmp_path / "fresh" / "spectrum.json").read_bytes())
     assert spectrum("reused") == (0, "")
+
+
+def test_cache_dir_artifact_of_another_walk_rebuilt(tmp_path, capsys):
+    """A valid artifact of another walk under this config's file name (a
+    lattice(1) walk on steps 0 and +1 at depth 10, under the lazy-Z depth-64
+    name) is not trusted: the run says so once, rebuilds and rewrites it."""
+    cfg = tmp_path / "lazy.ini"
+    cfg.write_text(LAZY_Z_CFG, encoding="utf-8")
+    other = tmp_path / "other.ini"
+    other.write_text(LAZY_Z_CFG.replace("(-1) 1/4", "").replace("1/4", "1/2")
+                     .replace("depth = 64", "depth = 10"), encoding="utf-8")
+    cache_dir = tmp_path / "cache"
+
+    def spectrum(config, out, cache=cache_dir):
+        code = main(["spectrum", "--config", str(config), "--out",
+                     str(tmp_path / out), "--cache-dir", str(cache)])
+        return code, capsys.readouterr().err
+
+    assert spectrum(cfg, "fresh") == (0, "")
+    (artifact,) = cache_dir.glob("powers-*.json")
+    good = artifact.read_text(encoding="utf-8")
+    assert spectrum(other, "other", tmp_path / "other-cache") == (0, "")
+    (wrong,) = (tmp_path / "other-cache").glob("powers-*.json")
+    artifact.write_text(wrong.read_text(encoding="utf-8"), encoding="utf-8")
+    code, err = spectrum(cfg, "rebuilt")
+    assert code == 0
+    assert len(err.splitlines()) == 1 and "rebuilding" in err and "another walk" in err
+    doc = json.loads((tmp_path / "rebuilt" / "spectrum.json").read_text())
+    assert doc["provenance"]["M"] == 64
+    assert doc["rho_hat"] == pytest.approx(0.99988, abs=5e-6)
+    assert artifact.read_text(encoding="utf-8") == good
+    assert ((tmp_path / "rebuilt" / "spectrum.json").read_bytes()
+            == (tmp_path / "fresh" / "spectrum.json").read_bytes())
+    assert spectrum(cfg, "reused") == (0, "")

@@ -144,6 +144,44 @@ def test_element_codec_round_trip(desc):
         assert [_types(g) for g in back] == [_types(g) for g in xs]
 
 
+BATCH_DESCRIPTORS = [
+    w.LatticeGroup(1),
+    w.LatticeGroup(3),
+    w.FreeGroup(2),
+    w.FreeGroup(3),
+    w.LamplighterGroup(1),
+    w.LamplighterGroup(2),
+    w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1)),
+    w.ProductGroup(w.LamplighterGroup(1), w.FreeGroup(2)),
+    w.ProductGroup(w.LatticeGroup(1), w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1))),
+]
+
+
+def _assert_same_arrays(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert (got[key].dtype, got[key].shape) == (want[key].dtype, want[key].shape), key
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+@pytest.mark.parametrize("desc", BATCH_DESCRIPTORS, ids=lambda d: d.spec_string())
+def test_mul_encoded_matches_mul(desc):
+    """The batch law equals the per-element law array for array: ball(3)
+    (and an empty batch) times every element of the support of the uniform
+    measure on ball(2), which holds multi-letter words and lit lamps."""
+    ball = desc.ball(3)
+    arrays = desc.encode_elements(ball)
+    empty = desc.encode_elements([])
+    for s in desc.ball(2):
+        _assert_same_arrays(desc.mul_encoded(arrays, s),
+                            desc.encode_elements([desc._mul(g, s) for g in ball]))
+        _assert_same_arrays(desc.mul_encoded(empty, s), empty)
+    idx = np.array([len(ball) - 1, 0, 3, 3, 1])
+    _assert_same_arrays(desc.take_encoded(arrays, idx),
+                        desc.encode_elements([ball[i] for i in idx]))
+    assert desc.check_encoded(arrays) == len(ball)
+
+
 def _decode(desc, **arrays):
     return desc.decode_elements({k: np.array(v) for k, v in arrays.items()})
 
@@ -174,12 +212,19 @@ def test_element_codec_rejects_non_canonical_arrays(lattice2, free2, lamp1):
         (product, {"left.lengths": [0, 0], "left.letters": np.zeros(0, int),
                    "right.coords": [[0]]}),                      # unequal factors
     ]
+    bad.append((w.LamplighterGroup(2),
+                {"pos": [[0, 0]], "counts": [2], "lamps": [[0, 1], [0, 1]]}))
+    bad.append((w.LamplighterGroup(2),                          # (0, 1) > (0, 0)
+                {"pos": [[0, 0]], "counts": [2], "lamps": [[0, 1], [0, 0]]}))
+    bad.append((w.LamplighterGroup(2),                          # (1, 0) > (0, 5)
+                {"pos": [[0, 0]], "counts": [2], "lamps": [[1, 0], [0, 5]]}))
+    assert _decode(w.LamplighterGroup(2), pos=[[0, 0]], counts=[2],
+                   lamps=[[0, 5], [1, 0]]) == [((0, 0), ((0, 5), (1, 0)))]
     for desc, arrays in bad:
         with pytest.raises(ElementParseError):
             _decode(desc, **arrays)
-    with pytest.raises(ElementParseError):
-        _decode(w.LamplighterGroup(2), pos=[[0, 0]], counts=[2],
-                lamps=[[0, 1], [0, 1]])
+        with pytest.raises(ElementParseError):
+            desc.check_encoded({k: np.array(v) for k, v in arrays.items()})
 
 
 def test_lamplighter_inverse_by_brute_force(lamp1):

@@ -3,14 +3,18 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import walkops as w
+from walkops import powers
 from walkops.errors import CoverageError, DescriptorMismatchError, PreconditionError
 from walkops.measures import log_radial_mass
 from walkops.powers import GenericPowers, _pack, _unpack
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_engine_selection(lattice1, lattice2, free2, lamp1, lazy_z, lazy_z2,
@@ -446,7 +450,7 @@ def test_generic_round_trip_exact(lamp1, lamp_mu, free2):
     capped = w.convolution_powers(lamp1, lamp_mu, 12, engine="generic",
                                   support_cap=50)
     last_id = max(int(level.ids[-1]) for level in capped._levels)
-    assert len(capped._interner) > last_id + 1
+    assert capped._table.size > last_id + 1
     caches = [
         w.convolution_powers(lamp1, lamp_mu, 8, engine="generic"),
         w.convolution_powers(lamp2, w.parse_measure(LAMP_Z2, lamp2), 5,
@@ -466,6 +470,25 @@ def test_generic_round_trip_exact(lamp1, lamp_mu, free2):
             assert back.level_log_scale(m) == cache.level_log_scale(m)
             assert back.support_size(m) == cache.support_size(m)
             assert back.level_measure(m).support == cache.level_measure(m).support
+
+
+def test_generic_artifacts_match_golden(lamp1, lamp_mu, free2):
+    """The generic artifacts equal, byte for byte, those the engine wrote
+    when it interned element tuples one product at a time (kept under
+    tests/data), and the re-imported golden artifacts answer ``log_value``
+    on ball(3) exactly as a fresh build does."""
+    for name, desc, mu, depth in (
+            ("generic-lamp1-depth8-v4.json", lamp1, lamp_mu, 8),
+            ("generic-aniso-f2-depth6-v4.json", free2,
+             w.parse_measure(ANISO_F2, free2), 6)):
+        golden = (DATA / name).read_text(encoding="utf-8")
+        cache = w.convolution_powers(desc, mu, depth, engine="generic")
+        assert w.export_cache_json(cache) == golden, name
+        back = w.import_cache_json(golden)
+        ball = desc.ball(3)
+        for m in range(depth + 1):
+            assert ([back.log_value(m, g) for g in ball]
+                    == [cache.log_value(m, g) for g in ball]), (name, m)
 
 
 @pytest.fixture(scope="module")
@@ -699,11 +722,20 @@ def test_malformed_artifact_is_value_error(generic_artifact):
 
 
 class _UnsortedLamplighter(w.LamplighterGroup):
-    """A broken group law: lamps come back in reverse order."""
+    """A broken group law: lamps come back in reverse order, from the
+    per-element law and from the batch law the generic engine steps with."""
 
     def _mul(self, a, b):
         pos, lamps = super()._mul(a, b)
         return pos, tuple(reversed(lamps))
+
+    def mul_encoded(self, arrays, s):
+        out = super().mul_encoded(arrays, s)
+        counts = out["counts"]
+        ends = np.cumsum(counts)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        mirrored = 2 * ends[owner] - counts[owner] - 1 - np.arange(len(owner))
+        return {**out, "lamps": out["lamps"][mirrored]}
 
 
 def test_generic_checks_each_element_once(lamp1, lamp_mu):
@@ -727,19 +759,49 @@ def test_deep_levels_log_scaled(free2, iso_f2):
     assert math.exp(lv) >= 0.0
 
 
+def _assert_matches_convolve(cache, desc, mu):
+    """Every level of ``cache`` equals iterated ``measures.convolve``."""
+    ref = w.ScaledMeasure.point_mass(desc)
+    for m in range(cache.depth + 1):
+        level = cache.level_measure(m)
+        assert set(level.support) == set(ref.support), (desc, m)
+        for g, v in ref.items_values():
+            assert level.value(g) == pytest.approx(v, rel=1e-12), (desc, m, g)
+        ref = w.convolve(ref, mu, desc)
+
+
 def test_generic_matches_reference_convolve(lamp1, lamp_mu, free2):
     """Generic-engine levels equal iterated ``measures.convolve``, the
     keyed-collection reference, on a lamplighter and an anisotropic free walk."""
     aniso = w.parse_measure("a 1/2\nA 1/6\nb 1/6\nB 1/6", free2)
     for desc, mu in ((lamp1, lamp_mu), (free2, aniso)):
+        _assert_matches_convolve(
+            w.convolution_powers(desc, mu, 6, engine="generic"), desc, mu)
+
+
+def test_generic_interning_resolves_hash_collisions(monkeypatch, lamp1, lamp_mu,
+                                                    free2):
+    """With the element hash cut to two bits nearly every lookup meets
+    other elements of equal hash.  The levels still equal the
+    ``measures.convolve`` reference, the artifact equals the full-hash
+    engine's byte for byte and re-imports: ids come from comparing
+    elements, not from trusting the hash."""
+    cases = [(lamp1, lamp_mu), (free2, w.parse_measure(ANISO_F2, free2))]
+    texts = [w.export_cache_json(w.convolution_powers(desc, mu, 6, engine="generic"))
+             for desc, mu in cases]
+    full_hash = powers._element_hashes
+    monkeypatch.setattr(powers, "_element_hashes",
+                        lambda desc, arrays: full_hash(desc, arrays) & 3)
+    for (desc, mu), text in zip(cases, texts):
         cache = w.convolution_powers(desc, mu, 6, engine="generic")
-        ref = w.ScaledMeasure.point_mass(desc)
-        for m in range(7):
-            level = cache.level_measure(m)
-            assert set(level.support) == set(ref.support), (desc, m)
-            for g, v in ref.items_values():
-                assert level.value(g) == pytest.approx(v, rel=1e-12), (desc, m, g)
-            ref = w.convolve(ref, mu, desc)
+        assert len(np.unique(powers._element_hashes(desc, cache._table.arrays))) == 4
+        _assert_matches_convolve(cache, desc, mu)
+        assert w.export_cache_json(cache) == text
+        back = w.import_cache_json(text)
+        ball = desc.ball(3)
+        for m in range(cache.depth + 1):
+            assert ([back.log_value(m, g) for g in ball]
+                    == [cache.log_value(m, g) for g in ball])
 
 
 def test_determinism_same_inputs(lamp1, lamp_mu):
