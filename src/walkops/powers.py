@@ -1,17 +1,19 @@
 """Convolution-power caches: every level of mu^{*m} for m = 0..M.
 
 Iterative powering (never binary) so that ratio sequences can read every
-level.  Three engines share one query interface:
+level.  Two engines share one query interface:
 
-* ``radial``         isotropic free-group walks, O(m) radii per level
-* lattice array      one array over (tree radius, lattice point) per level;
-                     serves lattice walks as ``dense`` (a trivial tree, one
-                     radius) and Cartesian (isotropic free) x (lattice)
-                     walks as ``radial-lattice``
-* ``generic``        anything else: a table of the descriptor's element
-                     arrays with an exact hash index, grown one
-                     ``mul_encoded`` batch per support element per step;
-                     scatter-add over interned ids
+* array          one array over (tree radius, lattice point) per level,
+                 for walks that split into an isotropic free-group move
+                 and lattice moves on F_s x Z^d: ``radial`` (isotropic
+                 free-group walks, the case d = 0, O(m) radii per level),
+                 ``dense`` (lattice walks, the trivial tree with radius 0
+                 only) and ``radial-lattice`` (Cartesian (isotropic free)
+                 x (lattice) walks)
+* ``generic``    anything else: a table of the descriptor's element
+                 arrays with an exact hash index, grown one
+                 ``mul_encoded`` batch per support element per step;
+                 scatter-add over interned ids
 
 An entry of mu^{*m} "exists" exactly when it is present/positive in the
 level storage; zeros are never stored.  Each level keeps mantissas with a
@@ -22,20 +24,21 @@ Retention is ``full`` (every level queryable everywhere) or ``tracked``
 (every level queryable on a declared element set / region only, bounding
 memory for deep caches).
 
-The radial and array engines compute a level's mass on the first
-``level_mass`` call and memoize it: ``log_radial_mass`` is an O(m) Python
-loop per level, which no build needs.  A level keeps what its mass needs
-(its radial values, or the per-radius row sums of its full array, also
-where a tracked level keeps only part of that array).
+The array engine computes a level's mass on the first ``level_mass`` call
+and memoizes it: ``log_radial_mass`` is an O(m) Python loop per level,
+which no build needs.  The mass needs the per-radius row sums of the full
+level array.  A full level keeps no copy of them and sums its array on
+that call; a tracked level, which keeps only part of its array, keeps the
+row sums of the whole.
 
 ``log_column(g)`` is the whole history of one entry: log mu^{*m}(g) for
 m = 0..depth as a read-only float array, -inf where the entry is absent.
 Each entry is computed exactly as ``log_value`` computes it, so the two
 agree bit for bit, and the cache memoizes one column per key, built on
 first request.  The key is what the entry depends on in each engine: the
-tree radius ``len(g)`` on ``radial`` (so a ratio sequence there depends
-only on |x^-1 y| and |y|), the (tree radius, lattice point) coordinates on
-the array engine, and the element itself on ``generic`` (one
+(tree radius, lattice point) coordinates on the array engine (``(len(g),
+())`` for a free-group walk, so a ratio sequence there depends only on
+|x^-1 y| and |y|), and the element itself on ``generic`` (one
 ``searchsorted`` per level).  A tracked cache raises ``CoverageError`` for
 an element outside its tracked set or region, as ``log_value`` does.  Scans
 over levels (ratio sequences, bound constants, return ratios, Green sums,
@@ -49,13 +52,15 @@ bytes; integers as ``<i4`` where they fit, else ``<i8``, floats as ``<f8``,
 so every bit survives).  Every engine stores its levels concatenated, with
 per-level ``sizes`` (or ``shapes``) and ``log_scales``:
 
-* ``generic``        the element table as the descriptor's
-                     ``encode_elements`` arrays (elements in id order), one
-                     ``ids`` array of sorted per-level ids into that table
-                     and one ``vals`` array
-* ``radial``         one ``values`` array of per-radius values
-* lattice array      ``lat_lo`` (levels, d), ``shapes`` (levels, d + 1) and
-                     the raveled level arrays as one ``values`` array
+* ``generic``    the element table as the descriptor's ``encode_elements``
+                 arrays (elements in id order), one ``ids`` array of
+                 sorted per-level ids into that table and one ``vals``
+                 array
+* array          ``lat_lo`` (levels, d), ``shapes`` (levels, d + 1) and
+                 the raveled level arrays as one ``values`` array; a
+                 ``radial`` artifact has d = 0, so its ``lat_lo`` is an
+                 empty-width (levels, 0) array and its ``shapes`` hold
+                 each level's radius count
 
 ``import_cache_json`` rejects any other version and any malformed artifact
 with ValueError: a packed array whose bytes do not fill its shape, or whose
@@ -63,8 +68,8 @@ dtype is not one of the three; element arrays that fail the descriptor's
 ``check_encoded``, repeat an element or do not hold the identity at id 0
 (the generic import builds no element tuples); ids that are not strictly
 increasing within a level or fall outside the table; stored values that
-are not finite and positive (non-negative on the array and radial
-engines); empty levels; log scales that are not finite.
+are not finite and positive (non-negative on the array engine); empty
+levels; log scales that are not finite.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ import base64
 import binascii
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +108,6 @@ from .measures import (
     log_radial_mass,
     radial_reduce,
     radial_step,
-    sphere_size,
 )
 
 DEFAULT_SUPPORT_CAP = 2_000_000
@@ -330,12 +335,6 @@ def _level_bounds(payload, what: str, total: int, sizes: np.ndarray) -> tuple:
             or not np.all(np.isfinite(log_scales))):
         raise ValueError(f"{what}: log_scales are not one finite float per level")
     return np.cumsum(sizes, dtype=np.int64)[:-1], log_scales.tolist()
-
-
-def _radial_level_mass(row_values: np.ndarray, q: int, log_scale: float) -> float:
-    """Mass of a level from its per-radius values (mantissa units)."""
-    logs = log_radial_mass(row_values, q)
-    return math.exp(logs + log_scale) if logs > NEG_INF else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -753,119 +752,33 @@ class GenericPowers(PowersCache):
 
 
 # ---------------------------------------------------------------------------
-# radial free-group engine
-# ---------------------------------------------------------------------------
-
-class RadialFreePowers(PowersCache):
-    """Isotropic walks on F_s: per-level per-element values by tree radius."""
-
-    engine_name = "radial"
-
-    def __init__(self, descriptor: FreeGroup, mu, depth):
-        super().__init__(descriptor, mu)
-        self._setup()
-        self._levels.append((np.array([1.0]), 0.0))
-        for _ in range(depth):
-            self._step()
-
-    def _setup(self):
-        radial = radial_reduce(self.mu, self.descriptor)
-        self.q = radial.tree_degree
-        self._mu_vals = radial.values
-        self._mu_ls = radial.log_scale
-        # levels: (values, log_scale); masses are computed on first request
-        self._levels = []
-        self._masses: dict = {}
-
-    def _step(self):
-        vals, ls = self._levels[-1]
-        out = radial_step(vals, self._mu_vals, self.q)
-        peak = out.max()
-        out /= peak
-        self._levels.append((out, ls + self._mu_ls + math.log(peak)))
-
-    @property
-    def depth(self):
-        return len(self._levels) - 1
-
-    def log_value_at_radius(self, m, r):
-        self._check_level(m)
-        vals, ls = self._levels[m]
-        return _log_entry(vals[r] if 0 <= r < len(vals) else 0.0, ls)
-
-    def log_value(self, m, g):
-        return self.log_value_at_radius(m, len(g))
-
-    def _column_key(self, g):
-        return len(g)
-
-    def _column_values(self, r):
-        return [_log_entry(vals[r] if r < len(vals) else 0.0, ls)
-                for vals, ls in self._levels]
-
-    def level_mass(self, m):
-        self._check_level(m)
-        if m not in self._masses:
-            vals, ls = self._levels[m]
-            self._masses[m] = _radial_level_mass(vals, self.q, ls)
-        return self._masses[m]
-
-    def level_log_scale(self, m):
-        self._check_level(m)
-        return self._levels[m][1]
-
-    def level_radial(self, m) -> RadialMeasure:
-        self._check_level(m)
-        vals, ls = self._levels[m]
-        return RadialMeasure(
-            values=vals.copy(), log_scale=ls, tree_degree=self.q, step_index=m
-        )
-
-    def level_measure(self, m):
-        raise CoverageError(
-            "radial levels are not materialized per element; "
-            "use level_radial or support_in_ball"
-        )
-
-    def export_payload(self):
-        return {
-            "sizes": _pack([len(vals) for vals, _ in self._levels]),
-            "log_scales": _pack([ls for _, ls in self._levels]),
-            "values": _pack(np.concatenate([vals for vals, _ in self._levels])),
-        }
-
-    def _load_payload(self, payload):
-        values = _unpack_values(payload["values"], "radial payload")
-        bounds, log_scales = _level_bounds(payload, "radial payload", len(values),
-                                           _unpack(payload["sizes"]))
-        self._levels = list(zip(np.split(values, bounds), log_scales))
-
-
-# ---------------------------------------------------------------------------
-# lattice and Cartesian (isotropic free) x (lattice) engine
+# array engine: free-group, lattice and Cartesian (isotropic free) x
+# (lattice) walks
 # ---------------------------------------------------------------------------
 
 def _cartesian_split(descriptor: GroupDescriptor, mu: ScaledMeasure):
-    """Split a lattice or Cartesian free x lattice measure into radial tree
-    values + lattice offsets.
+    """Split a free-group, lattice or Cartesian free x lattice measure into
+    radial tree values + lattice offsets.
 
     Returns (tree_values, lattice_offsets) in mantissa units, or None when
     the measure moves both coordinates at once (not a Cartesian mixture).
     Mass at the identity is carried by the tree part (either choice acts as
     the identity in the step); on a lattice, whose tree factor is trivial,
-    that is all the tree part holds.
+    that is all the tree part holds, and a free-group walk has no lattice
+    part.  IsotropyError when the tree part is not isotropic.
     """
     if isinstance(descriptor, LatticeGroup):
         zero = descriptor.identity()
         lat = {v: mass for v, mass in mu.support.items() if v != zero}
         return np.array([mu.support.get(zero, 0.0)]), lat
+    if isinstance(descriptor, FreeGroup):
+        return radial_reduce(mu, descriptor).values, {}
     if not isinstance(descriptor, ProductGroup):
         return None
     left, right = descriptor.left, descriptor.right
     if not isinstance(left, FreeGroup) or not isinstance(right, LatticeGroup):
         return None
     e_l, zero = left.identity(), right.identity()
-    q = 2 * left.rank
     tree_elems: dict = {}
     lat: dict = {}
     for (w, v), mass in mu.support.items():
@@ -876,25 +789,15 @@ def _cartesian_split(descriptor: GroupDescriptor, mu: ScaledMeasure):
         else:
             return None
     if not tree_elems:
-        tree_vals = np.array([0.0])
-    else:
-        by_radius: dict = {}
-        for w, mass in tree_elems.items():
-            by_radius.setdefault(len(w), []).append(mass)
-        values = np.zeros(max(by_radius) + 1)
-        for r, masses in by_radius.items():
-            if len(masses) != sphere_size(q, r):
-                raise IsotropyError(
-                    f"tree factor of the Cartesian measure misses sphere {r} elements"
-                )
-            lo, hi = min(masses), max(masses)
-            if hi - lo > 1e-12 * hi:
-                raise IsotropyError(
-                    f"tree factor of the Cartesian measure is not isotropic at radius {r}"
-                )
-            values[r] = masses[0]
-        tree_vals = values
-    return tree_vals, lat
+        return np.array([0.0]), lat
+    return radial_reduce(ScaledMeasure(support=tree_elems), left).values, lat
+
+
+def _array_engine_name(descriptor: GroupDescriptor) -> str:
+    """The array engine's name for walks on ``descriptor``."""
+    if isinstance(descriptor, LatticeGroup):
+        return "dense"
+    return "radial" if isinstance(descriptor, FreeGroup) else "radial-lattice"
 
 
 def _row_sums(arr: np.ndarray) -> np.ndarray:
@@ -906,8 +809,17 @@ def _cell(level, r, v):
     """The stored mantissa at (tree radius r, lattice point v) of an array
     level, 0.0 when the point lies outside its array."""
     lat_lo, arr, _, _ = level
-    idx = (r,) + tuple(c - l for c, l in zip(v, lat_lo))
-    return arr[idx] if all(0 <= i < n for i, n in zip(idx, arr.shape)) else 0.0
+    if not lat_lo:  # a free-group level: one value per radius, r >= 0
+        return arr[r] if r < len(arr) else 0.0
+    idx = (r, *map(operator.sub, v, lat_lo))
+    for i, n in zip(idx, arr.shape):
+        if not 0 <= i < n:
+            return 0.0
+    return arr[idx]
+
+
+def _free_coords(w):
+    return len(w), ()
 
 
 def _lattice_coords(v):
@@ -919,13 +831,15 @@ def _product_coords(g):
 
 
 class RadialLatticePowers(PowersCache):
-    """Walks on Z^d, and Cartesian walks on F_s x Z^d with an isotropic
-    tree factor.
+    """Isotropic walks on F_s, walks on Z^d, and Cartesian walks on
+    F_s x Z^d with an isotropic tree factor.
 
     Level state: value per (tree radius, lattice point); the step is a
     radial tree move plus lattice shifted adds, both linear in the state.
-    A lattice walk is the case of the trivial tree (degree 0, radius 0
-    only); its engine name is ``dense``, a product's is ``radial-lattice``.
+    A free-group walk is the case of the trivial lattice (d = 0, one value
+    per radius); its engine name is ``radial``.  A lattice walk is the case
+    of the trivial tree (degree 0, radius 0 only); its engine name is
+    ``dense``, a product's is ``radial-lattice``.
     """
 
     def __init__(self, descriptor, mu, depth,
@@ -946,7 +860,7 @@ class RadialLatticePowers(PowersCache):
                 tuple(min(v[i] for _, v in pts) for i in range(d)),
                 tuple(max(v[i] for _, v in pts) for i in range(d)),
             )
-        self._current = ((0,) * d, np.ones((1,) * (d + 1)), 0.0, np.ones(1))
+        self._current = ((0,) * d, np.ones((1,) * (d + 1)), 0.0, None)
         self._levels.append(self._current)
         for _ in range(depth):
             self._step()
@@ -959,28 +873,27 @@ class RadialLatticePowers(PowersCache):
                 "measure is not a Cartesian mixture on free x lattice"
             )
         self._tree_vals, lat = split
+        self.engine_name = _array_engine_name(descriptor)
         if isinstance(descriptor, LatticeGroup):
-            self.engine_name = "dense"
-            self.q = 0
-            lattice = descriptor
-            self._coords = _lattice_coords
+            self.q, lattice, self._coords = 0, descriptor, _lattice_coords
+        elif isinstance(descriptor, FreeGroup):
+            self.q, lattice, self._coords = 2 * descriptor.rank, None, _free_coords
         else:
-            self.engine_name = "radial-lattice"
-            self.q = 2 * descriptor.left.rank
-            lattice = descriptor.right
+            self.q, lattice = 2 * descriptor.left.rank, descriptor.right
             self._coords = _product_coords
         # the order of the shifted adds fixes the summation order, hence the bits
         self._moves = sorted(lat.items(), key=lambda vm: lattice.sort_key(vm[0]))
         self._mu_ls = self.mu.log_scale
-        d = lattice.dimension
-        offs = list(lat) + [lattice.identity()]
+        d = lattice.dimension if lattice else 0
+        offs = list(lat) + [(0,) * d]
         self._lo_step = tuple(min(o[i] for o in offs) for i in range(d))
         self._hi_step = tuple(max(o[i] for o in offs) for i in range(d))
         self._r_step = len(self._tree_vals) - 1
         self._track_region = None
-        # levels: (lat_lo, array[(r, *lattice)], log_scale, row sums); the
-        # row sums are those of the full level array, which a tracked level
-        # does not keep, and give its mass on first request
+        # levels: (lat_lo, array[(r, *lattice)], log_scale, row sums).  A
+        # tracked level keeps only part of its array, so it keeps the
+        # per-radius row sums of the whole, which give its mass on first
+        # request; a full level holds None there and sums its own array then
         self._levels = []
         self._masses: dict = {}
 
@@ -997,38 +910,41 @@ class RadialLatticePowers(PowersCache):
     def _step(self):
         lat_lo, arr, ls, _ = self._current
         d = len(lat_lo)
-        lo_new = tuple(l + s for l, s in zip(lat_lo, self._lo_step))
-        hi_new = tuple(
-            l + n - 1 + s
-            for l, n, s in zip(lat_lo, arr.shape[1:], self._hi_step)
-        )
-        lat_shape = tuple(h - l + 1 for l, h in zip(lo_new, hi_new))
-        out = np.zeros((arr.shape[0] + self._r_step,) + lat_shape)
         # tree-factor move (and the identity mass): radial step along axis 0,
         # lattice unchanged
-        emb = tuple(
-            slice(ol - nl, ol - nl + n)
-            for ol, nl, n in zip(lat_lo, lo_new, arr.shape[1:])
-        )
-        out[(slice(None),) + emb] += radial_step(arr, self._tree_vals, self.q)
-        # lattice-factor moves: shifted adds at fixed tree radius
-        for v, mass in self._moves:
-            start = tuple(ol + vc - nl for ol, vc, nl in zip(lat_lo, v, lo_new))
-            sl = tuple(slice(s, s + n) for s, n in zip(start, arr.shape[1:]))
-            out[(slice(0, arr.shape[0]),) + sl] += mass * arr
+        out = radial_step(arr, self._tree_vals, self.q)
+        lo_new = lat_lo
+        if self._moves:
+            # lattice-factor moves widen the lattice box: the tree move is
+            # embedded in it, then shifted adds at fixed tree radius
+            lo_new = tuple(l + s for l, s in zip(lat_lo, self._lo_step))
+            hi_new = tuple(
+                l + n - 1 + s
+                for l, n, s in zip(lat_lo, arr.shape[1:], self._hi_step)
+            )
+            lat_shape = tuple(h - l + 1 for l, h in zip(lo_new, hi_new))
+            tree_moved, out = out, np.zeros((out.shape[0],) + lat_shape)
+            emb = tuple(
+                slice(ol - nl, ol - nl + n)
+                for ol, nl, n in zip(lat_lo, lo_new, arr.shape[1:])
+            )
+            out[(slice(None),) + emb] += tree_moved
+            for v, mass in self._moves:
+                start = tuple(ol + vc - nl for ol, vc, nl in zip(lat_lo, v, lo_new))
+                sl = tuple(slice(s, s + n) for s, n in zip(start, arr.shape[1:]))
+                out[(slice(0, arr.shape[0]),) + sl] += mass * arr
         peak = out.max()
         out /= peak
         ls_new = ls + self._mu_ls + math.log(peak)
-        sums = _row_sums(out)
-        full = (lo_new, out, ls_new, sums)
-        self._current = full
+        self._current = (lo_new, out, ls_new, None)
         if self._track_region is None:
-            self._levels.append(full)
+            self._levels.append(self._current)
         else:
+            sums = _row_sums(out)
             r_keep, tlo, thi = self._track_region
             clo = tuple(max(a, b) for a, b in zip(lo_new, tlo))
             chi = tuple(
-                min(l + n - 1, b) for l, n, b in zip(lo_new, lat_shape, thi)
+                min(l + n - 1, b) for l, n, b in zip(lo_new, out.shape[1:], thi)
             )
             if any(a > b for a, b in zip(clo, chi)):
                 self._levels.append((clo, np.zeros((0,) * (d + 1)), ls_new, sums))
@@ -1066,18 +982,31 @@ class RadialLatticePowers(PowersCache):
     def level_mass(self, m):
         self._check_level(m)
         if m not in self._masses:
-            _, _, ls, sums = self._levels[m]
-            self._masses[m] = _radial_level_mass(sums, self.q, ls)
+            _, arr, ls, sums = self._levels[m]
+            logs = log_radial_mass(_row_sums(arr) if sums is None else sums, self.q)
+            self._masses[m] = math.exp(logs + ls) if logs > NEG_INF else 0.0
         return self._masses[m]
 
     def level_log_scale(self, m):
         self._check_level(m)
         return self._levels[m][2]
 
+    def level_radial(self, m) -> RadialMeasure:
+        """A level of a free-group walk as its per-radius values; other
+        walks and tracked caches raise CoverageError."""
+        self._check_level(m)
+        if self.engine_name != "radial" or self._track_region is not None:
+            raise CoverageError("only a full radial cache has radial levels")
+        _, arr, ls, _ = self._levels[m]
+        return RadialMeasure(
+            values=arr.copy(), log_scale=ls, tree_degree=self.q, step_index=m
+        )
+
     def level_measure(self, m):
-        """A lattice level as a measure.  On a product a tree radius stands
-        for a whole sphere of elements, so product levels are not
-        materialized (CoverageError)."""
+        """A lattice level as a measure.  On a free group or a product a
+        tree radius stands for a whole sphere of elements, so those levels
+        are not materialized (CoverageError; a free-group level is
+        ``level_radial``)."""
         if self.q:
             return super().level_measure(m)
         self._check_level(m)
@@ -1094,8 +1023,11 @@ class RadialLatticePowers(PowersCache):
         if self._track_region is not None:
             raise CoverageError("tracked caches are not exportable")
         levels = self._levels
+        d = len(self._lo_step)
         return {
-            "lat_lo": _pack([lat_lo for lat_lo, _, _, _ in levels]),
+            # explicit integer (levels, d): a radial lat_lo is empty-width
+            "lat_lo": _pack(np.array([lat_lo for lat_lo, _, _, _ in levels],
+                                     dtype=np.int64).reshape(len(levels), d)),
             "shapes": _pack([arr.shape for _, arr, _, _ in levels]),
             "log_scales": _pack([ls for _, _, ls, _ in levels]),
             "values": _pack(np.concatenate([arr.ravel() for _, arr, _, _ in levels])),
@@ -1118,8 +1050,7 @@ class RadialLatticePowers(PowersCache):
                                            shapes.prod(axis=1, dtype=np.int64))
         for lo, shape, flat, ls in zip(lat_lo.tolist(), shapes.tolist(),
                                        np.split(values, bounds), log_scales):
-            arr = flat.reshape(shape)
-            self._current = (tuple(lo), arr, ls, _row_sums(arr))
+            self._current = (tuple(lo), flat.reshape(shape), ls, None)
             self._levels.append(self._current)
 
 
@@ -1130,29 +1061,20 @@ class RadialLatticePowers(PowersCache):
 _ENGINES = {
     "generic": GenericPowers,
     "dense": RadialLatticePowers,
-    "radial": RadialFreePowers,
+    "radial": RadialLatticePowers,
     "radial-lattice": RadialLatticePowers,
 }
 
 
 def pick_engine(descriptor: GroupDescriptor, mu: ScaledMeasure) -> str:
-    """Fastest applicable engine for this (descriptor, measure) pair."""
-    if isinstance(descriptor, LatticeGroup):
-        return "dense"
-    if isinstance(descriptor, FreeGroup):
-        try:
-            radial_reduce(mu, descriptor)
-            return "radial"
-        except IsotropyError:
-            return "generic"
-    if isinstance(descriptor, ProductGroup):
-        try:
-            if _cartesian_split(descriptor, mu) is not None:
-                return "radial-lattice"
-        except IsotropyError:
-            pass
-        return "generic"
-    return "generic"
+    """Fastest applicable engine for this (descriptor, measure) pair: the
+    array engine wherever the measure splits into isotropic tree values and
+    lattice moves, else the generic engine."""
+    try:
+        split = _cartesian_split(descriptor, mu)
+    except IsotropyError:
+        split = None
+    return "generic" if split is None else _array_engine_name(descriptor)
 
 
 def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: int,
@@ -1163,14 +1085,19 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
     """Compute and retain mu^{*m} for m = 0..depth.
 
     ``track`` declares elements that must stay queryable at every level if
-    full retention would blow the memory budget (deep dense/product runs).
+    full retention would blow ``memory_budget_mb``.  Both apply to deep
+    radial (free-group), dense and radial-lattice runs alike; without a
+    track set such a run raises BudgetExceededError.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     name = pick_engine(descriptor, mu) if engine == "auto" else engine
-    if name == "radial":
-        return RadialFreePowers(descriptor, mu, depth)
-    if name in ("dense", "radial-lattice"):
+    if name in ("dense", "radial", "radial-lattice"):
+        # one class serves the three names; each fits one kind of group
+        if name != _array_engine_name(descriptor):
+            raise PreconditionError(
+                f"engine {name!r} does not serve walks on {descriptor.spec_string()}"
+            )
         return RadialLatticePowers(
             descriptor, mu, depth, memory_budget_mb=memory_budget_mb, track=track
         )

@@ -11,7 +11,7 @@ import pytest
 import walkops as w
 from walkops import powers
 from walkops.errors import CoverageError, DescriptorMismatchError, PreconditionError
-from walkops.measures import log_radial_mass
+from walkops.measures import log_radial_mass, radial_reduce, radial_step
 from walkops.powers import GenericPowers, _pack, _unpack
 
 DATA = Path(__file__).parent / "data"
@@ -24,6 +24,11 @@ def test_engine_selection(lattice1, lattice2, free2, lamp1, lazy_z, lazy_z2,
     assert w.convolution_powers(lamp1, lamp_mu, 4).engine_name == "generic"
     aniso = w.parse_measure("a 1/2\nA 1/6\nb 1/6\nB 1/6", free2)
     assert w.convolution_powers(free2, aniso, 4).engine_name == "generic"
+    # one class serves the three array engine names, each for one kind of group
+    for desc, mu, name in ((lattice1, lazy_z, "radial"), (free2, iso_f2, "dense"),
+                           (lattice1, lazy_z, "radial-lattice")):
+        with pytest.raises(PreconditionError):
+            w.convolution_powers(desc, mu, 2, engine=name)
 
 
 def test_level_zero_is_point_mass(lattice1, lazy_z):
@@ -109,6 +114,38 @@ def test_radial_vs_generic_equality(free2, iso_f2):
         lvl = generic.level_measure(m)
         for g, v in lvl.items_values():
             assert radial.value(m, g) == pytest.approx(v, rel=1e-12)
+
+
+def _radial_reference(desc, mu, depth):
+    """(values, log scale) of every level, stepped as the free-group engine
+    has always stepped: radial_step, divide by the peak, add the measure's
+    log scale and log(peak)."""
+    radial = radial_reduce(mu, desc)
+    vals, ls = np.array([1.0]), 0.0
+    levels = [(vals, ls)]
+    for _ in range(depth):
+        vals = radial_step(vals, radial.values, radial.tree_degree)
+        peak = vals.max()
+        vals = vals / peak
+        ls = ls + radial.log_scale + math.log(peak)
+        levels.append((vals, ls))
+    return levels
+
+
+def test_radial_levels_match_reference_step(free2, iso_f2):
+    """The array engine's free-group case (trivial lattice) reproduces the
+    reference radial step bit for bit: a lazy isotropic F2 walk and a
+    non-lazy F3 walk."""
+    f3 = w.FreeGroup(3)
+    srw_f3 = w.parse_measure("a 1/6\nA 1/6\nb 1/6\nB 1/6\nc 1/6\nC 1/6", f3)
+    for desc, mu, depth in ((free2, iso_f2, 400), (f3, srw_f3, 200)):
+        cache = w.convolution_powers(desc, mu, depth)
+        assert cache.engine_name == "radial"
+        for m, (vals, ls) in enumerate(_radial_reference(desc, mu, depth)):
+            level = cache.level_radial(m)
+            assert level.values.dtype == vals.dtype
+            assert level.values.tobytes() == vals.tobytes(), (desc, m)
+            assert cache.level_log_scale(m) == ls, (desc, m)
 
 
 def test_radial_lattice_vs_generic_equality():
@@ -272,7 +309,9 @@ def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2
     srw_f2 = w.parse_measure("a 1/4\nA 1/4\nb 1/4\nB 1/4", free2)
     z_up = w.parse_measure("(1) 1/3\n(2) 2/3", lattice1)  # never returns to 0
     cases = [  # (full cache, tracked twin or None)
-        (w.convolution_powers(free2, iso_f2, 400), None),
+        (w.convolution_powers(free2, iso_f2, 400),
+         w.convolution_powers(free2, iso_f2, 400, engine="radial",
+                              memory_budget_mb=0, track=free2.ball(3))),
         (w.convolution_powers(free2, srw_f2, 120), None),
         (w.convolution_powers(lattice1, lazy_z, 64),
          w.convolution_powers(lattice1, lazy_z, 64, engine="dense",
@@ -329,6 +368,10 @@ def _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2, lamp1, lam
     cases += [(label + " re-imported", w.import_cache_json(w.export_cache_json(cache)),
                elems, []) for label, cache, elems in full]
     cases += [
+        ("radial tracked",
+         w.convolution_powers(free2, iso_f2, 60, engine="radial",
+                              memory_budget_mb=0, track=free2.ball(3)),
+         free2.ball(3), [(1, 1, 1, 1), far_f2[0]]),
         ("dense tracked",
          w.convolution_powers(lattice1, lazy_z, 64, engine="dense",
                               memory_budget_mb=0, track=[(-3,), (3,)]),
@@ -553,11 +596,6 @@ def _table_size(p):
     return len(_unpack(p["elements"]["lengths"]))
 
 
-def _empty_level_1(sizes):
-    sizes[2] += sizes[1]
-    sizes[1] = 0
-
-
 FREE2 = w.FreeGroup(2)
 TAMPERS = {
     "duplicate element": _edit_elements(lambda xs: xs.__setitem__(2, xs[1])),
@@ -578,7 +616,8 @@ TAMPERS = {
     "more vals than ids": _edit_key("vals", lambda arr: np.append(arr, 0.5)),
     "fewer vals than ids": _edit_key("vals", lambda arr: arr[:-1]),
     "float ids": _edit_key("ids", lambda arr: arr.astype(float)),
-    "empty level": _edit_key("sizes", _empty_level_1),
+    "empty level": _edit_key(
+        "sizes", lambda arr: arr.__setitem__(slice(1, 3), [0, arr[1] + arr[2]])),
     "sizes short of the ids": _edit_key(
         "sizes", lambda arr: arr.__setitem__(-1, arr[-1] - 1)),
     "infinite log_scale": _edit_key(
@@ -615,9 +654,9 @@ def test_generic_lamplighter_tampered_lamps_rejected(lamp1, lamp_mu):
         w.import_cache_json(json.dumps(doc))
 
 
-def _array_tampers(sizes_key):
-    """Tampers for the radial ("sizes") and array ("shapes") payloads."""
-    common = {
+def _array_tampers():
+    """Tampers for the array payload (radial, dense and radial-lattice)."""
+    return {
         "NaN value": _edit_key("values", lambda arr: arr.__setitem__(3, math.nan)),
         "negative value": _edit_key("values", lambda arr: arr.__setitem__(3, -0.25)),
         "infinite value": _edit_key("values", lambda arr: arr.__setitem__(3, math.inf)),
@@ -635,24 +674,18 @@ def _array_tampers(sizes_key):
         "one log_scale short": _edit_key("log_scales", lambda arr: arr[:-1]),
         "bad dtype": lambda p: p["values"].__setitem__("dtype", "<f4"),
         "invalid base64": lambda p: p["values"].__setitem__("data", "@@@@"),
+        # (1, 0) is level 1's radius count, there at every lattice width
+        "empty level": _edit_key("shapes", lambda arr: arr.__setitem__((1, 0), 0)),
+        "shapes past the values": _edit_key(
+            "shapes", lambda arr: arr.__setitem__((-1, -1), arr[-1, -1] + 1)),
+        # one more column; doubling an empty-width radial lat_lo would not widen it
+        "lat_lo of the wrong width": _edit_key(
+            "lat_lo", lambda arr: np.hstack([arr, np.zeros((len(arr), 1), arr.dtype)])),
+        "float lat_lo": _edit_key("lat_lo", lambda arr: arr.astype(float)),
     }
-    if sizes_key == "sizes":
-        common["empty level"] = _edit_key("sizes", _empty_level_1)
-        common["sizes past the values"] = _edit_key(
-            "sizes", lambda arr: arr.__setitem__(-1, arr[-1] + 1))
-    else:
-        common["empty level"] = _edit_key(
-            "shapes", lambda arr: arr.__setitem__((1, 1), 0))
-        common["shapes past the values"] = _edit_key(
-            "shapes", lambda arr: arr.__setitem__((-1, -1), arr[-1, -1] + 1))
-        common["lat_lo of the wrong width"] = _edit_key(
-            "lat_lo", lambda arr: np.hstack([arr, arr]))
-        common["float lat_lo"] = _edit_key("lat_lo", lambda arr: arr.astype(float))
-    return common
 
 
-ARRAY_CASES = [
-    ("radial", "sizes"), ("dense", "shapes"), ("radial-lattice", "shapes")]
+ARRAY_ENGINES = ["radial", "dense", "radial-lattice"]
 
 
 @pytest.fixture(scope="module")
@@ -662,21 +695,32 @@ def array_artifacts(lattice1, lazy_z, free2, iso_f2, product_f2z, cartesian_mu):
         w.convolution_powers(lattice1, lazy_z, 6),
         w.convolution_powers(product_f2z, cartesian_mu, 5),
     ]
-    assert [c.engine_name for c in caches] == [e for e, _ in ARRAY_CASES]
+    assert [c.engine_name for c in caches] == ARRAY_ENGINES
     return {c.engine_name: json.loads(w.export_cache_json(c)) for c in caches}
 
 
 @pytest.mark.parametrize("engine,tamper", [
-    (engine, name) for engine, key in ARRAY_CASES
-    for name in sorted(_array_tampers(key))])
+    (engine, name) for engine in ARRAY_ENGINES for name in sorted(_array_tampers())])
 def test_array_tampered_artifact_rejected(array_artifacts, engine, tamper):
     """The radial, dense and radial-lattice payloads are checked at import
     as the generic one is."""
     assert w.import_cache_json(json.dumps(array_artifacts[engine])).engine_name == engine
     doc = copy.deepcopy(array_artifacts[engine])
-    key = dict(ARRAY_CASES)[engine]
-    _array_tampers(key)[tamper](doc["payload"])
+    _array_tampers()[tamper](doc["payload"])
     with pytest.raises(ValueError):
+        w.import_cache_json(json.dumps(doc))
+
+
+def test_old_radial_layout_rejected(array_artifacts):
+    """A radial artifact in the layout of the former free-group engine
+    (per-level ``sizes`` and one ``values`` array, no ``lat_lo`` or
+    ``shapes``) is malformed for the array engine, so a cache reader
+    rebuilds it."""
+    doc = copy.deepcopy(array_artifacts["radial"])
+    payload = doc["payload"]
+    payload["sizes"] = _pack(_unpack(payload.pop("shapes"))[:, 0])
+    del payload["lat_lo"]
+    with pytest.raises(ValueError, match="malformed"):
         w.import_cache_json(json.dumps(doc))
 
 
