@@ -62,9 +62,7 @@ class Workspace:
 
     def track_elements(self):
         """Union of elements every configured job may query, for deep caches
-        that fall back to tracked retention.  A generator: the set is built
-        on first iteration, which the array engine makes only when full
-        retention would exceed its memory budget."""
+        that fall back to tracked retention."""
         cfg = self.cfg
         desc = cfg.descriptor
         inv = desc.inverse
@@ -98,7 +96,7 @@ class Workspace:
             for x in desc.ball(cfg.getint("metric", "ball_radius")):
                 needed.add(mul(inv(x), y))
                 needed.add(mul(inv(x), z))
-        yield from needed
+        return needed
 
     def cache(self):
         if self._cache is None:
@@ -129,9 +127,10 @@ class Workspace:
                     else:
                         self._cache = cache
             if self._cache is None:
-                # a track set only matters for the array engine's memory
+                # a track set only matters for the engines with a memory
                 # fallback; the generic engine is governed by support_cap
-                track = self.track_elements() if name != "generic" else None
+                track = (self.track_elements()
+                         if name in ("dense", "radial-lattice") else None)
                 self._cache = convolution_powers(
                     cfg.descriptor, cfg.measure,
                     cfg.getint("walk", "depth"),

@@ -22,14 +22,17 @@ quotients.
 
 Retention is ``full`` (every level queryable everywhere) or ``tracked``
 (every level queryable on a declared element set / region only, bounding
-memory for deep caches).
+memory for deep caches).  A free-group walk (d = 0) is always fully
+retained: its level mass needs every radius, so a tracked level would keep
+as many floats as a full one.
 
 The array engine computes a level's mass on the first ``level_mass`` call
 and memoizes it: ``log_radial_mass`` is an O(m) Python loop per level,
 which no build needs.  The mass needs the per-radius row sums of the full
 level array.  A full level keeps no copy of them and sums its array on
-that call; a tracked level, which keeps only part of its array, keeps the
-row sums of the whole.
+that call; a tracked level (d >= 1), which keeps only part of its array,
+keeps the row sums of the whole, O(m) floats against its O(m^(d+1))
+cells.
 
 ``log_column(g)`` is the whole history of one entry: log mu^{*m}(g) for
 m = 0..depth as a read-only float array, -inf where the entry is absent.
@@ -69,7 +72,8 @@ dtype is not one of the three; element arrays that fail the descriptor's
 (the generic import builds no element tuples); ids that are not strictly
 increasing within a level or fall outside the table; stored values that
 are not finite and positive (non-negative on the array engine); empty
-levels; log scales that are not finite.
+levels; log scales that are not finite; an array engine name that does
+not serve the descriptor's walks.
 """
 
 from __future__ import annotations
@@ -809,8 +813,6 @@ def _cell(level, r, v):
     """The stored mantissa at (tree radius r, lattice point v) of an array
     level, 0.0 when the point lies outside its array."""
     lat_lo, arr, _, _ = level
-    if not lat_lo:  # a free-group level: one value per radius, r >= 0
-        return arr[r] if r < len(arr) else 0.0
     idx = (r, *map(operator.sub, v, lat_lo))
     for i, n in zip(idx, arr.shape):
         if not 0 <= i < n:
@@ -847,7 +849,9 @@ class RadialLatticePowers(PowersCache):
         super().__init__(descriptor, mu)
         self._setup()
         d = len(self._lo_step)
-        est = self._estimate_bytes(depth)
+        # the budget binds lattice walks only: a tracked free-group level
+        # would keep its row sums, which are the whole level at d = 0
+        est = self._estimate_bytes(depth) if d else 0
         if est > memory_budget_mb * 2**20:
             if track is None:
                 raise BudgetExceededError(
@@ -993,10 +997,10 @@ class RadialLatticePowers(PowersCache):
 
     def level_radial(self, m) -> RadialMeasure:
         """A level of a free-group walk as its per-radius values; other
-        walks and tracked caches raise CoverageError."""
+        walks raise CoverageError."""
         self._check_level(m)
-        if self.engine_name != "radial" or self._track_region is not None:
-            raise CoverageError("only a full radial cache has radial levels")
+        if self.engine_name != "radial":
+            raise CoverageError("only a radial cache has radial levels")
         _, arr, ls, _ = self._levels[m]
         return RadialMeasure(
             values=arr.copy(), log_scale=ls, tree_degree=self.q, step_index=m
@@ -1086,8 +1090,10 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
 
     ``track`` declares elements that must stay queryable at every level if
     full retention would blow ``memory_budget_mb``.  Both apply to deep
-    radial (free-group), dense and radial-lattice runs alike; without a
-    track set such a run raises BudgetExceededError.
+    dense and radial-lattice runs; without a track set such a run raises
+    BudgetExceededError.  A radial (free-group) run is always fully
+    retained: a tracked level would still keep the per-radius row sums its
+    mass needs, which at d = 0 are the whole level.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -1166,6 +1172,12 @@ def import_cache_json(text: str) -> PowersCache:
         depth = doc["depth"]
     except (LookupError, TypeError, AttributeError, WalkopsError) as exc:
         raise ValueError(f"malformed powers-cache artifact: {exc!r}") from exc
+    if cache.engine_name != engine:
+        # one class serves the three array names; the descriptor picks one
+        raise ValueError(
+            f"powers-cache artifact says engine {engine!r}, but its walk is "
+            f"served by {cache.engine_name!r}"
+        )
     if not isinstance(complete, bool) or not isinstance(budget_note, str):
         raise ValueError("malformed powers-cache artifact: bad complete/budget_note")
     if depth != cache.depth:

@@ -344,20 +344,21 @@ def test_tracked_product_cache_full_pipeline(tmp_path):
     assert "(e|(1))" in rad["flagged"] and "(a|(0))" not in rad["flagged"]
 
 
-def test_tracked_radial_cache_full_pipeline(cfg_file, tmp_path):
-    """A free-group run whose memory budget forces tracked retention (the
-    radial engine is the array engine, so the budget binds it too) runs
-    every job and writes the full run's output tree byte for byte.  A
-    tracked cache is not exportable, so no artifact is written."""
-    tracked = tmp_path / "tracked.ini"
-    tracked.write_text(FREE2_CFG.replace("depth = 300", "depth = 300\nmemory_budget_mb = 0"),
-                       encoding="utf-8")
-    full_out, tracked_out = tmp_path / "full", tmp_path / "tracked_out"
+def test_radial_run_ignores_memory_budget(cfg_file, tmp_path):
+    """A free-group run is fully retained whatever its memory budget (a
+    tracked radial level would save nothing), so with ``memory_budget_mb =
+    0`` it writes the full run's output tree byte for byte and its cache
+    artifact, which a second run reads."""
+    zero = tmp_path / "zero.ini"
+    zero.write_text(FREE2_CFG.replace("depth = 300", "depth = 300\nmemory_budget_mb = 0"),
+                    encoding="utf-8")
+    full_out, zero_out = tmp_path / "full", tmp_path / "zero_out"
     assert main(["report", "--config", str(cfg_file), "--out", str(full_out)]) == 0
-    assert main(["report", "--config", str(tracked), "--out", str(tracked_out),
-                 "--cache-dir", str(tmp_path / "cache")]) == 0
-    assert _tree(tracked_out) == _tree(full_out)
-    assert not list((tmp_path / "cache").glob("powers-*.json"))
+    for run in ("1", "2"):
+        assert main(["report", "--config", str(zero), "--out", str(zero_out / run),
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert _tree(zero_out / run) == _tree(full_out)
+    assert len(list((tmp_path / "cache").glob("powers-*.json"))) == 1
 
 
 def test_config_round_trip(cfg_file):

@@ -148,6 +148,23 @@ def test_radial_levels_match_reference_step(free2, iso_f2):
             assert cache.level_log_scale(m) == ls, (desc, m)
 
 
+def test_radial_ignores_memory_budget(free2, iso_f2):
+    """A free-group walk is fully retained whatever the memory budget: a
+    tracked level would keep the per-radius row sums its mass needs, which
+    at d = 0 are the whole level.  With no budget and a track set the cache
+    still has every radius, every level and an artifact."""
+    full = w.convolution_powers(free2, iso_f2, 60)
+    for track in (None, free2.ball(1)):
+        cache = w.convolution_powers(free2, iso_f2, 60, memory_budget_mb=0,
+                                     track=track)
+        assert cache.complete
+        assert w.export_cache_json(cache) == w.export_cache_json(full)
+        far = (1,) * 40
+        assert cache.log_column(far).tobytes() == full.log_column(far).tobytes()
+        assert cache.level_radial(60).values.tobytes() == \
+            full.level_radial(60).values.tobytes()
+
+
 def test_radial_lattice_vs_generic_equality():
     desc = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1))
     mu_text = (
@@ -309,9 +326,7 @@ def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2
     srw_f2 = w.parse_measure("a 1/4\nA 1/4\nb 1/4\nB 1/4", free2)
     z_up = w.parse_measure("(1) 1/3\n(2) 2/3", lattice1)  # never returns to 0
     cases = [  # (full cache, tracked twin or None)
-        (w.convolution_powers(free2, iso_f2, 400),
-         w.convolution_powers(free2, iso_f2, 400, engine="radial",
-                              memory_budget_mb=0, track=free2.ball(3))),
+        (w.convolution_powers(free2, iso_f2, 400), None),
         (w.convolution_powers(free2, srw_f2, 120), None),
         (w.convolution_powers(lattice1, lazy_z, 64),
          w.convolution_powers(lattice1, lazy_z, 64, engine="dense",
@@ -368,10 +383,6 @@ def _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2, lamp1, lam
     cases += [(label + " re-imported", w.import_cache_json(w.export_cache_json(cache)),
                elems, []) for label, cache, elems in full]
     cases += [
-        ("radial tracked",
-         w.convolution_powers(free2, iso_f2, 60, engine="radial",
-                              memory_budget_mb=0, track=free2.ball(3)),
-         free2.ball(3), [(1, 1, 1, 1), far_f2[0]]),
         ("dense tracked",
          w.convolution_powers(lattice1, lazy_z, 64, engine="dense",
                               memory_budget_mb=0, track=[(-3,), (3,)]),
@@ -709,6 +720,20 @@ def test_array_tampered_artifact_rejected(array_artifacts, engine, tamper):
     _array_tampers()[tamper](doc["payload"])
     with pytest.raises(ValueError):
         w.import_cache_json(json.dumps(doc))
+
+
+def test_array_engine_relabel_rejected(array_artifacts):
+    """An array artifact whose engine field names another array engine is
+    malformed: one class loads the three names, and the descriptor fixes
+    which one a cache is."""
+    for engine in ARRAY_ENGINES:
+        for label in ARRAY_ENGINES:
+            if label == engine:
+                continue
+            doc = copy.deepcopy(array_artifacts[engine])
+            doc["engine"] = label
+            with pytest.raises(ValueError, match="engine"):
+                w.import_cache_json(json.dumps(doc))
 
 
 def test_old_radial_layout_rejected(array_artifacts):
