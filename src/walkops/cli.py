@@ -16,7 +16,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import fock as fk
 from .config import RunConfig
 from .errors import (
     BudgetExceededError,
@@ -143,7 +142,9 @@ class Workspace:
                     try:
                         text = export_cache_json(self._cache)
                     except CoverageError:
-                        pass  # tracked caches are not exportable
+                        print("walkops: tracked caches are not written to "
+                              "--cache-dir (memory_budget_mb forced tracked "
+                              "retention)", file=sys.stderr)
                     else:
                         write_text_atomic(str(artifact), text)
         return self._cache
@@ -181,9 +182,12 @@ class Workspace:
             self._table = KernelTable(self.cache(), rho_hat=self.spectral().rho_hat)
         return self._table
 
-    def fock_window(self) -> fk.FockWindow:
+    def fock_window(self):
         """The [fock] window, built once and shared by fock and covariance."""
         if self._window is None:
+            # a local import: scipy loads only for the jobs that build a window
+            from . import fock as fk
+
             cfg = self.cfg
             self._window = fk.FockWindow(
                 self.cache(),
@@ -374,6 +378,8 @@ def _fock_xy(ws: Workspace):
 
 
 def cmd_fock(ws: Workspace) -> int:
+    from . import fock as fk
+
     cfg = ws.cfg
     desc = cfg.descriptor
     window = ws.fock_window()
@@ -418,6 +424,8 @@ def cmd_fock(ws: Workspace) -> int:
 
 
 def cmd_covariance(ws: Workspace) -> int:
+    from . import fock as fk
+
     cfg = ws.cfg
     desc = cfg.descriptor
     window = ws.fock_window()

@@ -363,7 +363,8 @@ def radial_reduce(mu: ScaledMeasure, descriptor: FreeGroup,
     """Collapse an isotropic measure on F_s to per-radius values.
 
     Raises IsotropyError unless every element of each sphere carries the
-    same mass (within ``rel_tol`` relative).
+    same mass (within ``rel_tol`` relative); a sphere's value is its
+    smallest element mass.
     """
     if not isinstance(descriptor, FreeGroup):
         raise PreconditionError("radial reduction requires a free-group descriptor")
@@ -385,7 +386,8 @@ def radial_reduce(mu: ScaledMeasure, descriptor: FreeGroup,
                 f"sphere radius {r}: {len(entries)} of {sphere_size(q, r)} "
                 "elements carry mass"
             )
-        values[r] = vals[0]
+        # the smallest, so the value does not depend on the support's order
+        values[r] = lo
     return RadialMeasure(
         values=values,
         log_scale=mu.log_scale,

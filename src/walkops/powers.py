@@ -49,31 +49,36 @@ the Fock window) read columns, never ``log_value`` level by level; the
 period of the walk is read once per cache from the identity's column
 (``aperiodicity``).
 
-``export_cache_json`` writes a version-4 JSON artifact whose numbers are
-packed arrays (``_pack``: dtype, shape and the base64 of the little-endian
-bytes; integers as ``<i4`` where they fit, else ``<i8``, floats as ``<f8``,
-so every bit survives).  Every engine stores its levels concatenated, with
-per-level ``sizes`` (or ``shapes``) and ``log_scales``:
+``export_cache_json`` writes a version-4 JSON artifact: a header
+(descriptor, measure, depth, engine, complete, budget_note) and a
+``payload``.
 
-* ``generic``    the element table as the descriptor's ``encode_elements``
-                 arrays (elements in id order), one ``ids`` array of
-                 sorted per-level ids into that table and one ``vals``
-                 array
-* array          ``lat_lo`` (levels, d), ``shapes`` (levels, d + 1) and
-                 the raveled level arrays as one ``values`` array; a
-                 ``radial`` artifact has d = 0, so its ``lat_lo`` is an
-                 empty-width (levels, 0) array and its ``shapes`` hold
-                 each level's radius count
+* array          the payload is empty: the artifact is the cache's recipe.
+                 Its levels are a deterministic function of (descriptor,
+                 measure, depth), and rebuilding them costs about what
+                 reading them would, so ``import_cache_json`` runs one
+                 ``convolution_powers`` build, with no memory budget (only
+                 fully retained caches export), and returns the cache bit
+                 for bit
+* ``generic``    the payload holds the levels as packed arrays (``_pack``:
+                 dtype, shape and the base64 of the little-endian bytes;
+                 integers as ``<i4`` where they fit, else ``<i8``, floats
+                 as ``<f8``, so every bit survives): the element table as
+                 the descriptor's ``encode_elements`` arrays (elements in id
+                 order), per-level ``sizes`` and ``log_scales``, one
+                 ``ids`` array of sorted per-level ids into that table and
+                 one ``vals`` array
 
 ``import_cache_json`` rejects any other version and any malformed artifact
-with ValueError: a packed array whose bytes do not fill its shape, or whose
-dtype is not one of the three; element arrays that fail the descriptor's
-``check_encoded``, repeat an element or do not hold the identity at id 0
-(the generic import builds no element tuples); ids that are not strictly
-increasing within a level or fall outside the table; stored values that
-are not finite and positive (non-negative on the array engine); empty
-levels; log scales that are not finite; an array engine name that does
-not serve the descriptor's walks.
+with ValueError: an array artifact with a non-empty payload, a depth that
+is not a non-negative integer or an engine name that does not serve the
+descriptor's walks; on ``generic``, a packed array whose bytes do not fill
+its shape, or whose dtype is not one of the three; element arrays that
+fail the descriptor's ``check_encoded``, repeat an element or do not hold
+the identity at id 0 (the generic import builds no element tuples); ids
+that are not strictly increasing within a level or fall outside the table;
+stored values that are not finite and positive; empty levels; log scales
+that are not finite.
 """
 
 from __future__ import annotations
@@ -118,8 +123,9 @@ DEFAULT_SUPPORT_CAP = 2_000_000
 DEFAULT_MEMORY_BUDGET_MB = 512
 # version 2: one array payload (lat_lo, (r, *lattice) values) for the
 # dense and radial-lattice engines; version 3: the generic payload is an
-# element table plus per-level id and value lists; version 4: every payload
-# is packed arrays, the generic element table included
+# element table plus per-level id and value lists; version 4: the generic
+# payload is packed arrays, the element table included (an array artifact
+# of this version is read only with an empty payload)
 ARTIFACT_VERSION = 4
 _PACKED_DTYPES = ("<i4", "<i8", "<f8")
 
@@ -215,26 +221,6 @@ class PowersCache:
             f"{self.engine_name} engine does not materialize full levels"
         )
 
-    def export_payload(self) -> dict:
-        raise NotImplementedError
-
-    def _setup(self):
-        """Measure-derived state, shared by construction and import."""
-        raise NotImplementedError
-
-    def _load_payload(self, payload: dict):
-        """Restore and check the levels of ``export_payload``; runs after
-        ``_setup``."""
-        raise NotImplementedError
-
-    @classmethod
-    def _from_payload(cls, descriptor, mu, payload):
-        self = cls.__new__(cls)
-        PowersCache.__init__(self, descriptor, mu)
-        self._setup()
-        self._load_payload(payload)
-        return self
-
 
 def transition(cache: PowersCache, n: int, x, y) -> float:
     """P^(n)_{x,y} as a plain float (0.0 when the edge is absent)."""
@@ -312,16 +298,13 @@ def _unpack(doc) -> np.ndarray:
     return np.frombuffer(raw, dtype=dt).reshape(shape)
 
 
-def _unpack_values(doc, what: str, positive: bool = False) -> np.ndarray:
-    """A packed 1-d float array of stored values, finite and non-negative
-    (positive when ``positive``)."""
+def _unpack_values(doc, what: str) -> np.ndarray:
+    """A packed 1-d float array of stored values, finite and positive."""
     vals = _unpack(doc)
     if (vals.dtype.kind != "f" or vals.ndim != 1 or not np.all(np.isfinite(vals))
-            or not np.all(vals > 0.0 if positive else vals >= 0.0)):
-        raise ValueError(
-            f"{what}: values are not one 1-d array of finite "
-            f"{'positive' if positive else 'non-negative'} floats"
-        )
+            or not np.all(vals > 0.0)):
+        raise ValueError(f"{what}: values are not one 1-d array of finite "
+                         "positive floats")
     return vals
 
 
@@ -567,6 +550,7 @@ class GenericPowers(PowersCache):
                 break
 
     def _setup(self):
+        """Measure-derived state, shared by construction and import."""
         desc = self.descriptor
         items = sorted(self.mu.support.items(), key=lambda gv: desc.sort_key(gv[0]))
         self._mu_elems = [g for g, _ in items]
@@ -730,15 +714,19 @@ class GenericPowers(PowersCache):
             "vals": _pack(np.concatenate([level.vals for level in levels])),
         }
 
-    def _load_payload(self, payload):
-        desc = self.descriptor
+    @classmethod
+    def _from_payload(cls, desc, mu, payload):
+        """The cache of an ``export_payload``, its levels checked."""
+        self = cls.__new__(cls)
+        PowersCache.__init__(self, desc, mu)
+        self._setup()
         elements = payload["elements"]
         arrays = {key: _unpack(elements[key]) for key in desc.encode_elements([])}
         desc.check_encoded(arrays)
         self._table = _ElementTable.load(desc, arrays)
         n = self._table.size
         ids = _unpack(payload["ids"])
-        vals = _unpack_values(payload["vals"], "generic payload", positive=True)
+        vals = _unpack_values(payload["vals"], "generic payload")
         if ids.dtype.kind != "i" or ids.shape != vals.shape:
             raise ValueError("generic payload: ids and vals are not one id per value")
         bounds, log_scales = _level_bounds(payload, "generic payload", len(ids),
@@ -753,6 +741,7 @@ class GenericPowers(PowersCache):
         for level_ids, level_vals, log_scale in zip(
                 id_levels, np.split(vals, bounds), log_scales):
             self._push_level(level_ids, level_vals, log_scale)
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -847,8 +836,35 @@ class RadialLatticePowers(PowersCache):
     def __init__(self, descriptor, mu, depth,
                  memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB, track=None):
         super().__init__(descriptor, mu)
-        self._setup()
-        d = len(self._lo_step)
+        split = _cartesian_split(descriptor, mu)
+        if split is None:
+            raise PreconditionError(
+                "measure is not a Cartesian mixture on free x lattice"
+            )
+        self._tree_vals, lat = split
+        self.engine_name = _array_engine_name(descriptor)
+        if isinstance(descriptor, LatticeGroup):
+            self.q, lattice, self._coords = 0, descriptor, _lattice_coords
+        elif isinstance(descriptor, FreeGroup):
+            self.q, lattice, self._coords = 2 * descriptor.rank, None, _free_coords
+        else:
+            self.q, lattice = 2 * descriptor.left.rank, descriptor.right
+            self._coords = _product_coords
+        # the order of the shifted adds fixes the summation order, hence the bits
+        self._moves = sorted(lat.items(), key=lambda vm: lattice.sort_key(vm[0]))
+        self._mu_ls = mu.log_scale
+        d = lattice.dimension if lattice else 0
+        offs = list(lat) + [(0,) * d]
+        self._lo_step = tuple(min(o[i] for o in offs) for i in range(d))
+        self._hi_step = tuple(max(o[i] for o in offs) for i in range(d))
+        self._r_step = len(self._tree_vals) - 1
+        self._track_region = None
+        # levels: (lat_lo, array[(r, *lattice)], log_scale, row sums).  A
+        # tracked level keeps only part of its array, so it keeps the
+        # per-radius row sums of the whole, which give its mass on first
+        # request; a full level holds None there and sums its own array then
+        self._levels = []
+        self._masses: dict = {}
         # the budget binds lattice walks only: a tracked free-group level
         # would keep its row sums, which are the whole level at d = 0
         est = self._estimate_bytes(depth) if d else 0
@@ -868,38 +884,6 @@ class RadialLatticePowers(PowersCache):
         self._levels.append(self._current)
         for _ in range(depth):
             self._step()
-
-    def _setup(self):
-        descriptor = self.descriptor
-        split = _cartesian_split(descriptor, self.mu)
-        if split is None:
-            raise PreconditionError(
-                "measure is not a Cartesian mixture on free x lattice"
-            )
-        self._tree_vals, lat = split
-        self.engine_name = _array_engine_name(descriptor)
-        if isinstance(descriptor, LatticeGroup):
-            self.q, lattice, self._coords = 0, descriptor, _lattice_coords
-        elif isinstance(descriptor, FreeGroup):
-            self.q, lattice, self._coords = 2 * descriptor.rank, None, _free_coords
-        else:
-            self.q, lattice = 2 * descriptor.left.rank, descriptor.right
-            self._coords = _product_coords
-        # the order of the shifted adds fixes the summation order, hence the bits
-        self._moves = sorted(lat.items(), key=lambda vm: lattice.sort_key(vm[0]))
-        self._mu_ls = self.mu.log_scale
-        d = lattice.dimension if lattice else 0
-        offs = list(lat) + [(0,) * d]
-        self._lo_step = tuple(min(o[i] for o in offs) for i in range(d))
-        self._hi_step = tuple(max(o[i] for o in offs) for i in range(d))
-        self._r_step = len(self._tree_vals) - 1
-        self._track_region = None
-        # levels: (lat_lo, array[(r, *lattice)], log_scale, row sums).  A
-        # tracked level keeps only part of its array, so it keeps the
-        # per-radius row sums of the whole, which give its mass on first
-        # request; a full level holds None there and sums its own array then
-        self._levels = []
-        self._masses: dict = {}
 
     def _estimate_bytes(self, depth):
         total = 0
@@ -1023,51 +1007,13 @@ class RadialLatticePowers(PowersCache):
             support[g] = float(arr[(0,) + tuple(idx)])
         return ScaledMeasure(support=support, log_scale=ls, step_index=m)
 
-    def export_payload(self):
-        if self._track_region is not None:
-            raise CoverageError("tracked caches are not exportable")
-        levels = self._levels
-        d = len(self._lo_step)
-        return {
-            # explicit integer (levels, d): a radial lat_lo is empty-width
-            "lat_lo": _pack(np.array([lat_lo for lat_lo, _, _, _ in levels],
-                                     dtype=np.int64).reshape(len(levels), d)),
-            "shapes": _pack([arr.shape for _, arr, _, _ in levels]),
-            "log_scales": _pack([ls for _, _, ls, _ in levels]),
-            "values": _pack(np.concatenate([arr.ravel() for _, arr, _, _ in levels])),
-        }
-
-    def _load_payload(self, payload):
-        what = f"{self.engine_name} payload"
-        values = _unpack_values(payload["values"], what)
-        lat_lo = _unpack(payload["lat_lo"])
-        shapes = _unpack(payload["shapes"])
-        d = len(self._lo_step)
-        if (lat_lo.dtype.kind != "i" or shapes.dtype.kind != "i"
-                or lat_lo.ndim != 2 or lat_lo.shape[1] != d
-                or shapes.shape != (len(lat_lo), d + 1) or np.any(shapes < 1)):
-            raise ValueError(
-                f"{what}: lat_lo and shapes do not give one (r, *lattice) array "
-                "per level"
-            )
-        bounds, log_scales = _level_bounds(payload, what, len(values),
-                                           shapes.prod(axis=1, dtype=np.int64))
-        for lo, shape, flat, ls in zip(lat_lo.tolist(), shapes.tolist(),
-                                       np.split(values, bounds), log_scales):
-            self._current = (tuple(lo), flat.reshape(shape), ls, None)
-            self._levels.append(self._current)
-
 
 # ---------------------------------------------------------------------------
 # construction and (de)serialization
 # ---------------------------------------------------------------------------
 
-_ENGINES = {
-    "generic": GenericPowers,
-    "dense": RadialLatticePowers,
-    "radial": RadialLatticePowers,
-    "radial-lattice": RadialLatticePowers,
-}
+# one class serves the three names; each fits one kind of group
+_ARRAY_ENGINES = ("dense", "radial", "radial-lattice")
 
 
 def pick_engine(descriptor: GroupDescriptor, mu: ScaledMeasure) -> str:
@@ -1098,8 +1044,7 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
     if depth < 0:
         raise ValueError("depth must be >= 0")
     name = pick_engine(descriptor, mu) if engine == "auto" else engine
-    if name in ("dense", "radial", "radial-lattice"):
-        # one class serves the three names; each fits one kind of group
+    if name in _ARRAY_ENGINES:
         if name != _array_engine_name(descriptor):
             raise PreconditionError(
                 f"engine {name!r} does not serve walks on {descriptor.spec_string()}"
@@ -1115,7 +1060,15 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
 
 
 def export_cache_json(cache: PowersCache) -> str:
-    """Serialize a fully retained cache (descriptor + measure + all levels)."""
+    """Serialize a fully retained cache: descriptor, measure, depth and, on
+    the generic engine, every level.  An array cache is its recipe, so its
+    payload is empty.  A tracked cache raises CoverageError."""
+    if isinstance(cache, GenericPowers):
+        payload = cache.export_payload()
+    elif cache._track_region is not None:
+        raise CoverageError("tracked caches are not exportable")
+    else:
+        payload = {}
     fmt = cache.descriptor.format
     mu_entries = [
         [fmt(g), float(v)] for g, v in sorted(
@@ -1135,13 +1088,14 @@ def export_cache_json(cache: PowersCache) -> str:
             "entries": mu_entries,
             "log_scale": cache.mu.log_scale,
         },
-        "payload": cache.export_payload(),
+        "payload": payload,
     }
     return json.dumps(doc, sort_keys=True)
 
 
 def import_cache_json(text: str) -> PowersCache:
-    """Rebuild a cache from ``export_cache_json`` text.
+    """Rebuild a cache from ``export_cache_json`` text: a generic cache from
+    its payload, an array cache by one ``convolution_powers`` build.
 
     Any malformed artifact (bad JSON, another format or version, missing or
     mistyped fields, an inconsistent payload) raises ValueError, which
@@ -1156,8 +1110,7 @@ def import_cache_json(text: str) -> PowersCache:
             f"expected {ARTIFACT_VERSION}"
         )
     engine = doc.get("engine")
-    cls = _ENGINES.get(engine) if isinstance(engine, str) else None
-    if cls is None:
+    if engine not in ("generic", *_ARRAY_ENGINES):
         raise ValueError(f"unknown engine {engine!r} in powers-cache artifact")
     try:
         descriptor = descriptor_from_string(doc["descriptor"])
@@ -1166,18 +1119,22 @@ def import_cache_json(text: str) -> PowersCache:
             log_scale=float(doc["measure"]["log_scale"]),
             step_index=1,
         )
-        cache = cls._from_payload(descriptor, mu, doc["payload"])
+        payload, depth = doc["payload"], doc["depth"]
+        if type(depth) is not int or depth < 0:
+            raise ValueError(f"malformed powers-cache artifact: depth {depth!r}")
+        if engine == "generic":
+            cache = GenericPowers._from_payload(descriptor, mu, payload)
+        elif payload != {}:
+            raise ValueError("malformed powers-cache artifact: an array cache "
+                             "is stored as its recipe, with an empty payload")
+        else:
+            # only fully retained caches export, so the build needs no budget
+            cache = convolution_powers(descriptor, mu, depth, engine=engine,
+                                       memory_budget_mb=math.inf)
         complete = doc["complete"]
         budget_note = doc.get("budget_note", "")
-        depth = doc["depth"]
     except (LookupError, TypeError, AttributeError, WalkopsError) as exc:
         raise ValueError(f"malformed powers-cache artifact: {exc!r}") from exc
-    if cache.engine_name != engine:
-        # one class serves the three array names; the descriptor picks one
-        raise ValueError(
-            f"powers-cache artifact says engine {engine!r}, but its walk is "
-            f"served by {cache.engine_name!r}"
-        )
     if not isinstance(complete, bool) or not isinstance(budget_note, str):
         raise ValueError("malformed powers-cache artifact: bad complete/budget_note")
     if depth != cache.depth:

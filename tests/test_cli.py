@@ -1,14 +1,18 @@
 """CLI: determinism, exit codes, artifacts, config round-trips, caching."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import walkops
 from walkops.cli import main
 from walkops.config import RunConfig
-from walkops.powers import _unpack
+from walkops.powers import _pack, convolution_powers
 
 DATA = Path(__file__).parent / "data"
 
@@ -130,6 +134,14 @@ def test_report_builds_one_fock_window(cfg_file, tmp_path, monkeypatch):
     monkeypatch.setattr(fk.FockWindow, "__init__", counting_init)
     assert main(["report", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 0
     assert len(built) == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Importing the CLI does not load scipy: walkops.fock, which needs
+    scipy.sparse, is imported by the jobs that build a Fock window."""
+    code = "import sys, walkops.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(walkops.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_spectrum_artifact_schema(cfg_file, tmp_path):
@@ -331,13 +343,20 @@ jobs = spectrum kernel radical metric boundary fock covariance
 """
 
 
-def test_tracked_product_cache_full_pipeline(tmp_path):
+def test_tracked_product_cache_full_pipeline(tmp_path, capsys):
     """A deep Cartesian-product run whose memory budget forces tracked
-    retention still supports every command, including the Fock window."""
+    retention still supports every command, including the Fock window.  Its
+    cache is not exportable: the run says so once and writes no artifact to
+    ``--cache-dir``."""
     cfg = tmp_path / "deep.ini"
     cfg.write_text(TRACKED_PRODUCT_CFG, encoding="utf-8")
     out = tmp_path / "deep_out"
-    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    cache_dir = tmp_path / "cache"
+    assert main(["report", "--config", str(cfg), "--out", str(out),
+                 "--cache-dir", str(cache_dir)]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "tracked" in err and "--cache-dir" in err
+    assert not list(cache_dir.glob("powers-*.json"))
     summary = json.loads((out / "report.json").read_text())
     assert summary["all_passed"]
     rad = json.loads((out / "radical.json").read_text())
@@ -435,20 +454,38 @@ def _truncate(text):
     return text[:100]
 
 
+def _lazy_z_levels():
+    """This config's levels as (lat_lo, (r, *lattice) array, log scale)."""
+    cfg = RunConfig.from_text(LAZY_Z_CFG)
+    cache = convolution_powers(cfg.descriptor, cfg.measure, 64)
+    return [(lat_lo, arr, ls) for lat_lo, arr, ls, _ in cache._levels]
+
+
 def _as_version_1(text):
     """The artifact as the version-1 dense format wrote it: ``lo`` and a
     lattice-only shape, no tree-radius axis, values as a float list."""
     doc = json.loads(text)
-    payload = {key: _unpack(arr) for key, arr in doc["payload"].items()}
-    bounds = np.cumsum(payload["shapes"].prod(axis=1))[:-1]
     doc["version"] = 1
     doc["payload"] = {"levels": [
-        {"lo": lo, "shape": shape[1:], "values": values.tolist(),
+        {"lo": list(lo), "shape": list(arr.shape[1:]), "values": arr.ravel().tolist(),
          "log_scale": log_scale}
-        for lo, shape, values, log_scale in zip(
-            payload["lat_lo"].tolist(), payload["shapes"].tolist(),
-            np.split(payload["values"], bounds), payload["log_scales"].tolist())
+        for lo, arr, log_scale in _lazy_z_levels()
     ]}
+    return json.dumps(doc, sort_keys=True)
+
+
+def _with_array_payload(text):
+    """The artifact as the version-4 array format wrote it before array
+    artifacts became recipes: every level in one packed array."""
+    doc = json.loads(text)
+    assert doc["version"] == 4 and doc["payload"] == {}
+    levels = _lazy_z_levels()
+    doc["payload"] = {
+        "lat_lo": _pack([lo for lo, _, _ in levels]),
+        "shapes": _pack([arr.shape for _, arr, _ in levels]),
+        "log_scales": _pack([ls for _, _, ls in levels]),
+        "values": _pack(np.concatenate([arr.ravel() for _, arr, _ in levels])),
+    }
     return json.dumps(doc, sort_keys=True)
 
 
@@ -471,7 +508,8 @@ def _without_payload(text):
 
 @pytest.mark.parametrize(
     "damage",
-    [_truncate, _as_version_1, _as_version_3, _as_empty_list, _without_payload])
+    [_truncate, _as_version_1, _as_version_3, _as_empty_list, _without_payload,
+     _with_array_payload])
 def test_cache_dir_unreadable_artifact_rebuilt(tmp_path, capsys, damage):
     """A truncated, old-format or malformed artifact is a cache miss: the
     run rebuilds and rewrites it, and its outputs equal a fresh run's."""
