@@ -691,6 +691,66 @@ def array_artifacts(lattice1, lazy_z, free2, iso_f2, product_f2z, cartesian_mu):
     return {c.engine_name: json.loads(w.export_cache_json(c)) for c in caches}
 
 
+def _with_level_payload(doc):
+    """The array artifact ``doc`` as version 4 wrote it before array
+    artifacts became recipes: its levels in one packed payload."""
+    doc = copy.deepcopy(doc)
+    cache = w.import_cache_json(json.dumps(doc))
+    levels = [(lat_lo, arr, ls) for lat_lo, arr, ls, _ in cache._levels]
+    doc["payload"] = {
+        "lat_lo": _pack(np.array([lo for lo, _, _ in levels], dtype=np.int64)
+                        .reshape(len(levels), -1)),
+        "shapes": _pack([arr.shape for _, arr, _ in levels]),
+        "log_scales": _pack([ls for _, _, ls in levels]),
+        "values": _pack(np.concatenate([arr.ravel() for _, arr, _ in levels])),
+    }
+    return doc
+
+
+def _array_tampers():
+    """Tampers for the former array payload (radial, dense and radial-lattice)."""
+    return {
+        "NaN value": _edit_key("values", lambda arr: arr.__setitem__(3, math.nan)),
+        "negative value": _edit_key("values", lambda arr: arr.__setitem__(3, -0.25)),
+        "infinite value": _edit_key("values", lambda arr: arr.__setitem__(3, math.inf)),
+        "one value too many": _edit_key("values", lambda arr: np.append(arr, 0.5)),
+        "values shape past the data": lambda p: p["values"].__setitem__(
+            "shape", [p["values"]["shape"][0] + 1]),
+        "integer values": _edit_key("values", lambda arr: arr.astype(np.int64)),
+        "infinite log_scale": _edit_key(
+            "log_scales", lambda arr: arr.__setitem__(1, math.inf)),
+        "NaN log_scale": _edit_key(
+            "log_scales", lambda arr: arr.__setitem__(1, math.nan)),
+        "string log_scales": lambda p: p.__setitem__("log_scales", "0.0"),
+        "integer log_scales": _edit_key(
+            "log_scales", lambda arr: np.zeros(len(arr), dtype=np.int64)),
+        "one log_scale short": _edit_key("log_scales", lambda arr: arr[:-1]),
+        "bad dtype": lambda p: p["values"].__setitem__("dtype", "<f4"),
+        "invalid base64": lambda p: p["values"].__setitem__("data", "@@@@"),
+        # (1, 0) is level 1's radius count, there at every lattice width
+        "empty level": _edit_key("shapes", lambda arr: arr.__setitem__((1, 0), 0)),
+        "shapes past the values": _edit_key(
+            "shapes", lambda arr: arr.__setitem__((-1, -1), arr[-1, -1] + 1)),
+        # one more column; doubling an empty-width radial lat_lo would not widen it
+        "lat_lo of the wrong width": _edit_key(
+            "lat_lo", lambda arr: np.hstack([arr, np.zeros((len(arr), 1), arr.dtype)])),
+        "float lat_lo": _edit_key("lat_lo", lambda arr: arr.astype(float)),
+    }
+
+
+@pytest.mark.parametrize("engine,tamper", [
+    (engine, name) for engine in ARRAY_ENGINES for name in sorted(_array_tampers())])
+def test_array_tampered_artifact_rejected(array_artifacts, engine, tamper):
+    """An array artifact carrying a level payload, tampered or not, is
+    malformed: the cache is rebuilt from its recipe, never read from levels
+    an artifact supplies."""
+    assert w.import_cache_json(json.dumps(array_artifacts[engine])).engine_name == engine
+    doc = _with_level_payload(array_artifacts[engine])
+    _array_tampers()[tamper](doc["payload"])
+    with pytest.raises(ValueError, match="empty payload"):
+        w.import_cache_json(json.dumps(doc))
+
+
 def test_array_engine_relabel_rejected(array_artifacts):
     """An array artifact whose engine field names another array engine is
     malformed: one class loads the three names, and the descriptor fixes
@@ -703,6 +763,19 @@ def test_array_engine_relabel_rejected(array_artifacts):
             doc["engine"] = label
             with pytest.raises(ValueError, match="engine"):
                 w.import_cache_json(json.dumps(doc))
+
+
+def test_old_radial_layout_rejected(array_artifacts):
+    """A radial artifact in the layout of the former free-group engine
+    (per-level ``sizes`` and one ``values`` array, no ``lat_lo`` or
+    ``shapes``) is malformed for the array engine, so a cache reader
+    rebuilds it."""
+    doc = _with_level_payload(array_artifacts["radial"])
+    payload = doc["payload"]
+    payload["sizes"] = _pack(_unpack(payload.pop("shapes"))[:, 0])
+    del payload["lat_lo"]
+    with pytest.raises(ValueError, match="malformed"):
+        w.import_cache_json(json.dumps(doc))
 
 
 def test_packed_arrays_keep_every_bit():
