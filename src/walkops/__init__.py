@@ -30,7 +30,6 @@ from .powers import (
 )
 from .ratiolimit import (
     BoundConstants,
-    CartesianKernelTable,
     ClosedFormFreeTable,
     ConstantKernelTable,
     KernelEntry,

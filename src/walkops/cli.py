@@ -126,8 +126,9 @@ class Workspace:
                     else:
                         self._cache = cache
             if self._cache is None:
-                # a track set only matters for the engines with a memory
-                # fallback; the generic engine is governed by support_cap
+                # a track set only matters where a lattice cache (a
+                # product's lattice factor too) may fall back to tracked
+                # retention; the generic engine is governed by support_cap
                 track = (self.track_elements()
                          if name in ("dense", "radial-lattice") else None)
                 self._cache = convolution_powers(

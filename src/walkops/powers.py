@@ -1,15 +1,18 @@
 """Convolution-power caches: every level of mu^{*m} for m = 0..M.
 
 Iterative powering (never binary) so that ratio sequences can read every
-level.  Two engines share one query interface:
+level.  Three engines share one query interface:
 
-* array          one array over (tree radius, lattice point) per level,
-                 for walks that split into an isotropic free-group move
-                 and lattice moves on F_s x Z^d: ``radial`` (isotropic
-                 free-group walks, the case d = 0, O(m) radii per level),
-                 ``dense`` (lattice walks, the trivial tree with radius 0
-                 only) and ``radial-lattice`` (Cartesian (isotropic free)
-                 x (lattice) walks)
+* array          one array over (tree radius, lattice point) per level:
+                 ``radial`` (isotropic free-group walks, the trivial
+                 lattice, d = 0, O(m) radii per level) and ``dense``
+                 (lattice walks, the trivial tree with radius 0 only)
+* ``radial-lattice``  Cartesian walks mu = p·(mu_F x δ) + q·(δ x mu_Z) on
+                 F_s x Z^d with an isotropic tree factor.  No product
+                 level is stored: the cache holds a ``radial`` cache of
+                 mu_F and a ``dense`` cache of mu_Z, and an entry is the
+                 binomial mix mu^{*m}(w, v) = Σ_k C(m,k) p^k q^(m-k)
+                 mu_F^{*k}(w) mu_Z^{*(m-k)}(v), summed in log space
 * ``generic``    anything else: a table of the descriptor's element
                  arrays with an exact hash index, grown one
                  ``mul_encoded`` batch per support element per step;
@@ -18,21 +21,21 @@ level.  Two engines share one query interface:
 An entry of mu^{*m} "exists" exactly when it is present/positive in the
 level storage; zeros are never stored.  Each level keeps mantissas with a
 shared log scale, so entry ratios within a level are exact float
-quotients.
+quotients.  A product keeps every level of both factors.
 
-Retention is ``full`` (every level queryable everywhere) or ``tracked``
-(every level queryable on a declared element set / region only, bounding
-memory for deep caches).  A free-group walk (d = 0) is always fully
-retained: its level mass needs every radius, so a tracked level would keep
-as many floats as a full one.
+Retention is ``full`` (every level queryable everywhere) or ``tracked``.
+A ``dense`` cache that would blow its memory budget keeps every level on
+the lattice box spanned by a declared track set only.  A product hands its
+budget and its track set, projected to lattice points, to its lattice
+factor; without a track set both factors are fully retained.  A free-group
+walk is always fully retained: its level mass needs every radius, so a
+tracked level would keep as many floats as a full one.
 
 The array engine computes a level's mass on the first ``level_mass`` call
 and memoizes it: ``log_radial_mass`` is an O(m) Python loop per level,
-which no build needs.  The mass needs the per-radius row sums of the full
-level array.  A full level keeps no copy of them and sums its array on
-that call; a tracked level (d >= 1), which keeps only part of its array,
-keeps the row sums of the whole, O(m) floats against its O(m^(d+1))
-cells.
+which no build needs.  A full level sums its array on that call; a
+tracked level, which keeps only part of its array, keeps the sum of the
+whole.  A product's level mass is the binomial mix of its factors'.
 
 ``log_column(g)`` is the whole history of one entry: log mu^{*m}(g) for
 m = 0..depth as a read-only float array, -inf where the entry is absent.
@@ -41,20 +44,22 @@ agree bit for bit, and the cache memoizes one column per key, built on
 first request.  The key is what the entry depends on in each engine: the
 (tree radius, lattice point) coordinates on the array engine (``(len(g),
 ())`` for a free-group walk, so a ratio sequence there depends only on
-|x^-1 y| and |y|), and the element itself on ``generic`` (one
-``searchsorted`` per level).  A tracked cache raises ``CoverageError`` for
-an element outside its tracked set or region, as ``log_value`` does.  Scans
-over levels (ratio sequences, bound constants, return ratios, Green sums,
-the Fock window) read columns, never ``log_value`` level by level; the
-period of the walk is read once per cache from the identity's column
-(``aperiodicity``).
+|x^-1 y| and |y|), the pair of its factors' keys on a product, whose
+factors memoize their own columns, and the element itself on ``generic``
+(one ``searchsorted`` per level).  A tracked cache raises
+``CoverageError`` for an element outside its tracked region, as
+``log_value`` does.  Scans over levels (ratio sequences, bound constants,
+return ratios, Green sums, the Fock window) read columns, never
+``log_value`` level by level; the period of the walk is read once per
+cache from the identity's column (``aperiodicity``).
 
 ``export_cache_json`` writes a version-4 JSON artifact: a header
 (descriptor, measure, depth, engine, complete, budget_note) and a
 ``payload``.
 
-* array          the payload is empty: the artifact is the cache's recipe.
-                 Its levels are a deterministic function of (descriptor,
+* array and ``radial-lattice``: the payload is empty, the artifact is
+                 the cache's recipe.  Its levels (a product's factor
+                 levels) are a deterministic function of (descriptor,
                  measure, depth), and rebuilding them costs about what
                  reading them would, so ``import_cache_json`` runs one
                  ``convolution_powers`` build, with no memory budget (only
@@ -178,7 +183,10 @@ class PowersCache:
     def log_column(self, g) -> np.ndarray:
         """log mu^{*m}(g) for m = 0..depth, -inf where absent; read-only and
         memoized per engine key, and equal to ``log_value`` bit for bit."""
-        key = self._column_key(g)
+        return self._key_column(self._column_key(g))
+
+    def _key_column(self, key) -> np.ndarray:
+        """The memoized column of an engine key."""
         col = self._columns.get(key)
         if col is None:
             col = np.array(self._column_values(key), dtype=float)
@@ -529,17 +537,9 @@ class GenericPowers(PowersCache):
 
     engine_name = "generic"
 
-    def __init__(self, descriptor, mu, depth, support_cap=DEFAULT_SUPPORT_CAP,
-                 track=None):
+    def __init__(self, descriptor, mu, depth, support_cap=DEFAULT_SUPPORT_CAP):
         super().__init__(descriptor, mu)
         self._setup()
-        if track is not None:
-            self._track_set = set(track)
-            self._track_set.add(descriptor.identity())
-            # only canonical elements can ever be in the table
-            elems = [g for g in self._track_set if descriptor.contains(g)]
-            arrays = descriptor.encode_elements(elems)
-            self._track = (elems, arrays, _element_hashes(descriptor, arrays))
         self._push_level(np.array([0], dtype=np.int64), np.array([1.0]), 0.0)
         for m in range(1, depth + 1):
             try:
@@ -560,25 +560,12 @@ class GenericPowers(PowersCache):
         self._mu_ls = self.mu.log_scale
         self._table = _ElementTable(desc, desc.encode_elements([desc.identity()]))
         self._rows = np.full((256, len(self._mu_elems)), -1, dtype=np.int64)
-        self._track_set = None
-        self._track = None           # (elements, arrays, hashes) of the track set
         self._queried: dict = {}     # queried element -> id, -1 where absent
         self._levels: list = []
-        self._tracked_levels: list = []
 
     def _push_level(self, ids, vals, log_scale):
         mass = math.exp(math.log(math.fsum(vals.tolist())) + log_scale)
-        level = _Level(ids=ids, vals=vals, log_scale=log_scale, mass=mass)
-        if self._track_set is None:
-            self._levels.append(level)
-        else:
-            elems, arrays, hashes = self._track
-            found = self._table.find(arrays, hashes)
-            pos = np.minimum(np.searchsorted(ids, found), len(ids) - 1)
-            held = (found >= 0) & (ids[pos] == found)
-            tracked = {elems[j]: float(vals[pos[j]]) for j in np.flatnonzero(held)}
-            self._tracked_levels.append((tracked, log_scale, mass))
-            self._current = level
+        self._levels.append(_Level(ids=ids, vals=vals, log_scale=log_scale, mass=mass))
 
     def _ensure_rows(self, ids):
         missing = ids[self._rows[ids, 0] < 0]
@@ -607,7 +594,7 @@ class GenericPowers(PowersCache):
         self._rows[missing] = ids.reshape(k, n).T
 
     def _step(self, support_cap):
-        level = self._levels[-1] if self._track_set is None else self._current
+        level = self._levels[-1]
         self._ensure_rows(level.ids)
         acc = np.zeros(self._table.size)
         _backend.scatter_add_outer(
@@ -639,18 +626,10 @@ class GenericPowers(PowersCache):
 
     @property
     def depth(self):
-        n = len(self._levels) if self._track_set is None else len(self._tracked_levels)
-        return n - 1
+        return len(self._levels) - 1
 
     def log_value(self, m, g):
         self._check_level(m)
-        if self._track_set is not None:
-            if g not in self._track_set:
-                raise CoverageError(
-                    "element not in the tracked set of this cache"
-                )
-            tracked, ls, _ = self._tracked_levels[m]
-            return _log_entry(tracked.get(g, 0.0), ls)
         i = self._id_of(g)
         if i < 0:
             return NEG_INF
@@ -658,14 +637,9 @@ class GenericPowers(PowersCache):
         return _log_entry(_stored(level, i), level.log_scale)
 
     def _column_key(self, g):
-        if self._track_set is not None and g not in self._track_set:
-            raise CoverageError("element not in the tracked set of this cache")
         return g
 
     def _column_values(self, g):
-        if self._track_set is not None:
-            return [_log_entry(tracked.get(g, 0.0), ls)
-                    for tracked, ls, _ in self._tracked_levels]
         i = self._id_of(g)
         if i < 0:
             return [NEG_INF] * len(self._levels)
@@ -673,20 +647,14 @@ class GenericPowers(PowersCache):
 
     def level_mass(self, m):
         self._check_level(m)
-        if self._track_set is not None:
-            return self._tracked_levels[m][2]
         return self._levels[m].mass
 
     def level_log_scale(self, m):
         self._check_level(m)
-        if self._track_set is not None:
-            return self._tracked_levels[m][1]
         return self._levels[m].log_scale
 
     def level_measure(self, m):
         self._check_level(m)
-        if self._track_set is not None:
-            raise CoverageError("tracked cache cannot materialize full levels")
         level = self._levels[m]
         desc = self.descriptor
         elems = desc.decode_elements(desc.take_encoded(self._table.arrays, level.ids))
@@ -698,13 +666,9 @@ class GenericPowers(PowersCache):
 
     def support_size(self, m):
         self._check_level(m)
-        if self._track_set is not None:
-            raise CoverageError("tracked cache does not keep full supports")
         return len(self._levels[m].ids)
 
     def export_payload(self):
-        if self._track_set is not None:
-            raise CoverageError("tracked caches are not exportable")
         levels = self._levels
         return {
             "elements": {key: _pack(arr) for key, arr in self._table.arrays.items()},
@@ -745,49 +709,11 @@ class GenericPowers(PowersCache):
 
 
 # ---------------------------------------------------------------------------
-# array engine: free-group, lattice and Cartesian (isotropic free) x
-# (lattice) walks
+# array engine: free-group and lattice walks
 # ---------------------------------------------------------------------------
 
-def _cartesian_split(descriptor: GroupDescriptor, mu: ScaledMeasure):
-    """Split a free-group, lattice or Cartesian free x lattice measure into
-    radial tree values + lattice offsets.
-
-    Returns (tree_values, lattice_offsets) in mantissa units, or None when
-    the measure moves both coordinates at once (not a Cartesian mixture).
-    Mass at the identity is carried by the tree part (either choice acts as
-    the identity in the step); on a lattice, whose tree factor is trivial,
-    that is all the tree part holds, and a free-group walk has no lattice
-    part.  IsotropyError when the tree part is not isotropic.
-    """
-    if isinstance(descriptor, LatticeGroup):
-        zero = descriptor.identity()
-        lat = {v: mass for v, mass in mu.support.items() if v != zero}
-        return np.array([mu.support.get(zero, 0.0)]), lat
-    if isinstance(descriptor, FreeGroup):
-        return radial_reduce(mu, descriptor).values, {}
-    if not isinstance(descriptor, ProductGroup):
-        return None
-    left, right = descriptor.left, descriptor.right
-    if not isinstance(left, FreeGroup) or not isinstance(right, LatticeGroup):
-        return None
-    e_l, zero = left.identity(), right.identity()
-    tree_elems: dict = {}
-    lat: dict = {}
-    for (w, v), mass in mu.support.items():
-        if v == zero:
-            tree_elems[w] = mass
-        elif w == e_l:
-            lat[v] = mass
-        else:
-            return None
-    if not tree_elems:
-        return np.array([0.0]), lat
-    return radial_reduce(ScaledMeasure(support=tree_elems), left).values, lat
-
-
 def _array_engine_name(descriptor: GroupDescriptor) -> str:
-    """The array engine's name for walks on ``descriptor``."""
+    """The array or product engine's name for walks on ``descriptor``."""
     if isinstance(descriptor, LatticeGroup):
         return "dense"
     return "radial" if isinstance(descriptor, FreeGroup) else "radial-lattice"
@@ -809,118 +735,79 @@ def _cell(level, r, v):
     return arr[idx]
 
 
-def _free_coords(w):
-    return len(w), ()
-
-
-def _lattice_coords(v):
-    return 0, v
-
-
-def _product_coords(g):
-    return len(g[0]), g[1]
-
-
 class RadialLatticePowers(PowersCache):
-    """Isotropic walks on F_s, walks on Z^d, and Cartesian walks on
-    F_s x Z^d with an isotropic tree factor.
+    """Isotropic walks on F_s and walks on Z^d.
 
-    Level state: value per (tree radius, lattice point); the step is a
-    radial tree move plus lattice shifted adds, both linear in the state.
-    A free-group walk is the case of the trivial lattice (d = 0, one value
-    per radius); its engine name is ``radial``.  A lattice walk is the case
-    of the trivial tree (degree 0, radius 0 only); its engine name is
-    ``dense``, a product's is ``radial-lattice``.
+    Level state: value per (tree radius, lattice point).  A free-group walk
+    has the trivial lattice (d = 0, one value per radius) and steps by the
+    radial tree move; its engine name is ``radial``.  A lattice walk has the
+    trivial tree (radius 0 only) and steps by shifted adds, the identity
+    mass first; its engine name is ``dense``.  Only a ``dense`` cache takes
+    a memory budget and a track set: a tracked free-group level would keep
+    its row sums, which at d = 0 are the whole level.
     """
 
     def __init__(self, descriptor, mu, depth,
                  memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB, track=None):
         super().__init__(descriptor, mu)
-        split = _cartesian_split(descriptor, mu)
-        if split is None:
-            raise PreconditionError(
-                "measure is not a Cartesian mixture on free x lattice"
-            )
-        self._tree_vals, lat = split
+        if not isinstance(descriptor, (FreeGroup, LatticeGroup)):
+            raise PreconditionError("measure is not a free-group or lattice walk")
         self.engine_name = _array_engine_name(descriptor)
-        if isinstance(descriptor, LatticeGroup):
-            self.q, lattice, self._coords = 0, descriptor, _lattice_coords
-        elif isinstance(descriptor, FreeGroup):
-            self.q, lattice, self._coords = 2 * descriptor.rank, None, _free_coords
-        else:
-            self.q, lattice = 2 * descriptor.left.rank, descriptor.right
-            self._coords = _product_coords
-        # the order of the shifted adds fixes the summation order, hence the bits
-        self._moves = sorted(lat.items(), key=lambda vm: lattice.sort_key(vm[0]))
         self._mu_ls = mu.log_scale
-        d = lattice.dimension if lattice else 0
-        offs = list(lat) + [(0,) * d]
-        self._lo_step = tuple(min(o[i] for o in offs) for i in range(d))
-        self._hi_step = tuple(max(o[i] for o in offs) for i in range(d))
-        self._r_step = len(self._tree_vals) - 1
         self._track_region = None
         # levels: (lat_lo, array[(r, *lattice)], log_scale, row sums).  A
         # tracked level keeps only part of its array, so it keeps the
-        # per-radius row sums of the whole, which give its mass on first
-        # request; a full level holds None there and sums its own array then
+        # row sums of the whole, which give its mass on first request; a
+        # full level holds None there and sums its own array then
         self._levels = []
         self._masses: dict = {}
-        # the budget binds lattice walks only: a tracked free-group level
-        # would keep its row sums, which are the whole level at d = 0
-        est = self._estimate_bytes(depth) if d else 0
-        if est > memory_budget_mb * 2**20:
-            if track is None:
-                raise BudgetExceededError(
-                    f"full retention needs ~{est / 2**20:.0f} MiB "
-                    f"(budget {memory_budget_mb} MiB); pass a track set"
+        if isinstance(descriptor, FreeGroup):
+            # IsotropyError unless the measure is isotropic
+            self._tree_vals = radial_reduce(mu, descriptor).values
+            self.q, d = 2 * descriptor.rank, 0
+        else:
+            self.q, d = 0, descriptor.dimension
+            zero = descriptor.identity()
+            # the identity mass first, then the other moves in lattice order:
+            # the order of the shifted adds fixes the summation order, hence
+            # the bits
+            self._moves = sorted(mu.support.items(), key=lambda vm: (
+                vm[0] != zero, descriptor.sort_key(vm[0])))
+            offs = list(mu.support) + [zero]
+            self._lo_step = tuple(min(o[i] for o in offs) for i in range(d))
+            self._hi_step = tuple(max(o[i] for o in offs) for i in range(d))
+            est = 8 * sum(math.prod(m * (h - l) + 1 for l, h in zip(
+                self._lo_step, self._hi_step)) for m in range(depth + 1))
+            if est > memory_budget_mb * 2**20:
+                if track is None:
+                    raise BudgetExceededError(
+                        f"full retention needs ~{est / 2**20:.0f} MiB "
+                        f"(budget {memory_budget_mb} MiB); pass a track set"
+                    )
+                pts = list(track) + [zero]
+                self._track_region = (
+                    tuple(min(v[i] for v in pts) for i in range(d)),
+                    tuple(max(v[i] for v in pts) for i in range(d)),
                 )
-            pts = [self._coords(g) for g in list(track) + [descriptor.identity()]]
-            self._track_region = (
-                max(r for r, _ in pts),
-                tuple(min(v[i] for _, v in pts) for i in range(d)),
-                tuple(max(v[i] for _, v in pts) for i in range(d)),
-            )
         self._current = ((0,) * d, np.ones((1,) * (d + 1)), 0.0, None)
         self._levels.append(self._current)
         for _ in range(depth):
             self._step()
 
-    def _estimate_bytes(self, depth):
-        total = 0
-        width = tuple(h - l for l, h in zip(self._lo_step, self._hi_step))
-        for m in range(depth + 1):
-            cells = m * self._r_step + 1
-            for w in width:
-                cells *= m * w + 1
-            total += cells * 8
-        return total
-
     def _step(self):
         lat_lo, arr, ls, _ = self._current
-        d = len(lat_lo)
-        # tree-factor move (and the identity mass): radial step along axis 0,
-        # lattice unchanged
-        out = radial_step(arr, self._tree_vals, self.q)
-        lo_new = lat_lo
-        if self._moves:
-            # lattice-factor moves widen the lattice box: the tree move is
-            # embedded in it, then shifted adds at fixed tree radius
-            lo_new = tuple(l + s for l, s in zip(lat_lo, self._lo_step))
-            hi_new = tuple(
-                l + n - 1 + s
-                for l, n, s in zip(lat_lo, arr.shape[1:], self._hi_step)
-            )
-            lat_shape = tuple(h - l + 1 for l, h in zip(lo_new, hi_new))
-            tree_moved, out = out, np.zeros((out.shape[0],) + lat_shape)
-            emb = tuple(
-                slice(ol - nl, ol - nl + n)
-                for ol, nl, n in zip(lat_lo, lo_new, arr.shape[1:])
-            )
-            out[(slice(None),) + emb] += tree_moved
+        if self.q:
+            lo_new, out = lat_lo, radial_step(arr, self._tree_vals, self.q)
+        else:
+            # each move adds the level shifted by its offset into a box
+            # widened by the steps' extent
+            lo_new = tuple(map(operator.add, lat_lo, self._lo_step))
+            out = np.zeros((1,) + tuple(
+                n + h - l for n, l, h in zip(arr.shape[1:], self._lo_step, self._hi_step)))
             for v, mass in self._moves:
-                start = tuple(ol + vc - nl for ol, vc, nl in zip(lat_lo, v, lo_new))
-                sl = tuple(slice(s, s + n) for s, n in zip(start, arr.shape[1:]))
-                out[(slice(0, arr.shape[0]),) + sl] += mass * arr
+                sl = tuple(slice(c - l, c - l + n)
+                           for c, l, n in zip(v, self._lo_step, arr.shape[1:]))
+                out[(slice(None),) + sl] += mass * arr
         peak = out.max()
         out /= peak
         ls_new = ls + self._mu_ls + math.log(peak)
@@ -928,18 +815,15 @@ class RadialLatticePowers(PowersCache):
         if self._track_region is None:
             self._levels.append(self._current)
         else:
-            sums = _row_sums(out)
-            r_keep, tlo, thi = self._track_region
-            clo = tuple(max(a, b) for a, b in zip(lo_new, tlo))
-            chi = tuple(
-                min(l + n - 1, b) for l, n, b in zip(lo_new, out.shape[1:], thi)
-            )
+            tlo, thi = self._track_region
+            clo = tuple(map(max, lo_new, tlo))
+            chi = tuple(min(l + n - 1, b) for l, n, b in zip(lo_new, out.shape[1:], thi))
             if any(a > b for a, b in zip(clo, chi)):
-                self._levels.append((clo, np.zeros((0,) * (d + 1)), ls_new, sums))
+                keep = np.zeros((0,) * out.ndim)
             else:
                 sl = tuple(slice(a - l, b - l + 1) for a, b, l in zip(clo, chi, lo_new))
-                keep = out[(slice(0, min(r_keep + 1, out.shape[0])),) + sl].copy()
-                self._levels.append((clo, keep, ls_new, sums))
+                keep = out[(slice(None),) + sl].copy()
+            self._levels.append((clo, keep, ls_new, _row_sums(out)))
 
     @property
     def depth(self):
@@ -954,18 +838,15 @@ class RadialLatticePowers(PowersCache):
     def _column_key(self, g):
         # a tracked level's array lies inside the tracked region, so a point
         # outside the region is outside every stored level
-        r, v = self._coords(g)
-        if self._track_region is not None and not self._inside_track(r, v):
+        r, v = (len(g), ()) if self.q else (0, g)
+        if self._track_region is not None and not all(
+                a <= c <= b for c, a, b in zip(v, *self._track_region)):
             raise CoverageError("element outside the tracked region of this cache")
         return r, v
 
     def _column_values(self, key):
         r, v = key
         return [_log_entry(_cell(level, r, v), level[2]) for level in self._levels]
-
-    def _inside_track(self, r, v):
-        r_keep, tlo, thi = self._track_region
-        return r <= r_keep and all(a <= c <= b for c, a, b in zip(v, tlo, thi))
 
     def level_mass(self, m):
         self._check_level(m)
@@ -991,9 +872,9 @@ class RadialLatticePowers(PowersCache):
         )
 
     def level_measure(self, m):
-        """A lattice level as a measure.  On a free group or a product a
-        tree radius stands for a whole sphere of elements, so those levels
-        are not materialized (CoverageError; a free-group level is
+        """A lattice level as a measure.  On a free group a tree radius
+        stands for a whole sphere of elements, so those levels are not
+        materialized (CoverageError; a free-group level is
         ``level_radial``)."""
         if self.q:
             return super().level_measure(m)
@@ -1009,22 +890,169 @@ class RadialLatticePowers(PowersCache):
 
 
 # ---------------------------------------------------------------------------
+# product engine: Cartesian (isotropic free) x (lattice) walks
+# ---------------------------------------------------------------------------
+
+def _product_factors(descriptor: GroupDescriptor, mu: ScaledMeasure):
+    """The factors of a Cartesian walk mu = p·(mu_F x δ) + q·(δ x mu_Z) on
+    F_s x Z^d: ((mu_F, log p), (mu_Z, log q)), each factor a probability
+    measure, the identity's mass in the tree part.  A part that carries no
+    mass is the point mass with weight 0 (log -inf).  None when the group
+    is not F_s x Z^d or the measure moves both coordinates at once."""
+    if not (isinstance(descriptor, ProductGroup)
+            and isinstance(descriptor.left, FreeGroup)
+            and isinstance(descriptor.right, LatticeGroup)):
+        return None
+    left, right = descriptor.left, descriptor.right
+    e_l, zero = left.identity(), right.identity()
+    tree: dict = {}
+    lat: dict = {}
+    for (w, v), mass in mu.support.items():
+        if v == zero:
+            tree[w] = mass
+        elif w == e_l:
+            lat[v] = mass
+        else:
+            return None
+    factors = []
+    for part, group in ((tree, left), (lat, right)):
+        if part:
+            log_total = math.log(math.fsum(part.values()))
+            factors.append((ScaledMeasure(support=part, log_scale=-log_total),
+                            log_total + mu.log_scale))
+        else:
+            factors.append((ScaledMeasure.point_mass(group), NEG_INF))
+    return factors
+
+
+# rows of the binomial triangle summed per numpy call in CartesianPowers._mix
+_MIX_ROWS = 32
+
+
+def _log_weights(log_p: float, log_fact: np.ndarray) -> np.ndarray:
+    """log(p^k / k!) for k = 0..len(log_fact) - 1, with 0^0 = 1."""
+    out = -log_fact
+    out[1:] += np.arange(1, len(out)) * log_p
+    return out
+
+
+class CartesianPowers(PowersCache):
+    """Cartesian walks on F_s x Z^d with an isotropic tree factor, from the
+    caches of their two factors; engine name ``radial-lattice``.
+
+    No product level is stored: the cache holds a ``radial`` cache of mu_F
+    and a ``dense`` cache of mu_Z, and a column is their binomial mix
+
+        log mu^{*m}(w, v) = log Σ_k C(m,k) p^k q^(m-k) mu_F^{*k}(w) mu_Z^{*(m-k)}(v),
+
+    summed in log space over every k <= m (each row scaled by its largest
+    term), so an entry is absent exactly when every term is;
+    ``log_value(m, g)`` reads ``log_column(g)[m]``.  The sum is not cut to
+    a window around the binomial mode k ≈ pm: the tree factor decays like
+    rho_F^k, which moves the largest terms below that mode, so a cut that
+    holds whatever the factor columns are keeps about half of the triangle
+    or more.  The memory budget and the track set, projected to lattice
+    points, go to the lattice factor (without a track set both factors are
+    fully retained).  Levels are not materialized.
+    """
+
+    engine_name = "radial-lattice"
+
+    def __init__(self, descriptor, mu, depth,
+                 memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB, track=None):
+        super().__init__(descriptor, mu)
+        factors = _product_factors(descriptor, mu)
+        if factors is None:
+            raise PreconditionError(
+                "measure is not a Cartesian mixture on free x lattice"
+            )
+        (mu_f, log_p), (mu_z, log_q) = factors
+        self._tree = RadialLatticePowers(descriptor.left, mu_f, depth)
+        budget, lat_track = ((math.inf, None) if track is None
+                             else (memory_budget_mb, [v for _, v in track]))
+        self._lattice = RadialLatticePowers(descriptor.right, mu_z, depth,
+                                            memory_budget_mb=budget, track=lat_track)
+        self._track_region = self._lattice._track_region
+        self._log_fact = np.array([math.lgamma(m + 1) for m in range(depth + 1)])
+        self._log_wp = _log_weights(log_p, self._log_fact)
+        self._log_wq = _log_weights(log_q, self._log_fact)
+        self._masses = None
+
+    def _mix(self, f, z) -> np.ndarray:
+        """log Σ_k C(m,k) p^k q^(m-k) exp(f[k] + z[m-k]) for m < len(f),
+        summed over blocks of rows of the (m, k) triangle."""
+        n = len(f)
+        a = f + self._log_wp[:n]
+        # row m of ``b`` is b[m - k] for k = 0..n-1, -inf where k > m: a
+        # reversed sliding window over b padded with n - 1 leading -inf
+        padded = np.concatenate([np.full(n - 1, NEG_INF), z + self._log_wq[:n]])
+        b = np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1]
+        out = np.empty(n)
+        for lo in range(0, n, _MIX_ROWS):
+            hi = min(n, lo + _MIX_ROWS)
+            terms = a[:hi] + b[lo:hi, :hi]
+            peak = terms.max(axis=1)
+            peak[peak == NEG_INF] = 0.0  # a row of absent terms sums to 0
+            with np.errstate(divide="ignore"):
+                out[lo:hi] = (peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+                              + self._log_fact[lo:hi])
+        return out
+
+    @property
+    def depth(self):
+        return self._tree.depth
+
+    def log_value(self, m, g):
+        self._check_level(m)
+        return float(self.log_column(g)[m])
+
+    def _column_key(self, g):
+        w, v = g
+        return self._tree._column_key(w), self._lattice._column_key(v)
+
+    def _column_values(self, key):
+        return self._mix(self._tree._key_column(key[0]),
+                         self._lattice._key_column(key[1]))
+
+    def level_mass(self, m):
+        self._check_level(m)
+        if self._masses is None:
+            logs = [np.array([math.log(x) if x > 0.0 else NEG_INF
+                              for x in map(c.level_mass, range(self.depth + 1))])
+                    for c in (self._tree, self._lattice)]
+            self._masses = np.exp(self._mix(*logs)).tolist()
+        return self._masses[m]
+
+    def level_log_scale(self, m):
+        raise CoverageError("a product cache stores no levels, only its factors'")
+
+
+# ---------------------------------------------------------------------------
 # construction and (de)serialization
 # ---------------------------------------------------------------------------
 
-# one class serves the three names; each fits one kind of group
+# the recipe engines, each fitting one kind of group: RadialLatticePowers
+# serves the first two, CartesianPowers the third
 _ARRAY_ENGINES = ("dense", "radial", "radial-lattice")
 
 
 def pick_engine(descriptor: GroupDescriptor, mu: ScaledMeasure) -> str:
     """Fastest applicable engine for this (descriptor, measure) pair: the
-    array engine wherever the measure splits into isotropic tree values and
-    lattice moves, else the generic engine."""
-    try:
-        split = _cartesian_split(descriptor, mu)
-    except IsotropyError:
-        split = None
-    return "generic" if split is None else _array_engine_name(descriptor)
+    array engine for isotropic free-group and lattice walks, the product
+    engine for Cartesian walks on F_s x Z^d with an isotropic tree factor,
+    else the generic engine."""
+    name = _array_engine_name(descriptor)
+    if isinstance(descriptor, ProductGroup):
+        factors = _product_factors(descriptor, mu)
+        if factors is None:
+            return "generic"
+        descriptor, mu = descriptor.left, factors[0][0]
+    if isinstance(descriptor, FreeGroup):
+        try:
+            radial_reduce(mu, descriptor)
+        except IsotropyError:
+            return "generic"
+    return name if isinstance(descriptor, (FreeGroup, LatticeGroup)) else "generic"
 
 
 def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: int,
@@ -1035,11 +1063,14 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
     """Compute and retain mu^{*m} for m = 0..depth.
 
     ``track`` declares elements that must stay queryable at every level if
-    full retention would blow ``memory_budget_mb``.  Both apply to deep
-    dense and radial-lattice runs; without a track set such a run raises
-    BudgetExceededError.  A radial (free-group) run is always fully
-    retained: a tracked level would still keep the per-radius row sums its
-    mass needs, which at d = 0 are the whole level.
+    full retention would blow ``memory_budget_mb``.  Both bind a deep
+    ``dense`` run only; without a track set such a run raises
+    BudgetExceededError.  A ``radial-lattice`` (product) run hands them to
+    its lattice factor, the track set projected to lattice points, and
+    without a track set retains both factors in full.  A radial
+    (free-group) run is always fully retained: a tracked level would still
+    keep the per-radius row sums its mass needs, which at d = 0 are the
+    whole level.  The generic engine is bounded by ``support_cap`` alone.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -1049,13 +1080,10 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
             raise PreconditionError(
                 f"engine {name!r} does not serve walks on {descriptor.spec_string()}"
             )
-        return RadialLatticePowers(
-            descriptor, mu, depth, memory_budget_mb=memory_budget_mb, track=track
-        )
+        cls = CartesianPowers if name == "radial-lattice" else RadialLatticePowers
+        return cls(descriptor, mu, depth, memory_budget_mb=memory_budget_mb, track=track)
     if name == "generic":
-        return GenericPowers(
-            descriptor, mu, depth, support_cap=support_cap, track=track
-        )
+        return GenericPowers(descriptor, mu, depth, support_cap=support_cap)
     raise ValueError(f"unknown engine {name!r}")
 
 

@@ -267,31 +267,6 @@ class ConstantKernelTable:
         return {"kernel": "constant", "value": self.value}
 
 
-class CartesianKernelTable:
-    """Product-kernel table: H((w1,v1),(w2,v2)) = H1(w1,w2) * H2(v1,v2)."""
-
-    def __init__(self, descriptor, left_table, right_table):
-        self.descriptor = descriptor
-        self.left = left_table
-        self.right = right_table
-
-    def get(self, x, y) -> KernelEntry:
-        e1 = self.left.get(x[0], y[0])
-        e2 = self.right.get(x[1], y[1])
-        est = e1.estimate * e2.estimate
-        lo = e1.lo * e2.lo
-        hi = e1.hi * e2.hi
-        return KernelEntry(x=x, y=y, estimate=est, lo=lo, hi=hi,
-                           m_window=(0, 0), accelerated=False)
-
-    def provenance(self) -> dict:
-        return {
-            "kernel": "cartesian-product",
-            "left": self.left.provenance(),
-            "right": self.right.provenance(),
-        }
-
-
 def cartesian_H(left_table, right_table, x, y) -> float:
     """Product formula for Cartesian walks: kernel of the pair inputs."""
     return left_table.get(x[0], y[0]).estimate * right_table.get(x[1], y[1]).estimate

@@ -284,7 +284,7 @@ def test_cache_dir_reuse(cfg_file, tmp_path):
     assert (out / "spectrum.json").read_bytes() == (out2 / "spectrum.json").read_bytes()
 
 
-TRACKED_PRODUCT_CFG = """
+PRODUCT_CFG = """
 [group]
 family = product(free(2),lattice(1))
 
@@ -343,24 +343,43 @@ jobs = spectrum kernel radical metric boundary fock covariance
 """
 
 
-def test_tracked_product_cache_full_pipeline(tmp_path, capsys):
-    """A deep Cartesian-product run whose memory budget forces tracked
-    retention still supports every command, including the Fock window.  Its
-    cache is not exportable: the run says so once and writes no artifact to
-    ``--cache-dir``."""
+def test_product_cache_full_pipeline(tmp_path, capsys):
+    """A deep Cartesian-product run supports every command, including the
+    Fock window.  Its cache is two factor caches well inside the 4 MiB
+    budget, so the run writes its recipe artifact to ``--cache-dir`` and
+    prints nothing, and a second run reads it (the file is not replaced)
+    and writes the same output tree.  A tracked cache is not exportable: a
+    lattice(2) run with ``memory_budget_mb = 0`` says so once and writes no
+    artifact."""
     cfg = tmp_path / "deep.ini"
-    cfg.write_text(TRACKED_PRODUCT_CFG, encoding="utf-8")
-    out = tmp_path / "deep_out"
+    cfg.write_text(PRODUCT_CFG, encoding="utf-8")
     cache_dir = tmp_path / "cache"
-    assert main(["report", "--config", str(cfg), "--out", str(out),
-                 "--cache-dir", str(cache_dir)]) == 0
+    outs = [tmp_path / "run1", tmp_path / "run2"]
+    inodes = []
+    for out in outs:
+        assert main(["report", "--config", str(cfg), "--out", str(out),
+                     "--cache-dir", str(cache_dir)]) == 0
+        assert capsys.readouterr().err == ""
+        (artifact,) = cache_dir.glob("powers-*.json")
+        inodes.append(artifact.stat().st_ino)
+    assert inodes[0] == inodes[1]
+    assert json.loads(artifact.read_text())["payload"] == {}
+    assert _tree(outs[0]) == _tree(outs[1])
+    summary = json.loads((outs[0] / "report.json").read_text())
+    assert summary["all_passed"]
+    rad = json.loads((outs[0] / "radical.json").read_text())
+    assert "(e|(1))" in rad["flagged"] and "(a|(0))" not in rad["flagged"]
+
+    z2 = tmp_path / "z2.ini"
+    z2.write_text(AMENABLE_Z2_CFG.replace("depth = 128", "depth = 128\nmemory_budget_mb = 0"),
+                  encoding="utf-8")
+    z2_cache = tmp_path / "z2cache"
+    assert main(["radical", "--config", str(z2), "--out", str(tmp_path / "z2out"),
+                 "--cache-dir", str(z2_cache)]) == 0
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "tracked" in err and "--cache-dir" in err
-    assert not list(cache_dir.glob("powers-*.json"))
-    summary = json.loads((out / "report.json").read_text())
-    assert summary["all_passed"]
-    rad = json.loads((out / "radical.json").read_text())
-    assert "(e|(1))" in rad["flagged"] and "(a|(0))" not in rad["flagged"]
+    assert not list(z2_cache.glob("powers-*.json"))
+    assert json.loads((tmp_path / "z2out" / "radical.json").read_text())["flags_entire_ball"]
 
 
 def test_radial_run_ignores_memory_budget(cfg_file, tmp_path):

@@ -1,6 +1,7 @@
 """Convolution-power engines: cross-engine equality, invariants, budgets."""
 
 import copy
+import itertools
 import json
 import math
 from pathlib import Path
@@ -12,7 +13,7 @@ import walkops as w
 from walkops import powers
 from walkops.errors import CoverageError, DescriptorMismatchError, PreconditionError
 from walkops.measures import log_radial_mass, radial_reduce, radial_step
-from walkops.powers import GenericPowers, _pack, _unpack
+from walkops.powers import _pack, _unpack
 
 DATA = Path(__file__).parent / "data"
 
@@ -24,7 +25,7 @@ def test_engine_selection(lattice1, lattice2, free2, lamp1, lazy_z, lazy_z2,
     assert w.convolution_powers(lamp1, lamp_mu, 4).engine_name == "generic"
     aniso = w.parse_measure("a 1/2\nA 1/6\nb 1/6\nB 1/6", free2)
     assert w.convolution_powers(free2, aniso, 4).engine_name == "generic"
-    # one class serves the three array engine names, each for one kind of group
+    # each of the three recipe engine names serves one kind of group
     for desc, mu, name in ((lattice1, lazy_z, "radial"), (free2, iso_f2, "dense"),
                            (lattice1, lazy_z, "radial-lattice")):
         with pytest.raises(PreconditionError):
@@ -166,20 +167,33 @@ def test_radial_ignores_memory_budget(free2, iso_f2):
 
 
 def test_radial_lattice_vs_generic_equality():
+    """The radial-lattice engine matches the generic engine on F2 x Z: a lazy
+    Cartesian walk, and the degenerate products it also serves (tree moves
+    only, lattice moves only with and without identity mass, tree moves
+    without identity mass), whose missing part is a point-mass factor of
+    weight 0.  Entries agree within 1e-12 relative, the same entries of
+    ball(2) are absent, and every level has mass 1 within 1e-9."""
     desc = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1))
-    mu_text = (
+    tree = "(a|(0)) 1/8\n(A|(0)) 1/8\n(b|(0)) 1/8\n(B|(0)) 1/8\n"
+    for mu_text in (
         "(e|(0)) 0.35\n(a|(0)) 1/10\n(A|(0)) 1/10\n(b|(0)) 1/10\n(B|(0)) 1/10\n"
-        "(e|(1)) 1/8\n(e|(-1)) 1/8"
-    )
-    mu = w.parse_measure(mu_text, desc)
-    fast = w.convolution_powers(desc, mu, 7)
-    assert fast.engine_name == "radial-lattice"
-    slow = w.convolution_powers(desc, mu, 7, engine="generic")
-    for m in (1, 4, 7):
-        lvl = slow.level_measure(m)
-        for g, v in lvl.items_values():
-            assert fast.value(m, g) == pytest.approx(v, rel=1e-12), (m, g)
-        assert fast.level_mass(m) == pytest.approx(1.0, rel=1e-9)
+        "(e|(1)) 1/8\n(e|(-1)) 1/8",
+        "(e|(0)) 1/2\n" + tree,                         # tree moves only
+        "(e|(0)) 1/2\n(e|(1)) 1/4\n(e|(-1)) 1/4",       # lattice moves and identity
+        "(e|(1)) 1/2\n(e|(-1)) 1/2",                     # lattice moves only
+        tree + "(e|(1)) 1/4\n(e|(-1)) 1/4",              # no identity mass
+    ):
+        mu = w.parse_measure(mu_text, desc)
+        fast = w.convolution_powers(desc, mu, 7)
+        assert fast.engine_name == "radial-lattice", mu_text
+        slow = w.convolution_powers(desc, mu, 7, engine="generic")
+        for m in (1, 4, 7):
+            lvl = slow.level_measure(m)
+            for g, v in lvl.items_values():
+                assert fast.value(m, g) == pytest.approx(v, rel=1e-12), (mu_text, m, g)
+            assert ([fast.has_value(m, g) for g in desc.ball(2)]
+                    == [g in lvl.support for g in desc.ball(2)]), (mu_text, m)
+            assert fast.level_mass(m) == pytest.approx(1.0, abs=1e-9), (mu_text, m)
 
 
 def test_zero_entries_are_absent(lazy_z_cache, f2_cache):
@@ -260,18 +274,6 @@ def test_support_cap_keeps_complete_prefix(lamp1, lamp_mu):
         cache.log_value(cache.depth + 1, lamp1.identity())
 
 
-def test_tracked_generic_matches_full(lamp1, lamp_mu):
-    track = lamp1.ball(2)
-    full = w.convolution_powers(lamp1, lamp_mu, 8)
-    tr = GenericPowers(lamp1, lamp_mu, 8, track=track)
-    assert tr._track_set is not None
-    for m in (2, 5, 8):
-        for g in track:
-            assert tr.log_value(m, g) == full.log_value(m, g)
-    with pytest.raises(CoverageError):
-        tr.log_value(3, ((7,), ()))
-
-
 def test_tracked_dense_matches_full(lattice1, lazy_z):
     full = w.convolution_powers(lattice1, lazy_z, 32)
     tracked = w.convolution_powers(lattice1, lazy_z, 32, engine="dense",
@@ -297,6 +299,47 @@ def test_tracked_radial_lattice_matches_full():
             assert tracked.log_value(m, g) == full.log_value(m, g)
 
 
+def test_product_needs_no_memory_budget(product_f2z, cartesian_mu):
+    """A product cache stores its two factors, O(M^2) each, so the
+    criterion-5 walk at M=500 builds complete with no memory budget and no
+    track set, exports as a recipe under 1 KiB and re-imports with
+    bit-identical columns."""
+    cache = w.convolution_powers(product_f2z, cartesian_mu, 500, memory_budget_mb=0)
+    assert cache.complete and cache.depth == 500
+    text = w.export_cache_json(cache)
+    assert json.loads(text)["payload"] == {} and len(text) < 1024
+    back = w.import_cache_json(text)
+    for g in [(word, (v,)) for word in product_f2z.left.ball(2) for v in range(-3, 4)]:
+        assert back.log_column(g).tobytes() == cache.log_column(g).tobytes(), g
+
+
+def test_tracked_product_keeps_lattice_box():
+    """On F2 x Z^2 with no memory budget, a track set makes the lattice
+    factor keep the box its lattice points span: columns there equal the
+    full cache's bit for bit, a point outside the box raises CoverageError,
+    and the cache is not exportable."""
+    desc = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(2))
+    mu = w.parse_measure(
+        "(e|(0,0)) 1/4\n(a|(0,0)) 1/8\n(A|(0,0)) 1/8\n(b|(0,0)) 1/8\n"
+        "(B|(0,0)) 1/8\n(e|(1,0)) 1/16\n(e|(-1,0)) 1/16\n(e|(0,1)) 1/16\n"
+        "(e|(0,-1)) 1/16", desc)
+    full = w.convolution_powers(desc, mu, 24)
+    tracked = w.convolution_powers(desc, mu, 24, memory_budget_mb=0,
+                                   track=[((1, 2), (2, -1)), ((), (-1, 1))])
+    assert tracked.engine_name == "radial-lattice"
+    for word in desc.left.ball(2) + [(1,) * 9]:
+        for v in itertools.product(range(-1, 3), range(-1, 2)):
+            g = (word, v)
+            assert tracked.log_column(g).tobytes() == full.log_column(g).tobytes(), g
+    for v in ((3, 0), (0, 2), (-2, 0)):
+        with pytest.raises(CoverageError):
+            tracked.log_column(((), v))
+        with pytest.raises(CoverageError):
+            tracked.log_value(5, ((1,), v))
+    with pytest.raises(CoverageError):
+        w.export_cache_json(tracked)
+
+
 def _eager_level_masses(cache):
     """Every level mass computed eagerly from the engine's stored levels, as
     the engines did at build time: log_radial_mass of the per-radius values
@@ -317,8 +360,11 @@ def _eager_level_masses(cache):
 def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2,
                                       iso_f2):
     """level_mass, computed on first request, equals the eager log_radial_mass
-    of every level bit for bit, and level_log_scale is unchanged: radial,
-    dense and radial-lattice caches, full and tracked, and re-imports."""
+    of every level bit for bit, and level_log_scale is unchanged: radial and
+    dense caches, full and tracked, and re-imports.  A radial-lattice cache
+    stores no levels: its two factor caches are checked the same way, and
+    its own masses, full, tracked and re-imported, are equal and within
+    1e-12 of 1, while level_log_scale raises CoverageError."""
     product = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1))
     cartesian = w.parse_measure(
         "(e|(0)) 0.35\n(a|(0)) 1/10\n(A|(0)) 1/10\n(b|(0)) 1/10\n(B|(0)) 1/10\n"
@@ -335,10 +381,19 @@ def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2
         (w.convolution_powers(lattice2, lazy_z2, 30),
          w.convolution_powers(lattice2, lazy_z2, 30, engine="dense",
                               memory_budget_mb=0, track=[(1, -2), (0, 2)])),
-        (w.convolution_powers(product, cartesian, 40),
-         w.convolution_powers(product, cartesian, 40, engine="radial-lattice",
-                              memory_budget_mb=0, track=[((1, 1), (2,)), ((), (-2,))])),
     ]
+    products = (w.convolution_powers(product, cartesian, 40),
+                w.convolution_powers(product, cartesian, 40, engine="radial-lattice",
+                                     memory_budget_mb=0,
+                                     track=[((1, 1), (2,)), ((), (-2,))]))
+    assert products[1]._lattice._track_region is not None
+    cases += [(products[0]._tree, None), (products[0]._lattice, products[1]._lattice)]
+    masses = [products[0].level_mass(m) for m in range(41)]
+    assert max(abs(x - 1.0) for x in masses) <= 1e-12
+    for cache in (*products, w.import_cache_json(w.export_cache_json(products[0]))):
+        assert [cache.level_mass(m) for m in range(40, -1, -1)] == masses[::-1]
+        with pytest.raises(CoverageError):
+            cache.level_log_scale(3)
     for full, tracked in cases:
         eager = _eager_level_masses(full)
         scales = [full.level_log_scale(m) for m in range(full.depth + 1)]
@@ -363,7 +418,6 @@ def _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2, lamp1, lam
     z_up = w.parse_measure("(1) 1/3\n(2) 2/3", lattice1)  # never returns to 0
     f2_skew = w.parse_measure("a 1/2\nA 1/6\nb 1/6\nB 1/6", free2)
     far_f2 = [(1,) * 12, (1, 2, 1, 2, 1, 2, 1, 2, 1)]
-    lamp_track = [((0,), ()), ((1,), ((0,),)), ((-1,), ((0,), (1,)))]
     full = [
         ("radial", w.convolution_powers(free2, iso_f2, 60), free2.ball(3) + far_f2),
         ("radial srw", w.convolution_powers(free2, srw_f2, 40), free2.ball(3) + far_f2),
@@ -391,14 +445,13 @@ def _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2, lamp1, lam
          w.convolution_powers(lattice2, lazy_z2, 24, engine="dense",
                               memory_budget_mb=0, track=[(1, -2), (0, 2)]),
          [(a, b) for a in range(0, 2) for b in range(-2, 3)], [(2, 0), (0, 3)]),
+        # the tree factor is fully retained: only the lattice box is tracked
         ("radial-lattice tracked",
          w.convolution_powers(product, cartesian, 30, engine="radial-lattice",
                               memory_budget_mb=0, track=[((1, 1), (2,)), ((), (-2,))]),
-         [(word, (v,)) for word in product.left.ball(2) for v in range(-2, 3)],
-         [((1, 1, 1), (0,)), ((), (3,))]),
-        ("generic tracked",
-         w.convolution_powers(lamp1, lamp_mu, 8, engine="generic", track=lamp_track),
-         lamp_track + [lamp1.identity()], [((1,), ()), ((20,), ())]),
+         [(word, (v,)) for word in product.left.ball(2) for v in range(-2, 3)]
+         + [((1, 1, 1), (0,))],
+         [((), (3,))]),
     ]
     return cases
 
@@ -406,9 +459,9 @@ def _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2, lamp1, lam
 def test_log_column_matches_log_value(lattice1, lattice2, lazy_z, lazy_z2, free2,
                                       iso_f2, lamp1, lamp_mu):
     """log_column(g) equals [log_value(m, g) for m in 0..depth] bit for bit,
-    absent entries (-inf) included, on every engine, full, tracked and
-    re-imported; an element a tracked cache does not keep raises
-    CoverageError from both calls."""
+    absent entries (-inf) included, on every engine, full and re-imported,
+    and on the dense and radial-lattice engines tracked; an element a
+    tracked cache does not keep raises CoverageError from both calls."""
     cases = _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2,
                           lamp1, lamp_mu)
     for label, cache, elems, outside in cases:
@@ -485,7 +538,12 @@ def test_export_import_round_trip(lattice1, lamp1, free2, lazy_z, lamp_mu, iso_f
             assert ([back.log_value(m, g) for g in ball]
                     == [cache.log_value(m, g) for g in ball])
             assert back.level_mass(m) == cache.level_mass(m)
-            assert back.level_log_scale(m) == cache.level_log_scale(m)
+            if cache.engine_name == "radial-lattice":
+                for query in (back.level_log_scale, back.level_measure):
+                    with pytest.raises(CoverageError):
+                        query(m)
+            else:
+                assert back.level_log_scale(m) == cache.level_log_scale(m)
             if cache.engine_name in ("dense", "generic"):
                 assert back.level_measure(m) == cache.level_measure(m)
         assert json.loads(text)["format"] == "walkops-powers-cache"
@@ -691,12 +749,35 @@ def array_artifacts(lattice1, lazy_z, free2, iso_f2, product_f2z, cartesian_mu):
     return {c.engine_name: json.loads(w.export_cache_json(c)) for c in caches}
 
 
+def _former_levels(cache):
+    """The levels of a cache of one of the ``array_artifacts`` walks (one
+    tree radius and one lattice unit per step at most) as the former
+    (tree radius x lattice) arrays, read off ``log_column`` on the grid
+    they covered: radii 0..m on a tree, lattice points -m..m on each axis.
+    Each level is (lat_lo, array scaled to its largest entry, log scale)."""
+    desc = cache.descriptor
+    name = cache.engine_name
+    tree = name != "dense"
+    lattice = desc if name == "dense" else desc.right if name == "radial-lattice" else None
+    d = lattice.dimension if lattice else 0
+    levels = []
+    for m in range(cache.depth + 1):
+        radii = range(m + 1) if tree else [0]
+        points = list(itertools.product(range(-m, m + 1), repeat=d))
+        elems = [((1,) * r, v) if tree and lattice else ((1,) * r if tree else v)
+                 for r in radii for v in points]
+        logs = np.array([cache.log_column(g)[m] for g in elems])
+        logs = logs.reshape((len(radii),) + (2 * m + 1,) * d)
+        ls = logs.max()
+        levels.append(((-m,) * d, np.exp(logs - ls), ls))
+    return levels
+
+
 def _with_level_payload(doc):
     """The array artifact ``doc`` as version 4 wrote it before array
     artifacts became recipes: its levels in one packed payload."""
     doc = copy.deepcopy(doc)
-    cache = w.import_cache_json(json.dumps(doc))
-    levels = [(lat_lo, arr, ls) for lat_lo, arr, ls, _ in cache._levels]
+    levels = _former_levels(w.import_cache_json(json.dumps(doc)))
     doc["payload"] = {
         "lat_lo": _pack(np.array([lo for lo, _, _ in levels], dtype=np.int64)
                         .reshape(len(levels), -1)),
@@ -753,8 +834,8 @@ def test_array_tampered_artifact_rejected(array_artifacts, engine, tamper):
 
 def test_array_engine_relabel_rejected(array_artifacts):
     """An array artifact whose engine field names another array engine is
-    malformed: one class loads the three names, and the descriptor fixes
-    which one a cache is."""
+    malformed: the descriptor fixes which of the three names a cache
+    has."""
     for engine in ARRAY_ENGINES:
         for label in ARRAY_ENGINES:
             if label == engine:
