@@ -60,49 +60,47 @@ class Workspace:
     # -- shared pipeline pieces ------------------------------------------------
 
     def track_elements(self):
-        """Union of elements every configured job may query, for deep caches
-        that fall back to tracked retention."""
+        """Every element the configured jobs may query, for a deep cache that
+        falls back to tracked retention.  A generator, so that only a cache
+        over its memory budget computes it; elements may repeat."""
         cfg = self.cfg
         desc = cfg.descriptor
         inv = desc.inverse
         mul = desc.multiply
-        needed = {desc.identity()}
+        yield desc.identity()
         xball = desc.ball(cfg.getint("kernel", "x_radius"))
         yball = desc.ball(cfg.getint("kernel", "y_radius"))
-        needed.update(xball)
-        needed.update(yball)
+        yield from xball
+        yield from yball
         for x in xball:
             for y in yball:
-                needed.add(mul(inv(x), y))
+                yield mul(inv(x), y)
         probe = desc.ball(cfg.getint("radical", "probe_radius"))
         for y in desc.ball(cfg.getint("radical", "ball_radius")):
             for x in probe:
-                needed.add(mul(inv(x), y))
+                yield mul(inv(x), y)
         for r in ("radical", "metric", "boundary"):
-            needed.update(desc.ball(cfg.getint(r, "ball_radius")))
+            yield from desc.ball(cfg.getint(r, "ball_radius"))
         # window transitions and their kernel-entry denominators
         supp_radius = max(desc.word_length(g) for g in cfg.measure.support)
         fock_radius = (cfg.getint("fock", "x_radius")
                        + cfg.getint("fock", "z_radius") + supp_radius + 1)
-        needed.update(desc.ball(fock_radius))
+        yield from desc.ball(fock_radius)
         for y in self.boundary_sequence(optional=True):
-            needed.add(y)
+            yield y
             for x in desc.ball(cfg.getint("boundary", "probe_radius")):
-                needed.add(mul(inv(x), y))
+                yield mul(inv(x), y)
             for x in desc.ball(cfg.getint("boundary", "ball_radius")):
-                needed.add(mul(inv(x), y))
+                yield mul(inv(x), y)
         for y, z in cfg.element_pairs("metric", "pairs"):
             for x in desc.ball(cfg.getint("metric", "ball_radius")):
-                needed.add(mul(inv(x), y))
-                needed.add(mul(inv(x), z))
-        return needed
+                yield mul(inv(x), y)
+                yield mul(inv(x), z)
 
     def cache(self):
         if self._cache is None:
             cfg = self.cfg
-            engine = cfg.get("walk", "engine")
-            name = (pick_engine(cfg.descriptor, cfg.measure)
-                    if engine == "auto" else engine)
+            name = pick_engine(cfg.descriptor, cfg.measure)
             support_cap = cfg.getint("walk", "support_cap")
             memory_budget_mb = cfg.getint("walk", "memory_budget_mb")
             # the file name carries every setting that changes the content,
@@ -126,18 +124,13 @@ class Workspace:
                     else:
                         self._cache = cache
             if self._cache is None:
-                # a track set only matters where a lattice cache (a
-                # product's lattice factor too) may fall back to tracked
-                # retention; the generic engine is governed by support_cap
-                track = (self.track_elements()
-                         if name in ("dense", "radial-lattice") else None)
                 self._cache = convolution_powers(
                     cfg.descriptor, cfg.measure,
                     cfg.getint("walk", "depth"),
                     engine=name,
                     support_cap=support_cap,
                     memory_budget_mb=memory_budget_mb,
-                    track=track,
+                    track=self.track_elements(),
                 )
                 if artifact is not None:
                     try:

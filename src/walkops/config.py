@@ -20,7 +20,6 @@ from .measures import ScaledMeasure, parse_measure
 _DEFAULTS = {
     "walk": {
         "depth": "256",
-        "engine": "auto",
         "support_cap": "2000000",
         "memory_budget_mb": "512",
     },
@@ -83,6 +82,11 @@ class RunConfig:
         return cls.from_text(path.read_text(encoding="utf-8"), base_dir=path.parent)
 
     def validate(self):
+        if "engine" in self.sections["walk"]:
+            raise PreconditionError(
+                "[walk] engine is not a config key: the engine is picked "
+                "from the group and the measure"
+            )
         if self.getint("walk", "depth") < 1:
             raise PreconditionError("walk depth must be positive")
         for section, key in (

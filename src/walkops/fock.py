@@ -326,11 +326,11 @@ class WindowedOperator:
         return {"label": self.label, "params": self.params, "triplets": triplets}
 
 
-def operator_norm(matrix, tol: float = 1e-10, seed: int = 7,
-                  max_iter: int = 20000) -> float:
+def operator_norm(matrix, tol: float = 1e-10, seed: int = 7) -> float:
     """Largest singular value by power iteration on A*A.
 
-    Deterministic: fixed-seed start vector, relative stop at ``tol``.
+    Deterministic: fixed-seed start vector, relative stop at ``tol``, at
+    most 20,000 iterations.
     """
     n = matrix.shape[1]
     if n == 0 or matrix.nnz == 0:
@@ -341,7 +341,7 @@ def operator_norm(matrix, tol: float = 1e-10, seed: int = 7,
         v = v + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(20000):
         w = matrix @ v
         u = matrix.conj().T @ w
         nu = np.linalg.norm(u)
@@ -860,8 +860,7 @@ class QuotientNormEstimate:
 
 def quotient_norm_estimate(window: FockWindow, op: WindowedOperator,
                            z_samples, ladder=None, tol: float = 1e-10,
-                           seed: int = 7,
-                           stabilization_rtol: float = 0.02) -> QuotientNormEstimate:
+                           seed: int = 7) -> QuotientNormEstimate:
     """sup over sampled fibers of lim_m ||T Q^{[m, interior]}|_{F_z}||.
 
     For each fiber the restricted norm is computed on an increasing ladder
@@ -887,7 +886,8 @@ def quotient_norm_estimate(window: FockWindow, op: WindowedOperator,
             vals.append((m, operator_norm(sp.csr_matrix(sub), tol=tol, seed=seed)))
         per_fiber[window.descriptor.format(z)] = vals
         tail = [v for _, v in vals if v > 0.0]
-        if len(tail) >= 2 and abs(tail[-1] - tail[-2]) > stabilization_rtol * max(tail[-1], 1e-300):
+        # stabilized: the last two ladder values agree within 2% relative
+        if len(tail) >= 2 and abs(tail[-1] - tail[-2]) > 0.02 * max(tail[-1], 1e-300):
             stabilized = False
         if vals:
             sup = max(sup, vals[-1][1])

@@ -154,10 +154,10 @@ class MeasureReport:
 
 
 def validate_measure(mu: ScaledMeasure, descriptor: GroupDescriptor,
-                     r_check: int = 3, probe_depth: int = 12,
-                     mass_tol: float = MASS_TOL, cache=None) -> MeasureReport:
-    """Structural checks: mass 1, nonnegativity, symmetry flag, period, and
-    semigroup-generation evidence up to ``ball(r_check)``.
+                     probe_depth: int = 12, cache=None) -> MeasureReport:
+    """Structural checks: mass 1 (within ``MASS_TOL``), nonnegativity,
+    symmetry flag, period, and semigroup-generation evidence up to
+    ``ball(3)``.
 
     The period is the gcd of the return times to the identity within
     ``probe_depth`` steps, read by ``powers.is_aperiodic`` from ``cache``,
@@ -173,9 +173,9 @@ def validate_measure(mu: ScaledMeasure, descriptor: GroupDescriptor,
 
     messages = []
     mass = mu.total_mass()
-    mass_ok = abs(mass - 1.0) <= mass_tol
+    mass_ok = abs(mass - 1.0) <= MASS_TOL
     if not mass_ok:
-        messages.append(f"total mass {mass!r} differs from 1 beyond {mass_tol}")
+        messages.append(f"total mass {mass!r} differs from 1 beyond {MASS_TOL}")
     nonnegative = all(v >= 0.0 for v in mu.support.values())
     if not nonnegative:
         messages.append("negative entry in support")
@@ -201,7 +201,8 @@ def validate_measure(mu: ScaledMeasure, descriptor: GroupDescriptor,
             f"no return to identity within {min(probe_depth, cache.depth)} steps"
         )
 
-    # semigroup generation: products of support elements must reach ball(r_check)
+    # semigroup generation: products of support elements must reach ball(3)
+    r_check = 3
     e = descriptor.identity()
     target = set(descriptor.ball(r_check))
     supp = list(mu.support.keys())

@@ -3,10 +3,12 @@
 Iterative powering (never binary) so that ratio sequences can read every
 level.  Three engines share one query interface:
 
-* array          one array over (tree radius, lattice point) per level:
-                 ``radial`` (isotropic free-group walks, the trivial
-                 lattice, d = 0, O(m) radii per level) and ``dense``
-                 (lattice walks, the trivial tree with radius 0 only)
+* array          ``ArrayPowers``: each level is one plain array indexed
+                 from its corner ``lo``.  ``radial`` (isotropic free-group
+                 walks): a 1-d array over tree radii, O(m) per level,
+                 stepped by the radial tree move.  ``dense`` (lattice walks
+                 on Z^d): a d-dim array over the lattice box the walk can
+                 reach, stepped by shifted adds
 * ``radial-lattice``  Cartesian walks mu = p·(mu_F x δ) + q·(δ x mu_Z) on
                  F_s x Z^d with an isotropic tree factor.  No product
                  level is stored: the cache holds a ``radial`` cache of
@@ -25,10 +27,11 @@ quotients.  A product keeps every level of both factors.
 
 Retention is ``full`` (every level queryable everywhere) or ``tracked``.
 A ``dense`` cache that would blow its memory budget keeps every level on
-the lattice box spanned by a declared track set only.  A product hands its
-budget and its track set, projected to lattice points, to its lattice
-factor; without a track set both factors are fully retained.  A free-group
-walk is always fully retained: its level mass needs every radius, so a
+the lattice box spanned by a declared track set only; the track set may
+be any iterable and is read only then.  A product hands its budget and
+its track set, projected lazily to lattice points, to its lattice factor;
+without a track set both factors are fully retained.  A free-group walk
+is always fully retained: its level mass needs every radius, so a
 tracked level would keep as many floats as a full one.
 
 The array engine computes a level's mass on the first ``level_mass`` call
@@ -39,19 +42,19 @@ whole.  A product's level mass is the binomial mix of its factors'.
 
 ``log_column(g)`` is the whole history of one entry: log mu^{*m}(g) for
 m = 0..depth as a read-only float array, -inf where the entry is absent.
-Each entry is computed exactly as ``log_value`` computes it, so the two
-agree bit for bit, and the cache memoizes one column per key, built on
-first request.  The key is what the entry depends on in each engine: the
-(tree radius, lattice point) coordinates on the array engine (``(len(g),
-())`` for a free-group walk, so a ratio sequence there depends only on
-|x^-1 y| and |y|), the pair of its factors' keys on a product, whose
-factors memoize their own columns, and the element itself on ``generic``
-(one ``searchsorted`` per level).  A tracked cache raises
-``CoverageError`` for an element outside its tracked region, as
-``log_value`` does.  Scans over levels (ratio sequences, bound constants,
-return ratios, Green sums, the Fock window) read columns, never
-``log_value`` level by level; the period of the walk is read once per
-cache from the identity's column (``aperiodicity``).
+The cache memoizes one column per key, built on first request, and
+``log_value(m, g)`` reads entry m of that column, so the two agree bit for
+bit on every engine.  The key is what the entry depends on in each
+engine: the array index on the array engine (``(len(g),)`` for a
+free-group walk, so a ratio sequence there depends only on |x^-1 y| and
+|y|, and the lattice point ``g`` itself for a lattice walk), the pair of
+its factors' keys on a product, whose factors memoize their own columns,
+and the element itself on ``generic`` (one ``searchsorted`` per level).
+A tracked cache raises ``CoverageError`` for an element outside its
+tracked region.  Scans over levels (ratio sequences, bound constants,
+return ratios, Green sums, the Fock window) read columns; the period of
+the walk is read once per cache from the identity's column
+(``aperiodicity``).
 
 ``export_cache_json`` writes a version-4 JSON artifact: a header
 (descriptor, measure, depth, engine, complete, budget_note) and a
@@ -154,18 +157,13 @@ class PowersCache:
     def depth(self) -> int:
         raise NotImplementedError
 
-    def log_value(self, m: int, g) -> float:
-        """log mu^{*m}(g); -inf when the entry is absent (true zero)."""
-        raise NotImplementedError
-
     def _column_key(self, g):
         """What log mu^{*m}(g) depends on here; CoverageError where a tracked
         cache does not keep g."""
         raise NotImplementedError
 
     def _column_values(self, key) -> list:
-        """log mu^{*m} at ``key`` for m = 0..depth, as ``log_value`` computes
-        each entry."""
+        """log mu^{*m} at ``key`` for m = 0..depth."""
         raise NotImplementedError
 
     def level_mass(self, m: int) -> float:
@@ -180,9 +178,15 @@ class PowersCache:
         if not 0 <= m <= self.depth:
             raise CoverageError(f"level {m} outside cache depth {self.depth}")
 
+    def log_value(self, m: int, g) -> float:
+        """log mu^{*m}(g); -inf when the entry is absent (true zero).  Entry
+        m of g's memoized column."""
+        self._check_level(m)
+        return float(self._key_column(self._column_key(g))[m])
+
     def log_column(self, g) -> np.ndarray:
         """log mu^{*m}(g) for m = 0..depth, -inf where absent; read-only and
-        memoized per engine key, and equal to ``log_value`` bit for bit."""
+        memoized per engine key."""
         return self._key_column(self._column_key(g))
 
     def _key_column(self, key) -> np.ndarray:
@@ -261,8 +265,8 @@ def is_aperiodic(cache: PowersCache, probe_depth: int | None = None):
 
 def _log_entry(val, log_scale: float) -> float:
     """log of a stored entry (mantissa ``val`` under the level's log scale);
-    -inf when the entry is absent (zero).  The one formula behind
-    ``log_value`` and ``log_column`` on every engine."""
+    -inf when the entry is absent (zero).  The one formula behind the
+    columns of the array and generic engines."""
     return math.log(val) + log_scale if val > 0.0 else NEG_INF
 
 
@@ -628,14 +632,6 @@ class GenericPowers(PowersCache):
     def depth(self):
         return len(self._levels) - 1
 
-    def log_value(self, m, g):
-        self._check_level(m)
-        i = self._id_of(g)
-        if i < 0:
-            return NEG_INF
-        level = self._levels[m]
-        return _log_entry(_stored(level, i), level.log_scale)
-
     def _column_key(self, g):
         return g
 
@@ -719,32 +715,30 @@ def _array_engine_name(descriptor: GroupDescriptor) -> str:
     return "radial" if isinstance(descriptor, FreeGroup) else "radial-lattice"
 
 
-def _row_sums(arr: np.ndarray) -> np.ndarray:
-    """Per-tree-radius sums of a (r, *lattice) level array."""
-    return arr.reshape(arr.shape[0], -1).sum(axis=1)
-
-
-def _cell(level, r, v):
-    """The stored mantissa at (tree radius r, lattice point v) of an array
-    level, 0.0 when the point lies outside its array."""
-    lat_lo, arr, _, _ = level
-    idx = (r, *map(operator.sub, v, lat_lo))
+def _cell(level, key):
+    """The stored mantissa at index ``key`` of an array level, 0.0 when the
+    index lies outside its array."""
+    lo, arr, _, _ = level
+    idx = tuple(map(operator.sub, key, lo))
     for i, n in zip(idx, arr.shape):
         if not 0 <= i < n:
             return 0.0
     return arr[idx]
 
 
-class RadialLatticePowers(PowersCache):
-    """Isotropic walks on F_s and walks on Z^d.
+class ArrayPowers(PowersCache):
+    """Isotropic walks on F_s and walks on Z^d, one plain array per level.
 
-    Level state: value per (tree radius, lattice point).  A free-group walk
-    has the trivial lattice (d = 0, one value per radius) and steps by the
-    radial tree move; its engine name is ``radial``.  A lattice walk has the
-    trivial tree (radius 0 only) and steps by shifted adds, the identity
-    mass first; its engine name is ``dense``.  Only a ``dense`` cache takes
-    a memory budget and a track set: a tracked free-group level would keep
-    its row sums, which at d = 0 are the whole level.
+    A level is ``(lo, array, log scale, total)``, the array indexed from its
+    corner ``lo``.  A free-group walk keeps a 1-d array over tree radii
+    (``lo = (0,)``; g is read at index ``(len(g),)``) and steps by the
+    radial tree move; its engine name is ``radial``.  A lattice walk keeps a
+    d-dim array over the lattice box the walk reaches (g is read at index
+    g) and steps by shifted adds, the identity mass first; its engine name
+    is ``dense``.  Only a ``dense`` cache takes a memory budget and a track
+    set: a tracked level keeps the part of its array inside the tracked box
+    and, as its total, the sum of the whole array, which gives its mass.  A
+    full level's total is None.
     """
 
     def __init__(self, descriptor, mu, depth,
@@ -755,16 +749,12 @@ class RadialLatticePowers(PowersCache):
         self.engine_name = _array_engine_name(descriptor)
         self._mu_ls = mu.log_scale
         self._track_region = None
-        # levels: (lat_lo, array[(r, *lattice)], log_scale, row sums).  A
-        # tracked level keeps only part of its array, so it keeps the
-        # row sums of the whole, which give its mass on first request; a
-        # full level holds None there and sums its own array then
         self._levels = []
         self._masses: dict = {}
         if isinstance(descriptor, FreeGroup):
             # IsotropyError unless the measure is isotropic
             self._tree_vals = radial_reduce(mu, descriptor).values
-            self.q, d = 2 * descriptor.rank, 0
+            self.q, d = 2 * descriptor.rank, 1
         else:
             self.q, d = 0, descriptor.dimension
             zero = descriptor.identity()
@@ -789,25 +779,24 @@ class RadialLatticePowers(PowersCache):
                     tuple(min(v[i] for v in pts) for i in range(d)),
                     tuple(max(v[i] for v in pts) for i in range(d)),
                 )
-        self._current = ((0,) * d, np.ones((1,) * (d + 1)), 0.0, None)
+        self._current = ((0,) * d, np.ones((1,) * d), 0.0, None)
         self._levels.append(self._current)
         for _ in range(depth):
             self._step()
 
     def _step(self):
-        lat_lo, arr, ls, _ = self._current
+        lo, arr, ls, _ = self._current
         if self.q:
-            lo_new, out = lat_lo, radial_step(arr, self._tree_vals, self.q)
+            lo_new, out = lo, radial_step(arr, self._tree_vals, self.q)
         else:
             # each move adds the level shifted by its offset into a box
             # widened by the steps' extent
-            lo_new = tuple(map(operator.add, lat_lo, self._lo_step))
-            out = np.zeros((1,) + tuple(
-                n + h - l for n, l, h in zip(arr.shape[1:], self._lo_step, self._hi_step)))
+            lo_new = tuple(map(operator.add, lo, self._lo_step))
+            out = np.zeros(tuple(
+                n + h - l for n, l, h in zip(arr.shape, self._lo_step, self._hi_step)))
             for v, mass in self._moves:
-                sl = tuple(slice(c - l, c - l + n)
-                           for c, l, n in zip(v, self._lo_step, arr.shape[1:]))
-                out[(slice(None),) + sl] += mass * arr
+                out[tuple(slice(c - l, c - l + n) for c, l, n in zip(
+                    v, self._lo_step, arr.shape))] += mass * arr
         peak = out.max()
         out /= peak
         ls_new = ls + self._mu_ls + math.log(peak)
@@ -815,44 +804,36 @@ class RadialLatticePowers(PowersCache):
         if self._track_region is None:
             self._levels.append(self._current)
         else:
+            # the tracked box and every level's box hold the origin, so they
+            # meet; slicing clips the box to the level's array
             tlo, thi = self._track_region
             clo = tuple(map(max, lo_new, tlo))
-            chi = tuple(min(l + n - 1, b) for l, n, b in zip(lo_new, out.shape[1:], thi))
-            if any(a > b for a, b in zip(clo, chi)):
-                keep = np.zeros((0,) * out.ndim)
-            else:
-                sl = tuple(slice(a - l, b - l + 1) for a, b, l in zip(clo, chi, lo_new))
-                keep = out[(slice(None),) + sl].copy()
-            self._levels.append((clo, keep, ls_new, _row_sums(out)))
+            keep = out[tuple(slice(a - l, b - l + 1)
+                             for a, b, l in zip(clo, thi, lo_new))].copy()
+            self._levels.append((clo, keep, ls_new, out.sum()))
 
     @property
     def depth(self):
         return len(self._levels) - 1
 
-    def log_value(self, m, g):
-        self._check_level(m)
-        r, v = self._column_key(g)
-        level = self._levels[m]
-        return _log_entry(_cell(level, r, v), level[2])
-
     def _column_key(self, g):
         # a tracked level's array lies inside the tracked region, so a point
         # outside the region is outside every stored level
-        r, v = (len(g), ()) if self.q else (0, g)
+        key = (len(g),) if self.q else g
         if self._track_region is not None and not all(
-                a <= c <= b for c, a, b in zip(v, *self._track_region)):
+                a <= c <= b for c, a, b in zip(key, *self._track_region)):
             raise CoverageError("element outside the tracked region of this cache")
-        return r, v
+        return key
 
     def _column_values(self, key):
-        r, v = key
-        return [_log_entry(_cell(level, r, v), level[2]) for level in self._levels]
+        return [_log_entry(_cell(level, key), level[2]) for level in self._levels]
 
     def level_mass(self, m):
         self._check_level(m)
         if m not in self._masses:
-            _, arr, ls, sums = self._levels[m]
-            logs = log_radial_mass(_row_sums(arr) if sums is None else sums, self.q)
+            _, arr, ls, total = self._levels[m]
+            sums = arr if self.q else [arr.sum() if total is None else total]
+            logs = log_radial_mass(sums, self.q)
             self._masses[m] = math.exp(logs + ls) if logs > NEG_INF else 0.0
         return self._masses[m]
 
@@ -881,11 +862,11 @@ class RadialLatticePowers(PowersCache):
         self._check_level(m)
         if self._track_region is not None:
             raise CoverageError("tracked cache cannot materialize full levels")
-        lat_lo, arr, ls, _ = self._levels[m]
+        lo, arr, ls, _ = self._levels[m]
         support = {}
-        for idx in np.argwhere(arr[0] > 0.0):
-            g = tuple(int(i + l) for i, l in zip(idx, lat_lo))
-            support[g] = float(arr[(0,) + tuple(idx)])
+        for idx in np.argwhere(arr > 0.0):
+            g = tuple(int(i + l) for i, l in zip(idx, lo))
+            support[g] = float(arr[tuple(idx)])
         return ScaledMeasure(support=support, log_scale=ls, step_index=m)
 
 
@@ -946,14 +927,13 @@ class CartesianPowers(PowersCache):
         log mu^{*m}(w, v) = log Σ_k C(m,k) p^k q^(m-k) mu_F^{*k}(w) mu_Z^{*(m-k)}(v),
 
     summed in log space over every k <= m (each row scaled by its largest
-    term), so an entry is absent exactly when every term is;
-    ``log_value(m, g)`` reads ``log_column(g)[m]``.  The sum is not cut to
-    a window around the binomial mode k ≈ pm: the tree factor decays like
-    rho_F^k, which moves the largest terms below that mode, so a cut that
-    holds whatever the factor columns are keeps about half of the triangle
-    or more.  The memory budget and the track set, projected to lattice
-    points, go to the lattice factor (without a track set both factors are
-    fully retained).  Levels are not materialized.
+    term), so an entry is absent exactly when every term is.  The sum is
+    not cut to a window around the binomial mode k ≈ pm: the tree factor
+    decays like rho_F^k, which moves the largest terms below that mode, so
+    a cut that holds whatever the factor columns are keeps about half of
+    the triangle or more.  The memory budget and the track set, projected
+    lazily to lattice points, go to the lattice factor (without a track set
+    both factors are fully retained).  Levels are not materialized.
     """
 
     engine_name = "radial-lattice"
@@ -967,11 +947,11 @@ class CartesianPowers(PowersCache):
                 "measure is not a Cartesian mixture on free x lattice"
             )
         (mu_f, log_p), (mu_z, log_q) = factors
-        self._tree = RadialLatticePowers(descriptor.left, mu_f, depth)
+        self._tree = ArrayPowers(descriptor.left, mu_f, depth)
         budget, lat_track = ((math.inf, None) if track is None
-                             else (memory_budget_mb, [v for _, v in track]))
-        self._lattice = RadialLatticePowers(descriptor.right, mu_z, depth,
-                                            memory_budget_mb=budget, track=lat_track)
+                             else (memory_budget_mb, (v for _, v in track)))
+        self._lattice = ArrayPowers(descriptor.right, mu_z, depth,
+                                    memory_budget_mb=budget, track=lat_track)
         self._track_region = self._lattice._track_region
         self._log_fact = np.array([math.lgamma(m + 1) for m in range(depth + 1)])
         self._log_wp = _log_weights(log_p, self._log_fact)
@@ -1002,10 +982,6 @@ class CartesianPowers(PowersCache):
     def depth(self):
         return self._tree.depth
 
-    def log_value(self, m, g):
-        self._check_level(m)
-        return float(self.log_column(g)[m])
-
     def _column_key(self, g):
         w, v = g
         return self._tree._column_key(w), self._lattice._column_key(v)
@@ -1031,8 +1007,8 @@ class CartesianPowers(PowersCache):
 # construction and (de)serialization
 # ---------------------------------------------------------------------------
 
-# the recipe engines, each fitting one kind of group: RadialLatticePowers
-# serves the first two, CartesianPowers the third
+# the recipe engines, each fitting one kind of group: ArrayPowers serves
+# the first two, CartesianPowers the third
 _ARRAY_ENGINES = ("dense", "radial", "radial-lattice")
 
 
@@ -1062,15 +1038,17 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
                        track=None) -> PowersCache:
     """Compute and retain mu^{*m} for m = 0..depth.
 
-    ``track`` declares elements that must stay queryable at every level if
-    full retention would blow ``memory_budget_mb``.  Both bind a deep
-    ``dense`` run only; without a track set such a run raises
-    BudgetExceededError.  A ``radial-lattice`` (product) run hands them to
-    its lattice factor, the track set projected to lattice points, and
-    without a track set retains both factors in full.  A radial
-    (free-group) run is always fully retained: a tracked level would still
-    keep the per-radius row sums its mass needs, which at d = 0 are the
-    whole level.  The generic engine is bounded by ``support_cap`` alone.
+    ``engine`` is ``auto`` (``pick_engine``) or one engine name.
+    ``track`` is an iterable of elements that must stay queryable at every
+    level if full retention would blow ``memory_budget_mb``.  Both bind a
+    deep ``dense`` run only, and the track set is read only when the
+    budget binds, so it may be a lazy generator; without one such a run
+    raises BudgetExceededError.  A ``radial-lattice`` (product) run hands
+    both to its lattice factor, the track set projected lazily to lattice
+    points, and without a track set retains both factors in full.  A
+    ``radial`` (free-group) run is always fully retained: its level mass
+    needs every radius, so a tracked level would save nothing.  The
+    generic engine is bounded by ``support_cap`` alone.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -1080,7 +1058,7 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
             raise PreconditionError(
                 f"engine {name!r} does not serve walks on {descriptor.spec_string()}"
             )
-        cls = CartesianPowers if name == "radial-lattice" else RadialLatticePowers
+        cls = CartesianPowers if name == "radial-lattice" else ArrayPowers
         return cls(descriptor, mu, depth, memory_budget_mb=memory_budget_mb, track=track)
     if name == "generic":
         return GenericPowers(descriptor, mu, depth, support_cap=support_cap)

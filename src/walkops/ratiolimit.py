@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoverageError, PreconditionError
+from .errors import CoverageError, PreconditionError, RadiusExhaustedError
 from .groups import FreeGroup, GroupDescriptor
 from .measures import NEG_INF, ScaledMeasure
 from .powers import PowersCache, convolution_powers
@@ -450,11 +450,13 @@ def boundary_trace(table, sequence: list, probe_radius: int,
         })
     worst = max((r["with_tail"] for r in residuals), default=0.0)
     passed = worst <= tol
+    # the trace's abscissa is |y_k|, or the position k where the word
+    # length lies past the descriptor's BFS radius (lamplighter groups)
     ks = []
     for pos, y in enumerate(sequence, start=1):
         try:
             ks.append(desc.word_length(y))
-        except Exception:
+        except RadiusExhaustedError:
             ks.append(pos)
     limits = {}
     for x, tr in traces.items():

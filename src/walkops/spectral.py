@@ -47,7 +47,7 @@ def _return_ratio_tail(cache: PowersCache, period: int):
     return ms, rs
 
 
-def spectral_radius(cache: PowersCache, tail_window: int | None = None) -> SpectralEstimate:
+def spectral_radius(cache: PowersCache) -> SpectralEstimate:
     """Estimate rho from return-probability ratios.
 
     Aperiodic walks use successive ratios mu^{*(m+1)}(e)/mu^{*m}(e);
@@ -75,7 +75,7 @@ def spectral_radius(cache: PowersCache, tail_window: int | None = None) -> Spect
             ratios=raw,
         )
     extr = richardson_harmonic(tail_ms, tail_rs)
-    window = tail_window or max(4, len(extr) // 4)
+    window = max(4, len(extr) // 4)
     view = extr[-window:]
     rho_p = float(extr[-1])
     rho = rho_p ** (1.0 / period)
@@ -198,16 +198,15 @@ class MartinEntry:
 
 
 def martin_kernel(cache: PowersCache, x, y, rho_hat: float, alpha: float,
-                  terms: int | None = None, ladder_steps: int = 8,
-                  policy: str = "auto") -> MartinEntry:
+                  terms: int | None = None, policy: str = "auto") -> MartinEntry:
     """K(x,y) = lim_{z -> 1/rho} G(x,y|z) / G(e,y|z), base point e.
 
     Evaluation policy: with ``auto``, the ratio is evaluated directly at
     the radius when the fitted local-limit exponent exceeds 1 (the series
     converges there), with the interval propagated from the two truncation
     bounds; otherwise along the ladder z_k = (1 - 2^-k)/rho with Aitken
-    extrapolation and the ladder spread as the interval.  ``at-radius`` and
-    ``ladder`` force one branch.
+    extrapolation (eight rungs, k = 2..9) and the ladder spread as the
+    interval.  ``at-radius`` and ``ladder`` force one branch.
     """
     e = cache.descriptor.identity()
     if policy not in ("auto", "at-radius", "ladder"):
@@ -223,7 +222,7 @@ def martin_kernel(cache: PowersCache, x, y, rho_hat: float, alpha: float,
         return MartinEntry(x=x, y=y, estimate=est, lo=lo, hi=hi, method="at-radius",
                            converged=g1.reliable and g2.reliable)
     vals = []
-    for k in range(2, 2 + ladder_steps):
+    for k in range(2, 10):
         z = (1.0 - 2.0 ** (-k)) / rho_hat
         g1 = green(cache, x, y, z, terms=terms, rho_hat=rho_hat, alpha=alpha)
         g2 = green(cache, e, y, z, terms=terms, rho_hat=rho_hat, alpha=alpha)

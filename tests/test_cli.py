@@ -12,6 +12,7 @@ import pytest
 import walkops
 from walkops.cli import main
 from walkops.config import RunConfig
+from walkops.errors import PreconditionError
 from walkops.powers import _pack, convolution_powers
 
 DATA = Path(__file__).parent / "data"
@@ -382,6 +383,52 @@ def test_product_cache_full_pipeline(tmp_path, capsys):
     assert json.loads((tmp_path / "z2out" / "radical.json").read_text())["flags_entire_ball"]
 
 
+def test_track_set_read_only_over_budget(tmp_path, monkeypatch, capsys):
+    """The CLI's track set is computed only by a cache over its memory
+    budget.  ``boundary_sequence(optional=True)`` is called by the track set
+    alone, so a lattice(1) run and the criterion-5 product report under the
+    default budget never call it (the boundary job reads the sequence with
+    ``optional=False``), while a lattice(2) run with ``memory_budget_mb =
+    0`` does."""
+    from walkops.cli import Workspace
+
+    calls = []
+    sequence = Workspace.boundary_sequence
+
+    def spy(self, optional=False):
+        calls.append(optional)
+        return sequence(self, optional=optional)
+
+    monkeypatch.setattr(Workspace, "boundary_sequence", spy)
+    lazy = tmp_path / "lazy.ini"
+    lazy.write_text(LAZY_Z_CFG, encoding="utf-8")
+    assert main(["spectrum", "--config", str(lazy), "--out", str(tmp_path / "z")]) == 0
+    product = tmp_path / "product.ini"
+    product.write_text(PRODUCT_CFG.replace("memory_budget_mb = 4\n", ""), encoding="utf-8")
+    assert main(["report", "--config", str(product), "--out", str(tmp_path / "p")]) == 0
+    assert calls == [False]
+
+    z2 = tmp_path / "z2.ini"
+    z2.write_text(AMENABLE_Z2_CFG.replace("depth = 128", "depth = 128\nmemory_budget_mb = 0"),
+                  encoding="utf-8")
+    assert main(["radical", "--config", str(z2), "--out", str(tmp_path / "z2out")]) == 0
+    assert calls == [False, True]
+    assert capsys.readouterr().err == ""
+
+
+def test_config_engine_key_rejected(tmp_path, capsys):
+    """The engine is picked from the group and the measure: a config that
+    sets ``[walk] engine`` fails validation, naming the key, and the CLI
+    exits 2."""
+    text = LAZY_Z_CFG + "engine = generic\n"
+    with pytest.raises(PreconditionError, match=r"\[walk\] engine"):
+        RunConfig.from_text(text)
+    cfg = tmp_path / "engine.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "[walk] engine" in capsys.readouterr().err
+
+
 def test_radial_run_ignores_memory_budget(cfg_file, tmp_path):
     """A free-group run is fully retained whatever its memory budget (a
     tracked radial level would save nothing), so with ``memory_budget_mb =
@@ -474,10 +521,12 @@ def _truncate(text):
 
 
 def _lazy_z_levels():
-    """This config's levels as (lat_lo, (r, *lattice) array, log scale)."""
+    """This config's levels as (lat_lo, (r, *lattice) array, log scale), the
+    layout of the former array payloads: a lattice level with a leading
+    tree-radius axis of length 1."""
     cfg = RunConfig.from_text(LAZY_Z_CFG)
     cache = convolution_powers(cfg.descriptor, cfg.measure, 64)
-    return [(lat_lo, arr, ls) for lat_lo, arr, ls, _ in cache._levels]
+    return [(lat_lo, arr[None], ls) for lat_lo, arr, ls, _ in cache._levels]
 
 
 def _as_version_1(text):

@@ -134,9 +134,9 @@ def _radial_reference(desc, mu, depth):
 
 
 def test_radial_levels_match_reference_step(free2, iso_f2):
-    """The array engine's free-group case (trivial lattice) reproduces the
-    reference radial step bit for bit: a lazy isotropic F2 walk and a
-    non-lazy F3 walk."""
+    """The array engine's free-group case (a 1-d array over radii)
+    reproduces the reference radial step bit for bit: a lazy isotropic F2
+    walk and a non-lazy F3 walk."""
     f3 = w.FreeGroup(3)
     srw_f3 = w.parse_measure("a 1/6\nA 1/6\nb 1/6\nB 1/6\nc 1/6\nC 1/6", f3)
     for desc, mu, depth in ((free2, iso_f2, 400), (f3, srw_f3, 200)):
@@ -149,11 +149,87 @@ def test_radial_levels_match_reference_step(free2, iso_f2):
             assert cache.level_log_scale(m) == ls, (desc, m)
 
 
+def _dense_reference(desc, mu, depth):
+    """(corner, array, log scale) of every level of a lattice walk, stepped
+    by an explicit loop: each move adds the level, shifted by its offset,
+    into a plain d-dim array over the box the walk reaches, the identity
+    mass first and then the other moves in lattice order; then divide by
+    the peak and add the measure's log scale and log(peak)."""
+    zero = desc.identity()
+    moves = sorted(mu.support.items(),
+                   key=lambda vm: (vm[0] != zero, desc.sort_key(vm[0])))
+    offsets = np.array(list(mu.support) + [zero])
+    lo_step, hi_step = offsets.min(axis=0), offsets.max(axis=0)
+    lo, arr, ls = np.zeros(desc.dimension, dtype=int), np.ones((1,) * desc.dimension), 0.0
+    levels = [(tuple(lo.tolist()), arr, ls)]
+    for _ in range(depth):
+        out = np.zeros(tuple(np.array(arr.shape) + hi_step - lo_step))
+        for v, mass in moves:
+            start = np.array(v) - lo_step
+            out[tuple(slice(s, s + n) for s, n in zip(start.tolist(), arr.shape))] += \
+                mass * arr
+        peak = out.max()
+        arr = out / peak
+        ls = ls + mu.log_scale + math.log(peak)
+        lo = lo + lo_step
+        levels.append((tuple(lo.tolist()), arr, ls))
+    return levels
+
+
+def _reference_column(levels, g):
+    """log mu^{*m}(g) for every reference level, -inf where absent."""
+    col = []
+    for lo, arr, ls in levels:
+        idx = tuple(c - l for c, l in zip(g, lo))
+        inside = all(0 <= i < n for i, n in zip(idx, arr.shape))
+        val = arr[idx] if inside else 0.0
+        col.append(math.log(val) + ls if val > 0.0 else -math.inf)
+    return np.array(col)
+
+
+def test_dense_levels_match_reference_step(lattice1, lattice2, lazy_z, lazy_z2):
+    """The array engine's lattice case reproduces the reference dense step
+    bit for bit on lazy Z to depth 300 and lazy Z^2 to depth 60: each
+    level's corner and array bytes, its log scale, its mass (the sum of the
+    whole array under the level's log scale) and every column.  A tracked
+    cache keeps the reference array on the box its track set and the origin
+    span, with the same log scales, masses and columns inside the box."""
+    for desc, mu, depth, track in ((lattice1, lazy_z, 300, [(-3,), (5,)]),
+                                   (lattice2, lazy_z2, 60, [(1, -2), (-1, 3)])):
+        ref = _dense_reference(desc, mu, depth)
+        full = w.convolution_powers(desc, mu, depth)
+        tracked = w.convolution_powers(desc, mu, depth, memory_budget_mb=0, track=track)
+        assert full.engine_name == tracked.engine_name == "dense"
+        pts = track + [desc.identity()]
+        tlo, thi = np.min(pts, axis=0).tolist(), np.max(pts, axis=0).tolist()
+        box = list(itertools.product(*(range(a, b + 1) for a, b in zip(tlo, thi))))
+        for m, (lo, arr, ls) in enumerate(ref):
+            mass = math.exp(math.log(arr.sum()) + ls)
+            f_lo, f_arr = full._levels[m][:2]
+            assert f_lo == lo, (desc, m)
+            assert f_arr.dtype == arr.dtype and f_arr.shape == arr.shape, (desc, m)
+            assert f_arr.tobytes() == arr.tobytes(), (desc, m)
+            clo = tuple(map(max, lo, tlo))
+            chi = tuple(min(l + n - 1, b) for l, n, b in zip(lo, arr.shape, thi))
+            t_lo, t_arr = tracked._levels[m][:2]
+            assert t_lo == clo, (desc, m)
+            assert t_arr.tobytes() == arr[tuple(
+                slice(a - l, b - l + 1) for a, b, l in zip(clo, chi, lo))].tobytes(), (desc, m)
+            for cache in (full, tracked):
+                assert cache.level_log_scale(m) == ls, (desc, m)
+                assert cache.level_mass(m) == mass, (desc, m)
+        far = [tuple(-depth - 1 if i == 0 else 0 for i in range(desc.dimension))]
+        for cache, elems in ((full, desc.ball(3) + far), (tracked, box)):
+            for g in elems:
+                assert cache.log_column(g).tobytes() == _reference_column(ref, g).tobytes(), \
+                    (desc, g)
+
+
 def test_radial_ignores_memory_budget(free2, iso_f2):
     """A free-group walk is fully retained whatever the memory budget: a
-    tracked level would keep the per-radius row sums its mass needs, which
-    at d = 0 are the whole level.  With no budget and a track set the cache
-    still has every radius, every level and an artifact."""
+    tracked level would keep every radius its mass needs, which is the
+    whole level.  With no budget and a track set the cache still has every
+    radius, every level and an artifact."""
     full = w.convolution_powers(free2, iso_f2, 60)
     for track in (None, free2.ball(1)):
         cache = w.convolution_powers(free2, iso_f2, 60, memory_budget_mb=0,
@@ -343,12 +419,12 @@ def test_tracked_product_keeps_lattice_box():
 def _eager_level_masses(cache):
     """Every level mass computed eagerly from the engine's stored levels, as
     the engines did at build time: log_radial_mass of the per-radius values
-    (the radial values, or the row sums of a full level array)."""
+    (the radial values, or the one row sum of a full lattice level array)."""
     if cache.engine_name == "radial":
         rows = [(cache.level_radial(m).values, cache.level_log_scale(m))
                 for m in range(cache.depth + 1)]
     else:
-        rows = [(arr.reshape(arr.shape[0], -1).sum(axis=1), ls)
+        rows = [(arr.reshape(1, -1).sum(axis=1), ls)
                 for _, arr, ls, _ in cache._levels]
     out = []
     for values, ls in rows:
@@ -483,8 +559,8 @@ def test_log_column_matches_log_value(lattice1, lattice2, lazy_z, lazy_z2, free2
 
 
 def test_log_column_keys(free2, iso_f2, product_f2z, cartesian_mu):
-    """The radial engine keeps one column per radius and the array engine
-    one per (radius, lattice point): elements with equal keys share it."""
+    """The radial engine keeps one column per radius and a product one per
+    (radius, lattice point) pair: elements with equal keys share it."""
     radial = w.convolution_powers(free2, iso_f2, 20)
     assert radial.log_column((1, 2)) is radial.log_column((-2, -1))
     assert radial.log_column((1,)) is not radial.log_column((1, 2))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import walkops as w
-from walkops.errors import CoverageError, PreconditionError
+from walkops.errors import CoverageError, PreconditionError, RadiusExhaustedError
 from walkops.ratiolimit import ClosedFormFreeTable, ConstantKernelTable
+from walkops.sequences import richardson_harmonic
 
 SQRT3 = math.sqrt(3.0)
 
@@ -229,6 +230,37 @@ def test_boundary_trace_ray_converges(f2_table, free2):
     # limit along the a-ray approaches the closed-form boundary value
     lim = rep.extra["limits"]["a"]
     assert lim == pytest.approx(SQRT3, rel=0.02)
+
+
+def test_boundary_trace_word_length_fallback(f2_table, monkeypatch):
+    """A sequence element whose word length lies past the descriptor's BFS
+    radius (``word_length`` raises RadiusExhaustedError, as on a lamplighter
+    group) is placed at its position in the sequence; any other error from
+    ``word_length`` propagates."""
+    seq = [(1,) * k for k in range(6, 13)]
+
+    def trace():
+        return w.boundary_trace(f2_table, seq, probe_radius=1,
+                                metric_ball_radius=2, tol=0.01)
+
+    ref = trace()
+
+    def exhausted(a, max_radius=None):
+        raise RadiusExhaustedError("word length exceeds the BFS radius")
+
+    monkeypatch.setattr(f2_table.descriptor, "word_length", exhausted)
+    rep = trace()
+    assert rep.extra["traces"] == ref.extra["traces"]
+    for x, tr in rep.extra["traces"].items():
+        by_position = float(richardson_harmonic(list(range(1, len(seq) + 1)), tr)[-1])
+        assert rep.extra["limits"][x] == by_position, x
+
+    def broken(a, max_radius=None):
+        raise KeyError("a fault inside word_length")
+
+    monkeypatch.setattr(f2_table.descriptor, "word_length", broken)
+    with pytest.raises(KeyError, match="a fault inside word_length"):
+        trace()
 
 
 def test_boundary_trace_alternating_not_cauchy(f2_table):
