@@ -413,7 +413,8 @@ def cmd_fock(ws: Workspace) -> int:
     # window + sample operator dumps for external verification
     write_json(ws.path("window.json"), window.export_payload())
     if hop is not None:
-        write_json(ws.path("operator_H.json"), hop.export_payload())
+        write_json(ws.path("operator_H.json"), fk.operator_payload(
+            window, hop, "H^(z0)", {"z0": e, "x": x, "y": y}))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -39,6 +39,8 @@ _DEFAULTS = {
     "tolerances": {"exact": "1e-12"},
     "output": {"directory": "out"},
 }
+# the keys each section takes
+_KEYS = {"group": ("family",), "measure": ("inline", "file"), **_DEFAULTS}
 
 
 @dataclass
@@ -52,6 +54,13 @@ class RunConfig:
     def from_text(cls, text: str, base_dir: str | Path = ".") -> "RunConfig":
         parser = configparser.ConfigParser()
         parser.read_string(text)
+        for name in parser.sections():
+            known = _KEYS.get(name)
+            if known is None:
+                raise PreconditionError(f"[{name}] is not a config section")
+            for key in parser.options(name):
+                if key not in known:
+                    raise PreconditionError(f"[{name}] {key} is not a config key")
         if not parser.has_section("group") or not parser.has_option("group", "family"):
             raise ElementParseError("config needs [group] family = ...")
         descriptor = descriptor_from_string(parser.get("group", "family"))
@@ -82,11 +91,6 @@ class RunConfig:
         return cls.from_text(path.read_text(encoding="utf-8"), base_dir=path.parent)
 
     def validate(self):
-        if "engine" in self.sections["walk"]:
-            raise PreconditionError(
-                "[walk] engine is not a config key: the engine is picked "
-                "from the group and the measure"
-            )
         if self.getint("walk", "depth") < 1:
             raise PreconditionError("walk depth must be positive")
         for section, key in (

@@ -24,7 +24,7 @@ reported rather than hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -235,97 +235,6 @@ class FockWindow:
         }
 
 
-@dataclass
-class WindowedOperator:
-    """Sparse operator on a window basis, with its label and parameters."""
-
-    window: FockWindow
-    label: str
-    params: dict
-    matrix: sp.csr_matrix
-    _csc: sp.csc_matrix | None = field(default=None, init=False, repr=False,
-                                       compare=False)
-
-    @property
-    def csc(self) -> sp.csc_matrix:
-        """The matrix in CSC form, converted once for column queries
-        (operators are never modified in place)."""
-        if self._csc is None:
-            self._csc = self.matrix.tocsc()
-        return self._csc
-
-    def adjoint(self) -> "WindowedOperator":
-        return WindowedOperator(
-            window=self.window,
-            label=f"{self.label}*",
-            params=self.params,
-            matrix=self.matrix.conj().transpose().tocsr(),
-        )
-
-    def compose(self, other: "WindowedOperator") -> "WindowedOperator":
-        return WindowedOperator(
-            window=self.window,
-            label=f"{self.label}.{other.label}",
-            params={},
-            matrix=(self.matrix @ other.matrix).tocsr(),
-        )
-
-    def __matmul__(self, other):
-        return self.compose(other)
-
-    def sub(self, other: "WindowedOperator") -> "WindowedOperator":
-        return WindowedOperator(
-            window=self.window,
-            label=f"{self.label}-{other.label}",
-            params={},
-            matrix=(self.matrix - other.matrix).tocsr(),
-        )
-
-    def scale(self, c) -> "WindowedOperator":
-        return WindowedOperator(
-            window=self.window, label=f"{c}*{self.label}", params=self.params,
-            matrix=(self.matrix * c).tocsr(),
-        )
-
-    def add(self, other: "WindowedOperator") -> "WindowedOperator":
-        return WindowedOperator(
-            window=self.window, label=f"{self.label}+{other.label}", params={},
-            matrix=(self.matrix + other.matrix).tocsr(),
-        )
-
-    def coefficient(self, out_key, in_key) -> float:
-        i = self.window.index[out_key]
-        j = self.window.index[in_key]
-        return self.matrix[i, j]
-
-    def norm_estimate(self, tol: float = 1e-10, seed: int = 7) -> float:
-        return operator_norm(self.matrix, tol=tol, seed=seed)
-
-    def max_abs_on_columns(self, cols: np.ndarray) -> float:
-        """sup over the selected input vectors of the output 2-norm."""
-        if len(cols) == 0:
-            return 0.0
-        sub = self.csc[:, cols]
-        if sub.nnz == 0:
-            return 0.0
-        col_sq = np.asarray(sub.multiply(sub.conj()).sum(axis=0)).ravel()
-        return float(np.sqrt(col_sq.real.max()))
-
-    def export_payload(self) -> dict:
-        coo = self.matrix.tocoo()
-        fmt = self.window.descriptor.format
-        triplets = []
-        for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-            mo, xo, zo = self.window.basis[i]
-            mi, xi, zi = self.window.basis[j]
-            triplets.append({
-                "out": [mo, fmt(xo), fmt(zo)],
-                "in": [mi, fmt(xi), fmt(zi)],
-                "value": v if not isinstance(v, complex) else [v.real, v.imag],
-            })
-        return {"label": self.label, "params": self.params, "triplets": triplets}
-
-
 def operator_norm(matrix, tol: float = 1e-10, seed: int = 7) -> float:
     """Largest singular value by power iteration on A*A.
 
@@ -340,10 +249,10 @@ def operator_norm(matrix, tol: float = 1e-10, seed: int = 7) -> float:
     if np.iscomplexobj(matrix):
         v = v + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    adjoint = matrix.conj().T
     lam = 0.0
     for _ in range(20000):
-        w = matrix @ v
-        u = matrix.conj().T @ w
+        u = adjoint @ (matrix @ v)
         nu = np.linalg.norm(u)
         if nu == 0.0:
             return 0.0
@@ -356,17 +265,41 @@ def operator_norm(matrix, tol: float = 1e-10, seed: int = 7) -> float:
     return math.sqrt(max(lam, 0.0))
 
 
-def _build(window, label, params, rows, cols, data, dtype=float) -> WindowedOperator:
+def max_abs_on_columns(csc: sp.csc_matrix, cols: np.ndarray) -> float:
+    """sup over the selected input vectors of the output 2-norm: the
+    largest norm among the columns ``cols`` of a CSC matrix."""
+    if len(cols) == 0:
+        return 0.0
+    sub = csc[:, cols]
+    if sub.nnz == 0:
+        return 0.0
+    col_sq = np.asarray(sub.multiply(sub.conj()).sum(axis=0)).ravel()
+    return float(np.sqrt(col_sq.real.max()))
+
+
+def operator_payload(window: FockWindow, matrix, label: str, params: dict) -> dict:
+    """The nonzero entries of an operator as (out, in, value) triplets on
+    formatted basis keys, with the label and parameters given."""
+    coo = matrix.tocoo()
+    fmt = window.descriptor.format
+    triplets = []
+    for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+        mo, xo, zo = window.basis[i]
+        mi, xi, zi = window.basis[j]
+        triplets.append({
+            "out": [mo, fmt(xo), fmt(zo)],
+            "in": [mi, fmt(xi), fmt(zi)],
+            "value": v if not isinstance(v, complex) else [v.real, v.imag],
+        })
+    return {"label": label, "params": params, "triplets": triplets}
+
+
+def _build(window, rows, cols, data, dtype=float) -> sp.csr_matrix:
     """CSR operator with entries (rows[k], cols[k]) -> data[k]."""
-    matrix = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.array(data, dtype=dtype), (rows, cols)),
         shape=(window.size, window.size),
     )
-    return WindowedOperator(window=window, label=label, params=params, matrix=matrix)
-
-
-def _diagonal(window, label, params, cols, data, dtype=float) -> WindowedOperator:
-    return _build(window, label, params, cols, cols, data, dtype=dtype)
 
 
 def _log_p_at(window: FockWindow, positions: np.ndarray) -> list:
@@ -375,167 +308,166 @@ def _log_p_at(window: FockWindow, positions: np.ndarray) -> list:
                       window.fiber[positions]].tolist()
 
 
-# ---------------------------------------------------------------------------
-# operator constructions (action formulas)
-# ---------------------------------------------------------------------------
-
-def build_S(window: FockWindow, n: int, x, y) -> WindowedOperator:
-    """Weighted shift S^(n)_{x,y}: e^(m)_{y,z} -> sqrt(P^(n)_{x,y} P^(m)_{y,z}
-    / P^(n+m)_{x,z}) e^(n+m)_{x,z}.  Contractive by Chapman-Kolmogorov."""
+def _edge_shift(window: FockWindow, n: int, x, y):
+    """log P^(n)_{x,y} and the (out, in) positions of e^(m)_{y,z} ->
+    e^(m+n)_{x,z}; (x, y) must be an edge of P^n."""
     log_pn = window.cache.log_transition(n, x, y)
     if log_pn == NEG_INF:
         raise PreconditionError("(x, y) is not an edge of P^n")
-    rows, cols = window._shift_pairs(y, x, n)
-    data = [
-        math.exp(0.5 * (log_pn + lp_in - lp_out))
+    return (log_pn, *window._shift_pairs(y, x, n))
+
+
+def _shift_weights(window: FockWindow, log_weight: float, rows, cols) -> list:
+    """The coefficient S and T share, per (out, in) position pair:
+    sqrt(exp(log_weight) P(in) / P(out)), with P(e^(m)_{x,z}) = P^(m)_{x,z}."""
+    return [
+        math.exp(0.5 * (log_weight + lp_in - lp_out))
         for lp_in, lp_out in zip(_log_p_at(window, cols), _log_p_at(window, rows))
     ]
-    return _build(window, f"S^{n}", {"n": n, "x": x, "y": y}, rows, cols, data)
 
 
-def build_T(window: FockWindow, n: int, x, y, rho_hat: float) -> WindowedOperator:
+# ---------------------------------------------------------------------------
+# operator constructions (action formulas), as CSR matrices on the basis
+# ---------------------------------------------------------------------------
+
+def build_S(window: FockWindow, n: int, x, y) -> sp.csr_matrix:
+    """Weighted shift S^(n)_{x,y}: e^(m)_{y,z} -> sqrt(P^(n)_{x,y} P^(m)_{y,z}
+    / P^(n+m)_{x,z}) e^(n+m)_{x,z}.  Contractive by Chapman-Kolmogorov."""
+    log_pn, rows, cols = _edge_shift(window, n, x, y)
+    return _build(window, rows, cols, _shift_weights(window, log_pn, rows, cols))
+
+
+def build_T(window: FockWindow, n: int, x, y, rho_hat: float) -> sp.csr_matrix:
     """T^(n)_{x,y}: coefficient sqrt(rho^n P^(m)_{y,z} / P^(n+m)_{x,z}).
 
     Built from the action formula (the normalized weighted shift), which is
     what all the compact-difference statements use.
     """
-    if window.cache.log_transition(n, x, y) == NEG_INF:
-        raise PreconditionError("(x, y) is not an edge of P^n")
-    rows, cols = window._shift_pairs(y, x, n)
-    log_rho_n = n * math.log(rho_hat)
-    data = [
-        math.exp(0.5 * (log_rho_n + lp_in - lp_out))
-        for lp_in, lp_out in zip(_log_p_at(window, cols), _log_p_at(window, rows))
-    ]
-    return _build(window, f"T^{n}", {"n": n, "x": x, "y": y, "rho_hat": rho_hat},
-                  rows, cols, data)
+    _, rows, cols = _edge_shift(window, n, x, y)
+    return _build(window, rows, cols,
+                  _shift_weights(window, n * math.log(rho_hat), rows, cols))
 
 
-def build_W(window: FockWindow, n: int, x, y, table) -> WindowedOperator:
+def build_W(window: FockWindow, n: int, x, y, table) -> sp.csr_matrix:
     """W^(n)_{x,y}: e^(m)_{y,z} -> sqrt(H(x^-1 y, x^-1 z)) e^(m+n)_{x,z}."""
-    if window.cache.log_transition(n, x, y) == NEG_INF:
-        raise PreconditionError("(x, y) is not an edge of P^n")
-    rows, cols = window._shift_pairs(y, x, n)
-    data = window._kernel_weights(x, y, table, window.fiber[cols], math.sqrt)
-    return _build(window, f"W^{n}", {"n": n, "x": x, "y": y}, rows, cols, data)
+    _, rows, cols = _edge_shift(window, n, x, y)
+    return _build(window, rows, cols,
+                  window._kernel_weights(x, y, table, window.fiber[cols], math.sqrt))
 
 
-def build_V(window: FockWindow, n: int, x, y) -> WindowedOperator:
+def build_V(window: FockWindow, n: int, x, y) -> sp.csr_matrix:
     """Plain shift V^(n)_{x,y}: e^(m)_{y,z} -> e^(m+n)_{x,z}."""
-    if window.cache.log_transition(n, x, y) == NEG_INF:
-        raise PreconditionError("(x, y) is not an edge of P^n")
-    rows, cols = window._shift_pairs(y, x, n)
-    return _build(window, f"V^{n}", {"n": n, "x": x, "y": y}, rows, cols,
-                  np.ones(len(rows)))
+    _, rows, cols = _edge_shift(window, n, x, y)
+    return _build(window, rows, cols, np.ones(len(rows)))
 
 
-def build_R(window: FockWindow, x, y, table, inverse: bool = False) -> WindowedOperator:
+def build_R(window: FockWindow, x, y, table, inverse: bool = False) -> sp.csr_matrix:
     """Level-preserving weight R_{x,y} (or its spectral inverse R'):
     e^(m)_{y,z} -> H(x^-1 y, x^-1 z)^{+-1/2} e^(m)_{y,z}."""
     power = -0.5 if inverse else 0.5
     cols = window._row_positions(y)
     data = window._kernel_weights(x, y, table, window.fiber[cols],
                                   lambda h: h ** power)
-    return _diagonal(window, "R'" if inverse else "R", {"x": x, "y": y}, cols, data)
+    return _build(window, cols, cols, data)
 
 
-def build_E(window: FockWindow, x, y) -> WindowedOperator:
+def build_E(window: FockWindow, x, y) -> sp.csr_matrix:
     """Row swap E_{x,y}: e^(m)_{y,z} -> e^(m)_{x,z} when (x,z) in E(P^m)."""
     rows, cols = window._shift_pairs(y, x, 0)
-    return _build(window, "E", {"x": x, "y": y}, rows, cols, np.ones(len(rows)))
+    return _build(window, rows, cols, np.ones(len(rows)))
 
 
-def build_U_row(window: FockWindow, x) -> WindowedOperator:
+def build_U_row(window: FockWindow, x) -> sp.csr_matrix:
     """U_x: e^(m)_{x,z} -> e^(m+1)_{x,z} when the target exists."""
     rows, cols = window._shift_pairs(x, x, 1)
-    return _build(window, "U_x", {"x": x}, rows, cols, np.ones(len(rows)))
+    return _build(window, rows, cols, np.ones(len(rows)))
 
 
-def build_U(window: FockWindow) -> WindowedOperator:
+def build_U(window: FockWindow) -> sp.csr_matrix:
     """U = direct sum of the U_x over every row of the window."""
     target = window.level + 1
     cols = np.flatnonzero(target <= window.max_level)
     rows = window._pos[target[cols], window.row[cols], window.fiber[cols]]
     keep = rows >= 0
-    return _build(window, "U", {}, rows[keep], cols[keep], np.ones(int(keep.sum())))
+    return _build(window, rows[keep], cols[keep], np.ones(int(keep.sum())))
 
 
-def build_Hop(window: FockWindow, z0, x, y, table) -> WindowedOperator:
+def build_Hop(window: FockWindow, z0, x, y, table) -> sp.csr_matrix:
     """H^(z0)_{x,y} = E_{z0,y} R_{x,y} E_{y,z0}: the diagonal weight
     sqrt(H(x^-1 y, x^-1 w)) on row z0, guarded by (y,w) presence."""
     cols = window._row_positions(z0)
     present_y = window._log_p_table(y) > NEG_INF
     cols = cols[present_y[window.level[cols], window.fiber[cols]]]
     data = window._kernel_weights(x, y, table, window.fiber[cols], math.sqrt)
-    return _diagonal(window, "H^(z0)", {"z0": z0, "x": x, "y": y}, cols, data)
+    return _build(window, cols, cols, data)
 
 
-def build_H_diag(window: FockWindow, x, y, table) -> WindowedOperator:
+def build_H_diag(window: FockWindow, x, y, table) -> sp.csr_matrix:
     """H_{x,y} = direct sum over z0 of H^(z0)_{x,y} (acts on every row)."""
     present_y = window._log_p_table(y) > NEG_INF
     cols = np.flatnonzero(present_y[window.level, window.fiber])
     data = window._kernel_weights(x, y, table, window.fiber[cols], math.sqrt)
-    return _diagonal(window, "H", {"x": x, "y": y}, cols, data)
+    return _build(window, cols, cols, data)
 
 
-def build_projection(window: FockWindow, x) -> WindowedOperator:
+def build_projection(window: FockWindow, x) -> sp.csr_matrix:
     """p_x = S^(0)_{x,x}: the diagonal projection onto row x."""
     cols = window._row_positions(x)
-    return _diagonal(window, "p", {"x": x}, cols, np.ones(len(cols)))
+    return _build(window, cols, cols, np.ones(len(cols)))
 
 
-def build_Vg(window: FockWindow, g) -> WindowedOperator:
+def build_Vg(window: FockWindow, g) -> sp.csr_matrix:
     """Left-translation unitary V_g: e^(m)_{x,z} -> e^(m)_{gx,gz},
     restricted to pairs whose image stays in the window."""
     r2, f2 = window._translate_basis(g)
     cols = np.flatnonzero((r2 >= 0) & (f2 >= 0))
     rows = window._pos[window.level[cols], r2[cols], f2[cols]]
     keep = rows >= 0
-    return _build(window, "V_g", {"g": g}, rows[keep], cols[keep],
-                  np.ones(int(keep.sum())))
+    return _build(window, rows[keep], cols[keep], np.ones(int(keep.sum())))
 
 
-def build_Uzeta(window: FockWindow, zeta) -> WindowedOperator:
+def build_Uzeta(window: FockWindow, zeta) -> sp.csr_matrix:
     """Gauge unitary U_zeta: e^(m)_{x,z} -> zeta^m e^(m)_{x,z}."""
     zeta = complex(zeta)
     real = zeta.imag == 0.0
     phases = [zeta ** m for m in range(window.max_level + 1)]
     by_level = np.array([p.real for p in phases] if real else phases)
-    return _diagonal(window, "U_zeta", {"zeta": zeta},
-                     np.arange(window.size, dtype=np.intp), by_level[window.level],
-                     dtype=float if real else complex)
+    cols = np.arange(window.size, dtype=np.intp)
+    return _build(window, cols, cols, by_level[window.level],
+                  dtype=float if real else complex)
 
 
-def identity_operator(window: FockWindow) -> WindowedOperator:
-    return WindowedOperator(
-        window=window, label="I", params={},
-        matrix=sp.identity(window.size, format="csr"),
-    )
+def identity_operator(window: FockWindow) -> sp.csr_matrix:
+    return sp.identity(window.size, format="csr")
 
 
 # ---------------------------------------------------------------------------
 # defect diagnostics
 # ---------------------------------------------------------------------------
 
-def _interior_defect_by_fiber(window: FockWindow, op: WindowedOperator,
-                              rows_needed, level_shift: int = 0,
-                              extra_threshold: int = 0):
+def _interior_defect_by_fiber(window: FockWindow, op, rows_needed,
+                              level_shift: int = 0, extra_threshold: int = 0,
+                              identity: str | None = None):
     """Per-fiber max defect of ``op`` on inputs at interior levels at or
-    above the fiber's edge threshold; sub-threshold maxima reported too."""
+    above the fiber's edge threshold; sub-threshold maxima reported too.
+    Each row names ``identity`` when one is given."""
+    csc = op.tocsc()
     per_fiber = []
     for w in window.z_elems:
         m0 = window.edge_threshold(rows_needed, w) + extra_threshold
         top = window.interior_top - level_shift
         sel = window.select(fiber=w, level_lo=m0, level_hi=top)
-        above = op.max_abs_on_columns(sel)
-        below = op.max_abs_on_columns(window.select(fiber=w, level_hi=min(m0 - 1, top)))
-        per_fiber.append({
+        row = {
             "fiber": window.descriptor.format(w),
             "m0": m0,
             "levels_checked": int(len(sel)),  # 0 flags a too-shallow window
-            "defect_above_m0": above,
-            "defect_below_m0": below,
-        })
+            "defect_above_m0": max_abs_on_columns(csc, sel),
+            "defect_below_m0": max_abs_on_columns(
+                csc, window.select(fiber=w, level_hi=min(m0 - 1, top))),
+        }
+        if identity is not None:
+            row["identity"] = identity
+        per_fiber.append(row)
     return per_fiber
 
 
@@ -561,22 +493,16 @@ def matrix_unit_defects(window: FockWindow, triples, tol: float = EXACT_TOL) -> 
     exactly above the per-fiber edge thresholds."""
     fmt = window.descriptor.format
     residuals = []
-    worst = 0.0
     for x, y, y2, z in triples:
-        prod = build_E(window, x, y) @ build_E(window, y2, z)
-        defect = prod.sub(build_E(window, x, z)) if y == y2 else prod
-        per_fiber = _interior_defect_by_fiber(window, defect, rows_needed=[x, y, y2, z])
-        adj = build_E(window, x, y).adjoint().sub(build_E(window, y, x))
-        adj_fiber = _interior_defect_by_fiber(window, adj, rows_needed=[x, y])
-        for r in per_fiber:
-            r["identity"] = f"E[{fmt(x)},{fmt(y)}]E[{fmt(y2)},{fmt(z)}]"
-        for r in adj_fiber:
-            r["identity"] = f"E[{fmt(x)},{fmt(y)}]* - E[{fmt(y)},{fmt(x)}]"
-        residuals.extend(per_fiber + adj_fiber)
-        worst = max(
-            worst,
-            max(r["defect_above_m0"] for r in per_fiber + adj_fiber),
-        )
+        e_xy = build_E(window, x, y)
+        prod = e_xy @ build_E(window, y2, z)
+        defect = prod - build_E(window, x, z) if y == y2 else prod
+        residuals += _interior_defect_by_fiber(
+            window, defect, rows_needed=[x, y, y2, z],
+            identity=f"E[{fmt(x)},{fmt(y)}]E[{fmt(y2)},{fmt(z)}]")
+        residuals += _interior_defect_by_fiber(
+            window, e_xy.T - build_E(window, y, x), rows_needed=[x, y],
+            identity=f"E[{fmt(x)},{fmt(y)}]* - E[{fmt(y)},{fmt(x)}]")
     return _fiber_report(
         "matrix-unit-defects", window,
         {"triples": [[fmt(t) for t in tr] for tr in triples]},
@@ -592,36 +518,22 @@ def unitary_and_commutation_defects(window: FockWindow, pairs, table,
     fmt = window.descriptor.format
     u = build_U(window)
     ident = identity_operator(window)
-    residuals = []
     rows_all = list(window.x_elems)
-    uu = _interior_defect_by_fiber(
-        window, u.adjoint().compose(u).sub(ident), rows_all, extra_threshold=1
-    )
-    for r in uu:
-        r["identity"] = "U*U - I"
-    uu2 = _interior_defect_by_fiber(
-        window, u.compose(u.adjoint()).sub(ident), rows_all, extra_threshold=1
-    )
-    for r in uu2:
-        r["identity"] = "UU* - I"
-    residuals.extend(uu + uu2)
+    residuals = []
+    for op, label in ((u.T @ u - ident, "U*U - I"), (u @ u.T - ident, "UU* - I")):
+        residuals += _interior_defect_by_fiber(
+            window, op, rows_all, extra_threshold=1, identity=label)
     for x, y in pairs:
         e_op = build_E(window, x, y)
         h_op = build_H_diag(window, x, y, table)
-        comm_eu = e_op.compose(u).sub(u.compose(e_op))
-        comm_hu = h_op.compose(u).sub(u.compose(h_op))
-        comm_eh = e_op.compose(h_op).sub(h_op.compose(e_op))
-        for op, label, extra in (
-            (comm_eu, f"[E[{fmt(x)},{fmt(y)}], U]", 0),
-            (comm_hu, f"[H[{fmt(x)},{fmt(y)}], U]", 0),
-            (comm_eh, f"[E[{fmt(x)},{fmt(y)}], H[{fmt(x)},{fmt(y)}]]", 0),
+        e_label, h_label = f"E[{fmt(x)},{fmt(y)}]", f"H[{fmt(x)},{fmt(y)}]"
+        for op, label in (
+            (e_op @ u - u @ e_op, f"[{e_label}, U]"),
+            (h_op @ u - u @ h_op, f"[{h_label}, U]"),
+            (e_op @ h_op - h_op @ e_op, f"[{e_label}, {h_label}]"),
         ):
-            per = _interior_defect_by_fiber(
-                window, op, rows_needed=[x, y], level_shift=1, extra_threshold=extra
-            )
-            for r in per:
-                r["identity"] = label
-            residuals.extend(per)
+            residuals += _interior_defect_by_fiber(
+                window, op, rows_needed=[x, y], level_shift=1, identity=label)
     return _fiber_report(
         "unitary-and-commutation-defects", window,
         {"pairs": [[fmt(x), fmt(y)] for x, y in pairs]},
@@ -639,9 +551,8 @@ def generator_identity_defect(window: FockWindow, n: int, x, y, table,
     u_x = build_U_row(window, x)
     rhs = build_E(window, x, e) @ build_Hop(window, e, x, y, table) @ build_E(window, e, y)
     rhs = rhs if n == 0 else _power(u_x, n) @ rhs
-    defect = w_op.sub(rhs)
     per_fiber = _interior_defect_by_fiber(
-        window, defect, rows_needed=[e, x, y], level_shift=n
+        window, w_op - rhs, rows_needed=[e, x, y], level_shift=n
     )
     fmt = desc.format
     return _fiber_report(
@@ -652,7 +563,7 @@ def generator_identity_defect(window: FockWindow, n: int, x, y, table,
     )
 
 
-def _power(op: WindowedOperator, n: int) -> WindowedOperator:
+def _power(op: sp.csr_matrix, n: int) -> sp.csr_matrix:
     out = op
     for _ in range(n - 1):
         out = out @ op
@@ -666,7 +577,7 @@ def q0_projection_check(window: FockWindow, x, tol: float = EXACT_TOL) -> Diagno
     desc = window.descriptor
     cache = window.cache
     x_rows = set(window.x_elems)
-    r0 = build_projection(window, x).matrix
+    r0 = build_projection(window, x)
     for s in sorted(cache.mu.support, key=desc.sort_key):
         y = desc.multiply(x, s)
         if cache.log_transition(1, x, y) == NEG_INF:
@@ -677,24 +588,22 @@ def q0_projection_check(window: FockWindow, x, tol: float = EXACT_TOL) -> Diagno
                 f"{desc.format(x)}; {desc.format(y)} is missing"
             )
         s1 = build_S(window, 1, x, y)
-        r0 = (r0 - s1.matrix @ s1.matrix.transpose()).tocsr()
-    op = WindowedOperator(window=window, label="R0", params={"x": x}, matrix=r0)
+        r0 = r0 - s1 @ s1.T
+    csc = r0.tocsc()
     residuals = []
-    key0 = (0, x, x)
-    fix_res = None
-    if key0 in window.index:
-        i = window.index[key0]
+    i = window.index.get((0, x, x))
+    if i is not None:
         col = r0[:, i].toarray().ravel()
         col[i] -= 1.0
-        fix_res = float(np.linalg.norm(col))
-        residuals.append({"identity": "R0 e0_xx = e0_xx", "residual": fix_res})
-    kill = op.max_abs_on_columns(
-        window.select(rows=[x], level_lo=1, level_hi=window.interior_top)
+        residuals.append({"identity": "R0 e0_xx = e0_xx",
+                          "residual": float(np.linalg.norm(col))})
+    kill = max_abs_on_columns(
+        csc, window.select(rows=[x], level_lo=1, level_hi=window.interior_top)
     )
     residuals.append({"identity": "R0 e^(m+1)_xz = 0 (interior)", "residual": kill})
     other_rows = [r for r in window.x_elems if r != x]
-    other = op.max_abs_on_columns(
-        window.select(rows=other_rows, level_hi=window.interior_top)
+    other = max_abs_on_columns(
+        csc, window.select(rows=other_rows, level_hi=window.interior_top)
     )
     residuals.append({"identity": "R0 on other rows = 0", "residual": other})
     worst = max(r["residual"] for r in residuals)
@@ -780,21 +689,16 @@ def covariance_check(window: FockWindow, g, zeta, n: int, x, y,
     region = np.flatnonzero(stable & (lands | off_y))
     if len(region) == 0:
         raise PreconditionError("empty covariance comparison region")
-    cov = lhs.sub(rhs).max_abs_on_columns(region)
+    cov = max_abs_on_columns((lhs - rhs).tocsc(), region)
 
     u_z = build_Uzeta(window, zeta)
     zc = complex(zeta)
-    inv_entries = 1.0 / u_z.matrix.diagonal()
-    u_inv = WindowedOperator(
-        window=window, label="U_zeta^-1", params={},
-        matrix=sp.diags(inv_entries).tocsr(),
-    )
+    u_inv = sp.diags(1.0 / u_z.diagonal()).tocsr()
     gauge_lhs = (u_z @ s_op) @ u_inv
     phase = zc ** n
-    target = s_op.scale(phase.real if zc.imag == 0.0 else phase)
-    gauge = gauge_lhs.sub(target).max_abs_on_columns(
-        np.arange(window.size, dtype=np.intp)
-    )
+    target = (phase.real if zc.imag == 0.0 else phase) * s_op
+    gauge = max_abs_on_columns((gauge_lhs - target).tocsc(),
+                               np.arange(window.size, dtype=np.intp))
     residuals = [
         {"identity": "V_g S V_g^-1 = S_g", "residual": cov,
          "region_size": int(len(region))},
@@ -858,7 +762,7 @@ class QuotientNormEstimate:
         }
 
 
-def quotient_norm_estimate(window: FockWindow, op: WindowedOperator,
+def quotient_norm_estimate(window: FockWindow, op: sp.spmatrix,
                            z_samples, ladder=None, tol: float = 1e-10,
                            seed: int = 7) -> QuotientNormEstimate:
     """sup over sampled fibers of lim_m ||T Q^{[m, interior]}|_{F_z}||.
@@ -872,6 +776,7 @@ def quotient_norm_estimate(window: FockWindow, op: WindowedOperator,
     if ladder is None:
         step = max(1, top // 4)
         ladder = sorted({min(top, m) for m in range(step, top + 1, step)})
+    csc = op.tocsc()
     per_fiber = {}
     sup = 0.0
     stabilized = True
@@ -882,7 +787,7 @@ def quotient_norm_estimate(window: FockWindow, op: WindowedOperator,
             if len(idx) == 0:
                 vals.append((m, 0.0))
                 continue
-            sub = op.csc[:, idx][idx, :]
+            sub = csc[:, idx][idx, :]
             vals.append((m, operator_norm(sp.csr_matrix(sub), tol=tol, seed=seed)))
         per_fiber[window.descriptor.format(z)] = vals
         tail = [v for _, v in vals if v > 0.0]

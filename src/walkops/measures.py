@@ -38,10 +38,9 @@ class ScaledMeasure:
 
     support: dict
     log_scale: float = 0.0
-    step_index: int = 0
 
     @classmethod
-    def from_values(cls, values, descriptor=None, log_scale=0.0, step_index=0):
+    def from_values(cls, values, descriptor=None, log_scale=0.0):
         """Normalize raw values to max-mantissa-1 form; zero entries dropped."""
         items = [(g, v) for g, v in values.items() if v != 0.0]
         if not items:
@@ -54,12 +53,11 @@ class ScaledMeasure:
         return cls(
             support={g: v / peak for g, v in items},
             log_scale=log_scale + math.log(peak),
-            step_index=step_index,
         )
 
     @classmethod
     def point_mass(cls, descriptor):
-        return cls(support={descriptor.identity(): 1.0}, log_scale=0.0, step_index=0)
+        return cls(support={descriptor.identity(): 1.0}, log_scale=0.0)
 
     def value(self, g) -> float:
         m = self.support.get(g, 0.0)
@@ -96,10 +94,7 @@ def convolve(mu: ScaledMeasure, nu: ScaledMeasure, descriptor: GroupDescriptor,
             f"convolution support {len(out)} exceeds cap {support_cap}"
         )
     return ScaledMeasure.from_values(
-        out,
-        descriptor,
-        log_scale=mu.log_scale + nu.log_scale,
-        step_index=mu.step_index + nu.step_index,
+        out, descriptor, log_scale=mu.log_scale + nu.log_scale
     )
 
 
@@ -277,16 +272,14 @@ def tree_sphere_count(n: int, k: int, l: int, q: int) -> int:
 
 
 def radial_step(f: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
-    """Per-element radial convolution along axis 0 of ``f`` with radial ``g``.
+    """Per-element radial convolution of radial ``f`` with radial ``g``.
 
-    f[k] is the per-element value at tree distance k (extra axes broadcast);
-    the result has ``len(f) + len(g) - 1`` radii.  Uses the closed-form
-    sphere counts, vectorized over the output radius.
+    f[k] is the per-element value at tree distance k; the result has
+    ``len(f) + len(g) - 1`` radii.  Uses the closed-form sphere counts,
+    vectorized over the output radius.
     """
-    n_f = f.shape[0]
-    out_shape = (n_f + len(g) - 1,) + f.shape[1:]
-    out = np.zeros(out_shape, dtype=f.dtype)
-    extra = (np.newaxis,) * (f.ndim - 1)
+    n_f = len(f)
+    out = np.zeros(n_f + len(g) - 1, dtype=f.dtype)
     for l in range(len(g)):
         gl = g[l]
         if gl == 0.0:
@@ -300,7 +293,7 @@ def radial_step(f: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
         for o in range(-l, l + 1, 2):
             b = (o + l) // 2
             n_lo = max(1, b - o, -o)
-            n_hi = min(out_shape[0] - 1, n_f - 1 - o)
+            n_hi = min(len(out) - 1, n_f - 1 - o)
             if n_hi < n_lo:
                 continue
             if b == 0:
@@ -313,7 +306,7 @@ def radial_step(f: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
                     ns == b - o,
                     float((q - 1) ** b),
                     float((q - 2) * (q - 1) ** (b - 1)),
-                )[(...,) + extra]
+                )
             out[n_lo : n_hi + 1] += gl * counts * f[n_lo + o : n_hi + 1 + o]
     return out
 
@@ -325,11 +318,10 @@ class RadialMeasure:
     values: np.ndarray
     log_scale: float = 0.0
     tree_degree: int = 4
-    step_index: int = 0
 
     @classmethod
     def point_mass(cls, q: int):
-        return cls(values=np.array([1.0]), log_scale=0.0, tree_degree=q, step_index=0)
+        return cls(values=np.array([1.0]), log_scale=0.0, tree_degree=q)
 
     def value_at_radius(self, r: int) -> float:
         if 0 <= r < len(self.values):
@@ -389,12 +381,7 @@ def radial_reduce(mu: ScaledMeasure, descriptor: FreeGroup,
             )
         # the smallest, so the value does not depend on the support's order
         values[r] = lo
-    return RadialMeasure(
-        values=values,
-        log_scale=mu.log_scale,
-        tree_degree=q,
-        step_index=mu.step_index,
-    )
+    return RadialMeasure(values=values, log_scale=mu.log_scale, tree_degree=q)
 
 
 def radial_convolve(f: RadialMeasure, g: RadialMeasure) -> RadialMeasure:
@@ -409,7 +396,6 @@ def radial_convolve(f: RadialMeasure, g: RadialMeasure) -> RadialMeasure:
         values=raw / peak,
         log_scale=f.log_scale + g.log_scale + math.log(peak),
         tree_degree=f.tree_degree,
-        step_index=f.step_index + g.step_index,
     )
 
 
@@ -422,6 +408,4 @@ def radial_to_measure(f: RadialMeasure, descriptor: FreeGroup,
         v = f.values[len(g)]
         if v > 0.0:
             values[g] = float(v)
-    return ScaledMeasure.from_values(
-        values, descriptor, log_scale=f.log_scale, step_index=f.step_index
-    )
+    return ScaledMeasure.from_values(values, descriptor, log_scale=f.log_scale)

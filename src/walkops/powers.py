@@ -216,9 +216,6 @@ class PowersCache:
         """log P^(m)_{x,y} = log mu^{*m}(x^-1 y)."""
         return self.log_value(m, self.descriptor.multiply(self.descriptor.inverse(x), y))
 
-    def has_edge(self, m: int, x, y) -> bool:
-        return self.log_transition(m, x, y) > NEG_INF
-
     def support_in_ball(self, m: int, radius: int) -> list:
         """(element, log value) for the part of level m inside ball(radius)."""
         out = []
@@ -657,7 +654,6 @@ class GenericPowers(PowersCache):
         return ScaledMeasure(
             support={g: float(v) for g, v in zip(elems, level.vals)},
             log_scale=level.log_scale,
-            step_index=m,
         )
 
     def support_size(self, m):
@@ -848,9 +844,7 @@ class ArrayPowers(PowersCache):
         if self.engine_name != "radial":
             raise CoverageError("only a radial cache has radial levels")
         _, arr, ls, _ = self._levels[m]
-        return RadialMeasure(
-            values=arr.copy(), log_scale=ls, tree_degree=self.q, step_index=m
-        )
+        return RadialMeasure(values=arr.copy(), log_scale=ls, tree_degree=self.q)
 
     def level_measure(self, m):
         """A lattice level as a measure.  On a free group a tree radius
@@ -867,7 +861,7 @@ class ArrayPowers(PowersCache):
         for idx in np.argwhere(arr > 0.0):
             g = tuple(int(i + l) for i, l in zip(idx, lo))
             support[g] = float(arr[tuple(idx)])
-        return ScaledMeasure(support=support, log_scale=ls, step_index=m)
+        return ScaledMeasure(support=support, log_scale=ls)
 
 
 # ---------------------------------------------------------------------------
@@ -1123,7 +1117,6 @@ def import_cache_json(text: str) -> PowersCache:
         mu = ScaledMeasure(
             support={descriptor.parse(t): float(v) for t, v in doc["measure"]["entries"]},
             log_scale=float(doc["measure"]["log_scale"]),
-            step_index=1,
         )
         payload, depth = doc["payload"], doc["depth"]
         if type(depth) is not int or depth < 0:

@@ -429,6 +429,24 @@ def test_config_engine_key_rejected(tmp_path, capsys):
     assert "[walk] engine" in capsys.readouterr().err
 
 
+def test_config_misspelled_key_rejected(tmp_path, capsys):
+    """A key its section does not take is an error naming it, not a
+    silently kept default (here ``memory_budget_mb`` would stay 512)."""
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(LAZY_Z_CFG + "memroy_budget_mb = 0\n", encoding="utf-8")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "[walk] memroy_budget_mb" in capsys.readouterr().err
+
+
+def test_config_unknown_section_rejected(tmp_path, capsys):
+    """A section the config does not know is an error naming it, not
+    silently dropped."""
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(LAZY_Z_CFG + "\n[kernal]\nx_radius = 1\n", encoding="utf-8")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "[kernal]" in capsys.readouterr().err
+
+
 def test_radial_run_ignores_memory_budget(cfg_file, tmp_path):
     """A free-group run is fully retained whatever its memory budget (a
     tracked radial level would save nothing), so with ``memory_budget_mb =
