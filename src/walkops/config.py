@@ -66,6 +66,8 @@ class RunConfig:
         descriptor = descriptor_from_string(parser.get("group", "family"))
         if not parser.has_section("measure"):
             raise ElementParseError("config needs a [measure] section")
+        if parser.has_option("measure", "inline") and parser.has_option("measure", "file"):
+            raise PreconditionError("[measure] takes 'inline' or 'file', not both")
         if parser.has_option("measure", "inline"):
             measure_text = parser.get("measure", "inline")
         elif parser.has_option("measure", "file"):
@@ -97,11 +99,16 @@ class RunConfig:
             ("kernel", "x_radius"), ("kernel", "y_radius"),
             ("radical", "ball_radius"), ("radical", "probe_radius"),
             ("metric", "ball_radius"), ("boundary", "ball_radius"),
+            ("boundary", "probe_radius"),
             ("fock", "max_level"), ("fock", "x_radius"), ("fock", "z_radius"),
             ("fock", "interior_margin"),
         ):
             if self.getint(section, key) < 0:
                 raise PreconditionError(f"[{section}] {key} must be nonnegative")
+        if self.get("boundary", "ray").strip() and self.get("boundary", "elements").strip():
+            raise PreconditionError("[boundary] takes 'ray' or 'elements', not both")
+        if self.getint("boundary", "k_min") > self.getint("boundary", "k_max"):
+            raise PreconditionError("[boundary] k_min must not exceed k_max")
         exact = self.getfloat("tolerances", "exact")
         if not 0.0 < exact < 1.0:
             raise PreconditionError("[tolerances] exact must lie in (0, 1)")

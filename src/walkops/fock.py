@@ -265,16 +265,18 @@ def operator_norm(matrix, tol: float = 1e-10, seed: int = 7) -> float:
     return math.sqrt(max(lam, 0.0))
 
 
-def max_abs_on_columns(csc: sp.csc_matrix, cols: np.ndarray) -> float:
+def column_norms(op) -> np.ndarray:
+    """The 2-norm of every column of a sparse operator: the output norm of
+    each basis vector.  Each column's squares are summed in row order,
+    whatever the input format (CSR is used as given)."""
+    op = op.tocsr()
+    return np.sqrt(np.asarray(op.multiply(op.conj()).sum(axis=0)).ravel().real)
+
+
+def max_abs_on_columns(op, cols: np.ndarray) -> float:
     """sup over the selected input vectors of the output 2-norm: the
-    largest norm among the columns ``cols`` of a CSC matrix."""
-    if len(cols) == 0:
-        return 0.0
-    sub = csc[:, cols]
-    if sub.nnz == 0:
-        return 0.0
-    col_sq = np.asarray(sub.multiply(sub.conj()).sum(axis=0)).ravel()
-    return float(np.sqrt(col_sq.real.max()))
+    largest norm among the columns ``cols`` of a sparse operator."""
+    return float(column_norms(op)[cols].max(initial=0.0))
 
 
 def operator_payload(window: FockWindow, matrix, label: str, params: dict) -> dict:
@@ -451,19 +453,19 @@ def _interior_defect_by_fiber(window: FockWindow, op, rows_needed,
     """Per-fiber max defect of ``op`` on inputs at interior levels at or
     above the fiber's edge threshold; sub-threshold maxima reported too.
     Each row names ``identity`` when one is given."""
-    csc = op.tocsc()
+    norms = column_norms(op)
     per_fiber = []
     for w in window.z_elems:
         m0 = window.edge_threshold(rows_needed, w) + extra_threshold
         top = window.interior_top - level_shift
         sel = window.select(fiber=w, level_lo=m0, level_hi=top)
+        below = window.select(fiber=w, level_hi=min(m0 - 1, top))
         row = {
             "fiber": window.descriptor.format(w),
             "m0": m0,
             "levels_checked": int(len(sel)),  # 0 flags a too-shallow window
-            "defect_above_m0": max_abs_on_columns(csc, sel),
-            "defect_below_m0": max_abs_on_columns(
-                csc, window.select(fiber=w, level_hi=min(m0 - 1, top))),
+            "defect_above_m0": float(norms[sel].max(initial=0.0)),
+            "defect_below_m0": float(norms[below].max(initial=0.0)),
         }
         if identity is not None:
             row["identity"] = identity
@@ -589,7 +591,7 @@ def q0_projection_check(window: FockWindow, x, tol: float = EXACT_TOL) -> Diagno
             )
         s1 = build_S(window, 1, x, y)
         r0 = r0 - s1 @ s1.T
-    csc = r0.tocsc()
+    norms = column_norms(r0)
     residuals = []
     i = window.index.get((0, x, x))
     if i is not None:
@@ -597,14 +599,12 @@ def q0_projection_check(window: FockWindow, x, tol: float = EXACT_TOL) -> Diagno
         col[i] -= 1.0
         residuals.append({"identity": "R0 e0_xx = e0_xx",
                           "residual": float(np.linalg.norm(col))})
-    kill = max_abs_on_columns(
-        csc, window.select(rows=[x], level_lo=1, level_hi=window.interior_top)
-    )
+    kill = float(norms[window.select(
+        rows=[x], level_lo=1, level_hi=window.interior_top)].max(initial=0.0))
     residuals.append({"identity": "R0 e^(m+1)_xz = 0 (interior)", "residual": kill})
     other_rows = [r for r in window.x_elems if r != x]
-    other = max_abs_on_columns(
-        csc, window.select(rows=other_rows, level_hi=window.interior_top)
-    )
+    other = float(norms[window.select(
+        rows=other_rows, level_hi=window.interior_top)].max(initial=0.0))
     residuals.append({"identity": "R0 on other rows = 0", "residual": other})
     worst = max(r["residual"] for r in residuals)
     return DiagnosticsReport(
@@ -689,7 +689,7 @@ def covariance_check(window: FockWindow, g, zeta, n: int, x, y,
     region = np.flatnonzero(stable & (lands | off_y))
     if len(region) == 0:
         raise PreconditionError("empty covariance comparison region")
-    cov = max_abs_on_columns((lhs - rhs).tocsc(), region)
+    cov = max_abs_on_columns(lhs - rhs, region)
 
     u_z = build_Uzeta(window, zeta)
     zc = complex(zeta)
@@ -697,8 +697,7 @@ def covariance_check(window: FockWindow, g, zeta, n: int, x, y,
     gauge_lhs = (u_z @ s_op) @ u_inv
     phase = zc ** n
     target = (phase.real if zc.imag == 0.0 else phase) * s_op
-    gauge = max_abs_on_columns((gauge_lhs - target).tocsc(),
-                               np.arange(window.size, dtype=np.intp))
+    gauge = float(column_norms(gauge_lhs - target).max(initial=0.0))
     residuals = [
         {"identity": "V_g S V_g^-1 = S_g", "residual": cov,
          "region_size": int(len(region))},
@@ -776,7 +775,6 @@ def quotient_norm_estimate(window: FockWindow, op: sp.spmatrix,
     if ladder is None:
         step = max(1, top // 4)
         ladder = sorted({min(top, m) for m in range(step, top + 1, step)})
-    csc = op.tocsc()
     per_fiber = {}
     sup = 0.0
     stabilized = True
@@ -784,11 +782,7 @@ def quotient_norm_estimate(window: FockWindow, op: sp.spmatrix,
         vals = []
         for m in ladder:
             idx = window.select(fiber=z, level_lo=m, level_hi=top)
-            if len(idx) == 0:
-                vals.append((m, 0.0))
-                continue
-            sub = csc[:, idx][idx, :]
-            vals.append((m, operator_norm(sp.csr_matrix(sub), tol=tol, seed=seed)))
+            vals.append((m, operator_norm(op[idx][:, idx], tol=tol, seed=seed)))
         per_fiber[window.descriptor.format(z)] = vals
         tail = [v for _, v in vals if v > 0.0]
         # stabilized: the last two ladder values agree within 2% relative

@@ -128,32 +128,34 @@ class GroupDescriptor:
         The order is by word length, ties broken by ``sort_key``; the first
         element is the identity and ``ball(r)`` is a prefix of ``ball(r+1)``.
         """
-        cached = self._ball_cache
-        if cached and cached[0] >= radius:
-            spheres = cached[1]
-        else:
-            start = cached[0] if cached else 0
-            spheres = list(cached[1]) if cached else [[self.identity()]]
-            seen = {g for sphere in spheres for g in sphere}
-            gens = self.generators()
-            for _ in range(start, radius):
-                nxt = set()
-                for g in spheres[-1]:
-                    for s in gens:
-                        h = self.multiply(g, s)
-                        if h not in seen:
-                            nxt.add(h)
-                seen |= nxt
-                if len(seen) > budget:
-                    raise BudgetExceededError(
-                        f"ball budget {budget} exceeded at radius {len(spheres)}"
-                    )
-                spheres.append(sorted(nxt, key=self.sort_key))
-            self._ball_cache = (max(radius, start), spheres)
         out = []
-        for sphere in spheres[: radius + 1]:
+        for sphere in self._spheres(radius, budget)[0][: radius + 1]:
             out.extend(sphere)
         return out
+
+    def _spheres(self, radius: int, budget: int = DEFAULT_BALL_BUDGET):
+        """The memoized BFS: the spheres of radius 0..radius (at least) and
+        the word length of every element in them.  Each new sphere costs
+        one product per element of the last sphere and generator."""
+        if self._ball_cache is None:
+            e = self.identity()
+            self._ball_cache = ([[e]], {e: 0})
+        spheres, lengths = self._ball_cache
+        gens = self.generators()
+        while len(spheres) <= radius:
+            nxt = set()
+            for g in spheres[-1]:
+                for s in gens:
+                    h = self.multiply(g, s)
+                    if h not in lengths:
+                        nxt.add(h)
+            if len(lengths) + len(nxt) > budget:
+                raise BudgetExceededError(
+                    f"ball budget {budget} exceeded at radius {len(spheres)}"
+                )
+            lengths.update(dict.fromkeys(nxt, len(spheres)))
+            spheres.append(sorted(nxt, key=self.sort_key))
+        return spheres, lengths
 
     def phi(self, radius: int) -> dict:
         """1-based enumeration index of each element of ``ball(radius)``."""
@@ -576,24 +578,15 @@ class LamplighterGroup(GroupDescriptor):
         )
 
     def word_length(self, a, max_radius=DEFAULT_BFS_RADIUS):
-        """BFS distance; raises RadiusExhaustedError past ``max_radius``."""
+        """BFS distance, read from the memoized spheres of ``ball``; raises
+        RadiusExhaustedError past ``max_radius``."""
         self.check(a)
-        if a == self.identity():
-            return 0
-        gens = self.generators()
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        for r in range(1, max_radius + 1):
-            nxt = []
-            for g in frontier:
-                for s in gens:
-                    h = self.multiply(g, s)
-                    if h not in seen:
-                        if h == a:
-                            return r
-                        seen.add(h)
-                        nxt.append(h)
-            frontier = nxt
+        for r in range(max_radius + 1):
+            length = self._spheres(r)[1].get(a)
+            if length is not None:
+                if length <= max_radius:
+                    return length
+                break
         raise RadiusExhaustedError(
             f"word length of {self.format(a)} exceeds BFS radius {max_radius}"
         )

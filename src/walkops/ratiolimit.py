@@ -436,6 +436,8 @@ def boundary_trace(table, sequence: list, probe_radius: int,
     within ``tol``, and the reported limits are Aitken-extrapolated trace
     tails.
     """
+    if not sequence:
+        raise PreconditionError("boundary trace needs a nonempty sequence")
     desc = table.descriptor
     probe = desc.ball(probe_radius)
     fmt = desc.format

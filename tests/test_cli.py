@@ -447,6 +447,29 @@ def test_config_unknown_section_rejected(tmp_path, capsys):
     assert "[kernal]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, named", [
+    (("k_min = 4\nk_max = 8", "k_min = 12\nk_max = 6"), "[boundary] k_min"),
+    (("k_max = 8\nprobe_radius = 1", "k_max = 8\nprobe_radius = -1"),
+     "[boundary] probe_radius"),
+    (("[measure]\n", "[measure]\nfile = mu.txt\n"), "[measure] takes 'inline' or 'file'"),
+    (("ray = a\n", "ray = a\nelements = b, bb\n"), "[boundary] takes 'ray' or 'elements'"),
+], ids=["k_min_above_k_max", "negative_probe_radius", "measure_inline_and_file",
+        "ray_and_elements"])
+def test_config_degenerate_or_ambiguous_rejected(tmp_path, capsys, edit, named):
+    """A boundary run on an empty ray (k_min > k_max) or an empty probe
+    ball (negative radius), or a config naming two sources for one input
+    (measure inline and file, boundary ray and elements), exits 2 naming
+    the key instead of crashing, passing vacuously or dropping one."""
+    old, new = edit
+    assert old in FREE2_CFG
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(FREE2_CFG.replace(old, new, 1), encoding="utf-8")
+    (tmp_path / "mu.txt").write_text("a 1/2\nA 1/2\n", encoding="utf-8")
+    assert main(["boundary", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("walkops: precondition failure:") and named in err
+
+
 def test_radial_run_ignores_memory_budget(cfg_file, tmp_path):
     """A free-group run is fully retained whatever its memory budget (a
     tracked radial level would save nothing), so with ``memory_budget_mb =

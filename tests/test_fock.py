@@ -232,6 +232,32 @@ def test_r_inverse_is_spectral_inverse(z_window, lazy_z_table):
     assert fk.max_abs_on_columns(diff.tocsc(), rows) <= 1e-12
 
 
+@pytest.mark.parametrize("build", [
+    lambda win: fk.build_S(win, 1, (0,), (1,)),
+    lambda win: fk.build_Uzeta(win, 1j) @ fk.build_S(win, 1, (0,), (1,)),
+    lambda win: sp.csr_matrix((win.size, win.size)),
+], ids=["real_shift", "complex_gauge_product", "zero"])
+def test_column_norms_match_dense(z_window, build):
+    op = build(z_window)
+    np.testing.assert_array_equal(fk.column_norms(op),
+                                  np.linalg.norm(op.toarray(), axis=0))
+
+
+def test_max_abs_on_columns_any_format(z_window):
+    """CSR and CSC input give the same floats, also on columns with many
+    entries (row swaps from row 0 onto every row, with varied output
+    weights), and an empty selection gives 0.0."""
+    swaps = sum(fk.build_E(z_window, x, (0,)) for x in z_window.x_elems)
+    op = sp.diags(np.linspace(0.5, 3.0, z_window.size), format="csr") @ swaps
+    assert op.format == "csr" and np.diff(op.tocsc().indptr).max() >= 3
+    np.testing.assert_array_equal(fk.column_norms(op), fk.column_norms(op.tocsc()))
+    cols = z_window.select(rows=[(0,)])
+    assert fk.max_abs_on_columns(op, cols) > 0.0
+    assert fk.max_abs_on_columns(op, cols) == fk.max_abs_on_columns(op.tocsc(), cols)
+    for m in (op, op.tocsc()):
+        assert fk.max_abs_on_columns(m, np.zeros(0, dtype=np.intp)) == 0.0
+
+
 def test_e_diagonal_acts_as_identity_on_row(z_window):
     e_xx = fk.build_E(z_window, (1,), (1,))
     ident = fk.identity_operator(z_window)

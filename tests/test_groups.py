@@ -248,6 +248,42 @@ def test_lamplighter_word_length_bfs(lamp1):
         lamp1.word_length(((9,), ()), max_radius=3)
 
 
+def test_lamplighter_word_length_reads_ball_spheres(monkeypatch):
+    """The seven word lengths a boundary trace asks for along the (1,{0})
+    ray (k = 6..12; lengths 2k, four of them past the default BFS radius
+    16) make no more group products than one ball(16) build."""
+
+    def counted(group):
+        calls = [0]
+        law = group.multiply
+
+        def multiply(a, b):
+            calls[0] += 1
+            return law(a, b)
+
+        monkeypatch.setattr(group, "multiply", multiply)
+        return calls
+
+    lamp = w.LamplighterGroup(1)
+    g = ((1,), ((0,),))
+    ray = [lamp.identity()]
+    for _ in range(12):
+        ray.append(lamp.multiply(ray[-1], g))
+    calls = counted(lamp)
+    lengths = []
+    for y in ray[6:]:
+        try:
+            lengths.append(lamp.word_length(y))
+        except RadiusExhaustedError:
+            lengths.append(None)
+    assert lengths == [12, 14, 16, None, None, None, None]
+
+    fresh = w.LamplighterGroup(1)
+    ball_calls = counted(fresh)
+    fresh.ball(16)
+    assert calls[0] <= ball_calls[0]
+
+
 def test_ball_sizes_free(free2):
     assert len(free2.ball(1)) == 5
     assert len(free2.ball(2)) == 17  # brute-force oracle below agrees

@@ -263,6 +263,14 @@ def test_boundary_trace_word_length_fallback(f2_table, monkeypatch):
         trace()
 
 
+def test_boundary_trace_rejects_empty_sequence(f2_table):
+    """An empty sequence has no trace to extrapolate: a precondition
+    failure, not an IndexError from reading its last point."""
+    with pytest.raises(PreconditionError, match="nonempty sequence"):
+        w.boundary_trace(f2_table, [], probe_radius=1, metric_ball_radius=2,
+                         tol=0.01)
+
+
 def test_boundary_trace_alternating_not_cauchy(f2_table):
     seq = []
     for k in range(4, 8):
