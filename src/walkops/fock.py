@@ -666,7 +666,13 @@ def _support_radius(cache, desc) -> int:
 def covariance_check(window: FockWindow, g, zeta, n: int, x, y,
                      tol: float = EXACT_TOL) -> DiagnosticsReport:
     """V_g S^(n)_{x,y} V_g^-1 = S^(n)_{gx,gy} on the g-stable part of the
-    window, and U_zeta S U_zeta^-1 = zeta^n S (gauge phase), entrywise."""
+    window, and U_zeta S U_zeta^-1 = zeta^n S (gauge phase), entrywise.
+    U_zeta is unitary only for |zeta| = 1 (within ``tol``); any other zeta
+    is a PreconditionError."""
+    if abs(abs(zeta) - 1.0) > tol:
+        raise PreconditionError(
+            f"the gauge U_zeta needs |zeta| = 1, got zeta = {zeta!r}"
+        )
     desc = window.descriptor
     s_op = build_S(window, n, x, y)
     gx, gy = desc.multiply(g, x), desc.multiply(g, y)

@@ -157,9 +157,10 @@ def validate_measure(mu: ScaledMeasure, descriptor: GroupDescriptor,
     The period is the gcd of the return times to the identity within
     ``probe_depth`` steps, read by ``powers.is_aperiodic`` from ``cache``,
     a convolution-powers cache of ``mu`` (the one a run already built).
-    Without one, a cache of depth ``probe_depth`` is built with a support
-    cap of 200,000; when that cap stops it early, the period comes from the
-    levels it reached and a message says so.
+    Without one, mu(e) > 0 gives period 1 (a return at step 1) and builds
+    nothing; otherwise a cache of depth ``probe_depth`` is built with a
+    support cap of 200,000; when that cap stops it early, the period comes
+    from the levels it reached and a message says so.
 
     Generation beyond the probe horizon is reported "inconclusive", never
     proved; it is evidence in the sense of the irreducibility assumption.
@@ -183,18 +184,22 @@ def validate_measure(mu: ScaledMeasure, descriptor: GroupDescriptor,
             break
 
     # period: gcd of the return times to the identity within probe_depth
-    if cache is None:
-        cache = convolution_powers(descriptor, mu, probe_depth, support_cap=200_000)
-    if not cache.complete and cache.depth < probe_depth:
-        messages.append("aperiodicity probe hit its support cap")
     period: int | None = None
     aperiodic: bool | None = None
-    try:
-        aperiodic, period = is_aperiodic(cache, probe_depth)
-    except PreconditionError:
-        messages.append(
-            f"no return to identity within {min(probe_depth, cache.depth)} steps"
-        )
+    if cache is None and probe_depth >= 1 and mu.value(descriptor.identity()) > 0.0:
+        aperiodic, period = True, 1
+    else:
+        if cache is None:
+            cache = convolution_powers(descriptor, mu, probe_depth,
+                                       support_cap=200_000)
+        if not cache.complete and cache.depth < probe_depth:
+            messages.append("aperiodicity probe hit its support cap")
+        try:
+            aperiodic, period = is_aperiodic(cache, probe_depth)
+        except PreconditionError:
+            messages.append(
+                f"no return to identity within {min(probe_depth, cache.depth)} steps"
+            )
 
     # semigroup generation: products of support elements must reach ball(3)
     r_check = 3

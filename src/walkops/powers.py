@@ -157,9 +157,10 @@ class PowersCache:
     def depth(self) -> int:
         raise NotImplementedError
 
-    def _column_key(self, g):
-        """What log mu^{*m}(g) depends on here; CoverageError where a tracked
-        cache does not keep g."""
+    def column_key(self, g):
+        """What log mu^{*m}(g) depends on here: elements with equal keys
+        have one column.  CoverageError where a tracked cache does not keep
+        g."""
         raise NotImplementedError
 
     def _column_values(self, key) -> list:
@@ -182,12 +183,12 @@ class PowersCache:
         """log mu^{*m}(g); -inf when the entry is absent (true zero).  Entry
         m of g's memoized column."""
         self._check_level(m)
-        return float(self._key_column(self._column_key(g))[m])
+        return float(self._key_column(self.column_key(g))[m])
 
     def log_column(self, g) -> np.ndarray:
         """log mu^{*m}(g) for m = 0..depth, -inf where absent; read-only and
         memoized per engine key."""
-        return self._key_column(self._column_key(g))
+        return self._key_column(self.column_key(g))
 
     def _key_column(self, key) -> np.ndarray:
         """The memoized column of an engine key."""
@@ -629,7 +630,7 @@ class GenericPowers(PowersCache):
     def depth(self):
         return len(self._levels) - 1
 
-    def _column_key(self, g):
+    def column_key(self, g):
         return g
 
     def _column_values(self, g):
@@ -812,7 +813,7 @@ class ArrayPowers(PowersCache):
     def depth(self):
         return len(self._levels) - 1
 
-    def _column_key(self, g):
+    def column_key(self, g):
         # a tracked level's array lies inside the tracked region, so a point
         # outside the region is outside every stored level
         key = (len(g),) if self.q else g
@@ -976,9 +977,9 @@ class CartesianPowers(PowersCache):
     def depth(self):
         return self._tree.depth
 
-    def _column_key(self, g):
+    def column_key(self, g):
         w, v = g
-        return self._tree._column_key(w), self._lattice._column_key(v)
+        return self._tree.column_key(w), self._lattice.column_key(v)
 
     def _column_values(self, key):
         return self._mix(self._tree._key_column(key[0]),

@@ -15,7 +15,7 @@ closed form, and the Martin-vs-ratio comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -155,7 +155,15 @@ def bound_constants(cache: PowersCache, x, rho_hat: float) -> BoundConstants:
 # ---------------------------------------------------------------------------
 
 class KernelTable:
-    """Lazy (x, y) -> KernelEntry table over one powers cache."""
+    """Lazy (x, y) -> KernelEntry table over one powers cache.
+
+    An entry reads only the columns of x^-1 y and y, so its numbers are
+    computed once per pair of column keys (``cache.column_key``) and shared
+    by every (x, y) with that pair, the read-only raw tail included; each
+    entry still names its own x and y.  Entries with x = e are exactly 1
+    and share one result of their own.  Bound constants are likewise
+    computed once per key pair of x and x^-1.
+    """
 
     def __init__(self, cache: PowersCache, rho_hat: float | None = None,
                  ladder_points: int = 5, ladder_floor: int | None = None):
@@ -169,25 +177,37 @@ class KernelTable:
         self.rho_hat = rho_hat
         self.ladder_points = ladder_points
         self.ladder_floor = ladder_floor
-        self._entries: dict = {}
-        self._bounds: dict = {}
+        self._entries: dict = {}     # (x, y) -> KernelEntry
+        self._computed: dict = {}    # key pair, or None for x = e -> KernelEntry
+        self._bounds: dict = {}      # key pair of (x, x^-1) -> BoundConstants
 
     def get(self, x, y) -> KernelEntry:
-        key = (x, y)
-        if key not in self._entries:
-            self._entries[key] = estimate_H(
-                self.cache, x, y,
-                ladder_points=self.ladder_points,
-                ladder_floor=self.ladder_floor,
-            )
-        return self._entries[key]
+        entry = self._entries.get((x, y))
+        if entry is None:
+            desc, key_of = self.descriptor, self.cache.column_key
+            # the exact x = e entry is checked first: no column key is read
+            # for it, and it never shares a result with a key pair
+            key = None if x == desc.identity() else (
+                key_of(desc.multiply(desc.inverse(x), y)), key_of(y))
+            base = self._computed.get(key)
+            if base is None:
+                base = estimate_H(self.cache, x, y,
+                                  ladder_points=self.ladder_points,
+                                  ladder_floor=self.ladder_floor)
+                base.raw_tail.flags.writeable = False
+                self._computed[key] = base
+            entry = self._entries[(x, y)] = replace(base, x=x, y=y)
+        return entry
 
     def bound_constant(self, x) -> BoundConstants:
         if self.rho_hat is None:
             raise PreconditionError("bound constants need rho_hat on the table")
-        if x not in self._bounds:
-            self._bounds[x] = bound_constants(self.cache, x, self.rho_hat)
-        return self._bounds[x]
+        key_of = self.cache.column_key
+        key = (key_of(x), key_of(self.descriptor.inverse(x)))
+        base = self._bounds.get(key)
+        if base is None:
+            base = self._bounds[key] = bound_constants(self.cache, x, self.rho_hat)
+        return replace(base, x=x)
 
     def entries(self) -> dict:
         return dict(self._entries)

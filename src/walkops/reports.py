@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -42,7 +43,7 @@ class DiagnosticsReport:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2, default=_jsonable)
+        return dumps(self.as_dict())
 
 
 def _jsonable(obj):
@@ -51,6 +52,22 @@ def _jsonable(obj):
     if hasattr(obj, "as_dict"):
         return obj.as_dict()
     return repr(obj)
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=_jsonable)
+_BATCH = 4096
+
+
+def dumps(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2, default=_jsonable)``,
+    bit for bit.  An indented dump runs the pure-Python encoder, which
+    yields one small string per token; ``json.dumps`` lists all of them
+    before joining, while this joins them a batch at a time."""
+    chunks = _ENCODER.iterencode(payload)
+    parts = []
+    while batch := list(itertools.islice(chunks, _BATCH)):
+        parts.append("".join(batch))
+    return "".join(parts)
 
 
 def write_text_atomic(path: str, text: str):
@@ -87,11 +104,8 @@ def _umask() -> int:
 
 
 def write_json(path: str, payload) -> None:
-    if isinstance(payload, DiagnosticsReport):
-        text = payload.to_json()
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2, default=_jsonable)
-    write_text_atomic(path, text + "\n")
+    # a DiagnosticsReport encodes as its as_dict(), like its to_json()
+    write_text_atomic(path, dumps(payload) + "\n")
 
 
 def rows_to_csv(rows: list[dict], columns: list[str]) -> str:

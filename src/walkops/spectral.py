@@ -10,7 +10,7 @@ from ladder spread when evaluation at the radius is not justified).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -237,7 +237,12 @@ def martin_kernel(cache: PowersCache, x, y, rho_hat: float, alpha: float,
 
 
 class MartinTable:
-    """Lazy table of Martin-kernel entries over one cache."""
+    """Lazy table of Martin-kernel entries over one cache.
+
+    An entry reads only the Green sums of x^-1 y and y, so it is computed
+    once per pair of their column keys (``cache.column_key``) and named
+    after each caller's x and y.
+    """
 
     def __init__(self, cache: PowersCache, rho_hat: float, alpha: float,
                  terms: int | None = None, policy: str = "auto"):
@@ -249,13 +254,15 @@ class MartinTable:
         self._entries: dict = {}
 
     def get(self, x, y) -> MartinEntry:
-        key = (x, y)
-        if key not in self._entries:
-            self._entries[key] = martin_kernel(
+        desc, key_of = self.cache.descriptor, self.cache.column_key
+        key = (key_of(desc.multiply(desc.inverse(x), y)), key_of(y))
+        base = self._entries.get(key)
+        if base is None:
+            base = self._entries[key] = martin_kernel(
                 self.cache, x, y, self.rho_hat, self.alpha, terms=self.terms,
                 policy=self.policy,
             )
-        return self._entries[key]
+        return replace(base, x=x, y=y)
 
     def provenance(self) -> dict:
         return {

@@ -184,6 +184,17 @@ def test_aperiodicity_precondition_exit_2(tmp_path):
     assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
 
 
+def test_singular_gauge_exit_2(tmp_path, capsys):
+    # zeta = 0 makes U_zeta singular: a precondition failure, no artifact
+    cfg = tmp_path / "zeta0.ini"
+    cfg.write_text(FREE2_CFG.replace("zeta = i", "zeta = 0"), encoding="utf-8")
+    out = tmp_path / "z"
+    assert main(["covariance", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("walkops: precondition failure: ")
+    assert not (out / "covariance.json").exists()
+
+
 def test_budget_exit_3(tmp_path):
     cfg_text = """
 [group]

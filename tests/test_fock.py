@@ -532,6 +532,18 @@ def test_covariance_shift_and_gauge(lazy_z_cache):
     assert rep.residuals[0]["region_size"] > 0
 
 
+@pytest.mark.parametrize("zeta", [0.0, 2.0, 0j, 1.5j])
+def test_covariance_rejects_non_unimodular_zeta(z_window, zeta):
+    # U_zeta is unitary only for |zeta| = 1; zeta = 0 is singular
+    with pytest.raises(PreconditionError, match="zeta"):
+        fk.covariance_check(z_window, (0,), zeta, 1, (0,), (1,))
+
+
+def test_covariance_unimodular_zeta_passes(z_window):
+    for zeta in (1j, -1.0, complex(0.6, 0.8)):
+        assert fk.covariance_check(z_window, (0,), zeta, 1, (0,), (1,)).passed
+
+
 def test_gauge_phase_entrywise(z_window):
     # conjugating by U_zeta multiplies S^(1) by exactly zeta
     s = fk.build_S(z_window, 1, (0,), (1,))

@@ -86,6 +86,21 @@ def test_validate_probe_cap_message(lamp1, lamp_mu):
     assert rep.aperiodic and rep.period == 1
 
 
+def test_validate_identity_mass_reads_period_one(free2, monkeypatch):
+    """mu(e) > 0 is a return at step 1: period 1 with no probe cache, so a
+    lazy anisotropic F2 walk builds none and reports no support cap."""
+    mu = w.parse_measure("e 1/5\na 3/10\nA 3/10\nb 1/10\nB 1/10", free2)
+
+    def no_cache(*args, **kwargs):
+        raise AssertionError("validate_measure built a probe cache")
+
+    monkeypatch.setattr(w.powers, "convolution_powers", no_cache)
+    rep = w.validate_measure(mu, free2)
+    assert rep.aperiodic is True and rep.period == 1
+    assert "aperiodicity probe hit its support cap" not in rep.messages
+    assert rep.valid
+
+
 def test_validate_no_return_within_probe(lattice1):
     # first return to 0 at m = 4 (three -1 steps balance one +3)
     mu = w.parse_measure("(3) 1/2\n(-1) 1/2", lattice1)

@@ -118,6 +118,95 @@ def test_kernel_entry_bookkeeping(f2_table):
     assert r0 > 0
 
 
+def test_kernel_table_entries_match_fresh_estimates(f2_cache, free2):
+    """Entries shared per pair of column keys carry the numbers a fresh
+    estimate_H gives for the caller's own (x, y), and name that x and y."""
+    table = w.KernelTable(f2_cache)
+    ball = free2.ball(2)
+    for x in ball:
+        for y in ball:
+            entry = table.get(x, y)
+            fresh = w.estimate_H(f2_cache, x, y)
+            assert (entry.x, entry.y) == (x, y)
+            for name in ("estimate", "lo", "hi", "m_window", "accelerated"):
+                assert getattr(entry, name) == getattr(fresh, name), (x, y, name)
+            assert entry.raw_tail.dtype == fresh.raw_tail.dtype
+            assert entry.raw_tail.shape == fresh.raw_tail.shape
+            assert entry.raw_tail.tobytes() == fresh.raw_tail.tobytes()
+            assert table.get(x, y) is entry
+
+
+def test_kernel_table_identity_entry_kept_apart(f2_cache):
+    """x = e is the exact 1 entry; x = ab, y = a has the key pair of
+    (e, a) but still goes through the ladder, in either order."""
+    e, a, ab = (), (1,), (1, 2)
+    for order in ((e, ab), (ab, e)):
+        table = w.KernelTable(f2_cache)
+        got = {x: table.get(x, a) for x in order}
+        exact = got[e]
+        assert [exact.lo, exact.hi] == [1.0, 1.0] and exact.estimate == 1.0
+        assert not exact.accelerated and len(exact.raw_tail) == 0
+        ladder = got[ab]
+        assert ladder.accelerated and len(ladder.raw_tail) > 100
+        assert ladder.m_window[1] == f2_cache.depth
+
+
+def test_kernel_table_identity_entry_on_tracked_cache(lattice1, lazy_z):
+    """The x = e entry reads no column, so a tracked cache answers it for
+    a y outside its tracked region, while x != e raises as before."""
+    cache = w.convolution_powers(lattice1, lazy_z, 32, engine="dense",
+                                 memory_budget_mb=0, track=[(-3,), (3,)])
+    table = w.KernelTable(cache)
+    assert table.get((0,), (9,)).estimate == 1.0
+    with pytest.raises(CoverageError):
+        table.get((1,), (9,))
+
+
+def test_kernel_table_raw_tail_read_only(f2_cache):
+    table = w.KernelTable(f2_cache)
+    entry = table.get((1,), (1, 2))
+    assert not entry.raw_tail.flags.writeable
+    with pytest.raises(ValueError):
+        entry.raw_tail[0, 1] = 0.0
+    # (abb, ab) has the key pair of (a, ab): one shared tail
+    assert table.get((1, 2, 2), (1, 2)).raw_tail is entry.raw_tail
+
+
+def test_kernel_table_one_ratio_sequence_per_key_pair(f2_cache, free2, monkeypatch):
+    desc, key_of = f2_cache.descriptor, f2_cache.column_key
+    seen = []
+    real = w.ratiolimit.ratio_sequence
+
+    def counted(cache, x, y):
+        seen.append((key_of(desc.multiply(desc.inverse(x), y)), key_of(y)))
+        return real(cache, x, y)
+
+    monkeypatch.setattr(w.ratiolimit, "ratio_sequence", counted)
+    table = w.KernelTable(f2_cache)
+    ball = free2.ball(2)
+    for x in ball:
+        for y in ball:
+            table.get(x, y)
+    assert len(table.entries()) == len(ball) ** 2
+    assert len(seen) == len(set(seen)) <= 15
+
+
+def test_bound_constant_shared_per_key_pair(f2_cache, f2_spectral, monkeypatch):
+    real = w.ratiolimit.bound_constants
+    calls = []
+
+    def counted(cache, x, rho_hat):
+        calls.append(x)
+        return real(cache, x, rho_hat)
+
+    monkeypatch.setattr(w.ratiolimit, "bound_constants", counted)
+    table = w.KernelTable(f2_cache, rho_hat=f2_spectral.rho_hat)
+    for x in ((1,), (-2,), (1, 2)):
+        assert table.bound_constant(x) == real(f2_cache, x, f2_spectral.rho_hat)
+    # a and B share the key pair of two radius-1 columns
+    assert calls == [(1,), (1, 2)]
+
+
 def test_kernel_table_rejects_periodic(lattice1):
     srw = w.parse_measure("(1) 1/2\n(-1) 1/2", lattice1)
     cache = w.convolution_powers(lattice1, srw, 32)

@@ -1,11 +1,15 @@
-"""Atomic artifact writes."""
+"""Report encoding and atomic artifact writes."""
 
+import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import walkops
+from walkops.reports import _BATCH, _ENCODER, DiagnosticsReport, _jsonable, dumps
+from walkops.spectral import SpectralEstimate
 
 # each writer rewrites the path for two seconds, far longer than the skew
 # between the two interpreters' start-ups, so the writes overlap
@@ -42,3 +46,23 @@ def test_two_processes_write_one_path(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text in ("x" * 200_000, "y" * 200_000)
     assert os.listdir(tmp_path) == ["shared.json"]
+
+
+def test_dumps_matches_json_dumps():
+    """The batched encoder writes json.dumps' bytes on a payload of many
+    batches: tuples, nested as_dict objects, non-ASCII text, inf and nan."""
+    report = DiagnosticsReport(
+        name="n\u00e4me", inputs={"pair": ("a", "b")}, residuals=[],
+        passed=True, verdict="ok", tolerances={"t": math.inf}, provenance={},
+        extra={"estimate": SpectralEstimate(0.5, "extrapolated", (1, 9), 1e-9)})
+    payload = {
+        "rows": [{"x": (i, -i), "r": i / 7, "w": "\u03c1\u00b2"} for i in range(3000)],
+        "report": report,
+        "bad": [math.nan, -math.inf, {"deep": ((1, 2), [report])}],
+        "empty": ([], {}, ""),
+    }
+    assert sum(1 for _ in _ENCODER.iterencode(payload)) > 2 * _BATCH
+    assert dumps(payload) == json.dumps(payload, sort_keys=True, indent=2,
+                                        default=_jsonable)
+    assert report.to_json() == json.dumps(report.as_dict(), sort_keys=True,
+                                          indent=2, default=_jsonable)

@@ -160,6 +160,30 @@ def test_martin_kernel_positive_and_bounded(f2_cache, f2_spectral, free2):
             assert 0.5 * bc.c <= est <= 2.0 * bc.C, (x, y, est)
 
 
+def test_martin_table_shared_per_key_pair(f2_cache, f2_spectral, free2, monkeypatch):
+    """Martin entries are computed once per key pair of their two Green
+    sums, with the numbers of a fresh martin_kernel and the caller's x, y."""
+    alpha = local_limit_exponent(f2_cache, f2_spectral)
+    rho = f2_spectral.rho_hat
+    real = w.spectral.martin_kernel
+    calls = []
+
+    def counted(cache, x, y, *args, **kw):
+        calls.append((x, y))
+        return real(cache, x, y, *args, **kw)
+
+    monkeypatch.setattr(w.spectral, "martin_kernel", counted)
+    table = MartinTable(f2_cache, rho, alpha)
+    pairs = [((1,), (1, 1)), ((2,), (2, 2)), ((), (1, 2)), ((1, 1), (1, 2))]
+    for x, y in pairs:
+        entry = table.get(x, y)
+        assert (entry.x, entry.y) == (x, y)
+        assert entry == real(f2_cache, x, y, rho, alpha)
+    # (b, bb) repeats the keys of (a, aa), and (aa, ab) those of (e, ab)
+    # (|x^-1 y| = 1 and 2 against |y| = 2)
+    assert calls == [((1,), (1, 1)), ((), (1, 2))]
+
+
 def test_martin_kernel_ladder_path(lazy_z_cache, lazy_z_spectral):
     # alpha = 1/2 <= 1 forces the ladder with Aitken; K(x,y) exists and is
     # positive for the lazy line walk
