@@ -339,13 +339,22 @@ def _level_bounds(payload, what: str, total: int, sizes: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# elements hashed at a time: bounds the hashing temporaries whatever the
+# size of the batch
+_HASH_BLOCK = 1 << 15
 
 
-def _mix(h):
-    """splitmix64's finalizer on a uint64 array (wrapping arithmetic)."""
-    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return h ^ (h >> np.uint64(31))
+def _fold(h, col, tmp):
+    """``h = mix(h * GOLDEN + col)`` in place on the uint64 array ``h``, with
+    ``col`` an integer array read as uint64, ``mix`` splitmix64's finalizer
+    (wrapping arithmetic) and ``tmp`` scratch of ``h``'s shape."""
+    h *= _GOLDEN
+    h += np.asarray(col, dtype=np.int64).view(np.uint64)
+    h ^= np.right_shift(h, np.uint64(30), out=tmp)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    h ^= np.right_shift(h, np.uint64(27), out=tmp)
+    h *= np.uint64(0x94D049BB133111EB)
+    h ^= np.right_shift(h, np.uint64(31), out=tmp)
 
 
 def _as_rows(arr):
@@ -354,35 +363,57 @@ def _as_rows(arr):
 
 
 def _row_hashes(arr):
-    """One uint64 hash per row of a 1-d or 2-d integer array."""
-    cols = np.ascontiguousarray(_as_rows(arr), dtype=np.int64).view(np.uint64)
+    """One uint64 hash per row of a 1-d or 2-d integer array: its columns
+    folded from 0."""
     h = np.zeros(len(arr), dtype=np.uint64)
-    for col in cols.T:
-        h = _mix(h * _GOLDEN + col)
+    tmp = np.empty_like(h)
+    for col in _as_rows(arr).T:
+        _fold(h, col, tmp)
+    return h
+
+
+def _run_hashes(run, counts):
+    """One uint64 hash per run of ``run`` split by ``counts``: each item's
+    row then its place in its run folded, and the items' hashes summed
+    (wrapping); an empty run hashes to 0."""
+    starts = np.cumsum(counts)
+    starts -= counts
+    items = _row_hashes(run)
+    place = np.arange(len(run), dtype=np.int64)
+    place -= np.repeat(starts, counts)
+    _fold(items, place, np.empty_like(items))
+    h = np.zeros(len(counts), dtype=np.uint64)
+    full = counts > 0
+    h[full] = np.add.reduceat(items, starts[full])
     return h
 
 
 def _element_hashes(descriptor, arrays) -> np.ndarray:
     """One 64-bit hash per element of ``encode_elements`` arrays, computed
     as uint64 and returned as int64 (numpy's searchsorted is faster on
-    int64).  A run is hashed item by item with each item's place in its
-    run, and the items' hashes summed per element.  Equal hashes do not
-    make equal elements: ``_ElementTable`` compares the arrays."""
+    int64).  Each array's part (``_row_hashes`` or, for a run,
+    ``_run_hashes``) is folded in key order.  Elements are hashed
+    ``_HASH_BLOCK`` at a time, each run array sliced by its own counts.
+    Equal hashes do not make equal elements: ``_ElementTable`` compares
+    the arrays."""
     runs = descriptor.codec_runs()
-    h = np.uint64(0)
-    for key in sorted(arrays):
-        arr = arrays[key]
-        if key in runs:
-            counts = arrays[runs[key]]
-            ends = np.cumsum(counts)
-            place = np.arange(len(arr)) - np.repeat(ends - counts, counts)
-            items = _row_hashes(np.column_stack([arr, place]))
-            sums = np.concatenate([np.zeros(1, dtype=np.uint64), np.cumsum(items)])
-            part = sums[ends] - sums[ends - counts]
-        else:
-            part = _row_hashes(arr)
-        h = _mix(h * _GOLDEN + part)
-    return h.view(np.int64)
+    keys = sorted(arrays)
+    # every array but a run has one entry per element
+    out = np.zeros(len(arrays[runs.get(keys[0], keys[0])]), dtype=np.uint64)
+    offsets = dict.fromkeys(runs, 0)   # run key -> first item of the block
+    for lo in range(0, len(out), _HASH_BLOCK):
+        h = out[lo:lo + _HASH_BLOCK]
+        tmp = np.empty_like(h)
+        for key in keys:
+            if key in runs:
+                counts = arrays[runs[key]][lo:lo + _HASH_BLOCK]
+                end = offsets[key] + int(counts.sum())
+                part = _run_hashes(arrays[key][offsets[key]:end], counts)
+                offsets[key] = end
+            else:
+                part = _row_hashes(arrays[key][lo:lo + _HASH_BLOCK])
+            _fold(h, part.view(np.int64), tmp)
+    return out.view(np.int64)
 
 
 def _same(descriptor, x, y) -> np.ndarray:
@@ -543,9 +574,13 @@ class GenericPowers(PowersCache):
         super().__init__(descriptor, mu)
         self._setup()
         self._push_level(np.array([0], dtype=np.int64), np.array([1.0]), 0.0)
+        # the step table, scratch for the build: rows[i, j] is the id of
+        # element i times support element j, -1 until computed
+        rows = np.full((256, len(self._mu_elems)), -1, dtype=np.int64)
         for m in range(1, depth + 1):
             try:
-                self._step(support_cap)
+                rows = self._ensure_rows(rows, self._levels[-1].ids)
+                self._step(rows, support_cap)
             except BudgetExceededError as exc:
                 self.complete = False
                 self.budget_note = f"stopped at level {m - 1}: {exc}"
@@ -561,7 +596,6 @@ class GenericPowers(PowersCache):
         self._mu_vals = np.array([v for _, v in items])
         self._mu_ls = self.mu.log_scale
         self._table = _ElementTable(desc, desc.encode_elements([desc.identity()]))
-        self._rows = np.full((256, len(self._mu_elems)), -1, dtype=np.int64)
         self._queried: dict = {}     # queried element -> id, -1 where absent
         self._levels: list = []
 
@@ -569,10 +603,12 @@ class GenericPowers(PowersCache):
         mass = math.exp(math.log(math.fsum(vals.tolist())) + log_scale)
         self._levels.append(_Level(ids=ids, vals=vals, log_scale=log_scale, mass=mass))
 
-    def _ensure_rows(self, ids):
-        missing = ids[self._rows[ids, 0] < 0]
+    def _ensure_rows(self, rows, ids):
+        """The step table ``rows`` with a row for every id of ``ids``,
+        grown when the table gains elements."""
+        missing = ids[rows[ids, 0] < 0]
         if not len(missing):
-            return
+            return rows
         desc = self.descriptor
         frontier = desc.take_encoded(self._table.arrays, missing)
         batches = [desc.mul_encoded(frontier, s) for s in self._mu_elems]
@@ -588,19 +624,19 @@ class GenericPowers(PowersCache):
         # seen row-major: by source id, then by support element
         n, k = len(missing), len(self._mu_elems)
         ids = self._table.intern(products, seen=np.arange(n * k).reshape(k, n).T.ravel())
-        if self._table.size > self._rows.shape[0]:
-            grown = np.full((max(2 * self._rows.shape[0], self._table.size), k), -1,
+        if self._table.size > rows.shape[0]:
+            grown = np.full((max(2 * rows.shape[0], self._table.size), k), -1,
                             dtype=np.int64)
-            grown[: self._rows.shape[0]] = self._rows
-            self._rows = grown
-        self._rows[missing] = ids.reshape(k, n).T
+            grown[: rows.shape[0]] = rows
+            rows = grown
+        rows[missing] = ids.reshape(k, n).T
+        return rows
 
-    def _step(self, support_cap):
+    def _step(self, rows, support_cap):
         level = self._levels[-1]
-        self._ensure_rows(level.ids)
         acc = np.zeros(self._table.size)
         _backend.scatter_add_outer(
-            acc, np.ascontiguousarray(self._rows[level.ids]), level.vals, self._mu_vals
+            acc, np.ascontiguousarray(rows[level.ids]), level.vals, self._mu_vals
         )
         ids = np.flatnonzero(acc > 0.0).astype(np.int64)
         if len(ids) > support_cap:

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1062,6 +1063,89 @@ def test_generic_interning_resolves_hash_collisions(monkeypatch, lamp1, lamp_mu,
         for m in range(cache.depth + 1):
             assert ([back.log_value(m, g) for g in ball]
                     == [cache.log_value(m, g) for g in ball])
+
+
+def _reference_hashes(descriptor, arrays):
+    """The element hash of ``powers._element_hashes`` written out on the
+    whole batch at once: columns stacked, prefix sums over every run."""
+    golden = np.uint64(0x9E3779B97F4A7C15)
+
+    def mix(h):
+        h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return h ^ (h >> np.uint64(31))
+
+    def row_hashes(arr):
+        rows = arr[:, None] if arr.ndim == 1 else arr
+        h = np.zeros(len(arr), dtype=np.uint64)
+        for col in np.ascontiguousarray(rows, dtype=np.int64).view(np.uint64).T:
+            h = mix(h * golden + col)
+        return h
+
+    runs = descriptor.codec_runs()
+    h = np.uint64(0)
+    for key in sorted(arrays):
+        arr = arrays[key]
+        if key in runs:
+            counts = arrays[runs[key]]
+            ends = np.cumsum(counts)
+            place = np.arange(len(arr)) - np.repeat(ends - counts, counts)
+            items = row_hashes(np.column_stack([arr, place]))
+            sums = np.concatenate([np.zeros(1, dtype=np.uint64), np.cumsum(items)])
+            part = sums[ends] - sums[ends - counts]
+        else:
+            part = row_hashes(arr)
+        h = mix(h * golden + part)
+    return h.view(np.int64)
+
+
+def test_element_hashes_match_reference_across_blocks(monkeypatch, lamp1, lamp_mu,
+                                                     free2, lattice2):
+    """Hashing block by block gives every element the hash of the
+    whole-batch formula, bit for bit: blocks of 1, 3 and 7 elements cut
+    the lamplighter batch next to and between lamp-less elements (one
+    block has no lamps at all), a product's two run arrays are sliced by
+    their own counts, and an empty batch hashes to an empty array."""
+    lamps = ["(0,{})", "(1,{0})", "(-2,{-1,0,3})",
+             "(0,{})", "(5,{})", "(-3,{})",
+             "(-1,{})", "(1,{2})", "(3,{0,1})", "(2,{})"]
+    lamp_batch = lamp1.encode_elements([lamp1.parse(text) for text in lamps])
+    built = w.convolution_powers(lamp1, lamp_mu, 6, engine="generic")
+    product = w.descriptor_from_string("product(free(2),lamplighter(1))")
+    cases = [(lamp1, lamp_batch), (lamp1, built._table.arrays),
+             (free2, free2.encode_elements(free2.ball(3))),
+             (lattice2, lattice2.encode_elements(lattice2.ball(3))),
+             (product, product.encode_elements(product.ball(2)))]
+    cases += [(desc, desc.encode_elements([]))
+              for desc in (lamp1, free2, lattice2, product)]
+    assert len(set(product.codec_runs())) == 2
+    for block in (1, 3, 7, 1 << 15):
+        monkeypatch.setattr(powers, "_HASH_BLOCK", block)
+        for desc, arrays in cases:
+            got = powers._element_hashes(desc, arrays)
+            want = _reference_hashes(desc, arrays)
+            assert got.dtype == np.int64
+            assert got.tobytes() == want.tobytes(), (desc.spec_string(), block)
+
+
+def test_element_hashes_peak_is_bounded():
+    """Hashing a 300,000-element lamplighter batch (about 1.35M lamps)
+    allocates at most 16 MiB beyond its start, 2.3 MiB of it the hashes:
+    the temporaries are bounded by the block, not by the batch."""
+    rng = np.random.default_rng(5)
+    n = 300_000
+    counts = rng.integers(0, 10, size=n)
+    arrays = {"pos": rng.integers(-40, 40, size=(n, 1)), "counts": counts,
+              "lamps": rng.integers(-40, 40, size=(int(counts.sum()), 1))}
+    desc = w.LamplighterGroup(1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        powers._element_hashes(desc, arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 16 * 2**20
 
 
 def test_determinism_same_inputs(lamp1, lamp_mu):
