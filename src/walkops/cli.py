@@ -47,8 +47,9 @@ class Workspace:
     """Memoizes the cache / spectral estimate / kernel table / Fock window
     for one run."""
 
-    def __init__(self, cfg: RunConfig, out_dir: Path, cache_dir: Path | None = None):
+    def __init__(self, cfg: RunConfig, out_dir, cache_dir=None, seed: int = 7):
         self.cfg = cfg
+        self.seed = seed
         self.out_dir = Path(out_dir)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._cache = None
@@ -68,32 +69,30 @@ class Workspace:
         inv = desc.inverse
         mul = desc.multiply
         yield desc.identity()
-        xball = desc.ball(cfg.getint("kernel", "x_radius"))
-        yball = desc.ball(cfg.getint("kernel", "y_radius"))
+        xball = desc.ball(cfg.kernel.x_radius)
+        yball = desc.ball(cfg.kernel.y_radius)
         yield from xball
         yield from yball
         for x in xball:
             for y in yball:
                 yield mul(inv(x), y)
-        probe = desc.ball(cfg.getint("radical", "probe_radius"))
-        for y in desc.ball(cfg.getint("radical", "ball_radius")):
+        probe = desc.ball(cfg.radical.probe_radius)
+        for y in desc.ball(cfg.radical.ball_radius):
             for x in probe:
                 yield mul(inv(x), y)
-        for r in ("radical", "metric", "boundary"):
-            yield from desc.ball(cfg.getint(r, "ball_radius"))
+        for section in (cfg.radical, cfg.metric, cfg.boundary):
+            yield from desc.ball(section.ball_radius)
         # window transitions and their kernel-entry denominators
         supp_radius = max(desc.word_length(g) for g in cfg.measure.support)
-        fock_radius = (cfg.getint("fock", "x_radius")
-                       + cfg.getint("fock", "z_radius") + supp_radius + 1)
-        yield from desc.ball(fock_radius)
-        for y in self.boundary_sequence(optional=True):
+        yield from desc.ball(cfg.fock.x_radius + cfg.fock.z_radius + supp_radius + 1)
+        for y in cfg.boundary.sequence:
             yield y
-            for x in desc.ball(cfg.getint("boundary", "probe_radius")):
+            for x in desc.ball(cfg.boundary.probe_radius):
                 yield mul(inv(x), y)
-            for x in desc.ball(cfg.getint("boundary", "ball_radius")):
+            for x in desc.ball(cfg.boundary.ball_radius):
                 yield mul(inv(x), y)
-        for y, z in cfg.element_pairs("metric", "pairs"):
-            for x in desc.ball(cfg.getint("metric", "ball_radius")):
+        for y, z in cfg.metric.pairs:
+            for x in desc.ball(cfg.metric.ball_radius):
                 yield mul(inv(x), y)
                 yield mul(inv(x), z)
 
@@ -101,8 +100,7 @@ class Workspace:
         if self._cache is None:
             cfg = self.cfg
             name = pick_engine(cfg.descriptor, cfg.measure)
-            support_cap = cfg.getint("walk", "support_cap")
-            memory_budget_mb = cfg.getint("walk", "memory_budget_mb")
+            support_cap, memory_budget_mb = cfg.walk.support_cap, cfg.walk.memory_budget_mb
             # the file name carries every setting that changes the content,
             # so a cache truncated under one budget is never reused under another
             artifact = (
@@ -125,8 +123,7 @@ class Workspace:
                         self._cache = cache
             if self._cache is None:
                 self._cache = convolution_powers(
-                    cfg.descriptor, cfg.measure,
-                    cfg.getint("walk", "depth"),
+                    cfg.descriptor, cfg.measure, cfg.walk.depth,
                     engine=name,
                     support_cap=support_cap,
                     memory_budget_mb=memory_budget_mb,
@@ -149,7 +146,7 @@ class Workspace:
         stopped by its budget holds fewer levels than the configured depth."""
         cfg = self.cfg
         spec = cfg.descriptor.spec_string()
-        depth = cfg.getint("walk", "depth")
+        depth = cfg.walk.depth
         if cache.descriptor.spec_string() != spec:
             return f"descriptor {cache.descriptor.spec_string()}, not {spec}"
         if cache.engine_name != engine:
@@ -182,46 +179,21 @@ class Workspace:
             # a local import: scipy loads only for the jobs that build a window
             from . import fock as fk
 
-            cfg = self.cfg
+            f = self.cfg.fock
             self._window = fk.FockWindow(
-                self.cache(),
-                max_level=cfg.getint("fock", "max_level"),
-                x_radius=cfg.getint("fock", "x_radius"),
-                z_radius=cfg.getint("fock", "z_radius"),
-                interior_margin=cfg.getint("fock", "interior_margin"),
+                self.cache(), max_level=f.max_level, x_radius=f.x_radius,
+                z_radius=f.z_radius, interior_margin=f.interior_margin,
             )
         return self._window
-
-    def boundary_sequence(self, optional: bool = False) -> list:
-        cfg = self.cfg
-        desc = cfg.descriptor
-        ray = cfg.get("boundary", "ray").strip()
-        elems = cfg.get("boundary", "elements").strip()
-        if ray:
-            g = desc.parse(ray)
-            k_min = cfg.getint("boundary", "k_min")
-            k_max = cfg.getint("boundary", "k_max")
-            out = []
-            power = desc.identity()
-            for k in range(1, k_max + 1):
-                power = desc.multiply(power, g)
-                if k >= k_min:
-                    out.append(power)
-            return out
-        if elems:
-            return [desc.parse(t) for t in elems.split(",") if t.strip()]
-        if optional:
-            return []
-        raise PreconditionError("[boundary] needs 'ray' or 'elements'")
 
     def provenance(self, **extra) -> dict:
         cfg = self.cfg
         p = {
             "config_hash": cfg.content_hash(),
             "descriptor": cfg.descriptor.spec_string(),
-            "M": cfg.getint("walk", "depth"),
+            "M": cfg.walk.depth,
             "engine": self.cache().engine_name,
-            "seed": cfg.seed,
+            "seed": self.seed,
         }
         if self._spectral is not None:
             p["rho_hat"] = self._spectral.rho_hat
@@ -258,12 +230,10 @@ def cmd_kernel(ws: Workspace) -> int:
     cfg = ws.cfg
     desc = cfg.descriptor
     table = ws.table()
-    compare = cfg.getbool("kernel", "closed_form_compare")
-    if compare and not isinstance(desc, FreeGroup):
-        raise PreconditionError("--closed-form-compare needs a free-group walk")
+    compare = cfg.kernel.closed_form_compare
     rows = []
-    for x in desc.ball(cfg.getint("kernel", "x_radius")):
-        for y in desc.ball(cfg.getint("kernel", "y_radius")):
+    for x in desc.ball(cfg.kernel.x_radius):
+        for y in desc.ball(cfg.kernel.y_radius):
             entry = table.get(x, y)
             row = {
                 "x": desc.format(x), "y": desc.format(y),
@@ -290,14 +260,13 @@ def cmd_kernel(ws: Workspace) -> int:
 def cmd_radical(ws: Workspace) -> int:
     cfg = ws.cfg
     desc = cfg.descriptor
-    tol = cfg.getfloat("radical", "tolerance")
     report = detect_radical(
         ws.table(),
-        ball_radius=cfg.getint("radical", "ball_radius"),
-        probe_radius=cfg.getint("radical", "probe_radius"),
-        tol=tol if tol > 0 else None,
+        ball_radius=cfg.radical.ball_radius,
+        probe_radius=cfg.radical.probe_radius,
+        tol=cfg.radical.tolerance or None,  # 0: the automatic tolerance
     )
-    ball = desc.ball(cfg.getint("radical", "ball_radius"))
+    ball = desc.ball(cfg.radical.ball_radius)
     payload = {
         "ball_radius": report.ball_radius,
         "probe_radius": report.probe_radius,
@@ -324,12 +293,9 @@ def cmd_radical(ws: Workspace) -> int:
 def cmd_metric(ws: Workspace) -> int:
     cfg = ws.cfg
     desc = cfg.descriptor
-    pairs = cfg.element_pairs("metric", "pairs")
-    if not pairs:
-        raise PreconditionError("[metric] pairs is empty")
     rows = []
-    for y, z in pairs:
-        mv = ratio_metric(ws.table(), y, z, cfg.getint("metric", "ball_radius"))
+    for y, z in cfg.metric.pairs:
+        mv = ratio_metric(ws.table(), y, z, cfg.metric.ball_radius)
         rows.append({
             "y": desc.format(y), "z": desc.format(z),
             "distance": mv.value, "tail_bound": mv.tail_bound,
@@ -337,21 +303,16 @@ def cmd_metric(ws: Workspace) -> int:
         })
     write_json(ws.path("metric.json"), {
         "pairs": rows,
-        "ball_radius": cfg.getint("metric", "ball_radius"),
+        "ball_radius": cfg.metric.ball_radius,
         "provenance": ws.provenance(**ws.table().provenance()),
     })
     return 0
 
 
 def cmd_boundary(ws: Workspace) -> int:
-    cfg = ws.cfg
-    seq = ws.boundary_sequence()
-    report = boundary_trace(
-        ws.table(), seq,
-        probe_radius=cfg.getint("boundary", "probe_radius"),
-        metric_ball_radius=cfg.getint("boundary", "ball_radius"),
-        tol=cfg.getfloat("boundary", "tolerance"),
-    )
+    b = ws.cfg.boundary
+    report = boundary_trace(ws.table(), b.sequence, probe_radius=b.probe_radius,
+                            metric_ball_radius=b.ball_radius, tol=b.tolerance)
     report.provenance.update(ws.provenance())
     write_json(ws.path("boundary.json"), report)
     rows = []
@@ -362,15 +323,6 @@ def cmd_boundary(ws: Workspace) -> int:
     return 0 if report.passed else 1
 
 
-def _fock_xy(ws: Workspace):
-    cfg = ws.cfg
-    desc = cfg.descriptor
-    x = cfg.element("fock", "x")
-    y_text = cfg.get("fock", "y").strip()
-    y = desc.parse(y_text) if y_text else desc.generators()[0]
-    return x, y
-
-
 def cmd_fock(ws: Workspace) -> int:
     from . import fock as fk
 
@@ -378,22 +330,21 @@ def cmd_fock(ws: Workspace) -> int:
     desc = cfg.descriptor
     window = ws.fock_window()
     table = ws.table()
-    tol = cfg.getfloat("tolerances", "exact")
+    tol = cfg.tolerances.exact
     e = desc.identity()
     ball1 = desc.ball(1)
     g1 = ball1[1] if len(ball1) > 1 else e
     g2 = ball1[2] if len(ball1) > 2 else g1
-    x, y = _fock_xy(ws)
-    n = cfg.getint("fock", "n")
+    x, y = cfg.fock.x, cfg.fock.y
     reports = [
         fk.matrix_unit_defects(window, [(e, g1, g1, g2), (e, g1, g2, g2)], tol=tol),
         fk.unitary_and_commutation_defects(window, [(e, g1)], table, tol=tol),
-        fk.generator_identity_defect(window, n, x, y, table, tol=tol),
+        fk.generator_identity_defect(window, cfg.fock.n, x, y, table, tol=tol),
         fk.q0_projection_check(window, e, tol=tol),
         fk.subproduct_coisometry_check(
             ws.cache(), 1, 1,
-            min(2, cfg.getint("fock", "x_radius")),
-            min(2, cfg.getint("fock", "z_radius")),
+            min(2, cfg.fock.x_radius),
+            min(2, cfg.fock.z_radius),
             tol=tol,
         ),
     ]
@@ -401,7 +352,7 @@ def cmd_fock(ws: Workspace) -> int:
     qn = None
     if hop is not None:
         qn = fk.quotient_norm_estimate(
-            window, hop, z_samples=window.z_elems, seed=ws.cfg.seed
+            window, hop, z_samples=window.z_elems, seed=ws.seed
         )
     payload = {
         "window": window.spec_dict(),
@@ -421,17 +372,9 @@ def cmd_fock(ws: Workspace) -> int:
 def cmd_covariance(ws: Workspace) -> int:
     from . import fock as fk
 
-    cfg = ws.cfg
-    desc = cfg.descriptor
-    window = ws.fock_window()
-    g = cfg.element("covariance", "g")
-    zeta = complex(cfg.get("covariance", "zeta").replace("i", "j"))
-    n = cfg.getint("covariance", "n")
-    x = desc.parse(cfg.get("covariance", "x"))
-    y = desc.parse(cfg.get("covariance", "y"))
-    report = fk.covariance_check(
-        window, g, zeta, n, x, y, tol=cfg.getfloat("tolerances", "exact")
-    )
+    c = ws.cfg.covariance
+    report = fk.covariance_check(ws.fock_window(), c.g, c.zeta, c.n, c.x, c.y,
+                                 tol=ws.cfg.tolerances.exact)
     report.provenance.update(ws.provenance())
     write_json(ws.path("covariance.json"), report)
     return 0 if report.passed else 1
@@ -448,13 +391,28 @@ _JOBS = {
 }
 
 
-def cmd_report(ws: Workspace) -> int:
-    jobs = ws.cfg.get("report", "jobs").split()
-    results = {}
+def _check_jobs(cfg: RunConfig, jobs) -> None:
+    """Reject unknown job names and unset keys a listed job needs."""
+    cov = cfg.covariance
+    needs = [  # (job, the key it needs, whether the config gives it)
+        ("kernel", "[kernel] closed_form_compare on a free-group walk only",
+         not cfg.kernel.closed_form_compare or isinstance(cfg.descriptor, FreeGroup)),
+        ("metric", "[metric] pairs", cfg.metric.pairs),
+        ("boundary", "[boundary] ray or elements", cfg.boundary.sequence),
+        ("fock", "[fock] x", cfg.fock.x is not None),
+        *[("covariance", f"[covariance] {key}", value is not None)
+          for key, value in (("g", cov.g), ("x", cov.x), ("y", cov.y))],
+    ]
     for job in jobs:
         if job not in _JOBS:
-            raise PreconditionError(f"unknown job {job!r} in [report] jobs")
-        results[job] = _JOBS[job](ws) == 0
+            raise PreconditionError(f"[report] jobs: unknown job {job!r}")
+    for job, key, given in needs:
+        if job in jobs and not given:
+            raise PreconditionError(f"the {job} job needs {key}")
+
+
+def cmd_report(ws: Workspace) -> int:
+    results = {job: _JOBS[job](ws) == 0 for job in ws.cfg.report.jobs}
     summary = {
         "jobs": results,
         "all_passed": all(results.values()),
@@ -480,11 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_JOBS) + ["report"])
     parser.add_argument("--config", required=True, help="run-config file (INI)")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--max-depth", type=int, default=None,
-                        help="override [walk] depth")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="override [tolerances] exact")
-    parser.add_argument("--closed-form-compare", action="store_true",
+    parser.add_argument("--max-depth", default=None, help="override [walk] depth")
+    parser.add_argument("--tolerance", default=None, help="override [tolerances] exact")
+    parser.add_argument("--closed-form-compare", action="store_const", const="true",
                         help="add closed-form comparison columns (free groups)")
     parser.add_argument("--seed", type=int, default=7,
                         help="seed for power-iteration start vectors")
@@ -495,21 +451,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the overrides enter as text, so the config's own checks apply to them
+    overrides = {}
+    for section, key, text in (("walk", "depth", args.max_depth),
+                               ("tolerances", "exact", args.tolerance),
+                               ("kernel", "closed_form_compare", args.closed_form_compare)):
+        if text is not None:
+            overrides[section] = {key: text}
     try:
-        cfg = RunConfig.from_file(args.config)
-        if args.max_depth is not None:
-            cfg.set("walk", "depth", args.max_depth)
-        if args.tolerance is not None:
-            cfg.set("tolerances", "exact", repr(args.tolerance))
-        if args.closed_form_compare:
-            cfg.set("kernel", "closed_form_compare", "true")
-        cfg.seed = args.seed
-        cfg.validate()
-        out_dir = Path(args.out) if args.out else Path(cfg.get("output", "directory"))
-        ws = Workspace(cfg, out_dir,
-                       cache_dir=Path(args.cache_dir) if args.cache_dir else None)
-        command = cmd_report if args.command == "report" else _JOBS[args.command]
-        return command(ws)
+        cfg = RunConfig.from_file(args.config, overrides)
+        report = args.command == "report"
+        _check_jobs(cfg, cfg.report.jobs if report else [args.command])
+        ws = Workspace(cfg, args.out or cfg.output.directory, args.cache_dir, args.seed)
+        return (cmd_report if report else _JOBS[args.command])(ws)
     except BudgetExceededError as exc:
         print(f"walkops: budget exhausted: {exc}", file=sys.stderr)
         return 3

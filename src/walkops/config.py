@@ -1,8 +1,9 @@
-"""Run configuration: a plain key-value/section text file (INI dialect).
+"""Run configuration: an INI text file read once into typed, checked records.
 
-A config names the group, the measure (inline or by file), cache depth,
-radii, tolerances and per-command parameters.  Parsed configs round-trip
-through ``to_text`` so runs can be archived next to their outputs.
+``RunConfig.from_text`` builds one frozen record per section (``cfg.walk.depth``,
+``cfg.boundary.sequence``, ...) from one schema of defaults and parsers.  Every
+key is parsed and range-checked there, and every rule that ties keys together is
+applied there, so the jobs parse nothing.  ``to_text`` writes the text back.
 """
 
 from __future__ import annotations
@@ -10,154 +11,219 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, make_dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from .errors import ElementParseError, PreconditionError
 from .groups import GroupDescriptor, descriptor_from_string
 from .measures import ScaledMeasure, parse_measure
 
-_DEFAULTS = {
-    "walk": {
-        "depth": "256",
-        "support_cap": "2000000",
-        "memory_budget_mb": "512",
-    },
-    "kernel": {"x_radius": "2", "y_radius": "2", "closed_form_compare": "false"},
-    "radical": {"ball_radius": "2", "probe_radius": "1", "tolerance": "0"},
-    "metric": {"ball_radius": "2", "pairs": ""},
-    "boundary": {
-        "ray": "", "elements": "", "k_min": "6", "k_max": "12",
-        "probe_radius": "2", "ball_radius": "2", "tolerance": "0.01",
-    },
-    "fock": {
-        "max_level": "16", "x_radius": "2", "z_radius": "2",
-        "interior_margin": "4", "n": "1", "x": "e", "y": "",
-    },
-    "covariance": {"g": "", "zeta": "1", "n": "1", "x": "", "y": ""},
-    "report": {"jobs": "spectrum kernel radical"},
-    "tolerances": {"exact": "1e-12"},
-    "output": {"directory": "out"},
+# -- key parsers: (text, descriptor) -> value; ValueError on a bad value -------
+
+
+def _number(kind, ok, rule: str):
+    def parse(text, desc):
+        value = kind(text)
+        if not ok(value):
+            raise ValueError(f"must be {rule}")
+        return value
+
+    return parse
+
+
+_COUNT = _number(int, lambda v: v >= 0, "a nonnegative integer")
+_POSITIVE = _number(int, lambda v: v >= 1, "a positive integer")
+_TOLERANCE = _number(float, lambda v: 0.0 <= v < math.inf, "finite and nonnegative")
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+
+
+def _bool(text, desc):
+    if text.lower() not in _BOOLEANS:
+        raise ValueError("must be true/false, yes/no, on/off or 1/0")
+    return _BOOLEANS[text.lower()]
+
+
+def _complex(text, desc):
+    return complex(text.replace("i", "j"))
+
+
+def _element(text, desc):
+    """An element, or None when the key is empty."""
+    return desc.parse(text) if text else None
+
+
+def _element_or_generator(text, desc):
+    return desc.parse(text) if text else desc.generators()[0]
+
+
+def _elements(text, desc):
+    """'y1, y2, ...' as a tuple of elements."""
+    return tuple(desc.parse(t.strip()) for t in text.split(",") if t.strip())
+
+
+def _pairs(text, desc):
+    """'y z; y2 z2; ...' as a tuple of element pairs."""
+    pairs = [chunk.split() for chunk in text.split(";") if chunk.strip()]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("expected 'y z' pairs")
+    return tuple((desc.parse(y), desc.parse(z)) for y, z in pairs)
+
+
+# section -> key -> (default text, parser); every key, written once
+_SCHEMA = {
+    "walk": {"depth": ("256", _POSITIVE), "support_cap": ("2000000", _POSITIVE),
+             "memory_budget_mb": ("512", _COUNT)},
+    "kernel": {"x_radius": ("2", _COUNT), "y_radius": ("2", _COUNT),
+               "closed_form_compare": ("false", _bool)},
+    # a radical tolerance of 0 asks for the automatic tolerance
+    "radical": {"ball_radius": ("2", _COUNT), "probe_radius": ("1", _COUNT),
+                "tolerance": ("0", _TOLERANCE)},
+    "metric": {"ball_radius": ("2", _COUNT), "pairs": ("", _pairs)},
+    "boundary": {"ray": ("", _element), "elements": ("", _elements),
+                 "k_min": ("6", _POSITIVE), "k_max": ("12", _POSITIVE),
+                 "probe_radius": ("2", _COUNT), "ball_radius": ("2", _COUNT),
+                 "tolerance": ("0.01", _TOLERANCE)},
+    "fock": {"max_level": ("16", _COUNT), "x_radius": ("2", _COUNT),
+             "z_radius": ("2", _COUNT), "interior_margin": ("4", _COUNT),
+             "n": ("1", _COUNT), "x": ("e", _element), "y": ("", _element_or_generator)},
+    "covariance": {"g": ("", _element), "zeta": ("1", _complex), "n": ("1", _COUNT),
+                   "x": ("", _element), "y": ("", _element)},
+    "report": {"jobs": ("spectrum kernel radical", lambda text, desc: tuple(text.split()))},
+    "tolerances": {"exact": ("1e-12", _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"))},
+    "output": {"directory": ("out", lambda text, desc: text)},
 }
+# one frozen record type per section, a field per key; the boundary record
+# also holds the sequence it names (ray^k_min .. ray^k_max, or the elements)
+_RECORDS = {name: make_dataclass(name.title(), list(keys), frozen=True)
+            for name, keys in _SCHEMA.items()}
+_RECORDS["boundary"] = make_dataclass("Boundary", [*_SCHEMA["boundary"], "sequence"],
+                                      frozen=True)
 # the keys each section takes
-_KEYS = {"group": ("family",), "measure": ("inline", "file"), **_DEFAULTS}
+_KEYS = {"group": ("family",), "measure": ("inline", "file"), **_SCHEMA}
 
 
-@dataclass
+def _read(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read {path}: {exc}") from None
+
+
+def _ini(text: str) -> dict:
+    """The file's sections as {name: {key: text}}, every name known."""
+    parser = configparser.ConfigParser()
+    try:
+        parser.read_string(text)
+        ini = {name: dict(parser.items(name)) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise PreconditionError(" ".join(str(exc).split())) from None
+    for name, keys in ini.items():
+        known = _KEYS.get(name)
+        if known is None:
+            raise PreconditionError(f"[{name}] is not a config section")
+        for key in keys:
+            if key not in known:
+                raise PreconditionError(f"[{name}] {key} is not a config key")
+    return ini
+
+
+def _check(values: dict) -> None:
+    """The rules that tie keys together."""
+    b, f = values["boundary"], values["fock"]
+    if b["ray"] is not None and b["elements"]:
+        raise PreconditionError("[boundary] takes 'ray' or 'elements', not both")
+    if b["k_min"] > b["k_max"]:
+        raise PreconditionError(f"[boundary] k_min = {b['k_min']} must not exceed "
+                                f"[boundary] k_max = {b['k_max']}")
+    if not 1 <= f["interior_margin"] <= f["max_level"]:
+        raise PreconditionError(f"[fock] interior_margin = {f['interior_margin']} must lie "
+                                f"between 1 and [fock] max_level = {f['max_level']}")
+    zeta = values["covariance"]["zeta"]
+    if not abs(abs(zeta) - 1.0) <= values["tolerances"]["exact"]:
+        raise PreconditionError(f"[covariance] zeta: the gauge U_zeta needs |zeta| = 1 "
+                                f"within [tolerances] exact, got zeta = {zeta!r}")
+
+
+@dataclass(frozen=True)
 class RunConfig:
     descriptor: GroupDescriptor
     measure: ScaledMeasure
-    sections: dict = field(default_factory=dict)
-    seed: int = 7
+    # one record per _SCHEMA section
+    walk: object
+    kernel: object
+    radical: object
+    metric: object
+    boundary: object
+    fock: object
+    covariance: object
+    report: object
+    tolerances: object
+    output: object
+    # every section's text, defaults filled in, for to_text
+    _text: dict = field(repr=False, compare=False)
 
     @classmethod
-    def from_text(cls, text: str, base_dir: str | Path = ".") -> "RunConfig":
-        parser = configparser.ConfigParser()
-        parser.read_string(text)
-        for name in parser.sections():
-            known = _KEYS.get(name)
-            if known is None:
-                raise PreconditionError(f"[{name}] is not a config section")
-            for key in parser.options(name):
-                if key not in known:
-                    raise PreconditionError(f"[{name}] {key} is not a config key")
-        if not parser.has_section("group") or not parser.has_option("group", "family"):
+    def from_text(cls, text: str, base_dir: str | Path = ".",
+                  overrides: dict | None = None) -> "RunConfig":
+        """Parse and check a config.  ``overrides`` ({section: {key: text}},
+        the CLI flags) replace the file's values before any key is parsed."""
+        ini = _ini(text)
+        if "family" not in ini.get("group", {}):
             raise ElementParseError("config needs [group] family = ...")
-        descriptor = descriptor_from_string(parser.get("group", "family"))
-        if not parser.has_section("measure"):
-            raise ElementParseError("config needs a [measure] section")
-        if parser.has_option("measure", "inline") and parser.has_option("measure", "file"):
-            raise PreconditionError("[measure] takes 'inline' or 'file', not both")
-        if parser.has_option("measure", "inline"):
-            measure_text = parser.get("measure", "inline")
-        elif parser.has_option("measure", "file"):
-            path = Path(base_dir) / parser.get("measure", "file")
-            measure_text = path.read_text(encoding="utf-8")
-        else:
-            raise ElementParseError("[measure] needs 'inline' lines or a 'file' path")
-        measure = parse_measure(measure_text, descriptor)
-        sections = {}
-        for name, defaults in _DEFAULTS.items():
-            sections[name] = dict(defaults)
-            if parser.has_section(name):
-                sections[name].update(dict(parser.items(name)))
-        sections["group"] = {"family": descriptor.spec_string()}
-        sections["measure"] = {"inline": measure_text.strip()}
-        cfg = cls(descriptor=descriptor, measure=measure, sections=sections)
-        cfg.validate()
-        return cfg
+        try:
+            desc = descriptor_from_string(ini["group"]["family"])
+        except ValueError as exc:
+            raise PreconditionError(f"[group] family: {exc}") from None
+        source = ini.get("measure", {})
+        if len(source) != 1:
+            raise PreconditionError("[measure] takes 'inline' or 'file', not both" if source
+                                    else "config needs [measure] inline lines or a file path")
+        ((key, value),) = source.items()
+        try:
+            measure_text = value if key == "inline" else _read(Path(base_dir) / value)
+            measure = parse_measure(measure_text, desc)
+        except ValueError as exc:
+            raise PreconditionError(f"[measure] {key}: {exc}") from None
+        texts = {"group": {"family": desc.spec_string()},
+                 "measure": {"inline": measure_text.strip()}}
+        values = {}
+        for name, schema in _SCHEMA.items():
+            given = {**ini.get(name, {}), **(overrides or {}).get(name, {})}
+            texts[name] = {key: given.get(key, default) for key, (default, _) in schema.items()}
+            values[name] = {}
+            for key, (_, parse) in schema.items():
+                try:
+                    values[name][key] = parse(texts[name][key], desc)
+                except ValueError as exc:
+                    if key in given:
+                        raise PreconditionError(
+                            f"[{name}] {key} = {texts[name][key]!r}: {exc}") from None
+                    # a default this group cannot parse ([fock] x = e outside
+                    # free groups) leaves the key unset
+                    values[name][key] = None
+        _check(values)
+        b = values["boundary"]
+        b["sequence"] = b["elements"] if b["ray"] is None else tuple(
+            accumulate([b["ray"]] * b["k_max"], desc.multiply))[b["k_min"] - 1:]
+        return cls(descriptor=desc, measure=measure, _text=texts,
+                   **{name: record(**values[name]) for name, record in _RECORDS.items()})
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
+    def from_file(cls, path: str | Path, overrides: dict | None = None) -> "RunConfig":
         path = Path(path)
-        return cls.from_text(path.read_text(encoding="utf-8"), base_dir=path.parent)
-
-    def validate(self):
-        if self.getint("walk", "depth") < 1:
-            raise PreconditionError("walk depth must be positive")
-        for section, key in (
-            ("kernel", "x_radius"), ("kernel", "y_radius"),
-            ("radical", "ball_radius"), ("radical", "probe_radius"),
-            ("metric", "ball_radius"), ("boundary", "ball_radius"),
-            ("boundary", "probe_radius"),
-            ("fock", "max_level"), ("fock", "x_radius"), ("fock", "z_radius"),
-            ("fock", "interior_margin"),
-        ):
-            if self.getint(section, key) < 0:
-                raise PreconditionError(f"[{section}] {key} must be nonnegative")
-        if self.get("boundary", "ray").strip() and self.get("boundary", "elements").strip():
-            raise PreconditionError("[boundary] takes 'ray' or 'elements', not both")
-        if self.getint("boundary", "k_min") > self.getint("boundary", "k_max"):
-            raise PreconditionError("[boundary] k_min must not exceed k_max")
-        exact = self.getfloat("tolerances", "exact")
-        if not 0.0 < exact < 1.0:
-            raise PreconditionError("[tolerances] exact must lie in (0, 1)")
-
-    # -- typed getters --------------------------------------------------------
-
-    def get(self, section: str, key: str) -> str:
-        return self.sections[section][key]
-
-    def getint(self, section: str, key: str) -> int:
-        return int(self.sections[section][key])
-
-    def getfloat(self, section: str, key: str) -> float:
-        return float(self.sections[section][key])
-
-    def getbool(self, section: str, key: str) -> bool:
-        return self.sections[section][key].strip().lower() in ("1", "true", "yes", "on")
-
-    def set(self, section: str, key: str, value) -> None:
-        self.sections.setdefault(section, {})[key] = str(value)
-
-    def element(self, section: str, key: str):
-        return self.descriptor.parse(self.get(section, key))
-
-    def element_pairs(self, section: str, key: str) -> list:
-        """Parse 'y z; y2 z2; ...' into element pairs."""
-        out = []
-        for chunk in self.get(section, key).split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = chunk.split()
-            if len(parts) != 2:
-                raise ElementParseError(f"[{section}] {key}: expected 'y z' pairs")
-            out.append((self.descriptor.parse(parts[0]),
-                        self.descriptor.parse(parts[1])))
-        return out
+        return cls.from_text(_read(path), base_dir=path.parent, overrides=overrides)
 
     # -- serialization ---------------------------------------------------------
 
     def to_text(self) -> str:
         parser = configparser.ConfigParser()
-        for name in sorted(self.sections):
-            parser.add_section(name)
-            for key in sorted(self.sections[name]):
-                value = self.sections[name][key]
-                if "\n" in value:
-                    value = "\n" + value
-                parser.set(name, key, value)
+        parser.read_dict({
+            name: {key: "\n" + value if "\n" in value else value
+                   for key, value in sorted(keys.items())}
+            for name, keys in sorted(self._text.items())
+        })
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()
@@ -172,5 +238,5 @@ class RunConfig:
         ):
             h.update(f"{self.descriptor.format(g)}={v!r};".encode())
         h.update(f"log_scale={self.measure.log_scale!r};".encode())
-        h.update(f"depth={self.getint('walk', 'depth')}".encode())
+        h.update(f"depth={self.walk.depth}".encode())
         return h.hexdigest()[:16]

@@ -1,5 +1,7 @@
 """CLI: determinism, exit codes, artifacts, config round-trips, caching."""
 
+import configparser
+import io
 import json
 import os
 import subprocess
@@ -396,34 +398,33 @@ def test_product_cache_full_pipeline(tmp_path, capsys):
 
 def test_track_set_read_only_over_budget(tmp_path, monkeypatch, capsys):
     """The CLI's track set is computed only by a cache over its memory
-    budget.  ``boundary_sequence(optional=True)`` is called by the track set
-    alone, so a lattice(1) run and the criterion-5 product report under the
-    default budget never call it (the boundary job reads the sequence with
-    ``optional=False``), while a lattice(2) run with ``memory_budget_mb =
-    0`` does."""
+    budget.  ``Workspace.track_elements`` is a generator, so its body runs
+    only when a cache iterates it: a lattice(1) run and the criterion-5
+    product report under the default budget never do, while a lattice(2)
+    run with ``memory_budget_mb = 0`` does."""
     from walkops.cli import Workspace
 
     calls = []
-    sequence = Workspace.boundary_sequence
+    track = Workspace.track_elements
 
-    def spy(self, optional=False):
-        calls.append(optional)
-        return sequence(self, optional=optional)
+    def spy(self):
+        calls.append("evaluated")
+        yield from track(self)
 
-    monkeypatch.setattr(Workspace, "boundary_sequence", spy)
+    monkeypatch.setattr(Workspace, "track_elements", spy)
     lazy = tmp_path / "lazy.ini"
     lazy.write_text(LAZY_Z_CFG, encoding="utf-8")
     assert main(["spectrum", "--config", str(lazy), "--out", str(tmp_path / "z")]) == 0
     product = tmp_path / "product.ini"
     product.write_text(PRODUCT_CFG.replace("memory_budget_mb = 4\n", ""), encoding="utf-8")
     assert main(["report", "--config", str(product), "--out", str(tmp_path / "p")]) == 0
-    assert calls == [False]
+    assert calls == []
 
     z2 = tmp_path / "z2.ini"
     z2.write_text(AMENABLE_Z2_CFG.replace("depth = 128", "depth = 128\nmemory_budget_mb = 0"),
                   encoding="utf-8")
     assert main(["radical", "--config", str(z2), "--out", str(tmp_path / "z2out")]) == 0
-    assert calls == [False, True]
+    assert calls == ["evaluated"]
     assert capsys.readouterr().err == ""
 
 
@@ -481,6 +482,115 @@ def test_config_degenerate_or_ambiguous_rejected(tmp_path, capsys, edit, named):
     assert err.startswith("walkops: precondition failure:") and named in err
 
 
+def _set_key(text: str, section: str, key: str, value: str) -> str:
+    """The config ``text`` with ``[section] key = value``."""
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+# (section, key, bad value); every key but [output] directory, whose value
+# is any path text
+BAD_VALUES = [
+    ("group", "family", "free(0)"), ("group", "family", "free(2"),
+    ("measure", "inline", "a 1/2\nq 1/2"), ("measure", "inline", "a -1/2\nA 3/2"),
+    ("walk", "depth", "abc"), ("walk", "depth", "0"), ("walk", "support_cap", "-5"),
+    ("walk", "memory_budget_mb", "-1"),
+    ("kernel", "x_radius", "abc"), ("kernel", "y_radius", "-1"),
+    ("kernel", "closed_form_compare", "maybe"),
+    ("radical", "ball_radius", "-2"), ("radical", "probe_radius", "1.5"),
+    ("radical", "tolerance", "x"), ("radical", "tolerance", "-0.1"),
+    ("metric", "ball_radius", "two"), ("metric", "pairs", "a b; A"),
+    ("metric", "pairs", "a q"), ("metric", "pairs", ""),
+    ("boundary", "ray", "q"), ("boundary", "ray", ""), ("boundary", "elements", "b, (1)"),
+    ("boundary", "k_min", "0"), ("boundary", "k_max", "x"), ("boundary", "k_max", "3"),
+    ("boundary", "probe_radius", "-1"), ("boundary", "ball_radius", "x"),
+    ("boundary", "tolerance", "nan"),
+    ("fock", "max_level", "x"), ("fock", "max_level", "2"), ("fock", "x_radius", "-1"),
+    ("fock", "z_radius", "z"), ("fock", "interior_margin", "0"), ("fock", "n", "-1"),
+    ("fock", "x", "q"), ("fock", "y", "q"),
+    ("covariance", "g", "q"), ("covariance", "g", ""), ("covariance", "zeta", "abc"),
+    ("covariance", "zeta", "0.5"), ("covariance", "n", "x"), ("covariance", "x", "(0)"),
+    ("covariance", "x", ""), ("covariance", "y", "c"), ("covariance", "y", ""),
+    ("report", "jobs", "spectrum kernal"),
+    ("tolerances", "exact", "0"), ("tolerances", "exact", "x"),
+]
+
+
+@pytest.mark.parametrize("section, key, value", BAD_VALUES,
+                         ids=[f"{s}.{k}={v!r}" for s, k, v in BAD_VALUES])
+def test_bad_config_value_exits_2_before_any_output(tmp_path, capsys, section, key, value):
+    """A bad value for any key (not a number, out of range, not a boolean,
+    not an element, an unknown job, or empty where a listed job needs it)
+    exits 2 with one line naming the section and key, before the first job
+    writes: the whole config is checked when it is read."""
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(_set_key(FREE2_CFG, section, key, value), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("walkops: precondition failure: ")
+    assert f"[{section}] {key}" in err[0]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--max-depth", "abc"], "[walk] depth"),
+    (["--max-depth", "-3"], "[walk] depth"),
+    (["--tolerance", "2"], "[tolerances] exact"),
+    (["--tolerance", "1e-300x"], "[tolerances] exact"),
+], ids=["max_depth_text", "max_depth_negative", "tolerance_above_1", "tolerance_text"])
+def test_bad_override_exits_2_before_any_output(cfg_file, tmp_path, capsys, argv, named):
+    """The --max-depth and --tolerance overrides enter as config text and
+    pass the same checks as the keys they replace."""
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg_file), "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("walkops: precondition failure: ")
+    assert named in err[0] and not out.exists()
+
+
+def test_closed_form_compare_off_free_groups_exits_2_before_any_output(tmp_path, capsys):
+    """The closed-form kernel is the free group's: a lattice report whose
+    kernel job asks for it exits 2 before its spectrum job writes."""
+    cfg = tmp_path / "lazy.ini"
+    cfg.write_text(LAZY_Z_CFG + "\n[kernel]\nclosed_form_compare = yes\n"
+                   "\n[report]\njobs = spectrum kernel\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "[kernel] closed_form_compare" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    (None, "missing.ini"),
+    ("[group]\nfamily = free(2)\n\n[measure]\nfile = mu.txt\n", "mu.txt"),
+    (FREE2_CFG + "\n[walk]\nsupport_cap = 10\n", "section 'walk' already exists"),
+    (FREE2_CFG.replace("depth = 300", "depth = 300\ndepth = 200"),
+     "option 'depth' in section 'walk' already exists"),
+    ("depth = 300\n" + FREE2_CFG.lstrip(), "no section headers"),
+], ids=["missing_config_file", "missing_measure_file", "duplicate_section",
+        "duplicate_option", "missing_section_header"])
+def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, text, named):
+    """A config file that cannot be read, a [measure] file that cannot be
+    read and an INI syntax error each exit 2 with one precondition-failure
+    line, not a traceback."""
+    cfg = tmp_path / "missing.ini"
+    if text is not None:
+        cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("walkops: precondition failure: ")
+    assert named in err[0] and not out.exists()
+
+
 def test_radial_run_ignores_memory_budget(cfg_file, tmp_path):
     """A free-group run is fully retained whatever its memory budget (a
     tracked radial level would save nothing), so with ``memory_budget_mb =
@@ -502,8 +612,11 @@ def test_config_round_trip(cfg_file):
     cfg = RunConfig.from_file(cfg_file)
     text = cfg.to_text()
     cfg2 = RunConfig.from_text(text)
-    assert cfg2.sections == cfg.sections
+    assert cfg2 == cfg
+    assert cfg2.to_text() == text
     assert cfg2.content_hash() == cfg.content_hash()
+    assert (cfg.walk.depth, cfg.fock.max_level, cfg.covariance.zeta) == (300, 10, 1j)
+    assert cfg.fock.x == cfg.descriptor.identity()
 
 
 def test_provenance_fields_present(cfg_file, tmp_path):

@@ -32,7 +32,13 @@ def test_library_tour_runs():
 
 def test_example_config_validates():
     cfg = RunConfig.from_text(_block("ini", "Example config:"))
-    cfg.validate()
-    assert cfg.get("report", "jobs").split() == [
+    assert RunConfig.from_text(cfg.to_text()) == cfg
+    assert cfg.report.jobs == (
         "spectrum", "kernel", "radical", "metric", "boundary", "fock", "covariance",
-    ]
+    )
+    parse = cfg.descriptor.parse
+    assert cfg.walk.depth == 2000 and cfg.walk.memory_budget_mb == 512
+    assert cfg.metric.pairs == ((parse("a"), parse("b")), (parse("a"), parse("A")))
+    assert cfg.boundary.sequence == tuple(parse("a" * k) for k in range(6, 13))
+    assert cfg.covariance.zeta == 1j and cfg.fock.y == parse("a")
+    assert cfg.kernel.closed_form_compare is False and cfg.radical.tolerance == 0.0
