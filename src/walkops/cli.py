@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .config import RunConfig
@@ -95,6 +96,17 @@ class Workspace:
             for x in desc.ball(cfg.metric.ball_radius):
                 yield mul(inv(x), y)
                 yield mul(inv(x), z)
+        # the rows the fock and covariance jobs name, with the g-translates
+        # covariance_check builds S for: r^-1 z over the fiber ball and r^-1 s
+        # between them
+        f, c = cfg.fock, cfg.covariance
+        rows = [r for r in (f.x, f.y, c.x, c.y) if r is not None]
+        if None not in (c.g, c.x, c.y):
+            rows += [mul(c.g, c.x), mul(c.g, c.y)]
+        fibers = desc.ball(f.z_radius)
+        for r in rows:
+            for z in chain(fibers, rows):
+                yield mul(inv(r), z)
 
     def cache(self):
         if self._cache is None:

@@ -17,7 +17,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from .errors import ElementParseError, PreconditionError
-from .groups import GroupDescriptor, descriptor_from_string
+from .groups import GroupDescriptor, _split_top, descriptor_from_string
 from .measures import ScaledMeasure, parse_measure
 
 # -- key parsers: (text, descriptor) -> value; ValueError on a bad value -------
@@ -59,13 +59,14 @@ def _element_or_generator(text, desc):
 
 
 def _elements(text, desc):
-    """'y1, y2, ...' as a tuple of elements."""
-    return tuple(desc.parse(t.strip()) for t in text.split(",") if t.strip())
+    """'y1, y2, ...' as a tuple of elements; only top-level commas split."""
+    return tuple(desc.parse(t) for t in _split_top(text, ",") if t.strip())
 
 
 def _pairs(text, desc):
-    """'y z; y2 z2; ...' as a tuple of element pairs."""
-    pairs = [chunk.split() for chunk in text.split(";") if chunk.strip()]
+    """'y z; y2 z2; ...' as a tuple of element pairs; only top-level ';' and
+    whitespace split."""
+    pairs = [_split_top(chunk, None) for chunk in _split_top(text, ";") if chunk.strip()]
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError("expected 'y z' pairs")
     return tuple((desc.parse(y), desc.parse(z)) for y, z in pairs)

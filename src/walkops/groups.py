@@ -16,6 +16,11 @@ safe to share across concurrent tasks.  Ball enumeration is BFS by word
 length with a deterministic tie-break, which fixes the enumeration
 ``phi`` (1-based position in the ball) used by the boundary metrics.
 
+Every parser of the text grammar (elements, descriptors and the config's
+element lists) splits its text with ``_split_top``, the single nesting rule:
+``()`` and ``{}`` nest and must balance, and a separator splits only outside
+them.
+
 Besides the text grammar, each family has an array codec for whole element
 lists (``encode_elements``/``decode_elements``), which the cache artifacts
 use:
@@ -287,6 +292,28 @@ def _runs(items, counts):
     return [tuple(islice(it, n)) for n in counts.tolist()]
 
 
+def _split_top(text: str, sep: str | None = None) -> list:
+    """``text`` split at every ``sep`` outside ``()`` and ``{}``; with
+    ``sep=None``, split at top-level runs of whitespace and drop the empty
+    parts.  The parts are not stripped.  ElementParseError on unbalanced
+    brackets."""
+    parts, start, depth = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "({":
+            depth += 1
+        elif ch in ")}":
+            depth -= 1
+            if depth < 0:
+                break
+        elif depth == 0 and (ch.isspace() if sep is None else ch == sep):
+            parts.append(text[start:i])
+            start = i + 1
+    if depth:
+        raise ElementParseError(f"unbalanced brackets in {text!r}")
+    parts.append(text[start:])
+    return [p for p in parts if p] if sep is None else parts
+
+
 def _lattice_key(v):
     # orders 0 < 1 < -1 < 2 < -2 < ... coordinatewise
     return tuple((abs(c), 0 if c >= 0 else 1) for c in v)
@@ -343,7 +370,7 @@ class LatticeGroup(GroupDescriptor):
         t = text.strip()
         if t.startswith("(") and t.endswith(")"):
             t = t[1:-1]
-        parts = [p.strip() for p in t.split(",") if p.strip()]
+        parts = _split_top(t, ",")
         if len(parts) != self.dimension:
             raise ElementParseError(
                 f"expected {self.dimension} coordinates in {text!r}"
@@ -382,8 +409,9 @@ class FreeGroup(GroupDescriptor):
     """F_s on letters a_1..a_s; generator order a_1, a_1^-1, a_2, a_2^-1, ...
 
     Text form: lowercase letters are generators, uppercase their inverses
-    (``aB`` = a_1 a_2^-1); ``e`` is the identity.  ``*`` separators and
-    whitespace are accepted on input; non-reduced input is normalized.
+    (``aB`` = a_1 a_2^-1); ``e`` is the identity.  ``*`` separators are
+    accepted on input, with whitespace around the word or a ``*``, but
+    whitespace never joins two letters; non-reduced input is normalized.
     """
 
     family = "free"
@@ -442,7 +470,7 @@ class FreeGroup(GroupDescriptor):
         )
 
     def parse(self, text):
-        t = text.replace("*", "").replace(" ", "")
+        t = "".join(part.strip() for part in text.split("*"))
         if t in ("", "e"):
             return ()
         word = []
@@ -605,39 +633,17 @@ class LamplighterGroup(GroupDescriptor):
         t = text.strip()
         if not (t.startswith("(") and t.endswith(")")):
             raise ElementParseError(f"bad lamplighter element {text!r}")
-        body = t[1:-1]
-        # split at the top-level comma preceding the lamp braces
-        depth = 0
-        split = -1
-        for i, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "{" and depth == 0:
-                split = body.rfind(",", 0, i)
-                break
-        if split < 0 or not body.endswith("}"):
+        # the last top-level part is the lamp set, the rest the position
+        *pos, lamp_set = _split_top(t[1:-1], ",")
+        lamp_set = lamp_set.strip()
+        if not (pos and lamp_set.startswith("{") and lamp_set.endswith("}")):
             raise ElementParseError(f"bad lamplighter element {text!r}")
-        pos = self._base.parse(body[:split])
-        lamp_body = body[split + 1 :].strip()[1:-1]
-        lamps = []
-        if lamp_body.strip():
-            depth = 0
-            token = []
-            for ch in lamp_body + ",":
-                if ch == "," and depth == 0:
-                    lamps.append(self._base.parse("".join(token)))
-                    token = []
-                else:
-                    if ch == "(":
-                        depth += 1
-                    elif ch == ")":
-                        depth -= 1
-                    token.append(ch)
+        lamp_body = lamp_set[1:-1]
+        lamps = ([self._base.parse(p) for p in _split_top(lamp_body, ",")]
+                 if lamp_body.strip() else [])
         if len(set(lamps)) != len(lamps):
             raise ElementParseError(f"duplicate lamp in {text!r}")
-        return (pos, tuple(sorted(lamps)))
+        return (self._base.parse(",".join(pos)), tuple(sorted(lamps)))
 
     def spec_string(self):
         return f"lamplighter({self.dimension})"
@@ -768,23 +774,10 @@ class ProductGroup(GroupDescriptor):
         t = text.strip()
         if not (t.startswith("(") and t.endswith(")")):
             raise ElementParseError(f"bad product element {text!r}")
-        body = t[1:-1]
-        depth = 0
-        split = -1
-        for i, ch in enumerate(body):
-            if ch in "({":
-                depth += 1
-            elif ch in ")}":
-                depth -= 1
-            elif ch == "|" and depth == 0:
-                split = i
-                break
-        if split < 0:
-            raise ElementParseError(f"missing '|' in product element {text!r}")
-        return (
-            self.left.parse(body[:split]),
-            self.right.parse(body[split + 1 :]),
-        )
+        parts = _split_top(t[1:-1], "|")
+        if len(parts) != 2:
+            raise ElementParseError(f"expected one top-level '|' in product element {text!r}")
+        return (self.left.parse(parts[0]), self.right.parse(parts[1]))
 
     def spec_string(self):
         return f"product({self.left.spec_string()},{self.right.spec_string()})"
@@ -838,40 +831,26 @@ def _factor_arrays(arrays, side):
             if key.startswith(prefix)}
 
 
+_FAMILIES = {"lattice": LatticeGroup, "free": FreeGroup, "lamplighter": LamplighterGroup}
+
+
 @lru_cache(maxsize=None)
 def descriptor_from_string(spec: str) -> GroupDescriptor:
     """Parse a descriptor spec like ``free(2)`` or ``product(free(2),lattice(1))``."""
-    s = spec.strip()
-    head, sep, rest = s.partition("(")
+    head, sep, rest = spec.strip().partition("(")
     if not sep or not rest.endswith(")"):
         raise ElementParseError(f"bad descriptor {spec!r}")
-    args = rest[:-1]
+    args = _split_top(rest[:-1], ",")
     head = head.strip()
-    if head in ("lattice", "free", "lamplighter"):
-        try:
-            n = int(args)
-        except ValueError as exc:
-            raise ElementParseError(f"bad descriptor argument in {spec!r}") from exc
-        if head == "lattice":
-            return LatticeGroup(n)
-        if head == "free":
-            return FreeGroup(n)
-        return LamplighterGroup(n)
     if head == "product":
-        depth = 0
-        split = -1
-        for i, ch in enumerate(args):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                split = i
-                break
-        if split < 0:
+        if len(args) != 2:
             raise ElementParseError(f"product descriptor needs two factors: {spec!r}")
-        return ProductGroup(
-            descriptor_from_string(args[:split]),
-            descriptor_from_string(args[split + 1 :]),
-        )
-    raise ElementParseError(f"unknown group family in {spec!r}")
+        return ProductGroup(*map(descriptor_from_string, args))
+    if head not in _FAMILIES:
+        raise ElementParseError(f"unknown group family in {spec!r}")
+    try:
+        (arg,) = args
+        n = int(arg)
+    except ValueError as exc:
+        raise ElementParseError(f"bad descriptor argument in {spec!r}") from exc
+    return _FAMILIES[head](n)

@@ -35,10 +35,11 @@ is always fully retained: its level mass needs every radius, so a
 tracked level would keep as many floats as a full one.
 
 The array engine computes a level's mass on the first ``level_mass`` call
-and memoizes it: ``log_radial_mass`` is an O(m) Python loop per level,
-which no build needs.  A full level sums its array on that call; a
-tracked level, which keeps only part of its array, keeps the sum of the
-whole.  A product's level mass is the binomial mix of its factors'.
+and memoizes it: a radial level's ``log_radial_mass`` is an O(m) Python
+loop per level, which no build needs.  A full dense level sums its array
+on that call; a tracked level, which keeps only part of its array, keeps
+the sum of the whole.  A product's level mass is the binomial mix of its
+factors'.
 
 ``log_column(g)`` is the whole history of one entry: log mu^{*m}(g) for
 m = 0..depth as a read-only float array, -inf where the entry is absent.
@@ -865,8 +866,11 @@ class ArrayPowers(PowersCache):
         self._check_level(m)
         if m not in self._masses:
             _, arr, ls, total = self._levels[m]
-            sums = arr if self.q else [arr.sum() if total is None else total]
-            logs = log_radial_mass(sums, self.q)
+            if self.q:
+                logs = log_radial_mass(arr, self.q)
+            else:  # a dense level: the log of its stored or summed total
+                total = arr.sum() if total is None else total
+                logs = math.log(total) if total > 0.0 else NEG_INF
             self._masses[m] = math.exp(logs + ls) if logs > NEG_INF else 0.0
         return self._masses[m]
 

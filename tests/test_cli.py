@@ -459,6 +459,51 @@ def test_config_unknown_section_rejected(tmp_path, capsys):
     assert "[kernal]" in capsys.readouterr().err
 
 
+def test_tracked_cache_covers_fock_and_covariance_rows(tmp_path, monkeypatch, capsys):
+    """The [fock] and [covariance] rows of this lattice(2) report lie outside
+    every ball the other jobs read.  Under a 1 MiB budget the cache keeps
+    only the box of its track set, and the run still gives the exit code
+    and the output tree of the fully retained run (512 MiB)."""
+    from walkops.cli import Workspace
+
+    calls = []
+    track = Workspace.track_elements
+
+    def spy(self):
+        calls.append(self.cfg.walk.memory_budget_mb)
+        yield from track(self)
+
+    monkeypatch.setattr(Workspace, "track_elements", spy)
+    text = AMENABLE_Z2_CFG.replace("depth = 128", "depth = 60") + """
+[fock]
+x = (0,0)
+y = (6,0)
+n = 6
+
+[covariance]
+g = (1,0)
+x = (0,0)
+y = (7,0)
+n = 7
+
+[report]
+jobs = spectrum kernel fock covariance
+"""
+    codes, trees = [], []
+    for mb in (1, 512):
+        cfg = tmp_path / f"mb{mb}.ini"
+        cfg.write_text(text.replace("depth = 60", f"depth = 60\nmemory_budget_mb = {mb}"),
+                       encoding="utf-8")
+        out = tmp_path / f"out{mb}"
+        codes.append(main(["report", "--config", str(cfg), "--out", str(out)]))
+        trees.append(_tree(out))
+    assert calls == [1]
+    assert capsys.readouterr().err == ""
+    assert codes == [0, 0]
+    assert trees[0] == trees[1]
+    assert "covariance.json" in trees[0] and "fock.json" in trees[0]
+
+
 @pytest.mark.parametrize("edit, named", [
     (("k_min = 4\nk_max = 8", "k_min = 12\nk_max = 6"), "[boundary] k_min"),
     (("k_max = 8\nprobe_radius = 1", "k_max = 8\nprobe_radius = -1"),
@@ -507,13 +552,14 @@ BAD_VALUES = [
     ("radical", "tolerance", "x"), ("radical", "tolerance", "-0.1"),
     ("metric", "ball_radius", "two"), ("metric", "pairs", "a b; A"),
     ("metric", "pairs", "a q"), ("metric", "pairs", ""),
-    ("boundary", "ray", "q"), ("boundary", "ray", ""), ("boundary", "elements", "b, (1)"),
+    ("boundary", "ray", "q"), ("boundary", "ray", ""), ("boundary", "ray", "a b"),
+    ("boundary", "elements", "b, (1)"),
     ("boundary", "k_min", "0"), ("boundary", "k_max", "x"), ("boundary", "k_max", "3"),
     ("boundary", "probe_radius", "-1"), ("boundary", "ball_radius", "x"),
     ("boundary", "tolerance", "nan"),
     ("fock", "max_level", "x"), ("fock", "max_level", "2"), ("fock", "x_radius", "-1"),
     ("fock", "z_radius", "z"), ("fock", "interior_margin", "0"), ("fock", "n", "-1"),
-    ("fock", "x", "q"), ("fock", "y", "q"),
+    ("fock", "x", "q"), ("fock", "y", "q"), ("fock", "y", "a b"),
     ("covariance", "g", "q"), ("covariance", "g", ""), ("covariance", "zeta", "abc"),
     ("covariance", "zeta", "0.5"), ("covariance", "n", "x"), ("covariance", "x", "(0)"),
     ("covariance", "x", ""), ("covariance", "y", "c"), ("covariance", "y", ""),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import walkops as w
+from walkops.config import RunConfig
 from walkops.errors import (
     DescriptorMismatchError,
     ElementParseError,
@@ -332,6 +333,42 @@ def test_parse_format_round_trip(desc):
         assert desc.parse(desc.format(g)) == g
 
 
+@pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=lambda d: d.spec_string())
+def test_config_element_lists_read_back(desc):
+    """``[boundary] elements`` (comma-separated) and ``[metric] pairs``
+    (';'-separated, whitespace within a pair) read back as the elements
+    they format, for every family: only top-level separators split, also
+    with a space after each comma inside an element."""
+    rng = random.Random(2024)
+    elems = _samples(desc, rng, count=12)
+    pairs = list(zip(_samples(desc, rng, count=8), _samples(desc, rng, count=8)))
+    for fmt in (desc.format, lambda g: desc.format(g).replace(",", ", ")):
+        text = (f"[group]\nfamily = {desc.spec_string()}\n"
+                f"[measure]\ninline = {fmt(desc.identity())} 1\n"
+                f"[boundary]\nelements = {', '.join(map(fmt, elems))}\n"
+                f"[metric]\npairs = {'; '.join(f'{fmt(a)} {fmt(b)}' for a, b in pairs)}\n")
+        cfg = RunConfig.from_text(text)
+        assert cfg.boundary.elements == tuple(elems)
+        assert cfg.metric.pairs == tuple(pairs)
+
+
+@pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=lambda d: d.spec_string())
+@pytest.mark.parametrize("text", ["(1,,2)", "(1,2,)", "(,1,2)", "(1,{0}", "(ab|(3)|(4))",
+                                  "a b", "(0,{0}))"])
+def test_parse_rejects_malformed_text(desc, text):
+    """Empty coordinates, unbalanced brackets, a second top-level '|' and
+    whitespace inside a free word name no element of any family."""
+    with pytest.raises(ElementParseError):
+        desc.parse(text)
+
+
+@pytest.mark.parametrize("spec", ["product(free(2),lattice(1)", "free(2)x", "product(free(2))",
+                                  "lattice(1,2)", "free()"])
+def test_descriptor_from_string_rejects_malformed_text(spec):
+    with pytest.raises(ElementParseError):
+        w.descriptor_from_string(spec)
+
+
 def test_parse_free_conventions(free2):
     assert free2.parse("a*B") == free2.parse("aB")
     assert free2.parse("aA") == free2.identity()  # normalization policy
@@ -340,6 +377,12 @@ def test_parse_free_conventions(free2):
         free2.parse("a1")
     with pytest.raises(ElementParseError):
         w.FreeGroup(1).parse("b")
+
+
+def test_free_whitespace_surrounds_but_never_joins(free2):
+    assert free2.parse(" aB ") == free2.parse("a * B") == free2.parse("aB")
+    with pytest.raises(ElementParseError):
+        free2.parse("a B")
 
 
 def test_parse_lattice(lattice2):
