@@ -363,9 +363,7 @@ def cmd_fock(ws: Workspace) -> int:
     hop = fk.build_Hop(window, e, x, y, table) if window.has(0, e, e) else None
     qn = None
     if hop is not None:
-        qn = fk.quotient_norm_estimate(
-            window, hop, z_samples=window.z_elems, seed=ws.seed
-        )
+        qn = fk.quotient_norm_estimate(window, hop, z_samples=window.z_elems)
     payload = {
         "window": window.spec_dict(),
         "checks": [r.as_dict() for r in reports],
@@ -455,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--closed-form-compare", action="store_const", const="true",
                         help="add closed-form comparison columns (free groups)")
     parser.add_argument("--seed", type=int, default=7,
-                        help="seed for power-iteration start vectors")
+                        help="label for the run, recorded as provenance seed; "
+                             "no computation reads it")
     parser.add_argument("--cache-dir", default=None,
                         help="directory for reusable powers-cache artifacts")
     return parser

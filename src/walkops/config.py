@@ -17,7 +17,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from .errors import ElementParseError, PreconditionError
-from .groups import GroupDescriptor, _split_top, descriptor_from_string
+from .groups import GroupDescriptor, _parse_int, _split_top, descriptor_from_string
 from .measures import ScaledMeasure, parse_measure
 
 # -- key parsers: (text, descriptor) -> value; ValueError on a bad value -------
@@ -33,8 +33,8 @@ def _number(kind, ok, rule: str):
     return parse
 
 
-_COUNT = _number(int, lambda v: v >= 0, "a nonnegative integer")
-_POSITIVE = _number(int, lambda v: v >= 1, "a positive integer")
+_COUNT = _number(_parse_int, lambda v: v >= 0, "a nonnegative integer")
+_POSITIVE = _number(_parse_int, lambda v: v >= 1, "a positive integer")
 _TOLERANCE = _number(float, lambda v: 0.0 <= v < math.inf, "finite and nonnegative")
 _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 

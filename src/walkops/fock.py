@@ -11,9 +11,9 @@ as algebraic defects.
 The basis is stored as integer arrays (level, row id into the x-ball,
 fiber id into the z-ball) with a position table over (level, row,
 fiber); basis queries and builders work on these arrays, and each group
-product they need is computed once per ball element or ball pair.  The
-``basis`` tuple list, in the same (m, x, z) order, is kept for export,
-since that order fixes the CSR order and so the exported triplets.
+product they need is computed once per ball element or ball pair.
+``export_payload`` reads the arrays; the ``basis`` tuple list, in the same
+(m, x, z) order, serves ``operator_payload`` and lookups by key.
 
 The defect suite certifies the "relations modulo compacts" numerically:
 each identity holds exactly (float tolerance) above a per-fiber edge
@@ -24,7 +24,7 @@ reported rather than hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,8 +51,8 @@ class FockWindow:
 
     The basis lives in integer arrays: ``level``, ``row`` (position of x in
     ``x_elems``) and ``fiber`` (position of z in ``z_elems``), in (m, x, z)
-    order.  ``basis`` holds the same vectors as tuples, for export and
-    lookups by key.
+    order.  ``basis`` holds the same vectors as tuples, for
+    ``operator_payload`` and lookups by key.
     """
 
     def __init__(self, cache: PowersCache, max_level: int, x_radius: int,
@@ -235,42 +235,33 @@ class FockWindow:
         }
 
 
-def operator_norm(matrix, tol: float = 1e-10, seed: int = 7) -> float:
-    """Largest singular value by power iteration on A*A.
-
-    Deterministic: fixed-seed start vector, relative stop at ``tol``, at
-    most 20,000 iterations.
-    """
-    n = matrix.shape[1]
-    if n == 0 or matrix.nnz == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    if np.iscomplexobj(matrix):
-        v = v + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    adjoint = matrix.conj().T
-    lam = 0.0
-    for _ in range(20000):
-        u = adjoint @ (matrix @ v)
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0
-        lam_new = float(np.real(np.vdot(v, u)))
-        v = u / nu
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    return math.sqrt(max(lam, 0.0))
+def norm_bounds(op) -> tuple:
+    """(lower, upper) bounds on the operator norm of a sparse operator, in
+    one pass: the largest column 2-norm (the output norm of one basis
+    vector) below, the Schur bound sqrt(max row abs-sum * max column
+    abs-sum) above.  They agree when no row or column holds two entries,
+    as for the diagonal H-monomials and the weighted shifts.  Both are 0.0
+    for an empty operator."""
+    op = op.tocsr()
+    n_rows, n_cols = op.shape
+    magnitudes = np.abs(op.data)
+    rows = np.repeat(np.arange(n_rows), np.diff(op.indptr))
+    row_sum = np.bincount(rows, magnitudes, n_rows).max(initial=0.0)
+    col_sum = np.bincount(op.indices, magnitudes, n_cols).max(initial=0.0)
+    return float(column_norms(op).max(initial=0.0)), math.sqrt(row_sum * col_sum)
 
 
 def column_norms(op) -> np.ndarray:
     """The 2-norm of every column of a sparse operator: the output norm of
     each basis vector.  Each column's squares are summed in row order,
-    whatever the input format (CSR is used as given)."""
+    whatever the input format (CSR is used as given, duplicate entries
+    summed first)."""
     op = op.tocsr()
-    return np.sqrt(np.asarray(op.multiply(op.conj()).sum(axis=0)).ravel().real)
+    if not op.has_canonical_format:
+        op = op.copy()
+        op.sum_duplicates()
+    squares = (op.data * op.data.conj()).real
+    return np.sqrt(np.bincount(op.indices, squares, op.shape[1]))
 
 
 def max_abs_on_columns(op, cols: np.ndarray) -> float:
@@ -753,49 +744,44 @@ def t_vs_w_level_defects(window: FockWindow, n: int, x, y, rho_hat: float,
 
 @dataclass
 class QuotientNormEstimate:
-    estimate: float
-    per_fiber: dict      # fiber text -> list of (m, norm) ladder values
+    estimate: float      # sup of the final-rung lower bounds
+    upper: float         # sup of the final-rung upper bounds
+    per_fiber: dict      # fiber text -> list of (m, lower, upper) rungs
     stabilized: bool
     ladder: list
 
     def as_dict(self):
-        return {
-            "estimate": self.estimate,
-            "per_fiber": self.per_fiber,
-            "stabilized": self.stabilized,
-            "ladder": self.ladder,
-        }
+        return asdict(self)
 
 
 def quotient_norm_estimate(window: FockWindow, op: sp.spmatrix,
-                           z_samples, ladder=None, tol: float = 1e-10,
-                           seed: int = 7) -> QuotientNormEstimate:
+                           z_samples) -> QuotientNormEstimate:
     """sup over sampled fibers of lim_m ||T Q^{[m, interior]}|_{F_z}||.
 
-    For each fiber the restricted norm is computed on an increasing ladder
-    of m via power iteration; the fiber value is the final ladder entry and
-    the sup is over the sampled fibers only (a lower bound for the true
-    sup over all of G, which is reported as such).
+    For each fiber the restricted norm is bracketed by ``norm_bounds`` on
+    the rungs m = s, 2s, ... up to the interior top, s = max(1, top // 4);
+    the fiber value is the final rung and the sup is over the sampled
+    fibers only (a lower bound for the true sup over all of G, which is
+    reported as such).
     """
     top = window.interior_top
-    if ladder is None:
-        step = max(1, top // 4)
-        ladder = sorted({min(top, m) for m in range(step, top + 1, step)})
+    step = max(1, top // 4)
+    ladder = list(range(step, top + 1, step))
     per_fiber = {}
-    sup = 0.0
+    sup = upper = 0.0
     stabilized = True
     for z in z_samples:
         vals = []
         for m in ladder:
             idx = window.select(fiber=z, level_lo=m, level_hi=top)
-            vals.append((m, operator_norm(op[idx][:, idx], tol=tol, seed=seed)))
+            vals.append((m, *norm_bounds(op[idx][:, idx])))
         per_fiber[window.descriptor.format(z)] = vals
-        tail = [v for _, v in vals if v > 0.0]
-        # stabilized: the last two ladder values agree within 2% relative
+        tail = [lo for _, lo, _ in vals if lo > 0.0]
+        # stabilized: the last two rung lower bounds agree within 2% relative
         if len(tail) >= 2 and abs(tail[-1] - tail[-2]) > 0.02 * max(tail[-1], 1e-300):
             stabilized = False
         if vals:
             sup = max(sup, vals[-1][1])
-    return QuotientNormEstimate(
-        estimate=sup, per_fiber=per_fiber, stabilized=stabilized, ladder=list(ladder)
-    )
+            upper = max(upper, vals[-1][2])
+    return QuotientNormEstimate(estimate=sup, upper=upper, per_fiber=per_fiber,
+                                stabilized=stabilized, ladder=ladder)

@@ -19,7 +19,9 @@ length with a deterministic tie-break, which fixes the enumeration
 Every parser of the text grammar (elements, descriptors and the config's
 element lists) splits its text with ``_split_top``, the single nesting rule:
 ``()`` and ``{}`` nest and must balance, and a separator splits only outside
-them.
+them.  Every integer in the grammar (lattice coordinates, descriptor
+arguments, the config's integer keys) is read by ``_parse_int``: ASCII
+digits with an optional sign, nothing else.
 
 Besides the text grammar, each family has an array codec for whole element
 lists (``encode_elements``/``decode_elements``), which the cache artifacts
@@ -59,6 +61,7 @@ callers use ``multiply``/``_mul``.
 from __future__ import annotations
 
 import operator
+import re
 import string
 from functools import lru_cache
 from itertools import chain, islice
@@ -314,6 +317,18 @@ def _split_top(text: str, sep: str | None = None) -> list:
     return [p for p in parts if p] if sep is None else parts
 
 
+_ASCII_INT = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def _parse_int(text: str) -> int:
+    """An optionally signed run of ASCII digits, with surrounding
+    whitespace; ElementParseError on anything else (digit-group
+    underscores, non-ASCII digits), which Python's ``int`` would take."""
+    if not _ASCII_INT.fullmatch(text):
+        raise ElementParseError(f"bad integer {text!r}")
+    return int(text)
+
+
 def _lattice_key(v):
     # orders 0 < 1 < -1 < 2 < -2 < ... coordinatewise
     return tuple((abs(c), 0 if c >= 0 else 1) for c in v)
@@ -376,8 +391,8 @@ class LatticeGroup(GroupDescriptor):
                 f"expected {self.dimension} coordinates in {text!r}"
             )
         try:
-            return tuple(int(p) for p in parts)
-        except ValueError as exc:
+            return tuple(_parse_int(p) for p in parts)
+        except ElementParseError as exc:
             raise ElementParseError(f"bad lattice element {text!r}") from exc
 
     def spec_string(self):
@@ -850,7 +865,7 @@ def descriptor_from_string(spec: str) -> GroupDescriptor:
         raise ElementParseError(f"unknown group family in {spec!r}")
     try:
         (arg,) = args
-        n = int(arg)
+        n = _parse_int(arg)
     except ValueError as exc:
         raise ElementParseError(f"bad descriptor argument in {spec!r}") from exc
     return _FAMILIES[head](n)

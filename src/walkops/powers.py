@@ -597,7 +597,6 @@ class GenericPowers(PowersCache):
         self._mu_vals = np.array([v for _, v in items])
         self._mu_ls = self.mu.log_scale
         self._table = _ElementTable(desc, desc.encode_elements([desc.identity()]))
-        self._queried: dict = {}     # queried element -> id, -1 where absent
         self._levels: list = []
 
     def _push_level(self, ids, vals, log_scale):
@@ -650,19 +649,6 @@ class GenericPowers(PowersCache):
             ids, vals / peak, level.log_scale + self._mu_ls + math.log(peak)
         )
 
-    def _id_of(self, g) -> int:
-        """The id of element ``g``, -1 where the table does not hold it;
-        memoized per queried element."""
-        i = self._queried.get(g)
-        if i is None:
-            i = -1
-            desc = self.descriptor
-            if desc.contains(g):
-                arrays = desc.encode_elements([g])
-                i = int(self._table.find(arrays, _element_hashes(desc, arrays))[0])
-            self._queried[g] = i
-        return i
-
     @property
     def depth(self):
         return len(self._levels) - 1
@@ -671,10 +657,15 @@ class GenericPowers(PowersCache):
         return g
 
     def _column_values(self, g):
-        i = self._id_of(g)
-        if i < 0:
-            return [NEG_INF] * len(self._levels)
-        return [_log_entry(_stored(level, i), level.log_scale) for level in self._levels]
+        # the column key is the element itself, so this runs once per element
+        desc = self.descriptor
+        if desc.contains(g):
+            arrays = desc.encode_elements([g])
+            i = int(self._table.find(arrays, _element_hashes(desc, arrays))[0])
+            if i >= 0:
+                return [_log_entry(_stored(level, i), level.log_scale)
+                        for level in self._levels]
+        return [NEG_INF] * len(self._levels)
 
     def level_mass(self, m):
         self._check_level(m)

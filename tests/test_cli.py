@@ -459,22 +459,8 @@ def test_config_unknown_section_rejected(tmp_path, capsys):
     assert "[kernal]" in capsys.readouterr().err
 
 
-def test_tracked_cache_covers_fock_and_covariance_rows(tmp_path, monkeypatch, capsys):
-    """The [fock] and [covariance] rows of this lattice(2) report lie outside
-    every ball the other jobs read.  Under a 1 MiB budget the cache keeps
-    only the box of its track set, and the run still gives the exit code
-    and the output tree of the fully retained run (512 MiB)."""
-    from walkops.cli import Workspace
-
-    calls = []
-    track = Workspace.track_elements
-
-    def spy(self):
-        calls.append(self.cfg.walk.memory_budget_mb)
-        yield from track(self)
-
-    monkeypatch.setattr(Workspace, "track_elements", spy)
-    text = AMENABLE_Z2_CFG.replace("depth = 128", "depth = 60") + """
+TRACKED_ROWS = {
+    "fock_covariance": ("""
 [fock]
 x = (0,0)
 y = (6,0)
@@ -488,7 +474,39 @@ n = 7
 
 [report]
 jobs = spectrum kernel fock covariance
-"""
+""", ("fock.json", "covariance.json")),
+    "boundary_metric": ("""
+[boundary]
+elements = (9,0), (10,0), (11,0)
+
+[metric]
+pairs = (0,9) (1,9); (-9,0) (-9,1)
+
+[report]
+jobs = spectrum kernel metric boundary
+""", ("boundary.json", "metric.json")),
+}
+
+
+@pytest.mark.parametrize("rows", sorted(TRACKED_ROWS))
+def test_tracked_cache_covers_fock_and_covariance_rows(tmp_path, monkeypatch, capsys, rows):
+    """The [fock] and [covariance] rows, and the [boundary] elements and
+    [metric] pairs, of these lattice(2) reports lie outside every ball the
+    other jobs read.  Under a 1 MiB budget the cache keeps only the box of
+    its track set, and the run still gives the exit code and the output
+    tree of the fully retained run (512 MiB)."""
+    from walkops.cli import Workspace
+
+    calls = []
+    track = Workspace.track_elements
+
+    def spy(self):
+        calls.append(self.cfg.walk.memory_budget_mb)
+        yield from track(self)
+
+    monkeypatch.setattr(Workspace, "track_elements", spy)
+    sections, written = TRACKED_ROWS[rows]
+    text = AMENABLE_Z2_CFG.replace("depth = 128", "depth = 60") + sections
     codes, trees = [], []
     for mb in (1, 512):
         cfg = tmp_path / f"mb{mb}.ini"
@@ -501,7 +519,7 @@ jobs = spectrum kernel fock covariance
     assert capsys.readouterr().err == ""
     assert codes == [0, 0]
     assert trees[0] == trees[1]
-    assert "covariance.json" in trees[0] and "fock.json" in trees[0]
+    assert all(name in trees[0] for name in written)
 
 
 @pytest.mark.parametrize("edit, named", [
@@ -544,7 +562,8 @@ def _set_key(text: str, section: str, key: str, value: str) -> str:
 BAD_VALUES = [
     ("group", "family", "free(0)"), ("group", "family", "free(2"),
     ("measure", "inline", "a 1/2\nq 1/2"), ("measure", "inline", "a -1/2\nA 3/2"),
-    ("walk", "depth", "abc"), ("walk", "depth", "0"), ("walk", "support_cap", "-5"),
+    ("walk", "depth", "abc"), ("walk", "depth", "0"), ("walk", "depth", "1_000"),
+    ("walk", "support_cap", "-5"),
     ("walk", "memory_budget_mb", "-1"),
     ("kernel", "x_radius", "abc"), ("kernel", "y_radius", "-1"),
     ("kernel", "closed_form_compare", "maybe"),

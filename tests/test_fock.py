@@ -145,8 +145,22 @@ def test_window_queries_match_cache(name, request):
 # ---------------------------------------------------------------------------
 
 def test_s_norm_contractive(z_window, f2_window):
-    assert fk.operator_norm(fk.build_S(z_window, 1, (0,), (1,))) <= 1 + 1e-12
-    assert fk.operator_norm(fk.build_S(f2_window, 1, (), (1,))) <= 1 + 1e-12
+    assert fk.norm_bounds(fk.build_S(z_window, 1, (0,), (1,)))[1] <= 1 + 1e-12
+    assert fk.norm_bounds(fk.build_S(f2_window, 1, (), (1,)))[1] <= 1 + 1e-12
+
+
+def test_norm_bounds_bracket_the_operator_norm(z_window):
+    """lower (largest column norm) <= ||A|| <= upper (Schur bound); the two
+    agree on a weighted shift, one entry per row and column, and are 0.0
+    on an empty operator."""
+    s = fk.build_S(z_window, 1, (0,), (1,))
+    lower, upper = fk.norm_bounds(s)
+    assert lower == upper == pytest.approx(np.linalg.norm(s.toarray(), 2), rel=1e-12)
+    # [[1, 1], [0, 1]] has norm (1 + sqrt 5)/2, column norms 1 and sqrt 2,
+    # and row and column abs-sums up to 2: the bracket opens
+    assert fk.norm_bounds(sp.csr_matrix([[1.0, 1.0], [0.0, 1.0]])) == (math.sqrt(2.0), 2.0)
+    assert fk.norm_bounds(sp.csr_matrix((3, 3))) == (0.0, 0.0)
+    assert fk.norm_bounds(sp.csr_matrix((0, 0))) == (0.0, 0.0)
 
 
 def test_s_zero_is_projection(z_window):
@@ -256,6 +270,16 @@ def test_max_abs_on_columns_any_format(z_window):
     assert fk.max_abs_on_columns(op, cols) == fk.max_abs_on_columns(op.tocsc(), cols)
     for m in (op, op.tocsc()):
         assert fk.max_abs_on_columns(m, np.zeros(0, dtype=np.intp)) == 0.0
+
+
+def test_column_norms_sum_duplicate_entries():
+    """A CSR matrix that stores one entry twice reads as their sum, as
+    its dense form does."""
+    dup = sp.csr_matrix((np.array([1.0, 2.0, 4.0]), np.array([0, 0, 1]),
+                         np.array([0, 2, 3])), shape=(2, 2))
+    assert not dup.has_canonical_format
+    np.testing.assert_array_equal(fk.column_norms(dup), [3.0, 4.0])
+    assert fk.norm_bounds(dup) == (4.0, 4.0)
 
 
 def test_e_diagonal_acts_as_identity_on_row(z_window):

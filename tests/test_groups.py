@@ -354,16 +354,19 @@ def test_config_element_lists_read_back(desc):
 
 @pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=lambda d: d.spec_string())
 @pytest.mark.parametrize("text", ["(1,,2)", "(1,2,)", "(,1,2)", "(1,{0}", "(ab|(3)|(4))",
-                                  "a b", "(0,{0}))"])
+                                  "a b", "(0,{0}))", "(1_0,0)", "(\u0663,0)",
+                                  "(0,{\uff12})"])
 def test_parse_rejects_malformed_text(desc, text):
-    """Empty coordinates, unbalanced brackets, a second top-level '|' and
-    whitespace inside a free word name no element of any family."""
+    """Empty coordinates, unbalanced brackets, a second top-level '|',
+    whitespace inside a free word and integers that are not ASCII digits
+    (digit-group underscores, Arabic-Indic or fullwidth digits) name no
+    element of any family."""
     with pytest.raises(ElementParseError):
         desc.parse(text)
 
 
 @pytest.mark.parametrize("spec", ["product(free(2),lattice(1)", "free(2)x", "product(free(2))",
-                                  "lattice(1,2)", "free()"])
+                                  "lattice(1,2)", "free()", "lattice(1_0)", "free(\uff12)"])
 def test_descriptor_from_string_rejects_malformed_text(spec):
     with pytest.raises(ElementParseError):
         w.descriptor_from_string(spec)

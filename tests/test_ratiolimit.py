@@ -207,6 +207,22 @@ def test_bound_constant_shared_per_key_pair(f2_cache, f2_spectral, monkeypatch):
     assert calls == [(1,), (1, 2)]
 
 
+def test_closed_form_bound_constants_match_kernel_table(free2, iso_f2):
+    """The closed-form table's bound constants, from its own shallow cache,
+    equal the kernel table's over a depth-300 cache of the same lazy walk,
+    field for field, on the 3-ball; without mu and rho_hat it refuses."""
+    cache = w.convolution_powers(free2, iso_f2, 300)
+    rho_hat = w.spectral_radius(cache).rho_hat
+    table = w.KernelTable(cache, rho_hat=rho_hat)
+    closed = ClosedFormFreeTable(free2, iso_f2, rho_hat)
+    ball = free2.ball(3)
+    assert len(ball) == 53
+    for x in ball:
+        assert closed.bound_constant(x) == table.bound_constant(x), x
+    with pytest.raises(PreconditionError):
+        ClosedFormFreeTable(free2).bound_constant((1,))
+
+
 def test_kernel_table_rejects_periodic(lattice1):
     srw = w.parse_measure("(1) 1/2\n(-1) 1/2", lattice1)
     cache = w.convolution_powers(lattice1, srw, 32)
