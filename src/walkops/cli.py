@@ -188,7 +188,7 @@ class Workspace:
     def fock_window(self):
         """The [fock] window, built once and shared by fock and covariance."""
         if self._window is None:
-            # a local import: scipy loads only for the jobs that build a window
+            # as in the two jobs below: only runs that build a window load it
             from . import fock as fk
 
             f = self.cfg.fock

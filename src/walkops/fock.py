@@ -1,19 +1,22 @@
-"""Finite Fock-space windows and the sparse operator suite on them.
+"""Finite Fock-space windows and the operator suite on them.
 
 The window holds the basis vectors e^(m)_{x,z} with m up to a cutoff and
 x, z in fixed balls, one vector per positive m-step transition (the
 edge-presence rule).  Operators are built directly from their action
-formulas as sparse matrices on this basis.  Outputs that would leave the
-window are excluded at construction, and defect norms never look at the
-top ``interior_margin`` levels, so truncation artifacts cannot be misread
-as algebraic defects.
+formulas on this basis.  Every one of them (the weighted shifts S, T, W,
+V, the matrix units, the H-monomials, the unitaries) sends each basis
+vector to at most one basis vector, so each is a ``PartialPermutation``:
+a target and a weight per column.  Products, adjoints and norms are then
+exact array operations.  Outputs that would leave the window are excluded
+at construction, and defect norms never look at the top
+``interior_margin`` levels, so truncation artifacts cannot be misread as
+algebraic defects.
 
 The basis is stored as integer arrays (level, row id into the x-ball,
 fiber id into the z-ball) with a position table over (level, row,
-fiber); basis queries and builders work on these arrays, and each group
-product they need is computed once per ball element or ball pair.
-``export_payload`` reads the arrays; the ``basis`` tuple list, in the same
-(m, x, z) order, serves ``operator_payload`` and lookups by key.
+fiber); basis queries, builders and exports work on these arrays, and
+each group product they need is computed once per ball element or ball
+pair.
 
 The defect suite certifies the "relations modulo compacts" numerically:
 each identity holds exactly (float tolerance) above a per-fiber edge
@@ -27,7 +30,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import PreconditionError
 from .measures import NEG_INF
@@ -51,8 +53,7 @@ class FockWindow:
 
     The basis lives in integer arrays: ``level``, ``row`` (position of x in
     ``x_elems``) and ``fiber`` (position of z in ``z_elems``), in (m, x, z)
-    order.  ``basis`` holds the same vectors as tuples, for
-    ``operator_payload`` and lookups by key.
+    order; ``position(m, x, z)`` finds a vector by key.
     """
 
     def __init__(self, cache: PowersCache, max_level: int, x_radius: int,
@@ -76,23 +77,17 @@ class FockWindow:
         self._fiber_id = {z: j for j, z in enumerate(self.z_elems)}
         self._quotients: dict = {}  # x -> [x^-1 z for z in z_elems]
         # log P^(m)_{x,z} over (level, row, fiber); -inf where absent
-        self._lp = np.stack([self._log_p_table(x) for x in self.x_elems], axis=1)
-        present = self._lp > NEG_INF
+        log_p = np.stack([self._log_p_table(x) for x in self.x_elems], axis=1)
+        present = log_p > NEG_INF
         self.level, self.row, self.fiber = np.nonzero(present)
+        self._basis_log_p = log_p[present]  # P(e^(m)_{x,z}) = P^(m)_{x,z}, in basis order
         # basis position of each present (level, row, fiber), -1 elsewhere
         self._pos = np.full(present.shape, -1, dtype=np.intp)
         self._pos[present] = np.arange(len(self.level), dtype=np.intp)
-        xs, zs = self.x_elems, self.z_elems
-        self.basis: list = [
-            (m, xs[i], zs[j])
-            for m, i, j in zip(self.level.tolist(), self.row.tolist(),
-                               self.fiber.tolist())
-        ]
-        self.index: dict = {key: k for k, key in enumerate(self.basis)}
         # ascending basis positions per row and per fiber; the basis is
         # level-major, so levels are non-decreasing along each
-        self._by_row = _positions_by(self.row, len(xs))
-        self._by_fiber = _positions_by(self.fiber, len(zs))
+        self._by_row = _positions_by(self.row, len(self.x_elems))
+        self._by_fiber = _positions_by(self.fiber, len(self.z_elems))
         self._thresholds: dict = {}
 
     def _left_quotients(self, x) -> list:
@@ -139,42 +134,29 @@ class FockWindow:
         keep = rows >= 0
         return rows[keep], cols[keep]
 
-    def _translate_basis(self, g):
-        """Row and fiber positions of (g x, g z) for every basis vector
-        e^(m)_{x,z}, -1 where g x or g z leaves its ball; one product per
-        ball element."""
-        mul = self.descriptor.multiply
-        rows = np.array([self._row_id.get(mul(g, x), -1) for x in self.x_elems],
-                        dtype=np.intp)
-        fibers = np.array([self._fiber_id.get(mul(g, z), -1) for z in self.z_elems],
-                          dtype=np.intp)
-        return rows[self.row], fibers[self.fiber]
-
-    def _kernel_weights(self, x, y, table, fibers: np.ndarray, weight) -> list:
+    def _kernel_weights(self, x, y, table, fibers: np.ndarray, weight) -> np.ndarray:
         """weight(H(x^-1 y, x^-1 z)) for each fiber position, one table
-        lookup per distinct fiber, in order of first appearance."""
+        lookup per distinct fiber."""
         desc = self.descriptor
         xy = desc.multiply(desc.inverse(x), y)
-        if not len(fibers):
-            return []
         quot = self._left_quotients(x)
-        memo: dict = {}
-        out = []
-        for j in fibers.tolist():
-            v = memo.get(j)
-            if v is None:
-                v = memo[j] = weight(table.get(xy, quot[j]).estimate)
-            out.append(v)
-        return out
+        distinct, inverse = np.unique(fibers, return_inverse=True)
+        return np.array([weight(table.get(xy, quot[j]).estimate)
+                         for j in distinct.tolist()], dtype=float)[inverse]
 
     @property
     def size(self) -> int:
-        return len(self.basis)
+        return len(self.level)
+
+    def position(self, m, x, z) -> int:
+        """Basis position of e^(m)_{x,z}; -1 when the window lacks it."""
+        i, j = self._row_id.get(x), self._fiber_id.get(z)
+        if i is None or j is None or not 0 <= m <= self.max_level:
+            return -1
+        return int(self._pos[m, i, j])
 
     def has(self, m, x, z) -> bool:
-        i, j = self._row_id.get(x), self._fiber_id.get(z)
-        return (i is not None and j is not None and 0 <= m <= self.max_level
-                and bool(self._pos[m, i, j] >= 0))
+        return self.position(m, x, z) >= 0
 
     def log_p(self, m, x, z) -> float:
         """log P^(m)_{x,z}; memoized up to the window top, -inf when absent."""
@@ -223,82 +205,114 @@ class FockWindow:
             "basis_size": self.size,
         }
 
-    def export_payload(self) -> dict:
+    def _keys(self, positions) -> list:
+        """[m, x text, z text] for the basis vectors at ``positions``, one
+        format call per ball element."""
         fmt = self.descriptor.format
         xs = [fmt(x) for x in self.x_elems]
         zs = [fmt(z) for z in self.z_elems]
+        return [[m, xs[i], zs[j]] for m, i, j in zip(
+            self.level[positions].tolist(), self.row[positions].tolist(),
+            self.fiber[positions].tolist())]
+
+    def export_payload(self) -> dict:
         return {
             "window": self.spec_dict(),
             "descriptor": self.descriptor.spec_string(),
-            "basis": [[m, xs[i], zs[j]] for m, i, j in zip(
-                self.level.tolist(), self.row.tolist(), self.fiber.tolist())],
+            "basis": self._keys(slice(None)),
         }
 
 
-def norm_bounds(op) -> tuple:
-    """(lower, upper) bounds on the operator norm of a sparse operator, in
-    one pass: the largest column 2-norm (the output norm of one basis
-    vector) below, the Schur bound sqrt(max row abs-sum * max column
-    abs-sum) above.  They agree when no row or column holds two entries,
-    as for the diagonal H-monomials and the weighted shifts.  Both are 0.0
-    for an empty operator."""
-    op = op.tocsr()
-    n_rows, n_cols = op.shape
-    magnitudes = np.abs(op.data)
-    rows = np.repeat(np.arange(n_rows), np.diff(op.indptr))
-    row_sum = np.bincount(rows, magnitudes, n_rows).max(initial=0.0)
-    col_sum = np.bincount(op.indices, magnitudes, n_cols).max(initial=0.0)
-    return float(column_norms(op).max(initial=0.0)), math.sqrt(row_sum * col_sum)
+@dataclass(eq=False)
+class PartialPermutation:
+    """An operator on the window basis that sends each basis vector to at
+    most one basis vector: column c goes to weight[c] e_target[c], and to 0
+    where target[c] = -1 (weight[c] is 0 there).  ``@``, ``.T``, scalar
+    ``*`` and ``+`` keep this form, and the norm is exact."""
+
+    target: np.ndarray  # intp, -1 for an empty column
+    weight: np.ndarray  # float or complex, 0 for an empty column
+
+    def __matmul__(self, other: PartialPermutation) -> PartialPermutation:
+        """One gather: column c goes through ``other``, then ``self``."""
+        inner = other.target  # -1 reads the appended empty column
+        return PartialPermutation(np.append(self.target, -1)[inner],
+                                  np.append(self.weight, 0)[inner] * other.weight)
+
+    @property
+    def T(self) -> PartialPermutation:
+        """The adjoint: the inverse map with conjugated weights."""
+        cols = np.flatnonzero(self.target >= 0)
+        adjoint = _build(len(self.target), cols, self.target[cols], self.weight[cols].conj())
+        if np.count_nonzero(adjoint.target >= 0) < len(cols):
+            raise ValueError("two columns share a row: the adjoint has two "
+                             "entries in one column")
+        return adjoint
+
+    def __mul__(self, scalar) -> PartialPermutation:
+        return PartialPermutation(self.target, self.weight * scalar)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: PartialPermutation) -> PartialPermutation:
+        """The sum, when no column has two different targets; ValueError
+        otherwise (take ``defect_norms`` of a difference instead)."""
+        a, b = self.target, other.target
+        if np.any((a != b) & (a >= 0) & (b >= 0)):
+            raise ValueError("the sum has two entries in one column")
+        return PartialPermutation(np.maximum(a, b), self.weight + other.weight)
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros((len(self.target),) * 2, dtype=self.weight.dtype)
+        cols = np.flatnonzero(self.target >= 0)
+        out[self.target[cols], cols] = self.weight[cols]
+        return out
+
+    def norm(self) -> float:
+        """The operator norm, exactly: the largest |weight|, 0.0 if empty."""
+        return float(np.abs(self.weight).max(initial=0.0))
 
 
-def column_norms(op) -> np.ndarray:
-    """The 2-norm of every column of a sparse operator: the output norm of
-    each basis vector.  Each column's squares are summed in row order,
-    whatever the input format (CSR is used as given, duplicate entries
-    summed first)."""
-    op = op.tocsr()
-    if not op.has_canonical_format:
-        op = op.copy()
-        op.sum_duplicates()
-    squares = (op.data * op.data.conj()).real
-    return np.sqrt(np.bincount(op.indices, squares, op.shape[1]))
+def defect_norms(a: PartialPermutation, b: PartialPermutation | None = None) -> np.ndarray:
+    """The 2-norm of every column of a - b (of a alone when b is None), the
+    output norm of each basis vector, exactly: |w_a - w_b| where the two
+    share a target, sqrt(|w_a|^2 + |w_b|^2) where they differ, the one
+    weight present otherwise.  Squares are (w * conj w).real, summed as a
+    column of the difference matrix sums them."""
+    def squares(w):
+        return (w * w.conj()).real
+
+    if b is None:
+        return np.sqrt(squares(a.weight))
+    return np.sqrt(np.where(a.target == b.target, squares(a.weight - b.weight),
+                            squares(a.weight) + squares(b.weight)))
 
 
-def max_abs_on_columns(op, cols: np.ndarray) -> float:
-    """sup over the selected input vectors of the output 2-norm: the
-    largest norm among the columns ``cols`` of a sparse operator."""
-    return float(column_norms(op)[cols].max(initial=0.0))
-
-
-def operator_payload(window: FockWindow, matrix, label: str, params: dict) -> dict:
-    """The nonzero entries of an operator as (out, in, value) triplets on
-    formatted basis keys, with the label and parameters given."""
-    coo = matrix.tocoo()
-    fmt = window.descriptor.format
-    triplets = []
-    for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-        mo, xo, zo = window.basis[i]
-        mi, xi, zi = window.basis[j]
-        triplets.append({
-            "out": [mo, fmt(xo), fmt(zo)],
-            "in": [mi, fmt(xi), fmt(zi)],
-            "value": v if not isinstance(v, complex) else [v.real, v.imag],
-        })
+def operator_payload(window: FockWindow, op: PartialPermutation, label: str,
+                     params: dict) -> dict:
+    """The entries of an operator as (out, in, value) triplets on formatted
+    basis keys, in output order, with the label and parameters given."""
+    cols = np.flatnonzero(op.target >= 0)
+    cols = cols[np.argsort(op.target[cols], kind="stable")]
+    keys = window._keys(np.concatenate([op.target[cols], cols]))
+    triplets = [
+        {"out": out, "in": inp,
+         "value": v if not isinstance(v, complex) else [v.real, v.imag]}
+        for out, inp, v in zip(keys[:len(cols)], keys[len(cols):],
+                               op.weight[cols].tolist())
+    ]
     return {"label": label, "params": params, "triplets": triplets}
 
 
-def _build(window, rows, cols, data, dtype=float) -> sp.csr_matrix:
-    """CSR operator with entries (rows[k], cols[k]) -> data[k]."""
-    return sp.csr_matrix(
-        (np.array(data, dtype=dtype), (rows, cols)),
-        shape=(window.size, window.size),
-    )
-
-
-def _log_p_at(window: FockWindow, positions: np.ndarray) -> list:
-    """log P of the basis vectors at ``positions``, as Python floats."""
-    return window._lp[window.level[positions], window.row[positions],
-                      window.fiber[positions]].tolist()
+def _build(size: int, rows, cols, data) -> PartialPermutation:
+    """The operator on ``size`` basis vectors with entries (rows[k], cols[k])
+    -> data[k] (or the scalar data), one per column."""
+    data = np.asarray(data)
+    target = np.full(size, -1, dtype=np.intp)
+    weight = np.zeros(size, dtype=data.dtype)
+    target[cols] = rows
+    weight[cols] = data
+    return PartialPermutation(target, weight)
 
 
 def _edge_shift(window: FockWindow, n: int, x, y):
@@ -313,138 +327,137 @@ def _edge_shift(window: FockWindow, n: int, x, y):
 def _shift_weights(window: FockWindow, log_weight: float, rows, cols) -> list:
     """The coefficient S and T share, per (out, in) position pair:
     sqrt(exp(log_weight) P(in) / P(out)), with P(e^(m)_{x,z}) = P^(m)_{x,z}."""
-    return [
-        math.exp(0.5 * (log_weight + lp_in - lp_out))
-        for lp_in, lp_out in zip(_log_p_at(window, cols), _log_p_at(window, rows))
-    ]
+    lp = window._basis_log_p
+    return [math.exp(0.5 * (log_weight + lp_in - lp_out))
+            for lp_in, lp_out in zip(lp[cols].tolist(), lp[rows].tolist())]
 
 
 # ---------------------------------------------------------------------------
-# operator constructions (action formulas), as CSR matrices on the basis
+# operator constructions (action formulas) on the basis
 # ---------------------------------------------------------------------------
 
-def build_S(window: FockWindow, n: int, x, y) -> sp.csr_matrix:
+def build_S(window: FockWindow, n: int, x, y) -> PartialPermutation:
     """Weighted shift S^(n)_{x,y}: e^(m)_{y,z} -> sqrt(P^(n)_{x,y} P^(m)_{y,z}
     / P^(n+m)_{x,z}) e^(n+m)_{x,z}.  Contractive by Chapman-Kolmogorov."""
     log_pn, rows, cols = _edge_shift(window, n, x, y)
-    return _build(window, rows, cols, _shift_weights(window, log_pn, rows, cols))
+    return _build(window.size, rows, cols, _shift_weights(window, log_pn, rows, cols))
 
 
-def build_T(window: FockWindow, n: int, x, y, rho_hat: float) -> sp.csr_matrix:
+def build_T(window: FockWindow, n: int, x, y, rho_hat: float) -> PartialPermutation:
     """T^(n)_{x,y}: coefficient sqrt(rho^n P^(m)_{y,z} / P^(n+m)_{x,z}).
 
     Built from the action formula (the normalized weighted shift), which is
     what all the compact-difference statements use.
     """
     _, rows, cols = _edge_shift(window, n, x, y)
-    return _build(window, rows, cols,
+    return _build(window.size, rows, cols,
                   _shift_weights(window, n * math.log(rho_hat), rows, cols))
 
 
-def build_W(window: FockWindow, n: int, x, y, table) -> sp.csr_matrix:
+def build_W(window: FockWindow, n: int, x, y, table) -> PartialPermutation:
     """W^(n)_{x,y}: e^(m)_{y,z} -> sqrt(H(x^-1 y, x^-1 z)) e^(m+n)_{x,z}."""
     _, rows, cols = _edge_shift(window, n, x, y)
-    return _build(window, rows, cols,
+    return _build(window.size, rows, cols,
                   window._kernel_weights(x, y, table, window.fiber[cols], math.sqrt))
 
 
-def build_V(window: FockWindow, n: int, x, y) -> sp.csr_matrix:
+def build_V(window: FockWindow, n: int, x, y) -> PartialPermutation:
     """Plain shift V^(n)_{x,y}: e^(m)_{y,z} -> e^(m+n)_{x,z}."""
     _, rows, cols = _edge_shift(window, n, x, y)
-    return _build(window, rows, cols, np.ones(len(rows)))
+    return _build(window.size, rows, cols, 1.0)
 
 
-def build_R(window: FockWindow, x, y, table, inverse: bool = False) -> sp.csr_matrix:
+def build_R(window: FockWindow, x, y, table, inverse: bool = False) -> PartialPermutation:
     """Level-preserving weight R_{x,y} (or its spectral inverse R'):
     e^(m)_{y,z} -> H(x^-1 y, x^-1 z)^{+-1/2} e^(m)_{y,z}."""
     power = -0.5 if inverse else 0.5
     cols = window._row_positions(y)
     data = window._kernel_weights(x, y, table, window.fiber[cols],
                                   lambda h: h ** power)
-    return _build(window, cols, cols, data)
+    return _build(window.size, cols, cols, data)
 
 
-def build_E(window: FockWindow, x, y) -> sp.csr_matrix:
+def build_E(window: FockWindow, x, y) -> PartialPermutation:
     """Row swap E_{x,y}: e^(m)_{y,z} -> e^(m)_{x,z} when (x,z) in E(P^m)."""
     rows, cols = window._shift_pairs(y, x, 0)
-    return _build(window, rows, cols, np.ones(len(rows)))
+    return _build(window.size, rows, cols, 1.0)
 
 
-def build_U_row(window: FockWindow, x) -> sp.csr_matrix:
+def build_U_row(window: FockWindow, x) -> PartialPermutation:
     """U_x: e^(m)_{x,z} -> e^(m+1)_{x,z} when the target exists."""
-    rows, cols = window._shift_pairs(x, x, 1)
-    return _build(window, rows, cols, np.ones(len(rows)))
+    return build_U(window) @ build_projection(window, x)
 
 
-def build_U(window: FockWindow) -> sp.csr_matrix:
+def build_U(window: FockWindow) -> PartialPermutation:
     """U = direct sum of the U_x over every row of the window."""
     target = window.level + 1
     cols = np.flatnonzero(target <= window.max_level)
     rows = window._pos[target[cols], window.row[cols], window.fiber[cols]]
     keep = rows >= 0
-    return _build(window, rows[keep], cols[keep], np.ones(int(keep.sum())))
+    return _build(window.size, rows[keep], cols[keep], 1.0)
 
 
-def build_Hop(window: FockWindow, z0, x, y, table) -> sp.csr_matrix:
-    """H^(z0)_{x,y} = E_{z0,y} R_{x,y} E_{y,z0}: the diagonal weight
-    sqrt(H(x^-1 y, x^-1 w)) on row z0, guarded by (y,w) presence."""
-    cols = window._row_positions(z0)
-    present_y = window._log_p_table(y) > NEG_INF
-    cols = cols[present_y[window.level[cols], window.fiber[cols]]]
-    data = window._kernel_weights(x, y, table, window.fiber[cols], math.sqrt)
-    return _build(window, cols, cols, data)
+def build_Hop(window: FockWindow, z0, x, y, table) -> PartialPermutation:
+    """H^(z0)_{x,y} = E_{z0,y} R_{x,y} E_{y,z0} = H_{x,y} p_z0: the diagonal
+    weight sqrt(H(x^-1 y, x^-1 w)) on row z0, guarded by (y,w) presence."""
+    return build_H_diag(window, x, y, table) @ build_projection(window, z0)
 
 
-def build_H_diag(window: FockWindow, x, y, table) -> sp.csr_matrix:
+def build_H_diag(window: FockWindow, x, y, table) -> PartialPermutation:
     """H_{x,y} = direct sum over z0 of H^(z0)_{x,y} (acts on every row)."""
     present_y = window._log_p_table(y) > NEG_INF
     cols = np.flatnonzero(present_y[window.level, window.fiber])
     data = window._kernel_weights(x, y, table, window.fiber[cols], math.sqrt)
-    return _build(window, cols, cols, data)
+    return _build(window.size, cols, cols, data)
 
 
-def build_projection(window: FockWindow, x) -> sp.csr_matrix:
+def build_projection(window: FockWindow, x) -> PartialPermutation:
     """p_x = S^(0)_{x,x}: the diagonal projection onto row x."""
     cols = window._row_positions(x)
-    return _build(window, cols, cols, np.ones(len(cols)))
+    return _build(window.size, cols, cols, 1.0)
 
 
-def build_Vg(window: FockWindow, g) -> sp.csr_matrix:
+def build_Vg(window: FockWindow, g) -> PartialPermutation:
     """Left-translation unitary V_g: e^(m)_{x,z} -> e^(m)_{gx,gz},
-    restricted to pairs whose image stays in the window."""
-    r2, f2 = window._translate_basis(g)
+    restricted to pairs whose image stays in the window; one product per
+    ball element."""
+    mul = window.descriptor.multiply
+    r2 = np.array([window._row_id.get(mul(g, x), -1) for x in window.x_elems],
+                  dtype=np.intp)[window.row]
+    f2 = np.array([window._fiber_id.get(mul(g, z), -1) for z in window.z_elems],
+                  dtype=np.intp)[window.fiber]
     cols = np.flatnonzero((r2 >= 0) & (f2 >= 0))
     rows = window._pos[window.level[cols], r2[cols], f2[cols]]
     keep = rows >= 0
-    return _build(window, rows[keep], cols[keep], np.ones(int(keep.sum())))
+    return _build(window.size, rows[keep], cols[keep], 1.0)
 
 
-def build_Uzeta(window: FockWindow, zeta) -> sp.csr_matrix:
+def build_Uzeta(window: FockWindow, zeta) -> PartialPermutation:
     """Gauge unitary U_zeta: e^(m)_{x,z} -> zeta^m e^(m)_{x,z}."""
     zeta = complex(zeta)
     real = zeta.imag == 0.0
     phases = [zeta ** m for m in range(window.max_level + 1)]
     by_level = np.array([p.real for p in phases] if real else phases)
     cols = np.arange(window.size, dtype=np.intp)
-    return _build(window, cols, cols, by_level[window.level],
-                  dtype=float if real else complex)
+    return _build(window.size, cols, cols, by_level[window.level])
 
 
-def identity_operator(window: FockWindow) -> sp.csr_matrix:
-    return sp.identity(window.size, format="csr")
+def identity_operator(window: FockWindow) -> PartialPermutation:
+    return PartialPermutation(np.arange(window.size, dtype=np.intp),
+                              np.ones(window.size))
 
 
 # ---------------------------------------------------------------------------
 # defect diagnostics
 # ---------------------------------------------------------------------------
 
-def _interior_defect_by_fiber(window: FockWindow, op, rows_needed,
+def _interior_defect_by_fiber(window: FockWindow, norms: np.ndarray, rows_needed,
                               level_shift: int = 0, extra_threshold: int = 0,
                               identity: str | None = None):
-    """Per-fiber max defect of ``op`` on inputs at interior levels at or
-    above the fiber's edge threshold; sub-threshold maxima reported too.
-    Each row names ``identity`` when one is given."""
-    norms = column_norms(op)
+    """Per-fiber max defect, from the ``defect_norms`` of an identity, on
+    inputs at interior levels at or above the fiber's edge threshold;
+    sub-threshold maxima reported too.  Each row names ``identity`` when
+    one is given."""
     per_fiber = []
     for w in window.z_elems:
         m0 = window.edge_threshold(rows_needed, w) + extra_threshold
@@ -464,7 +477,7 @@ def _interior_defect_by_fiber(window: FockWindow, op, rows_needed,
     return per_fiber
 
 
-def _fiber_report(name, window, inputs, per_fiber, tol, provenance) -> DiagnosticsReport:
+def _fiber_report(name, window, inputs, per_fiber, tol) -> DiagnosticsReport:
     worst = max((r["defect_above_m0"] for r in per_fiber), default=0.0)
     passed = worst <= tol
     return DiagnosticsReport(
@@ -477,7 +490,7 @@ def _fiber_report(name, window, inputs, per_fiber, tol, provenance) -> Diagnosti
             if passed else f"defect {worst:.3e} above tolerance {tol:g}"
         ),
         tolerances={"above_threshold": tol},
-        provenance=provenance,
+        provenance={"window": window.spec_dict(), "M": window.cache.depth},
     )
 
 
@@ -489,18 +502,17 @@ def matrix_unit_defects(window: FockWindow, triples, tol: float = EXACT_TOL) -> 
     for x, y, y2, z in triples:
         e_xy = build_E(window, x, y)
         prod = e_xy @ build_E(window, y2, z)
-        defect = prod - build_E(window, x, z) if y == y2 else prod
         residuals += _interior_defect_by_fiber(
-            window, defect, rows_needed=[x, y, y2, z],
+            window, defect_norms(prod, build_E(window, x, z) if y == y2 else None),
+            rows_needed=[x, y, y2, z],
             identity=f"E[{fmt(x)},{fmt(y)}]E[{fmt(y2)},{fmt(z)}]")
         residuals += _interior_defect_by_fiber(
-            window, e_xy.T - build_E(window, y, x), rows_needed=[x, y],
+            window, defect_norms(e_xy.T, build_E(window, y, x)), rows_needed=[x, y],
             identity=f"E[{fmt(x)},{fmt(y)}]* - E[{fmt(y)},{fmt(x)}]")
     return _fiber_report(
         "matrix-unit-defects", window,
         {"triples": [[fmt(t) for t in tr] for tr in triples]},
         residuals, tol,
-        {"window": window.spec_dict(), "M": window.cache.depth},
     )
 
 
@@ -511,27 +523,27 @@ def unitary_and_commutation_defects(window: FockWindow, pairs, table,
     fmt = window.descriptor.format
     u = build_U(window)
     ident = identity_operator(window)
-    rows_all = list(window.x_elems)
     residuals = []
-    for op, label in ((u.T @ u - ident, "U*U - I"), (u @ u.T - ident, "UU* - I")):
+    for lhs, label in ((u.T @ u, "U*U - I"), (u @ u.T, "UU* - I")):
         residuals += _interior_defect_by_fiber(
-            window, op, rows_all, extra_threshold=1, identity=label)
+            window, defect_norms(lhs, ident), window.x_elems, extra_threshold=1,
+            identity=label)
     for x, y in pairs:
         e_op = build_E(window, x, y)
         h_op = build_H_diag(window, x, y, table)
         e_label, h_label = f"E[{fmt(x)},{fmt(y)}]", f"H[{fmt(x)},{fmt(y)}]"
-        for op, label in (
-            (e_op @ u - u @ e_op, f"[{e_label}, U]"),
-            (h_op @ u - u @ h_op, f"[{h_label}, U]"),
-            (e_op @ h_op - h_op @ e_op, f"[{e_label}, {h_label}]"),
+        for a, b, label in (
+            (e_op, u, f"[{e_label}, U]"),
+            (h_op, u, f"[{h_label}, U]"),
+            (e_op, h_op, f"[{e_label}, {h_label}]"),
         ):
             residuals += _interior_defect_by_fiber(
-                window, op, rows_needed=[x, y], level_shift=1, identity=label)
+                window, defect_norms(a @ b, b @ a), rows_needed=[x, y],
+                level_shift=1, identity=label)
     return _fiber_report(
         "unitary-and-commutation-defects", window,
         {"pairs": [[fmt(x), fmt(y)] for x, y in pairs]},
         residuals, tol,
-        {"window": window.spec_dict(), "M": window.cache.depth},
     )
 
 
@@ -543,24 +555,17 @@ def generator_identity_defect(window: FockWindow, n: int, x, y, table,
     w_op = build_W(window, n, x, y, table)
     u_x = build_U_row(window, x)
     rhs = build_E(window, x, e) @ build_Hop(window, e, x, y, table) @ build_E(window, e, y)
-    rhs = rhs if n == 0 else _power(u_x, n) @ rhs
+    for _ in range(n):  # unit weights: the same floats as U_x^n @ rhs
+        rhs = u_x @ rhs
     per_fiber = _interior_defect_by_fiber(
-        window, w_op - rhs, rows_needed=[e, x, y], level_shift=n
+        window, defect_norms(w_op, rhs), rows_needed=[e, x, y], level_shift=n
     )
     fmt = desc.format
     return _fiber_report(
         "generator-identity-defect", window,
         {"n": n, "x": fmt(x), "y": fmt(y)},
         per_fiber, tol,
-        {"window": window.spec_dict(), "M": window.cache.depth},
     )
-
-
-def _power(op: sp.csr_matrix, n: int) -> sp.csr_matrix:
-    out = op
-    for _ in range(n - 1):
-        out = out @ op
-    return out
 
 
 def q0_projection_check(window: FockWindow, x, tol: float = EXACT_TOL) -> DiagnosticsReport:
@@ -569,27 +574,24 @@ def q0_projection_check(window: FockWindow, x, tol: float = EXACT_TOL) -> Diagno
     (Chapman-Kolmogorov makes the coefficient sum exactly 1) and other rows."""
     desc = window.descriptor
     cache = window.cache
-    x_rows = set(window.x_elems)
     r0 = build_projection(window, x)
     for s in sorted(cache.mu.support, key=desc.sort_key):
         y = desc.multiply(x, s)
         if cache.log_transition(1, x, y) == NEG_INF:
             continue
-        if y not in x_rows:
+        if y not in window._row_id:
             raise PreconditionError(
                 f"window row ball must contain every one-step neighbour of "
                 f"{desc.format(x)}; {desc.format(y)} is missing"
             )
         s1 = build_S(window, 1, x, y)
-        r0 = r0 - s1 @ s1.T
-    norms = column_norms(r0)
+        r0 = r0 + -1.0 * (s1 @ s1.T)  # S S* is diagonal, so r0 stays diagonal
+    norms = defect_norms(r0)
     residuals = []
-    i = window.index.get((0, x, x))
-    if i is not None:
-        col = r0[:, i].toarray().ravel()
-        col[i] -= 1.0
+    i = window.position(0, x, x)
+    if i >= 0:
         residuals.append({"identity": "R0 e0_xx = e0_xx",
-                          "residual": float(np.linalg.norm(col))})
+                          "residual": float(abs(r0.weight[i] - 1.0))})
     kill = float(norms[window.select(
         rows=[x], level_lo=1, level_hi=window.interior_top)].max(initial=0.0))
     residuals.append({"identity": "R0 e^(m+1)_xz = 0 (interior)", "residual": kill})
@@ -617,7 +619,7 @@ def subproduct_coisometry_check(cache: PowersCache, n: int, m: int,
     desc = cache.descriptor
     if cache.depth < n + m:
         raise PreconditionError("cache depth below n + m")
-    mid_radius = n * _support_radius(cache, desc)
+    mid_radius = n * max(desc.word_length(g) for g in cache.mu.support)
     mids = [u for u, _ in cache.support_in_ball(n, mid_radius)]
     residuals = []
     worst = 0.0
@@ -650,10 +652,6 @@ def subproduct_coisometry_check(cache: PowersCache, n: int, m: int,
     )
 
 
-def _support_radius(cache, desc) -> int:
-    return max(desc.word_length(g) for g in cache.mu.support)
-
-
 def covariance_check(window: FockWindow, g, zeta, n: int, x, y,
                      tol: float = EXACT_TOL) -> DiagnosticsReport:
     """V_g S^(n)_{x,y} V_g^-1 = S^(n)_{gx,gy} on the g-stable part of the
@@ -672,29 +670,22 @@ def covariance_check(window: FockWindow, g, zeta, n: int, x, y,
     lhs = vg @ s_op
     rhs = sg_op @ vg
     # inputs e^(m)_{r,w} with m + n in the window whose image e^(m)_{gr,gw}
-    # is in the window, and, on row y (the only row S^(n)_{x,y} moves),
-    # whose shifted image e^(m+n)_{gx,gw} is in the window too
-    r2, f2 = window._translate_basis(g)
-    lifted = window.level + n
-    stable = (lifted <= window.max_level) & (r2 >= 0) & (f2 >= 0)
-    stable[stable] = window._pos[window.level[stable], r2[stable], f2[stable]] >= 0
-    lands = np.zeros(window.size, dtype=bool)
-    gx_row = window._row_id.get(gx)
-    if gx_row is not None:
-        lands[stable] = window._pos[lifted[stable], gx_row, f2[stable]] >= 0
+    # under V_g is in the window, and, on row y (the only row S^(n)_{x,y}
+    # moves), whose shifted image e^(m+n)_{gx,gw} under S_g V_g is too
+    stable = (window.level + n <= window.max_level) & (vg.target >= 0)
     off_y = window.row != window._row_id.get(y, -1)
-    region = np.flatnonzero(stable & (lands | off_y))
+    region = np.flatnonzero(stable & ((rhs.target >= 0) | off_y))
     if len(region) == 0:
         raise PreconditionError("empty covariance comparison region")
-    cov = max_abs_on_columns(lhs - rhs, region)
+    cov = float(defect_norms(lhs, rhs)[region].max(initial=0.0))
 
     u_z = build_Uzeta(window, zeta)
     zc = complex(zeta)
-    u_inv = sp.diags(1.0 / u_z.diagonal()).tocsr()
+    u_inv = PartialPermutation(u_z.target, 1.0 / u_z.weight)
     gauge_lhs = (u_z @ s_op) @ u_inv
     phase = zc ** n
     target = (phase.real if zc.imag == 0.0 else phase) * s_op
-    gauge = float(column_norms(gauge_lhs - target).max(initial=0.0))
+    gauge = float(defect_norms(gauge_lhs, target).max(initial=0.0))
     residuals = [
         {"identity": "V_g S V_g^-1 = S_g", "residual": cov,
          "region_size": int(len(region))},
@@ -726,15 +717,11 @@ def t_vs_w_level_defects(window: FockWindow, n: int, x, y, rho_hat: float,
         for m in levels:
             lp_y = window.log_p(m, y, z)
             lp_x = window.log_p(m + n, x, z)
-            if lp_y == NEG_INF or lp_x == NEG_INF:
-                out.append({"fiber": desc.format(z), "level": m, "defect": None})
-                continue
-            t_coeff = math.exp(0.5 * (n * math.log(rho_hat) + lp_y - lp_x))
-            out.append({
-                "fiber": desc.format(z),
-                "level": m,
-                "defect": abs(t_coeff - math.sqrt(h)),
-            })
+            defect = None  # no T coefficient where either transition is absent
+            if lp_y > NEG_INF and lp_x > NEG_INF:
+                t_coeff = math.exp(0.5 * (n * math.log(rho_hat) + lp_y - lp_x))
+                defect = abs(t_coeff - math.sqrt(h))
+            out.append({"fiber": desc.format(z), "level": m, "defect": defect})
     return out
 
 
@@ -744,9 +731,9 @@ def t_vs_w_level_defects(window: FockWindow, n: int, x, y, rho_hat: float,
 
 @dataclass
 class QuotientNormEstimate:
-    estimate: float      # sup of the final-rung lower bounds
-    upper: float         # sup of the final-rung upper bounds
-    per_fiber: dict      # fiber text -> list of (m, lower, upper) rungs
+    estimate: float      # sup of the final-rung norms
+    upper: float         # the same sup: every rung norm is exact
+    per_fiber: dict      # fiber text -> list of (m, norm, norm) rungs
     stabilized: bool
     ladder: list
 
@@ -754,27 +741,37 @@ class QuotientNormEstimate:
         return asdict(self)
 
 
-def quotient_norm_estimate(window: FockWindow, op: sp.spmatrix,
+def quotient_norm_estimate(window: FockWindow, op: PartialPermutation,
                            z_samples) -> QuotientNormEstimate:
     """sup over sampled fibers of lim_m ||T Q^{[m, interior]}|_{F_z}||.
 
-    For each fiber the restricted norm is bracketed by ``norm_bounds`` on
-    the rungs m = s, 2s, ... up to the interior top, s = max(1, top // 4);
-    the fiber value is the final rung and the sup is over the sampled
-    fibers only (a lower bound for the true sup over all of G, which is
-    reported as such).
+    For each fiber the restricted norm, exactly the largest |weight| of an
+    entry with both ends in the rung, is taken on the rungs m = s, 2s, ...
+    up to the interior top, s = max(1, top // 4); the fiber value is the
+    final rung and the sup is over the sampled fibers only (a lower bound
+    for the true sup over all of G, which is reported as such).  Each rung
+    is kept as (m, norm, norm), the bracket form of its (m, lower, upper)
+    record.
     """
     top = window.interior_top
     step = max(1, top // 4)
     ladder = list(range(step, top + 1, step))
     per_fiber = {}
-    sup = upper = 0.0
+    sup = 0.0
     stabilized = True
+    magnitude = np.abs(op.weight)
     for z in z_samples:
+        # the fiber's positions are level-sorted: one selection at the
+        # lowest rung, and each higher rung is a suffix of it
+        cols = window.select(fiber=z, level_lo=step, level_hi=top)
+        levels = window.level[cols]
         vals = []
         for m in ladder:
-            idx = window.select(fiber=z, level_lo=m, level_hi=top)
-            vals.append((m, *norm_bounds(op[idx][:, idx])))
+            rung = cols[np.searchsorted(levels, m):]
+            in_rung = np.zeros(window.size + 1, dtype=bool)  # last slot: target -1
+            in_rung[rung] = True
+            norm = float(magnitude[rung[in_rung[op.target[rung]]]].max(initial=0.0))
+            vals.append((m, norm, norm))
         per_fiber[window.descriptor.format(z)] = vals
         tail = [lo for _, lo, _ in vals if lo > 0.0]
         # stabilized: the last two rung lower bounds agree within 2% relative
@@ -782,6 +779,5 @@ def quotient_norm_estimate(window: FockWindow, op: sp.spmatrix,
             stabilized = False
         if vals:
             sup = max(sup, vals[-1][1])
-            upper = max(upper, vals[-1][2])
-    return QuotientNormEstimate(estimate=sup, upper=upper, per_fiber=per_fiber,
+    return QuotientNormEstimate(estimate=sup, upper=sup, per_fiber=per_fiber,
                                 stabilized=stabilized, ladder=ladder)

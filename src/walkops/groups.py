@@ -860,12 +860,14 @@ def descriptor_from_string(spec: str) -> GroupDescriptor:
     if head == "product":
         if len(args) != 2:
             raise ElementParseError(f"product descriptor needs two factors: {spec!r}")
-        return ProductGroup(*map(descriptor_from_string, args))
-    if head not in _FAMILIES:
+        left, right = map(descriptor_from_string, args)
+    elif head not in _FAMILIES:
         raise ElementParseError(f"unknown group family in {spec!r}")
+    # a constructor's ValueError (free(0), nesting too deep) is bad text too
     try:
+        if head == "product":
+            return ProductGroup(left, right)
         (arg,) = args
-        n = _parse_int(arg)
+        return _FAMILIES[head](_parse_int(arg))
     except ValueError as exc:
-        raise ElementParseError(f"bad descriptor argument in {spec!r}") from exc
-    return _FAMILIES[head](n)
+        raise ElementParseError(f"bad descriptor argument in {spec!r}: {exc}") from exc

@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import walkops as w
@@ -325,8 +326,6 @@ def test_martin_vs_ratio_boundary_limits(f2_cache, f2_spectral, f2_table, free2)
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_quotient_norms(f2_cache, f2_table, free2):
-    import scipy.sparse as sp
-
     window = fk.FockWindow(f2_cache, max_level=16, x_radius=2, z_radius=2,
                            interior_margin=4)
     e = ()
@@ -362,9 +361,11 @@ def test_criterion_7_quotient_norms(f2_cache, f2_table, free2):
 
     hop = fk.build_Hop(window, e, (1,), (2,), f2_table)
     base = fk.quotient_norm_estimate(window, hop, z_samples=window.z_elems)
-    pert = sp.lil_matrix((window.size, window.size))
-    pert[window.index[(2, (1,), ())], window.index[(0, (), ())]] = 3.0
-    bumped = (hop + pert.tocsr()).tocsr()
+    target = np.full(window.size, -1, dtype=np.intp)
+    weight = np.zeros(window.size)
+    j = window.position(0, (), ())
+    target[j], weight[j] = window.position(2, (1,), ()), 3.0
+    bumped = hop + fk.PartialPermutation(target, weight)
     q_pert = fk.quotient_norm_estimate(window, bumped, z_samples=window.z_elems)
     pert_ok = abs(q_pert.estimate - base.estimate) <= 1e-6
 

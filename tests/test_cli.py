@@ -139,12 +139,24 @@ def test_report_builds_one_fock_window(cfg_file, tmp_path, monkeypatch):
     assert len(built) == 1
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """Importing the CLI does not load scipy: walkops.fock, which needs
-    scipy.sparse, is imported by the jobs that build a Fock window."""
-    code = "import sys, walkops.cli; sys.exit('scipy' in sys.modules)"
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    """No scipy module loads: not on importing the CLI or walkops.fock,
+    and not in a report that runs the fock and covariance jobs."""
+    scipy_loaded = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(walkops.__file__).parents[1])}
+    for module in ("walkops.cli", "walkops.fock"):
+        code = f"import sys, {module}; sys.exit({scipy_loaded})"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0, module
+    cfg = tmp_path / "fock.ini"
+    cfg.write_text(FREE2_CFG.replace(
+        "jobs = spectrum kernel radical metric boundary fock covariance",
+        "jobs = fock covariance"), encoding="utf-8")
+    argv = ["report", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = ("import sys; from walkops.cli import main; "
+            f"rc = main({argv!r}); sys.exit(rc if rc else 3 if {scipy_loaded} else 0)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert set(report["jobs"]) == {"fock", "covariance"}
 
 
 def test_spectrum_artifact_schema(cfg_file, tmp_path):

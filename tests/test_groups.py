@@ -365,9 +365,21 @@ def test_parse_rejects_malformed_text(desc, text):
         desc.parse(text)
 
 
+def _nested_product(depth: int) -> str:
+    spec = "free(1)"
+    for _ in range(depth):
+        spec = f"product({spec},free(1))"
+    return spec
+
+
 @pytest.mark.parametrize("spec", ["product(free(2),lattice(1)", "free(2)x", "product(free(2))",
-                                  "lattice(1,2)", "free()", "lattice(1_0)", "free(\uff12)"])
+                                  "lattice(1,2)", "free()", "lattice(1_0)", "free(\uff12)",
+                                  "free(0)", "lattice(-1)", "lamplighter(0)",
+                                  _nested_product(w.ProductGroup.MAX_NESTING + 1)])
 def test_descriptor_from_string_rejects_malformed_text(spec):
+    """Malformed text and well-formed text with an out-of-range argument
+    (a rank or dimension below 1, products nested too deep) both raise
+    ElementParseError."""
     with pytest.raises(ElementParseError):
         w.descriptor_from_string(spec)
 
