@@ -360,22 +360,20 @@ def cmd_fock(ws: Workspace) -> int:
             tol=tol,
         ),
     ]
-    hop = fk.build_Hop(window, e, x, y, table) if window.has(0, e, e) else None
-    qn = None
-    if hop is not None:
-        qn = fk.quotient_norm_estimate(window, hop, z_samples=window.z_elems)
+    # e^(0)_{e,e} is in every window (P^(0)_{e,e} = 1), so H^(e) is never empty
+    hop = fk.build_Hop(window, e, x, y, table)
+    qn = fk.quotient_norm_estimate(window, hop, z_samples=window.z_elems)
     payload = {
         "window": window.spec_dict(),
         "checks": [r.as_dict() for r in reports],
-        "quotient_norm": qn.as_dict() if qn else None,
+        "quotient_norm": qn.as_dict(),
         "provenance": ws.provenance(**table.provenance()),
     }
     write_json(ws.path("fock.json"), payload)
     # window + sample operator dumps for external verification
     write_json(ws.path("window.json"), window.export_payload())
-    if hop is not None:
-        write_json(ws.path("operator_H.json"), fk.operator_payload(
-            window, hop, "H^(z0)", {"z0": e, "x": x, "y": y}))
+    write_json(ws.path("operator_H.json"), fk.operator_payload(
+        window, hop, "H^(z0)", {"z0": e, "x": x, "y": y}))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -14,9 +14,10 @@ algebraic defects.
 
 The basis is stored as integer arrays (level, row id into the x-ball,
 fiber id into the z-ball) with a position table over (level, row,
-fiber); basis queries, builders and exports work on these arrays, and
-each group product they need is computed once per ball element or ball
-pair.
+fiber); basis queries and builders work on these arrays, and each group
+product they need is computed once per ball element or ball pair.  The
+exports keep this form: a window is its ball texts and its presence table
+(the basis is its ``np.nonzero``), an operator its entries on positions.
 
 The defect suite certifies the "relations modulo compacts" numerically:
 each identity holds exactly (float tolerance) above a per-fiber edge
@@ -205,21 +206,19 @@ class FockWindow:
             "basis_size": self.size,
         }
 
-    def _keys(self, positions) -> list:
-        """[m, x text, z text] for the basis vectors at ``positions``, one
-        format call per ball element."""
-        fmt = self.descriptor.format
-        xs = [fmt(x) for x in self.x_elems]
-        zs = [fmt(z) for z in self.z_elems]
-        return [[m, xs[i], zs[j]] for m, i, j in zip(
-            self.level[positions].tolist(), self.row[positions].tolist(),
-            self.fiber[positions].tolist())]
-
     def export_payload(self) -> dict:
+        """Ball texts and presence table: ``present[m][i][j]`` is '1' where
+        e^(m)_{x_i,z_j} is a basis vector, and the basis is the '1's in order."""
+        fmt = self.descriptor.format
+        digits = (self._pos >= 0).astype(np.uint8) + ord("0")
         return {
+            "format": "walkops-fock-window",
+            "version": 2,
             "window": self.spec_dict(),
             "descriptor": self.descriptor.spec_string(),
-            "basis": self._keys(slice(None)),
+            "x_ball": [fmt(x) for x in self.x_elems],
+            "z_ball": [fmt(z) for z in self.z_elems],
+            "present": [[r.tobytes().decode("ascii") for r in rows] for rows in digits],
         }
 
 
@@ -290,18 +289,19 @@ def defect_norms(a: PartialPermutation, b: PartialPermutation | None = None) -> 
 
 def operator_payload(window: FockWindow, op: PartialPermutation, label: str,
                      params: dict) -> dict:
-    """The entries of an operator as (out, in, value) triplets on formatted
-    basis keys, in output order, with the label and parameters given."""
+    """A real operator's entries on basis positions, in column order: ``in[k]``
+    goes to ``value[k]`` times ``out[k]``; ``params`` (name -> element) as text."""
     cols = np.flatnonzero(op.target >= 0)
-    cols = cols[np.argsort(op.target[cols], kind="stable")]
-    keys = window._keys(np.concatenate([op.target[cols], cols]))
-    triplets = [
-        {"out": out, "in": inp,
-         "value": v if not isinstance(v, complex) else [v.real, v.imag]}
-        for out, inp, v in zip(keys[:len(cols)], keys[len(cols):],
-                               op.weight[cols].tolist())
-    ]
-    return {"label": label, "params": params, "triplets": triplets}
+    fmt = window.descriptor.format
+    return {
+        "format": "walkops-fock-operator",
+        "version": 2,
+        "label": label,
+        "params": {name: fmt(g) for name, g in params.items()},
+        "in": cols.tolist(),
+        "out": op.target[cols].tolist(),
+        "value": op.weight[cols].tolist(),
+    }
 
 
 def _build(size: int, rows, cols, data) -> PartialPermutation:
@@ -732,8 +732,7 @@ def t_vs_w_level_defects(window: FockWindow, n: int, x, y, rho_hat: float,
 @dataclass
 class QuotientNormEstimate:
     estimate: float      # sup of the final-rung norms
-    upper: float         # the same sup: every rung norm is exact
-    per_fiber: dict      # fiber text -> list of (m, norm, norm) rungs
+    per_fiber: dict      # fiber text -> list of (m, norm) rungs
     stabilized: bool
     ladder: list
 
@@ -750,8 +749,7 @@ def quotient_norm_estimate(window: FockWindow, op: PartialPermutation,
     up to the interior top, s = max(1, top // 4); the fiber value is the
     final rung and the sup is over the sampled fibers only (a lower bound
     for the true sup over all of G, which is reported as such).  Each rung
-    is kept as (m, norm, norm), the bracket form of its (m, lower, upper)
-    record.
+    is kept as (m, norm).
     """
     top = window.interior_top
     step = max(1, top // 4)
@@ -771,13 +769,13 @@ def quotient_norm_estimate(window: FockWindow, op: PartialPermutation,
             in_rung = np.zeros(window.size + 1, dtype=bool)  # last slot: target -1
             in_rung[rung] = True
             norm = float(magnitude[rung[in_rung[op.target[rung]]]].max(initial=0.0))
-            vals.append((m, norm, norm))
+            vals.append((m, norm))
         per_fiber[window.descriptor.format(z)] = vals
-        tail = [lo for _, lo, _ in vals if lo > 0.0]
-        # stabilized: the last two rung lower bounds agree within 2% relative
+        tail = [norm for _, norm in vals if norm > 0.0]
+        # stabilized: the last two nonzero rung norms agree within 2% relative
         if len(tail) >= 2 and abs(tail[-1] - tail[-2]) > 0.02 * max(tail[-1], 1e-300):
             stabilized = False
         if vals:
             sup = max(sup, vals[-1][1])
-    return QuotientNormEstimate(estimate=sup, upper=sup, per_fiber=per_fiber,
+    return QuotientNormEstimate(estimate=sup, per_fiber=per_fiber,
                                 stabilized=stabilized, ladder=ladder)

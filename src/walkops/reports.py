@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import os
 import tempfile
@@ -55,19 +54,8 @@ def _jsonable(obj):
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=_jsonable)
-_BATCH = 4096
-
-
-def dumps(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2, default=_jsonable)``,
-    bit for bit.  An indented dump runs the pure-Python encoder, which
-    yields one small string per token; ``json.dumps`` lists all of them
-    before joining, while this joins them a batch at a time."""
-    chunks = _ENCODER.iterencode(payload)
-    parts = []
-    while batch := list(itertools.islice(chunks, _BATCH)):
-        parts.append("".join(batch))
-    return "".join(parts)
+# json.dumps(payload, sort_keys=True, indent=2, default=_jsonable), bit for bit
+dumps = _ENCODER.encode
 
 
 def write_text_atomic(path: str, text: str):

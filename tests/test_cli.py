@@ -139,6 +139,26 @@ def test_report_builds_one_fock_window(cfg_file, tmp_path, monkeypatch):
     assert len(built) == 1
 
 
+def test_fock_artifacts_name_elements_and_positions(cfg_file, tmp_path):
+    """operator_H.json writes its parameters as element text and its
+    entries as positions of window.json's basis, and fock.json always
+    holds the quotient norm, one (m, norm) pair per rung."""
+    out = tmp_path / "o"
+    assert main(["fock", "--config", str(cfg_file), "--out", str(out)]) == 0
+    window = json.loads((out / "window.json").read_text())
+    op = json.loads((out / "operator_H.json").read_text())
+    q = json.loads((out / "fock.json").read_text())["quotient_norm"]
+    assert op["params"] == {"z0": "e", "x": "e", "y": "a"}
+    size = sum(r.count("1") for rows in window["present"] for r in rows)
+    assert size == window["window"]["basis_size"] > 0
+    assert len(op["in"]) == len(op["out"]) == len(op["value"]) > 0
+    assert all(0 <= p < size for p in op["in"] + op["out"])
+    assert set(q) == {"estimate", "ladder", "per_fiber", "stabilized"}
+    rungs = list(q["per_fiber"].values())
+    assert all(len(rung) == 2 for fiber in rungs for rung in fiber)
+    assert q["estimate"] == max(fiber[-1][1] for fiber in rungs)
+
+
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     """No scipy module loads: not on importing the CLI or walkops.fock,
     and not in a report that runs the fock and covariance jobs."""

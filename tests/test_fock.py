@@ -1,6 +1,7 @@
 """Fock windows, operator constructions and the defect certification suite."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 import walkops as w
 import walkops.fock as fk
 from walkops.errors import PreconditionError
+from walkops.reports import dumps
 
 
 @pytest.fixture(scope="module")
@@ -720,22 +722,45 @@ def test_linear_combination_quotient_norm(f2_window, f2_table, free2):
     assert q.estimate == pytest.approx(expected, rel=1e-9)
 
 
+def _present(doc) -> np.ndarray:
+    """The presence table of a window export, as read back from its JSON."""
+    return np.array([[list(r) for r in rows] for rows in doc["present"]]) == "1"
+
+
+@pytest.mark.parametrize("name", ["z_window", "f2_window"])
+def test_window_export_rebuilds_basis(request, name):
+    """The '1's of the exported presence table, in (level, row, fiber)
+    order, are the window's basis: level, row and fiber bit for bit."""
+    win = request.getfixturevalue(name)
+    doc = json.loads(dumps(win.export_payload()))
+    assert (doc["format"], doc["version"]) == ("walkops-fock-window", 2)
+    fmt = win.descriptor.format
+    assert doc["x_ball"] == [fmt(x) for x in win.x_elems]
+    assert doc["z_ball"] == [fmt(z) for z in win.z_elems]
+    present = _present(doc)
+    assert present.shape == (win.max_level + 1, len(win.x_elems), len(win.z_elems))
+    for got, want in zip(np.nonzero(present), (win.level, win.row, win.fiber)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert doc["window"]["basis_size"] == win.size == int(present.sum())
+
+
 def test_operator_export_payload(z_window):
-    """Each triplet is one entry of the operator on formatted basis keys,
-    in output order, and the parameters are written as given."""
+    """Each (in, out, value) is one entry of the operator on positions of
+    the basis rebuilt from the window export, in column order, and the
+    parameters are written as element text."""
     s = fk.build_S(z_window, 1, (0,), (1,))
-    params = {"n": 1, "x": (0,), "y": (1,)}
-    doc = fk.operator_payload(z_window, s, "S^1", params)
-    assert doc["params"] == params
+    doc = json.loads(dumps(fk.operator_payload(z_window, s, "S^1", {"x": (0,), "y": (1,)})))
+    assert (doc["format"], doc["version"]) == ("walkops-fock-operator", 2)
+    assert doc["label"] == "S^1" and doc["params"] == {"x": "(0)", "y": "(1)"}
     cols = np.flatnonzero(s.target >= 0)
-    cols = cols[np.argsort(s.target[cols])]
-    basis = _basis(z_window)
+    assert doc["in"] == cols.tolist() and len(cols) > 0
+    win_doc = json.loads(dumps(z_window.export_payload()))
+    rebuilt = [[int(m), win_doc["x_ball"][i], win_doc["z_ball"][j]]
+               for m, i, j in zip(*np.nonzero(_present(win_doc)))]
     fmt = z_window.descriptor.format
-    assert len(doc["triplets"]) == len(cols) > 0
-    for t, i, j, v in zip(doc["triplets"], s.target[cols], cols, s.weight[cols]):
-        (mo, xo, zo), (mi, xi, zi) = basis[i], basis[j]
-        assert t["out"] == [mo, fmt(xo), fmt(zo)]
-        assert t["in"] == [mi, fmt(xi), fmt(zi)]
-        assert t["value"] == v
-    win_doc = z_window.export_payload()
-    assert win_doc["window"]["basis_size"] == z_window.size
+    keys = [[m, fmt(x), fmt(z)] for m, x, z in _basis(z_window)]
+    assert len(doc["out"]) == len(doc["value"]) == len(cols)
+    for i, o, v, j in zip(doc["in"], doc["out"], doc["value"], cols):
+        assert rebuilt[i] == keys[j]
+        assert rebuilt[o] == keys[s.target[j]]
+        assert v == s.weight[j]
