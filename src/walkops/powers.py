@@ -16,9 +16,9 @@ level.  Three engines share one query interface:
                  binomial mix mu^{*m}(w, v) = Σ_k C(m,k) p^k q^(m-k)
                  mu_F^{*k}(w) mu_Z^{*(m-k)}(v), summed in log space
 * ``generic``    anything else: a table of the descriptor's element
-                 arrays with an exact hash index, grown one
-                 ``mul_encoded`` batch per support element per step;
-                 scatter-add over interned ids
+                 arrays with an exact hash index; the frontier is interned
+                 in blocks of 2^13 sources, one ``mul_encoded`` batch per
+                 support element per block; scatter-add over interned ids
 
 An entry of mu^{*m} "exists" exactly when it is present/positive in the
 level storage; zeros are never stored.  Each level keeps mantissas with a
@@ -57,7 +57,7 @@ return ratios, Green sums, the Fock window) read columns; the period of
 the walk is read once per cache from the identity's column
 (``aperiodicity``).
 
-``export_cache_json`` writes a version-4 JSON artifact: a header
+``export_cache_json`` writes a version-5 JSON artifact: a header
 (descriptor, measure, depth, engine, complete, budget_note) and a
 ``payload``.
 
@@ -71,8 +71,9 @@ the walk is read once per cache from the identity's column
                  for bit
 * ``generic``    the payload holds the levels as packed arrays (``_pack``:
                  dtype, shape and the base64 of the little-endian bytes;
-                 integers as ``<i4`` where they fit, else ``<i8``, floats
-                 as ``<f8``, so every bit survives): the element table as
+                 integers in the narrowest of 8/16/32/64 bits that holds
+                 them, widened back to int64 at import, floats as ``<f8``,
+                 so every bit survives): the element table as
                  the descriptor's ``encode_elements`` arrays (elements in id
                  order), per-level ``sizes`` and ``log_scales``, one
                  ``ids`` array of sorted per-level ids into that table and
@@ -82,7 +83,7 @@ the walk is read once per cache from the identity's column
 with ValueError: an array artifact with a non-empty payload, a depth that
 is not a non-negative integer or an engine name that does not serve the
 descriptor's walks; on ``generic``, a packed array whose bytes do not fill
-its shape, or whose dtype is not one of the three; element arrays that
+its shape, or whose dtype is not one of the five; element arrays that
 fail the descriptor's ``check_encoded``, repeat an element or do not hold
 the identity at id 0 (the generic import builds no element tuples); ids
 that are not strictly increasing within a level or fall outside the table;
@@ -134,9 +135,11 @@ DEFAULT_MEMORY_BUDGET_MB = 512
 # dense and radial-lattice engines; version 3: the generic payload is an
 # element table plus per-level id and value lists; version 4: the generic
 # payload is packed arrays, the element table included (an array artifact
-# of this version is read only with an empty payload)
-ARTIFACT_VERSION = 4
-_PACKED_DTYPES = ("<i4", "<i8", "<f8")
+# of this version is read only with an empty payload); version 5: packed
+# integers in the narrowest of 8/16/32/64 bits that holds them
+ARTIFACT_VERSION = 5
+_INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
+_PACKED_DTYPES = (*_INT_DTYPES, "<f8")
 
 
 class PowersCache:
@@ -271,14 +274,16 @@ def _log_entry(val, log_scale: float) -> float:
 
 def _pack(arr) -> dict:
     """A numeric array as JSON: dtype, shape and the base64 of its
-    little-endian bytes.  Integers are stored as ``<i4`` where they fit,
-    else ``<i8``; floats as ``<f8``, bit for bit."""
+    little-endian bytes.  Integers are stored in the narrowest of ``<i1``,
+    ``<i2``, ``<i4`` and ``<i8`` that holds them (``<i1`` when empty);
+    floats as ``<f8``, bit for bit."""
     arr = np.asarray(arr)
     if arr.dtype.kind == "f":
         dtype = "<f8"
     elif arr.dtype.kind == "i":
-        fits = not arr.size or (arr.min() >= -2**31 and arr.max() < 2**31)
-        dtype = "<i4" if fits else "<i8"
+        lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+        dtype = next(t for t in _INT_DTYPES
+                     if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
     else:
         raise TypeError(f"cannot pack a {arr.dtype} array")
     data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
@@ -287,8 +292,10 @@ def _pack(arr) -> dict:
 
 
 def _unpack(doc) -> np.ndarray:
-    """The read-only array of a ``_pack`` document; ValueError when the
-    document is malformed or its bytes do not fill its shape."""
+    """The array of a ``_pack`` document, integers widened to int64 (the
+    batch group laws compute in their operands' dtype, so a narrow array
+    would overflow); ValueError when the document is malformed or its bytes
+    do not fill its shape."""
     dtype, shape, data = doc["dtype"], doc["shape"], doc["data"]
     if dtype not in _PACKED_DTYPES:
         raise ValueError(f"packed array dtype {dtype!r}, expected one of "
@@ -306,7 +313,8 @@ def _unpack(doc) -> np.ndarray:
             f"packed array holds {len(raw)} bytes, shape {shape} of {dtype} "
             f"needs {math.prod(shape) * dt.itemsize}"
         )
-    return np.frombuffer(raw, dtype=dt).reshape(shape)
+    arr = np.frombuffer(raw, dtype=dt).reshape(shape)
+    return arr.astype(np.int64, copy=False) if dt.kind == "i" else arr
 
 
 def _unpack_values(doc, what: str) -> np.ndarray:
@@ -319,11 +327,11 @@ def _unpack_values(doc, what: str) -> np.ndarray:
     return vals
 
 
-def _level_bounds(payload, what: str, total: int, sizes: np.ndarray) -> tuple:
+def _level_bounds(what: str, total: int, sizes: np.ndarray,
+                  log_scales: np.ndarray) -> tuple:
     """Where a concatenation of ``total`` level entries splits into levels
     of ``sizes`` entries (each at least 1, all entries used), and the
-    payload's finite ``log_scales``, one per level, as Python floats."""
-    log_scales = _unpack(payload["log_scales"])
+    finite ``log_scales``, one per level, as Python floats."""
     if (sizes.dtype.kind != "i" or sizes.ndim != 1 or np.any(sizes < 1)
             or int(sizes.sum(dtype=np.int64)) != total):
         raise ValueError(
@@ -340,9 +348,9 @@ def _level_bounds(payload, what: str, total: int, sizes: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-# elements hashed at a time: bounds the hashing temporaries whatever the
-# size of the batch
-_HASH_BLOCK = 1 << 15
+# elements hashed, and frontier sources multiplied and interned, at a time:
+# bounds the hashing and lookup temporaries whatever the size of the batch
+_HASH_BLOCK = 1 << 13
 
 
 def _fold(h, col, tmp):
@@ -562,11 +570,14 @@ class GenericPowers(PowersCache):
     """Keyed-support engine over interned ids; scatter-add hot loop.
 
     The element table is the descriptor's element arrays (``_ElementTable``).
-    A step multiplies the elements of the level that have no row yet by each
+    A step takes the elements of the level that have no row yet in blocks of
+    ``_HASH_BLOCK`` (2^13), in id order; it multiplies a block by each
     support element in one ``mul_encoded`` batch, checks the products with
-    ``check_encoded`` and interns them; new ids follow first appearance over
-    (source id, support element), row-major, so ids, scatter order and level
-    bits do not depend on the hash.
+    ``check_encoded`` and interns them before the next block.  New ids
+    follow first appearance over (source id, support element), row-major,
+    so ids, scatter order and level bits depend neither on the hash nor on
+    the block size.  The step table grows, at most once per level, to the
+    element table's size.
     """
 
     engine_name = "generic"
@@ -577,7 +588,7 @@ class GenericPowers(PowersCache):
         self._push_level(np.array([0], dtype=np.int64), np.array([1.0]), 0.0)
         # the step table, scratch for the build: rows[i, j] is the id of
         # element i times support element j, -1 until computed
-        rows = np.full((256, len(self._mu_elems)), -1, dtype=np.int64)
+        rows = np.full((self._table.size, len(self._mu_elems)), -1, dtype=np.int64)
         for m in range(1, depth + 1):
             try:
                 rows = self._ensure_rows(rows, self._levels[-1].ids)
@@ -604,32 +615,38 @@ class GenericPowers(PowersCache):
         self._levels.append(_Level(ids=ids, vals=vals, log_scale=log_scale, mass=mass))
 
     def _ensure_rows(self, rows, ids):
-        """The step table ``rows`` with a row for every id of ``ids``,
-        grown when the table gains elements."""
-        missing = ids[rows[ids, 0] < 0]
-        if not len(missing):
-            return rows
+        """The step table ``rows`` with a row for every id of ``ids``, grown
+        to the element table's size when the table gains elements.  Missing
+        rows are made ``_HASH_BLOCK`` sources at a time, in id order, so
+        products first appear row-major (by source id, then by support
+        element) as they would in one batch."""
         desc = self.descriptor
-        frontier = desc.take_encoded(self._table.arrays, missing)
-        batches = [desc.mul_encoded(frontier, s) for s in self._mu_elems]
-        products = {key: np.concatenate([batch[key] for batch in batches])
-                    for key in batches[0]}
-        try:
-            desc.check_encoded(products)
-        except ElementParseError as exc:
-            raise DescriptorMismatchError(
-                f"the group law of {desc.spec_string()} made a non-canonical "
-                f"element: {exc}") from exc
-        # products[j * n + i] = element missing[i] times support element j,
-        # seen row-major: by source id, then by support element
-        n, k = len(missing), len(self._mu_elems)
-        ids = self._table.intern(products, seen=np.arange(n * k).reshape(k, n).T.ravel())
+        k = len(self._mu_elems)
+        missing = ids[rows[ids, 0] < 0]
+        for lo in range(0, len(missing), _HASH_BLOCK):
+            block = missing[lo:lo + _HASH_BLOCK]
+            frontier = desc.take_encoded(self._table.arrays, block)
+            batches = [desc.mul_encoded(frontier, s) for s in self._mu_elems]
+            # each batch's arrays are dropped as they are joined
+            products = {key: np.concatenate([batch.pop(key) for batch in batches])
+                        for key in list(batches[0])}
+            try:
+                desc.check_encoded(products)
+            except ElementParseError as exc:
+                raise DescriptorMismatchError(
+                    f"the group law of {desc.spec_string()} made a non-canonical "
+                    f"element: {exc}") from exc
+            # products[j * n + i] = element block[i] times support element j
+            n = len(block)
+            found = self._table.intern(
+                products, seen=np.arange(n * k).reshape(k, n).T.ravel())
+            # every source id is below the size the table had at the last
+            # growth, so its row is already there
+            rows[block] = found.reshape(k, n).T
         if self._table.size > rows.shape[0]:
-            grown = np.full((max(2 * rows.shape[0], self._table.size), k), -1,
-                            dtype=np.int64)
+            grown = np.full((self._table.size, k), -1, dtype=np.int64)
             grown[: rows.shape[0]] = rows
             rows = grown
-        rows[missing] = ids.reshape(k, n).T
         return rows
 
     def _step(self, rows, support_cap):
@@ -701,22 +718,26 @@ class GenericPowers(PowersCache):
 
     @classmethod
     def _from_payload(cls, desc, mu, payload):
-        """The cache of an ``export_payload``, its levels checked."""
+        """The cache of an ``export_payload``, its levels checked.  Each
+        packed array is popped from ``payload`` as it is decoded, and the
+        levels are decoded before the element table is built, so the text
+        of an array is freed once its array exists."""
         self = cls.__new__(cls)
         PowersCache.__init__(self, desc, mu)
         self._setup()
-        elements = payload["elements"]
-        arrays = {key: _unpack(elements[key]) for key in desc.encode_elements([])}
+        ids = _unpack(payload.pop("ids"))
+        vals = _unpack_values(payload.pop("vals"), "generic payload")
+        if ids.dtype.kind != "i" or ids.shape != vals.shape:
+            raise ValueError("generic payload: ids and vals are not one id per value")
+        bounds, log_scales = _level_bounds(
+            "generic payload", len(ids), _unpack(payload.pop("sizes")),
+            _unpack(payload.pop("log_scales")))
+        elements = payload.pop("elements")
+        arrays = {key: _unpack(elements.pop(key)) for key in desc.encode_elements([])}
         desc.check_encoded(arrays)
         self._table = _ElementTable.load(desc, arrays)
         n = self._table.size
-        ids = _unpack(payload["ids"])
-        vals = _unpack_values(payload["vals"], "generic payload")
-        if ids.dtype.kind != "i" or ids.shape != vals.shape:
-            raise ValueError("generic payload: ids and vals are not one id per value")
-        bounds, log_scales = _level_bounds(payload, "generic payload", len(ids),
-                                           _unpack(payload["sizes"]))
-        id_levels = np.split(ids.astype(np.int64), bounds)
+        id_levels = np.split(ids, bounds)
         if (len(ids) and (ids.min() < 0 or ids.max() >= n)) or any(
                 np.any(level[1:] <= level[:-1]) for level in id_levels):
             raise ValueError(

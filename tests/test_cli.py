@@ -15,7 +15,7 @@ import walkops
 from walkops.cli import main
 from walkops.config import RunConfig
 from walkops.errors import PreconditionError
-from walkops.powers import _pack, convolution_powers
+from walkops.powers import ARTIFACT_VERSION, _pack, convolution_powers
 
 DATA = Path(__file__).parent / "data"
 
@@ -808,7 +808,7 @@ def _with_array_payload(text):
     """The artifact as the version-4 array format wrote it before array
     artifacts became recipes: every level in one packed array."""
     doc = json.loads(text)
-    assert doc["version"] == 4 and doc["payload"] == {}
+    assert doc["version"] == ARTIFACT_VERSION and doc["payload"] == {}
     levels = _lazy_z_levels()
     doc["payload"] = {
         "lat_lo": _pack([lo for lo, _, _ in levels]),
@@ -831,7 +831,7 @@ def _as_empty_list(text):
 
 def _without_payload(text):
     doc = json.loads(text)
-    assert doc["version"] == 4
+    assert doc["version"] == ARTIFACT_VERSION
     del doc["payload"]
     return json.dumps(doc, sort_keys=True)
 

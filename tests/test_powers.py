@@ -673,16 +673,32 @@ def test_generic_round_trip_exact(lamp1, lamp_mu, free2):
             assert back.level_measure(m).support == cache.level_measure(m).support
 
 
+def _as_version_5(golden):
+    """A version-4 generic artifact as version 5 writes it: every packed
+    array repacked in its narrowest width, the levels and element table
+    unchanged."""
+    doc = json.loads(golden)
+    assert doc["version"] == 4
+    payload = doc["payload"]
+    payload["elements"] = {key: _pack(_unpack(packed))
+                           for key, packed in payload["elements"].items()}
+    for key in ("sizes", "log_scales", "ids", "vals"):
+        payload[key] = _pack(_unpack(payload[key]))
+    doc["version"] = 5
+    return json.dumps(doc, sort_keys=True)
+
+
 def test_generic_artifacts_match_golden(lamp1, lamp_mu, free2):
     """The generic artifacts equal, byte for byte, those the engine wrote
     when it interned element tuples one product at a time (kept under
-    tests/data), and the re-imported golden artifacts answer ``log_value``
-    on ball(3) exactly as a fresh build does."""
+    tests/data as version 4, repacked here to version 5's widths), and the
+    re-imported golden artifacts answer ``log_value`` on ball(3) exactly as
+    a fresh build does."""
     for name, desc, mu, depth in (
             ("generic-lamp1-depth8-v4.json", lamp1, lamp_mu, 8),
             ("generic-aniso-f2-depth6-v4.json", free2,
              w.parse_measure(ANISO_F2, free2), 6)):
-        golden = (DATA / name).read_text(encoding="utf-8")
+        golden = _as_version_5((DATA / name).read_text(encoding="utf-8"))
         cache = w.convolution_powers(desc, mu, depth, engine="generic")
         assert w.export_cache_json(cache) == golden, name
         back = w.import_cache_json(golden)
@@ -781,7 +797,7 @@ TAMPERS = {
     "infinite log_scale": _edit_key(
         "log_scales", lambda arr: arr.__setitem__(2, math.inf)),
     "one log_scale short": _edit_key("log_scales", lambda arr: arr[:-1]),
-    "bad dtype": lambda p: p["ids"].__setitem__("dtype", "<i2"),
+    "bad dtype": lambda p: p["ids"].__setitem__("dtype", ">i4"),
     "invalid base64": lambda p: p["vals"].__setitem__("data", "not base64!"),
     "shape past the data": lambda p: p["vals"].__setitem__(
         "shape", [p["vals"]["shape"][0] + 1]),
@@ -937,19 +953,29 @@ def test_old_radial_layout_rejected(array_artifacts):
 
 
 def test_packed_arrays_keep_every_bit():
-    """Integers pack as <i4 where they fit, else <i8; floats as <f8."""
+    """Integers pack in the narrowest of <i1, <i2, <i4 and <i8 that holds
+    them (<i1 when empty) and unpack as int64; floats as <f8."""
     floats = np.array([0.1, -0.0, 5e-324, 1.7976931348623157e308, math.pi])
     for arr, dtype in (
+        (np.array([0, 127, -128]), "<i1"),
+        (np.array([128]), "<i2"),
+        (np.array([-129]), "<i2"),
+        (np.array([[0, 32767], [-32768, 5]]), "<i2"),
+        (np.array([32768]), "<i4"),
+        (np.array([-32769]), "<i4"),
         (np.array([[0, -2**31], [2**31 - 1, 5]]), "<i4"),
         (np.array([2**31]), "<i8"),
         (np.array([-2**31 - 1]), "<i8"),
-        (np.zeros((0, 3), dtype=np.int64), "<i4"),
+        (np.array([-2**63, 2**63 - 1]), "<i8"),
+        (np.zeros((0, 3), dtype=np.int64), "<i1"),
+        (np.zeros(0, dtype=np.int32), "<i1"),
         (floats, "<f8"),
     ):
         doc = _pack(arr)
         assert doc["dtype"] == dtype and doc["shape"] == list(arr.shape)
         back = _unpack(json.loads(json.dumps(doc)))
         assert back.shape == arr.shape and back.dtype.kind == arr.dtype.kind
+        assert back.dtype == (np.int64 if arr.dtype.kind == "i" else np.float64)
         assert back.tobytes() == arr.astype(back.dtype).tobytes()
     assert _unpack(_pack(floats)).tobytes() == floats.tobytes()
 
@@ -957,7 +983,8 @@ def test_packed_arrays_keep_every_bit():
 def test_malformed_artifact_is_value_error(generic_artifact, array_artifacts):
     """Whatever is wrong with an artifact, import raises ValueError, the
     one error a cache reader treats as a miss."""
-    for text in ("[]", "3", '{"format": "walkops-powers-cache", "version": 4}'):
+    for text in ("[]", "3", json.dumps({"format": "walkops-powers-cache",
+                                        "version": powers.ARTIFACT_VERSION})):
         with pytest.raises(ValueError):
             w.import_cache_json(text)
     doc = copy.deepcopy(generic_artifact)
@@ -1146,6 +1173,45 @@ def test_element_hashes_peak_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak - start <= 16 * 2**20
+
+
+# perfbench/workloads.lamplighter_measure(7), copied
+LAMP_SEED7 = "(0,{}) 6/17\n(1,{}) 3/17\n(-1,{}) 7/17\n(0,{0}) 1/17"
+
+
+def test_generic_build_peak_is_bounded(lamp1):
+    """Building lamplighter(1) to depth 20 (about 25 MiB kept) allocates at
+    most 2x what the finished cache keeps: the frontier is multiplied and
+    interned in blocks, and the step table grows to the element table's
+    size, not to double its capacity."""
+    mu = w.parse_measure(LAMP_SEED7, lamp1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cache = w.convolution_powers(lamp1, mu, 20, engine="generic")
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cache.depth == 20 and cache.complete
+    assert peak - start <= 2.0 * (live - start), (peak - start, live - start)
+
+
+def test_generic_import_widens_packed_integers(lamp1, lamp_mu):
+    """The artifact packs small integers in 8 bits, and import widens every
+    element array back to int64, so the group law and the checks never
+    compute in a narrow dtype: every level of the imported cache equals a
+    fresh build's."""
+    depth = 8
+    text = w.export_cache_json(w.convolution_powers(lamp1, lamp_mu, depth,
+                                                    engine="generic"))
+    elements = json.loads(text)["payload"]["elements"]
+    assert {doc["dtype"] for doc in elements.values()} == {"<i1"}
+    back = w.import_cache_json(text)
+    assert {arr.dtype for arr in back._table.arrays.values()} == {np.dtype(np.int64)}
+    fresh = w.convolution_powers(lamp1, lamp_mu, depth, engine="generic")
+    for m in range(depth + 1):
+        assert back.level_measure(m) == fresh.level_measure(m), m
+        assert back._levels[m].ids.dtype == np.int64
 
 
 def test_determinism_same_inputs(lamp1, lamp_mu):
