@@ -165,10 +165,6 @@ class FockWindow:
             return float(self._transition_column(x, z)[m])
         return self.cache.log_transition(m, x, z)
 
-    def row_indices(self, x) -> list:
-        """Basis positions with row element x."""
-        return self._row_positions(x).tolist()
-
     def edge_threshold(self, rows, z) -> int:
         """First level from which every (row, z) transition stays present
         up to the window top (max_level + 1 when none does)."""

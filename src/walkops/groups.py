@@ -53,9 +53,12 @@ array to encoding the ``_mul`` products:
 * product:      each factor's law on its ``left.``/``right.`` arrays
 
 The generic convolution-power engine keeps its element table as these
-arrays and steps a whole frontier per support element with
-``mul_encoded``; ``ball``, ``measures.convolve`` and the other per-element
-callers use ``multiply``/``_mul``.
+arrays, each in the narrowest integer dtype that holds it, so
+``check_encoded`` takes arrays of any integer width and gives the verdict
+of their int64 form (it compares values and sums counts in int64); the
+engine gathers a frontier as int64 and steps it per support element with
+``mul_encoded``; ``ball``, ``measures.convolve`` and the other
+per-element callers use ``multiply``/``_mul``.
 """
 
 from __future__ import annotations
@@ -524,6 +527,8 @@ class FreeGroup(GroupDescriptor):
             raise ElementParseError(
                 f"free letters outside the rank-{self.rank} alphabet"
             )
+        # the letters lie in the alphabet, so negating them overflows no
+        # dtype, not even the int8 of an imported table
         if np.any(_inside(lengths, letters[1:] == -letters[:-1])):
             raise ElementParseError("a free word is not reduced")
         return len(lengths)

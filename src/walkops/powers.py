@@ -16,9 +16,12 @@ level.  Three engines share one query interface:
                  binomial mix mu^{*m}(w, v) = Σ_k C(m,k) p^k q^(m-k)
                  mu_F^{*k}(w) mu_Z^{*(m-k)}(v), summed in log space
 * ``generic``    anything else: a table of the descriptor's element
-                 arrays with an exact hash index; the frontier is interned
-                 in blocks of 2^13 sources, one ``mul_encoded`` batch per
-                 support element per block; scatter-add over interned ids
+                 arrays, each in the narrowest integer dtype that holds it,
+                 with an exact hash index; gathers from it cost O(batch)
+                 and come out as int64; the frontier is interned in blocks
+                 of 2^13 sources, one ``mul_encoded`` batch per support
+                 element per block; scatter-add over int32 ids, 2^13 level
+                 rows at a time
 
 An entry of mu^{*m} "exists" exactly when it is present/positive in the
 level storage; zeros are never stored.  Each level keeps mantissas with a
@@ -34,9 +37,10 @@ without a track set both factors are fully retained.  A free-group walk
 is always fully retained: its level mass needs every radius, so a
 tracked level would keep as many floats as a full one.
 
-The array engine computes a level's mass on the first ``level_mass`` call
-and memoizes it: a radial level's ``log_radial_mass`` is an O(m) Python
-loop per level, which no build needs.  A full dense level sums its array
+Every engine computes a level's mass on the first ``level_mass`` call and
+memoizes it: a radial level's ``log_radial_mass`` is an O(m) Python loop
+per level, which no build needs, and a generic level is one ``fsum``
+over its stored values.  A full dense level sums its array
 on that call; a tracked level, which keeps only part of its array, keeps
 the sum of the whole.  A product's level mass is the binomial mix of its
 factors'.
@@ -72,12 +76,12 @@ the walk is read once per cache from the identity's column
 * ``generic``    the payload holds the levels as packed arrays (``_pack``:
                  dtype, shape and the base64 of the little-endian bytes;
                  integers in the narrowest of 8/16/32/64 bits that holds
-                 them, widened back to int64 at import, floats as ``<f8``,
-                 so every bit survives): the element table as
-                 the descriptor's ``encode_elements`` arrays (elements in id
-                 order), per-level ``sizes`` and ``log_scales``, one
-                 ``ids`` array of sorted per-level ids into that table and
-                 one ``vals`` array
+                 them, the width the element table keeps them in, also
+                 after import; floats as ``<f8``, so every bit survives):
+                 the element table as the descriptor's ``encode_elements``
+                 arrays (elements in id order), per-level ``sizes`` and
+                 ``log_scales``, one ``ids`` array of sorted per-level ids
+                 into that table and one ``vals`` array
 
 ``import_cache_json`` rejects any other version and any malformed artifact
 with ValueError: an array artifact with a non-empty payload, a depth that
@@ -95,6 +99,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import functools
 import json
 import math
 import operator
@@ -272,18 +277,23 @@ def _log_entry(val, log_scale: float) -> float:
     return math.log(val) + log_scale if val > 0.0 else NEG_INF
 
 
+def _narrowest(arr) -> str:
+    """The narrowest of ``<i1``, ``<i2``, ``<i4`` and ``<i8`` that holds
+    every value of the integer array ``arr`` (``<i1`` when empty)."""
+    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+    return next(t for t in _INT_DTYPES
+                if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+
+
 def _pack(arr) -> dict:
     """A numeric array as JSON: dtype, shape and the base64 of its
-    little-endian bytes.  Integers are stored in the narrowest of ``<i1``,
-    ``<i2``, ``<i4`` and ``<i8`` that holds them (``<i1`` when empty);
-    floats as ``<f8``, bit for bit."""
+    little-endian bytes.  Integers are stored in their ``_narrowest``
+    dtype; floats as ``<f8``, bit for bit."""
     arr = np.asarray(arr)
     if arr.dtype.kind == "f":
         dtype = "<f8"
     elif arr.dtype.kind == "i":
-        lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
-        dtype = next(t for t in _INT_DTYPES
-                     if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+        dtype = _narrowest(arr)
     else:
         raise TypeError(f"cannot pack a {arr.dtype} array")
     data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
@@ -292,10 +302,11 @@ def _pack(arr) -> dict:
 
 
 def _unpack(doc) -> np.ndarray:
-    """The array of a ``_pack`` document, integers widened to int64 (the
-    batch group laws compute in their operands' dtype, so a narrow array
-    would overflow); ValueError when the document is malformed or its bytes
-    do not fill its shape."""
+    """The array of a ``_pack`` document in its packed dtype, a read-only
+    view of the decoded bytes; ValueError when the document is malformed or
+    its bytes do not fill its shape.  Integers stay as narrow as they were
+    packed: callers compare them, or sum them in int64, and the generic
+    engine's element table gathers them to int64 before any arithmetic."""
     dtype, shape, data = doc["dtype"], doc["shape"], doc["data"]
     if dtype not in _PACKED_DTYPES:
         raise ValueError(f"packed array dtype {dtype!r}, expected one of "
@@ -313,8 +324,7 @@ def _unpack(doc) -> np.ndarray:
             f"packed array holds {len(raw)} bytes, shape {shape} of {dtype} "
             f"needs {math.prod(shape) * dt.itemsize}"
         )
-    arr = np.frombuffer(raw, dtype=dt).reshape(shape)
-    return arr.astype(np.int64, copy=False) if dt.kind == "i" else arr
+    return np.frombuffer(raw, dtype=dt).reshape(shape)
 
 
 def _unpack_values(doc, what: str) -> np.ndarray:
@@ -348,9 +358,13 @@ def _level_bounds(what: str, total: int, sizes: np.ndarray,
 # ---------------------------------------------------------------------------
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-# elements hashed, and frontier sources multiplied and interned, at a time:
-# bounds the hashing and lookup temporaries whatever the size of the batch
+# elements hashed, frontier sources multiplied and interned, and level
+# rows scattered at a time: bounds the hashing, lookup and scatter
+# temporaries whatever the size of the batch or level
 _HASH_BLOCK = 1 << 13
+# ids, level ids and step-table rows are int32: the element table holds
+# fewer elements than this
+_ID_LIMIT = 2**31
 
 
 def _fold(h, col, tmp):
@@ -372,8 +386,8 @@ def _as_rows(arr):
 
 
 def _row_hashes(arr):
-    """One uint64 hash per row of a 1-d or 2-d integer array: its columns
-    folded from 0."""
+    """One uint64 hash per row of a 1-d or 2-d integer array: its columns,
+    each read as int64, folded from 0."""
     h = np.zeros(len(arr), dtype=np.uint64)
     tmp = np.empty_like(h)
     for col in _as_rows(arr).T:
@@ -382,9 +396,9 @@ def _row_hashes(arr):
 
 
 def _run_hashes(run, counts):
-    """One uint64 hash per run of ``run`` split by ``counts``: each item's
-    row then its place in its run folded, and the items' hashes summed
-    (wrapping); an empty run hashes to 0."""
+    """One uint64 hash per run of ``run`` split by the int64 ``counts``:
+    each item's row then its place in its run folded, and the items' hashes
+    summed (wrapping); an empty run hashes to 0."""
     starts = np.cumsum(counts)
     starts -= counts
     items = _row_hashes(run)
@@ -398,13 +412,13 @@ def _run_hashes(run, counts):
 
 
 def _element_hashes(descriptor, arrays) -> np.ndarray:
-    """One 64-bit hash per element of ``encode_elements`` arrays, computed
-    as uint64 and returned as int64 (numpy's searchsorted is faster on
-    int64).  Each array's part (``_row_hashes`` or, for a run,
-    ``_run_hashes``) is folded in key order.  Elements are hashed
-    ``_HASH_BLOCK`` at a time, each run array sliced by its own counts.
-    Equal hashes do not make equal elements: ``_ElementTable`` compares
-    the arrays."""
+    """One 64-bit hash per element of ``encode_elements`` arrays of any
+    integer width, computed as uint64 and returned as int64 (numpy's
+    searchsorted is faster on int64).  Each array's part (``_row_hashes``
+    or, for a run, ``_run_hashes``) is folded in key order.  Elements are
+    hashed ``_HASH_BLOCK`` at a time, each run array sliced by its own
+    counts, read as int64.  Equal hashes do not make equal elements:
+    ``_ElementTable`` compares the arrays."""
     runs = descriptor.codec_runs()
     keys = sorted(arrays)
     # every array but a run has one entry per element
@@ -415,7 +429,7 @@ def _element_hashes(descriptor, arrays) -> np.ndarray:
         tmp = np.empty_like(h)
         for key in keys:
             if key in runs:
-                counts = arrays[runs[key]][lo:lo + _HASH_BLOCK]
+                counts = arrays[runs[key]][lo:lo + _HASH_BLOCK].astype(np.int64)
                 end = offsets[key] + int(counts.sum())
                 part = _run_hashes(arrays[key][offsets[key]:end], counts)
                 offsets[key] = end
@@ -445,24 +459,90 @@ def _same(descriptor, x, y) -> np.ndarray:
     return same
 
 
+def _put(buf, used, values):
+    """``buf`` with ``values`` written after its first ``used`` rows.  A
+    buffer too short is reallocated with room for twice its rows, and one
+    whose dtype cannot hold ``values`` is promoted to the narrowest that
+    holds both, each as one copy."""
+    dtype = np.promote_types(buf.dtype, _narrowest(values))
+    end = used + len(values)
+    rows = len(buf) if end <= len(buf) else max(end, 2 * len(buf))
+    if rows > len(buf) or dtype != buf.dtype:
+        grown = np.empty((rows, *buf.shape[1:]), dtype=dtype)
+        grown[:used] = buf[:used]
+        buf = grown
+    buf[used:end] = values
+    return buf
+
+
 class _ElementTable:
     """The generic engine's element table: the descriptor's element arrays,
     elements in id order, and an exact hash index over them.
 
+    Each array is stored in its ``_narrowest`` dtype, the width its artifact
+    packs it in, inside a buffer that doubles when full (``_put``); a value
+    that does not fit promotes that one array.  Each run array keeps its
+    run ends (``_ends``: 0, then the running total of its counts, itself
+    narrow), so ``take`` gathers any batch of elements in time linear in
+    the batch, widened to int64: the group law and the comparisons never
+    compute in a narrow dtype.
+
     The index keeps every element's ``_element_hashes`` value sorted, beside
-    the id that carries it.  A lookup compares the query with every stored
-    element of equal hash, so two distinct elements never share an id, and
-    an element repeated in the table is found at import.
+    the int32 id that carries it.  A lookup compares the query with every
+    stored element of equal hash, so two distinct elements never share an
+    id, and an element repeated in the table is found at import.
     """
 
     def __init__(self, descriptor, arrays):
         self.descriptor = descriptor
-        self.arrays = {key: np.asarray(arr, dtype=np.int64)
-                       for key, arr in arrays.items()}
-        hashes = _element_hashes(descriptor, self.arrays)
-        self._ids = np.argsort(hashes)
-        self._hashes = hashes[self._ids]
+        self._runs = descriptor.codec_runs()
+        # an imported array is kept as it was unpacked, without a copy
+        self._bufs = {key: arr.astype(_narrowest(arr), copy=False)
+                      for key, arr in arrays.items()}
+        self._ends = {}
+        for key, counts_key in self._runs.items():
+            ends = np.zeros(len(arrays[counts_key]) + 1, dtype=np.int64)
+            np.cumsum(arrays[counts_key], dtype=np.int64, out=ends[1:])
+            self._ends[key] = ends.astype(_narrowest(ends))
+        hashes = _element_hashes(descriptor, self._bufs)
         self.size = len(hashes)
+        self._ids = np.argsort(hashes).astype(np.int32)
+        self._hashes = hashes[self._ids]
+
+    @property
+    def arrays(self) -> dict:
+        """The element arrays in id order, in their stored dtypes."""
+        return {key: buf[:self._used(key)] for key, buf in self._bufs.items()}
+
+    def _used(self, key) -> int:
+        """The rows of ``key``'s buffer that hold elements."""
+        return int(self._ends[key][self.size]) if key in self._runs else self.size
+
+    def take(self, idx) -> dict:
+        """The int64 arrays of the elements with ids ``idx``, in that order."""
+        idx = np.asarray(idx)
+        out = {}
+        for key, buf in self._bufs.items():
+            if key in self._runs:
+                ends = self._ends[key]
+                starts = ends[idx].astype(np.int64)
+                rows = _ranges(starts, ends[idx + 1] - starts)
+            else:
+                rows = idx
+            out[key] = buf[rows].astype(np.int64, copy=False)
+        return out
+
+    def _append(self, added, n):
+        """Append the ``n`` elements of the arrays ``added``."""
+        for key, counts_key in self._runs.items():
+            ends = self._ends[key]
+            total = int(ends[self.size])
+            self._bufs[key] = _put(self._bufs[key], total, added[key])
+            self._ends[key] = _put(ends, self.size + 1,
+                                   total + np.cumsum(added[counts_key], dtype=np.int64))
+        for key in self._bufs.keys() - self._runs.keys():
+            self._bufs[key] = _put(self._bufs[key], self.size, added[key])
+        self.size += n
 
     @classmethod
     def load(cls, descriptor, arrays):
@@ -470,12 +550,11 @@ class _ElementTable:
         identity is element 0 and no element repeats."""
         table = cls(descriptor, arrays)
         identity = descriptor.encode_elements([descriptor.identity()])
-        take = descriptor.take_encoded
-        if not table.size or not _same(descriptor, take(table.arrays, [0]), identity)[0]:
+        if not table.size or not _same(descriptor, table.take([0]), identity)[0]:
             raise ValueError("generic payload: the identity is not element 0")
         hashes = np.empty_like(table._hashes)
         hashes[table._ids] = table._hashes
-        first = _first_equal(descriptor, table.arrays, hashes)
+        first = _first_equal(descriptor, table.take, hashes)
         if np.any(first != np.arange(table.size)):
             raise ValueError("generic payload: the element table repeats an element")
         return table
@@ -490,9 +569,9 @@ class _ElementTable:
         counts = np.searchsorted(self._hashes, needles, "right") - lo
         query = np.repeat(order, counts)
         cand = self._ids[_ranges(lo, counts)]
-        take = self.descriptor.take_encoded
-        same = _same(self.descriptor, take(batch, query), take(self.arrays, cand))
-        ids = np.full(len(hashes), -1, dtype=np.int64)
+        same = _same(self.descriptor, self.descriptor.take_encoded(batch, query),
+                     self.take(cand))
+        ids = np.full(len(hashes), -1, dtype=np.int32)
         ids[query[same]] = cand[same]
         return ids
 
@@ -500,7 +579,8 @@ class _ElementTable:
         """The id of each element of ``batch``.  Elements the table lacks
         are appended once each, in the order of their first position in
         ``seen`` (a permutation of the batch positions), and take the next
-        ids."""
+        ids; BudgetExceededError when the table would reach ``_ID_LIMIT``
+        elements."""
         desc = self.descriptor
         hashes = _element_hashes(desc, batch)
         ids = self.find(batch, hashes)
@@ -508,26 +588,29 @@ class _ElementTable:
         if not len(new):
             return ids
         fresh = desc.take_encoded(batch, new)
-        first = _first_equal(desc, fresh, hashes[new])
+        first = _first_equal(desc, functools.partial(desc.take_encoded, fresh),
+                             hashes[new])
         heads = np.flatnonzero(first == np.arange(len(new)))
+        if self.size + len(heads) >= _ID_LIMIT:
+            raise BudgetExceededError(
+                f"the element table would reach {self.size + len(heads)} "
+                f"elements; int32 ids allow {_ID_LIMIT - 1}")
         rank = np.empty(len(new), dtype=np.int64)
         rank[heads] = np.arange(len(heads))
         ids[new] = self.size + rank[first]
-        added = desc.take_encoded(fresh, heads)
-        self.arrays = {key: np.concatenate([arr, added[key]])
-                       for key, arr in self.arrays.items()}
         added_hashes = hashes[new[heads]]
         order = np.argsort(added_hashes)
         at = np.searchsorted(self._hashes, added_hashes[order], "right")
         self._hashes = np.insert(self._hashes, at, added_hashes[order])
         self._ids = np.insert(self._ids, at, self.size + order)
-        self.size += len(heads)
+        self._append(desc.take_encoded(fresh, heads), len(heads))
         return ids
 
 
-def _first_equal(descriptor, batch, hashes) -> np.ndarray:
-    """For each element of ``batch``, the position of the first element of
-    the batch equal to it."""
+def _first_equal(descriptor, take, hashes) -> np.ndarray:
+    """For each element of a batch (with its ``hashes``), the position of
+    the first element of the batch equal to it; ``take(positions)`` gives
+    the arrays of the elements at those positions."""
     first = np.arange(len(hashes))
     # only elements that share their hash need comparing
     order = np.argsort(hashes)
@@ -539,13 +622,12 @@ def _first_equal(descriptor, batch, hashes) -> np.ndarray:
     # pending stays sorted by (hash, position); each round settles every
     # element equal to the first pending element of its hash group
     pending = pending[np.lexsort((pending, hashes[pending]))]
-    take = descriptor.take_encoded
     while len(pending):
         h = hashes[pending]
         starts = np.ones(len(pending), dtype=bool)
         starts[1:] = h[1:] != h[:-1]
         head = pending[np.flatnonzero(starts)[np.cumsum(starts) - 1]]
-        same = _same(descriptor, take(batch, pending), take(batch, head))
+        same = _same(descriptor, take(pending), take(head))
         first[pending[same]] = head[same]
         pending = pending[~same]
     return first
@@ -553,10 +635,9 @@ def _first_equal(descriptor, batch, hashes) -> np.ndarray:
 
 @dataclass
 class _Level:
-    ids: np.ndarray       # sorted int64 interned ids with positive mass
+    ids: np.ndarray       # sorted int32 interned ids with positive mass
     vals: np.ndarray      # mantissas, max 1
     log_scale: float
-    mass: float
 
 
 def _stored(level: _Level, i: int):
@@ -569,15 +650,19 @@ def _stored(level: _Level, i: int):
 class GenericPowers(PowersCache):
     """Keyed-support engine over interned ids; scatter-add hot loop.
 
-    The element table is the descriptor's element arrays (``_ElementTable``).
-    A step takes the elements of the level that have no row yet in blocks of
-    ``_HASH_BLOCK`` (2^13), in id order; it multiplies a block by each
-    support element in one ``mul_encoded`` batch, checks the products with
-    ``check_encoded`` and interns them before the next block.  New ids
-    follow first appearance over (source id, support element), row-major,
-    so ids, scatter order and level bits depend neither on the hash nor on
-    the block size.  The step table grows, at most once per level, to the
-    element table's size.
+    The element table is the descriptor's element arrays at their packed
+    width (``_ElementTable``); ids, level ids and the step table are int32.
+    A step takes the elements of the level that have no row yet in blocks
+    of ``_HASH_BLOCK`` (2^13), in id order; it gathers a block from the
+    table as int64, multiplies it by each support element in one
+    ``mul_encoded`` batch, checks the products with ``check_encoded`` and
+    interns them before the next block.  New ids follow first appearance
+    over (source id, support element), row-major, so ids, scatter order
+    and level bits depend neither on the hash nor on the block size.  The
+    step table grows, at most once per level, to the element table's size.
+    The level is then scattered ``_HASH_BLOCK`` rows at a time, in order,
+    which adds in the order of one whole-level scatter.  A level's mass is
+    summed on the first ``level_mass`` call and memoized.
     """
 
     engine_name = "generic"
@@ -585,10 +670,10 @@ class GenericPowers(PowersCache):
     def __init__(self, descriptor, mu, depth, support_cap=DEFAULT_SUPPORT_CAP):
         super().__init__(descriptor, mu)
         self._setup()
-        self._push_level(np.array([0], dtype=np.int64), np.array([1.0]), 0.0)
+        self._levels.append(_Level(np.array([0], dtype=np.int32), np.array([1.0]), 0.0))
         # the step table, scratch for the build: rows[i, j] is the id of
         # element i times support element j, -1 until computed
-        rows = np.full((self._table.size, len(self._mu_elems)), -1, dtype=np.int64)
+        rows = np.full((self._table.size, len(self._mu_elems)), -1, dtype=np.int32)
         for m in range(1, depth + 1):
             try:
                 rows = self._ensure_rows(rows, self._levels[-1].ids)
@@ -609,10 +694,7 @@ class GenericPowers(PowersCache):
         self._mu_ls = self.mu.log_scale
         self._table = _ElementTable(desc, desc.encode_elements([desc.identity()]))
         self._levels: list = []
-
-    def _push_level(self, ids, vals, log_scale):
-        mass = math.exp(math.log(math.fsum(vals.tolist())) + log_scale)
-        self._levels.append(_Level(ids=ids, vals=vals, log_scale=log_scale, mass=mass))
+        self._masses: dict = {}
 
     def _ensure_rows(self, rows, ids):
         """The step table ``rows`` with a row for every id of ``ids``, grown
@@ -625,7 +707,7 @@ class GenericPowers(PowersCache):
         missing = ids[rows[ids, 0] < 0]
         for lo in range(0, len(missing), _HASH_BLOCK):
             block = missing[lo:lo + _HASH_BLOCK]
-            frontier = desc.take_encoded(self._table.arrays, block)
+            frontier = self._table.take(block)
             batches = [desc.mul_encoded(frontier, s) for s in self._mu_elems]
             # each batch's arrays are dropped as they are joined
             products = {key: np.concatenate([batch.pop(key) for batch in batches])
@@ -644,7 +726,7 @@ class GenericPowers(PowersCache):
             # growth, so its row is already there
             rows[block] = found.reshape(k, n).T
         if self._table.size > rows.shape[0]:
-            grown = np.full((self._table.size, k), -1, dtype=np.int64)
+            grown = np.full((self._table.size, k), -1, dtype=np.int32)
             grown[: rows.shape[0]] = rows
             rows = grown
         return rows
@@ -652,19 +734,23 @@ class GenericPowers(PowersCache):
     def _step(self, rows, support_cap):
         level = self._levels[-1]
         acc = np.zeros(self._table.size)
-        _backend.scatter_add_outer(
-            acc, np.ascontiguousarray(rows[level.ids]), level.vals, self._mu_vals
-        )
-        ids = np.flatnonzero(acc > 0.0).astype(np.int64)
+        # row blocks in order: np.add.at adds in index order, so every sum
+        # keeps the bits of one whole-level scatter
+        for lo in range(0, len(level.ids), _HASH_BLOCK):
+            hi = lo + _HASH_BLOCK
+            _backend.scatter_add_outer(
+                acc, rows[level.ids[lo:hi]], level.vals[lo:hi], self._mu_vals)
+        ids = np.flatnonzero(acc > 0.0).astype(np.int32)
         if len(ids) > support_cap:
             raise BudgetExceededError(
                 f"support {len(ids)} exceeds cap {support_cap}"
             )
         vals = acc[ids]
+        del acc  # the table-sized accumulator goes before the level is scaled
         peak = vals.max()
-        self._push_level(
-            ids, vals / peak, level.log_scale + self._mu_ls + math.log(peak)
-        )
+        vals /= peak
+        self._levels.append(_Level(
+            ids, vals, level.log_scale + self._mu_ls + math.log(peak)))
 
     @property
     def depth(self):
@@ -686,7 +772,11 @@ class GenericPowers(PowersCache):
 
     def level_mass(self, m):
         self._check_level(m)
-        return self._levels[m].mass
+        if m not in self._masses:
+            level = self._levels[m]
+            self._masses[m] = math.exp(math.log(math.fsum(level.vals))
+                                       + level.log_scale)
+        return self._masses[m]
 
     def level_log_scale(self, m):
         self._check_level(m)
@@ -695,8 +785,7 @@ class GenericPowers(PowersCache):
     def level_measure(self, m):
         self._check_level(m)
         level = self._levels[m]
-        desc = self.descriptor
-        elems = desc.decode_elements(desc.take_encoded(self._table.arrays, level.ids))
+        elems = self.descriptor.decode_elements(self._table.take(level.ids))
         return ScaledMeasure(
             support={g: float(v) for g, v in zip(elems, level.vals)},
             log_scale=level.log_scale,
@@ -721,7 +810,8 @@ class GenericPowers(PowersCache):
         """The cache of an ``export_payload``, its levels checked.  Each
         packed array is popped from ``payload`` as it is decoded, and the
         levels are decoded before the element table is built, so the text
-        of an array is freed once its array exists."""
+        of an array is freed once its array exists.  The element arrays
+        stay at their packed width; the ids become int32 once checked."""
         self = cls.__new__(cls)
         PowersCache.__init__(self, desc, mu)
         self._setup()
@@ -744,9 +834,10 @@ class GenericPowers(PowersCache):
                 "generic payload: level ids are not strictly increasing "
                 f"ids below {n}"
             )
-        for level_ids, level_vals, log_scale in zip(
-                id_levels, np.split(vals, bounds), log_scales):
-            self._push_level(level_ids, level_vals, log_scale)
+        self._levels = [_Level(level_ids.astype(np.int32, copy=False), level_vals,
+                               log_scale)
+                        for level_ids, level_vals, log_scale in zip(
+                            id_levels, np.split(vals, bounds), log_scales)]
         return self
 
 
@@ -1095,7 +1186,7 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
     points, and without a track set retains both factors in full.  A
     ``radial`` (free-group) run is always fully retained: its level mass
     needs every radius, so a tracked level would save nothing.  The
-    generic engine is bounded by ``support_cap`` alone.
+    generic engine is bounded by ``support_cap`` and by its int32 ids.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")

@@ -126,7 +126,7 @@ def test_select_matches_reference_scan(name, request):
 
 @pytest.mark.parametrize("name", ["z_window", "f2_window"])
 def test_window_queries_match_cache(name, request):
-    """Basis order, position, has, log_p, row_indices and edge_threshold agree
+    """Basis order, position, has, log_p, select by row and edge_threshold agree
     with per-entry reads of the cache, rows outside the ball included."""
     win = request.getfixturevalue(name)
     cache = win.cache
@@ -145,7 +145,8 @@ def test_window_queries_match_cache(name, request):
                 if 0 <= m <= win.max_level:
                     assert win.log_p(m, x, z) == cache.log_transition(m, x, z)
     for x in list(win.x_elems) + [far_row]:
-        assert win.row_indices(x) == [i for i, k in enumerate(basis) if k[1] == x]
+        assert win.select(rows=[x]).tolist() == [i for i, k in enumerate(basis)
+                                                 if k[1] == x]
         for z in fibers:
             want = win.max_level + 1
             for m in range(win.max_level, -1, -1):

@@ -828,6 +828,31 @@ def test_generic_lamplighter_tampered_lamps_rejected(lamp1, lamp_mu):
         w.import_cache_json(json.dumps(doc))
 
 
+def test_narrow_element_tables_rejected_as_wide(generic_artifact, lamp1, lamp_mu):
+    """The import checks an element table at its packed width with the
+    verdicts of int64: a free(2) table holding the letter -128 and a
+    lamplighter table whose lamps run 127 then -128 inside one element
+    (both still packed as <i1, where -(-128) and -128 - 127 would wrap) are
+    rejected with the errors an int64 table gets."""
+    doc = copy.deepcopy(generic_artifact)
+    elements = doc["payload"]["elements"]
+    elements["letters"] = _edit(elements["letters"],
+                                lambda arr: arr.__setitem__(-1, -128))
+    assert elements["letters"]["dtype"] == "<i1"
+    with pytest.raises(ValueError, match="outside the rank-2 alphabet"):
+        w.import_cache_json(json.dumps(doc))
+    cache = w.convolution_powers(lamp1, lamp_mu, 3, engine="generic")
+    doc = json.loads(w.export_cache_json(cache))
+    elements = doc["payload"]["elements"]
+    counts = _unpack(elements["counts"])
+    i = int(np.cumsum(counts)[np.argmax(counts >= 2)]) - 1  # last lamp of a pair
+    elements["lamps"] = _edit(
+        elements["lamps"], lambda arr: arr.__setitem__(slice(i - 1, i + 1), [[127], [-128]]))
+    assert elements["lamps"]["dtype"] == "<i1"
+    with pytest.raises(ValueError, match="strictly increasing"):
+        w.import_cache_json(json.dumps(doc))
+
+
 ARRAY_ENGINES = ["radial", "dense", "radial-lattice"]
 
 
@@ -954,7 +979,9 @@ def test_old_radial_layout_rejected(array_artifacts):
 
 def test_packed_arrays_keep_every_bit():
     """Integers pack in the narrowest of <i1, <i2, <i4 and <i8 that holds
-    them (<i1 when empty) and unpack as int64; floats as <f8."""
+    them (<i1 when empty) and unpack in that dtype, every bit kept: widened
+    back to their own dtype they are the packed array byte for byte; floats
+    as <f8."""
     floats = np.array([0.1, -0.0, 5e-324, 1.7976931348623157e308, math.pi])
     for arr, dtype in (
         (np.array([0, 127, -128]), "<i1"),
@@ -974,9 +1001,9 @@ def test_packed_arrays_keep_every_bit():
         doc = _pack(arr)
         assert doc["dtype"] == dtype and doc["shape"] == list(arr.shape)
         back = _unpack(json.loads(json.dumps(doc)))
-        assert back.shape == arr.shape and back.dtype.kind == arr.dtype.kind
-        assert back.dtype == (np.int64 if arr.dtype.kind == "i" else np.float64)
+        assert back.shape == arr.shape and back.dtype == np.dtype(dtype)
         assert back.tobytes() == arr.astype(back.dtype).tobytes()
+        assert back.astype(arr.dtype).tobytes() == arr.tobytes()
     assert _unpack(_pack(floats)).tobytes() == floats.tobytes()
 
 
@@ -1196,22 +1223,59 @@ def test_generic_build_peak_is_bounded(lamp1):
     assert peak - start <= 2.0 * (live - start), (peak - start, live - start)
 
 
-def test_generic_import_widens_packed_integers(lamp1, lamp_mu):
-    """The artifact packs small integers in 8 bits, and import widens every
-    element array back to int64, so the group law and the checks never
-    compute in a narrow dtype: every level of the imported cache equals a
-    fresh build's."""
+def test_generic_import_keeps_packed_width(lamp1, lamp_mu):
+    """The artifact packs small integers in 8 bits, and the element table,
+    built or imported, keeps them at that width, while the table's ``take``
+    widens every gathered row to int64, so the group law and the
+    comparisons never compute in a narrow dtype: level ids are int32, and
+    every level of the imported cache equals a fresh build's."""
     depth = 8
-    text = w.export_cache_json(w.convolution_powers(lamp1, lamp_mu, depth,
-                                                    engine="generic"))
+    fresh = w.convolution_powers(lamp1, lamp_mu, depth, engine="generic")
+    text = w.export_cache_json(fresh)
     elements = json.loads(text)["payload"]["elements"]
     assert {doc["dtype"] for doc in elements.values()} == {"<i1"}
     back = w.import_cache_json(text)
-    assert {arr.dtype for arr in back._table.arrays.values()} == {np.dtype(np.int64)}
-    fresh = w.convolution_powers(lamp1, lamp_mu, depth, engine="generic")
+    for cache in (fresh, back):
+        assert {arr.dtype for arr in cache._table.arrays.values()} == {np.dtype(np.int8)}
     for m in range(depth + 1):
+        ids = back._levels[m].ids
+        assert ids.dtype == np.int32 and fresh._levels[m].ids.dtype == np.int32
+        taken = back._table.take(ids)
+        assert {arr.dtype for arr in taken.values()} == {np.dtype(np.int64)}
         assert back.level_measure(m) == fresh.level_measure(m), m
-        assert back._levels[m].ids.dtype == np.int64
+
+
+@pytest.mark.parametrize("step,width", [(100, np.int16), (2**40, np.int64)])
+def test_generic_table_promotes_its_width(lattice1, step, width):
+    """A lattice(1) walk with steps of +-100 or +-2^40 outgrows the int8 its
+    element table starts in: the table promotes its coordinates (to int16,
+    or at once to int64), every level equals the ``measures.convolve``
+    reference, and the artifact round-trips bit for bit."""
+    mu = w.parse_measure(f"(0) 1/2\n({step}) 1/4\n({-step}) 1/4", lattice1)
+    cache = w.convolution_powers(lattice1, mu, 3, engine="generic")
+    _assert_matches_convolve(cache, lattice1, mu)
+    assert cache._table.arrays["coords"].dtype == width
+    text = w.export_cache_json(cache)
+    back = w.import_cache_json(text)
+    assert w.export_cache_json(back) == text
+    for m in range(cache.depth + 1):
+        assert back.level_measure(m) == cache.level_measure(m), m
+        assert back.level_mass(m) == cache.level_mass(m), m
+        for g in cache.level_measure(m).support:
+            assert back.log_column(g).tobytes() == cache.log_column(g).tobytes(), g
+
+
+def test_generic_table_id_limit(monkeypatch, lamp1, lamp_mu):
+    """Ids are int32, so an element table that would reach the id limit
+    stops the build like the support cap does: an incomplete cache whose
+    note names the limit, and whose levels equal a full build's."""
+    monkeypatch.setattr(powers, "_ID_LIMIT", 40)
+    capped = w.convolution_powers(lamp1, lamp_mu, 8, engine="generic")
+    assert not capped.complete and capped._table.size < 40
+    assert "int32 ids" in capped.budget_note
+    full = w.convolution_powers(lamp1, lamp_mu, capped.depth, engine="generic")
+    for m in range(capped.depth + 1):
+        assert capped.level_measure(m) == full.level_measure(m), m
 
 
 def test_determinism_same_inputs(lamp1, lamp_mu):
