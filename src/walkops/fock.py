@@ -156,9 +156,6 @@ class FockWindow:
             return -1
         return int(self._pos[m, i, j])
 
-    def has(self, m, x, z) -> bool:
-        return self.position(m, x, z) >= 0
-
     def log_p(self, m, x, z) -> float:
         """log P^(m)_{x,z}; memoized up to the window top, -inf when absent."""
         if 0 <= m <= self.max_level:

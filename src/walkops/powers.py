@@ -17,11 +17,13 @@ level.  Three engines share one query interface:
                  mu_F^{*k}(w) mu_Z^{*(m-k)}(v), summed in log space
 * ``generic``    anything else: a table of the descriptor's element
                  arrays, each in the narrowest integer dtype that holds it,
-                 with an exact hash index; gathers from it cost O(batch)
-                 and come out as int64; the frontier is interned in blocks
-                 of 2^13 sources, one ``mul_encoded`` batch per support
-                 element per block; scatter-add over int32 ids, 2^13 level
-                 rows at a time
+                 with an exact hash index; gathers from it cost O(batch),
+                 widened to int64 for the group law; the frontier is
+                 interned in blocks of 2^13 sources, one ``mul_encoded``
+                 batch per support element per block, narrowed as it is
+                 made, and a lookup gathers and compares 2^13 candidates
+                 at a time; scatter-add over int32 ids, 2^13 level rows at
+                 a time
 
 An entry of mu^{*m} "exists" exactly when it is present/positive in the
 level storage; zeros are never stored.  Each level keeps mantissas with a
@@ -61,7 +63,7 @@ return ratios, Green sums, the Fock window) read columns; the period of
 the walk is read once per cache from the identity's column
 (``aperiodicity``).
 
-``export_cache_json`` writes a version-5 JSON artifact: a header
+``export_cache_json`` writes a version-6 JSON artifact: a header
 (descriptor, measure, depth, engine, complete, budget_note) and a
 ``payload``.
 
@@ -80,29 +82,37 @@ the walk is read once per cache from the identity's column
                  after import; floats as ``<f8``, so every bit survives):
                  the element table as the descriptor's ``encode_elements``
                  arrays (elements in id order), per-level ``sizes`` and
-                 ``log_scales``, one ``ids`` array of sorted per-level ids
-                 into that table and one ``vals`` array
+                 ``log_scales``, one ``ids`` array holding each level's
+                 sorted ids as deltas from the previous id (the first from
+                 -1, so a lazy walk's levels are runs of 1s) and one
+                 ``vals`` array
+
+The text is ``json.dumps(doc, sort_keys=True)`` byte for byte, but the
+packed arrays are base64-encoded as the text is written, a piece at a
+time, not held as strings beside it; import decodes each field from the
+string it arrived as, without an ASCII copy.
 
 ``import_cache_json`` rejects any other version and any malformed artifact
 with ValueError: an array artifact with a non-empty payload, a depth that
 is not a non-negative integer or an engine name that does not serve the
-descriptor's walks; on ``generic``, a packed array whose bytes do not fill
-its shape, or whose dtype is not one of the five; element arrays that
-fail the descriptor's ``check_encoded``, repeat an element or do not hold
-the identity at id 0 (the generic import builds no element tuples); ids
-that are not strictly increasing within a level or fall outside the table;
+descriptor's walks; on ``generic``, a packed array whose data is not
+base64 (a character outside the alphabet, or not ASCII) or whose bytes do
+not fill its shape, or whose dtype is not one of the five; element arrays
+that fail the descriptor's ``check_encoded``, repeat an element or do not
+hold the identity at id 0 (the generic import builds no element tuples);
+id deltas below 1 or above the table size, or a level whose deltas sum
+past the table size (its ids would not rise strictly inside the table);
 stored values that are not finite and positive; empty levels; log scales
 that are not finite.
 """
 
 from __future__ import annotations
 
-import base64
 import binascii
-import functools
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,10 +151,19 @@ DEFAULT_MEMORY_BUDGET_MB = 512
 # element table plus per-level id and value lists; version 4: the generic
 # payload is packed arrays, the element table included (an array artifact
 # of this version is read only with an empty payload); version 5: packed
-# integers in the narrowest of 8/16/32/64 bits that holds them
-ARTIFACT_VERSION = 5
+# integers in the narrowest of 8/16/32/64 bits that holds them; version 6:
+# the generic level ids as deltas from the previous id
+ARTIFACT_VERSION = 6
 _INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
 _PACKED_DTYPES = (*_INT_DTYPES, "<f8")
+# packed bytes base64-encoded per call, a multiple of 3, so the pieces join
+# into the encoding of the whole
+_BASE64_CHUNK = 3 << 14
+# a packed array's ``data`` in the text of ``export_cache_json`` before its
+# base64 is spliced in: the array's place in the list of packed arrays
+_DATA_SLOT = re.compile(r'"data": (\d+)')
+# the texts ``base64.b64decode(validate=True)`` accepts
+_BASE64_TEXT = re.compile(r"[A-Za-z0-9+/]*={0,2}")
 
 
 class PowersCache:
@@ -285,10 +304,9 @@ def _narrowest(arr) -> str:
                 if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
 
 
-def _pack(arr) -> dict:
-    """A numeric array as JSON: dtype, shape and the base64 of its
-    little-endian bytes.  Integers are stored in their ``_narrowest``
-    dtype; floats as ``<f8``, bit for bit."""
+def _packed(arr) -> dict:
+    """``_pack``'s document with ``data`` still the array, in its packed
+    dtype and C order; ``export_cache_json`` encodes it as it writes."""
     arr = np.asarray(arr)
     if arr.dtype.kind == "f":
         dtype = "<f8"
@@ -296,9 +314,36 @@ def _pack(arr) -> dict:
         dtype = _narrowest(arr)
     else:
         raise TypeError(f"cannot pack a {arr.dtype} array")
-    data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
     return {"dtype": dtype, "shape": list(arr.shape),
-            "data": base64.b64encode(data).decode("ascii")}
+            "data": np.ascontiguousarray(arr, dtype=dtype)}
+
+
+def _pack(arr) -> dict:
+    """A numeric array as JSON: dtype, shape and the base64 of its
+    little-endian bytes.  Integers are stored in their ``_narrowest``
+    dtype; floats as ``<f8``, bit for bit."""
+    doc = _packed(arr)
+    doc["data"] = "".join(_base64(doc["data"]))
+    return doc
+
+
+def _base64(arr):
+    """The base64 of a C-ordered array's bytes, as str pieces each
+    encoding ``_BASE64_CHUNK`` bytes (the last fewer), read in place."""
+    data = arr.reshape(-1).view(np.uint8)
+    for lo in range(0, len(data), _BASE64_CHUNK):
+        yield binascii.b2a_base64(data[lo:lo + _BASE64_CHUNK],
+                                  newline=False).decode("ascii")
+
+
+def _unbase64(text):
+    """The bytes of the base64 str ``text``, read in place (no ASCII copy),
+    with ``base64.b64decode(validate=True)``'s checks: ValueError for a
+    character outside the alphabet, a non-ASCII one or padding in the
+    middle."""
+    if not _BASE64_TEXT.fullmatch(text):
+        raise binascii.Error("a character outside the base64 alphabet")
+    return binascii.a2b_base64(text)
 
 
 def _unpack(doc) -> np.ndarray:
@@ -315,8 +360,8 @@ def _unpack(doc) -> np.ndarray:
             type(n) is int and n >= 0 for n in shape)):
         raise ValueError(f"packed array shape {shape!r}")
     try:
-        raw = base64.b64decode(data, validate=True)
-    except (binascii.Error, TypeError) as exc:
+        raw = _unbase64(data)
+    except (ValueError, TypeError) as exc:  # binascii.Error is a ValueError
         raise ValueError(f"packed array data is not base64: {exc}") from exc
     dt = np.dtype(dtype)
     if len(raw) != math.prod(shape) * dt.itemsize:
@@ -353,14 +398,48 @@ def _level_bounds(what: str, total: int, sizes: np.ndarray,
     return np.cumsum(sizes, dtype=np.int64)[:-1], log_scales.tolist()
 
 
+def _id_deltas(levels) -> np.ndarray:
+    """The sorted ids of every level as one int32 array of deltas from the
+    previous id of the level, the first from -1."""
+    out = np.empty(sum(len(level.ids) for level in levels), dtype=np.int32)
+    lo = 0
+    for level in levels:
+        ids, hi = level.ids, lo + len(level.ids)
+        out[lo] = ids[0] + 1
+        np.subtract(ids[1:], ids[:-1], out=out[lo + 1:hi])
+        lo = hi
+    return out
+
+
+def _level_ids(what: str, deltas: np.ndarray, bounds, size: int) -> list:
+    """Each level's int32 ids from ``_id_deltas``'s ``deltas`` (any integer
+    width) split at ``bounds``, rebuilt level by level.  ValueError unless
+    every delta is at least 1 and each level's deltas sum to at most
+    ``size`` (below ``_ID_LIMIT``), so that ids rise strictly from 0 and
+    stay below ``size``; deltas of at most ``size`` keep the int64 sums
+    and the int32 running sums from wrapping."""
+    if len(deltas) and (deltas.min() < 1 or deltas.max() > size):
+        raise ValueError(f"{what}: level ids are not strictly increasing ids "
+                         f"below {size}")
+    levels = []
+    for level in np.split(deltas, bounds):
+        if level.sum(dtype=np.int64) > size:
+            raise ValueError(f"{what}: level ids reach past the {size} elements")
+        ids = np.cumsum(level, dtype=np.int32)
+        ids -= 1
+        levels.append(ids)
+    return levels
+
+
 # ---------------------------------------------------------------------------
 # generic engine
 # ---------------------------------------------------------------------------
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-# elements hashed, frontier sources multiplied and interned, and level
-# rows scattered at a time: bounds the hashing, lookup and scatter
-# temporaries whatever the size of the batch or level
+# elements hashed, frontier sources multiplied and interned, lookup pairs
+# compared, products appended and level rows scattered at a time: bounds
+# the hashing, lookup and scatter temporaries whatever the size of the
+# batch or level
 _HASH_BLOCK = 1 << 13
 # ids, level ids and step-table rows are int32: the element table holds
 # fewer elements than this
@@ -483,14 +562,16 @@ class _ElementTable:
     packs it in, inside a buffer that doubles when full (``_put``); a value
     that does not fit promotes that one array.  Each run array keeps its
     run ends (``_ends``: 0, then the running total of its counts, itself
-    narrow), so ``take`` gathers any batch of elements in time linear in
-    the batch, widened to int64: the group law and the comparisons never
-    compute in a narrow dtype.
+    narrow), so ``gather`` takes any batch of elements in time linear in
+    the batch, at the stored widths, and ``take`` widens what it gathers to
+    int64: the group law never computes in a narrow dtype, and comparisons,
+    which do no arithmetic, read the stored widths.
 
     The index keeps every element's ``_element_hashes`` value sorted, beside
     the int32 id that carries it.  A lookup compares the query with every
-    stored element of equal hash, so two distinct elements never share an
-    id, and an element repeated in the table is found at import.
+    stored element of equal hash, ``_HASH_BLOCK`` pairs at a time, so two
+    distinct elements never share an id; an element repeated in the table
+    is found at import by comparing the runs of equal hashes in the index.
     """
 
     def __init__(self, descriptor, arrays):
@@ -520,6 +601,12 @@ class _ElementTable:
 
     def take(self, idx) -> dict:
         """The int64 arrays of the elements with ids ``idx``, in that order."""
+        return {key: arr.astype(np.int64, copy=False)
+                for key, arr in self.gather(idx).items()}
+
+    def gather(self, idx) -> dict:
+        """The arrays of the elements with ids ``idx`` at their stored
+        widths, for comparisons."""
         idx = np.asarray(idx)
         out = {}
         for key, buf in self._bufs.items():
@@ -529,7 +616,7 @@ class _ElementTable:
                 rows = _ranges(starts, ends[idx + 1] - starts)
             else:
                 rows = idx
-            out[key] = buf[rows].astype(np.int64, copy=False)
+            out[key] = buf[rows]
         return out
 
     def _append(self, added, n):
@@ -550,12 +637,18 @@ class _ElementTable:
         identity is element 0 and no element repeats."""
         table = cls(descriptor, arrays)
         identity = descriptor.encode_elements([descriptor.identity()])
-        if not table.size or not _same(descriptor, table.take([0]), identity)[0]:
+        if not table.size or not _same(descriptor, table.gather([0]), identity)[0]:
             raise ValueError("generic payload: the identity is not element 0")
-        hashes = np.empty_like(table._hashes)
-        hashes[table._ids] = table._hashes
-        first = _first_equal(descriptor, table.take, hashes)
-        if np.any(first != np.arange(table.size)):
+        # a repeated element repeats its hash: only the runs of equal
+        # hashes next to each other in the sorted index need comparing
+        h = table._hashes
+        shared = np.zeros(len(h), dtype=bool)
+        shared[1:] = h[1:] == h[:-1]
+        shared[:-1] |= shared[1:]
+        members = table._ids[shared]
+        first = _first_equal(descriptor, lambda pos: table.gather(members[pos]),
+                             h[shared])
+        if np.any(first != np.arange(len(members))):
             raise ValueError("generic payload: the element table repeats an element")
         return table
 
@@ -567,12 +660,18 @@ class _ElementTable:
         needles = hashes[order]
         lo = np.searchsorted(self._hashes, needles, "left")
         counts = np.searchsorted(self._hashes, needles, "right") - lo
+        # (query position, candidate id) pairs of equal hash
         query = np.repeat(order, counts)
         cand = self._ids[_ranges(lo, counts)]
-        same = _same(self.descriptor, self.descriptor.take_encoded(batch, query),
-                     self.take(cand))
+        del order, needles, lo, counts
         ids = np.full(len(hashes), -1, dtype=np.int32)
-        ids[query[same]] = cand[same]
+        # the pairs are gathered and compared _HASH_BLOCK at a time, so the
+        # gathers are bounded whatever the size of the batch
+        for at in range(0, len(query), _HASH_BLOCK):
+            q, c = query[at:at + _HASH_BLOCK], cand[at:at + _HASH_BLOCK]
+            same = _same(self.descriptor, self.descriptor.take_encoded(batch, q),
+                         self.gather(c))
+            ids[q[same]] = c[same]
         return ids
 
     def intern(self, batch, seen) -> np.ndarray:
@@ -587,8 +686,9 @@ class _ElementTable:
         new = seen[ids[seen] < 0]
         if not len(new):
             return ids
-        fresh = desc.take_encoded(batch, new)
-        first = _first_equal(desc, functools.partial(desc.take_encoded, fresh),
+        # the new elements are gathered from the batch only as compared or
+        # appended
+        first = _first_equal(desc, lambda pos: desc.take_encoded(batch, new[pos]),
                              hashes[new])
         heads = np.flatnonzero(first == np.arange(len(new)))
         if self.size + len(heads) >= _ID_LIMIT:
@@ -603,7 +703,9 @@ class _ElementTable:
         at = np.searchsorted(self._hashes, added_hashes[order], "right")
         self._hashes = np.insert(self._hashes, at, added_hashes[order])
         self._ids = np.insert(self._ids, at, self.size + order)
-        self._append(desc.take_encoded(fresh, heads), len(heads))
+        for at in range(0, len(heads), _HASH_BLOCK):
+            added = new[heads[at:at + _HASH_BLOCK]]
+            self._append(desc.take_encoded(batch, added), len(added))
         return ids
 
 
@@ -655,8 +757,10 @@ class GenericPowers(PowersCache):
     A step takes the elements of the level that have no row yet in blocks
     of ``_HASH_BLOCK`` (2^13), in id order; it gathers a block from the
     table as int64, multiplies it by each support element in one
-    ``mul_encoded`` batch, checks the products with ``check_encoded`` and
-    interns them before the next block.  New ids follow first appearance
+    ``mul_encoded`` batch, narrows each batch to the ``_narrowest`` widths
+    of its values, checks the products with ``check_encoded`` and interns
+    them before the next block; the lookup and the appends gather the
+    products ``_HASH_BLOCK`` at a time.  New ids follow first appearance
     over (source id, support element), row-major, so ids, scatter order
     and level bits depend neither on the hash nor on the block size.  The
     step table grows, at most once per level, to the element table's size.
@@ -708,8 +812,12 @@ class GenericPowers(PowersCache):
         for lo in range(0, len(missing), _HASH_BLOCK):
             block = missing[lo:lo + _HASH_BLOCK]
             frontier = self._table.take(block)
-            batches = [desc.mul_encoded(frontier, s) for s in self._mu_elems]
-            # each batch's arrays are dropped as they are joined
+            # each batch is narrowed as it is made (the group law ran in
+            # int64) and its arrays are dropped as they are joined
+            batches = [{key: arr.astype(_narrowest(arr), copy=False)
+                        for key, arr in desc.mul_encoded(frontier, s).items()}
+                       for s in self._mu_elems]
+            del frontier
             products = {key: np.concatenate([batch.pop(key) for batch in batches])
                         for key in list(batches[0])}
             try:
@@ -798,11 +906,11 @@ class GenericPowers(PowersCache):
     def export_payload(self):
         levels = self._levels
         return {
-            "elements": {key: _pack(arr) for key, arr in self._table.arrays.items()},
-            "sizes": _pack([len(level.ids) for level in levels]),
-            "log_scales": _pack([level.log_scale for level in levels]),
-            "ids": _pack(np.concatenate([level.ids for level in levels])),
-            "vals": _pack(np.concatenate([level.vals for level in levels])),
+            "elements": {key: _packed(arr) for key, arr in self._table.arrays.items()},
+            "sizes": _packed([len(level.ids) for level in levels]),
+            "log_scales": _packed([level.log_scale for level in levels]),
+            "ids": _packed(_id_deltas(levels)),
+            "vals": _packed(np.concatenate([level.vals for level in levels])),
         }
 
     @classmethod
@@ -811,33 +919,27 @@ class GenericPowers(PowersCache):
         packed array is popped from ``payload`` as it is decoded, and the
         levels are decoded before the element table is built, so the text
         of an array is freed once its array exists.  The element arrays
-        stay at their packed width; the ids become int32 once checked."""
+        stay at their packed width; each level's ids are rebuilt from their
+        deltas as int32 once the table's size is known."""
         self = cls.__new__(cls)
         PowersCache.__init__(self, desc, mu)
         self._setup()
-        ids = _unpack(payload.pop("ids"))
+        deltas = _unpack(payload.pop("ids"))
         vals = _unpack_values(payload.pop("vals"), "generic payload")
-        if ids.dtype.kind != "i" or ids.shape != vals.shape:
+        if deltas.dtype.kind != "i" or deltas.shape != vals.shape:
             raise ValueError("generic payload: ids and vals are not one id per value")
         bounds, log_scales = _level_bounds(
-            "generic payload", len(ids), _unpack(payload.pop("sizes")),
+            "generic payload", len(deltas), _unpack(payload.pop("sizes")),
             _unpack(payload.pop("log_scales")))
         elements = payload.pop("elements")
         arrays = {key: _unpack(elements.pop(key)) for key in desc.encode_elements([])}
-        desc.check_encoded(arrays)
+        if desc.check_encoded(arrays) >= _ID_LIMIT:
+            raise ValueError(f"generic payload: int32 ids allow {_ID_LIMIT - 1} elements")
         self._table = _ElementTable.load(desc, arrays)
-        n = self._table.size
-        id_levels = np.split(ids, bounds)
-        if (len(ids) and (ids.min() < 0 or ids.max() >= n)) or any(
-                np.any(level[1:] <= level[:-1]) for level in id_levels):
-            raise ValueError(
-                "generic payload: level ids are not strictly increasing "
-                f"ids below {n}"
-            )
-        self._levels = [_Level(level_ids.astype(np.int32, copy=False), level_vals,
-                               log_scale)
-                        for level_ids, level_vals, log_scale in zip(
-                            id_levels, np.split(vals, bounds), log_scales)]
+        self._levels = [
+            _Level(ids, level_vals, log_scale) for ids, level_vals, log_scale in zip(
+                _level_ids("generic payload", deltas, bounds, self._table.size),
+                np.split(vals, bounds), log_scales)]
         return self
 
 
@@ -1234,7 +1336,39 @@ def export_cache_json(cache: PowersCache) -> str:
         },
         "payload": payload,
     }
-    return json.dumps(doc, sort_keys=True)
+    return _dumps(doc)
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, sort_keys=True)`` of a document whose packed
+    arrays (``_packed``) still hold their arrays.  Everything else is one
+    small ``json.dumps``; each array's base64 is appended to the text a
+    piece at a time (CPython grows a str that only this function holds in
+    place) and the array is dropped once written, so neither the text nor
+    a base64 string of a whole array is held twice."""
+    arrays = []
+
+    def hide(node):
+        for value in node.values():
+            if isinstance(value, dict):
+                if isinstance(value.get("data"), np.ndarray):
+                    arrays.append(value["data"])
+                    value["data"] = len(arrays) - 1
+                else:
+                    hide(value)
+
+    hide(doc)
+    parts = _DATA_SLOT.split(json.dumps(doc, sort_keys=True))
+    text = parts[0]
+    for slot, tail in zip(parts[1::2], parts[2::2]):
+        arr, arrays[int(slot)] = arrays[int(slot)], None
+        text += '"data": "'
+        for piece in _base64(arr):
+            text += piece
+        del arr
+        text += '"'
+        text += tail
+    return text
 
 
 def import_cache_json(text: str) -> PowersCache:

@@ -15,7 +15,7 @@ import walkops
 from walkops.cli import main
 from walkops.config import RunConfig
 from walkops.errors import PreconditionError
-from walkops.powers import ARTIFACT_VERSION, _pack, convolution_powers
+from walkops.powers import ARTIFACT_VERSION, _pack, _unpack, convolution_powers
 
 DATA = Path(__file__).parent / "data"
 
@@ -761,6 +761,60 @@ def test_cache_dir_truncated_artifact_not_reused(tmp_path, capsys):
     assert len(list(cache_dir.glob("powers-*.json"))) == 2
     code, err = spectrum(100)  # reloads the truncated artifact
     assert code == 3 and "stopped at level 5" in err
+
+
+def _tamper_generic(edit):
+    """Damage a version-6 generic artifact's payload with ``edit``."""
+    def damage(text):
+        doc = json.loads(text)
+        assert doc["version"] == ARTIFACT_VERSION and doc["engine"] == "generic"
+        edit(doc["payload"])
+        return json.dumps(doc, sort_keys=True)
+    return damage
+
+
+def _set_delta(i, value):
+    """Set id delta ``i`` to ``value(size of the element table)``."""
+    def edit(payload):
+        deltas = _unpack(payload["ids"]).astype(np.int64)
+        deltas[i] = value(len(_unpack(payload["elements"]["counts"])))
+        payload["ids"] = _pack(deltas)
+    return edit
+
+
+def _non_ascii_vals(payload):
+    data = payload["vals"]["data"]
+    payload["vals"]["data"] = data[:3] + "\u00e9" + data[4:]
+
+
+@pytest.mark.parametrize("damage", [
+    _tamper_generic(_set_delta(2, lambda n: 0)),
+    _tamper_generic(_set_delta(1, lambda n: n)),
+    _tamper_generic(_non_ascii_vals),
+], ids=["zero id delta", "id deltas past the table", "non-ASCII base64"])
+def test_cache_dir_tampered_generic_artifact_rebuilt(tmp_path, capsys, damage):
+    """A generic artifact whose id deltas or base64 text were tampered with
+    is a cache miss: the run rebuilds and rewrites it, and its outputs equal
+    a fresh run's."""
+    cfg = tmp_path / "lamp.ini"
+    cfg.write_text(LAMP_CAP_CFG.format(cap=100000), encoding="utf-8")
+    cache_dir = tmp_path / "cache"
+
+    def spectrum(out):
+        code = main(["spectrum", "--config", str(cfg), "--out",
+                     str(tmp_path / out), "--cache-dir", str(cache_dir)])
+        return code, capsys.readouterr().err
+
+    assert spectrum("fresh") == (0, "")
+    (artifact,) = cache_dir.glob("powers-*.json")
+    good = artifact.read_text(encoding="utf-8")
+    artifact.write_text(damage(good), encoding="utf-8")
+    code, err = spectrum("rebuilt")
+    assert code == 0
+    assert len(err.splitlines()) == 1 and "rebuilding" in err
+    assert artifact.read_text(encoding="utf-8") == good
+    assert ((tmp_path / "rebuilt" / "spectrum.json").read_bytes()
+            == (tmp_path / "fresh" / "spectrum.json").read_bytes())
 
 
 LAZY_Z_CFG = """

@@ -58,9 +58,9 @@ def test_point_walk_window_basis(point_cache):
 
 
 def test_window_edge_rule(z_window):
-    assert z_window.has(1, (0,), (1,))       # P_{0,1} = 1/4 > 0
-    assert not z_window.has(1, (0,), (2,))   # two steps away
-    assert z_window.has(2, (0,), (2,))
+    assert z_window.position(1, (0,), (1,)) >= 0      # P_{0,1} = 1/4 > 0
+    assert not z_window.position(1, (0,), (2,)) >= 0  # two steps away
+    assert z_window.position(2, (0,), (2,)) >= 0
 
 
 def test_window_basis_matches_brute_force(lazy_z_cache, z_window):
@@ -141,7 +141,7 @@ def test_window_queries_match_cache(name, request):
         for x in list(win.x_elems) + [far_row]:
             for z in fibers:
                 assert win.position(m, x, z) == index.get((m, x, z), -1)
-                assert win.has(m, x, z) is ((m, x, z) in index)
+                assert (win.position(m, x, z) >= 0) is ((m, x, z) in index)
                 if 0 <= m <= win.max_level:
                     assert win.log_p(m, x, z) == cache.log_transition(m, x, z)
     for x in list(win.x_elems) + [far_row]:
@@ -293,7 +293,7 @@ def _ref_operator(win, entries, dtype=float):
 def _ref_shift(win, n, x, y, coeff):
     """e^(m)_{y,z} -> coeff(m, z) e^(m+n)_{x,z} where the target exists."""
     return [((m + n, x, z), (m, y, z), coeff(m, z)) for m, r, z in _basis(win)
-            if r == y and m + n <= win.max_level and win.has(m + n, x, z)]
+            if r == y and m + n <= win.max_level and win.position(m + n, x, z) >= 0]
 
 
 def _ref_diagonal(win, keep, coeff):
@@ -357,12 +357,12 @@ def _reference_builders(win, table, rho_hat, cases):
         ]
     out.append(("U", fk.build_U(win), _ref_operator(win, [
         ((m + 1, x, z), (m, x, z), 1.0) for m, x, z in _basis(win)
-        if m + 1 <= win.max_level and win.has(m + 1, x, z)])))
+        if m + 1 <= win.max_level and win.position(m + 1, x, z) >= 0])))
     for g in cases["translate"]:
         mul = desc.multiply
         out.append((f"Vg{g}", fk.build_Vg(win, g), _ref_operator(win, [
             ((m, mul(g, x), mul(g, z)), (m, x, z), 1.0) for m, x, z in _basis(win)
-            if win.has(m, mul(g, x), mul(g, z))])))
+            if win.position(m, mul(g, x), mul(g, z)) >= 0])))
     for zeta in cases["zeta"]:
         zc = complex(zeta)
         real = zc.imag == 0.0
@@ -488,8 +488,8 @@ def test_covariance_region_matches_reference(z_window, g, n, x, y):
     for i, (m, r, w) in enumerate(_basis(win)):
         if m + n > win.max_level:
             continue
-        if win.has(m, mul(g, r), mul(g, w)):
-            if win.has(m + n, mul(g, x), mul(g, w)) or r != y:
+        if win.position(m, mul(g, r), mul(g, w)) >= 0:
+            if win.position(m + n, mul(g, x), mul(g, w)) >= 0 or r != y:
                 region.append(i)
     rep = fk.covariance_check(win, g, 1j, n, x, y)
     lhs = fk.build_Vg(win, g) @ fk.build_S(win, n, x, y)

@@ -1,5 +1,6 @@
 """Convolution-power engines: cross-engine equality, invariants, budgets."""
 
+import base64
 import copy
 import itertools
 import json
@@ -673,35 +674,51 @@ def test_generic_round_trip_exact(lamp1, lamp_mu, free2):
             assert back.level_measure(m).support == cache.level_measure(m).support
 
 
-def _as_version_5(golden):
-    """A version-4 generic artifact as version 5 writes it: every packed
-    array repacked in its narrowest width, the levels and element table
-    unchanged."""
+def _as_version_6(golden):
+    """A version-4 generic artifact as version 6 writes it: every packed
+    array repacked in its narrowest width (version 5) and each level's ids
+    as deltas from the previous id, the first from -1; the levels and the
+    element table unchanged."""
     doc = json.loads(golden)
     assert doc["version"] == 4
     payload = doc["payload"]
     payload["elements"] = {key: _pack(_unpack(packed))
                            for key, packed in payload["elements"].items()}
-    for key in ("sizes", "log_scales", "ids", "vals"):
+    for key in ("sizes", "log_scales", "vals"):
         payload[key] = _pack(_unpack(payload[key]))
-    doc["version"] = 5
+    payload["ids"] = _pack(np.concatenate([
+        np.diff(ids, prepend=-1) for ids in _golden_level_ids(doc)]))
+    doc["version"] = 6
     return json.dumps(doc, sort_keys=True)
+
+
+def _golden_level_ids(doc):
+    """The per-level ids of a version-4 or version-5 generic artifact."""
+    payload = doc["payload"]
+    bounds = np.cumsum(_unpack(payload["sizes"]))[:-1]
+    return np.split(_unpack(payload["ids"]).astype(np.int64), bounds)
 
 
 def test_generic_artifacts_match_golden(lamp1, lamp_mu, free2):
     """The generic artifacts equal, byte for byte, those the engine wrote
     when it interned element tuples one product at a time (kept under
-    tests/data as version 4, repacked here to version 5's widths), and the
-    re-imported golden artifacts answer ``log_value`` on ball(3) exactly as
-    a fresh build does."""
+    tests/data as version 4, repacked here to version 6's widths and id
+    deltas); the re-imported golden artifacts hold the golden level ids bit
+    for bit and answer ``log_value`` on ball(3) exactly as a fresh build
+    does."""
     for name, desc, mu, depth in (
             ("generic-lamp1-depth8-v4.json", lamp1, lamp_mu, 8),
             ("generic-aniso-f2-depth6-v4.json", free2,
              w.parse_measure(ANISO_F2, free2), 6)):
-        golden = _as_version_5((DATA / name).read_text(encoding="utf-8"))
+        v4 = (DATA / name).read_text(encoding="utf-8")
+        golden = _as_version_6(v4)
         cache = w.convolution_powers(desc, mu, depth, engine="generic")
         assert w.export_cache_json(cache) == golden, name
         back = w.import_cache_json(golden)
+        for level, ids in zip(back._levels, _golden_level_ids(json.loads(v4)),
+                              strict=True):
+            assert level.ids.dtype == np.int32
+            assert level.ids.tolist() == ids.tolist(), name
         ball = desc.ball(3)
         for m in range(depth + 1):
             assert ([back.log_value(m, g) for g in ball]
@@ -717,8 +734,10 @@ def generic_artifact(free2):
 
 def _edit(doc, fn):
     """Repack the packed array ``doc`` after ``fn`` edits a writable copy
-    of it, or with what ``fn`` returns in its place."""
-    arr = _unpack(doc).copy()
+    of it (integers widened to int64, so any edit fits), or with what
+    ``fn`` returns in its place."""
+    arr = _unpack(doc)
+    arr = arr.astype(np.int64) if arr.dtype.kind == "i" else arr.copy()
     out = fn(arr)
     return _pack(arr if out is None else out)
 
@@ -758,11 +777,31 @@ def _swap(seq, i, j):
     seq[i], seq[j] = seq[j], seq[i]
 
 
+def _edit_ids(m, fn):
+    """Re-encode the id deltas after ``fn`` edits level ``m``'s ids."""
+    def tamper(p):
+        bounds = np.cumsum(_unpack(p["sizes"]))[:-1]
+        levels = [np.cumsum(deltas, dtype=np.int64) - 1 for deltas in np.split(
+            _unpack(p["ids"]), bounds)]
+        fn(levels[m])
+        p["ids"] = _pack(np.concatenate([np.diff(ids, prepend=-1) for ids in levels]))
+    return tamper
+
+
 def _swap_in_level(m):
     def tamper(p):
+        _edit_ids(m, lambda ids: _swap(ids, 0, 1))(p)
         i = _level_entry(p, m, 0)
-        for key in ("ids", "vals"):
-            p[key] = _edit(p[key], lambda arr: _swap(arr, i, i + 1))
+        p["vals"] = _edit(p["vals"], lambda arr: _swap(arr, i, i + 1))
+    return tamper
+
+
+def _edit_base64(key, i, char):
+    """Insert ``char`` at position ``i`` of the base64 text of ``key``: a
+    lenient decoder would skip it and read the same bytes."""
+    def tamper(p):
+        data = p[key]["data"]
+        p[key]["data"] = data[:i] + char + data[i:]
     return tamper
 
 
@@ -781,8 +820,16 @@ TAMPERS = {
         "lengths", _edit(p["elements"]["lengths"],
                          lambda arr: arr.__setitem__(-1, arr[-1] + 1))),
     "unsorted ids": _swap_in_level(2),
-    "id past the table": lambda p: _edit_level("ids", 3, -1, _table_size(p))(p),
-    "negative id": _edit_level("ids", 1, 0, -1),
+    "id past the table": lambda p: _edit_ids(
+        3, lambda ids: ids.__setitem__(-1, _table_size(p)))(p),
+    "negative id": _edit_ids(1, lambda ids: ids.__setitem__(0, -1)),
+    "zero id delta": _edit_level("ids", 2, 1, 0),
+    "negative id delta": _edit_level("ids", 2, 1, -3),
+    "id deltas past the table": lambda p: _edit_level("ids", 3, 0, _table_size(p))(p),
+    "id deltas wrapping int32": _edit_key(
+        "ids", lambda arr: arr.__setitem__(slice(1, 3), 2**31 - 1)),
+    "id deltas wrapping int64": _edit_key(
+        "ids", lambda arr: arr.__setitem__(slice(1, 5), 2**62)),
     "zero value": _edit_level("vals", 2, 0, 0.0),
     "negative value": _edit_level("vals", 2, 0, -0.5),
     "NaN value": _edit_level("vals", 2, 0, math.nan),
@@ -799,6 +846,9 @@ TAMPERS = {
     "one log_scale short": _edit_key("log_scales", lambda arr: arr[:-1]),
     "bad dtype": lambda p: p["ids"].__setitem__("dtype", ">i4"),
     "invalid base64": lambda p: p["vals"].__setitem__("data", "not base64!"),
+    "base64 character outside the alphabet": _edit_base64("vals", 5, "*"),
+    "non-ASCII base64 character": _edit_base64("vals", 5, "\u00e9"),
+    "base64 with a line break": _edit_base64("vals", 8, "\n"),
     "shape past the data": lambda p: p["vals"].__setitem__(
         "shape", [p["vals"]["shape"][0] + 1]),
     "shape not a list": lambda p: p["vals"].__setitem__("shape", "7"),
@@ -1007,6 +1057,24 @@ def test_packed_arrays_keep_every_bit():
     assert _unpack(_pack(floats)).tobytes() == floats.tobytes()
 
 
+def test_base64_decoding_is_strict():
+    """Packed data is encoded a piece at a time and decoded from its str in
+    place, as strictly as ``base64.b64decode(validate=True)``: data spanning
+    several pieces encodes as one base64 text and decodes bit for bit, and a
+    character outside the alphabet, a non-ASCII one or a line break (each
+    inserted, so a lenient decoder would skip it and read the same bytes),
+    padding in the middle or data that is not a str raise ValueError."""
+    arr = np.arange(-2**40, -2**40 + powers._BASE64_CHUNK + 11, dtype=np.int64)
+    doc = _pack(arr)
+    assert doc["data"] == base64.b64encode(arr.tobytes()).decode("ascii")
+    assert _unpack(doc).tobytes() == arr.tobytes()
+    data = doc["data"]
+    for bad in (data[:5] + "*" + data[5:], data[:5] + "\u00e9" + data[5:],
+                data[:8] + "\n" + data[8:], data[:4] + "=" + data[5:], 12, None):
+        with pytest.raises(ValueError):
+            _unpack({**doc, "data": bad})
+
+
 def test_malformed_artifact_is_value_error(generic_artifact, array_artifacts):
     """Whatever is wrong with an artifact, import raises ValueError, the
     one error a cache reader treats as a miss."""
@@ -1206,29 +1274,61 @@ def test_element_hashes_peak_is_bounded():
 LAMP_SEED7 = "(0,{}) 6/17\n(1,{}) 3/17\n(-1,{}) 7/17\n(0,{0}) 1/17"
 
 
-def test_generic_build_peak_is_bounded(lamp1):
-    """Building lamplighter(1) to depth 20 (about 25 MiB kept) allocates at
-    most 2x what the finished cache keeps: the frontier is multiplied and
-    interned in blocks, and the step table grows to the element table's
-    size, not to double its capacity."""
-    mu = w.parse_measure(LAMP_SEED7, lamp1)
+def _traced(fn):
+    """``fn()``, the bytes it allocated at its peak and the bytes still
+    allocated when it returned, both beyond what was allocated before."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        cache = w.convolution_powers(lamp1, mu, 20, engine="generic")
+        out = fn()
         live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, peak - start, live - start
+
+
+def test_generic_build_peak_is_bounded(lamp1):
+    """Building lamplighter(1) to depth 20 (about 13.5 MiB kept) allocates
+    at most 1.5x what the finished cache keeps: the frontier is multiplied
+    and interned in blocks, the products are narrowed as they are made,
+    lookups gather and compare a block of candidates at a time, and the
+    step table grows to the element table's size, not to double its
+    capacity."""
+    mu = w.parse_measure(LAMP_SEED7, lamp1)
+    cache, peak, live = _traced(
+        lambda: w.convolution_powers(lamp1, mu, 20, engine="generic"))
     assert cache.depth == 20 and cache.complete
-    assert peak - start <= 2.0 * (live - start), (peak - start, live - start)
+    assert peak <= 1.5 * live, (peak, live)
+
+
+def test_generic_round_trip_peak_is_bounded(lamp1):
+    """The depth-18 lamplighter(1) round trip of the benchmark: export
+    allocates at most 1.75x the text it returns (the base64 is appended to
+    the text a piece at a time, not held as strings beside it, and the text
+    is json.dumps(doc, sort_keys=True) byte for byte), and import, with the
+    text held by the caller, at most 1.35x what the imported cache keeps
+    (each field is decoded from its str in place, the ids are rebuilt from
+    their deltas level by level, and the repeat check compares only equal
+    hashes next to each other in the sorted index)."""
+    mu = w.parse_measure(LAMP_SEED7, lamp1)
+    cache = w.convolution_powers(lamp1, mu, 18, engine="generic")
+    text, peak, _ = _traced(lambda: w.export_cache_json(cache))
+    assert json.dumps(json.loads(text), sort_keys=True) == text
+    assert peak <= 1.75 * len(text), (peak, len(text))
+    back, peak, live = _traced(lambda: w.import_cache_json(text))
+    assert peak <= 1.35 * live, (peak, live)
+    assert w.export_cache_json(back) == text
+    for m in range(cache.depth + 1):
+        assert back._levels[m].ids.tobytes() == cache._levels[m].ids.tobytes(), m
+        assert back._levels[m].vals.tobytes() == cache._levels[m].vals.tobytes(), m
 
 
 def test_generic_import_keeps_packed_width(lamp1, lamp_mu):
     """The artifact packs small integers in 8 bits, and the element table,
     built or imported, keeps them at that width, while the table's ``take``
-    widens every gathered row to int64, so the group law and the
-    comparisons never compute in a narrow dtype: level ids are int32, and
-    every level of the imported cache equals a fresh build's."""
+    widens every gathered row to int64, so the group law never computes in
+    a narrow dtype: level ids are int32, and every level of the imported
+    cache equals a fresh build's."""
     depth = 8
     fresh = w.convolution_powers(lamp1, lamp_mu, depth, engine="generic")
     text = w.export_cache_json(fresh)
