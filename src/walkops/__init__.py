@@ -15,9 +15,7 @@ from .measures import (
     ScaledMeasure,
     convolve,
     parse_measure,
-    radial_convolve,
     radial_reduce,
-    tree_sphere_count,
     validate_measure,
 )
 from .powers import (
@@ -26,26 +24,18 @@ from .powers import (
     export_cache_json,
     import_cache_json,
     is_aperiodic,
-    transition,
 )
 from .ratiolimit import (
     BoundConstants,
-    ClosedFormFreeTable,
-    ConstantKernelTable,
     KernelEntry,
     KernelTable,
     bound_constants,
     boundary_trace,
-    cartesian_H,
     closed_form_H_free_isotropic,
-    cocycle_check,
     detect_radical,
     estimate_H,
-    martin_vs_ratio,
     ratio_metric,
     ratio_sequence,
-    rho_harmonicity_check,
-    srlp_diagnostic,
 )
 from .spectral import (
     GreenValue,
@@ -54,7 +44,6 @@ from .spectral import (
     green,
     local_limit_exponent,
     martin_kernel,
-    martin_metric,
     spectral_radius,
 )
 

@@ -697,27 +697,6 @@ def covariance_check(window: FockWindow, g, zeta, n: int, x, y,
     )
 
 
-def t_vs_w_level_defects(window: FockWindow, n: int, x, y, rho_hat: float,
-                         table, fibers, levels) -> list:
-    """Per-level, per-fiber norm of (T - W) restricted to one input vector:
-    |sqrt(rho^n P^(m)_{y,z} / P^(n+m)_{x,z}) - sqrt(H(x^-1y, x^-1z))|."""
-    desc = window.descriptor
-    xinv = desc.inverse(x)
-    xy = desc.multiply(xinv, y)
-    out = []
-    for z in fibers:
-        h = table.get(xy, desc.multiply(xinv, z)).estimate
-        for m in levels:
-            lp_y = window.log_p(m, y, z)
-            lp_x = window.log_p(m + n, x, z)
-            defect = None  # no T coefficient where either transition is absent
-            if lp_y > NEG_INF and lp_x > NEG_INF:
-                t_coeff = math.exp(0.5 * (n * math.log(rho_hat) + lp_y - lp_x))
-                defect = abs(t_coeff - math.sqrt(h))
-            out.append({"fiber": desc.format(z), "level": m, "defect": defect})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # quotient norms
 # ---------------------------------------------------------------------------

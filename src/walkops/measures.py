@@ -8,8 +8,9 @@ quotients of mantissas, which is what every ratio-limit estimate consumes.
 Also here: the measure-file grammar, structural validation (mass,
 symmetry, semigroup generation evidence, and the period read off the
 return times of a convolution-powers cache by ``powers.is_aperiodic``),
-and the radial calculus for isotropic measures on free groups, built on
-the homogeneous-tree sphere counts.
+and the radial calculus for isotropic measures on free groups: the
+reduction to per-radius values, the radial tree step the ``radial`` engine
+runs and the level mass over the tree's spheres.
 """
 
 from __future__ import annotations
@@ -256,26 +257,6 @@ def sphere_size(q: int, r: int) -> int:
     return q * (q - 1) ** (r - 1)
 
 
-def tree_sphere_count(n: int, k: int, l: int, q: int) -> int:
-    """Vertices u of the q-regular tree with d(e,u)=k and d(u,w)=l, where
-    d(e,w)=n.  Zero unless |n-k| <= l <= n+k and l = n+k (mod 2)."""
-    if min(n, k, l) < 0:
-        return 0
-    if (n + k + l) % 2 or l < abs(n - k) or l > n + k:
-        return 0
-    b = (k + l - n) // 2  # branch length off the [e,w] geodesic
-    a = k - b             # branch point distance from e
-    if a < 0 or a > n:
-        return 0
-    if b == 0:
-        return 1
-    if n == 0:
-        return sphere_size(q, b)
-    if a == 0 or a == n:
-        return (q - 1) ** b
-    return (q - 2) * (q - 1) ** (b - 1)
-
-
 def radial_step(f: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
     """Per-element radial convolution of radial ``f`` with radial ``g``.
 
@@ -323,19 +304,6 @@ class RadialMeasure:
     values: np.ndarray
     log_scale: float = 0.0
     tree_degree: int = 4
-
-    @classmethod
-    def point_mass(cls, q: int):
-        return cls(values=np.array([1.0]), log_scale=0.0, tree_degree=q)
-
-    def value_at_radius(self, r: int) -> float:
-        if 0 <= r < len(self.values):
-            return float(self.values[r]) * math.exp(self.log_scale)
-        return 0.0
-
-    def total_mass(self) -> float:
-        logs = log_radial_mass(self.values, self.tree_degree)
-        return math.exp(logs + self.log_scale) if logs > NEG_INF else 0.0
 
 
 def log_radial_mass(values: np.ndarray, q: int) -> float:
@@ -387,30 +355,3 @@ def radial_reduce(mu: ScaledMeasure, descriptor: FreeGroup,
         # the smallest, so the value does not depend on the support's order
         values[r] = lo
     return RadialMeasure(values=values, log_scale=mu.log_scale, tree_degree=q)
-
-
-def radial_convolve(f: RadialMeasure, g: RadialMeasure) -> RadialMeasure:
-    """Radial convolution (f*g)(n) = sum_{k,l} f(k) g(l) M(n,k,l)."""
-    if f.tree_degree != g.tree_degree:
-        raise PreconditionError("radial measures live on different trees")
-    raw = radial_step(f.values, g.values, f.tree_degree)
-    peak = raw.max()
-    if peak <= 0.0:
-        raise ValueError("radial convolution produced an empty measure")
-    return RadialMeasure(
-        values=raw / peak,
-        log_scale=f.log_scale + g.log_scale + math.log(peak),
-        tree_degree=f.tree_degree,
-    )
-
-
-def radial_to_measure(f: RadialMeasure, descriptor: FreeGroup,
-                      max_radius: int | None = None) -> ScaledMeasure:
-    """Expand a radial measure to explicit elements (small radii only)."""
-    top = len(f.values) - 1 if max_radius is None else min(max_radius, len(f.values) - 1)
-    values = {}
-    for g in descriptor.ball(top):
-        v = f.values[len(g)]
-        if v > 0.0:
-            values[g] = float(v)
-    return ScaledMeasure.from_values(values, descriptor, log_scale=f.log_scale)

@@ -234,13 +234,6 @@ class PowersCache:
             self._aperiodicity = is_aperiodic(self)
         return self._aperiodicity
 
-    def value(self, m: int, g) -> float:
-        lv = self.log_value(m, g)
-        return math.exp(lv) if lv > NEG_INF else 0.0
-
-    def has_value(self, m: int, g) -> bool:
-        return self.log_value(m, g) > NEG_INF
-
     def log_transition(self, m: int, x, y) -> float:
         """log P^(m)_{x,y} = log mu^{*m}(x^-1 y)."""
         return self.log_value(m, self.descriptor.multiply(self.descriptor.inverse(x), y))
@@ -258,12 +251,6 @@ class PowersCache:
         raise CoverageError(
             f"{self.engine_name} engine does not materialize full levels"
         )
-
-
-def transition(cache: PowersCache, n: int, x, y) -> float:
-    """P^(n)_{x,y} as a plain float (0.0 when the edge is absent)."""
-    lv = cache.log_transition(n, x, y)
-    return math.exp(lv) if lv > NEG_INF else 0.0
 
 
 def is_aperiodic(cache: PowersCache, probe_depth: int | None = None):

@@ -1,4 +1,4 @@
-"""Ratio-limit kernel estimation, the radical, metrics and cross-checks.
+"""Ratio-limit kernel estimation, the radical, the metric and boundary traces.
 
 The central object is the kernel H(x,y) = lim_m mu^{*m}(x^-1 y)/mu^{*m}(y),
 estimated from DP ratio tails with geometric-ladder Aitken acceleration in
@@ -7,9 +7,9 @@ a doubling ladder).  Every entry carries an interval taken over the
 accelerated window; the raw tail is retained so estimates can be re-audited.
 
 On top of the kernel table: the detected radical subgroup, the ratio-limit
-pseudometric with rigorous tail bounds, boundary-ray traces, the cocycle
-and rho-harmonicity identities, Cartesian factorization, the free-group
-closed form, and the Martin-vs-ratio comparison.
+pseudometric with rigorous tail bounds and boundary-ray traces.  The
+free-group closed form is the exact kernel the ``kernel`` job compares
+against.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CoverageError, PreconditionError, RadiusExhaustedError
-from .groups import FreeGroup, GroupDescriptor
-from .measures import NEG_INF, ScaledMeasure
-from .powers import PowersCache, convolution_powers
+from .groups import FreeGroup
+from .measures import NEG_INF
+from .powers import PowersCache
 from .reports import DiagnosticsReport
 from .sequences import aitken_step, halving_ladder, richardson_harmonic
-from .spectral import MetricValue
 
 
 # ---------------------------------------------------------------------------
@@ -235,116 +234,6 @@ def closed_form_H_free_isotropic(s: int, x, y) -> float:
     return pref * (2.0 * s - 1.0) ** ((dey - dxy) / 2.0)
 
 
-class ClosedFormFreeTable:
-    """KernelTable-compatible view of the free-group closed form.
-
-    Entries are exact (zero-width intervals).  Bound constants still come
-    from a shallow DP cache of the actual walk, built on demand.
-    """
-
-    def __init__(self, descriptor: FreeGroup, mu: ScaledMeasure | None = None,
-                 rho_hat: float | None = None):
-        self.descriptor = descriptor
-        self.rho_hat = rho_hat
-        self._mu = mu
-        self._cache = None
-        self._bounds: dict = {}
-
-    def get(self, x, y) -> KernelEntry:
-        v = closed_form_H_free_isotropic(self.descriptor.rank, x, y)
-        return KernelEntry(x=x, y=y, estimate=v, lo=v, hi=v,
-                           m_window=(0, 0), accelerated=False)
-
-    def bound_constant(self, x) -> BoundConstants:
-        if x not in self._bounds:
-            if self._mu is None or self.rho_hat is None:
-                raise PreconditionError(
-                    "closed-form table needs mu and rho_hat for bound constants"
-                )
-            if self._cache is None or self._cache.depth < len(x) + 2:
-                self._cache = convolution_powers(
-                    self.descriptor, self._mu, max(4, len(x) + 2)
-                )
-            self._bounds[x] = bound_constants(self._cache, x, self.rho_hat)
-        return self._bounds[x]
-
-    def provenance(self) -> dict:
-        return {"kernel": "closed-form-free-isotropic", "rank": self.descriptor.rank}
-
-
-class ConstantKernelTable:
-    """H identically constant (amenable symmetric factor: constant 1)."""
-
-    def __init__(self, descriptor: GroupDescriptor, value: float = 1.0):
-        self.descriptor = descriptor
-        self.value = value
-
-    def get(self, x, y) -> KernelEntry:
-        return KernelEntry(x=x, y=y, estimate=self.value, lo=self.value,
-                           hi=self.value, m_window=(0, 0), accelerated=False)
-
-    def provenance(self) -> dict:
-        return {"kernel": "constant", "value": self.value}
-
-
-def cartesian_H(left_table, right_table, x, y) -> float:
-    """Product formula for Cartesian walks: kernel of the pair inputs."""
-    return left_table.get(x[0], y[0]).estimate * right_table.get(x[1], y[1]).estimate
-
-
-# ---------------------------------------------------------------------------
-# SRLP diagnostics
-# ---------------------------------------------------------------------------
-
-def srlp_diagnostic(cache: PowersCache, ball_radius: int, tol: float,
-                    table: KernelTable | None = None) -> DiagnosticsReport:
-    """Tail-oscillation evidence for the strong ratio limit property.
-
-    For every (x, y) in the ball the oscillation of the accelerated ratio
-    tail (the kernel-entry window width) is compared against ``tol``.  The
-    verdict is consistency evidence only, never a proof.
-    """
-    aperiodic, period = cache.aperiodicity()
-    if not aperiodic:
-        raise PreconditionError(
-            f"SRLP diagnostic needs an aperiodic walk (period {period})"
-        )
-    if table is None:
-        table = KernelTable(cache)
-    ball = cache.descriptor.ball(ball_radius)
-    fmt = cache.descriptor.format
-    residuals = []
-    worst = 0.0
-    offenders = []
-    for x in ball:
-        for y in ball:
-            entry = table.get(x, y)
-            osc = entry.hi - entry.lo
-            worst = max(worst, osc)
-            residuals.append({
-                "x": fmt(x), "y": fmt(y),
-                "oscillation": osc,
-                "estimate": entry.estimate,
-                "accelerated": entry.accelerated,
-            })
-            if osc > tol:
-                offenders.append((fmt(x), fmt(y), osc))
-    passed = not offenders
-    verdict = (
-        f"consistent with SRLP at tol {tol:g}"
-        if passed else f"{len(offenders)} pair(s) oscillate beyond tol {tol:g}"
-    )
-    return DiagnosticsReport(
-        name="srlp-diagnostic",
-        inputs={"ball_radius": ball_radius, "pairs": len(residuals)},
-        residuals=residuals,
-        passed=passed,
-        verdict=verdict,
-        tolerances={"oscillation": tol},
-        provenance=table.provenance(),
-    )
-
-
 # ---------------------------------------------------------------------------
 # radical detection
 # ---------------------------------------------------------------------------
@@ -427,6 +316,13 @@ def detect_radical(table, ball_radius: int, probe_radius: int,
 # the ratio-limit pseudometric and boundary traces
 # ---------------------------------------------------------------------------
 
+@dataclass
+class MetricValue:
+    value: float
+    tail_bound: float
+    uncertainty: float
+
+
 def ratio_metric(table, y, z, ball_radius: int) -> MetricValue:
     """Truncated d(yR, zR) = sum_x |H(x,y) - H(x,z)| / (C_x 2^phi(x)).
 
@@ -501,87 +397,4 @@ def boundary_trace(table, sequence: list, probe_radius: int,
         provenance=table.provenance(),
         extra={"limits": limits,
                "traces": {fmt(x): tr for x, tr in traces.items()}},
-    )
-
-
-# ---------------------------------------------------------------------------
-# identity checks
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CheckResult:
-    residual: float
-    allowance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.allowance
-
-
-def cocycle_check(table, g, x, y, slack: float = 3.0) -> CheckResult:
-    """|H(x,gy) H(g^-1,y) - H(g^-1 x, y)| against propagated uncertainty."""
-    desc = table.descriptor
-    ginv = desc.inverse(g)
-    a = table.get(x, desc.multiply(g, y))
-    b = table.get(ginv, y)
-    c = table.get(desc.multiply(ginv, x), y)
-    residual = abs(a.estimate * b.estimate - c.estimate)
-    allowance = slack * (
-        a.uncertainty * abs(b.estimate)
-        + b.uncertainty * abs(a.estimate)
-        + c.uncertainty
-    )
-    return CheckResult(residual=residual, allowance=allowance)
-
-
-def rho_harmonicity_check(table, mu: ScaledMeasure, rho_hat: float, x, y,
-                          rho_spread: float = 0.0, slack: float = 1.0) -> CheckResult:
-    """|sum_{x'} P_{x,x'} H(x',y) - rho H(x,y)|, x' over x * supp(mu)."""
-    desc = table.descriptor
-    total = 0.0
-    allowance = 0.0
-    for s, p in mu.items_values():
-        xp = desc.multiply(x, s)
-        entry = table.get(xp, y)
-        total += p * entry.estimate
-        allowance += p * entry.uncertainty
-    center = table.get(x, y)
-    residual = abs(total - rho_hat * center.estimate)
-    allowance += rho_hat * center.uncertainty + rho_spread * abs(center.estimate)
-    return CheckResult(residual=residual, allowance=slack * max(allowance, 1e-15))
-
-
-def martin_vs_ratio(martin_table, kernel_table, xs: list, ys: list,
-                    rel_tol: float) -> DiagnosticsReport:
-    """Per-x comparison of the Martin and ratio-limit kernel estimates
-    along a sequence; evidence for the covering question, never proof."""
-    fmt = kernel_table.descriptor.format
-    rows = []
-    worst = 0.0
-    for y in ys:
-        for x in xs:
-            k = martin_table.get(x, y)
-            h = kernel_table.get(x, y)
-            rel = abs(k.estimate - h.estimate) / abs(h.estimate)
-            worst = max(worst, rel)
-            rows.append({
-                "x": fmt(x), "y": fmt(y),
-                "martin": k.estimate, "ratio_limit": h.estimate,
-                "rel_diff": rel,
-            })
-    passed = worst <= rel_tol
-    return DiagnosticsReport(
-        name="martin-vs-ratio",
-        inputs={"points": len(rows)},
-        residuals=rows,
-        passed=passed,
-        verdict=(
-            f"kernels agree within {rel_tol:g} relative"
-            if passed else f"max relative difference {worst:.3g} exceeds {rel_tol:g}"
-        ),
-        tolerances={"rel_diff": rel_tol},
-        provenance={
-            "martin": martin_table.provenance(),
-            "ratio_limit": kernel_table.provenance(),
-        },
     )

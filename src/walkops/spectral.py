@@ -1,4 +1,4 @@
-"""Spectral radius, Green/F kernels, the Martin kernel and its metric.
+"""Spectral radius, the Green kernel and the Martin kernel.
 
 All estimates come with explicit error accounting: the spectral radius
 reports the oscillation of its extrapolated tail, Green values carry a
@@ -171,13 +171,6 @@ def green(cache: PowersCache, x, y, z: float, terms: int | None = None,
                       z=z, reliable=reliable)
 
 
-def f_kernel(cache: PowersCache, x, y, z: float, **kw) -> float:
-    """F(x,y|z) = G(x,y|z) / G(y,y|z)."""
-    gxy = green(cache, x, y, z, **kw)
-    gyy = green(cache, y, y, z, **kw)
-    return gxy.value / gyy.value
-
-
 # ---------------------------------------------------------------------------
 # Martin kernel
 # ---------------------------------------------------------------------------
@@ -273,41 +266,3 @@ class MartinTable:
             "terms": self.terms or self.cache.depth,
             "policy": self.policy,
         }
-
-
-@dataclass
-class MetricValue:
-    value: float
-    tail_bound: float
-    uncertainty: float
-
-    @property
-    def upper(self) -> float:
-        return self.value + self.tail_bound + self.uncertainty
-
-
-def martin_metric(table, j1, j2, ball: list, bounds) -> MetricValue:
-    """Truncated Martin metric over the phi-prefix ``ball``.
-
-    d(j1,j2) = sum_i (|K(i,j1) - K(i,j2)| + |d_{i,j1} - d_{i,j2}|) / (C_i 2^phi(i))
-    with phi the 1-based ball position.  The tail over phi > N is bounded
-    by 2 * 2^-N, valid whenever every C_i >= 1 (each summand is then at
-    most 2 * 2^-phi); ``bounds`` maps an element to its C constant.
-    """
-    total = 0.0
-    unc = 0.0
-    min_c = math.inf
-    for phi, i in enumerate(ball, start=1):
-        c_i = bounds(i)
-        min_c = min(min_c, c_i)
-        e1 = table.get(i, j1)
-        e2 = table.get(i, j2)
-        delta = abs(e1.estimate - e2.estimate)
-        delta += abs((1.0 if i == j1 else 0.0) - (1.0 if i == j2 else 0.0))
-        weight = 1.0 / (c_i * 2.0 ** phi)
-        total += delta * weight
-        unc += (e1.uncertainty + e2.uncertainty) * weight
-    tail = 2.0 * 2.0 ** (-len(ball))
-    if min_c < 1.0:
-        tail /= min_c
-    return MetricValue(value=total, tail_bound=tail, uncertainty=unc)

@@ -20,6 +20,7 @@ import pytest
 
 import walkops as w
 import walkops.fock as fk
+from walkops.measures import radial_step
 
 SQRT3 = math.sqrt(3.0)
 
@@ -69,9 +70,11 @@ def test_criterion_1_exact_identities(lazy_z_cache, f2_cache, lazy_z_table):
         for g, v in lhs.items_values():
             ck_ok &= abs(rhs.value(g) - v) <= 1e-9 * v
         lhs_r = f2_cache.level_radial(n + m)
-        rhs_r = w.radial_convolve(f2_cache.level_radial(n), f2_cache.level_radial(m))
+        left, right = f2_cache.level_radial(n), f2_cache.level_radial(m)
+        rhs_r = radial_step(left.values, right.values, lhs_r.tree_degree)
         for r in range(n + m + 1):
-            a, b = lhs_r.value_at_radius(r), rhs_r.value_at_radius(r)
+            a = lhs_r.values[r] * math.exp(lhs_r.log_scale)
+            b = rhs_r[r] * math.exp(left.log_scale + right.log_scale)
             if a > 0:
                 ck_ok &= abs(a - b) <= 1e-9 * a
 
@@ -87,6 +90,26 @@ def test_criterion_1_exact_identities(lazy_z_cache, f2_cache, lazy_z_table):
 # ---------------------------------------------------------------------------
 # 2. relations modulo compacts
 # ---------------------------------------------------------------------------
+
+def t_vs_w_level_defects(window, n, x, y, rho_hat, table, fibers, levels) -> list:
+    """Per-level, per-fiber norm of (T - W) restricted to one input vector:
+    |sqrt(rho^n P^(m)_{y,z} / P^(n+m)_{x,z}) - sqrt(H(x^-1y, x^-1z))|."""
+    desc = window.descriptor
+    xinv = desc.inverse(x)
+    xy = desc.multiply(xinv, y)
+    out = []
+    for z in fibers:
+        h = table.get(xy, desc.multiply(xinv, z)).estimate
+        for m in levels:
+            lp_y = window.log_p(m, y, z)
+            lp_x = window.log_p(m + n, x, z)
+            defect = None  # no T coefficient where either transition is absent
+            if lp_y > -math.inf and lp_x > -math.inf:
+                t_coeff = math.exp(0.5 * (n * math.log(rho_hat) + lp_y - lp_x))
+                defect = abs(t_coeff - math.sqrt(h))
+            out.append({"fiber": desc.format(z), "level": m, "defect": defect})
+    return out
+
 
 def _relations_suite(window, table, pairs, triples, gen_args):
     reports = [
@@ -122,11 +145,11 @@ def test_criterion_2_relations_modulo_compacts(
     )
     all_exact = all(r.passed for r in reports)
 
-    mono_z = fk.t_vs_w_level_defects(
+    mono_z = t_vs_w_level_defects(
         win_z, 1, z0, z1, lazy_z_spectral.rho_hat, lazy_z_table,
         fibers=[z0, z1, (3,)], levels=[6, 12, 18],
     )
-    mono_f = fk.t_vs_w_level_defects(
+    mono_f = t_vs_w_level_defects(
         win_f, 1, e, a, f2_spectral.rho_hat, f2_table,
         fibers=[e, a, ab], levels=[4, 8, 12],
     )

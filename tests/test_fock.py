@@ -13,6 +13,8 @@ import walkops.fock as fk
 from walkops.errors import PreconditionError
 from walkops.reports import dumps
 
+from test_acceptance import t_vs_w_level_defects
+
 
 @pytest.fixture(scope="module")
 def z_window(lazy_z_cache):
@@ -68,7 +70,7 @@ def test_window_basis_matches_brute_force(lazy_z_cache, z_window):
     for m in range(25):
         for x in z_window.x_elems:
             for z in z_window.z_elems:
-                if w.transition(lazy_z_cache, m, x, z) > 0.0:
+                if lazy_z_cache.log_transition(m, x, z) > -math.inf:
                     count += 1
     assert count == z_window.size
 
@@ -631,7 +633,7 @@ def test_gauge_phase_entrywise(z_window):
 # ---------------------------------------------------------------------------
 
 def test_t_vs_w_defect_decreasing(z_window, lazy_z_spectral, lazy_z_table):
-    rows = fk.t_vs_w_level_defects(
+    rows = t_vs_w_level_defects(
         z_window, 1, (0,), (1,), lazy_z_spectral.rho_hat, lazy_z_table,
         fibers=[(0,), (1,)], levels=[6, 12, 18],
     )
@@ -647,7 +649,7 @@ def test_per_level_f2_t_vs_w_small(f2_cache, f2_spectral, f2_table, free2):
     the defect of T-vs-W coefficients is below 1e-2 on the 2-ball fibers."""
     win = fk.FockWindow(f2_cache, max_level=1001, x_radius=1, z_radius=2,
                         interior_margin=1)
-    rows = fk.t_vs_w_level_defects(
+    rows = t_vs_w_level_defects(
         win, 1, (), (1,), f2_spectral.rho_hat, f2_table,
         fibers=free2.ball(2), levels=[1000],
     )

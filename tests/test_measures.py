@@ -1,10 +1,13 @@
 """Measures, validation, tree sphere counts and the radial calculus."""
 
+import math
+
+import numpy as np
 import pytest
 
 import walkops as w
 from walkops.errors import BudgetExceededError, ElementParseError, IsotropyError
-from walkops.measures import radial_to_measure, sphere_size
+from walkops.measures import log_radial_mass, radial_step, sphere_size
 
 
 def test_parse_measure_fractions_and_decimals(lattice1):
@@ -144,6 +147,14 @@ def _tree_dist(desc, u, v):
     return len(desc.multiply(desc.inverse(u), v))
 
 
+def _sphere_count(n, k, l, q):
+    """Vertices u of the q-regular tree with d(e,u)=k and d(u,w)=l, where
+    d(e,w)=n, as the radial step counts them: the radial convolution of
+    the indicators of radius k and radius l, read at radius n."""
+    out = radial_step(np.eye(k + 1)[k], np.eye(l + 1)[l], q)
+    return out[n] if n < len(out) else 0.0
+
+
 @pytest.mark.parametrize("q", [2, 4, 6])
 def test_tree_sphere_count_brute_force(q):
     desc, ball = _tree_ball(q, 5)
@@ -156,16 +167,16 @@ def test_tree_sphere_count_brute_force(q):
                     for u in ball
                     if len(u) == k and _tree_dist(desc, u, word_w) == l
                 )
-                assert w.tree_sphere_count(n, k, l, q) == expected, (n, k, l, q)
+                assert _sphere_count(n, k, l, q) == expected, (n, k, l, q)
 
 
 def test_tree_sphere_count_closed_cases():
-    assert w.tree_sphere_count(3, 0, 3, 4) == 1
-    assert w.tree_sphere_count(1, 1, 0, 4) == 1
-    assert w.tree_sphere_count(1, 1, 2, 4) == 3
+    assert _sphere_count(3, 0, 3, 4) == 1
+    assert _sphere_count(1, 1, 0, 4) == 1
+    assert _sphere_count(1, 1, 2, 4) == 3
     for k in range(1, 6):
-        assert w.tree_sphere_count(0, k, k, 4) == 4 * 3 ** (k - 1)
-    assert w.tree_sphere_count(1, 1, 1, 4) == 0  # parity
+        assert _sphere_count(0, k, k, 4) == 4 * 3 ** (k - 1)
+    assert _sphere_count(1, 1, 1, 4) == 0  # parity
 
 
 def test_sphere_size():
@@ -179,9 +190,11 @@ def test_sphere_size():
 def test_radial_reduce_uniform(free2, iso_f2):
     radial = w.radial_reduce(iso_f2, free2)
     assert radial.tree_degree == 4
-    assert radial.value_at_radius(0) == pytest.approx(1 / 5, rel=1e-15)
-    assert radial.value_at_radius(1) == pytest.approx(1 / 5, rel=1e-15)
-    assert radial.total_mass() == pytest.approx(1.0, rel=1e-12)
+    scale = math.exp(radial.log_scale)
+    assert radial.values[0] * scale == pytest.approx(1 / 5, rel=1e-15)
+    assert radial.values[1] * scale == pytest.approx(1 / 5, rel=1e-15)
+    mass = log_radial_mass(radial.values, 4) + radial.log_scale
+    assert math.exp(mass) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_radial_reduce_rejects_anisotropic(free2):
@@ -192,22 +205,21 @@ def test_radial_reduce_rejects_anisotropic(free2):
 
 def test_radial_point_mass_identity(free2, iso_f2):
     f = w.radial_reduce(iso_f2, free2)
-    delta = w.RadialMeasure.point_mass(4)
-    out = w.radial_convolve(delta, f)
-    for r in range(len(f.values)):
-        assert out.value_at_radius(r) == pytest.approx(
-            f.value_at_radius(r), rel=1e-14, abs=1e-300
-        )
+    out = radial_step(np.array([1.0]), f.values, 4)
+    assert out == pytest.approx(f.values, rel=1e-14, abs=1e-300)
 
 
 def test_radial_convolve_matches_generic(free2, iso_f2):
     """Radial engine vs element-wise convolution, all radii, m <= 8."""
-    radial = w.radial_reduce(iso_f2, free2)
+    step = w.radial_reduce(iso_f2, free2)
+    values, log_scale = step.values, step.log_scale
     generic = iso_f2
     for m in range(2, 9):
-        radial = w.radial_convolve(radial, w.radial_reduce(iso_f2, free2))
+        values = radial_step(values, step.values, 4)
+        log_scale += step.log_scale
         generic = w.convolve(generic, iso_f2, free2)
-        expanded = radial_to_measure(radial, free2, max_radius=m)
         for g, v in generic.items_values():
-            assert expanded.value(g) == pytest.approx(v, rel=1e-12), (m, g)
-        assert radial.total_mass() == pytest.approx(1.0, rel=1e-11)
+            assert values[len(g)] * math.exp(log_scale) == pytest.approx(v, rel=1e-12), \
+                (m, g)
+        mass = log_radial_mass(values, 4) + log_scale
+        assert math.exp(mass) == pytest.approx(1.0, rel=1e-11)

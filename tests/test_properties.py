@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import walkops as w
-from walkops.measures import radial_to_measure
-from walkops.spectral import MartinTable, local_limit_exponent, martin_metric
+from walkops.measures import radial_step
 
 
 def _f2_points():
@@ -37,29 +36,6 @@ def test_ratio_metric_axioms_exact(f2_table):
         assert w.ratio_metric(f2_table, y, y, 2).value == 0.0
 
 
-def test_martin_metric_axioms_exact(f2_cache, f2_spectral, free2):
-    alpha = local_limit_exponent(f2_cache, f2_spectral)
-    table = MartinTable(f2_cache, f2_spectral.rho_hat, alpha)
-    bounds = {}
-
-    def c_of(x):
-        if x not in bounds:
-            bounds[x] = w.bound_constants(f2_cache, x, f2_spectral.rho_hat).C
-        return bounds[x]
-
-    ball = free2.ball(1)
-    pts = _f2_points()
-    rng = random.Random(11)
-    for _ in range(12):
-        y, z, t = rng.choice(pts), rng.choice(pts), rng.choice(pts)
-        d_yz = martin_metric(table, y, z, ball, c_of).value
-        assert d_yz == martin_metric(table, z, y, ball, c_of).value
-        d_yt = martin_metric(table, y, t, ball, c_of).value
-        d_tz = martin_metric(table, t, z, ball, c_of).value
-        assert d_yz <= d_yt + d_tz + 1e-12
-        assert martin_metric(table, y, y, ball, c_of).value == 0.0
-
-
 def test_metric_separates_non_radical_elements(f2_table):
     # rays through a and b stay apart beyond propagated uncertainty
     mv = w.ratio_metric(f2_table, (1,), (2,), 2)
@@ -70,20 +46,47 @@ def test_metric_separates_non_radical_elements(f2_table):
 # identity residuals against propagated uncertainty
 # ---------------------------------------------------------------------------
 
+def _cocycle(table, g, x, y, slack):
+    """(residual, allowance) of H(x,gy) H(g^-1,y) = H(g^-1 x, y)."""
+    desc = table.descriptor
+    ginv = desc.inverse(g)
+    a = table.get(x, desc.multiply(g, y))
+    b = table.get(ginv, y)
+    c = table.get(desc.multiply(ginv, x), y)
+    residual = abs(a.estimate * b.estimate - c.estimate)
+    allowance = slack * (a.uncertainty * abs(b.estimate)
+                         + b.uncertainty * abs(a.estimate) + c.uncertainty)
+    return residual, allowance
+
+
+def _harmonicity(table, mu, rho_hat, x, y, rho_spread):
+    """(residual, allowance) of sum_{x'} P_{x,x'} H(x',y) = rho H(x,y),
+    x' over x * supp(mu)."""
+    desc = table.descriptor
+    total = allowance = 0.0
+    for s, p in mu.items_values():
+        entry = table.get(desc.multiply(x, s), y)
+        total += p * entry.estimate
+        allowance += p * entry.uncertainty
+    center = table.get(x, y)
+    allowance += rho_hat * center.uncertainty + rho_spread * abs(center.estimate)
+    return abs(total - rho_hat * center.estimate), max(allowance, 1e-15)
+
+
 def test_cocycle_residuals_within_3x_uncertainty(f2_table, lazy_z2_table):
     f2 = w.FreeGroup(2)
     rng = random.Random(3)
     pts = _f2_points()
     for _ in range(15):
         g, x, y = rng.choice(pts), rng.choice(pts), rng.choice(pts)
-        res = w.cocycle_check(f2_table, g, x, y, slack=3.0)
-        assert res.passed, (g, x, y, res)
+        residual, allowance = _cocycle(f2_table, g, x, y, slack=3.0)
+        assert residual <= allowance, (g, x, y, residual, allowance)
     z2 = w.LatticeGroup(2)
     zpts = z2.ball(1)
     for _ in range(10):
         g, x, y = rng.choice(zpts), rng.choice(zpts), rng.choice(zpts)
-        res = w.cocycle_check(lazy_z2_table, g, x, y, slack=3.0)
-        assert res.passed, (g, x, y, res)
+        residual, allowance = _cocycle(lazy_z2_table, g, x, y, slack=3.0)
+        assert residual <= allowance, (g, x, y, residual, allowance)
 
 
 def test_rho_harmonicity_within_combined_uncertainty(
@@ -93,19 +96,19 @@ def test_rho_harmonicity_within_combined_uncertainty(
     pts = _f2_points()
     for _ in range(10):
         x, y = rng.choice(pts), rng.choice(pts)
-        res = w.rho_harmonicity_check(
+        residual, allowance = _harmonicity(
             f2_table, iso_f2, f2_spectral.rho_hat, x, y,
             rho_spread=f2_spectral.spread,
         )
-        assert res.passed, (x, y, res)
+        assert residual <= allowance, (x, y, residual, allowance)
     zpts = w.LatticeGroup(2).ball(1)
     for _ in range(8):
         x, y = rng.choice(zpts), rng.choice(zpts)
-        res = w.rho_harmonicity_check(
+        residual, allowance = _harmonicity(
             lazy_z2_table, lazy_z2, lazy_z2_spectral.rho_hat, x, y,
             rho_spread=lazy_z2_spectral.spread,
         )
-        assert res.passed, (x, y, res)
+        assert residual <= allowance, (x, y, residual, allowance)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +132,11 @@ def test_bound_constant_containment(f2_cache, f2_spectral, free2):
 
 def test_radial_generic_oracle_equality(free2, iso_f2):
     radial = w.radial_reduce(iso_f2, free2)
-    acc_radial = radial
+    values, log_scale = radial.values, radial.log_scale
     acc_generic = iso_f2
     for m in range(2, 9):
-        acc_radial = w.radial_convolve(acc_radial, radial)
+        values = radial_step(values, radial.values, radial.tree_degree)
+        log_scale += radial.log_scale
         acc_generic = w.convolve(acc_generic, iso_f2, free2)
-        expanded = radial_to_measure(acc_radial, free2, max_radius=m)
         for g, v in acc_generic.items_values():
-            assert expanded.value(g) == pytest.approx(v, rel=1e-12), (m, g)
+            assert values[len(g)] * np.exp(log_scale) == pytest.approx(v, rel=1e-12), (m, g)

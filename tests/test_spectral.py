@@ -1,4 +1,4 @@
-"""Spectral radius, Green values, Martin kernel and Martin metric."""
+"""Spectral radius, Green values and the Martin kernel."""
 
 import math
 
@@ -8,11 +8,9 @@ import walkops as w
 from walkops.errors import PreconditionError
 from walkops.spectral import (
     MartinTable,
-    f_kernel,
     green,
     local_limit_exponent,
     martin_kernel,
-    martin_metric,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -110,12 +108,6 @@ def test_green_unreliable_past_radius(f2_cache, f2_spectral):
     assert not gv.reliable and gv.truncation_bound == math.inf
 
 
-def test_f_kernel_diagonal_is_one(f2_cache, f2_spectral):
-    val = f_kernel(f2_cache, (1,), (1,), 0.8, terms=400,
-                   rho_hat=f2_spectral.rho_hat)
-    assert val == 1.0
-
-
 def test_martin_kernel_base_point(f2_cache, f2_spectral):
     alpha = local_limit_exponent(f2_cache, f2_spectral)
     entry = martin_kernel(f2_cache, (), (1, 1), f2_spectral.rho_hat, alpha)
@@ -124,12 +116,12 @@ def test_martin_kernel_base_point(f2_cache, f2_spectral):
 
 
 def test_martin_kernel_diagonal_inverse_relation(f2_cache, f2_spectral):
-    # K(x,x) = 1 / F(e,x|1/rho), F evaluated at the radius
+    # K(x,x) = 1 / F(e,x|1/rho), F(e,x) = G(e,x)/G(x,x) at the radius
     alpha = local_limit_exponent(f2_cache, f2_spectral)
     x = (1,)
     entry = martin_kernel(f2_cache, x, x, f2_spectral.rho_hat, alpha)
-    f_ex = f_kernel(f2_cache, (), x, 1.0 / f2_spectral.rho_hat,
-                    rho_hat=f2_spectral.rho_hat, alpha=alpha)
+    kw = dict(z=1.0 / f2_spectral.rho_hat, rho_hat=f2_spectral.rho_hat, alpha=alpha)
+    f_ex = green(f2_cache, (), x, **kw).value / green(f2_cache, x, x, **kw).value
     assert entry.estimate == pytest.approx(1.0 / f_ex, rel=1e-9)
 
 
@@ -190,33 +182,3 @@ def test_martin_kernel_ladder_path(lazy_z_cache, lazy_z_spectral):
     entry = martin_kernel(lazy_z_cache, (1,), (2,), lazy_z_spectral.rho_hat, 0.5)
     assert entry.method == "ladder"
     assert entry.estimate > 0.0
-
-
-def test_martin_metric_axioms_and_geodesic_order(f2_cache, f2_spectral, free2):
-    alpha = local_limit_exponent(f2_cache, f2_spectral)
-    table = MartinTable(f2_cache, f2_spectral.rho_hat, alpha)
-    rho = f2_spectral.rho_hat
-    bounds = {}
-
-    def c_of(x):
-        if x not in bounds:
-            bounds[x] = w.bound_constants(f2_cache, x, rho).C
-        return bounds[x]
-
-    ball = free2.ball(2)
-    a4, a5, b4 = (1,) * 4, (1,) * 5, (2,) * 4
-    d_same = martin_metric(table, a4, a4, ball, c_of)
-    assert d_same.value == 0.0
-    d_close = martin_metric(table, a4, a5, ball, c_of)
-    d_far = martin_metric(table, a4, b4, ball, c_of)
-    assert 0.0 < d_close.value < d_far.value
-    # symmetry and triangle inequality, exact up to float rounding
-    d_sym = martin_metric(table, a5, a4, ball, c_of)
-    assert d_sym.value == d_close.value
-    d_ab = martin_metric(table, a5, b4, ball, c_of)
-    assert d_far.value <= d_close.value + d_ab.value + 1e-12
-    # delta term separates distinct in-ball points
-    aa, ab = (1, 1), (1, 2)
-    d_sep = martin_metric(table, aa, ab, ball, c_of)
-    assert d_sep.value > 0.0
-    assert d_far.tail_bound == 2.0 * 2.0 ** (-len(ball))
