@@ -156,12 +156,6 @@ class FockWindow:
             return -1
         return int(self._pos[m, i, j])
 
-    def log_p(self, m, x, z) -> float:
-        """log P^(m)_{x,z}; memoized up to the window top, -inf when absent."""
-        if 0 <= m <= self.max_level:
-            return float(self._transition_column(x, z)[m])
-        return self.cache.log_transition(m, x, z)
-
     def edge_threshold(self, rows, z) -> int:
         """First level from which every (row, z) transition stays present
         up to the window top (max_level + 1 when none does)."""

@@ -285,11 +285,22 @@ def _row_tuples(rows):
     return list(map(table.__getitem__, which.tolist()))
 
 
+# positions ``_ranges`` adds per numpy call: bounds its one temporary
+_RANGE_BLOCK = 1 << 13
+
+
 def _ranges(starts, counts):
-    """The concatenated index ranges ``starts[i] .. starts[i] + counts[i] - 1``."""
-    ends = np.cumsum(counts)
-    return np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(
-        starts - (ends - counts), counts)
+    """The concatenated index ranges ``starts[i] .. starts[i] + counts[i] - 1``
+    as one int64 array, filled in place: each run's start less the position
+    of its first entry, repeated over the run, plus every entry's position,
+    added ``_RANGE_BLOCK`` positions at a time."""
+    heads = np.cumsum(counts, dtype=np.int64)
+    heads -= counts
+    out = np.repeat(np.subtract(starts, heads, dtype=np.int64), counts)
+    for lo in range(0, len(out), _RANGE_BLOCK):
+        block = out[lo:lo + _RANGE_BLOCK]
+        block += np.arange(lo, lo + len(block))
+    return out
 
 
 def _runs(items, counts):

@@ -6,9 +6,12 @@ level.  Three engines share one query interface:
 * array          ``ArrayPowers``: each level is one plain array indexed
                  from its corner ``lo``.  ``radial`` (isotropic free-group
                  walks): a 1-d array over tree radii, O(m) per level,
-                 stepped by the radial tree move.  ``dense`` (lattice walks
+                 stepped by the radial tree move; the cache keeps one
+                 (depth + 1) x R block of the radii below R (32 at first)
+                 and each level's log scale, and replays the build for a
+                 wider column or a full level.  ``dense`` (lattice walks
                  on Z^d): a d-dim array over the lattice box the walk can
-                 reach, stepped by shifted adds
+                 reach, stepped by shifted adds, every level kept
 * ``radial-lattice``  Cartesian walks mu = p·(mu_F x δ) + q·(δ x mu_Z) on
                  F_s x Z^d with an isotropic tree factor.  No product
                  level is stored: the cache holds a ``radial`` cache of
@@ -28,7 +31,7 @@ level.  Three engines share one query interface:
 An entry of mu^{*m} "exists" exactly when it is present/positive in the
 level storage; zeros are never stored.  Each level keeps mantissas with a
 shared log scale, so entry ratios within a level are exact float
-quotients.  A product keeps every level of both factors.
+quotients.  A product reads every level of both factors.
 
 Retention is ``full`` (every level queryable everywhere) or ``tracked``.
 A ``dense`` cache that would blow its memory budget keeps every level on
@@ -36,15 +39,16 @@ the lattice box spanned by a declared track set only; the track set may
 be any iterable and is read only then.  A product hands its budget and
 its track set, projected lazily to lattice points, to its lattice factor;
 without a track set both factors are fully retained.  A free-group walk
-is always fully retained: its level mass needs every radius, so a
-tracked level would keep as many floats as a full one.
+takes no budget and no track set: a ratio limit reads a few small radii,
+which its block keeps, and any other radius or full level is replayed
+bit for bit from the build, so every level stays queryable everywhere.
 
 Every engine computes a level's mass on the first ``level_mass`` call and
 memoizes it: a radial level's ``log_radial_mass`` is an O(m) Python loop
-per level, which no build needs, and a generic level is one ``fsum``
-over its stored values.  A full dense level sums its array
-on that call; a tracked level, which keeps only part of its array, keeps
-the sum of the whole.  A product's level mass is the binomial mix of its
+over the level, replayed from the cursor, which no build needs, and a
+generic level is one ``fsum`` over its stored values.  A full dense level
+sums its array on that call; a tracked level, which keeps only part of
+its array, keeps the sum of the whole.  A product's level mass is the binomial mix of its
 factors'.
 
 ``log_column(g)`` is the whole history of one entry: log mu^{*m}(g) for
@@ -952,19 +956,41 @@ def _cell(level, key):
     return arr[idx]
 
 
-class ArrayPowers(PowersCache):
-    """Isotropic walks on F_s and walks on Z^d, one plain array per level.
+# radii < _RADIAL_BLOCK of every level are what a ``radial`` cache keeps
+# from its build: every radius the CLI, the README configs and the
+# benchmark read; a column past them widens the block by one replay
+_RADIAL_BLOCK = 32
+# the levels a replay below the cursor keeps to restart from: a descending
+# sweep costs one replay plus fewer than _MARK_EVERY steps per level
+_MARK_EVERY = 32
 
-    A level is ``(lo, array, log scale, total)``, the array indexed from its
-    corner ``lo``.  A free-group walk keeps a 1-d array over tree radii
-    (``lo = (0,)``; g is read at index ``(len(g),)``) and steps by the
-    radial tree move; its engine name is ``radial``.  A lattice walk keeps a
-    d-dim array over the lattice box the walk reaches (g is read at index
-    g) and steps by shifted adds, the identity mass first; its engine name
-    is ``dense``.  Only a ``dense`` cache takes a memory budget and a track
-    set: a tracked level keeps the part of its array inside the tracked box
-    and, as its total, the sum of the whole array, which gives its mass.  A
-    full level's total is None.
+
+class ArrayPowers(PowersCache):
+    """Isotropic walks on F_s and walks on Z^d, stepped level by level.
+
+    A free-group walk (engine name ``radial``) steps a 1-d array over tree
+    radii by the radial tree move; g is read at radius ``len(g)``.  It keeps
+    one ``(depth + 1) x R`` block of mantissas, row m holding level m's
+    radii below R (zero past the level's last radius), and each level's log
+    scale.  R starts at ``_RADIAL_BLOCK``.  A column at a radius r >= R
+    replays the build once, the same steps, peak divisions and log-scale
+    sums, into a block whose R is doubled until r < R (capped at the top
+    level's radii), so every bit matches.  Full levels (``level_radial``,
+    ``level_mass``) come from a replay cursor: the last level replayed, the
+    top one after the build.  A query at or above the cursor steps forward
+    from it, so an ascending sweep costs one build.  A query below it
+    restarts from the highest mark at or below it, level 0 at first, and
+    marks the levels at multiples of ``_MARK_EVERY`` that it passes, so a
+    descending sweep costs one build and fewer than ``_MARK_EVERY`` steps
+    per level, and keeps about depth^2 / (2 ``_MARK_EVERY``) floats.
+
+    A lattice walk (``dense``) keeps every level as ``(lo, array, log
+    scale, total)``: a d-dim array over the lattice box the walk reaches,
+    indexed from its corner ``lo`` (g is read at index g), stepped by
+    shifted adds, the identity mass first.  Only a ``dense`` cache takes a
+    memory budget and a track set: a tracked level keeps the part of its
+    array inside the tracked box and, as its total, the sum of the whole
+    array, which gives its mass.  A full level's total is None.
     """
 
     def __init__(self, descriptor, mu, depth,
@@ -973,59 +999,68 @@ class ArrayPowers(PowersCache):
         if not isinstance(descriptor, (FreeGroup, LatticeGroup)):
             raise PreconditionError("measure is not a free-group or lattice walk")
         self.engine_name = _array_engine_name(descriptor)
+        self._depth = depth
         self._mu_ls = mu.log_scale
         self._track_region = None
-        self._levels = []
         self._masses: dict = {}
         if isinstance(descriptor, FreeGroup):
             # IsotropyError unless the measure is isotropic
             self._tree_vals = radial_reduce(mu, descriptor).values
-            self.q, d = 2 * descriptor.rank, 1
-        else:
-            self.q, d = 0, descriptor.dimension
-            zero = descriptor.identity()
-            # the identity mass first, then the other moves in lattice order:
-            # the order of the shifted adds fixes the summation order, hence
-            # the bits
-            self._moves = sorted(mu.support.items(), key=lambda vm: (
-                vm[0] != zero, descriptor.sort_key(vm[0])))
-            offs = list(mu.support) + [zero]
-            self._lo_step = tuple(min(o[i] for o in offs) for i in range(d))
-            self._hi_step = tuple(max(o[i] for o in offs) for i in range(d))
-            est = 8 * sum(math.prod(m * (h - l) + 1 for l, h in zip(
-                self._lo_step, self._hi_step)) for m in range(depth + 1))
-            if est > memory_budget_mb * 2**20:
-                if track is None:
-                    raise BudgetExceededError(
-                        f"full retention needs ~{est / 2**20:.0f} MiB "
-                        f"(budget {memory_budget_mb} MiB); pass a track set"
-                    )
-                pts = list(track) + [zero]
-                self._track_region = (
-                    tuple(min(v[i] for v in pts) for i in range(d)),
-                    tuple(max(v[i] for v in pts) for i in range(d)),
+            self.q = 2 * descriptor.rank
+            self._radii = depth * (len(self._tree_vals) - 1) + 1  # the top level's
+            self._marks = {0: np.ones(1)}   # level -> mantissas, for replays
+            self._fill(min(_RADIAL_BLOCK, self._radii))
+            return
+        self.q, d = 0, descriptor.dimension
+        zero = descriptor.identity()
+        # the identity mass first, then the other moves in lattice order:
+        # the order of the shifted adds fixes the summation order, hence
+        # the bits
+        self._moves = sorted(mu.support.items(), key=lambda vm: (
+            vm[0] != zero, descriptor.sort_key(vm[0])))
+        offs = list(mu.support) + [zero]
+        self._lo_step = tuple(min(o[i] for o in offs) for i in range(d))
+        self._hi_step = tuple(max(o[i] for o in offs) for i in range(d))
+        est = 8 * sum(math.prod(m * (h - l) + 1 for l, h in zip(
+            self._lo_step, self._hi_step)) for m in range(depth + 1))
+        if est > memory_budget_mb * 2**20:
+            if track is None:
+                raise BudgetExceededError(
+                    f"full retention needs ~{est / 2**20:.0f} MiB "
+                    f"(budget {memory_budget_mb} MiB); pass a track set"
                 )
+            pts = list(track) + [zero]
+            self._track_region = (
+                tuple(min(v[i] for v in pts) for i in range(d)),
+                tuple(max(v[i] for v in pts) for i in range(d)),
+            )
         self._current = ((0,) * d, np.ones((1,) * d), 0.0, None)
-        self._levels.append(self._current)
+        self._levels = [self._current]
         for _ in range(depth):
             self._step()
 
-    def _step(self):
-        lo, arr, ls, _ = self._current
+    def _next(self, lo, arr, ls):
+        """The level after ``(lo, arr, ls)``: stepped, divided by its peak,
+        with its log scale.  The one step of the build and of every
+        replay."""
         if self.q:
-            lo_new, out = lo, radial_step(arr, self._tree_vals, self.q)
+            out = radial_step(arr, self._tree_vals, self.q)
         else:
             # each move adds the level shifted by its offset into a box
             # widened by the steps' extent
-            lo_new = tuple(map(operator.add, lo, self._lo_step))
             out = np.zeros(tuple(
                 n + h - l for n, l, h in zip(arr.shape, self._lo_step, self._hi_step)))
             for v, mass in self._moves:
                 out[tuple(slice(c - l, c - l + n) for c, l, n in zip(
                     v, self._lo_step, arr.shape))] += mass * arr
+            lo = tuple(map(operator.add, lo, self._lo_step))
         peak = out.max()
         out /= peak
-        ls_new = ls + self._mu_ls + math.log(peak)
+        return lo, out, ls + self._mu_ls + math.log(peak)
+
+    def _step(self):
+        """Append the next ``dense`` level, whole or tracked."""
+        lo_new, out, ls_new = self._next(*self._current[:3])
         self._current = (lo_new, out, ls_new, None)
         if self._track_region is None:
             self._levels.append(self._current)
@@ -1038,9 +1073,41 @@ class ArrayPowers(PowersCache):
                              for a, b, l in zip(clo, thi, lo_new))].copy()
             self._levels.append((clo, keep, ls_new, out.sum()))
 
+    def _fill(self, width):
+        """Run the radial build, keeping radii < ``width`` of every level in
+        the block and every log scale; the cursor ends on the top level."""
+        block = np.zeros((self._depth + 1, width))
+        log_scales = []
+        level = ((0,), self._marks[0], 0.0)
+        for m in range(self._depth + 1):
+            if m:
+                level = self._next(*level)
+            row = level[1][:width]
+            block[m, :len(row)] = row
+            log_scales.append(level[2])
+        self._block, self._log_scales = block, log_scales
+        self._cursor = (self._depth, level[1])
+
+    def _radial_level(self, m) -> np.ndarray:
+        """Level m's mantissas over every radius, stepped from the cursor,
+        or, when m lies below it, from the highest mark at or below m,
+        marking the levels at multiples of ``_MARK_EVERY`` on the way; the
+        cursor moves to m."""
+        at, arr = self._cursor
+        back = m < at
+        if back:
+            at = max(k for k in self._marks if k <= m)
+            arr = self._marks[at]
+        for k in range(at, m):
+            _, arr, _ = self._next((0,), arr, self._log_scales[k])
+            if back and (k + 1) % _MARK_EVERY == 0:
+                self._marks[k + 1] = arr
+        self._cursor = (m, arr)
+        return arr
+
     @property
     def depth(self):
-        return len(self._levels) - 1
+        return self._depth
 
     def column_key(self, g):
         # a tracked level's array lies inside the tracked region, so a point
@@ -1052,15 +1119,27 @@ class ArrayPowers(PowersCache):
         return key
 
     def _column_values(self, key):
-        return [_log_entry(_cell(level, key), level[2]) for level in self._levels]
+        if not self.q:
+            return [_log_entry(_cell(level, key), level[2]) for level in self._levels]
+        r = key[0]
+        if r >= self._radii:  # past every level's last radius
+            return [NEG_INF] * (self._depth + 1)
+        width = self._block.shape[1]
+        if r >= width:
+            while width <= r:
+                width *= 2
+            self._fill(min(width, self._radii))
+        return [_log_entry(v, ls)
+                for v, ls in zip(self._block[:, r].tolist(), self._log_scales)]
 
     def level_mass(self, m):
         self._check_level(m)
         if m not in self._masses:
-            _, arr, ls, total = self._levels[m]
             if self.q:
-                logs = log_radial_mass(arr, self.q)
+                ls = self._log_scales[m]
+                logs = log_radial_mass(self._radial_level(m), self.q)
             else:  # a dense level: the log of its stored or summed total
+                _, arr, ls, total = self._levels[m]
                 total = arr.sum() if total is None else total
                 logs = math.log(total) if total > 0.0 else NEG_INF
             self._masses[m] = math.exp(logs + ls) if logs > NEG_INF else 0.0
@@ -1068,7 +1147,7 @@ class ArrayPowers(PowersCache):
 
     def level_log_scale(self, m):
         self._check_level(m)
-        return self._levels[m][2]
+        return self._log_scales[m] if self.q else self._levels[m][2]
 
     def level_radial(self, m) -> RadialMeasure:
         """A level of a free-group walk as its per-radius values; other
@@ -1076,8 +1155,8 @@ class ArrayPowers(PowersCache):
         self._check_level(m)
         if self.engine_name != "radial":
             raise CoverageError("only a radial cache has radial levels")
-        _, arr, ls, _ = self._levels[m]
-        return RadialMeasure(values=arr.copy(), log_scale=ls, tree_degree=self.q)
+        return RadialMeasure(values=self._radial_level(m).copy(),
+                             log_scale=self._log_scales[m], tree_degree=self.q)
 
     def level_measure(self, m):
         """A lattice level as a measure.  On a free group a tree radius
@@ -1273,9 +1352,9 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
     raises BudgetExceededError.  A ``radial-lattice`` (product) run hands
     both to its lattice factor, the track set projected lazily to lattice
     points, and without a track set retains both factors in full.  A
-    ``radial`` (free-group) run is always fully retained: its level mass
-    needs every radius, so a tracked level would save nothing.  The
-    generic engine is bounded by ``support_cap`` and by its int32 ids.
+    ``radial`` (free-group) run takes neither: it keeps the radii below 32
+    of every level and replays the build for the rest.  The generic
+    engine is bounded by ``support_cap`` and by its int32 ids.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")

@@ -101,8 +101,8 @@ def t_vs_w_level_defects(window, n, x, y, rho_hat, table, fibers, levels) -> lis
     for z in fibers:
         h = table.get(xy, desc.multiply(xinv, z)).estimate
         for m in levels:
-            lp_y = window.log_p(m, y, z)
-            lp_x = window.log_p(m + n, x, z)
+            lp_y = window.cache.log_transition(m, y, z)
+            lp_x = window.cache.log_transition(m + n, x, z)
             defect = None  # no T coefficient where either transition is absent
             if lp_y > -math.inf and lp_x > -math.inf:
                 t_coeff = math.exp(0.5 * (n * math.log(rho_hat) + lp_y - lp_x))

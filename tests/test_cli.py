@@ -1,6 +1,7 @@
 """CLI: determinism, exit codes, artifacts, config round-trips, caching."""
 
 import configparser
+import hashlib
 import io
 import json
 import os
@@ -121,6 +122,30 @@ def test_report_runs_all_jobs_and_is_deterministic(cfg_file, tmp_path):
         "spectrum", "kernel", "radical", "metric", "boundary", "fock",
         "covariance",
     }
+
+
+# sha256 of the ``report`` tree for FREE2_CFG (each file's relative path
+# and bytes, in path order, as perfbench's ``tree_digest`` hashes them),
+# computed when a ``radial`` cache still kept every level in full
+REPORT_SHA256 = "08ee8f8a53c11bb5a334287d9447392bfb3a752d17dc8203562b45a9027e4044"
+
+
+def _tree_sha256(root: Path) -> str:
+    h = hashlib.sha256()
+    for rel, data in _tree(root).items():
+        h.update(Path(rel).as_posix().encode() + b"\0")
+        h.update(data)
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def test_report_tree_is_pinned(cfg_file, tmp_path):
+    """The report's bytes are pinned across source trees, not only between
+    two runs of one: a change to how the engines store levels must leave
+    every output byte as it was."""
+    out = tmp_path / "o"
+    assert main(["report", "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert _tree_sha256(out) == REPORT_SHA256
 
 
 def test_report_builds_one_fock_window(cfg_file, tmp_path, monkeypatch):
@@ -689,9 +714,9 @@ def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, text, named):
 
 
 def test_radial_run_ignores_memory_budget(cfg_file, tmp_path):
-    """A free-group run is fully retained whatever its memory budget (a
-    tracked radial level would save nothing), so with ``memory_budget_mb =
-    0`` it writes the full run's output tree byte for byte and its cache
+    """A free-group run takes no memory budget (its cache keeps a small
+    block of radii and replays the rest), so with ``memory_budget_mb = 0``
+    it writes the full run's output tree byte for byte and its cache
     artifact, which a second run reads."""
     zero = tmp_path / "zero.ini"
     zero.write_text(FREE2_CFG.replace("depth = 300", "depth = 300\nmemory_budget_mb = 0"),

@@ -128,8 +128,9 @@ def test_select_matches_reference_scan(name, request):
 
 @pytest.mark.parametrize("name", ["z_window", "f2_window"])
 def test_window_queries_match_cache(name, request):
-    """Basis order, position, has, log_p, select by row and edge_threshold agree
-    with per-entry reads of the cache, rows outside the ball included."""
+    """Basis order, position, the basis's log probabilities, select by row
+    and edge_threshold agree with per-entry reads of the cache, rows
+    outside the ball included."""
     win = request.getfixturevalue(name)
     cache = win.cache
     far_row, far_fiber = _outside(win, win.x_radius), _outside(win, win.z_radius)
@@ -144,8 +145,9 @@ def test_window_queries_match_cache(name, request):
             for z in fibers:
                 assert win.position(m, x, z) == index.get((m, x, z), -1)
                 assert (win.position(m, x, z) >= 0) is ((m, x, z) in index)
-                if 0 <= m <= win.max_level:
-                    assert win.log_p(m, x, z) == cache.log_transition(m, x, z)
+                if (m, x, z) in index:
+                    assert win._basis_log_p[index[(m, x, z)]] == \
+                        cache.log_transition(m, x, z)
     for x in list(win.x_elems) + [far_row]:
         assert win.select(rows=[x]).tolist() == [i for i, k in enumerate(basis)
                                                  if k[1] == x]

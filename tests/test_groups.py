@@ -12,6 +12,7 @@ from walkops.errors import (
     ElementParseError,
     RadiusExhaustedError,
 )
+from walkops.groups import _ranges
 from walkops.powers import _pack, _unpack
 
 ALL_DESCRIPTORS = [
@@ -181,6 +182,31 @@ def test_mul_encoded_matches_mul(desc):
     _assert_same_arrays(desc.take_encoded(arrays, idx),
                         desc.encode_elements([ball[i] for i in idx]))
     assert desc.check_encoded(arrays) == len(ball)
+
+
+def test_ranges_matches_arange_plus_repeat():
+    """``_ranges`` equals the arange-plus-repeat formula it replaced, as
+    int64, on random starts and counts of several widths: zero-length runs
+    at the head, middle and tail, runs of zeros only, one run, and an empty
+    batch."""
+    def formula(starts, counts):
+        starts, counts = starts.astype(np.int64), counts.astype(np.int64)
+        ends = np.cumsum(counts)
+        return np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(
+            starts - (ends - counts), counts)
+
+    rng = np.random.default_rng(11)
+    cases = [([], []), ([5], [0]), ([7], [3]), ([4, 9, 2], [0, 0, 0]),
+             ([3, 8, 1, 6], [0, 2, 0, 0]), ([-4, 0, 30], [2, 0, 1])]
+    for _ in range(300):
+        n = int(rng.integers(0, 40))
+        cases.append((rng.integers(-100, 100, size=n), rng.integers(0, 4, size=n)))
+    for dtype in (np.int8, np.int32, np.int64):
+        for starts, counts in cases:
+            starts, counts = np.array(starts, dtype=dtype), np.array(counts, dtype=dtype)
+            got = _ranges(starts, counts)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, formula(starts, counts))
 
 
 def _decode(desc, **arrays):

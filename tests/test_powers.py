@@ -5,6 +5,7 @@ import copy
 import itertools
 import json
 import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -229,10 +230,10 @@ def test_dense_levels_match_reference_step(lattice1, lattice2, lazy_z, lazy_z2):
 
 
 def test_radial_ignores_memory_budget(free2, iso_f2):
-    """A free-group walk is fully retained whatever the memory budget: a
-    tracked level would keep every radius its mass needs, which is the
-    whole level.  With no budget and a track set the cache still has every
-    radius, every level and an artifact."""
+    """A free-group walk ignores the memory budget and the track set: its
+    block keeps the radii a ratio limit reads and the rest is replayed.
+    With no budget and a track set the cache still has every radius (the
+    radius 40 column is past the block), every level and an artifact."""
     full = w.convolution_powers(free2, iso_f2, 60)
     for track in (None, free2.ball(1)):
         cache = w.convolution_powers(free2, iso_f2, 60, memory_budget_mb=0,
@@ -243,6 +244,101 @@ def test_radial_ignores_memory_budget(free2, iso_f2):
         assert cache.log_column(far).tobytes() == full.log_column(far).tobytes()
         assert cache.level_radial(60).values.tobytes() == \
             full.level_radial(60).values.tobytes()
+
+
+def _radial_reads(cache, queries) -> dict:
+    """The bytes each query gives, asked in the order of ``queries``:
+    ("radial", m) reads level_radial, ("mass", m) level_mass and ("column",
+    r) log_column at radius r."""
+    out = {}
+    for kind, n in queries:
+        if kind == "radial":
+            level = cache.level_radial(n)
+            out[kind, n] = (level.values.tobytes(), level.log_scale)
+        elif kind == "mass":
+            out[kind, n] = cache.level_mass(n)
+        else:
+            out[kind, n] = cache.log_column((1,) * n).tobytes()
+    return out
+
+
+def test_radial_column_past_block_replays_bit_for_bit(free2, iso_f2):
+    """A column at a radius past the kept block (r = 100 at depth 400; the
+    block starts at 32 radii) replays the build into a block of 128 radii.
+    Asked before or after level_radial calls move the replay cursor, it and
+    the columns at the block's edges equal the reference column bit for
+    bit, and so do the levels read after the replays.  A radius past the
+    top level reads -inf at every level and widens nothing."""
+    depth = 400
+    ref = [((0,), vals, ls) for vals, ls in _radial_reference(free2, iso_f2, depth)]
+    radii = (100, 0, 31, 32, 127, 128, depth, depth + 1, 5000)
+    for moves in ((), (250, 37, 400, 3)):
+        cache = w.convolution_powers(free2, iso_f2, depth)
+        for m in moves:
+            cache.level_radial(m)
+        for r in radii:
+            col = cache.log_column((1,) * r)
+            assert col.tobytes() == _reference_column(ref, (r,)).tobytes(), (moves, r)
+            if r == 100:
+                assert cache._block.shape == (depth + 1, 128)
+        # widened for radius 400 to every radius of the top level, not 512
+        assert cache._block.shape == (depth + 1, depth + 1)
+        for m in (7, 399, 0, 400):
+            assert cache.level_radial(m).values.tobytes() == ref[m][1].tobytes(), m
+
+
+def test_radial_queries_agree_in_any_order(free2, iso_f2):
+    """level_radial, level_mass and log_column give the same bits whatever
+    order they are called in: every level and columns inside and past the
+    block, read in build order, descending and shuffled on fresh caches.
+    In build order they equal the reference levels and the eager masses."""
+    depth = 150
+    queries = [(kind, m) for m in range(depth + 1) for kind in ("radial", "mass")]
+    queries += [("column", r) for r in (0, 5, 31, 40, 64, depth)]
+    first = _radial_reads(w.convolution_powers(free2, iso_f2, depth), queries)
+    for m, (vals, ls) in enumerate(_radial_reference(free2, iso_f2, depth)):
+        assert first["radial", m] == (vals.tobytes(), ls), m
+        logs = log_radial_mass(vals, 4)
+        assert first["mass", m] == math.exp(logs + ls), m
+    shuffled = list(queries)
+    random.Random(3).shuffle(shuffled)
+    for order in (queries[::-1], shuffled):
+        assert _radial_reads(w.convolution_powers(free2, iso_f2, depth), order) == first
+
+
+def test_radial_cache_keeps_a_block_not_every_level(free2, iso_f2):
+    """A lazy F2 cache at depth 2000 keeps at most 1 MiB once built: the
+    2001 x 32 block of mantissas (0.49 MiB), the log scales and the top
+    level, where its 2,003,001 radii over every level would take 15.3 MiB."""
+    cache, _, live = _traced(lambda: w.convolution_powers(free2, iso_f2, 2000))
+    assert cache.depth == 2000
+    assert live <= 2**20
+
+
+def test_radial_replays_step_within_bounds(free2, iso_f2, monkeypatch):
+    """The build takes one radial_step per level, and level_radial(depth)
+    right after it takes none.  An ascending level_mass sweep over every
+    level takes at most 2·depth steps with the build; a descending one one
+    replay plus fewer than ``_MARK_EVERY`` steps per level."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return radial_step(*args)
+
+    monkeypatch.setattr(powers, "radial_step", counted)
+    depth = 300
+    for levels, bound in ((range(depth + 1), 2 * depth),
+                          (range(depth, -1, -1),
+                           2 * depth + depth * (powers._MARK_EVERY - 1))):
+        calls.clear()
+        cache = w.convolution_powers(free2, iso_f2, depth)
+        assert len(calls) == depth
+        cache.level_radial(depth)
+        assert len(calls) == depth
+        for m in levels:
+            cache.level_mass(m)
+        assert len(calls) <= bound, len(calls)
 
 
 def test_radial_lattice_vs_generic_equality():
@@ -536,7 +632,7 @@ def _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2, lamp1, lam
          w.convolution_powers(lattice2, lazy_z2, 24, engine="dense",
                               memory_budget_mb=0, track=[(1, -2), (0, 2)]),
          [(a, b) for a in range(0, 2) for b in range(-2, 3)], [(2, 0), (0, 3)]),
-        # the tree factor is fully retained: only the lattice box is tracked
+        # the tree factor takes no track set: only the lattice box is tracked
         ("radial-lattice tracked",
          w.convolution_powers(product, cartesian, 30, engine="radial-lattice",
                               memory_budget_mb=0, track=[((1, 1), (2,)), ((), (-2,))]),
