@@ -67,7 +67,7 @@ return ratios, Green sums, the Fock window) read columns; the period of
 the walk is read once per cache from the identity's column
 (``aperiodicity``).
 
-``export_cache_json`` writes a version-6 JSON artifact: a header
+``export_cache_json`` writes a version-7 JSON artifact: a header
 (descriptor, measure, depth, engine, complete, budget_note) and a
 ``payload``.
 
@@ -80,10 +80,11 @@ the walk is read once per cache from the identity's column
                  fully retained caches export), and returns the cache bit
                  for bit
 * ``generic``    the payload holds the levels as packed arrays (``_pack``:
-                 dtype, shape and the base64 of the little-endian bytes;
-                 integers in the narrowest of 8/16/32/64 bits that holds
-                 them, the width the element table keeps them in, also
-                 after import; floats as ``<f8``, so every bit survives):
+                 dtype, shape and the base64 of one zlib stream, level 1,
+                 of the little-endian bytes; integers in the narrowest of
+                 8/16/32/64 bits that holds them, the width the element
+                 table keeps them in, also after import; floats as
+                 ``<f8``, so every bit survives):
                  the element table as the descriptor's ``encode_elements``
                  arrays (elements in id order), per-level ``sizes`` and
                  ``log_scales``, one ``ids`` array holding each level's
@@ -92,18 +93,25 @@ the walk is read once per cache from the identity's column
                  ``vals`` array
 
 The text is ``json.dumps(doc, sort_keys=True)`` byte for byte, but the
-packed arrays are base64-encoded as the text is written, a piece at a
-time, not held as strings beside it; import decodes each field from the
-string it arrived as, without an ASCII copy.
+packed arrays are deflated and base64-encoded as the text is written, a
+piece at a time, not held as strings beside it; import decodes each field
+from the string it arrived as, without an ASCII copy, and inflates at most
+one byte more than its shape needs.  A level's mantissas repeat heavily,
+so the depth-18 lamplighter(1) artifact of the benchmark is 680,417 B
+(3,367,429 B as version 6's raw base64).  Its bytes are deterministic for
+one zlib build; another zlib may deflate differently, and every zlib
+inflates every artifact to the same arrays.
 
 ``import_cache_json`` rejects any other version and any malformed artifact
 with ValueError: an array artifact with a non-empty payload, a depth that
 is not a non-negative integer or an engine name that does not serve the
 descriptor's walks; on ``generic``, a packed array whose data is not
-base64 (a character outside the alphabet, or not ASCII) or whose bytes do
-not fill its shape, or whose dtype is not one of the five; element arrays
-that fail the descriptor's ``check_encoded``, repeat an element or do not
-hold the identity at id 0 (the generic import builds no element tuples);
+base64 (a character outside the alphabet, or not ASCII), is not one zlib
+stream (version 6's raw bytes), is truncated, has bytes after its stream's
+end or does not inflate to exactly its shape, or whose dtype is not one of
+the five; element arrays that fail the descriptor's ``check_encoded``,
+repeat an element or do not hold the identity at id 0 (the generic import
+builds no element tuples);
 id deltas below 1 or above the table size, or a level whose deltas sum
 past the table size (its ids would not rise strictly inside the table);
 stored values that are not finite and positive; empty levels; log scales
@@ -117,6 +125,7 @@ import json
 import math
 import operator
 import re
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,11 +165,16 @@ DEFAULT_MEMORY_BUDGET_MB = 512
 # payload is packed arrays, the element table included (an array artifact
 # of this version is read only with an empty payload); version 5: packed
 # integers in the narrowest of 8/16/32/64 bits that holds them; version 6:
-# the generic level ids as deltas from the previous id
-ARTIFACT_VERSION = 6
+# the generic level ids as deltas from the previous id; version 7: each
+# packed array's bytes deflated into one zlib stream before base64
+ARTIFACT_VERSION = 7
 _INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
 _PACKED_DTYPES = (*_INT_DTYPES, "<f8")
-# packed bytes base64-encoded per call, a multiple of 3, so the pieces join
+# the zlib level of every packed array's stream: a level's mantissas
+# repeat heavily, and level 1 already shrinks a depth-18 lamplighter
+# artifact about 5x
+_DEFLATE_LEVEL = 1
+# stream bytes base64-encoded per call, a multiple of 3, so the pieces join
 # into the encoding of the whole
 _BASE64_CHUNK = 3 << 14
 # a packed array's ``data`` in the text of ``export_cache_json`` before its
@@ -310,20 +324,23 @@ def _packed(arr) -> dict:
 
 
 def _pack(arr) -> dict:
-    """A numeric array as JSON: dtype, shape and the base64 of its
-    little-endian bytes.  Integers are stored in their ``_narrowest``
-    dtype; floats as ``<f8``, bit for bit."""
+    """A numeric array as JSON: dtype, shape and the base64 of one zlib
+    stream of its little-endian bytes (``_encode``).  Integers are stored
+    in their ``_narrowest`` dtype; floats as ``<f8``, bit for bit."""
     doc = _packed(arr)
-    doc["data"] = "".join(_base64(doc["data"]))
+    doc["data"] = "".join(_encode(doc["data"]))
     return doc
 
 
-def _base64(arr):
-    """The base64 of a C-ordered array's bytes, as str pieces each
-    encoding ``_BASE64_CHUNK`` bytes (the last fewer), read in place."""
-    data = arr.reshape(-1).view(np.uint8)
-    for lo in range(0, len(data), _BASE64_CHUNK):
-        yield binascii.b2a_base64(data[lo:lo + _BASE64_CHUNK],
+def _encode(arr):
+    """The base64 of one zlib stream (level ``_DEFLATE_LEVEL``) of a
+    C-ordered array's bytes, as str pieces each encoding ``_BASE64_CHUNK``
+    bytes of the stream (the last fewer).  ``_pack`` and the export share
+    it, so both write the same text."""
+    stream = memoryview(zlib.compress(arr.reshape(-1).view(np.uint8),
+                                      _DEFLATE_LEVEL))
+    for lo in range(0, len(stream), _BASE64_CHUNK):
+        yield binascii.b2a_base64(stream[lo:lo + _BASE64_CHUNK],
                                   newline=False).decode("ascii")
 
 
@@ -337,12 +354,38 @@ def _unbase64(text):
     return binascii.a2b_base64(text)
 
 
+def _inflate(stream: bytes, need: int) -> bytes:
+    """The ``need`` bytes the zlib ``stream`` inflates to.  At most
+    ``need + 1`` bytes are inflated, whatever the stream holds; ValueError
+    unless the stream is one zlib stream that ends, with no bytes after
+    it, exactly ``need`` bytes in."""
+    inflater = zlib.decompressobj()
+    try:
+        out = inflater.decompress(stream, need + 1)
+    except zlib.error as exc:
+        raise ValueError(f"packed array data is not a zlib stream: {exc}") from exc
+    except OverflowError as exc:  # need + 1 past what one bytes can hold
+        raise ValueError(f"packed array shape needs {need} bytes") from exc
+    if len(out) > need:
+        raise ValueError(f"packed array data inflates past the {need} bytes "
+                         "its shape needs")
+    if not inflater.eof:
+        raise ValueError("packed array data is a truncated zlib stream")
+    if inflater.unused_data:
+        raise ValueError("packed array data has bytes after its zlib stream")
+    if len(out) != need:
+        raise ValueError(f"packed array data inflates to {len(out)} bytes, "
+                         f"its shape needs {need}")
+    return out
+
+
 def _unpack(doc) -> np.ndarray:
     """The array of a ``_pack`` document in its packed dtype, a read-only
-    view of the decoded bytes; ValueError when the document is malformed or
-    its bytes do not fill its shape.  Integers stay as narrow as they were
-    packed: callers compare them, or sum them in int64, and the generic
-    engine's element table gathers them to int64 before any arithmetic."""
+    view of the inflated bytes; ValueError when the document is malformed
+    or its stream does not inflate to exactly its shape.  Integers stay as
+    narrow as they were packed: callers compare them, or sum them in
+    int64, and the generic engine's element table gathers them to int64
+    before any arithmetic."""
     dtype, shape, data = doc["dtype"], doc["shape"], doc["data"]
     if dtype not in _PACKED_DTYPES:
         raise ValueError(f"packed array dtype {dtype!r}, expected one of "
@@ -351,15 +394,11 @@ def _unpack(doc) -> np.ndarray:
             type(n) is int and n >= 0 for n in shape)):
         raise ValueError(f"packed array shape {shape!r}")
     try:
-        raw = _unbase64(data)
+        stream = _unbase64(data)
     except (ValueError, TypeError) as exc:  # binascii.Error is a ValueError
         raise ValueError(f"packed array data is not base64: {exc}") from exc
     dt = np.dtype(dtype)
-    if len(raw) != math.prod(shape) * dt.itemsize:
-        raise ValueError(
-            f"packed array holds {len(raw)} bytes, shape {shape} of {dtype} "
-            f"needs {math.prod(shape) * dt.itemsize}"
-        )
+    raw = _inflate(stream, math.prod(shape) * dt.itemsize)
     return np.frombuffer(raw, dtype=dt).reshape(shape)
 
 
@@ -726,6 +765,25 @@ def _first_equal(descriptor, take, hashes) -> np.ndarray:
     return first
 
 
+def _compact_positive(acc) -> np.ndarray:
+    """Move the positive entries of ``acc`` to its front, in order, and
+    return their positions as ascending int32, ``_HASH_BLOCK`` entries at a
+    time: one pass counts them, a second writes them, so no table-sized
+    mask, int64 index or value copy exists.  A block's entries move down
+    to where the positives before it end, never past its own start."""
+    blocks = range(0, len(acc), _HASH_BLOCK)
+    counts = [np.count_nonzero(acc[lo:lo + _HASH_BLOCK] > 0.0) for lo in blocks]
+    ids = np.empty(sum(counts), dtype=np.int32)
+    at = 0
+    for lo, n in zip(blocks, counts):
+        block = acc[lo:lo + _HASH_BLOCK]
+        positive = block > 0.0
+        ids[at:at + n] = np.flatnonzero(positive) + lo
+        acc[at:at + n] = block[positive]
+        at += n
+    return ids
+
+
 @dataclass
 class _Level:
     ids: np.ndarray       # sorted int32 interned ids with positive mass
@@ -756,8 +814,10 @@ class GenericPowers(PowersCache):
     and level bits depend neither on the hash nor on the block size.  The
     step table grows, at most once per level, to the element table's size.
     The level is then scattered ``_HASH_BLOCK`` rows at a time, in order,
-    which adds in the order of one whole-level scatter.  A level's mass is
-    summed on the first ``level_mass`` call and memoized.
+    which adds in the order of one whole-level scatter, into a table-sized
+    accumulator that becomes the level's values (``_compact_positive``).
+    A level's mass is summed on the first ``level_mass`` call and
+    memoized.
     """
 
     engine_name = "generic"
@@ -839,13 +899,15 @@ class GenericPowers(PowersCache):
             hi = lo + _HASH_BLOCK
             _backend.scatter_add_outer(
                 acc, rows[level.ids[lo:hi]], level.vals[lo:hi], self._mu_vals)
-        ids = np.flatnonzero(acc > 0.0).astype(np.int32)
+        ids = _compact_positive(acc)
         if len(ids) > support_cap:
             raise BudgetExceededError(
                 f"support {len(ids)} exceeds cap {support_cap}"
             )
-        vals = acc[ids]
-        del acc  # the table-sized accumulator goes before the level is scaled
+        # the level's values are the accumulator's front, shrunk in place;
+        # no view of it outlives the compaction, so no reference can dangle
+        acc.resize(len(ids), refcheck=False)
+        vals = acc
         peak = vals.max()
         vals /= peak
         self._levels.append(_Level(
@@ -1407,11 +1469,12 @@ def export_cache_json(cache: PowersCache) -> str:
 
 def _dumps(doc) -> str:
     """``json.dumps(doc, sort_keys=True)`` of a document whose packed
-    arrays (``_packed``) still hold their arrays.  Everything else is one
-    small ``json.dumps``; each array's base64 is appended to the text a
-    piece at a time (CPython grows a str that only this function holds in
-    place) and the array is dropped once written, so neither the text nor
-    a base64 string of a whole array is held twice."""
+    arrays (``_packed``) still hold their arrays, each written as ``_pack``
+    writes it.  Everything else is one small ``json.dumps``; each array's
+    deflated stream is appended to the text in base64 a piece at a time
+    (CPython grows a str that only this function holds in place) and the
+    array is dropped once written, so neither the text nor a base64 string
+    of a whole stream is held twice."""
     arrays = []
 
     def hide(node):
@@ -1429,7 +1492,7 @@ def _dumps(doc) -> str:
     for slot, tail in zip(parts[1::2], parts[2::2]):
         arr, arrays[int(slot)] = arrays[int(slot)], None
         text += '"data": "'
-        for piece in _base64(arr):
+        for piece in _encode(arr):
             text += piece
         del arr
         text += '"'

@@ -1,5 +1,6 @@
 """CLI: determinism, exit codes, artifacts, config round-trips, caching."""
 
+import base64
 import configparser
 import hashlib
 import io
@@ -789,7 +790,7 @@ def test_cache_dir_truncated_artifact_not_reused(tmp_path, capsys):
 
 
 def _tamper_generic(edit):
-    """Damage a version-6 generic artifact's payload with ``edit``."""
+    """Damage a generic artifact's payload with ``edit``."""
     def damage(text):
         doc = json.loads(text)
         assert doc["version"] == ARTIFACT_VERSION and doc["engine"] == "generic"
@@ -840,6 +841,68 @@ def test_cache_dir_tampered_generic_artifact_rebuilt(tmp_path, capsys, damage):
     assert artifact.read_text(encoding="utf-8") == good
     assert ((tmp_path / "rebuilt" / "spectrum.json").read_bytes()
             == (tmp_path / "fresh" / "spectrum.json").read_bytes())
+
+
+LAMP_REPORT_CFG = LAMP_CAP_CFG.format(cap=100000) + """
+[kernel]
+x_radius = 1
+y_radius = 1
+
+[radical]
+ball_radius = 1
+probe_radius = 1
+"""
+
+
+def _as_version_6(text):
+    """The generic artifact as version 6 wrote it: each packed array's data
+    the base64 of its raw bytes, not of a zlib stream."""
+    doc = json.loads(text)
+    assert doc["version"] == ARTIFACT_VERSION and doc["engine"] == "generic"
+    payload = doc["payload"]
+    for packed in (*payload["elements"].values(), payload["sizes"],
+                   payload["log_scales"], payload["ids"], payload["vals"]):
+        packed["data"] = base64.b64encode(_unpack(packed).tobytes()).decode("ascii")
+    doc["version"] = 6
+    return json.dumps(doc, sort_keys=True)
+
+
+def _tree(out):
+    """Every file under ``out``, by relative path, with its bytes."""
+    return {str(f.relative_to(out)): f.read_bytes()
+            for f in sorted(out.rglob("*")) if f.is_file()}
+
+
+def test_cache_dir_version_6_generic_artifact_rebuilt(tmp_path, capsys):
+    """A generic artifact as version 6 wrote it (raw base64, no zlib
+    streams) is a cache miss: the report says so in one stderr line,
+    rebuilds the cache, replaces the file with the version-7 artifact and
+    writes the output tree of a fresh run."""
+    cfg = tmp_path / "lamp.ini"
+    cfg.write_text(LAMP_REPORT_CFG, encoding="utf-8")
+    cache_dir = tmp_path / "cache"
+
+    def report(out):
+        code = main(["report", "--config", str(cfg), "--out",
+                     str(tmp_path / out), "--cache-dir", str(cache_dir)])
+        return code, capsys.readouterr().err
+
+    assert report("fresh") == (0, "")
+    (artifact,) = cache_dir.glob("powers-*.json")
+    good = artifact.read_text(encoding="utf-8")
+    old = _as_version_6(good)
+    assert len(old) > 2 * len(good)
+    artifact.write_text(old, encoding="utf-8")
+    inode = artifact.stat().st_ino
+    code, err = report("rebuilt")
+    assert code == 0
+    assert err.splitlines() == [
+        f"walkops: rebuilding unreadable cache artifact {artifact.name}: "
+        f"powers-cache artifact version 6, expected {ARTIFACT_VERSION}"]
+    assert artifact.stat().st_ino != inode
+    assert artifact.read_text(encoding="utf-8") == good
+    assert _tree(tmp_path / "rebuilt") == _tree(tmp_path / "fresh")
+    assert report("reused") == (0, "")
 
 
 LAZY_Z_CFG = """

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -783,44 +784,52 @@ def test_generic_round_trip_exact(lamp1, lamp_mu, free2):
             assert back.level_measure(m).support == cache.level_measure(m).support
 
 
-def _as_version_6(golden):
-    """A version-4 generic artifact as version 6 writes it: every packed
-    array repacked in its narrowest width (version 5) and each level's ids
-    as deltas from the previous id, the first from -1; the levels and the
-    element table unchanged."""
+def _unpack_raw(doc):
+    """The array of a packed array as versions 4 to 6 wrote it: the
+    base64 of its raw little-endian bytes, not deflated."""
+    raw = base64.b64decode(doc["data"], validate=True)
+    return np.frombuffer(raw, dtype=doc["dtype"]).reshape(doc["shape"])
+
+
+def _as_version_7(golden):
+    """A version-4 generic artifact as version 7 writes it: every packed
+    array repacked in its narrowest width (version 5) and deflated (version
+    7), and each level's ids as deltas from the previous id, the first from
+    -1 (version 6); the levels and the element table unchanged."""
     doc = json.loads(golden)
     assert doc["version"] == 4
     payload = doc["payload"]
-    payload["elements"] = {key: _pack(_unpack(packed))
+    deltas = np.concatenate([
+        np.diff(ids, prepend=-1) for ids in _golden_level_ids(doc)])
+    payload["elements"] = {key: _pack(_unpack_raw(packed))
                            for key, packed in payload["elements"].items()}
     for key in ("sizes", "log_scales", "vals"):
-        payload[key] = _pack(_unpack(payload[key]))
-    payload["ids"] = _pack(np.concatenate([
-        np.diff(ids, prepend=-1) for ids in _golden_level_ids(doc)]))
-    doc["version"] = 6
+        payload[key] = _pack(_unpack_raw(payload[key]))
+    payload["ids"] = _pack(deltas)
+    doc["version"] = 7
     return json.dumps(doc, sort_keys=True)
 
 
 def _golden_level_ids(doc):
     """The per-level ids of a version-4 or version-5 generic artifact."""
     payload = doc["payload"]
-    bounds = np.cumsum(_unpack(payload["sizes"]))[:-1]
-    return np.split(_unpack(payload["ids"]).astype(np.int64), bounds)
+    bounds = np.cumsum(_unpack_raw(payload["sizes"]))[:-1]
+    return np.split(_unpack_raw(payload["ids"]).astype(np.int64), bounds)
 
 
 def test_generic_artifacts_match_golden(lamp1, lamp_mu, free2):
     """The generic artifacts equal, byte for byte, those the engine wrote
     when it interned element tuples one product at a time (kept under
-    tests/data as version 4, repacked here to version 6's widths and id
-    deltas); the re-imported golden artifacts hold the golden level ids bit
-    for bit and answer ``log_value`` on ball(3) exactly as a fresh build
-    does."""
+    tests/data as version 4, repacked here to version 7's widths, id deltas
+    and zlib streams); the re-imported golden artifacts hold the golden
+    level ids bit for bit and answer ``log_value`` on ball(3) exactly as a
+    fresh build does."""
     for name, desc, mu, depth in (
             ("generic-lamp1-depth8-v4.json", lamp1, lamp_mu, 8),
             ("generic-aniso-f2-depth6-v4.json", free2,
              w.parse_measure(ANISO_F2, free2), 6)):
         v4 = (DATA / name).read_text(encoding="utf-8")
-        golden = _as_version_6(v4)
+        golden = _as_version_7(v4)
         cache = w.convolution_powers(desc, mu, depth, engine="generic")
         assert w.export_cache_json(cache) == golden, name
         back = w.import_cache_json(golden)
@@ -1167,21 +1176,69 @@ def test_packed_arrays_keep_every_bit():
 
 
 def test_base64_decoding_is_strict():
-    """Packed data is encoded a piece at a time and decoded from its str in
-    place, as strictly as ``base64.b64decode(validate=True)``: data spanning
-    several pieces encodes as one base64 text and decodes bit for bit, and a
-    character outside the alphabet, a non-ASCII one or a line break (each
-    inserted, so a lenient decoder would skip it and read the same bytes),
-    padding in the middle or data that is not a str raise ValueError."""
+    """Packed data is deflated, encoded a piece at a time and decoded from
+    its str in place, as strictly as ``base64.b64decode(validate=True)``: a
+    zlib stream spanning several pieces encodes as one base64 text and
+    decodes bit for bit, and a character outside the alphabet, a non-ASCII
+    one or a line break (each inserted, so a lenient decoder would skip it
+    and read the same bytes), padding in the middle or data that is not a
+    str raise ValueError."""
     arr = np.arange(-2**40, -2**40 + powers._BASE64_CHUNK + 11, dtype=np.int64)
     doc = _pack(arr)
-    assert doc["data"] == base64.b64encode(arr.tobytes()).decode("ascii")
+    stream = zlib.compress(arr.tobytes(), powers._DEFLATE_LEVEL)
+    assert len(stream) > powers._BASE64_CHUNK
+    assert doc["data"] == base64.b64encode(stream).decode("ascii")
     assert _unpack(doc).tobytes() == arr.tobytes()
     data = doc["data"]
     for bad in (data[:5] + "*" + data[5:], data[:5] + "\u00e9" + data[5:],
                 data[:8] + "\n" + data[8:], data[:4] + "=" + data[5:], 12, None):
         with pytest.raises(ValueError):
             _unpack({**doc, "data": bad})
+
+
+def _with_stream(doc, stream):
+    """The packed array ``doc`` with ``stream`` as its data's bytes."""
+    return {**doc, "data": base64.b64encode(stream).decode("ascii")}
+
+
+def _zero_bomb(mib):
+    """One zlib stream of ``mib`` MiB of zeros, deflated 1 MiB at a time
+    at level 9 (about 1 KiB of stream per MiB)."""
+    deflater = zlib.compressobj(9)
+    zeros = bytes(2**20)
+    return b"".join([*(deflater.compress(zeros) for _ in range(mib)),
+                     deflater.flush()])
+
+
+def test_packed_stream_decoding_is_exact():
+    """A packed array's data must be one zlib stream that ends exactly
+    where its shape's bytes do, with nothing after it: a stream that
+    inflates past its shape, a truncated stream, bytes after the stream's
+    end, the raw, un-deflated base64 of version 6 and a shape past any
+    buffer's size each raise ValueError naming the cause, and a stream of 64 MiB of zeros under a shape of 8
+    floats is rejected with less than 1 MiB allocated (at most 65 bytes
+    are inflated)."""
+    arr = np.linspace(0.5, 1.0, 300)
+    doc = _pack(arr)
+    stream = zlib.compress(arr.tobytes(), powers._DEFLATE_LEVEL)
+    assert _unpack(_with_stream(doc, stream)).tobytes() == arr.tobytes()
+    for bad, cause in (
+            ({**doc, "shape": [299]}, "inflates past"),
+            (_with_stream(doc, stream[:-6]), "truncated"),
+            (_with_stream(doc, stream + b"\0"), "bytes after"),
+            (_with_stream(doc, arr.tobytes()), "not a zlib stream"),
+            ({**doc, "shape": [301]}, "inflates to 2400 bytes"),
+            ({**doc, "shape": [2**62, 4]}, f"shape needs {2**67} bytes")):
+        with pytest.raises(ValueError, match=cause):
+            _unpack(bad)
+    bomb = _with_stream({"dtype": "<f8", "shape": [8]}, _zero_bomb(64))
+
+    def reject():
+        with pytest.raises(ValueError, match="inflates past the 64 bytes"):
+            _unpack(bomb)
+
+    _, peak, _ = _traced(reject)
+    assert peak < 2**20, peak
 
 
 def test_malformed_artifact_is_value_error(generic_artifact, array_artifacts):
@@ -1396,34 +1453,56 @@ def _traced(fn):
     return out, peak - start, live - start
 
 
+@pytest.mark.parametrize("block", [1, 3, 7, 1 << 13])
+def test_compact_positive_matches_flatnonzero(monkeypatch, block):
+    """A level's ids, found a block at a time, equal ``np.flatnonzero(acc >
+    0.0)`` as int32, and its values, moved to the accumulator's front, equal
+    ``acc[ids]`` bit for bit: for accumulators of every length around the
+    block size, with no, some and only positive entries."""
+    monkeypatch.setattr(powers, "_HASH_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n in (0, 1, block - 1, block, block + 1, 3 * block + 2, 20_000):
+        for density in (0.0, 0.3, 1.0):
+            acc = rng.random(n) * (rng.random(n) < density)
+            want = np.flatnonzero(acc > 0.0)
+            vals = acc[want]
+            ids = powers._compact_positive(acc)
+            assert ids.dtype == np.int32 and ids.tolist() == want.tolist()
+            assert acc[:len(ids)].tobytes() == vals.tobytes()
+
+
 def test_generic_build_peak_is_bounded(lamp1):
     """Building lamplighter(1) to depth 20 (about 13.5 MiB kept) allocates
-    at most 1.5x what the finished cache keeps: the frontier is multiplied
+    at most 1.35x what the finished cache keeps: the frontier is multiplied
     and interned in blocks, the products are narrowed as they are made,
-    lookups gather and compare a block of candidates at a time, and the
-    step table grows to the element table's size, not to double its
-    capacity."""
+    lookups gather and compare a block of candidates at a time, the step
+    table grows to the element table's size, not to double its capacity,
+    and a level's ids are found a block at a time straight into int32 while
+    its values move to the front of the accumulator, which then shrinks to
+    them."""
     mu = w.parse_measure(LAMP_SEED7, lamp1)
     cache, peak, live = _traced(
         lambda: w.convolution_powers(lamp1, mu, 20, engine="generic"))
     assert cache.depth == 20 and cache.complete
-    assert peak <= 1.5 * live, (peak, live)
+    assert peak <= 1.35 * live, (peak, live)
 
 
 def test_generic_round_trip_peak_is_bounded(lamp1):
     """The depth-18 lamplighter(1) round trip of the benchmark: export
-    allocates at most 1.75x the text it returns (the base64 is appended to
-    the text a piece at a time, not held as strings beside it, and the text
-    is json.dumps(doc, sort_keys=True) byte for byte), and import, with the
-    text held by the caller, at most 1.35x what the imported cache keeps
-    (each field is decoded from its str in place, the ids are rebuilt from
+    allocates at most what the cache keeps (each array's zlib stream is
+    appended to the text in base64 a piece at a time, not held as strings
+    beside it, and the text is json.dumps(doc, sort_keys=True) byte for
+    byte), and import, with the text held by the caller, at most 1.35x what
+    the imported cache keeps (each field is decoded from its str in place
+    and inflated to at most its shape's bytes, the ids are rebuilt from
     their deltas level by level, and the repeat check compares only equal
     hashes next to each other in the sorted index)."""
     mu = w.parse_measure(LAMP_SEED7, lamp1)
-    cache = w.convolution_powers(lamp1, mu, 18, engine="generic")
+    cache, _, kept = _traced(
+        lambda: w.convolution_powers(lamp1, mu, 18, engine="generic"))
     text, peak, _ = _traced(lambda: w.export_cache_json(cache))
     assert json.dumps(json.loads(text), sort_keys=True) == text
-    assert peak <= 1.75 * len(text), (peak, len(text))
+    assert peak <= kept, (peak, kept)
     back, peak, live = _traced(lambda: w.import_cache_json(text))
     assert peak <= 1.35 * live, (peak, live)
     assert w.export_cache_json(back) == text
