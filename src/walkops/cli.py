@@ -476,7 +476,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"walkops: budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except (PreconditionError, ElementParseError, CoverageError) as exc:
+    except (PreconditionError, ElementParseError, CoverageError, OSError) as exc:
+        # an output or cache path that cannot be written (say, a regular
+        # file where a directory belongs) is a precondition, not a red verdict
         print(f"walkops: precondition failure: {exc}", file=sys.stderr)
         return 2
     except WalkopsError as exc:

@@ -92,11 +92,10 @@ the walk is read once per cache from the identity's column
                  -1, so a lazy walk's levels are runs of 1s) and one
                  ``vals`` array
 
-The text is ``json.dumps(doc, sort_keys=True)`` byte for byte, but the
-packed arrays are deflated and base64-encoded as the text is written, a
-piece at a time, not held as strings beside it; import decodes each field
-from the string it arrived as, without an ASCII copy, and inflates at most
-one byte more than its shape needs.  A level's mantissas repeat heavily,
+The text is ``json.dumps(doc, sort_keys=True)`` of the header and the
+``_pack``'ed arrays; import decodes each field with
+``base64.b64decode(validate=True)`` and inflates at most one byte more
+than its shape needs.  A level's mantissas repeat heavily,
 so the depth-18 lamplighter(1) artifact of the benchmark is 680,417 B
 (3,367,429 B as version 6's raw base64).  Its bytes are deterministic for
 one zlib build; another zlib may deflate differently, and every zlib
@@ -120,11 +119,10 @@ that are not finite.
 
 from __future__ import annotations
 
-import binascii
+import base64
 import json
 import math
 import operator
-import re
 import zlib
 from dataclasses import dataclass
 
@@ -174,14 +172,6 @@ _PACKED_DTYPES = (*_INT_DTYPES, "<f8")
 # repeat heavily, and level 1 already shrinks a depth-18 lamplighter
 # artifact about 5x
 _DEFLATE_LEVEL = 1
-# stream bytes base64-encoded per call, a multiple of 3, so the pieces join
-# into the encoding of the whole
-_BASE64_CHUNK = 3 << 14
-# a packed array's ``data`` in the text of ``export_cache_json`` before its
-# base64 is spliced in: the array's place in the list of packed arrays
-_DATA_SLOT = re.compile(r'"data": (\d+)')
-# the texts ``base64.b64decode(validate=True)`` accepts
-_BASE64_TEXT = re.compile(r"[A-Za-z0-9+/]*={0,2}")
 
 
 class PowersCache:
@@ -309,9 +299,11 @@ def _narrowest(arr) -> str:
                 if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
 
 
-def _packed(arr) -> dict:
-    """``_pack``'s document with ``data`` still the array, in its packed
-    dtype and C order; ``export_cache_json`` encodes it as it writes."""
+def _pack(arr) -> dict:
+    """A numeric array as JSON: dtype, shape and the base64 of one zlib
+    stream (level ``_DEFLATE_LEVEL``) of its little-endian bytes in C
+    order.  Integers are stored in their ``_narrowest`` dtype; floats as
+    ``<f8``, bit for bit."""
     arr = np.asarray(arr)
     if arr.dtype.kind == "f":
         dtype = "<f8"
@@ -319,39 +311,9 @@ def _packed(arr) -> dict:
         dtype = _narrowest(arr)
     else:
         raise TypeError(f"cannot pack a {arr.dtype} array")
+    stream = zlib.compress(np.ascontiguousarray(arr, dtype=dtype), _DEFLATE_LEVEL)
     return {"dtype": dtype, "shape": list(arr.shape),
-            "data": np.ascontiguousarray(arr, dtype=dtype)}
-
-
-def _pack(arr) -> dict:
-    """A numeric array as JSON: dtype, shape and the base64 of one zlib
-    stream of its little-endian bytes (``_encode``).  Integers are stored
-    in their ``_narrowest`` dtype; floats as ``<f8``, bit for bit."""
-    doc = _packed(arr)
-    doc["data"] = "".join(_encode(doc["data"]))
-    return doc
-
-
-def _encode(arr):
-    """The base64 of one zlib stream (level ``_DEFLATE_LEVEL``) of a
-    C-ordered array's bytes, as str pieces each encoding ``_BASE64_CHUNK``
-    bytes of the stream (the last fewer).  ``_pack`` and the export share
-    it, so both write the same text."""
-    stream = memoryview(zlib.compress(arr.reshape(-1).view(np.uint8),
-                                      _DEFLATE_LEVEL))
-    for lo in range(0, len(stream), _BASE64_CHUNK):
-        yield binascii.b2a_base64(stream[lo:lo + _BASE64_CHUNK],
-                                  newline=False).decode("ascii")
-
-
-def _unbase64(text):
-    """The bytes of the base64 str ``text``, read in place (no ASCII copy),
-    with ``base64.b64decode(validate=True)``'s checks: ValueError for a
-    character outside the alphabet, a non-ASCII one or padding in the
-    middle."""
-    if not _BASE64_TEXT.fullmatch(text):
-        raise binascii.Error("a character outside the base64 alphabet")
-    return binascii.a2b_base64(text)
+            "data": base64.b64encode(stream).decode("ascii")}
 
 
 def _inflate(stream: bytes, need: int) -> bytes:
@@ -394,7 +356,7 @@ def _unpack(doc) -> np.ndarray:
             type(n) is int and n >= 0 for n in shape)):
         raise ValueError(f"packed array shape {shape!r}")
     try:
-        stream = _unbase64(data)
+        stream = base64.b64decode(data, validate=True)
     except (ValueError, TypeError) as exc:  # binascii.Error is a ValueError
         raise ValueError(f"packed array data is not base64: {exc}") from exc
     dt = np.dtype(dtype)
@@ -959,11 +921,11 @@ class GenericPowers(PowersCache):
     def export_payload(self):
         levels = self._levels
         return {
-            "elements": {key: _packed(arr) for key, arr in self._table.arrays.items()},
-            "sizes": _packed([len(level.ids) for level in levels]),
-            "log_scales": _packed([level.log_scale for level in levels]),
-            "ids": _packed(_id_deltas(levels)),
-            "vals": _packed(np.concatenate([level.vals for level in levels])),
+            "elements": {key: _pack(arr) for key, arr in self._table.arrays.items()},
+            "sizes": _pack([len(level.ids) for level in levels]),
+            "log_scales": _pack([level.log_scale for level in levels]),
+            "ids": _pack(_id_deltas(levels)),
+            "vals": _pack(np.concatenate([level.vals for level in levels])),
         }
 
     @classmethod
@@ -1464,40 +1426,7 @@ def export_cache_json(cache: PowersCache) -> str:
         },
         "payload": payload,
     }
-    return _dumps(doc)
-
-
-def _dumps(doc) -> str:
-    """``json.dumps(doc, sort_keys=True)`` of a document whose packed
-    arrays (``_packed``) still hold their arrays, each written as ``_pack``
-    writes it.  Everything else is one small ``json.dumps``; each array's
-    deflated stream is appended to the text in base64 a piece at a time
-    (CPython grows a str that only this function holds in place) and the
-    array is dropped once written, so neither the text nor a base64 string
-    of a whole stream is held twice."""
-    arrays = []
-
-    def hide(node):
-        for value in node.values():
-            if isinstance(value, dict):
-                if isinstance(value.get("data"), np.ndarray):
-                    arrays.append(value["data"])
-                    value["data"] = len(arrays) - 1
-                else:
-                    hide(value)
-
-    hide(doc)
-    parts = _DATA_SLOT.split(json.dumps(doc, sort_keys=True))
-    text = parts[0]
-    for slot, tail in zip(parts[1::2], parts[2::2]):
-        arr, arrays[int(slot)] = arrays[int(slot)], None
-        text += '"data": "'
-        for piece in _encode(arr):
-            text += piece
-        del arr
-        text += '"'
-        text += tail
-    return text
+    return json.dumps(doc, sort_keys=True)
 
 
 def import_cache_json(text: str) -> PowersCache:

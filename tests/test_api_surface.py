@@ -1,11 +1,13 @@
 """The package is what the program, the benchmark and the README use.
 
-Two checks, made on the source with ``ast`` alone:
+Three checks, made on the source with ``ast`` alone:
 
 * every name ``walkops/__init__.py`` re-exports is referenced outside its
   own definition: in a module of ``src/walkops`` other than ``__init__``,
   in ``perfbench/*.py``, or in ``README.md``.  A helper only tests reach
   fails here; it either gains a caller or goes, and its test with it;
+* so is every module-level function and class of those modules, whether
+  re-exported or private;
 * every module-level import of a ``src/walkops`` module (``__init__``
   aside) is used in that module.
 """
@@ -52,16 +54,33 @@ def _reexports() -> list:
             for alias in node.names]
 
 
-def test_reexports_have_a_caller():
+def _unreached(names) -> list:
+    """The ``names`` that no module of ``src/walkops`` (``__init__``
+    aside), no ``perfbench/*.py`` and not ``README.md`` references."""
     used = set()
     for path in _modules() + sorted((ROOT / "perfbench").glob("*.py")):
         used |= _referenced(_parse(path))
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [name for name in names
+            if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)]
+
+
+def test_reexports_have_a_caller():
     names = _reexports()
     assert "convolution_powers" in names and "kernel_backend" in names
-    unused = [name for name in names
-              if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    unused = _unreached(names)
     assert not unused, f"re-exported but reached only by tests: {unused}"
+
+
+def test_module_definitions_have_a_caller():
+    defined = {}
+    for path in _modules():
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(f"{path.name}:{node.name}")
+    assert "convolution_powers" in defined and "_pack" in defined
+    unused = [where for name in _unreached(defined) for where in defined[name]]
+    assert not unused, f"defined but reached only by tests: {unused}"
 
 
 def test_module_imports_are_used():

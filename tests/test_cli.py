@@ -714,6 +714,24 @@ def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, text, named):
     assert named in err[0] and not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--cache-dir"])
+def test_unwritable_path_exits_2(cfg_file, tmp_path, capsys, flag):
+    """An --out or --cache-dir that names a regular file cannot be written:
+    one precondition-failure line naming the error and exit 2, not a
+    traceback and not exit 1, which means a red verdict."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker if flag == "--out" else tmp_path / "out"
+    argv = ["spectrum", "--config", str(cfg_file), "--out", str(out)]
+    if flag == "--cache-dir":
+        argv += [flag, str(blocker)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("walkops: precondition failure: ")
+    assert "File exists" in err[0]
+    assert blocker.read_text(encoding="utf-8") == ""
+
+
 def test_radial_run_ignores_memory_budget(cfg_file, tmp_path):
     """A free-group run takes no memory budget (its cache keeps a small
     block of radii and replays the rest), so with ``memory_budget_mb = 0``

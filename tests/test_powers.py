@@ -1176,17 +1176,15 @@ def test_packed_arrays_keep_every_bit():
 
 
 def test_base64_decoding_is_strict():
-    """Packed data is deflated, encoded a piece at a time and decoded from
-    its str in place, as strictly as ``base64.b64decode(validate=True)``: a
-    zlib stream spanning several pieces encodes as one base64 text and
-    decodes bit for bit, and a character outside the alphabet, a non-ASCII
-    one or a line break (each inserted, so a lenient decoder would skip it
-    and read the same bytes), padding in the middle or data that is not a
-    str raise ValueError."""
-    arr = np.arange(-2**40, -2**40 + powers._BASE64_CHUNK + 11, dtype=np.int64)
+    """Packed data is the base64 of its zlib stream, decoded as strictly
+    as ``base64.b64decode(validate=True)``: a 74 KB stream encodes as one
+    base64 text and decodes bit for bit, and a character outside the
+    alphabet, a non-ASCII one or a line break (each inserted, so a lenient
+    decoder would skip it and read the same bytes), padding in the middle
+    or data that is not a str raise ValueError."""
+    arr = np.arange(-2**40, -2**40 + 49_163, dtype=np.int64)
     doc = _pack(arr)
     stream = zlib.compress(arr.tobytes(), powers._DEFLATE_LEVEL)
-    assert len(stream) > powers._BASE64_CHUNK
     assert doc["data"] == base64.b64encode(stream).decode("ascii")
     assert _unpack(doc).tobytes() == arr.tobytes()
     data = doc["data"]
@@ -1489,14 +1487,13 @@ def test_generic_build_peak_is_bounded(lamp1):
 
 def test_generic_round_trip_peak_is_bounded(lamp1):
     """The depth-18 lamplighter(1) round trip of the benchmark: export
-    allocates at most what the cache keeps (each array's zlib stream is
-    appended to the text in base64 a piece at a time, not held as strings
-    beside it, and the text is json.dumps(doc, sort_keys=True) byte for
-    byte), and import, with the text held by the caller, at most 1.35x what
-    the imported cache keeps (each field is decoded from its str in place
-    and inflated to at most its shape's bytes, the ids are rebuilt from
-    their deltas level by level, and the repeat check compares only equal
-    hashes next to each other in the sorted index)."""
+    allocates at most what the cache keeps (each packed array is deflated
+    before it is base64-encoded, so its text is about a fifth of its
+    bytes, and the text is json.dumps(doc, sort_keys=True)), and import,
+    with the text held by the caller, at most 1.35x what the imported cache
+    keeps (each field is inflated to at most its shape's bytes, the ids are
+    rebuilt from their deltas level by level, and the repeat check
+    compares only equal hashes next to each other in the sorted index)."""
     mu = w.parse_measure(LAMP_SEED7, lamp1)
     cache, _, kept = _traced(
         lambda: w.convolution_powers(lamp1, mu, 18, engine="generic"))
