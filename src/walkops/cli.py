@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
 from pathlib import Path
 
 from .config import RunConfig
@@ -61,53 +60,6 @@ class Workspace:
 
     # -- shared pipeline pieces ------------------------------------------------
 
-    def track_elements(self):
-        """Every element the configured jobs may query, for a deep cache that
-        falls back to tracked retention.  A generator, so that only a cache
-        over its memory budget computes it; elements may repeat."""
-        cfg = self.cfg
-        desc = cfg.descriptor
-        inv = desc.inverse
-        mul = desc.multiply
-        yield desc.identity()
-        xball = desc.ball(cfg.kernel.x_radius)
-        yball = desc.ball(cfg.kernel.y_radius)
-        yield from xball
-        yield from yball
-        for x in xball:
-            for y in yball:
-                yield mul(inv(x), y)
-        probe = desc.ball(cfg.radical.probe_radius)
-        for y in desc.ball(cfg.radical.ball_radius):
-            for x in probe:
-                yield mul(inv(x), y)
-        for section in (cfg.radical, cfg.metric, cfg.boundary):
-            yield from desc.ball(section.ball_radius)
-        # window transitions and their kernel-entry denominators
-        supp_radius = max(desc.word_length(g) for g in cfg.measure.support)
-        yield from desc.ball(cfg.fock.x_radius + cfg.fock.z_radius + supp_radius + 1)
-        for y in cfg.boundary.sequence:
-            yield y
-            for x in desc.ball(cfg.boundary.probe_radius):
-                yield mul(inv(x), y)
-            for x in desc.ball(cfg.boundary.ball_radius):
-                yield mul(inv(x), y)
-        for y, z in cfg.metric.pairs:
-            for x in desc.ball(cfg.metric.ball_radius):
-                yield mul(inv(x), y)
-                yield mul(inv(x), z)
-        # the rows the fock and covariance jobs name, with the g-translates
-        # covariance_check builds S for: r^-1 z over the fiber ball and r^-1 s
-        # between them
-        f, c = cfg.fock, cfg.covariance
-        rows = [r for r in (f.x, f.y, c.x, c.y) if r is not None]
-        if None not in (c.g, c.x, c.y):
-            rows += [mul(c.g, c.x), mul(c.g, c.y)]
-        fibers = desc.ball(f.z_radius)
-        for r in rows:
-            for z in chain(fibers, rows):
-                yield mul(inv(r), z)
-
     def cache(self):
         if self._cache is None:
             cfg = self.cfg
@@ -139,15 +91,14 @@ class Workspace:
                     engine=name,
                     support_cap=support_cap,
                     memory_budget_mb=memory_budget_mb,
-                    track=self.track_elements(),
                 )
                 if artifact is not None:
                     try:
                         text = export_cache_json(self._cache)
                     except CoverageError:
-                        print("walkops: tracked caches are not written to "
-                              "--cache-dir (memory_budget_mb forced tracked "
-                              "retention)", file=sys.stderr)
+                        print("walkops: a cache over memory_budget_mb keeps a "
+                              "box of each level and is not written to "
+                              "--cache-dir", file=sys.stderr)
                     else:
                         write_text_atomic(str(artifact), text)
         return self._cache

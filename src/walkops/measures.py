@@ -307,21 +307,20 @@ class RadialMeasure:
 
 
 def log_radial_mass(values: np.ndarray, q: int) -> float:
-    """log( sum_r sphere_size(r) * values[r] ), overflow-safe."""
-    terms = []
-    for r, v in enumerate(values):
-        if v > 0.0:
-            terms.append(math.log(v) + _log_sphere_size(q, r))
-    if not terms:
+    """log( sum_r sphere_size(r) * values[r] ), overflow-safe: the log of
+    each positive value plus its log sphere size, summed as ``fsum`` of
+    the exps under the largest.  With q = 0 only radius 0 may be
+    positive (a one-entry row)."""
+    values = np.asarray(values)
+    r = np.flatnonzero(values > 0.0)
+    if not len(r):
         return NEG_INF
-    peak = max(terms)
-    return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
-
-
-def _log_sphere_size(q: int, r: int) -> float:
-    if r == 0:
-        return 0.0
-    return math.log(q) + (r - 1) * math.log(q - 1)
+    terms = np.log(values[r])
+    if r[-1]:  # the log sphere size is 0 at radius 0
+        outer = r > 0
+        terms[outer] += math.log(q) + (r[outer] - 1) * math.log(q - 1)
+    peak = terms.max()
+    return float(peak + math.log(math.fsum(np.exp(terms - peak))))
 
 
 def radial_reduce(mu: ScaledMeasure, descriptor: FreeGroup,

@@ -6,12 +6,9 @@ level.  Three engines share one query interface:
 * array          ``ArrayPowers``: each level is one plain array indexed
                  from its corner ``lo``.  ``radial`` (isotropic free-group
                  walks): a 1-d array over tree radii, O(m) per level,
-                 stepped by the radial tree move; the cache keeps one
-                 (depth + 1) x R block of the radii below R (32 at first)
-                 and each level's log scale, and replays the build for a
-                 wider column or a full level.  ``dense`` (lattice walks
+                 stepped by the radial tree move.  ``dense`` (lattice walks
                  on Z^d): a d-dim array over the lattice box the walk can
-                 reach, stepped by shifted adds, every level kept
+                 reach, stepped by shifted adds
 * ``radial-lattice``  Cartesian walks mu = p·(mu_F x δ) + q·(δ x mu_Z) on
                  F_s x Z^d with an isotropic tree factor.  No product
                  level is stored: the cache holds a ``radial`` cache of
@@ -33,36 +30,35 @@ level storage; zeros are never stored.  Each level keeps mantissas with a
 shared log scale, so entry ratios within a level are exact float
 quotients.  A product reads every level of both factors.
 
-Retention is ``full`` (every level queryable everywhere) or ``tracked``.
-A ``dense`` cache that would blow its memory budget keeps every level on
-the lattice box spanned by a declared track set only; the track set may
-be any iterable and is read only then.  A product hands its budget and
-its track set, projected lazily to lattice points, to its lattice factor;
-without a track set both factors are fully retained.  A free-group walk
-takes no budget and no track set: a ratio limit reads a few small radii,
-which its block keeps, and any other radius or full level is replayed
-bit for bit from the build, so every level stays queryable everywhere.
+Every level stays queryable everywhere.  A ``dense`` cache keeps every
+level whole while that fits ``memory_budget_mb``; past it, and on every
+``radial`` cache, the cache keeps each level clipped to a box around the
+origin (the radii below 32; a lattice box of half-width 8, or the box a
+track set spans) and every level's log scale, and a column outside the
+box replays the build bit for bit into a wider box.  Full levels and
+level masses come from one forward replay cursor.  A product hands its
+budget and its track set, projected lazily to lattice points, to its
+lattice factor.  A cache over its budget is not exportable: its recipe
+would rebuild at full retention.
 
-Every engine computes a level's mass on the first ``level_mass`` call and
-memoizes it: a radial level's ``log_radial_mass`` is an O(m) Python loop
-over the level, replayed from the cursor, which no build needs, and a
-generic level is one ``fsum`` over its stored values.  A full dense level
-sums its array on that call; a tracked level, which keeps only part of
-its array, keeps the sum of the whole.  A product's level mass is the binomial mix of its
-factors'.
+The first ``level_mass`` call computes every level's mass in one
+ascending pass and memoizes them: a radial level's ``log_radial_mass``
+over its radii, a dense level's array sum, a generic level's ``fsum``
+over its stored values, each under the level's log scale.  A product's
+level mass is the binomial mix of its factors'.
 
 ``log_column(g)`` is the whole history of one entry: log mu^{*m}(g) for
 m = 0..depth as a read-only float array, -inf where the entry is absent.
 The cache memoizes one column per key, built on first request, and
 ``log_value(m, g)`` reads entry m of that column, so the two agree bit for
-bit on every engine.  The key is what the entry depends on in each
-engine: the array index on the array engine (``(len(g),)`` for a
+bit on every engine; both raise DescriptorMismatchError unless g is an
+element of the cache's group.  The key is what the entry depends on in
+each engine: the array index on the array engine (``(len(g),)`` for a
 free-group walk, so a ratio sequence there depends only on |x^-1 y| and
 |y|, and the lattice point ``g`` itself for a lattice walk), the pair of
 its factors' keys on a product, whose factors memoize their own columns,
 and the element itself on ``generic`` (one ``searchsorted`` per level).
-A tracked cache raises ``CoverageError`` for an element outside its
-tracked region.  Scans over levels (ratio sequences, bound constants,
+Scans over levels (ratio sequences, bound constants,
 return ratios, Green sums, the Fock window) read columns; the period of
 the walk is read once per cache from the identity's column
 (``aperiodicity``).
@@ -76,9 +72,9 @@ the walk is read once per cache from the identity's column
                  levels) are a deterministic function of (descriptor,
                  measure, depth), and rebuilding them costs about what
                  reading them would, so ``import_cache_json`` runs one
-                 ``convolution_powers`` build, with no memory budget (only
-                 fully retained caches export), and returns the cache bit
-                 for bit
+                 ``convolution_powers`` build, with no memory budget (a
+                 cache over its budget does not export), and returns the
+                 cache bit for bit
 * ``generic``    the payload holds the levels as packed arrays (``_pack``:
                  dtype, shape and the base64 of one zlib stream, level 1,
                  of the little-endian bytes; integers in the narrowest of
@@ -185,6 +181,7 @@ class PowersCache:
         self.complete = True
         self.budget_note = ""
         self._columns: dict = {}     # column key -> read-only log column
+        self._masses = None          # every level's mass, on first request
         self._aperiodicity = None    # (aperiodic, period) over the whole cache
 
     # -- to be provided by engines ------------------------------------------
@@ -195,15 +192,15 @@ class PowersCache:
 
     def column_key(self, g):
         """What log mu^{*m}(g) depends on here: elements with equal keys
-        have one column.  CoverageError where a tracked cache does not keep
-        g."""
+        have one column."""
         raise NotImplementedError
 
     def _column_values(self, key) -> list:
         """log mu^{*m} at ``key`` for m = 0..depth."""
         raise NotImplementedError
 
-    def level_mass(self, m: int) -> float:
+    def _level_masses(self) -> list:
+        """Every level's mass, m = 0..depth, in one ascending pass."""
         raise NotImplementedError
 
     def level_log_scale(self, m: int) -> float:
@@ -217,13 +214,17 @@ class PowersCache:
 
     def log_value(self, m: int, g) -> float:
         """log mu^{*m}(g); -inf when the entry is absent (true zero).  Entry
-        m of g's memoized column."""
+        m of g's memoized column; DescriptorMismatchError unless g is an
+        element of the cache's group."""
         self._check_level(m)
+        self.descriptor.check(g)
         return float(self._key_column(self.column_key(g))[m])
 
     def log_column(self, g) -> np.ndarray:
         """log mu^{*m}(g) for m = 0..depth, -inf where absent; read-only and
-        memoized per engine key."""
+        memoized per engine key.  DescriptorMismatchError unless g is an
+        element of the cache's group."""
+        self.descriptor.check(g)
         return self._key_column(self.column_key(g))
 
     def _key_column(self, key) -> np.ndarray:
@@ -234,6 +235,14 @@ class PowersCache:
             col.flags.writeable = False
             self._columns[key] = col
         return col
+
+    def level_mass(self, m: int) -> float:
+        """The total mass of level m.  The first call computes every
+        level's mass in one pass (``_level_masses``)."""
+        self._check_level(m)
+        if self._masses is None:
+            self._masses = self._level_masses()
+        return self._masses[m]
 
     def aperiodicity(self) -> tuple:
         """(aperiodic, period) of the walk over the whole cache, derived
@@ -811,7 +820,6 @@ class GenericPowers(PowersCache):
         self._mu_ls = self.mu.log_scale
         self._table = _ElementTable(desc, desc.encode_elements([desc.identity()]))
         self._levels: list = []
-        self._masses: dict = {}
 
     def _ensure_rows(self, rows, ids):
         """The step table ``rows`` with a row for every id of ``ids``, grown
@@ -885,21 +893,15 @@ class GenericPowers(PowersCache):
     def _column_values(self, g):
         # the column key is the element itself, so this runs once per element
         desc = self.descriptor
-        if desc.contains(g):
-            arrays = desc.encode_elements([g])
-            i = int(self._table.find(arrays, _element_hashes(desc, arrays))[0])
-            if i >= 0:
-                return [_log_entry(_stored(level, i), level.log_scale)
-                        for level in self._levels]
-        return [NEG_INF] * len(self._levels)
+        arrays = desc.encode_elements([g])
+        i = int(self._table.find(arrays, _element_hashes(desc, arrays))[0])
+        if i < 0:
+            return [NEG_INF] * len(self._levels)
+        return [_log_entry(_stored(level, i), level.log_scale) for level in self._levels]
 
-    def level_mass(self, m):
-        self._check_level(m)
-        if m not in self._masses:
-            level = self._levels[m]
-            self._masses[m] = math.exp(math.log(math.fsum(level.vals))
-                                       + level.log_scale)
-        return self._masses[m]
+    def _level_masses(self):
+        return [math.exp(math.log(math.fsum(level.vals)) + level.log_scale)
+                for level in self._levels]
 
     def level_log_scale(self, m):
         self._check_level(m)
@@ -972,7 +974,7 @@ def _array_engine_name(descriptor: GroupDescriptor) -> str:
 def _cell(level, key):
     """The stored mantissa at index ``key`` of an array level, 0.0 when the
     index lies outside its array."""
-    lo, arr, _, _ = level
+    lo, arr, _ = level
     idx = tuple(map(operator.sub, key, lo))
     for i, n in zip(idx, arr.shape):
         if not 0 <= i < n:
@@ -980,41 +982,47 @@ def _cell(level, key):
     return arr[idx]
 
 
+def _inside(key, lo, hi) -> bool:
+    """Whether the index ``key`` lies in the box from ``lo`` to ``hi``."""
+    return all(a <= c <= b for c, a, b in zip(key, lo, hi))
+
+
 # radii < _RADIAL_BLOCK of every level are what a ``radial`` cache keeps
 # from its build: every radius the CLI, the README configs and the
 # benchmark read; a column past them widens the block by one replay
 _RADIAL_BLOCK = 32
-# the levels a replay below the cursor keeps to restart from: a descending
-# sweep costs one replay plus fewer than _MARK_EVERY steps per level
-_MARK_EVERY = 32
+# the half-width of the lattice box a ``dense`` cache over its memory
+# budget keeps from its build when no track set sizes the box
+_DENSE_BOX = 8
 
 
 class ArrayPowers(PowersCache):
     """Isotropic walks on F_s and walks on Z^d, stepped level by level.
 
-    A free-group walk (engine name ``radial``) steps a 1-d array over tree
-    radii by the radial tree move; g is read at radius ``len(g)``.  It keeps
-    one ``(depth + 1) x R`` block of mantissas, row m holding level m's
-    radii below R (zero past the level's last radius), and each level's log
-    scale.  R starts at ``_RADIAL_BLOCK``.  A column at a radius r >= R
-    replays the build once, the same steps, peak divisions and log-scale
-    sums, into a block whose R is doubled until r < R (capped at the top
-    level's radii), so every bit matches.  Full levels (``level_radial``,
-    ``level_mass``) come from a replay cursor: the last level replayed, the
-    top one after the build.  A query at or above the cursor steps forward
-    from it, so an ascending sweep costs one build.  A query below it
-    restarts from the highest mark at or below it, level 0 at first, and
-    marks the levels at multiples of ``_MARK_EVERY`` that it passes, so a
-    descending sweep costs one build and fewer than ``_MARK_EVERY`` steps
-    per level, and keeps about depth^2 / (2 ``_MARK_EVERY``) floats.
+    Every level is ``(lo, mantissas, log scale)``: one plain array indexed
+    from its corner ``lo``.  A free-group walk (engine name ``radial``)
+    steps a 1-d array over tree radii by the radial tree move, corner
+    ``(0,)``; g is read at radius ``len(g)``.  A lattice walk (``dense``)
+    steps a d-dim array over the lattice box the walk reaches by shifted
+    adds, the identity mass first; g is read at index g.
 
-    A lattice walk (``dense``) keeps every level as ``(lo, array, log
-    scale, total)``: a d-dim array over the lattice box the walk reaches,
-    indexed from its corner ``lo`` (g is read at index g), stepped by
-    shifted adds, the identity mass first.  Only a ``dense`` cache takes a
-    memory budget and a track set: a tracked level keeps the part of its
-    array inside the tracked box and, as its total, the sum of the whole
-    array, which gives its mass.  A full level's total is None.
+    A ``dense`` cache whose levels fit ``memory_budget_mb`` keeps every
+    level whole.  Every other array cache keeps a box: one ``(depth + 1) x
+    box`` block of mantissas, row m holding level m clipped to the box
+    (zero where the level does not reach), and each level's log scale.
+    The box is the radii below ``_RADIAL_BLOCK`` on ``radial``; on
+    ``dense`` it is the box that the track set and the origin span, or
+    half-width ``_DENSE_BOX`` without a track set, so the track set only
+    sizes the first box.  A column outside the box replays the build
+    once, the same steps, peak divisions and log-scale sums, into a box
+    doubled around the origin (each bound b to 2b - 1 below and 2b + 1
+    above) until it holds the column, clipped to the top level's box, so
+    every bit matches; a column that no level reaches reads -inf with no
+    replay.  Full levels (``level_radial``, ``level_measure`` and the
+    level masses) come from a replay cursor, the last level stepped, the
+    top one after the build: a level at or above it steps forward from
+    it, a level below it from level 0, so any sweep in ascending order
+    costs at most one build.
     """
 
     def __init__(self, descriptor, mu, depth,
@@ -1025,43 +1033,49 @@ class ArrayPowers(PowersCache):
         self.engine_name = _array_engine_name(descriptor)
         self._depth = depth
         self._mu_ls = mu.log_scale
-        self._track_region = None
-        self._masses: dict = {}
+        self._levels = None     # every level whole, on a dense cache in budget
+        self._boxed = False     # a dense cache over budget: not exportable
         if isinstance(descriptor, FreeGroup):
             # IsotropyError unless the measure is isotropic
             self._tree_vals = radial_reduce(mu, descriptor).values
-            self.q = 2 * descriptor.rank
-            self._radii = depth * (len(self._tree_vals) - 1) + 1  # the top level's
-            self._marks = {0: np.ones(1)}   # level -> mantissas, for replays
-            self._fill(min(_RADIAL_BLOCK, self._radii))
-            return
-        self.q, d = 0, descriptor.dimension
-        zero = descriptor.identity()
-        # the identity mass first, then the other moves in lattice order:
-        # the order of the shifted adds fixes the summation order, hence
-        # the bits
-        self._moves = sorted(mu.support.items(), key=lambda vm: (
-            vm[0] != zero, descriptor.sort_key(vm[0])))
-        offs = list(mu.support) + [zero]
-        self._lo_step = tuple(min(o[i] for o in offs) for i in range(d))
-        self._hi_step = tuple(max(o[i] for o in offs) for i in range(d))
-        est = 8 * sum(math.prod(m * (h - l) + 1 for l, h in zip(
-            self._lo_step, self._hi_step)) for m in range(depth + 1))
-        if est > memory_budget_mb * 2**20:
-            if track is None:
-                raise BudgetExceededError(
-                    f"full retention needs ~{est / 2**20:.0f} MiB "
-                    f"(budget {memory_budget_mb} MiB); pass a track set"
-                )
-            pts = list(track) + [zero]
-            self._track_region = (
-                tuple(min(v[i] for v in pts) for i in range(d)),
-                tuple(max(v[i] for v in pts) for i in range(d)),
-            )
-        self._current = ((0,) * d, np.ones((1,) * d), 0.0, None)
-        self._levels = [self._current]
-        for _ in range(depth):
-            self._step()
+            self.q, d = 2 * descriptor.rank, 1
+            # a step moves a radius up by at most the measure's last radius
+            self._lo_step, self._hi_step = (0,), (len(self._tree_vals) - 1,)
+        else:
+            self.q, d = 0, descriptor.dimension
+            zero = descriptor.identity()
+            # the identity mass first, then the other moves in lattice
+            # order: the order of the shifted adds fixes the summation
+            # order, hence the bits
+            self._moves = sorted(mu.support.items(), key=lambda vm: (
+                vm[0] != zero, descriptor.sort_key(vm[0])))
+            offs = list(mu.support) + [zero]
+            self._lo_step = tuple(min(o[i] for o in offs) for i in range(d))
+            self._hi_step = tuple(max(o[i] for o in offs) for i in range(d))
+        # the top level's box, which holds every level's
+        self._reach = (tuple(depth * s for s in self._lo_step),
+                       tuple(depth * s for s in self._hi_step))
+        self._origin = ((0,) * d, np.ones((1,) * d), 0.0)
+        self._cursor = (0, self._origin)
+        if self.q:
+            self._fill((0,), (_RADIAL_BLOCK - 1,))
+        else:
+            est = 8 * sum(math.prod(m * (h - l) + 1 for l, h in zip(
+                self._lo_step, self._hi_step)) for m in range(depth + 1))
+            if est <= memory_budget_mb * 2**20:
+                self._levels = [self._level(m) for m in range(depth + 1)]
+                self._log_scales = [ls for _, _, ls in self._levels]
+            else:
+                self._boxed = True
+                if track is None:
+                    self._fill((-_DENSE_BOX,) * d, (_DENSE_BOX,) * d)
+                else:
+                    pts = list(track) + [zero]
+                    self._fill(tuple(min(v[i] for v in pts) for i in range(d)),
+                               tuple(max(v[i] for v in pts) for i in range(d)))
+        # the top level, kept wherever the cursor moves later; the
+        # benchmark's tracer reads its size
+        self._current = self._cursor[1]
 
     def _next(self, lo, arr, ls):
         """The level after ``(lo, arr, ls)``: stepped, divided by its peak,
@@ -1082,96 +1096,76 @@ class ArrayPowers(PowersCache):
         out /= peak
         return lo, out, ls + self._mu_ls + math.log(peak)
 
-    def _step(self):
-        """Append the next ``dense`` level, whole or tracked."""
-        lo_new, out, ls_new = self._next(*self._current[:3])
-        self._current = (lo_new, out, ls_new, None)
-        if self._track_region is None:
-            self._levels.append(self._current)
-        else:
-            # the tracked box and every level's box hold the origin, so they
-            # meet; slicing clips the box to the level's array
-            tlo, thi = self._track_region
-            clo = tuple(map(max, lo_new, tlo))
-            keep = out[tuple(slice(a - l, b - l + 1)
-                             for a, b, l in zip(clo, thi, lo_new))].copy()
-            self._levels.append((clo, keep, ls_new, out.sum()))
+    def _level(self, m):
+        """Level m as ``(lo, mantissas, log scale)``: kept whole, or stepped
+        from the cursor, from level 0 when m lies below it; the cursor
+        moves to m."""
+        if self._levels is not None:
+            return self._levels[m]
+        at, level = self._cursor
+        if m < at:
+            at, level = 0, self._origin
+        for _ in range(at, m):
+            level = self._next(*level)
+        self._cursor = (m, level)
+        return level
 
-    def _fill(self, width):
-        """Run the radial build, keeping radii < ``width`` of every level in
+    def _fill(self, lo, hi):
+        """Run the build from level 0, keeping every level clipped to the
+        box from ``lo`` to ``hi`` (itself clipped to the top level's box) in
         the block and every log scale; the cursor ends on the top level."""
-        block = np.zeros((self._depth + 1, width))
+        lo, hi = tuple(map(max, lo, self._reach[0])), tuple(map(min, hi, self._reach[1]))
+        block = np.zeros((self._depth + 1, *(b - a + 1 for a, b in zip(lo, hi))))
         log_scales = []
-        level = ((0,), self._marks[0], 0.0)
-        for m in range(self._depth + 1):
-            if m:
-                level = self._next(*level)
-            row = level[1][:width]
-            block[m, :len(row)] = row
-            log_scales.append(level[2])
-        self._block, self._log_scales = block, log_scales
-        self._cursor = (self._depth, level[1])
-
-    def _radial_level(self, m) -> np.ndarray:
-        """Level m's mantissas over every radius, stepped from the cursor,
-        or, when m lies below it, from the highest mark at or below m,
-        marking the levels at multiples of ``_MARK_EVERY`` on the way; the
-        cursor moves to m."""
-        at, arr = self._cursor
-        back = m < at
-        if back:
-            at = max(k for k in self._marks if k <= m)
-            arr = self._marks[at]
-        for k in range(at, m):
-            _, arr, _ = self._next((0,), arr, self._log_scales[k])
-            if back and (k + 1) % _MARK_EVERY == 0:
-                self._marks[k + 1] = arr
-        self._cursor = (m, arr)
-        return arr
+        for m, row in enumerate(block):
+            at, arr, ls = self._level(m)
+            # the box and every level's box hold the origin, so they meet
+            dst, src = [], []
+            for a, b, c, n in zip(lo, hi, at, arr.shape):
+                start, stop = max(a, c), min(b, c + n - 1) + 1
+                dst.append(slice(start - a, stop - a))
+                src.append(slice(start - c, stop - c))
+            row[tuple(dst)] = arr[tuple(src)]
+            log_scales.append(ls)
+        self._box, self._block, self._log_scales = (lo, hi), block, log_scales
 
     @property
     def depth(self):
         return self._depth
 
     def column_key(self, g):
-        # a tracked level's array lies inside the tracked region, so a point
-        # outside the region is outside every stored level
-        key = (len(g),) if self.q else g
-        if self._track_region is not None and not all(
-                a <= c <= b for c, a, b in zip(key, *self._track_region)):
-            raise CoverageError("element outside the tracked region of this cache")
-        return key
+        return (len(g),) if self.q else g
 
     def _column_values(self, key):
-        if not self.q:
+        if self._levels is not None:
             return [_log_entry(_cell(level, key), level[2]) for level in self._levels]
-        r = key[0]
-        if r >= self._radii:  # past every level's last radius
+        if not _inside(key, *self._reach):  # no level reaches it
             return [NEG_INF] * (self._depth + 1)
-        width = self._block.shape[1]
-        if r >= width:
-            while width <= r:
-                width *= 2
-            self._fill(min(width, self._radii))
-        return [_log_entry(v, ls)
-                for v, ls in zip(self._block[:, r].tolist(), self._log_scales)]
+        lo, hi = self._box
+        if not _inside(key, lo, hi):
+            while not _inside(key, lo, hi):
+                lo = tuple(2 * a - 1 for a in lo)
+                hi = tuple(2 * b + 1 for b in hi)
+            self._fill(lo, hi)
+        idx = tuple(map(operator.sub, key, self._box[0]))
+        return [_log_entry(v, ls) for v, ls in zip(
+            self._block[(slice(None), *idx)].tolist(), self._log_scales)]
 
-    def level_mass(self, m):
-        self._check_level(m)
-        if m not in self._masses:
+    def _level_masses(self):
+        masses = []
+        for m in range(self._depth + 1):
+            _, arr, ls = self._level(m)
             if self.q:
-                ls = self._log_scales[m]
-                logs = log_radial_mass(self._radial_level(m), self.q)
-            else:  # a dense level: the log of its stored or summed total
-                _, arr, ls, total = self._levels[m]
-                total = arr.sum() if total is None else total
+                logs = log_radial_mass(arr, self.q)
+            else:  # a dense level: the log of its array's sum
+                total = arr.sum()
                 logs = math.log(total) if total > 0.0 else NEG_INF
-            self._masses[m] = math.exp(logs + ls) if logs > NEG_INF else 0.0
-        return self._masses[m]
+            masses.append(math.exp(logs + ls) if logs > NEG_INF else 0.0)
+        return masses
 
     def level_log_scale(self, m):
         self._check_level(m)
-        return self._log_scales[m] if self.q else self._levels[m][2]
+        return self._log_scales[m]
 
     def level_radial(self, m) -> RadialMeasure:
         """A level of a free-group walk as its per-radius values; other
@@ -1179,8 +1173,8 @@ class ArrayPowers(PowersCache):
         self._check_level(m)
         if self.engine_name != "radial":
             raise CoverageError("only a radial cache has radial levels")
-        return RadialMeasure(values=self._radial_level(m).copy(),
-                             log_scale=self._log_scales[m], tree_degree=self.q)
+        _, arr, ls = self._level(m)
+        return RadialMeasure(values=arr.copy(), log_scale=ls, tree_degree=self.q)
 
     def level_measure(self, m):
         """A lattice level as a measure.  On a free group a tree radius
@@ -1190,9 +1184,7 @@ class ArrayPowers(PowersCache):
         if self.q:
             return super().level_measure(m)
         self._check_level(m)
-        if self._track_region is not None:
-            raise CoverageError("tracked cache cannot materialize full levels")
-        lo, arr, ls, _ = self._levels[m]
+        lo, arr, ls = self._level(m)
         support = {}
         for idx in np.argwhere(arr > 0.0):
             g = tuple(int(i + l) for i, l in zip(idx, lo))
@@ -1262,8 +1254,9 @@ class CartesianPowers(PowersCache):
     decays like rho_F^k, which moves the largest terms below that mode, so
     a cut that holds whatever the factor columns are keeps about half of
     the triangle or more.  The memory budget and the track set, projected
-    lazily to lattice points, go to the lattice factor (without a track set
-    both factors are fully retained).  Levels are not materialized.
+    lazily to lattice points, go to the lattice factor, which keeps a box
+    when its levels would not fit the budget.  Levels are not
+    materialized.
     """
 
     engine_name = "radial-lattice"
@@ -1278,15 +1271,13 @@ class CartesianPowers(PowersCache):
             )
         (mu_f, log_p), (mu_z, log_q) = factors
         self._tree = ArrayPowers(descriptor.left, mu_f, depth)
-        budget, lat_track = ((math.inf, None) if track is None
-                             else (memory_budget_mb, (v for _, v in track)))
-        self._lattice = ArrayPowers(descriptor.right, mu_z, depth,
-                                    memory_budget_mb=budget, track=lat_track)
-        self._track_region = self._lattice._track_region
+        self._lattice = ArrayPowers(
+            descriptor.right, mu_z, depth, memory_budget_mb=memory_budget_mb,
+            track=None if track is None else (v for _, v in track))
+        self._boxed = self._lattice._boxed
         self._log_fact = np.array([math.lgamma(m + 1) for m in range(depth + 1)])
         self._log_wp = _log_weights(log_p, self._log_fact)
         self._log_wq = _log_weights(log_q, self._log_fact)
-        self._masses = None
 
     def _mix(self, f, z) -> np.ndarray:
         """log Σ_k C(m,k) p^k q^(m-k) exp(f[k] + z[m-k]) for m < len(f),
@@ -1320,14 +1311,11 @@ class CartesianPowers(PowersCache):
         return self._mix(self._tree._key_column(key[0]),
                          self._lattice._key_column(key[1]))
 
-    def level_mass(self, m):
-        self._check_level(m)
-        if self._masses is None:
-            logs = [np.array([math.log(x) if x > 0.0 else NEG_INF
-                              for x in map(c.level_mass, range(self.depth + 1))])
-                    for c in (self._tree, self._lattice)]
-            self._masses = np.exp(self._mix(*logs)).tolist()
-        return self._masses[m]
+    def _level_masses(self):
+        logs = [np.array([math.log(x) if x > 0.0 else NEG_INF
+                          for x in map(c.level_mass, range(self.depth + 1))])
+                for c in (self._tree, self._lattice)]
+        return np.exp(self._mix(*logs)).tolist()
 
     def level_log_scale(self, m):
         raise CoverageError("a product cache stores no levels, only its factors'")
@@ -1368,17 +1356,17 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
                        track=None) -> PowersCache:
     """Compute and retain mu^{*m} for m = 0..depth.
 
-    ``engine`` is ``auto`` (``pick_engine``) or one engine name.
-    ``track`` is an iterable of elements that must stay queryable at every
-    level if full retention would blow ``memory_budget_mb``.  Both bind a
-    deep ``dense`` run only, and the track set is read only when the
-    budget binds, so it may be a lazy generator; without one such a run
-    raises BudgetExceededError.  A ``radial-lattice`` (product) run hands
-    both to its lattice factor, the track set projected lazily to lattice
-    points, and without a track set retains both factors in full.  A
+    ``engine`` is ``auto`` (``pick_engine``) or one engine name.  A
+    ``dense`` run whose levels would not fit ``memory_budget_mb`` keeps
+    each level on a lattice box around the origin and replays the build
+    for a column outside it (``ArrayPowers``); ``track``, an iterable of
+    elements read only then, so it may be a lazy generator, sizes the
+    first box.  A ``radial-lattice`` (product) run hands both to its
+    lattice factor, the track set projected lazily to lattice points.  A
     ``radial`` (free-group) run takes neither: it keeps the radii below 32
-    of every level and replays the build for the rest.  The generic
-    engine is bounded by ``support_cap`` and by its int32 ids.
+    of every level and replays the build for the rest.  Every level of
+    every array cache stays queryable everywhere.  The generic engine is
+    bounded by ``support_cap`` and by its int32 ids.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -1396,13 +1384,15 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
 
 
 def export_cache_json(cache: PowersCache) -> str:
-    """Serialize a fully retained cache: descriptor, measure, depth and, on
-    the generic engine, every level.  An array cache is its recipe, so its
-    payload is empty.  A tracked cache raises CoverageError."""
+    """Serialize a cache: descriptor, measure, depth and, on the generic
+    engine, every level.  An array cache is its recipe, so its payload is
+    empty.  A cache over its memory budget raises CoverageError: its
+    recipe would rebuild at full retention."""
     if isinstance(cache, GenericPowers):
         payload = cache.export_payload()
-    elif cache._track_region is not None:
-        raise CoverageError("tracked caches are not exportable")
+    elif cache._boxed:
+        raise CoverageError("a cache over its memory budget keeps a box of "
+                            "each level and is not exportable")
     else:
         payload = {}
     fmt = cache.descriptor.format
@@ -1463,7 +1453,7 @@ def import_cache_json(text: str) -> PowersCache:
             raise ValueError("malformed powers-cache artifact: an array cache "
                              "is stored as its recipe, with an empty payload")
         else:
-            # only fully retained caches export, so the build needs no budget
+            # a cache over its budget does not export, so the build needs none
             cache = convolution_powers(descriptor, mu, depth, engine=engine,
                                        memory_budget_mb=math.inf)
         complete = doc["complete"]

@@ -420,9 +420,9 @@ def test_product_cache_full_pipeline(tmp_path, capsys):
     Fock window.  Its cache is two factor caches well inside the 4 MiB
     budget, so the run writes its recipe artifact to ``--cache-dir`` and
     prints nothing, and a second run reads it (the file is not replaced)
-    and writes the same output tree.  A tracked cache is not exportable: a
-    lattice(2) run with ``memory_budget_mb = 0`` says so once and writes no
-    artifact."""
+    and writes the same output tree.  A cache over its memory budget keeps
+    a box of each level and is not exportable: a lattice(2) run with
+    ``memory_budget_mb = 0`` says so once and writes no artifact."""
     cfg = tmp_path / "deep.ini"
     cfg.write_text(PRODUCT_CFG, encoding="utf-8")
     cache_dir = tmp_path / "cache"
@@ -449,40 +449,27 @@ def test_product_cache_full_pipeline(tmp_path, capsys):
     assert main(["radical", "--config", str(z2), "--out", str(tmp_path / "z2out"),
                  "--cache-dir", str(z2_cache)]) == 0
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "tracked" in err and "--cache-dir" in err
+    assert len(err.splitlines()) == 1 and "box" in err and "--cache-dir" in err
     assert not list(z2_cache.glob("powers-*.json"))
     assert json.loads((tmp_path / "z2out" / "radical.json").read_text())["flags_entire_ball"]
 
 
-def test_track_set_read_only_over_budget(tmp_path, monkeypatch, capsys):
-    """The CLI's track set is computed only by a cache over its memory
-    budget.  ``Workspace.track_elements`` is a generator, so its body runs
-    only when a cache iterates it: a lattice(1) run and the criterion-5
-    product report under the default budget never do, while a lattice(2)
-    run with ``memory_budget_mb = 0`` does."""
-    from walkops.cli import Workspace
-
-    calls = []
-    track = Workspace.track_elements
-
-    def spy(self):
-        calls.append("evaluated")
-        yield from track(self)
-
-    monkeypatch.setattr(Workspace, "track_elements", spy)
+def test_track_set_read_only_over_budget(tmp_path, capsys):
+    """The CLI passes no track set: a lattice(1) run and the criterion-5
+    product report under the default budget, and a lattice(2) run with
+    ``memory_budget_mb = 0``, whose cache keeps the default box, all exit
+    0 with nothing on stderr."""
     lazy = tmp_path / "lazy.ini"
     lazy.write_text(LAZY_Z_CFG, encoding="utf-8")
     assert main(["spectrum", "--config", str(lazy), "--out", str(tmp_path / "z")]) == 0
     product = tmp_path / "product.ini"
     product.write_text(PRODUCT_CFG.replace("memory_budget_mb = 4\n", ""), encoding="utf-8")
     assert main(["report", "--config", str(product), "--out", str(tmp_path / "p")]) == 0
-    assert calls == []
 
     z2 = tmp_path / "z2.ini"
     z2.write_text(AMENABLE_Z2_CFG.replace("depth = 128", "depth = 128\nmemory_budget_mb = 0"),
                   encoding="utf-8")
     assert main(["radical", "--config", str(z2), "--out", str(tmp_path / "z2out")]) == 0
-    assert calls == ["evaluated"]
     assert capsys.readouterr().err == ""
 
 
@@ -547,22 +534,13 @@ jobs = spectrum kernel metric boundary
 
 
 @pytest.mark.parametrize("rows", sorted(TRACKED_ROWS))
-def test_tracked_cache_covers_fock_and_covariance_rows(tmp_path, monkeypatch, capsys, rows):
+def test_tracked_cache_covers_fock_and_covariance_rows(tmp_path, capsys, rows):
     """The [fock] and [covariance] rows, and the [boundary] elements and
     [metric] pairs, of these lattice(2) reports lie outside every ball the
-    other jobs read.  Under a 1 MiB budget the cache keeps only the box of
-    its track set, and the run still gives the exit code and the output
-    tree of the fully retained run (512 MiB)."""
-    from walkops.cli import Workspace
-
-    calls = []
-    track = Workspace.track_elements
-
-    def spy(self):
-        calls.append(self.cfg.walk.memory_budget_mb)
-        yield from track(self)
-
-    monkeypatch.setattr(Workspace, "track_elements", spy)
+    other jobs read, and the boundary elements outside the default box.
+    Under a 1 MiB budget the cache keeps a box of each level and replays
+    the rest, and the run still gives the exit code and the output tree of
+    the fully retained run (512 MiB)."""
     sections, written = TRACKED_ROWS[rows]
     text = AMENABLE_Z2_CFG.replace("depth = 128", "depth = 60") + sections
     codes, trees = [], []
@@ -573,7 +551,6 @@ def test_tracked_cache_covers_fock_and_covariance_rows(tmp_path, monkeypatch, ca
         out = tmp_path / f"out{mb}"
         codes.append(main(["report", "--config", str(cfg), "--out", str(out)]))
         trees.append(_tree(out))
-    assert calls == [1]
     assert capsys.readouterr().err == ""
     assert codes == [0, 0]
     assert trees[0] == trees[1]
@@ -948,7 +925,7 @@ def _lazy_z_levels():
     tree-radius axis of length 1."""
     cfg = RunConfig.from_text(LAZY_Z_CFG)
     cache = convolution_powers(cfg.descriptor, cfg.measure, 64)
-    return [(lat_lo, arr[None], ls) for lat_lo, arr, ls, _ in cache._levels]
+    return [(lat_lo, arr[None], ls) for lat_lo, arr, ls in cache._levels]
 
 
 def _as_version_1(text):

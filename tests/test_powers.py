@@ -196,38 +196,47 @@ def test_dense_levels_match_reference_step(lattice1, lattice2, lazy_z, lazy_z2):
     """The array engine's lattice case reproduces the reference dense step
     bit for bit on lazy Z to depth 300 and lazy Z^2 to depth 60: each
     level's corner and array bytes, its log scale, its mass (the sum of the
-    whole array under the level's log scale) and every column.  A tracked
-    cache keeps the reference array on the box its track set and the origin
-    span, with the same log scales, masses and columns inside the box."""
+    whole array under the level's log scale) and every column.  A cache
+    over its memory budget keeps, as row m of its block, the reference
+    array clipped to the box its track set and the origin span (zero where
+    the level does not reach), with the same log scales, masses and
+    columns, inside the box and past it, and its replayed levels are the
+    reference levels."""
     for desc, mu, depth, track in ((lattice1, lazy_z, 300, [(-3,), (5,)]),
                                    (lattice2, lazy_z2, 60, [(1, -2), (-1, 3)])):
         ref = _dense_reference(desc, mu, depth)
         full = w.convolution_powers(desc, mu, depth)
-        tracked = w.convolution_powers(desc, mu, depth, memory_budget_mb=0, track=track)
-        assert full.engine_name == tracked.engine_name == "dense"
+        boxed = w.convolution_powers(desc, mu, depth, memory_budget_mb=0, track=track)
+        assert full.engine_name == boxed.engine_name == "dense"
         pts = track + [desc.identity()]
         tlo, thi = np.min(pts, axis=0).tolist(), np.max(pts, axis=0).tolist()
+        assert boxed._box == (tuple(tlo), tuple(thi))
         box = list(itertools.product(*(range(a, b + 1) for a, b in zip(tlo, thi))))
         for m, (lo, arr, ls) in enumerate(ref):
             mass = math.exp(math.log(arr.sum()) + ls)
-            f_lo, f_arr = full._levels[m][:2]
+            f_lo, f_arr, _ = full._levels[m]
             assert f_lo == lo, (desc, m)
             assert f_arr.dtype == arr.dtype and f_arr.shape == arr.shape, (desc, m)
             assert f_arr.tobytes() == arr.tobytes(), (desc, m)
             clo = tuple(map(max, lo, tlo))
             chi = tuple(min(l + n - 1, b) for l, n, b in zip(lo, arr.shape, thi))
-            t_lo, t_arr = tracked._levels[m][:2]
-            assert t_lo == clo, (desc, m)
-            assert t_arr.tobytes() == arr[tuple(
-                slice(a - l, b - l + 1) for a, b, l in zip(clo, chi, lo))].tobytes(), (desc, m)
-            for cache in (full, tracked):
+            row = np.zeros(tuple(b - a + 1 for a, b in zip(tlo, thi)))
+            row[tuple(slice(a - t, b - t + 1) for a, b, t in zip(clo, chi, tlo))] = \
+                arr[tuple(slice(a - l, b - l + 1) for a, b, l in zip(clo, chi, lo))]
+            assert boxed._block[m].tobytes() == row.tobytes(), (desc, m)
+            for cache in (full, boxed):
                 assert cache.level_log_scale(m) == ls, (desc, m)
                 assert cache.level_mass(m) == mass, (desc, m)
-        far = [tuple(-depth - 1 if i == 0 else 0 for i in range(desc.dimension))]
-        for cache, elems in ((full, desc.ball(3) + far), (tracked, box)):
-            for g in elems:
+        far = [tuple(-depth - 1 if i == 0 else 0 for i in range(desc.dimension)),
+               tuple(depth // 2 if i == 0 else 0 for i in range(desc.dimension))]
+        for cache in (full, boxed):
+            for g in desc.ball(3) + box + far:
                 assert cache.log_column(g).tobytes() == _reference_column(ref, g).tobytes(), \
                     (desc, g)
+        for m in (depth, 7, 0, depth - 1):
+            lo, arr, ls = ref[m]
+            level = boxed.level_measure(m)
+            assert level.log_scale == ls and level.support == full.level_measure(m).support
 
 
 def test_radial_ignores_memory_budget(free2, iso_f2):
@@ -318,9 +327,9 @@ def test_radial_cache_keeps_a_block_not_every_level(free2, iso_f2):
 
 def test_radial_replays_step_within_bounds(free2, iso_f2, monkeypatch):
     """The build takes one radial_step per level, and level_radial(depth)
-    right after it takes none.  An ascending level_mass sweep over every
-    level takes at most 2·depth steps with the build; a descending one one
-    replay plus fewer than ``_MARK_EVERY`` steps per level."""
+    right after it takes none.  A level_mass sweep over every level, in
+    ascending or descending order, takes at most 2·depth steps with the
+    build: the first call computes every mass in one replay."""
     calls = []
 
     def counted(*args):
@@ -330,8 +339,7 @@ def test_radial_replays_step_within_bounds(free2, iso_f2, monkeypatch):
     monkeypatch.setattr(powers, "radial_step", counted)
     depth = 300
     for levels, bound in ((range(depth + 1), 2 * depth),
-                          (range(depth, -1, -1),
-                           2 * depth + depth * (powers._MARK_EVERY - 1))):
+                          (range(depth, -1, -1), 2 * depth)):
         calls.clear()
         cache = w.convolution_powers(free2, iso_f2, depth)
         assert len(calls) == depth
@@ -462,15 +470,123 @@ def test_support_cap_keeps_complete_prefix(lamp1, lamp_mu):
         cache.log_value(cache.depth + 1, lamp1.identity())
 
 
+def test_column_queries_reject_non_elements(lattice2, lazy_z2, free2, iso_f2, lamp1,
+                                            lamp_mu, product_f2z, cartesian_mu):
+    """log_value and log_column raise DescriptorMismatchError for anything
+    that is not an element of the cache's group, on every engine: a lattice
+    point of the wrong dimension, a free word that is not reduced or uses a
+    letter past the rank, a word given as text, lamps out of order and a
+    product pair with a bad factor.  None of them reads another element's
+    column or -inf."""
+    cases = [
+        (w.convolution_powers(lattice2, lazy_z2, 6), "dense",
+         [(1, 0, 0), (1,), (1.0, 0)]),
+        (w.convolution_powers(free2, iso_f2, 6), "radial", [(1, -1), (3,), "ab"]),
+        (w.convolution_powers(lamp1, lamp_mu, 6), "generic",
+         [((0,), ((1,), (0,))), ((0,), ((0,), (0,))), (0,)]),
+        (w.convolution_powers(product_f2z, cartesian_mu, 6), "radial-lattice",
+         [((1, -1), (0,)), ((), (0, 0)), ((),)]),
+    ]
+    for cache, engine, bad in cases:
+        assert cache.engine_name == engine
+        for g in bad:
+            with pytest.raises(DescriptorMismatchError):
+                cache.log_value(2, g)
+            with pytest.raises(DescriptorMismatchError):
+                cache.log_column(g)
+        assert not cache._columns, engine  # no column was built for them
+
+
+def test_boxed_dense_steps_counted(lattice2, lazy_z2, monkeypatch):
+    """A lattice(2) cache over its memory budget, counted in calls of the
+    one step ``_next``: the build takes depth calls; a column inside the
+    default box takes none; a column outside it takes one replay (depth
+    calls), and a second column inside the widened box none; a level_mass
+    sweep in any order takes one replay, and level_measure at or above the
+    cursor steps only forward."""
+    calls = []
+    step = powers.ArrayPowers._next
+
+    def counted(self, *args):
+        calls.append(None)
+        return step(self, *args)
+
+    monkeypatch.setattr(powers.ArrayPowers, "_next", counted)
+    depth = 40
+    for levels in (range(depth + 1), range(depth, -1, -1)):
+        calls.clear()
+        cache = w.convolution_powers(lattice2, lazy_z2, depth, memory_budget_mb=0)
+        assert cache._box == ((-8, -8), (8, 8))
+        assert len(calls) == depth
+        cache.log_column((8, -8))
+        assert len(calls) == depth
+        cache.log_column((12, 0))
+        assert len(calls) == 2 * depth and cache._box == ((-17, -17), (17, 17))
+        cache.log_column((-17, 17))
+        assert len(calls) == 2 * depth
+        cache.log_column((41, 0))  # no level reaches it
+        assert len(calls) == 2 * depth
+        for m in levels:
+            cache.level_mass(m)
+        assert len(calls) == 3 * depth
+        cache.level_measure(10)
+        cache.level_measure(12)
+        assert len(calls) == 3 * depth + 12
+
+
+def test_boxed_cache_equals_full(lattice1, lattice2, lazy_z, lazy_z2):
+    """With no memory budget and no track set, caches on Z, Z^2, F2 x Z and
+    F2 x Z^2 keep the default lattice box, and their columns (inside the
+    box, past it and past every level), level masses, log scales and
+    lattice levels equal the fully retained caches' bit for bit, in any
+    order of the queries."""
+    f2z = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1))
+    f2z2 = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(2))
+    walks = [
+        (lattice1, lazy_z, 80, [(v,) for v in (0, 3, -8, 9, 30, -80, 81)]),
+        (lattice2, lazy_z2, 30, [(0, 0), (8, -8), (9, 0), (0, -20), (30, 0), (31, 0)]),
+        (f2z, w.parse_measure(
+            "(e|(0)) 0.35\n(a|(0)) 1/10\n(A|(0)) 1/10\n(b|(0)) 1/10\n(B|(0)) 1/10\n"
+            "(e|(1)) 1/8\n(e|(-1)) 1/8", f2z), 60,
+         [((), (0,)), ((1, 2), (8,)), ((1,), (-9,)), ((2,) * 5, (40,)), ((), (61,))]),
+        (f2z2, w.parse_measure(
+            "(e|(0,0)) 1/4\n(a|(0,0)) 1/8\n(A|(0,0)) 1/8\n(b|(0,0)) 1/8\n"
+            "(B|(0,0)) 1/8\n(e|(1,0)) 1/16\n(e|(-1,0)) 1/16\n(e|(0,1)) 1/16\n"
+            "(e|(0,-1)) 1/16", f2z2), 24,
+         [((), (0, 0)), ((1,), (8, 8)), ((), (-9, 2)), ((1, 1), (0, 20)), ((), (25, 0))]),
+    ]
+    for desc, mu, depth, elems in walks:
+        full = w.convolution_powers(desc, mu, depth)
+        boxed = w.convolution_powers(desc, mu, depth, memory_budget_mb=0)
+        # a product's lattice factor is the cache that keeps the box
+        lattice, full_lattice = (getattr(c, "_lattice", c) for c in (boxed, full))
+        assert lattice._boxed and not full_lattice._boxed
+        assert lattice._box == tuple((s * 8,) * lattice.descriptor.dimension
+                                     for s in (-1, 1))
+        levels = range(depth, -1, -3)
+        for g in elems[::-1]:
+            assert boxed.log_column(g).tobytes() == full.log_column(g).tobytes(), (desc, g)
+        for cache, twin in ((boxed, full), (lattice, full_lattice)):
+            assert [cache.level_mass(m) for m in levels] == [twin.level_mass(m) for m in levels]
+            assert cache._masses == twin._masses
+        for m in levels:
+            assert lattice.level_log_scale(m) == full_lattice.level_log_scale(m)
+            got, want = lattice.level_measure(m), full_lattice.level_measure(m)
+            assert (got.support, got.log_scale) == (want.support, want.log_scale)
+        with pytest.raises(CoverageError):
+            w.export_cache_json(boxed)
+
+
 def test_tracked_dense_matches_full(lattice1, lazy_z):
+    """A dense cache over its memory budget answers inside the box its
+    track set spans and past it ((9,) replays into a wider box; (40,) no
+    level reaches) exactly as the fully retained cache."""
     full = w.convolution_powers(lattice1, lazy_z, 32)
     tracked = w.convolution_powers(lattice1, lazy_z, 32, engine="dense",
                                    memory_budget_mb=0, track=[(-3,), (3,)])
     for m in (1, 9, 32):
-        for v in range(-3, 4):
+        for v in (*range(-3, 4), 9, -20, 40):
             assert tracked.log_value(m, (v,)) == full.log_value(m, (v,))
-    with pytest.raises(CoverageError):
-        tracked.log_value(2, (9,))
 
 
 def test_tracked_radial_lattice_matches_full():
@@ -489,10 +605,10 @@ def test_tracked_radial_lattice_matches_full():
 
 def test_product_needs_no_memory_budget(product_f2z, cartesian_mu):
     """A product cache stores its two factors, O(M^2) each, so the
-    criterion-5 walk at M=500 builds complete with no memory budget and no
-    track set, exports as a recipe under 1 KiB and re-imports with
-    bit-identical columns."""
-    cache = w.convolution_powers(product_f2z, cartesian_mu, 500, memory_budget_mb=0)
+    criterion-5 walk at M=500 builds complete under the default memory
+    budget with no track set, exports as a recipe under 1 KiB and
+    re-imports with bit-identical columns."""
+    cache = w.convolution_powers(product_f2z, cartesian_mu, 500)
     assert cache.complete and cache.depth == 500
     text = w.export_cache_json(cache)
     assert json.loads(text)["payload"] == {} and len(text) < 1024
@@ -503,9 +619,9 @@ def test_product_needs_no_memory_budget(product_f2z, cartesian_mu):
 
 def test_tracked_product_keeps_lattice_box():
     """On F2 x Z^2 with no memory budget, a track set makes the lattice
-    factor keep the box its lattice points span: columns there equal the
-    full cache's bit for bit, a point outside the box raises CoverageError,
-    and the cache is not exportable."""
+    factor keep the box its lattice points span: columns there, and at
+    points outside the box, which replay the lattice factor, equal the
+    full cache's bit for bit, and the cache is not exportable."""
     desc = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(2))
     mu = w.parse_measure(
         "(e|(0,0)) 1/4\n(a|(0,0)) 1/8\n(A|(0,0)) 1/8\n(b|(0,0)) 1/8\n"
@@ -519,11 +635,10 @@ def test_tracked_product_keeps_lattice_box():
         for v in itertools.product(range(-1, 3), range(-1, 2)):
             g = (word, v)
             assert tracked.log_column(g).tobytes() == full.log_column(g).tobytes(), g
-    for v in ((3, 0), (0, 2), (-2, 0)):
-        with pytest.raises(CoverageError):
-            tracked.log_column(((), v))
-        with pytest.raises(CoverageError):
-            tracked.log_value(5, ((1,), v))
+    assert tracked._lattice._box == ((-1, -1), (2, 1))
+    for v in ((3, 0), (0, 2), (-2, 0), (30, 0)):
+        assert tracked.log_column(((), v)).tobytes() == full.log_column(((), v)).tobytes()
+        assert tracked.log_value(5, ((1,), v)) == full.log_value(5, ((1,), v))
     with pytest.raises(CoverageError):
         w.export_cache_json(tracked)
 
@@ -537,7 +652,7 @@ def _eager_level_masses(cache):
                 for m in range(cache.depth + 1)]
     else:
         rows = [(arr.reshape(1, -1).sum(axis=1), ls)
-                for _, arr, ls, _ in cache._levels]
+                for _, arr, ls in map(cache._level, range(cache.depth + 1))]
     out = []
     for values, ls in rows:
         logs = log_radial_mass(values, cache.q)
@@ -549,9 +664,10 @@ def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2
                                       iso_f2):
     """level_mass, computed on first request, equals the eager log_radial_mass
     of every level bit for bit, and level_log_scale is unchanged: radial and
-    dense caches, full and tracked, and re-imports.  A radial-lattice cache
-    stores no levels: its two factor caches are checked the same way, and
-    its own masses, full, tracked and re-imported, are equal and within
+    dense caches, full and over their memory budget (boxed), and
+    re-imports.  A radial-lattice cache stores no levels: its two factor
+    caches are checked the same way, and its own masses, full, boxed and
+    re-imported, are equal and within
     1e-12 of 1, while level_log_scale raises CoverageError."""
     product = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1))
     cartesian = w.parse_measure(
@@ -559,7 +675,7 @@ def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2
         "(e|(1)) 1/8\n(e|(-1)) 1/8", product)
     srw_f2 = w.parse_measure("a 1/4\nA 1/4\nb 1/4\nB 1/4", free2)
     z_up = w.parse_measure("(1) 1/3\n(2) 2/3", lattice1)  # never returns to 0
-    cases = [  # (full cache, tracked twin or None)
+    cases = [  # (full cache, boxed twin or None)
         (w.convolution_powers(free2, iso_f2, 400), None),
         (w.convolution_powers(free2, srw_f2, 120), None),
         (w.convolution_powers(lattice1, lazy_z, 64),
@@ -574,7 +690,7 @@ def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2
                 w.convolution_powers(product, cartesian, 40, engine="radial-lattice",
                                      memory_budget_mb=0,
                                      track=[((1, 1), (2,)), ((), (-2,))]))
-    assert products[1]._lattice._track_region is not None
+    assert products[1]._lattice._boxed
     cases += [(products[0]._tree, None), (products[0]._lattice, products[1]._lattice)]
     masses = [products[0].level_mass(m) for m in range(41)]
     assert max(abs(x - 1.0) for x in masses) <= 1e-12
@@ -597,7 +713,8 @@ def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2
 
 
 def _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2, lamp1, lamp_mu):
-    """(label, cache, elements to compare, elements outside a tracked cache)."""
+    """(label, cache, elements to compare, the fully retained twin of a
+    boxed cache or None)."""
     product = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1))
     cartesian = w.parse_measure(
         "(e|(0)) 0.35\n(a|(0)) 1/10\n(A|(0)) 1/10\n(b|(0)) 1/10\n(B|(0)) 1/10\n"
@@ -621,25 +738,27 @@ def _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2, lamp1, lam
          lamp1.ball(3) + [((20,), ())]),
         ("generic F2", w.convolution_powers(free2, f2_skew, 7), free2.ball(3) + far_f2),
     ]
-    cases = [(label, cache, elems, []) for label, cache, elems in full]
+    cases = [(label, cache, elems, None) for label, cache, elems in full]
     cases += [(label + " re-imported", w.import_cache_json(w.export_cache_json(cache)),
-               elems, []) for label, cache, elems in full]
+               elems, None) for label, cache, elems in full]
+    twins = {label: cache for label, cache, _ in full}
     cases += [
         ("dense tracked",
          w.convolution_powers(lattice1, lazy_z, 64, engine="dense",
                               memory_budget_mb=0, track=[(-3,), (3,)]),
-         [(v,) for v in range(-3, 4)], [(4,), (-9,)]),
+         [(v,) for v in range(-3, 4)] + [(4,), (-9,), (70,)], twins["dense"]),
         ("dense Z^2 tracked",
          w.convolution_powers(lattice2, lazy_z2, 24, engine="dense",
                               memory_budget_mb=0, track=[(1, -2), (0, 2)]),
-         [(a, b) for a in range(0, 2) for b in range(-2, 3)], [(2, 0), (0, 3)]),
+         [(a, b) for a in range(0, 2) for b in range(-2, 3)] + [(2, 0), (0, 3), (30, 0)],
+         twins["dense Z^2"]),
         # the tree factor takes no track set: only the lattice box is tracked
         ("radial-lattice tracked",
          w.convolution_powers(product, cartesian, 30, engine="radial-lattice",
                               memory_budget_mb=0, track=[((1, 1), (2,)), ((), (-2,))]),
          [(word, (v,)) for word in product.left.ball(2) for v in range(-2, 3)]
-         + [((1, 1, 1), (0,))],
-         [((), (3,))]),
+         + [((1, 1, 1), (0,)), ((), (3,)), ((), (31,))],
+         twins["radial-lattice"]),
     ]
     return cases
 
@@ -648,11 +767,12 @@ def test_log_column_matches_log_value(lattice1, lattice2, lazy_z, lazy_z2, free2
                                       iso_f2, lamp1, lamp_mu):
     """log_column(g) equals [log_value(m, g) for m in 0..depth] bit for bit,
     absent entries (-inf) included, on every engine, full and re-imported,
-    and on the dense and radial-lattice engines tracked; an element a
-    tracked cache does not keep raises CoverageError from both calls."""
+    and on the dense and radial-lattice engines over their memory budget
+    (boxed), where the columns inside the box, outside it (a replay) and
+    past every level also equal the fully retained cache's."""
     cases = _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2,
                           lamp1, lamp_mu)
-    for label, cache, elems, outside in cases:
+    for label, cache, elems, full in cases:
         absent = 0
         for g in elems:
             ref = np.array([cache.log_value(m, g) for m in range(cache.depth + 1)])
@@ -661,13 +781,10 @@ def test_log_column_matches_log_value(lattice1, lattice2, lazy_z, lazy_z2, free2
             assert col.tobytes() == ref.tobytes(), (label, g)
             assert cache.log_column(g) is col  # memoized
             assert not col.flags.writeable
+            if full is not None:
+                assert col.tobytes() == full.log_column(g).tobytes(), (label, g)
             absent += int(np.sum(col == -math.inf))
         assert absent, label  # every case covers absent entries
-        for g in outside:
-            with pytest.raises(CoverageError):
-                cache.log_value(0, g)
-            with pytest.raises(CoverageError):
-                cache.log_column(g)
 
 
 def test_log_column_keys(free2, iso_f2, product_f2z, cartesian_mu):

@@ -151,14 +151,17 @@ def test_kernel_table_identity_entry_kept_apart(f2_cache):
 
 
 def test_kernel_table_identity_entry_on_tracked_cache(lattice1, lazy_z):
-    """The x = e entry reads no column, so a tracked cache answers it for
-    a y outside its tracked region, while x != e raises as before."""
+    """The x = e entry reads no column, so a cache over its memory budget
+    answers it for a y outside its box; an x != e entry there replays the
+    box and equals the fully retained cache's entry bit for bit."""
     cache = w.convolution_powers(lattice1, lazy_z, 32, engine="dense",
                                  memory_budget_mb=0, track=[(-3,), (3,)])
     table = w.KernelTable(cache)
+    full = w.KernelTable(w.convolution_powers(lattice1, lazy_z, 32))
     assert table.get((0,), (9,)).estimate == 1.0
-    with pytest.raises(CoverageError):
-        table.get((1,), (9,))
+    got, want = table.get((1,), (9,)), full.get((1,), (9,))
+    assert (got.estimate, got.lo, got.hi) == (want.estimate, want.lo, want.hi)
+    assert got.raw_tail.tobytes() == want.raw_tail.tobytes()
 
 
 def test_kernel_table_raw_tail_read_only(f2_cache):
