@@ -309,18 +309,19 @@ class RadialMeasure:
 def log_radial_mass(values: np.ndarray, q: int) -> float:
     """log( sum_r sphere_size(r) * values[r] ), overflow-safe: the log of
     each positive value plus its log sphere size, summed as ``fsum`` of
-    the exps under the largest.  With q = 0 only radius 0 may be
-    positive (a one-entry row)."""
+    the exps under the largest; each log and exp is ``math``'s.  With
+    q = 0 only radius 0 may be positive (a one-entry row)."""
     values = np.asarray(values)
     r = np.flatnonzero(values > 0.0)
     if not len(r):
         return NEG_INF
-    terms = np.log(values[r])
+    terms = np.array([math.log(v) for v in values[r].tolist()])
     if r[-1]:  # the log sphere size is 0 at radius 0
         outer = r > 0
         terms[outer] += math.log(q) + (r[outer] - 1) * math.log(q - 1)
-    peak = terms.max()
-    return float(peak + math.log(math.fsum(np.exp(terms - peak))))
+    terms = terms.tolist()
+    peak = max(terms)
+    return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
 
 
 def radial_reduce(mu: ScaledMeasure, descriptor: FreeGroup,

@@ -33,13 +33,12 @@ quotients.  A product reads every level of both factors.
 Every level stays queryable everywhere.  A ``dense`` cache keeps every
 level whole while that fits ``memory_budget_mb``; past it, and on every
 ``radial`` cache, the cache keeps each level clipped to a box around the
-origin (the radii below 32; a lattice box of half-width 8, or the box a
-track set spans) and every level's log scale, and a column outside the
-box replays the build bit for bit into a wider box.  Full levels and
-level masses come from one forward replay cursor.  A product hands its
-budget and its track set, projected lazily to lattice points, to its
-lattice factor.  A cache over its budget is not exportable: its recipe
-would rebuild at full retention.
+origin (the radii below 32; a lattice box of half-width 8) and every
+level's log scale, and a column outside the box replays the build bit for
+bit, into a wider box while that fits the budget, else keeping only the
+column.  Full levels and level masses come from one forward replay
+cursor.  A product hands its budget to its lattice factor.  A cache over
+its budget is not exportable: its recipe would rebuild at full retention.
 
 The first ``level_mass`` call computes every level's mass in one
 ascending pass and memoizes them: a radial level's ``log_radial_mass``
@@ -991,8 +990,11 @@ def _inside(key, lo, hi) -> bool:
 # from its build: every radius the CLI, the README configs and the
 # benchmark read; a column past them widens the block by one replay
 _RADIAL_BLOCK = 32
-# the half-width of the lattice box a ``dense`` cache over its memory
-# budget keeps from its build when no track set sizes the box
+# the half-width of the lattice box a ``dense`` cache over its budget
+# keeps: a CLI report reads balls (radius 2 by default) around the origin
+# and the elements a config names, within 8 on the example lattice and
+# product configs save a boundary ray (to k_max + ball_radius, 14 by
+# default) and far [metric] pairs, which widen one bound by one replay
 _DENSE_BOX = 8
 
 
@@ -1010,23 +1012,22 @@ class ArrayPowers(PowersCache):
     level whole.  Every other array cache keeps a box: one ``(depth + 1) x
     box`` block of mantissas, row m holding level m clipped to the box
     (zero where the level does not reach), and each level's log scale.
-    The box is the radii below ``_RADIAL_BLOCK`` on ``radial``; on
-    ``dense`` it is the box that the track set and the origin span, or
-    half-width ``_DENSE_BOX`` without a track set, so the track set only
-    sizes the first box.  A column outside the box replays the build
-    once, the same steps, peak divisions and log-scale sums, into a box
-    doubled around the origin (each bound b to 2b - 1 below and 2b + 1
-    above) until it holds the column, clipped to the top level's box, so
-    every bit matches; a column that no level reaches reads -inf with no
-    replay.  Full levels (``level_radial``, ``level_measure`` and the
+    The box is the radii below ``_RADIAL_BLOCK`` on ``radial`` and
+    half-width ``_DENSE_BOX`` on ``dense``.  A column outside the box
+    replays the build once, the same steps, peak divisions and log-scale
+    sums, so every bit matches, doubling each bound it lies past away from
+    the origin (b to 2b - 1 below, 2b + 1 above, within the top level's
+    box) until the box holds it; on ``dense`` a replay whose wider block
+    would not fit ``memory_budget_mb`` keeps only the column.  A column
+    that no level reaches reads -inf with no replay.  Full levels (``level_radial``, ``level_measure`` and the
     level masses) come from a replay cursor, the last level stepped, the
     top one after the build: a level at or above it steps forward from
     it, a level below it from level 0, so any sweep in ascending order
-    costs at most one build.
+    costs at most one build, and a descending one about depth²/2 steps.
     """
 
     def __init__(self, descriptor, mu, depth,
-                 memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB, track=None):
+                 memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB):
         super().__init__(descriptor, mu)
         if not isinstance(descriptor, (FreeGroup, LatticeGroup)):
             raise PreconditionError("measure is not a free-group or lattice walk")
@@ -1035,6 +1036,7 @@ class ArrayPowers(PowersCache):
         self._mu_ls = mu.log_scale
         self._levels = None     # every level whole, on a dense cache in budget
         self._boxed = False     # a dense cache over budget: not exportable
+        self._budget = memory_budget_mb * 2**20
         if isinstance(descriptor, FreeGroup):
             # IsotropyError unless the measure is isotropic
             self._tree_vals = radial_reduce(mu, descriptor).values
@@ -1058,24 +1060,16 @@ class ArrayPowers(PowersCache):
         self._origin = ((0,) * d, np.ones((1,) * d), 0.0)
         self._cursor = (0, self._origin)
         if self.q:
-            self._fill((0,), (_RADIAL_BLOCK - 1,))
+            self._fill(*self._clip((0,), (_RADIAL_BLOCK - 1,)))
         else:
             est = 8 * sum(math.prod(m * (h - l) + 1 for l, h in zip(
                 self._lo_step, self._hi_step)) for m in range(depth + 1))
-            if est <= memory_budget_mb * 2**20:
+            if est <= self._budget:
                 self._levels = [self._level(m) for m in range(depth + 1)]
                 self._log_scales = [ls for _, _, ls in self._levels]
             else:
                 self._boxed = True
-                if track is None:
-                    self._fill((-_DENSE_BOX,) * d, (_DENSE_BOX,) * d)
-                else:
-                    pts = list(track) + [zero]
-                    self._fill(tuple(min(v[i] for v in pts) for i in range(d)),
-                               tuple(max(v[i] for v in pts) for i in range(d)))
-        # the top level, kept wherever the cursor moves later; the
-        # benchmark's tracer reads its size
-        self._current = self._cursor[1]
+                self._fill(*self._clip((-_DENSE_BOX,) * d, (_DENSE_BOX,) * d))
 
     def _next(self, lo, arr, ls):
         """The level after ``(lo, arr, ls)``: stepped, divided by its peak,
@@ -1108,13 +1102,20 @@ class ArrayPowers(PowersCache):
         for _ in range(at, m):
             level = self._next(*level)
         self._cursor = (m, level)
+        if m == self._depth:
+            # the top level, kept wherever the cursor moves later (each
+            # replay replaces it); the benchmark's tracer reads its size
+            self._current = level
         return level
+
+    def _clip(self, lo, hi):
+        """The box from ``lo`` to ``hi`` clipped to the top level's box."""
+        return tuple(map(max, lo, self._reach[0])), tuple(map(min, hi, self._reach[1]))
 
     def _fill(self, lo, hi):
         """Run the build from level 0, keeping every level clipped to the
-        box from ``lo`` to ``hi`` (itself clipped to the top level's box) in
-        the block and every log scale; the cursor ends on the top level."""
-        lo, hi = tuple(map(max, lo, self._reach[0])), tuple(map(min, hi, self._reach[1]))
+        box from ``lo`` to ``hi`` (within the top level's box) in the block
+        and every log scale; the cursor ends on the top level."""
         block = np.zeros((self._depth + 1, *(b - a + 1 for a, b in zip(lo, hi))))
         log_scales = []
         for m, row in enumerate(block):
@@ -1141,11 +1142,19 @@ class ArrayPowers(PowersCache):
             return [_log_entry(_cell(level, key), level[2]) for level in self._levels]
         if not _inside(key, *self._reach):  # no level reaches it
             return [NEG_INF] * (self._depth + 1)
-        lo, hi = self._box
+        lo, hi = map(list, self._box)
         if not _inside(key, lo, hi):
-            while not _inside(key, lo, hi):
-                lo = tuple(2 * a - 1 for a in lo)
-                hi = tuple(2 * b + 1 for b in hi)
+            for i, c in enumerate(key):
+                while c < lo[i]:
+                    lo[i] = 2 * lo[i] - 1
+                while c > hi[i]:
+                    hi[i] = 2 * hi[i] + 1
+            lo, hi = self._clip(lo, hi)
+            size = 8 * (self._depth + 1) * math.prod(b - a + 1 for a, b in zip(lo, hi))
+            if self._boxed and size > self._budget:
+                # the wider block would not fit: replay keeping this column only
+                return [_log_entry(_cell(level, key), level[2])
+                        for level in map(self._level, range(self._depth + 1))]
             self._fill(lo, hi)
         idx = tuple(map(operator.sub, key, self._box[0]))
         return [_log_entry(v, ls) for v, ls in zip(
@@ -1169,7 +1178,8 @@ class ArrayPowers(PowersCache):
 
     def level_radial(self, m) -> RadialMeasure:
         """A level of a free-group walk as its per-radius values; other
-        walks raise CoverageError."""
+        walks raise CoverageError.  Reading every level in descending
+        order costs about depth²/2 steps (the replay cursor)."""
         self._check_level(m)
         if self.engine_name != "radial":
             raise CoverageError("only a radial cache has radial levels")
@@ -1180,7 +1190,8 @@ class ArrayPowers(PowersCache):
         """A lattice level as a measure.  On a free group a tree radius
         stands for a whole sphere of elements, so those levels are not
         materialized (CoverageError; a free-group level is
-        ``level_radial``)."""
+        ``level_radial``).  Reading every level in descending order costs
+        about depth²/2 steps on a boxed cache (the replay cursor)."""
         if self.q:
             return super().level_measure(m)
         self._check_level(m)
@@ -1253,16 +1264,15 @@ class CartesianPowers(PowersCache):
     not cut to a window around the binomial mode k ≈ pm: the tree factor
     decays like rho_F^k, which moves the largest terms below that mode, so
     a cut that holds whatever the factor columns are keeps about half of
-    the triangle or more.  The memory budget and the track set, projected
-    lazily to lattice points, go to the lattice factor, which keeps a box
-    when its levels would not fit the budget.  Levels are not
-    materialized.
+    the triangle or more.  The memory budget goes to the lattice factor,
+    which keeps a box when its levels would not fit the budget.  Levels
+    are not materialized.
     """
 
     engine_name = "radial-lattice"
 
     def __init__(self, descriptor, mu, depth,
-                 memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB, track=None):
+                 memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB):
         super().__init__(descriptor, mu)
         factors = _product_factors(descriptor, mu)
         if factors is None:
@@ -1271,9 +1281,8 @@ class CartesianPowers(PowersCache):
             )
         (mu_f, log_p), (mu_z, log_q) = factors
         self._tree = ArrayPowers(descriptor.left, mu_f, depth)
-        self._lattice = ArrayPowers(
-            descriptor.right, mu_z, depth, memory_budget_mb=memory_budget_mb,
-            track=None if track is None else (v for _, v in track))
+        self._lattice = ArrayPowers(descriptor.right, mu_z, depth,
+                                    memory_budget_mb=memory_budget_mb)
         self._boxed = self._lattice._boxed
         self._log_fact = np.array([math.lgamma(m + 1) for m in range(depth + 1)])
         self._log_wp = _log_weights(log_p, self._log_fact)
@@ -1359,14 +1368,13 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
     ``engine`` is ``auto`` (``pick_engine``) or one engine name.  A
     ``dense`` run whose levels would not fit ``memory_budget_mb`` keeps
     each level on a lattice box around the origin and replays the build
-    for a column outside it (``ArrayPowers``); ``track``, an iterable of
-    elements read only then, so it may be a lazy generator, sizes the
-    first box.  A ``radial-lattice`` (product) run hands both to its
-    lattice factor, the track set projected lazily to lattice points.  A
-    ``radial`` (free-group) run takes neither: it keeps the radii below 32
-    of every level and replays the build for the rest.  Every level of
-    every array cache stays queryable everywhere.  The generic engine is
-    bounded by ``support_cap`` and by its int32 ids.
+    for a column outside it (``ArrayPowers``).  A ``radial-lattice``
+    (product) run hands the budget to its lattice factor.  A ``radial``
+    (free-group) run ignores it: it keeps the radii below 32 of every
+    level and replays the build for the rest.  ``track`` is accepted and
+    ignored.  Every level of every array cache stays queryable
+    everywhere.  The generic engine is bounded by ``support_cap`` and by
+    its int32 ids.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -1377,7 +1385,7 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
                 f"engine {name!r} does not serve walks on {descriptor.spec_string()}"
             )
         cls = CartesianPowers if name == "radial-lattice" else ArrayPowers
-        return cls(descriptor, mu, depth, memory_budget_mb=memory_budget_mb, track=track)
+        return cls(descriptor, mu, depth, memory_budget_mb=memory_budget_mb)
     if name == "generic":
         return GenericPowers(descriptor, mu, depth, support_cap=support_cap)
     raise ValueError(f"unknown engine {name!r}")

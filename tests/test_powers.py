@@ -198,18 +198,16 @@ def test_dense_levels_match_reference_step(lattice1, lattice2, lazy_z, lazy_z2):
     level's corner and array bytes, its log scale, its mass (the sum of the
     whole array under the level's log scale) and every column.  A cache
     over its memory budget keeps, as row m of its block, the reference
-    array clipped to the box its track set and the origin span (zero where
-    the level does not reach), with the same log scales, masses and
-    columns, inside the box and past it, and its replayed levels are the
-    reference levels."""
-    for desc, mu, depth, track in ((lattice1, lazy_z, 300, [(-3,), (5,)]),
-                                   (lattice2, lazy_z2, 60, [(1, -2), (-1, 3)])):
+    array clipped to the default box of half-width 8 (zero where the level
+    does not reach), with the same log scales, masses and columns, inside
+    the box and past it, and its replayed levels are the reference
+    levels."""
+    for desc, mu, depth in ((lattice1, lazy_z, 300), (lattice2, lazy_z2, 60)):
         ref = _dense_reference(desc, mu, depth)
         full = w.convolution_powers(desc, mu, depth)
-        boxed = w.convolution_powers(desc, mu, depth, memory_budget_mb=0, track=track)
+        boxed = w.convolution_powers(desc, mu, depth, memory_budget_mb=0)
         assert full.engine_name == boxed.engine_name == "dense"
-        pts = track + [desc.identity()]
-        tlo, thi = np.min(pts, axis=0).tolist(), np.max(pts, axis=0).tolist()
+        tlo, thi = [-8] * desc.dimension, [8] * desc.dimension
         assert boxed._box == (tuple(tlo), tuple(thi))
         box = list(itertools.product(*(range(a, b + 1) for a, b in zip(tlo, thi))))
         for m, (lo, arr, ls) in enumerate(ref):
@@ -498,12 +496,17 @@ def test_column_queries_reject_non_elements(lattice2, lazy_z2, free2, iso_f2, la
 
 
 def test_boxed_dense_steps_counted(lattice2, lazy_z2, monkeypatch):
-    """A lattice(2) cache over its memory budget, counted in calls of the
-    one step ``_next``: the build takes depth calls; a column inside the
-    default box takes none; a column outside it takes one replay (depth
-    calls), and a second column inside the widened box none; a level_mass
-    sweep in any order takes one replay, and level_measure at or above the
-    cursor steps only forward."""
+    """A lattice(2) cache over its 1 MiB memory budget, counted in calls of
+    the one step ``_next``: the build takes depth calls; a column inside
+    the default box takes none; a column outside it takes one replay
+    (depth calls) that widens only the bound it lies past, and a second
+    column inside the widened box none; a column whose wider block would
+    not fit the budget takes one replay and leaves the box as it is; a
+    level_mass sweep in any order takes one replay, and level_measure at
+    or above the cursor steps only forward.  Every column equals the fully
+    retained cache's bit for bit."""
+    depth = 128
+    full = w.convolution_powers(lattice2, lazy_z2, depth)
     calls = []
     step = powers.ArrayPowers._next
 
@@ -512,26 +515,50 @@ def test_boxed_dense_steps_counted(lattice2, lazy_z2, monkeypatch):
         return step(self, *args)
 
     monkeypatch.setattr(powers.ArrayPowers, "_next", counted)
-    depth = 40
     for levels in (range(depth + 1), range(depth, -1, -1)):
         calls.clear()
-        cache = w.convolution_powers(lattice2, lazy_z2, depth, memory_budget_mb=0)
+        cache = w.convolution_powers(lattice2, lazy_z2, depth, memory_budget_mb=1)
         assert cache._box == ((-8, -8), (8, 8))
         assert len(calls) == depth
         cache.log_column((8, -8))
         assert len(calls) == depth
         cache.log_column((12, 0))
-        assert len(calls) == 2 * depth and cache._box == ((-17, -17), (17, 17))
-        cache.log_column((-17, 17))
+        assert len(calls) == 2 * depth and cache._box == ((-8, -8), (17, 8))
+        cache.log_column((17, -8))
         assert len(calls) == 2 * depth
-        cache.log_column((41, 0))  # no level reaches it
-        assert len(calls) == 2 * depth
+        cache.log_column((-60, 60))  # a block to (-71, 71) would not fit
+        assert len(calls) == 3 * depth and cache._box == ((-8, -8), (17, 8))
+        cache.log_column((-60, 60))
+        cache.log_column((129, 0))  # no level reaches it
+        assert len(calls) == 3 * depth
         for m in levels:
             cache.level_mass(m)
-        assert len(calls) == 3 * depth
+        assert len(calls) == 4 * depth
         cache.level_measure(10)
         cache.level_measure(12)
-        assert len(calls) == 3 * depth + 12
+        assert len(calls) == 4 * depth + 12
+        for g in ((8, -8), (12, 0), (17, -8), (-60, 60), (129, 0)):
+            assert cache.log_column(g).tobytes() == full.log_column(g).tobytes(), g
+
+
+def test_far_column_keeps_boxed_cache_in_budget(lattice2, lazy_z2):
+    """A column far outside a boxed lattice(2) cache's box, whose wider
+    block would not fit the 1 MiB budget, replays keeping only itself: the
+    box stays, the traced size the cache keeps (its block, log scales,
+    top level and columns) stays under the budget, and the column equals
+    the fully retained cache's."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cache = w.convolution_powers(lattice2, lazy_z2, 128, memory_budget_mb=1)
+        box = cache._box
+        col = cache.log_column((100, 0))
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert cache._box == box and kept < 2**20
+    full = w.convolution_powers(lattice2, lazy_z2, 128)
+    assert col.tobytes() == full.log_column((100, 0)).tobytes()
 
 
 def test_boxed_cache_equals_full(lattice1, lattice2, lazy_z, lazy_z2):
@@ -578,12 +605,14 @@ def test_boxed_cache_equals_full(lattice1, lattice2, lazy_z, lazy_z2):
 
 
 def test_tracked_dense_matches_full(lattice1, lazy_z):
-    """A dense cache over its memory budget answers inside the box its
-    track set spans and past it ((9,) replays into a wider box; (40,) no
-    level reaches) exactly as the fully retained cache."""
+    """A track set is ignored: a dense cache over its memory budget keeps
+    the default box and answers inside it and past it ((9,) and (-20,)
+    replay; (40,) no level reaches) exactly as the fully retained
+    cache."""
     full = w.convolution_powers(lattice1, lazy_z, 32)
     tracked = w.convolution_powers(lattice1, lazy_z, 32, engine="dense",
                                    memory_budget_mb=0, track=[(-3,), (3,)])
+    assert tracked._box == ((-8,), (8,))
     for m in (1, 9, 32):
         for v in (*range(-3, 4), 9, -20, 40):
             assert tracked.log_value(m, (v,)) == full.log_value(m, (v,))
@@ -618,8 +647,8 @@ def test_product_needs_no_memory_budget(product_f2z, cartesian_mu):
 
 
 def test_tracked_product_keeps_lattice_box():
-    """On F2 x Z^2 with no memory budget, a track set makes the lattice
-    factor keep the box its lattice points span: columns there, and at
+    """On F2 x Z^2 with no memory budget, the lattice factor keeps the
+    default box whether or not a track set is given: columns there, and at
     points outside the box, which replay the lattice factor, equal the
     full cache's bit for bit, and the cache is not exportable."""
     desc = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(2))
@@ -635,8 +664,8 @@ def test_tracked_product_keeps_lattice_box():
         for v in itertools.product(range(-1, 3), range(-1, 2)):
             g = (word, v)
             assert tracked.log_column(g).tobytes() == full.log_column(g).tobytes(), g
-    assert tracked._lattice._box == ((-1, -1), (2, 1))
-    for v in ((3, 0), (0, 2), (-2, 0), (30, 0)):
+    assert tracked._lattice._box == ((-8, -8), (8, 8))
+    for v in ((9, 0), (0, -12), (-10, 3), (30, 0)):
         assert tracked.log_column(((), v)).tobytes() == full.log_column(((), v)).tobytes()
         assert tracked.log_value(5, ((1,), v)) == full.log_value(5, ((1,), v))
     with pytest.raises(CoverageError):
@@ -679,17 +708,14 @@ def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2
         (w.convolution_powers(free2, iso_f2, 400), None),
         (w.convolution_powers(free2, srw_f2, 120), None),
         (w.convolution_powers(lattice1, lazy_z, 64),
-         w.convolution_powers(lattice1, lazy_z, 64, engine="dense",
-                              memory_budget_mb=0, track=[(-3,), (3,)])),
+         w.convolution_powers(lattice1, lazy_z, 64, engine="dense", memory_budget_mb=0)),
         (w.convolution_powers(lattice1, z_up, 40), None),
         (w.convolution_powers(lattice2, lazy_z2, 30),
-         w.convolution_powers(lattice2, lazy_z2, 30, engine="dense",
-                              memory_budget_mb=0, track=[(1, -2), (0, 2)])),
+         w.convolution_powers(lattice2, lazy_z2, 30, engine="dense", memory_budget_mb=0)),
     ]
     products = (w.convolution_powers(product, cartesian, 40),
                 w.convolution_powers(product, cartesian, 40, engine="radial-lattice",
-                                     memory_budget_mb=0,
-                                     track=[((1, 1), (2,)), ((), (-2,))]))
+                                     memory_budget_mb=0))
     assert products[1]._lattice._boxed
     cases += [(products[0]._tree, None), (products[0]._lattice, products[1]._lattice)]
     masses = [products[0].level_mass(m) for m in range(41)]
@@ -743,21 +769,19 @@ def _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2, lamp1, lam
                elems, None) for label, cache, elems in full]
     twins = {label: cache for label, cache, _ in full}
     cases += [
-        ("dense tracked",
-         w.convolution_powers(lattice1, lazy_z, 64, engine="dense",
-                              memory_budget_mb=0, track=[(-3,), (3,)]),
-         [(v,) for v in range(-3, 4)] + [(4,), (-9,), (70,)], twins["dense"]),
-        ("dense Z^2 tracked",
-         w.convolution_powers(lattice2, lazy_z2, 24, engine="dense",
-                              memory_budget_mb=0, track=[(1, -2), (0, 2)]),
-         [(a, b) for a in range(0, 2) for b in range(-2, 3)] + [(2, 0), (0, 3), (30, 0)],
+        ("dense boxed",
+         w.convolution_powers(lattice1, lazy_z, 64, engine="dense", memory_budget_mb=0),
+         [(v,) for v in range(-3, 4)] + [(8,), (-9,), (70,)], twins["dense"]),
+        ("dense Z^2 boxed",
+         w.convolution_powers(lattice2, lazy_z2, 24, engine="dense", memory_budget_mb=0),
+         [(a, b) for a in range(0, 2) for b in range(-2, 3)] + [(9, 0), (0, -12), (30, 0)],
          twins["dense Z^2"]),
-        # the tree factor takes no track set: only the lattice box is tracked
-        ("radial-lattice tracked",
+        # the tree factor keeps its radial block: only the lattice factor is boxed
+        ("radial-lattice boxed",
          w.convolution_powers(product, cartesian, 30, engine="radial-lattice",
-                              memory_budget_mb=0, track=[((1, 1), (2,)), ((), (-2,))]),
+                              memory_budget_mb=0),
          [(word, (v,)) for word in product.left.ball(2) for v in range(-2, 3)]
-         + [((1, 1, 1), (0,)), ((), (3,)), ((), (31,))],
+         + [((1, 1, 1), (0,)), ((), (9,)), ((), (31,))],
          twins["radial-lattice"]),
     ]
     return cases

@@ -154,8 +154,7 @@ def test_kernel_table_identity_entry_on_tracked_cache(lattice1, lazy_z):
     """The x = e entry reads no column, so a cache over its memory budget
     answers it for a y outside its box; an x != e entry there replays the
     box and equals the fully retained cache's entry bit for bit."""
-    cache = w.convolution_powers(lattice1, lazy_z, 32, engine="dense",
-                                 memory_budget_mb=0, track=[(-3,), (3,)])
+    cache = w.convolution_powers(lattice1, lazy_z, 32, engine="dense", memory_budget_mb=0)
     table = w.KernelTable(cache)
     full = w.KernelTable(w.convolution_powers(lattice1, lazy_z, 32))
     assert table.get((0,), (9,)).estimate == 1.0
