@@ -64,12 +64,12 @@ class Workspace:
         if self._cache is None:
             cfg = self.cfg
             name = pick_engine(cfg.descriptor, cfg.measure)
-            support_cap, memory_budget_mb = cfg.walk.support_cap, cfg.walk.memory_budget_mb
+            support_cap = cfg.walk.support_cap
             # the file name carries every setting that changes the content,
-            # so a cache truncated under one budget is never reused under another
+            # so a cache truncated under one cap is never reused under another
             artifact = (
                 self.cache_dir / (f"powers-{cfg.content_hash()}-{name}"
-                                  f"-cap{support_cap}-mem{memory_budget_mb}.json")
+                                  f"-cap{support_cap}.json")
                 if self.cache_dir else None
             )
             if artifact is not None and artifact.exists():
@@ -90,17 +90,9 @@ class Workspace:
                     cfg.descriptor, cfg.measure, cfg.walk.depth,
                     engine=name,
                     support_cap=support_cap,
-                    memory_budget_mb=memory_budget_mb,
                 )
                 if artifact is not None:
-                    try:
-                        text = export_cache_json(self._cache)
-                    except CoverageError:
-                        print("walkops: a cache over memory_budget_mb keeps a "
-                              "box of each level and is not written to "
-                              "--cache-dir", file=sys.stderr)
-                    else:
-                        write_text_atomic(str(artifact), text)
+                    write_text_atomic(str(artifact), export_cache_json(self._cache))
         return self._cache
 
     def _cache_mismatch(self, cache, engine: str) -> str:

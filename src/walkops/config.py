@@ -74,8 +74,7 @@ def _pairs(text, desc):
 
 # section -> key -> (default text, parser); every key, written once
 _SCHEMA = {
-    "walk": {"depth": ("256", _POSITIVE), "support_cap": ("2000000", _POSITIVE),
-             "memory_budget_mb": ("512", _COUNT)},
+    "walk": {"depth": ("256", _POSITIVE), "support_cap": ("2000000", _POSITIVE)},
     "kernel": {"x_radius": ("2", _COUNT), "y_radius": ("2", _COUNT),
                "closed_form_compare": ("false", _bool)},
     # a radical tolerance of 0 asks for the automatic tolerance

@@ -101,8 +101,11 @@ class FockWindow:
         return q
 
     def _column(self, g) -> np.ndarray:
-        """log mu^{*m}(g) for m = 0..max_level: a view of the cache's column."""
-        return self.cache.log_column(g)[: self.max_level + 1]
+        """log mu^{*m}(g) for m = 0..max_level: a view of the cache's column.
+        ``g`` is a group-law product, checked as it was made, so the column
+        is read without another check."""
+        cache = self.cache
+        return cache._key_column(cache.column_key(g))[: self.max_level + 1]
 
     def _transition_column(self, x, z) -> np.ndarray:
         """log P^(m)_{x,z} for m = 0..max_level."""

@@ -30,15 +30,13 @@ level storage; zeros are never stored.  Each level keeps mantissas with a
 shared log scale, so entry ratios within a level are exact float
 quotients.  A product reads every level of both factors.
 
-Every level stays queryable everywhere.  A ``dense`` cache keeps every
-level whole while that fits ``memory_budget_mb``; past it, and on every
-``radial`` cache, the cache keeps each level clipped to a box around the
-origin (the radii below 32; a lattice box of half-width 8) and every
-level's log scale, and a column outside the box replays the build bit for
-bit, into a wider box while that fits the budget, else keeping only the
-column.  Full levels and level masses come from one forward replay
-cursor.  A product hands its budget to its lattice factor.  A cache over
-its budget is not exportable: its recipe would rebuild at full retention.
+Every level stays queryable everywhere.  Every array cache keeps each
+level clipped to a box around the origin (the radii below 32; a lattice
+box of half-width 8) and every level's log scale, and a column outside
+the box replays the build bit for bit, into a wider box while that block
+fits ``_BLOCK_BUDGET`` (512 MiB), else keeping only the column.  Full
+levels and level masses come from one forward replay cursor.  A product
+keeps the boxes of its two factors.
 
 The first ``level_mass`` call computes every level's mass in one
 ascending pass and memoizes them: a radial level's ``log_radial_mass``
@@ -71,9 +69,8 @@ the walk is read once per cache from the identity's column
                  levels) are a deterministic function of (descriptor,
                  measure, depth), and rebuilding them costs about what
                  reading them would, so ``import_cache_json`` runs one
-                 ``convolution_powers`` build, with no memory budget (a
-                 cache over its budget does not export), and returns the
-                 cache bit for bit
+                 ``convolution_powers`` build and returns the cache bit
+                 for bit
 * ``generic``    the payload holds the levels as packed arrays (``_pack``:
                  dtype, shape and the base64 of one zlib stream, level 1,
                  of the little-endian bytes; integers in the narrowest of
@@ -97,19 +94,19 @@ one zlib build; another zlib may deflate differently, and every zlib
 inflates every artifact to the same arrays.
 
 ``import_cache_json`` rejects any other version and any malformed artifact
-with ValueError: an array artifact with a non-empty payload, a depth that
-is not a non-negative integer or an engine name that does not serve the
-descriptor's walks; on ``generic``, a packed array whose data is not
-base64 (a character outside the alphabet, or not ASCII), is not one zlib
-stream (version 6's raw bytes), is truncated, has bytes after its stream's
-end or does not inflate to exactly its shape, or whose dtype is not one of
-the five; element arrays that fail the descriptor's ``check_encoded``,
-repeat an element or do not hold the identity at id 0 (the generic import
-builds no element tuples);
-id deltas below 1 or above the table size, or a level whose deltas sum
-past the table size (its ids would not rise strictly inside the table);
-stored values that are not finite and positive; empty levels; log scales
-that are not finite.
+with ValueError: an array artifact with a non-empty payload, one that is
+not ``complete`` or has a budget note (an array build always completes),
+a depth that is not a non-negative integer or an engine name that does
+not serve the descriptor's walks; on ``generic``, a packed array whose
+data is not base64 (a character outside the alphabet, or not ASCII), is
+not one zlib stream (version 6's raw bytes), is truncated, has bytes
+after its stream's end or does not inflate to exactly its shape, or whose
+dtype is not one of the five; element arrays that fail the descriptor's
+``check_encoded``, repeat an element or do not hold the identity at id 0
+(the generic import builds no element tuples); id deltas below 1 or above
+the table size, or a level whose deltas sum past the table size (its ids
+would not rise strictly inside the table); stored values that are not
+finite and positive; empty levels; log scales that are not finite.
 """
 
 from __future__ import annotations
@@ -151,7 +148,6 @@ from .measures import (
 )
 
 DEFAULT_SUPPORT_CAP = 2_000_000
-DEFAULT_MEMORY_BUDGET_MB = 512
 # version 2: one array payload (lat_lo, (r, *lattice) values) for the
 # dense and radial-lattice engines; version 3: the generic payload is an
 # element table plus per-level id and value lists; version 4: the generic
@@ -251,8 +247,13 @@ class PowersCache:
         return self._aperiodicity
 
     def log_transition(self, m: int, x, y) -> float:
-        """log P^(m)_{x,y} = log mu^{*m}(x^-1 y)."""
-        return self.log_value(m, self.descriptor.multiply(self.descriptor.inverse(x), y))
+        """log P^(m)_{x,y} = log mu^{*m}(x^-1 y).  ``inverse`` and
+        ``multiply`` check x and y, so the product's column is read without
+        a third check."""
+        desc = self.descriptor
+        key = self.column_key(desc.multiply(desc.inverse(x), y))
+        self._check_level(m)
+        return float(self._key_column(key)[m])
 
     def support_in_ball(self, m: int, radius: int) -> list:
         """(element, log value) for the part of level m inside ball(radius)."""
@@ -990,12 +991,15 @@ def _inside(key, lo, hi) -> bool:
 # from its build: every radius the CLI, the README configs and the
 # benchmark read; a column past them widens the block by one replay
 _RADIAL_BLOCK = 32
-# the half-width of the lattice box a ``dense`` cache over its budget
-# keeps: a CLI report reads balls (radius 2 by default) around the origin
+# the half-width of the lattice box a ``dense`` cache keeps from its
+# build: a CLI report reads balls (radius 2 by default) around the origin
 # and the elements a config names, within 8 on the example lattice and
 # product configs save a boundary ray (to k_max + ball_radius, 14 by
 # default) and far [metric] pairs, which widen one bound by one replay
 _DENSE_BOX = 8
+# bytes a widened block may take; a replay whose wider block would take
+# more keeps only its column and leaves the box as it is
+_BLOCK_BUDGET = 512 * 2**20
 
 
 class ArrayPowers(PowersCache):
@@ -1008,35 +1012,31 @@ class ArrayPowers(PowersCache):
     steps a d-dim array over the lattice box the walk reaches by shifted
     adds, the identity mass first; g is read at index g.
 
-    A ``dense`` cache whose levels fit ``memory_budget_mb`` keeps every
-    level whole.  Every other array cache keeps a box: one ``(depth + 1) x
-    box`` block of mantissas, row m holding level m clipped to the box
-    (zero where the level does not reach), and each level's log scale.
-    The box is the radii below ``_RADIAL_BLOCK`` on ``radial`` and
-    half-width ``_DENSE_BOX`` on ``dense``.  A column outside the box
-    replays the build once, the same steps, peak divisions and log-scale
-    sums, so every bit matches, doubling each bound it lies past away from
-    the origin (b to 2b - 1 below, 2b + 1 above, within the top level's
-    box) until the box holds it; on ``dense`` a replay whose wider block
-    would not fit ``memory_budget_mb`` keeps only the column.  A column
-    that no level reaches reads -inf with no replay.  Full levels (``level_radial``, ``level_measure`` and the
-    level masses) come from a replay cursor, the last level stepped, the
-    top one after the build: a level at or above it steps forward from
-    it, a level below it from level 0, so any sweep in ascending order
-    costs at most one build, and a descending one about depth²/2 steps.
+    The cache keeps a box: one ``(depth + 1) x box`` block of mantissas,
+    row m holding level m clipped to the box (zero where the level does
+    not reach), and each level's log scale.  The box starts as the radii
+    below ``_RADIAL_BLOCK`` on ``radial`` and half-width ``_DENSE_BOX`` on
+    ``dense``.  A column outside the box replays the build once, the same
+    steps, peak divisions and log-scale sums, so every bit matches,
+    doubling each bound it lies past away from the origin (b to 2b - 1
+    below, 2b + 1 above, within the top level's box) until the box holds
+    it; a replay whose wider block would take more than ``_BLOCK_BUDGET``
+    bytes keeps only the column.  A column that no level reaches reads
+    -inf with no replay.  Full levels (``level_radial``,
+    ``level_measure`` and the level masses) come from a replay cursor,
+    the last level stepped, the top one after the build: a level at or
+    above it steps forward from it, a level below it from level 0, so
+    any sweep in ascending order costs at most one build, and a
+    descending one about depth²/2 steps.
     """
 
-    def __init__(self, descriptor, mu, depth,
-                 memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB):
+    def __init__(self, descriptor, mu, depth):
         super().__init__(descriptor, mu)
         if not isinstance(descriptor, (FreeGroup, LatticeGroup)):
             raise PreconditionError("measure is not a free-group or lattice walk")
         self.engine_name = _array_engine_name(descriptor)
         self._depth = depth
         self._mu_ls = mu.log_scale
-        self._levels = None     # every level whole, on a dense cache in budget
-        self._boxed = False     # a dense cache over budget: not exportable
-        self._budget = memory_budget_mb * 2**20
         if isinstance(descriptor, FreeGroup):
             # IsotropyError unless the measure is isotropic
             self._tree_vals = radial_reduce(mu, descriptor).values
@@ -1059,17 +1059,9 @@ class ArrayPowers(PowersCache):
                        tuple(depth * s for s in self._hi_step))
         self._origin = ((0,) * d, np.ones((1,) * d), 0.0)
         self._cursor = (0, self._origin)
-        if self.q:
-            self._fill(*self._clip((0,), (_RADIAL_BLOCK - 1,)))
-        else:
-            est = 8 * sum(math.prod(m * (h - l) + 1 for l, h in zip(
-                self._lo_step, self._hi_step)) for m in range(depth + 1))
-            if est <= self._budget:
-                self._levels = [self._level(m) for m in range(depth + 1)]
-                self._log_scales = [ls for _, _, ls in self._levels]
-            else:
-                self._boxed = True
-                self._fill(*self._clip((-_DENSE_BOX,) * d, (_DENSE_BOX,) * d))
+        box = ((0,), (_RADIAL_BLOCK - 1,)) if self.q else ((-_DENSE_BOX,) * d,
+                                                           (_DENSE_BOX,) * d)
+        self._fill(*self._clip(*box))
 
     def _next(self, lo, arr, ls):
         """The level after ``(lo, arr, ls)``: stepped, divided by its peak,
@@ -1091,11 +1083,8 @@ class ArrayPowers(PowersCache):
         return lo, out, ls + self._mu_ls + math.log(peak)
 
     def _level(self, m):
-        """Level m as ``(lo, mantissas, log scale)``: kept whole, or stepped
-        from the cursor, from level 0 when m lies below it; the cursor
-        moves to m."""
-        if self._levels is not None:
-            return self._levels[m]
+        """Level m as ``(lo, mantissas, log scale)``, stepped from the
+        cursor, from level 0 when m lies below it; the cursor moves to m."""
         at, level = self._cursor
         if m < at:
             at, level = 0, self._origin
@@ -1138,8 +1127,6 @@ class ArrayPowers(PowersCache):
         return (len(g),) if self.q else g
 
     def _column_values(self, key):
-        if self._levels is not None:
-            return [_log_entry(_cell(level, key), level[2]) for level in self._levels]
         if not _inside(key, *self._reach):  # no level reaches it
             return [NEG_INF] * (self._depth + 1)
         lo, hi = map(list, self._box)
@@ -1151,7 +1138,7 @@ class ArrayPowers(PowersCache):
                     hi[i] = 2 * hi[i] + 1
             lo, hi = self._clip(lo, hi)
             size = 8 * (self._depth + 1) * math.prod(b - a + 1 for a, b in zip(lo, hi))
-            if self._boxed and size > self._budget:
+            if size > _BLOCK_BUDGET:
                 # the wider block would not fit: replay keeping this column only
                 return [_log_entry(_cell(level, key), level[2])
                         for level in map(self._level, range(self._depth + 1))]
@@ -1191,7 +1178,7 @@ class ArrayPowers(PowersCache):
         stands for a whole sphere of elements, so those levels are not
         materialized (CoverageError; a free-group level is
         ``level_radial``).  Reading every level in descending order costs
-        about depth²/2 steps on a boxed cache (the replay cursor)."""
+        about depth²/2 steps (the replay cursor)."""
         if self.q:
             return super().level_measure(m)
         self._check_level(m)
@@ -1264,15 +1251,13 @@ class CartesianPowers(PowersCache):
     not cut to a window around the binomial mode k ≈ pm: the tree factor
     decays like rho_F^k, which moves the largest terms below that mode, so
     a cut that holds whatever the factor columns are keeps about half of
-    the triangle or more.  The memory budget goes to the lattice factor,
-    which keeps a box when its levels would not fit the budget.  Levels
-    are not materialized.
+    the triangle or more.  Each factor keeps a box of its levels and
+    replays the rest (``ArrayPowers``).  Levels are not materialized.
     """
 
     engine_name = "radial-lattice"
 
-    def __init__(self, descriptor, mu, depth,
-                 memory_budget_mb=DEFAULT_MEMORY_BUDGET_MB):
+    def __init__(self, descriptor, mu, depth):
         super().__init__(descriptor, mu)
         factors = _product_factors(descriptor, mu)
         if factors is None:
@@ -1281,9 +1266,7 @@ class CartesianPowers(PowersCache):
             )
         (mu_f, log_p), (mu_z, log_q) = factors
         self._tree = ArrayPowers(descriptor.left, mu_f, depth)
-        self._lattice = ArrayPowers(descriptor.right, mu_z, depth,
-                                    memory_budget_mb=memory_budget_mb)
-        self._boxed = self._lattice._boxed
+        self._lattice = ArrayPowers(descriptor.right, mu_z, depth)
         self._log_fact = np.array([math.lgamma(m + 1) for m in range(depth + 1)])
         self._log_wp = _log_weights(log_p, self._log_fact)
         self._log_wq = _log_weights(log_q, self._log_fact)
@@ -1361,20 +1344,17 @@ def pick_engine(descriptor: GroupDescriptor, mu: ScaledMeasure) -> str:
 def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: int,
                        engine: str = "auto",
                        support_cap: int = DEFAULT_SUPPORT_CAP,
-                       memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
-                       track=None) -> PowersCache:
+                       memory_budget_mb=None, track=None) -> PowersCache:
     """Compute and retain mu^{*m} for m = 0..depth.
 
     ``engine`` is ``auto`` (``pick_engine``) or one engine name.  A
-    ``dense`` run whose levels would not fit ``memory_budget_mb`` keeps
-    each level on a lattice box around the origin and replays the build
-    for a column outside it (``ArrayPowers``).  A ``radial-lattice``
-    (product) run hands the budget to its lattice factor.  A ``radial``
-    (free-group) run ignores it: it keeps the radii below 32 of every
-    level and replays the build for the rest.  ``track`` is accepted and
-    ignored.  Every level of every array cache stays queryable
-    everywhere.  The generic engine is bounded by ``support_cap`` and by
-    its int32 ids.
+    ``radial`` or ``dense`` run keeps each level on a box around the
+    origin and replays the build for a column outside it
+    (``ArrayPowers``); a ``radial-lattice`` (product) run keeps its two
+    factors that way.  Every level of every array cache stays queryable
+    everywhere.  ``memory_budget_mb`` and ``track`` are accepted and
+    ignored.  The generic engine is bounded by ``support_cap`` and by its
+    int32 ids.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -1385,7 +1365,7 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
                 f"engine {name!r} does not serve walks on {descriptor.spec_string()}"
             )
         cls = CartesianPowers if name == "radial-lattice" else ArrayPowers
-        return cls(descriptor, mu, depth, memory_budget_mb=memory_budget_mb)
+        return cls(descriptor, mu, depth)
     if name == "generic":
         return GenericPowers(descriptor, mu, depth, support_cap=support_cap)
     raise ValueError(f"unknown engine {name!r}")
@@ -1394,15 +1374,8 @@ def convolution_powers(descriptor: GroupDescriptor, mu: ScaledMeasure, depth: in
 def export_cache_json(cache: PowersCache) -> str:
     """Serialize a cache: descriptor, measure, depth and, on the generic
     engine, every level.  An array cache is its recipe, so its payload is
-    empty.  A cache over its memory budget raises CoverageError: its
-    recipe would rebuild at full retention."""
-    if isinstance(cache, GenericPowers):
-        payload = cache.export_payload()
-    elif cache._boxed:
-        raise CoverageError("a cache over its memory budget keeps a box of "
-                            "each level and is not exportable")
-    else:
-        payload = {}
+    empty, whatever its box has widened to."""
+    payload = cache.export_payload() if isinstance(cache, GenericPowers) else {}
     fmt = cache.descriptor.format
     mu_entries = [
         [fmt(g), float(v)] for g, v in sorted(
@@ -1429,7 +1402,8 @@ def export_cache_json(cache: PowersCache) -> str:
 
 def import_cache_json(text: str) -> PowersCache:
     """Rebuild a cache from ``export_cache_json`` text: a generic cache from
-    its payload, an array cache by one ``convolution_powers`` build.
+    its payload, an array cache by one ``convolution_powers`` build, which
+    always completes.
 
     Any malformed artifact (bad JSON, another format or version, missing or
     mistyped fields, an inconsistent payload) raises ValueError, which
@@ -1461,15 +1435,16 @@ def import_cache_json(text: str) -> PowersCache:
             raise ValueError("malformed powers-cache artifact: an array cache "
                              "is stored as its recipe, with an empty payload")
         else:
-            # a cache over its budget does not export, so the build needs none
-            cache = convolution_powers(descriptor, mu, depth, engine=engine,
-                                       memory_budget_mb=math.inf)
+            cache = convolution_powers(descriptor, mu, depth, engine=engine)
         complete = doc["complete"]
         budget_note = doc.get("budget_note", "")
     except (LookupError, TypeError, AttributeError, WalkopsError) as exc:
         raise ValueError(f"malformed powers-cache artifact: {exc!r}") from exc
     if not isinstance(complete, bool) or not isinstance(budget_note, str):
         raise ValueError("malformed powers-cache artifact: bad complete/budget_note")
+    if engine != "generic" and (not complete or budget_note):
+        raise ValueError("malformed powers-cache artifact: an array build "
+                         "always completes, with no budget note")
     if depth != cache.depth:
         raise ValueError(
             f"powers-cache artifact depth {depth!r} but {cache.depth} levels stored"

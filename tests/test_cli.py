@@ -17,6 +17,7 @@ import walkops
 from walkops.cli import main
 from walkops.config import RunConfig
 from walkops.errors import PreconditionError
+from walkops import powers
 from walkops.powers import ARTIFACT_VERSION, _pack, _unpack, convolution_powers
 
 DATA = Path(__file__).parent / "data"
@@ -372,7 +373,6 @@ inline =
 
 [walk]
 depth = 200
-memory_budget_mb = 4
 
 [kernel]
 x_radius = 1
@@ -417,58 +417,49 @@ jobs = spectrum kernel radical metric boundary fock covariance
 
 def test_product_cache_full_pipeline(tmp_path, capsys):
     """A deep Cartesian-product run supports every command, including the
-    Fock window.  Its cache is two factor caches well inside the 4 MiB
-    budget, so the run writes its recipe artifact to ``--cache-dir`` and
-    prints nothing, and a second run reads it (the file is not replaced)
-    and writes the same output tree.  A cache over its memory budget keeps
-    a box of each level and is not exportable: a lattice(2) run with
-    ``memory_budget_mb = 0`` says so once and writes no artifact."""
+    Fock window.  Every array cache, a product's two factors and a
+    lattice(2) cache included, keeps a box and is exportable: each run
+    writes its recipe artifact (under 4 KiB) to ``--cache-dir`` and prints
+    nothing, and a second run reads it (the file is not replaced) and
+    writes the same output tree."""
+    z2 = tmp_path / "z2.ini"
+    z2.write_text(AMENABLE_Z2_CFG, encoding="utf-8")
     cfg = tmp_path / "deep.ini"
     cfg.write_text(PRODUCT_CFG, encoding="utf-8")
-    cache_dir = tmp_path / "cache"
-    outs = [tmp_path / "run1", tmp_path / "run2"]
-    inodes = []
-    for out in outs:
-        assert main(["report", "--config", str(cfg), "--out", str(out),
-                     "--cache-dir", str(cache_dir)]) == 0
-        assert capsys.readouterr().err == ""
-        (artifact,) = cache_dir.glob("powers-*.json")
-        inodes.append(artifact.stat().st_ino)
-    assert inodes[0] == inodes[1]
-    assert json.loads(artifact.read_text())["payload"] == {}
-    assert _tree(outs[0]) == _tree(outs[1])
-    summary = json.loads((outs[0] / "report.json").read_text())
+    for config, job in ((cfg, "report"), (z2, "radical")):
+        cache_dir = tmp_path / f"{job}-cache"
+        outs = [tmp_path / f"{job}1", tmp_path / f"{job}2"]
+        inodes = []
+        for out in outs:
+            assert main([job, "--config", str(config), "--out", str(out),
+                         "--cache-dir", str(cache_dir)]) == 0
+            assert capsys.readouterr().err == ""
+            (artifact,) = cache_dir.glob("powers-*.json")
+            inodes.append(artifact.stat().st_ino)
+        assert inodes[0] == inodes[1]
+        assert json.loads(artifact.read_text())["payload"] == {}
+        assert artifact.stat().st_size < 4096
+        assert _tree(outs[0]) == _tree(outs[1])
+    summary = json.loads((tmp_path / "report1" / "report.json").read_text())
     assert summary["all_passed"]
-    rad = json.loads((outs[0] / "radical.json").read_text())
+    rad = json.loads((tmp_path / "report1" / "radical.json").read_text())
     assert "(e|(1))" in rad["flagged"] and "(a|(0))" not in rad["flagged"]
-
-    z2 = tmp_path / "z2.ini"
-    z2.write_text(AMENABLE_Z2_CFG.replace("depth = 128", "depth = 128\nmemory_budget_mb = 0"),
-                  encoding="utf-8")
-    z2_cache = tmp_path / "z2cache"
-    assert main(["radical", "--config", str(z2), "--out", str(tmp_path / "z2out"),
-                 "--cache-dir", str(z2_cache)]) == 0
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "box" in err and "--cache-dir" in err
-    assert not list(z2_cache.glob("powers-*.json"))
-    assert json.loads((tmp_path / "z2out" / "radical.json").read_text())["flags_entire_ball"]
+    assert json.loads((tmp_path / "radical1" / "radical.json").read_text())["flags_entire_ball"]
 
 
 def test_track_set_read_only_over_budget(tmp_path, capsys):
-    """The CLI passes no track set: a lattice(1) run and the criterion-5
-    product report under the default budget, and a lattice(2) run with
-    ``memory_budget_mb = 0``, whose cache keeps the default box, all exit
-    0 with nothing on stderr."""
+    """The CLI passes no track set: a lattice(1) run, the criterion-5
+    product report and a lattice(2) run, whose caches keep the default
+    box, all exit 0 with nothing on stderr."""
     lazy = tmp_path / "lazy.ini"
     lazy.write_text(LAZY_Z_CFG, encoding="utf-8")
     assert main(["spectrum", "--config", str(lazy), "--out", str(tmp_path / "z")]) == 0
     product = tmp_path / "product.ini"
-    product.write_text(PRODUCT_CFG.replace("memory_budget_mb = 4\n", ""), encoding="utf-8")
+    product.write_text(PRODUCT_CFG, encoding="utf-8")
     assert main(["report", "--config", str(product), "--out", str(tmp_path / "p")]) == 0
 
     z2 = tmp_path / "z2.ini"
-    z2.write_text(AMENABLE_Z2_CFG.replace("depth = 128", "depth = 128\nmemory_budget_mb = 0"),
-                  encoding="utf-8")
+    z2.write_text(AMENABLE_Z2_CFG, encoding="utf-8")
     assert main(["radical", "--config", str(z2), "--out", str(tmp_path / "z2out")]) == 0
     assert capsys.readouterr().err == ""
 
@@ -488,11 +479,28 @@ def test_config_engine_key_rejected(tmp_path, capsys):
 
 def test_config_misspelled_key_rejected(tmp_path, capsys):
     """A key its section does not take is an error naming it, not a
-    silently kept default (here ``memory_budget_mb`` would stay 512)."""
+    silently kept default (here ``support_cap`` would stay 2000000)."""
     cfg = tmp_path / "typo.ini"
-    cfg.write_text(LAZY_Z_CFG + "memroy_budget_mb = 0\n", encoding="utf-8")
+    cfg.write_text(LAZY_Z_CFG + "suport_cap = 10\n", encoding="utf-8")
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "[walk] memroy_budget_mb" in capsys.readouterr().err
+    assert "[walk] suport_cap" in capsys.readouterr().err
+
+
+def test_config_memory_budget_key_rejected(tmp_path, capsys):
+    """Every array cache keeps a box, whatever the walk, so no config takes
+    a memory budget: a free-group or a lattice(2) config that sets
+    ``[walk] memory_budget_mb`` exits 2 with one line naming the key, and
+    writes nothing."""
+    for name, text in (("free2", FREE2_CFG), ("z2", AMENABLE_Z2_CFG)):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(_set_key(text, "walk", "memory_budget_mb", "512"), encoding="utf-8")
+        out = tmp_path / f"{name}-out"
+        assert main(["report", "--config", str(cfg), "--out", str(out),
+                     "--cache-dir", str(tmp_path / "cache")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["walkops: precondition failure: "
+                       "[walk] memory_budget_mb is not a config key"], name
+        assert not out.exists() and not (tmp_path / "cache").exists()
 
 
 def test_config_unknown_section_rejected(tmp_path, capsys):
@@ -534,21 +542,23 @@ jobs = spectrum kernel metric boundary
 
 
 @pytest.mark.parametrize("rows", sorted(TRACKED_ROWS))
-def test_tracked_cache_covers_fock_and_covariance_rows(tmp_path, capsys, rows):
+def test_tracked_cache_covers_fock_and_covariance_rows(tmp_path, capsys, monkeypatch,
+                                                      rows):
     """The [fock] and [covariance] rows, and the [boundary] elements and
     [metric] pairs, of these lattice(2) reports lie outside every ball the
     other jobs read, and the boundary elements outside the default box.
-    Under a 1 MiB budget the cache keeps a box of each level and replays
-    the rest, and the run still gives the exit code and the output tree of
-    the fully retained run (512 MiB)."""
+    The cache keeps a box of each level and replays the rest: with no room
+    to widen the box (``_BLOCK_BUDGET`` 0) each such column replays on its
+    own, and the run still gives the exit code and the output tree of the
+    run whose replays widen the box."""
     sections, written = TRACKED_ROWS[rows]
-    text = AMENABLE_Z2_CFG.replace("depth = 128", "depth = 60") + sections
+    cfg = tmp_path / "z2.ini"
+    cfg.write_text(AMENABLE_Z2_CFG.replace("depth = 128", "depth = 60") + sections,
+                   encoding="utf-8")
     codes, trees = [], []
-    for mb in (1, 512):
-        cfg = tmp_path / f"mb{mb}.ini"
-        cfg.write_text(text.replace("depth = 60", f"depth = 60\nmemory_budget_mb = {mb}"),
-                       encoding="utf-8")
-        out = tmp_path / f"out{mb}"
+    for budget in (0, powers._BLOCK_BUDGET):
+        monkeypatch.setattr(powers, "_BLOCK_BUDGET", budget)
+        out = tmp_path / f"out{budget}"
         codes.append(main(["report", "--config", str(cfg), "--out", str(out)]))
         trees.append(_tree(out))
     assert capsys.readouterr().err == ""
@@ -599,7 +609,6 @@ BAD_VALUES = [
     ("measure", "inline", "a 1/2\nq 1/2"), ("measure", "inline", "a -1/2\nA 3/2"),
     ("walk", "depth", "abc"), ("walk", "depth", "0"), ("walk", "depth", "1_000"),
     ("walk", "support_cap", "-5"),
-    ("walk", "memory_budget_mb", "-1"),
     ("kernel", "x_radius", "abc"), ("kernel", "y_radius", "-1"),
     ("kernel", "closed_form_compare", "maybe"),
     ("radical", "ball_radius", "-2"), ("radical", "probe_radius", "1.5"),
@@ -707,23 +716,6 @@ def test_unwritable_path_exits_2(cfg_file, tmp_path, capsys, flag):
     assert len(err) == 1 and err[0].startswith("walkops: precondition failure: ")
     assert "File exists" in err[0]
     assert blocker.read_text(encoding="utf-8") == ""
-
-
-def test_radial_run_ignores_memory_budget(cfg_file, tmp_path):
-    """A free-group run takes no memory budget (its cache keeps a small
-    block of radii and replays the rest), so with ``memory_budget_mb = 0``
-    it writes the full run's output tree byte for byte and its cache
-    artifact, which a second run reads."""
-    zero = tmp_path / "zero.ini"
-    zero.write_text(FREE2_CFG.replace("depth = 300", "depth = 300\nmemory_budget_mb = 0"),
-                    encoding="utf-8")
-    full_out, zero_out = tmp_path / "full", tmp_path / "zero_out"
-    assert main(["report", "--config", str(cfg_file), "--out", str(full_out)]) == 0
-    for run in ("1", "2"):
-        assert main(["report", "--config", str(zero), "--out", str(zero_out / run),
-                     "--cache-dir", str(tmp_path / "cache")]) == 0
-        assert _tree(zero_out / run) == _tree(full_out)
-    assert len(list((tmp_path / "cache").glob("powers-*.json"))) == 1
 
 
 def test_config_round_trip(cfg_file):
@@ -922,10 +914,16 @@ def _truncate(text):
 def _lazy_z_levels():
     """This config's levels as (lat_lo, (r, *lattice) array, log scale), the
     layout of the former array payloads: a lattice level with a leading
-    tree-radius axis of length 1."""
+    tree-radius axis of length 1, read off ``level_measure`` (level m of
+    lazy Z is positive on -m..m)."""
     cfg = RunConfig.from_text(LAZY_Z_CFG)
     cache = convolution_powers(cfg.descriptor, cfg.measure, 64)
-    return [(lat_lo, arr[None], ls) for lat_lo, arr, ls in cache._levels]
+    levels = []
+    for m in range(65):
+        level = cache.level_measure(m)
+        arr = np.array([[level.support[(v,)] for v in range(-m, m + 1)]])
+        levels.append(((-m,), arr, level.log_scale))
+    return levels
 
 
 def _as_version_1(text):
@@ -966,6 +964,20 @@ def _as_empty_list(text):
     return "[]"
 
 
+def _as_incomplete(text):
+    """The recipe marked as a build its budget stopped; an array build
+    always completes."""
+    doc = json.loads(text)
+    doc["complete"], doc["budget_note"] = False, "stopped at level 3: x"
+    return json.dumps(doc, sort_keys=True)
+
+
+def _with_budget_note(text):
+    doc = json.loads(text)
+    doc["budget_note"] = "stopped at level 3: x"
+    return json.dumps(doc, sort_keys=True)
+
+
 def _without_payload(text):
     doc = json.loads(text)
     assert doc["version"] == ARTIFACT_VERSION
@@ -976,10 +988,12 @@ def _without_payload(text):
 @pytest.mark.parametrize(
     "damage",
     [_truncate, _as_version_1, _as_version_3, _as_empty_list, _without_payload,
-     _with_array_payload])
+     _with_array_payload, _as_incomplete, _with_budget_note])
 def test_cache_dir_unreadable_artifact_rebuilt(tmp_path, capsys, damage):
-    """A truncated, old-format or malformed artifact is a cache miss: the
-    run rebuilds and rewrites it, and its outputs equal a fresh run's."""
+    """A truncated, old-format or malformed artifact, an array recipe that
+    claims an incomplete build or a budget note included, is a cache miss:
+    the run rebuilds and rewrites it, and its outputs equal a fresh
+    run's."""
     cfg = tmp_path / "lazy.ini"
     cfg.write_text(LAZY_Z_CFG, encoding="utf-8")
     cache_dir = tmp_path / "cache"

@@ -192,66 +192,75 @@ def _reference_column(levels, g):
     return np.array(col)
 
 
+def _reference_support(lo, arr) -> dict:
+    """A reference level's positive entries as {lattice point: mantissa}."""
+    return {tuple(int(i + l) for i, l in zip(idx, lo)): float(arr[tuple(idx)])
+            for idx in np.argwhere(arr > 0.0)}
+
+
 def test_dense_levels_match_reference_step(lattice1, lattice2, lazy_z, lazy_z2):
     """The array engine's lattice case reproduces the reference dense step
     bit for bit on lazy Z to depth 300 and lazy Z^2 to depth 60: each
-    level's corner and array bytes, its log scale, its mass (the sum of the
-    whole array under the level's log scale) and every column.  A cache
-    over its memory budget keeps, as row m of its block, the reference
-    array clipped to the default box of half-width 8 (zero where the level
-    does not reach), with the same log scales, masses and columns, inside
-    the box and past it, and its replayed levels are the reference
-    levels."""
+    level's corner and array bytes (stepped by the replay cursor), its log
+    scale and its mass (the sum of the whole array under the level's log
+    scale).  Row m of the cache's block is the reference array clipped to
+    the default box of half-width 8 (zero where the level does not
+    reach), and every column, inside the box and past it, and the levels
+    level_measure replays in any order equal the reference's."""
     for desc, mu, depth in ((lattice1, lazy_z, 300), (lattice2, lazy_z2, 60)):
         ref = _dense_reference(desc, mu, depth)
-        full = w.convolution_powers(desc, mu, depth)
-        boxed = w.convolution_powers(desc, mu, depth, memory_budget_mb=0)
-        assert full.engine_name == boxed.engine_name == "dense"
+        cache = w.convolution_powers(desc, mu, depth)
+        assert cache.engine_name == "dense"
         tlo, thi = [-8] * desc.dimension, [8] * desc.dimension
-        assert boxed._box == (tuple(tlo), tuple(thi))
+        assert cache._box == (tuple(tlo), tuple(thi))
         box = list(itertools.product(*(range(a, b + 1) for a, b in zip(tlo, thi))))
         for m, (lo, arr, ls) in enumerate(ref):
             mass = math.exp(math.log(arr.sum()) + ls)
-            f_lo, f_arr, _ = full._levels[m]
-            assert f_lo == lo, (desc, m)
-            assert f_arr.dtype == arr.dtype and f_arr.shape == arr.shape, (desc, m)
-            assert f_arr.tobytes() == arr.tobytes(), (desc, m)
+            c_lo, c_arr, c_ls = cache._level(m)
+            assert c_lo == lo and c_ls == ls, (desc, m)
+            assert c_arr.dtype == arr.dtype and c_arr.shape == arr.shape, (desc, m)
+            assert c_arr.tobytes() == arr.tobytes(), (desc, m)
             clo = tuple(map(max, lo, tlo))
             chi = tuple(min(l + n - 1, b) for l, n, b in zip(lo, arr.shape, thi))
             row = np.zeros(tuple(b - a + 1 for a, b in zip(tlo, thi)))
             row[tuple(slice(a - t, b - t + 1) for a, b, t in zip(clo, chi, tlo))] = \
                 arr[tuple(slice(a - l, b - l + 1) for a, b, l in zip(clo, chi, lo))]
-            assert boxed._block[m].tobytes() == row.tobytes(), (desc, m)
-            for cache in (full, boxed):
-                assert cache.level_log_scale(m) == ls, (desc, m)
-                assert cache.level_mass(m) == mass, (desc, m)
+            assert cache._block[m].tobytes() == row.tobytes(), (desc, m)
+            assert cache.level_log_scale(m) == ls, (desc, m)
+            assert cache.level_mass(m) == mass, (desc, m)
         far = [tuple(-depth - 1 if i == 0 else 0 for i in range(desc.dimension)),
                tuple(depth // 2 if i == 0 else 0 for i in range(desc.dimension))]
-        for cache in (full, boxed):
-            for g in desc.ball(3) + box + far:
-                assert cache.log_column(g).tobytes() == _reference_column(ref, g).tobytes(), \
-                    (desc, g)
+        for g in desc.ball(3) + box + far:
+            assert cache.log_column(g).tobytes() == _reference_column(ref, g).tobytes(), \
+                (desc, g)
         for m in (depth, 7, 0, depth - 1):
             lo, arr, ls = ref[m]
-            level = boxed.level_measure(m)
-            assert level.log_scale == ls and level.support == full.level_measure(m).support
+            level = cache.level_measure(m)
+            assert level.log_scale == ls and level.support == _reference_support(lo, arr)
 
 
-def test_radial_ignores_memory_budget(free2, iso_f2):
-    """A free-group walk ignores the memory budget and the track set: its
-    block keeps the radii a ratio limit reads and the rest is replayed.
-    With no budget and a track set the cache still has every radius (the
-    radius 40 column is past the block), every level and an artifact."""
-    full = w.convolution_powers(free2, iso_f2, 60)
-    for track in (None, free2.ball(1)):
-        cache = w.convolution_powers(free2, iso_f2, 60, memory_budget_mb=0,
-                                     track=track)
-        assert cache.complete
-        assert w.export_cache_json(cache) == w.export_cache_json(full)
-        far = (1,) * 40
-        assert cache.log_column(far).tobytes() == full.log_column(far).tobytes()
-        assert cache.level_radial(60).values.tobytes() == \
-            full.level_radial(60).values.tobytes()
+def test_array_caches_ignore_budget_and_track(free2, iso_f2, lattice2, lazy_z2,
+                                              product_f2z, cartesian_mu):
+    """Every array cache keeps a box and replays the rest, whatever
+    ``memory_budget_mb`` and ``track`` ``convolution_powers`` is given:
+    radial, dense and radial-lattice caches built with a budget of 0, with
+    and without a track set, are complete, export the default cache's
+    artifact, and their columns past the box, level masses and radial
+    levels equal its bit for bit."""
+    cases = [(free2, iso_f2, free2.ball(1), (1,) * 40),
+             (lattice2, lazy_z2, [(3, 0), (-1, 2)], (20, -9)),
+             (product_f2z, cartesian_mu, [((1, 2), (2,))], ((1,) * 40, (12,)))]
+    for desc, mu, track, far in cases:
+        default = w.convolution_powers(desc, mu, 60)
+        for kwargs in ({"memory_budget_mb": 0}, {"memory_budget_mb": 0, "track": track}):
+            cache = w.convolution_powers(desc, mu, 60, **kwargs)
+            assert cache.complete and cache.engine_name == default.engine_name
+            assert w.export_cache_json(cache) == w.export_cache_json(default)
+            assert cache.log_column(far).tobytes() == default.log_column(far).tobytes()
+            assert cache.level_mass(60) == default.level_mass(60)
+            if cache.engine_name == "radial":
+                assert cache.level_radial(60).values.tobytes() == \
+                    default.level_radial(60).values.tobytes()
 
 
 def _radial_reads(cache, queries) -> dict:
@@ -293,6 +302,21 @@ def test_radial_column_past_block_replays_bit_for_bit(free2, iso_f2):
         assert cache._block.shape == (depth + 1, depth + 1)
         for m in (7, 399, 0, 400):
             assert cache.level_radial(m).values.tobytes() == ref[m][1].tobytes(), m
+
+
+def test_radial_column_past_cap_keeps_block(free2, iso_f2, monkeypatch):
+    """The widening cap holds on ``radial`` caches too: with no room for a
+    wider block (``_BLOCK_BUDGET`` 0) a column past the 32 kept radii
+    replays keeping only itself, the block stays 32 radii wide, and every
+    column equals the reference column bit for bit."""
+    depth = 200
+    ref = [((0,), vals, ls) for vals, ls in _radial_reference(free2, iso_f2, depth)]
+    monkeypatch.setattr(powers, "_BLOCK_BUDGET", 0)
+    cache = w.convolution_powers(free2, iso_f2, depth)
+    for r in (100, 0, 31, 32, depth, depth + 1):
+        col = cache.log_column((1,) * r)
+        assert col.tobytes() == _reference_column(ref, (r,)).tobytes(), r
+        assert cache._block.shape == (depth + 1, 32), r
 
 
 def test_radial_queries_agree_in_any_order(free2, iso_f2):
@@ -496,17 +520,17 @@ def test_column_queries_reject_non_elements(lattice2, lazy_z2, free2, iso_f2, la
 
 
 def test_boxed_dense_steps_counted(lattice2, lazy_z2, monkeypatch):
-    """A lattice(2) cache over its 1 MiB memory budget, counted in calls of
-    the one step ``_next``: the build takes depth calls; a column inside
-    the default box takes none; a column outside it takes one replay
-    (depth calls) that widens only the bound it lies past, and a second
-    column inside the widened box none; a column whose wider block would
-    not fit the budget takes one replay and leaves the box as it is; a
-    level_mass sweep in any order takes one replay, and level_measure at
-    or above the cursor steps only forward.  Every column equals the fully
-    retained cache's bit for bit."""
+    """A lattice(2) cache whose widened block may take 1 MiB
+    (``_BLOCK_BUDGET``), counted in calls of the one step ``_next``: the
+    build takes depth calls; a column inside the default box takes none; a
+    column outside it takes one replay (depth calls) that widens only the
+    bound it lies past, and a second column inside the widened box none; a
+    column whose wider block would not fit the cap takes one replay and
+    leaves the box as it is; a level_mass sweep in any order takes one
+    replay, and level_measure at or above the cursor steps only forward.
+    Every column equals the reference column bit for bit."""
     depth = 128
-    full = w.convolution_powers(lattice2, lazy_z2, depth)
+    ref = _dense_reference(lattice2, lazy_z2, depth)
     calls = []
     step = powers.ArrayPowers._next
 
@@ -514,10 +538,11 @@ def test_boxed_dense_steps_counted(lattice2, lazy_z2, monkeypatch):
         calls.append(None)
         return step(self, *args)
 
+    monkeypatch.setattr(powers, "_BLOCK_BUDGET", 2**20)
     monkeypatch.setattr(powers.ArrayPowers, "_next", counted)
     for levels in (range(depth + 1), range(depth, -1, -1)):
         calls.clear()
-        cache = w.convolution_powers(lattice2, lazy_z2, depth, memory_budget_mb=1)
+        cache = w.convolution_powers(lattice2, lazy_z2, depth)
         assert cache._box == ((-8, -8), (8, 8))
         assert len(calls) == depth
         cache.log_column((8, -8))
@@ -538,35 +563,46 @@ def test_boxed_dense_steps_counted(lattice2, lazy_z2, monkeypatch):
         cache.level_measure(12)
         assert len(calls) == 4 * depth + 12
         for g in ((8, -8), (12, 0), (17, -8), (-60, 60), (129, 0)):
-            assert cache.log_column(g).tobytes() == full.log_column(g).tobytes(), g
+            assert cache.log_column(g).tobytes() == _reference_column(ref, g).tobytes(), g
 
 
-def test_far_column_keeps_boxed_cache_in_budget(lattice2, lazy_z2):
-    """A column far outside a boxed lattice(2) cache's box, whose wider
-    block would not fit the 1 MiB budget, replays keeping only itself: the
-    box stays, the traced size the cache keeps (its block, log scales,
-    top level and columns) stays under the budget, and the column equals
-    the fully retained cache's."""
+def test_far_column_keeps_boxed_cache_in_budget(lattice2, lazy_z2, monkeypatch):
+    """A column far outside a lattice(2) cache's box, whose wider block
+    would not fit a 1 MiB ``_BLOCK_BUDGET``, replays keeping only itself:
+    the box stays, the traced size the cache keeps (its block, log scales,
+    top level and columns) stays under 1 MiB, and the column equals the
+    reference column."""
+    monkeypatch.setattr(powers, "_BLOCK_BUDGET", 2**20)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cache = w.convolution_powers(lattice2, lazy_z2, 128, memory_budget_mb=1)
+        cache = w.convolution_powers(lattice2, lazy_z2, 128)
         box = cache._box
         col = cache.log_column((100, 0))
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
     assert cache._box == box and kept < 2**20
-    full = w.convolution_powers(lattice2, lazy_z2, 128)
-    assert col.tobytes() == full.log_column((100, 0)).tobytes()
+    ref = _dense_reference(lattice2, lazy_z2, 128)
+    assert col.tobytes() == _reference_column(ref, (100, 0)).tobytes()
+
+
+def _reference_product_column(cache, tree_ref, lattice_ref, g):
+    """The column of ``g`` on a product cache mixed from the reference
+    columns of its two factors."""
+    word, v = g
+    return cache._mix(_reference_column(tree_ref, (len(word),)),
+                      _reference_column(lattice_ref, v))
 
 
 def test_boxed_cache_equals_full(lattice1, lattice2, lazy_z, lazy_z2):
-    """With no memory budget and no track set, caches on Z, Z^2, F2 x Z and
-    F2 x Z^2 keep the default lattice box, and their columns (inside the
-    box, past it and past every level), level masses, log scales and
-    lattice levels equal the fully retained caches' bit for bit, in any
-    order of the queries."""
+    """Caches on Z, Z^2, F2 x Z and F2 x Z^2 keep the default lattice box
+    (a product in its lattice factor).  Their columns (inside the box, past
+    it and past every level) equal the reference columns bit for bit, a
+    product's mixed from its factors' reference columns; the lattice
+    levels, log scales and masses, asked in descending order, equal the
+    reference levels'.  Once far columns have widened the box, the cache
+    exports, and its re-import reads the same bits."""
     f2z = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1))
     f2z2 = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(2))
     walks = [
@@ -583,32 +619,39 @@ def test_boxed_cache_equals_full(lattice1, lattice2, lazy_z, lazy_z2):
          [((), (0, 0)), ((1,), (8, 8)), ((), (-9, 2)), ((1, 1), (0, 20)), ((), (25, 0))]),
     ]
     for desc, mu, depth, elems in walks:
-        full = w.convolution_powers(desc, mu, depth)
-        boxed = w.convolution_powers(desc, mu, depth, memory_budget_mb=0)
-        # a product's lattice factor is the cache that keeps the box
-        lattice, full_lattice = (getattr(c, "_lattice", c) for c in (boxed, full))
-        assert lattice._boxed and not full_lattice._boxed
+        cache = w.convolution_powers(desc, mu, depth)
+        lattice = getattr(cache, "_lattice", cache)
         assert lattice._box == tuple((s * 8,) * lattice.descriptor.dimension
                                      for s in (-1, 1))
-        levels = range(depth, -1, -3)
+        factors = powers._product_factors(desc, mu)
+        ref = _dense_reference(lattice.descriptor, lattice.mu, depth)
+        if factors:
+            tree_ref = [((0,), vals, ls) for vals, ls in
+                        _radial_reference(desc.left, factors[0][0], depth)]
+            want = {g: _reference_product_column(cache, tree_ref, ref, g) for g in elems}
+        else:
+            want = {g: _reference_column(ref, g) for g in elems}
         for g in elems[::-1]:
-            assert boxed.log_column(g).tobytes() == full.log_column(g).tobytes(), (desc, g)
-        for cache, twin in ((boxed, full), (lattice, full_lattice)):
-            assert [cache.level_mass(m) for m in levels] == [twin.level_mass(m) for m in levels]
-            assert cache._masses == twin._masses
+            assert cache.log_column(g).tobytes() == want[g].tobytes(), (desc, g)
+        levels = range(depth, -1, -3)
+        assert [lattice.level_mass(m) for m in levels] == [
+            math.exp(math.log(ref[m][1].sum()) + ref[m][2]) for m in levels]
         for m in levels:
-            assert lattice.level_log_scale(m) == full_lattice.level_log_scale(m)
-            got, want = lattice.level_measure(m), full_lattice.level_measure(m)
-            assert (got.support, got.log_scale) == (want.support, want.log_scale)
-        with pytest.raises(CoverageError):
-            w.export_cache_json(boxed)
+            lo, arr, ls = ref[m]
+            assert lattice.level_log_scale(m) == ls
+            got = lattice.level_measure(m)
+            assert (got.support, got.log_scale) == (_reference_support(lo, arr), ls)
+        back = w.import_cache_json(w.export_cache_json(cache))
+        for g in elems:
+            assert back.log_column(g).tobytes() == want[g].tobytes(), (desc, g)
+        assert [back.level_mass(m) for m in levels] == [cache.level_mass(m) for m in levels]
 
 
 def test_tracked_dense_matches_full(lattice1, lazy_z):
-    """A track set is ignored: a dense cache over its memory budget keeps
+    """A track set and a memory budget are ignored: a dense cache keeps
     the default box and answers inside it and past it ((9,) and (-20,)
-    replay; (40,) no level reaches) exactly as the fully retained
-    cache."""
+    replay; (40,) no level reaches) exactly as a cache built without
+    them."""
     full = w.convolution_powers(lattice1, lazy_z, 32)
     tracked = w.convolution_powers(lattice1, lazy_z, 32, engine="dense",
                                    memory_budget_mb=0, track=[(-3,), (3,)])
@@ -633,10 +676,10 @@ def test_tracked_radial_lattice_matches_full():
 
 
 def test_product_needs_no_memory_budget(product_f2z, cartesian_mu):
-    """A product cache stores its two factors, O(M^2) each, so the
-    criterion-5 walk at M=500 builds complete under the default memory
-    budget with no track set, exports as a recipe under 1 KiB and
-    re-imports with bit-identical columns."""
+    """A product cache keeps a box of each of its two factors, O(M) each,
+    so the criterion-5 walk at M=500 builds complete with no track set,
+    exports as a recipe under 1 KiB and re-imports with bit-identical
+    columns."""
     cache = w.convolution_powers(product_f2z, cartesian_mu, 500)
     assert cache.complete and cache.depth == 500
     text = w.export_cache_json(cache)
@@ -647,10 +690,11 @@ def test_product_needs_no_memory_budget(product_f2z, cartesian_mu):
 
 
 def test_tracked_product_keeps_lattice_box():
-    """On F2 x Z^2 with no memory budget, the lattice factor keeps the
-    default box whether or not a track set is given: columns there, and at
-    points outside the box, which replay the lattice factor, equal the
-    full cache's bit for bit, and the cache is not exportable."""
+    """On F2 x Z^2 the lattice factor keeps the default box whether or not
+    a track set is given: columns there, and at points outside the box,
+    which replay the lattice factor, equal a cache's built without one bit
+    for bit.  Once they have widened the box, the cache exports, and its
+    re-import reads the same columns."""
     desc = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(2))
     mu = w.parse_measure(
         "(e|(0,0)) 1/4\n(a|(0,0)) 1/8\n(A|(0,0)) 1/8\n(b|(0,0)) 1/8\n"
@@ -665,23 +709,26 @@ def test_tracked_product_keeps_lattice_box():
             g = (word, v)
             assert tracked.log_column(g).tobytes() == full.log_column(g).tobytes(), g
     assert tracked._lattice._box == ((-8, -8), (8, 8))
-    for v in ((9, 0), (0, -12), (-10, 3), (30, 0)):
+    far = ((9, 0), (0, -12), (-10, 3), (30, 0))
+    for v in far:
         assert tracked.log_column(((), v)).tobytes() == full.log_column(((), v)).tobytes()
         assert tracked.log_value(5, ((1,), v)) == full.log_value(5, ((1,), v))
-    with pytest.raises(CoverageError):
-        w.export_cache_json(tracked)
+    back = w.import_cache_json(w.export_cache_json(tracked))
+    for g in [((), v) for v in far] + [((1, 2), (2, -1))]:
+        assert back.log_column(g).tobytes() == tracked.log_column(g).tobytes(), g
 
 
 def _eager_level_masses(cache):
-    """Every level mass computed eagerly from the engine's stored levels, as
-    the engines did at build time: log_radial_mass of the per-radius values
-    (the radial values, or the one row sum of a full lattice level array)."""
+    """Every level mass of a radial or dense cache computed eagerly from
+    the reference levels of its walk, as the engines did at build time:
+    log_radial_mass of the per-radius values (the radial values, or the
+    one row sum of a lattice level array)."""
+    desc, mu, depth = cache.descriptor, cache.mu, cache.depth
     if cache.engine_name == "radial":
-        rows = [(cache.level_radial(m).values, cache.level_log_scale(m))
-                for m in range(cache.depth + 1)]
+        rows = _radial_reference(desc, mu, depth)
     else:
         rows = [(arr.reshape(1, -1).sum(axis=1), ls)
-                for _, arr, ls in map(cache._level, range(cache.depth + 1))]
+                for _, arr, ls in _dense_reference(desc, mu, depth)]
     out = []
     for values, ls in rows:
         logs = log_radial_mass(values, cache.q)
@@ -692,46 +739,39 @@ def _eager_level_masses(cache):
 def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2,
                                       iso_f2):
     """level_mass, computed on first request, equals the eager log_radial_mass
-    of every level bit for bit, and level_log_scale is unchanged: radial and
-    dense caches, full and over their memory budget (boxed), and
-    re-imports.  A radial-lattice cache stores no levels: its two factor
-    caches are checked the same way, and its own masses, full, boxed and
-    re-imported, are equal and within
-    1e-12 of 1, while level_log_scale raises CoverageError."""
+    of every reference level bit for bit, and level_log_scale is unchanged:
+    radial and dense caches and their re-imports.  A radial-lattice cache
+    stores no levels: its two factor caches are checked the same way, and
+    its own masses, fresh and re-imported, are equal and within 1e-12 of
+    1, while level_log_scale raises CoverageError."""
     product = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1))
     cartesian = w.parse_measure(
         "(e|(0)) 0.35\n(a|(0)) 1/10\n(A|(0)) 1/10\n(b|(0)) 1/10\n(B|(0)) 1/10\n"
         "(e|(1)) 1/8\n(e|(-1)) 1/8", product)
     srw_f2 = w.parse_measure("a 1/4\nA 1/4\nb 1/4\nB 1/4", free2)
     z_up = w.parse_measure("(1) 1/3\n(2) 2/3", lattice1)  # never returns to 0
-    cases = [  # (full cache, boxed twin or None)
-        (w.convolution_powers(free2, iso_f2, 400), None),
-        (w.convolution_powers(free2, srw_f2, 120), None),
-        (w.convolution_powers(lattice1, lazy_z, 64),
-         w.convolution_powers(lattice1, lazy_z, 64, engine="dense", memory_budget_mb=0)),
-        (w.convolution_powers(lattice1, z_up, 40), None),
-        (w.convolution_powers(lattice2, lazy_z2, 30),
-         w.convolution_powers(lattice2, lazy_z2, 30, engine="dense", memory_budget_mb=0)),
+    cases = [
+        w.convolution_powers(free2, iso_f2, 400),
+        w.convolution_powers(free2, srw_f2, 120),
+        w.convolution_powers(lattice1, lazy_z, 64),
+        w.convolution_powers(lattice1, z_up, 40),
+        w.convolution_powers(lattice2, lazy_z2, 30),
     ]
     products = (w.convolution_powers(product, cartesian, 40),
-                w.convolution_powers(product, cartesian, 40, engine="radial-lattice",
-                                     memory_budget_mb=0))
-    assert products[1]._lattice._boxed
-    cases += [(products[0]._tree, None), (products[0]._lattice, products[1]._lattice)]
+                w.convolution_powers(product, cartesian, 40, engine="radial-lattice"))
+    cases += [products[0]._tree, products[0]._lattice]
     masses = [products[0].level_mass(m) for m in range(41)]
     assert max(abs(x - 1.0) for x in masses) <= 1e-12
     for cache in (*products, w.import_cache_json(w.export_cache_json(products[0]))):
         assert [cache.level_mass(m) for m in range(40, -1, -1)] == masses[::-1]
         with pytest.raises(CoverageError):
             cache.level_log_scale(3)
-    for full, tracked in cases:
-        eager = _eager_level_masses(full)
-        scales = [full.level_log_scale(m) for m in range(full.depth + 1)]
-        back = w.import_cache_json(w.export_cache_json(full))
-        for cache in (full, back, tracked):
-            if cache is None:
-                continue
-            assert cache.depth == full.depth
+    for fresh in cases:
+        eager = _eager_level_masses(fresh)
+        scales = [fresh.level_log_scale(m) for m in range(fresh.depth + 1)]
+        back = w.import_cache_json(w.export_cache_json(fresh))
+        for cache in (fresh, back):
+            assert cache.depth == fresh.depth
             levels = range(cache.depth, -1, -1)  # first requests out of order
             assert [cache.level_mass(m) for m in levels] == eager[::-1]
             assert [cache.level_mass(m) for m in levels] == eager[::-1]
@@ -739,8 +779,8 @@ def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2
 
 
 def _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2, lamp1, lamp_mu):
-    """(label, cache, elements to compare, the fully retained twin of a
-    boxed cache or None)."""
+    """(label, cache, elements to compare, the first build of a rebuilt
+    cache or None)."""
     product = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1))
     cartesian = w.parse_measure(
         "(e|(0)) 0.35\n(a|(0)) 1/10\n(A|(0)) 1/10\n(b|(0)) 1/10\n(B|(0)) 1/10\n"
@@ -769,17 +809,13 @@ def _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2, lamp1, lam
                elems, None) for label, cache, elems in full]
     twins = {label: cache for label, cache, _ in full}
     cases += [
-        ("dense boxed",
-         w.convolution_powers(lattice1, lazy_z, 64, engine="dense", memory_budget_mb=0),
+        ("dense rebuilt", w.convolution_powers(lattice1, lazy_z, 64, engine="dense"),
          [(v,) for v in range(-3, 4)] + [(8,), (-9,), (70,)], twins["dense"]),
-        ("dense Z^2 boxed",
-         w.convolution_powers(lattice2, lazy_z2, 24, engine="dense", memory_budget_mb=0),
+        ("dense Z^2 rebuilt", w.convolution_powers(lattice2, lazy_z2, 24, engine="dense"),
          [(a, b) for a in range(0, 2) for b in range(-2, 3)] + [(9, 0), (0, -12), (30, 0)],
          twins["dense Z^2"]),
-        # the tree factor keeps its radial block: only the lattice factor is boxed
-        ("radial-lattice boxed",
-         w.convolution_powers(product, cartesian, 30, engine="radial-lattice",
-                              memory_budget_mb=0),
+        ("radial-lattice rebuilt",
+         w.convolution_powers(product, cartesian, 30, engine="radial-lattice"),
          [(word, (v,)) for word in product.left.ball(2) for v in range(-2, 3)]
          + [((1, 1, 1), (0,)), ((), (9,)), ((), (31,))],
          twins["radial-lattice"]),
@@ -790,10 +826,10 @@ def _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2, lamp1, lam
 def test_log_column_matches_log_value(lattice1, lattice2, lazy_z, lazy_z2, free2,
                                       iso_f2, lamp1, lamp_mu):
     """log_column(g) equals [log_value(m, g) for m in 0..depth] bit for bit,
-    absent entries (-inf) included, on every engine, full and re-imported,
-    and on the dense and radial-lattice engines over their memory budget
-    (boxed), where the columns inside the box, outside it (a replay) and
-    past every level also equal the fully retained cache's."""
+    absent entries (-inf) included, on every engine, fresh and re-imported,
+    and on rebuilt dense and radial-lattice caches, whose columns inside
+    the box, outside it (a replay) and past every level, asked in another
+    order, also equal the first build's."""
     cases = _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2,
                           lamp1, lamp_mu)
     for label, cache, elems, full in cases:

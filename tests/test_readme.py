@@ -40,7 +40,7 @@ def test_example_config_validates():
         "spectrum", "kernel", "radical", "metric", "boundary", "fock", "covariance",
     )
     parse = cfg.descriptor.parse
-    assert cfg.walk.depth == 2000 and cfg.walk.memory_budget_mb == 512
+    assert cfg.walk.depth == 2000 and cfg.walk.support_cap == 2_000_000
     assert cfg.metric.pairs == ((parse("a"), parse("b")), (parse("a"), parse("A")))
     assert cfg.boundary.sequence == tuple(parse("a" * k) for k in range(6, 13))
     assert cfg.covariance.zeta == 1j and cfg.fock.y == parse("a")
