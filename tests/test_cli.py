@@ -609,6 +609,7 @@ BAD_VALUES = [
     ("measure", "inline", "a 1/2\nq 1/2"), ("measure", "inline", "a -1/2\nA 3/2"),
     ("walk", "depth", "abc"), ("walk", "depth", "0"), ("walk", "depth", "1_000"),
     ("walk", "support_cap", "-5"),
+    ("walk", "memory_budget_mb", "-1"),  # a former key: any value is rejected
     ("kernel", "x_radius", "abc"), ("kernel", "y_radius", "-1"),
     ("kernel", "closed_form_compare", "maybe"),
     ("radical", "ball_radius", "-2"), ("radical", "probe_radius", "1.5"),
@@ -716,6 +717,24 @@ def test_unwritable_path_exits_2(cfg_file, tmp_path, capsys, flag):
     assert len(err) == 1 and err[0].startswith("walkops: precondition failure: ")
     assert "File exists" in err[0]
     assert blocker.read_text(encoding="utf-8") == ""
+
+
+def test_radial_run_ignores_memory_budget(cfg_file, tmp_path, monkeypatch):
+    """A free-group run takes no memory budget: its cache keeps a small
+    block of radii and replays the rest.  With a block of radius 0 only
+    and no room to widen it (``_BLOCK_BUDGET`` 0), every other radius the
+    run reads replays keeping only its column, and the run writes the full
+    run's output tree byte for byte and its cache artifact, which a second
+    run reads."""
+    full_out, zero_out = tmp_path / "full", tmp_path / "zero_out"
+    assert main(["report", "--config", str(cfg_file), "--out", str(full_out)]) == 0
+    monkeypatch.setattr(powers, "_RADIAL_BLOCK", 1)
+    monkeypatch.setattr(powers, "_BLOCK_BUDGET", 0)
+    for run in ("1", "2"):
+        assert main(["report", "--config", str(cfg_file), "--out", str(zero_out / run),
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert _tree(zero_out / run) == _tree(full_out)
+    assert len(list((tmp_path / "cache").glob("powers-*.json"))) == 1
 
 
 def test_config_round_trip(cfg_file):
