@@ -168,7 +168,7 @@ def cmd_spectrum(ws: Workspace) -> int:
     cache = ws.cache()
     if not cache.complete:
         raise BudgetExceededError(cache.budget_note)
-    report = validate_measure(ws.cfg.measure, ws.cfg.descriptor, cache=cache)
+    report = validate_measure(cache)
     est = ws.spectral()
     payload = est.as_dict()
     payload["alpha"] = ws.alpha()

@@ -77,6 +77,7 @@ class FockWindow:
         self._row_id = {x: i for i, x in enumerate(self.x_elems)}
         self._fiber_id = {z: j for j, z in enumerate(self.z_elems)}
         self._quotients: dict = {}  # x -> [x^-1 z for z in z_elems]
+        self._tables: dict = {}     # x -> log P^(m)_{x,z} over (level, fiber)
         # log P^(m)_{x,z} over (level, row, fiber); -inf where absent
         log_p = np.stack([self._log_p_table(x) for x in self.x_elems], axis=1)
         present = log_p > NEG_INF
@@ -92,33 +93,25 @@ class FockWindow:
         self._thresholds: dict = {}
 
     def _left_quotients(self, x) -> list:
-        """x^-1 z for every z in ``z_elems``: one product per pair, memoized."""
+        """x^-1 z for every z in ``z_elems``: one product per pair, memoized.
+        ``inverse`` checks x once, and the fibers are ball elements, so
+        each product is the unchecked group law."""
         q = self._quotients.get(x)
         if q is None:
             desc = self.descriptor
             xinv = desc.inverse(x)
-            q = self._quotients[x] = [desc.multiply(xinv, z) for z in self.z_elems]
+            q = self._quotients[x] = [desc._mul(xinv, z) for z in self.z_elems]
         return q
 
-    def _column(self, g) -> np.ndarray:
-        """log mu^{*m}(g) for m = 0..max_level: a view of the cache's column.
-        ``g`` is a group-law product, checked as it was made, so the column
-        is read without another check."""
-        cache = self.cache
-        return cache._key_column(cache.column_key(g))[: self.max_level + 1]
-
-    def _transition_column(self, x, z) -> np.ndarray:
-        """log P^(m)_{x,z} for m = 0..max_level."""
-        j = self._fiber_id.get(z)
-        if j is None:
-            desc = self.descriptor
-            return self._column(desc.multiply(desc.inverse(x), z))
-        return self._column(self._left_quotients(x)[j])
-
     def _log_p_table(self, x) -> np.ndarray:
-        """log P^(m)_{x,z} over (level, fiber) for any row element x."""
-        return np.array([self._column(g) for g in self._left_quotients(x)],
-                        dtype=float).T
+        """log P^(m)_{x,z} over (level, fiber) for any row element x, read
+        from the cache's transition columns once per x."""
+        table = self._tables.get(x)
+        if table is None:
+            column, top = self.cache.transition_column, self.max_level + 1
+            table = self._tables[x] = np.array(
+                [column(x, z)[:top] for z in self.z_elems], dtype=float).T
+        return table
 
     def _row_positions(self, x) -> np.ndarray:
         i = self._row_id.get(x)
@@ -166,7 +159,10 @@ class FockWindow:
         for r in rows:
             key = (r, z)
             if key not in self._thresholds:
-                absent = np.flatnonzero(self._transition_column(r, z) == NEG_INF)
+                j = self._fiber_id.get(z)
+                col = (self.cache.transition_column(r, z)[: self.max_level + 1]
+                       if j is None else self._log_p_table(r)[:, j])
+                absent = np.flatnonzero(col == NEG_INF)
                 self._thresholds[key] = int(absent[-1]) + 1 if len(absent) else 0
             t = max(t, self._thresholds[key])
         return t
@@ -610,7 +606,7 @@ def subproduct_coisometry_check(cache: PowersCache, n: int, m: int,
     if cache.depth < n + m:
         raise PreconditionError("cache depth below n + m")
     mid_radius = n * max(desc.word_length(g) for g in cache.mu.support)
-    mids = [u for u, _ in cache.support_in_ball(n, mid_radius)]
+    mids = cache.support_in_ball(n, mid_radius)
     residuals = []
     worst = 0.0
     for x in desc.ball(x_radius):
@@ -619,10 +615,8 @@ def subproduct_coisometry_check(cache: PowersCache, n: int, m: int,
             if log_tot == NEG_INF:
                 continue
             total = 0.0
-            for u in mids:
-                y = desc.multiply(x, u)
-                ln = cache.log_value(n, u)
-                lm = cache.log_transition(m, y, z)
+            for u, ln in mids:  # y = xu of two ball elements: unchecked law
+                lm = cache.log_transition(m, desc._mul(x, u), z)
                 if lm > NEG_INF:
                     total += math.exp(ln + lm - log_tot)
             res = abs(total - 1.0)

@@ -13,8 +13,9 @@ Elements are plain hashable Python values in a unique canonical form:
 
 Because elements are immutable values, all operations here are pure and
 safe to share across concurrent tasks.  Ball enumeration is BFS by word
-length with a deterministic tie-break, which fixes the enumeration
-``phi`` (1-based position in the ball) used by the boundary metrics.
+length with a deterministic tie-break, which fixes the enumeration phi
+(the 1-based position in ``ball``) that ``ratiolimit.ratio_metric``
+weights by.
 
 Every parser of the text grammar (elements, descriptors and the config's
 element lists) splits its text with ``_split_top``, the single nesting rule:
@@ -167,10 +168,6 @@ class GroupDescriptor:
             lengths.update(dict.fromkeys(nxt, len(spheres)))
             spheres.append(sorted(nxt, key=self.sort_key))
         return spheres, lengths
-
-    def phi(self, radius: int) -> dict:
-        """1-based enumeration index of each element of ``ball(radius)``."""
-        return {g: i + 1 for i, g in enumerate(self.ball(radius))}
 
     # -- text grammar --------------------------------------------------------
 

@@ -5,9 +5,10 @@ values as mantissas (max mantissa 1) alongside one shared natural-log
 scale factor.  Ratios of entries of one measure are then exact float
 quotients of mantissas, which is what every ratio-limit estimate consumes.
 
-Also here: the measure-file grammar, structural validation (mass,
-symmetry, semigroup generation evidence, and the period read off the
-return times of a convolution-powers cache by ``powers.is_aperiodic``),
+Also here: the measure-file grammar, structural validation of a
+convolution-powers cache's measure (mass, symmetry, semigroup generation
+evidence, and the period the cache reads off the return times to the
+identity, ``PowersCache.aperiodicity``; validation builds no cache),
 and the radial calculus for isotropic measures on free groups: the
 reduction to per-radius values, the radial tree step the ``radial`` engine
 runs and the level mass over the tree's spheres.
@@ -149,25 +150,21 @@ class MeasureReport:
     messages: list = field(default_factory=list)
 
 
-def validate_measure(mu: ScaledMeasure, descriptor: GroupDescriptor,
-                     probe_depth: int = 12, cache=None) -> MeasureReport:
-    """Structural checks: mass 1 (within ``MASS_TOL``), nonnegativity,
-    symmetry flag, period, and semigroup-generation evidence up to
-    ``ball(3)``.
+def validate_measure(cache) -> MeasureReport:
+    """Structural checks of the measure ``cache.mu`` on ``cache.descriptor``,
+    for a convolution-powers cache of it (the one a run already built):
+    mass 1 (within ``MASS_TOL``), nonnegativity, symmetry flag, period, and
+    semigroup-generation evidence up to ``ball(3)``.
 
-    The period is the gcd of the return times to the identity within
-    ``probe_depth`` steps, read by ``powers.is_aperiodic`` from ``cache``,
-    a convolution-powers cache of ``mu`` (the one a run already built).
-    Without one, mu(e) > 0 gives period 1 (a return at step 1) and builds
-    nothing; otherwise a cache of depth ``probe_depth`` is built with a
-    support cap of 200,000; when that cap stops it early, the period comes
-    from the levels it reached and a message says so.
+    The period is ``cache.aperiodicity()``, the gcd of the return times to
+    the identity within the cache's depth; a message says when there is
+    none, and when the cache stopped at its support cap.  No cache is
+    built here.
 
     Generation beyond the probe horizon is reported "inconclusive", never
     proved; it is evidence in the sense of the irreducibility assumption.
     """
-    from .powers import convolution_powers, is_aperiodic
-
+    mu, descriptor = cache.mu, cache.descriptor
     messages = []
     mass = mu.total_mass()
     mass_ok = abs(mass - 1.0) <= MASS_TOL
@@ -184,23 +181,15 @@ def validate_measure(mu: ScaledMeasure, descriptor: GroupDescriptor,
             symmetric = False
             break
 
-    # period: gcd of the return times to the identity within probe_depth
+    # period: gcd of the return times to the identity within the cache
     period: int | None = None
     aperiodic: bool | None = None
-    if cache is None and probe_depth >= 1 and mu.value(descriptor.identity()) > 0.0:
-        aperiodic, period = True, 1
-    else:
-        if cache is None:
-            cache = convolution_powers(descriptor, mu, probe_depth,
-                                       support_cap=200_000)
-        if not cache.complete and cache.depth < probe_depth:
-            messages.append("aperiodicity probe hit its support cap")
-        try:
-            aperiodic, period = is_aperiodic(cache, probe_depth)
-        except PreconditionError:
-            messages.append(
-                f"no return to identity within {min(probe_depth, cache.depth)} steps"
-            )
+    if not cache.complete:
+        messages.append("aperiodicity probe hit its support cap")
+    try:
+        aperiodic, period = cache.aperiodicity()
+    except PreconditionError:
+        messages.append(f"no return to identity within {cache.depth} steps")
 
     # semigroup generation: products of support elements must reach ball(3)
     r_check = 3

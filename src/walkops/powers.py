@@ -55,10 +55,14 @@ free-group walk, so a ratio sequence there depends only on |x^-1 y| and
 |y|, and the lattice point ``g`` itself for a lattice walk), the pair of
 its factors' keys on a product, whose factors memoize their own columns,
 and the element itself on ``generic`` (one ``searchsorted`` per level).
-Scans over levels (ratio sequences, bound constants,
-return ratios, Green sums, the Fock window) read columns; the period of
-the walk is read once per cache from the identity's column
-(``aperiodicity``).
+``transition_column(x, y)`` is the column of x^-1 y, log P^(m)_{x,y} for
+every m, under the key ``transition_key(x, y)``, and ``log_transition(m,
+x, y)`` is its entry m; it checks x (by ``inverse``) and y once each and
+forms x^-1 y with the unchecked group law.  Ratio sequences, kernel and
+Martin tables, Green sums and the Fock window read transitions only
+through it; bound constants and return ratios read ``log_column``.  The
+period of the walk is read once per cache from the identity's column
+(``aperiodicity``), which is where ``measures.validate_measure`` reads it.
 
 ``export_cache_json`` writes a version-7 JSON artifact: a header
 (descriptor, measure, depth, engine, complete, budget_note) and a
@@ -246,12 +250,23 @@ class PowersCache:
             self._aperiodicity = is_aperiodic(self)
         return self._aperiodicity
 
-    def log_transition(self, m: int, x, y) -> float:
-        """log P^(m)_{x,y} = log mu^{*m}(x^-1 y).  ``inverse`` and
-        ``multiply`` check x and y, so the product's column is read without
-        a third check."""
+    def transition_key(self, x, y):
+        """The column key of x^-1 y, whose column is log P^(m)_{x,y}.
+        ``inverse`` checks x and y is checked once, so the product is the
+        unchecked group law: two checks in all."""
         desc = self.descriptor
-        key = self.column_key(desc.multiply(desc.inverse(x), y))
+        xinv = desc.inverse(x)
+        desc.check(y)
+        return self.column_key(desc._mul(xinv, y))
+
+    def transition_column(self, x, y) -> np.ndarray:
+        """log P^(m)_{x,y} = log mu^{*m}(x^-1 y) for m = 0..depth: the
+        read-only memoized column of ``transition_key(x, y)``."""
+        return self._key_column(self.transition_key(x, y))
+
+    def log_transition(self, m: int, x, y) -> float:
+        """log P^(m)_{x,y}: entry m of ``transition_column(x, y)``."""
+        key = self.transition_key(x, y)
         self._check_level(m)
         return float(self._key_column(key)[m])
 
@@ -270,25 +285,23 @@ class PowersCache:
         )
 
 
-def is_aperiodic(cache: PowersCache, probe_depth: int | None = None):
+def is_aperiodic(cache: PowersCache):
     """(aperiodic, period) from the gcd of return times within the cache.
 
     The gcd is folded along the identity's column and the scan stops once
     it is 1, so an aperiodic walk reads as many levels as its first coprime
-    return times.  ``PowersCache.aperiodicity`` memoizes the full-depth
-    answer.
+    return times.  ``PowersCache.aperiodicity`` memoizes the answer.
     """
     col = cache.log_column(cache.descriptor.identity())
-    top = cache.depth if probe_depth is None else min(probe_depth, cache.depth)
     period = 0
-    for m in range(1, top + 1):
+    for m in range(1, cache.depth + 1):
         if col[m] > NEG_INF:
             period = math.gcd(period, m)
             if period == 1:
                 break
     if not period:
         raise PreconditionError(
-            f"no return to identity within {top} steps; period undetectable"
+            f"no return to identity within {cache.depth} steps; period undetectable"
         )
     return period == 1, period
 

@@ -44,8 +44,7 @@ def ratio_sequence(cache: PowersCache, x, y):
         raise PreconditionError(
             f"ratio sequences need an aperiodic walk (period {period} detected)"
         )
-    desc = cache.descriptor
-    ln = cache.log_column(desc.multiply(desc.inverse(x), y))[1:]
+    ln = cache.transition_column(x, y)[1:]
     ld = cache.log_column(y)[1:]
     both = (ln > NEG_INF) & (ld > NEG_INF)
     ms = np.flatnonzero(both) + 1
@@ -157,10 +156,11 @@ class KernelTable:
     """Lazy (x, y) -> KernelEntry table over one powers cache.
 
     An entry reads only the columns of x^-1 y and y, so its numbers are
-    computed once per pair of column keys (``cache.column_key``) and shared
-    by every (x, y) with that pair, the read-only raw tail included; each
-    entry still names its own x and y.  Entries with x = e are exactly 1
-    and share one result of their own.  Bound constants are likewise
+    computed once per pair of column keys (``cache.transition_key(x, y)``
+    and ``cache.column_key(y)``) and shared by every (x, y) with that
+    pair, the read-only raw tail included; each entry still names its own
+    x and y.  Entries with x = e are exactly 1 and share one result of
+    their own.  Bound constants are likewise
     computed once per key pair of x and x^-1.
     """
 
@@ -183,11 +183,11 @@ class KernelTable:
     def get(self, x, y) -> KernelEntry:
         entry = self._entries.get((x, y))
         if entry is None:
-            desc, key_of = self.descriptor, self.cache.column_key
+            cache = self.cache
             # the exact x = e entry is checked first: no column key is read
             # for it, and it never shares a result with a key pair
-            key = None if x == desc.identity() else (
-                key_of(desc.multiply(desc.inverse(x), y)), key_of(y))
+            key = None if x == self.descriptor.identity() else (
+                cache.transition_key(x, y), cache.column_key(y))
             base = self._computed.get(key)
             if base is None:
                 base = estimate_H(self.cache, x, y,

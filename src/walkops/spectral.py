@@ -133,8 +133,7 @@ def green(cache: PowersCache, x, y, z: float, terms: int | None = None,
     if z < 0:
         raise PreconditionError("Green kernel is evaluated for z >= 0 only")
     top = cache.depth if terms is None else min(terms, cache.depth)
-    g = cache.descriptor.multiply(cache.descriptor.inverse(x), y)
-    col = cache.log_column(g)[: max(top + 1, 0)]
+    col = cache.transition_column(x, y)[: max(top + 1, 0)]
     if z == 0.0:
         # only the n = 0 term survives
         total = math.exp(col[0]) if len(col) and col[0] > NEG_INF else 0.0
@@ -233,8 +232,8 @@ class MartinTable:
     """Lazy table of Martin-kernel entries over one cache.
 
     An entry reads only the Green sums of x^-1 y and y, so it is computed
-    once per pair of their column keys (``cache.column_key``) and named
-    after each caller's x and y.
+    once per pair of their column keys (``cache.transition_key(x, y)`` and
+    ``cache.column_key(y)``) and named after each caller's x and y.
     """
 
     def __init__(self, cache: PowersCache, rho_hat: float, alpha: float,
@@ -247,8 +246,8 @@ class MartinTable:
         self._entries: dict = {}
 
     def get(self, x, y) -> MartinEntry:
-        desc, key_of = self.cache.descriptor, self.cache.column_key
-        key = (key_of(desc.multiply(desc.inverse(x), y)), key_of(y))
+        cache = self.cache
+        key = (cache.transition_key(x, y), cache.column_key(y))
         base = self._entries.get(key)
         if base is None:
             base = self._entries[key] = martin_kernel(

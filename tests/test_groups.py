@@ -346,12 +346,6 @@ def test_ball_prefix_stability():
         assert b3[0] == desc.identity()
 
 
-def test_phi_enumeration(free2):
-    phi = free2.phi(2)
-    assert phi[free2.identity()] == 1
-    assert len(phi) == 17
-
-
 @pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=lambda d: d.spec_string())
 def test_parse_format_round_trip(desc):
     rng = random.Random(77)

@@ -30,7 +30,7 @@ def test_scaled_measure_normalization(lattice1):
 
 
 def test_validate_lazy_walk(lattice1, lazy_z):
-    rep = w.validate_measure(lazy_z, lattice1)
+    rep = w.validate_measure(w.convolution_powers(lattice1, lazy_z, 12))
     assert rep.valid and rep.mass_ok and rep.nonnegative
     assert rep.symmetric
     assert rep.aperiodic and rep.period == 1
@@ -39,21 +39,21 @@ def test_validate_lazy_walk(lattice1, lazy_z):
 
 def test_validate_srw_periodic(lattice1):
     mu = w.parse_measure("(1) 1/2\n(-1) 1/2", lattice1)
-    rep = w.validate_measure(mu, lattice1)
+    rep = w.validate_measure(w.convolution_powers(lattice1, mu, 12))
     assert rep.symmetric
     assert rep.period == 2 and rep.aperiodic is False
 
 
 def test_validate_point_mass_fails_generation(lattice1):
     mu = w.ScaledMeasure.from_values({(0,): 1.0}, lattice1)
-    rep = w.validate_measure(mu, lattice1)
+    rep = w.validate_measure(w.convolution_powers(lattice1, mu, 12))
     assert rep.generates == "no"
     assert not rep.valid
 
 
 def test_validate_flags_bad_mass(lattice1):
     mu = w.ScaledMeasure.from_values({(0,): 0.5, (1,): 0.25}, lattice1)
-    rep = w.validate_measure(mu, lattice1)
+    rep = w.validate_measure(w.convolution_powers(lattice1, mu, 12))
     assert not rep.mass_ok and not rep.valid
 
 
@@ -64,42 +64,55 @@ def test_validate_flags_bad_mass(lattice1):
     ("lamplighter(1)", "(0,{}) 1/4\n(1,{}) 1/4\n(-1,{}) 1/4\n(0,{0}) 1/4", 1),
 ])
 def test_validate_with_cache_matches_own_probe(family, text, period):
+    """A depth-12 probe cache and a deeper run cache of one walk give one
+    verdict."""
     desc = w.descriptor_from_string(family)
     mu = w.parse_measure(text, desc)
-    own = w.validate_measure(mu, desc)
-    cached = w.validate_measure(mu, desc, cache=w.convolution_powers(desc, mu, 16))
-    assert own.period == cached.period == period
-    assert own.aperiodic == cached.aperiodic == (period == 1)
-    assert own.valid == cached.valid
-    assert own.generates == cached.generates
+    probe = w.validate_measure(w.convolution_powers(desc, mu, 12))
+    cached = w.validate_measure(w.convolution_powers(desc, mu, 16))
+    assert probe.period == cached.period == period
+    assert probe.aperiodic == cached.aperiodic == (period == 1)
+    assert probe.valid == cached.valid
+    assert probe.generates == cached.generates
 
 
 def test_validate_isotropic_f2_has_no_probe_cap(free2, iso_f2):
-    rep = w.validate_measure(iso_f2, free2)
+    rep = w.validate_measure(w.convolution_powers(free2, iso_f2, 12))
     assert rep.aperiodic and rep.period == 1
     assert not any("support cap" in msg for msg in rep.messages)
 
 
 def test_validate_probe_cap_message(lamp1, lamp_mu):
-    # a cache stopped by its support cap before the probe depth
+    # a cache stopped by its support cap before the depth asked for
     cache = w.convolution_powers(lamp1, lamp_mu, 12, support_cap=50)
     assert not cache.complete and cache.depth < 12
-    rep = w.validate_measure(lamp_mu, lamp1, cache=cache)
+    rep = w.validate_measure(cache)
     assert "aperiodicity probe hit its support cap" in rep.messages
     assert rep.aperiodic and rep.period == 1
 
 
-def test_validate_identity_mass_reads_period_one(free2, monkeypatch):
-    """mu(e) > 0 is a return at step 1: period 1 with no probe cache, so a
-    lazy anisotropic F2 walk builds none and reports no support cap."""
-    mu = w.parse_measure("e 1/5\na 3/10\nA 3/10\nb 1/10\nB 1/10", free2)
+@pytest.mark.parametrize("family, text", [
+    ("free(2)", "e 1/5\na 1/5\nA 1/5\nb 1/5\nB 1/5"),
+    ("free(2)", "e 1/5\na 3/10\nA 3/10\nb 1/10\nB 1/10"),
+    ("free(2)", "a 1/2\nA 1/6\nb 1/6\nB 1/6"),  # no identity mass: period 2
+    ("lattice(1)", "(1) 1/2\n(-1) 1/2"),
+], ids=["f2-lazy-isotropic", "f2-lazy-anisotropic", "f2-anisotropic", "z-srw"])
+def test_validate_builds_no_cache(family, text, monkeypatch):
+    """Validation reads the period from the cache it is given and builds
+    none, for any walk."""
+    desc = w.descriptor_from_string(family)
+    mu = w.parse_measure(text, desc)
+    cache = w.convolution_powers(desc, mu, 8)
+    expected = w.is_aperiodic(cache)
 
     def no_cache(*args, **kwargs):
-        raise AssertionError("validate_measure built a probe cache")
+        raise AssertionError("validate_measure built a cache")
 
     monkeypatch.setattr(w.powers, "convolution_powers", no_cache)
-    rep = w.validate_measure(mu, free2)
-    assert rep.aperiodic is True and rep.period == 1
+    monkeypatch.setattr(w, "convolution_powers", no_cache)
+    rep = w.validate_measure(cache)
+    assert (rep.aperiodic, rep.period) == expected
+    assert rep.period == (1 if desc.identity() in mu.support else 2)
     assert "aperiodicity probe hit its support cap" not in rep.messages
     assert rep.valid
 
@@ -107,10 +120,10 @@ def test_validate_identity_mass_reads_period_one(free2, monkeypatch):
 def test_validate_no_return_within_probe(lattice1):
     # first return to 0 at m = 4 (three -1 steps balance one +3)
     mu = w.parse_measure("(3) 1/2\n(-1) 1/2", lattice1)
-    rep = w.validate_measure(mu, lattice1, probe_depth=3)
+    rep = w.validate_measure(w.convolution_powers(lattice1, mu, 3))
     assert rep.period is None and rep.aperiodic is None
     assert "no return to identity within 3 steps" in rep.messages
-    rep = w.validate_measure(mu, lattice1, probe_depth=4)
+    rep = w.validate_measure(w.convolution_powers(lattice1, mu, 4))
     assert rep.period == 4 and rep.aperiodic is False
 
 

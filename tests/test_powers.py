@@ -476,10 +476,9 @@ def test_is_aperiodic_early_exit(lattice1, lazy_z):
 
 def test_is_aperiodic_no_return(lattice1):
     mu = w.parse_measure("(3) 1/2\n(-1) 1/2", lattice1)
-    cache = w.convolution_powers(lattice1, mu, 8)
     with pytest.raises(PreconditionError, match="no return to identity within 3"):
-        w.is_aperiodic(cache, probe_depth=3)
-    assert w.is_aperiodic(cache) == (False, 4)
+        w.is_aperiodic(w.convolution_powers(lattice1, mu, 3))
+    assert w.is_aperiodic(w.convolution_powers(lattice1, mu, 8)) == (False, 4)
 
 
 def test_support_cap_keeps_complete_prefix(lamp1, lamp_mu):
@@ -517,6 +516,45 @@ def test_column_queries_reject_non_elements(lattice2, lazy_z2, free2, iso_f2, la
             with pytest.raises(DescriptorMismatchError):
                 cache.log_column(g)
         assert not cache._columns, engine  # no column was built for them
+
+
+@pytest.mark.parametrize("engine", ["radial", "dense", "radial-lattice", "generic"])
+def test_transition_column(engine, lattice2, lazy_z2, free2, iso_f2, lamp1, lamp_mu,
+                           product_f2z, cartesian_mu, monkeypatch):
+    """transition_column(x, y) is the read-only column of x^-1 y, bit for
+    bit, under transition_key(x, y); log_transition(m, x, y) is its entry
+    m.  One call checks x and y once each on the cache's descriptor, and a
+    foreign element raises DescriptorMismatchError."""
+    desc, mu, foreign = {
+        "radial": (free2, iso_f2, (1, -1)),
+        "dense": (lattice2, lazy_z2, (1, 0, 0)),
+        "radial-lattice": (product_f2z, cartesian_mu, ((1, -1), (0,))),
+        "generic": (lamp1, lamp_mu, ((0,), ((1,), (0,)))),
+    }[engine]
+    cache = w.convolution_powers(desc, mu, 8)
+    assert cache.engine_name == engine
+    ball = desc.ball(2)
+    for x in ball:
+        for y in ball:
+            g = desc.multiply(desc.inverse(x), y)
+            col = cache.transition_column(x, y)
+            assert col.tobytes() == cache.log_column(g).tobytes(), (x, y)
+            assert not col.flags.writeable
+            assert cache.transition_key(x, y) == cache.column_key(g)
+            entries = [cache.log_transition(m, x, y) for m in range(cache.depth + 1)]
+            assert np.array(entries).tobytes() == col.tobytes(), (x, y)
+
+    checks = []
+    check = desc.check
+    monkeypatch.setattr(desc, "check", lambda *a: (checks.append(a), check(*a))[1])
+    x, y = ball[-1], ball[-2]
+    cache.transition_column(x, y)
+    assert checks == [(x,), (y,)]  # two calls, each element checked once
+    for call in (cache.transition_column, cache.transition_key,
+                 lambda a, b: cache.log_transition(1, a, b)):
+        for pair in ((foreign, y), (x, foreign)):
+            with pytest.raises(DescriptorMismatchError):
+                call(*pair)
 
 
 def test_boxed_dense_steps_counted(lattice2, lazy_z2, monkeypatch):
