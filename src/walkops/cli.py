@@ -305,7 +305,7 @@ def cmd_fock(ws: Workspace) -> int:
     ]
     # e^(0)_{e,e} is in every window (P^(0)_{e,e} = 1), so H^(e) is never empty
     hop = fk.build_Hop(window, e, x, y, table)
-    qn = fk.quotient_norm_estimate(window, hop, z_samples=window.z_elems)
+    qn = fk.quotient_norm_estimate(window, hop)
     payload = {
         "window": window.spec_dict(),
         "checks": [r.as_dict() for r in reports],

@@ -3,16 +3,15 @@
 ``RunConfig.from_text`` builds one frozen record per section (``cfg.walk.depth``,
 ``cfg.boundary.sequence``, ...) from one schema of defaults and parsers.  Every
 key is parsed and range-checked there, and every rule that ties keys together is
-applied there, so the jobs parse nothing.  ``to_text`` writes the text back.
+applied there, so the jobs parse nothing.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import math
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import dataclass, make_dataclass
 from itertools import accumulate
 from pathlib import Path
 
@@ -161,8 +160,6 @@ class RunConfig:
     report: object
     tolerances: object
     output: object
-    # every section's text, defaults filled in, for to_text
-    _text: dict = field(repr=False, compare=False)
 
     @classmethod
     def from_text(cls, text: str, base_dir: str | Path = ".",
@@ -186,20 +183,18 @@ class RunConfig:
             measure = parse_measure(measure_text, desc)
         except ValueError as exc:
             raise PreconditionError(f"[measure] {key}: {exc}") from None
-        texts = {"group": {"family": desc.spec_string()},
-                 "measure": {"inline": measure_text.strip()}}
         values = {}
         for name, schema in _SCHEMA.items():
             given = {**ini.get(name, {}), **(overrides or {}).get(name, {})}
-            texts[name] = {key: given.get(key, default) for key, (default, _) in schema.items()}
             values[name] = {}
-            for key, (_, parse) in schema.items():
+            for key, (default, parse) in schema.items():
+                text = given.get(key, default)
                 try:
-                    values[name][key] = parse(texts[name][key], desc)
+                    values[name][key] = parse(text, desc)
                 except ValueError as exc:
                     if key in given:
                         raise PreconditionError(
-                            f"[{name}] {key} = {texts[name][key]!r}: {exc}") from None
+                            f"[{name}] {key} = {text!r}: {exc}") from None
                     # a default this group cannot parse ([fock] x = e outside
                     # free groups) leaves the key unset
                     values[name][key] = None
@@ -207,26 +202,13 @@ class RunConfig:
         b = values["boundary"]
         b["sequence"] = b["elements"] if b["ray"] is None else tuple(
             accumulate([b["ray"]] * b["k_max"], desc.multiply))[b["k_min"] - 1:]
-        return cls(descriptor=desc, measure=measure, _text=texts,
+        return cls(descriptor=desc, measure=measure,
                    **{name: record(**values[name]) for name, record in _RECORDS.items()})
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "RunConfig":
         path = Path(path)
         return cls.from_text(_read(path), base_dir=path.parent, overrides=overrides)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_text(self) -> str:
-        parser = configparser.ConfigParser()
-        parser.read_dict({
-            name: {key: "\n" + value if "\n" in value else value
-                   for key, value in sorted(keys.items())}
-            for name, keys in sorted(self._text.items())
-        })
-        buf = io.StringIO()
-        parser.write(buf)
-        return buf.getvalue()
 
     def content_hash(self) -> str:
         """Hash of (descriptor, measure, depth): the cache identity."""

@@ -703,15 +703,15 @@ class QuotientNormEstimate:
         return asdict(self)
 
 
-def quotient_norm_estimate(window: FockWindow, op: PartialPermutation,
-                           z_samples) -> QuotientNormEstimate:
-    """sup over sampled fibers of lim_m ||T Q^{[m, interior]}|_{F_z}||.
+def quotient_norm_estimate(window: FockWindow,
+                           op: PartialPermutation) -> QuotientNormEstimate:
+    """sup over the window's fibers of lim_m ||T Q^{[m, interior]}|_{F_z}||.
 
     For each fiber the restricted norm, exactly the largest |weight| of an
     entry with both ends in the rung, is taken on the rungs m = s, 2s, ...
     up to the interior top, s = max(1, top // 4); the fiber value is the
-    final rung and the sup is over the sampled fibers only (a lower bound
-    for the true sup over all of G, which is reported as such).  Each rung
+    final rung and the sup is over the window's fibers ``z_elems`` only (a
+    lower bound for the true sup over all of G, which is reported as such).  Each rung
     is kept as (m, norm).
     """
     top = window.interior_top
@@ -721,7 +721,7 @@ def quotient_norm_estimate(window: FockWindow, op: PartialPermutation,
     sup = 0.0
     stabilized = True
     magnitude = np.abs(op.weight)
-    for z in z_samples:
+    for z in window.z_elems:
         # the fiber's positions are level-sorted: one selection at the
         # lowest rung, and each higher rung is a suffix of it
         cols = window.select(fiber=z, level_lo=step, level_hi=top)

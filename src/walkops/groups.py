@@ -15,7 +15,9 @@ Because elements are immutable values, all operations here are pure and
 safe to share across concurrent tasks.  Ball enumeration is BFS by word
 length with a deterministic tie-break, which fixes the enumeration phi
 (the 1-based position in ``ball``) that ``ratiolimit.ratio_metric``
-weights by.
+weights by.  The BFS stops past ``DEFAULT_BALL_BUDGET`` elements, and a
+lamplighter word length is a BFS distance within ``DEFAULT_BFS_RADIUS``;
+both limits are module constants, read at each call.
 
 Every parser of the text grammar (elements, descriptors and the config's
 element lists) splits its text with ``_split_top``, the single nesting rule:
@@ -126,26 +128,29 @@ class GroupDescriptor:
         """Deterministic total order on canonical forms (ball tie-break)."""
         raise NotImplementedError
 
-    def word_length(self, a, max_radius: int = DEFAULT_BFS_RADIUS) -> int:
+    def word_length(self, a) -> int:
         """Distance to the identity in the standard symmetric generators.
 
         Lattice and free lengths are closed-form; lamplighter falls back to
-        BFS within ``max_radius`` and raises RadiusExhaustedError beyond it.
+        BFS within ``DEFAULT_BFS_RADIUS`` (read at call time) and raises
+        RadiusExhaustedError beyond it.
         """
         raise NotImplementedError
 
-    def ball(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> list:
+    def ball(self, radius: int) -> list:
         """Elements of word length <= radius, in the canonical BFS order.
 
         The order is by word length, ties broken by ``sort_key``; the first
         element is the identity and ``ball(r)`` is a prefix of ``ball(r+1)``.
+        BudgetExceededError past ``DEFAULT_BALL_BUDGET`` elements (read at
+        call time).
         """
         out = []
-        for sphere in self._spheres(radius, budget)[0][: radius + 1]:
+        for sphere in self._spheres(radius)[0][: radius + 1]:
             out.extend(sphere)
         return out
 
-    def _spheres(self, radius: int, budget: int = DEFAULT_BALL_BUDGET):
+    def _spheres(self, radius: int):
         """The memoized BFS: the spheres of radius 0..radius (at least) and
         the word length of every element in them.  Each new sphere costs
         one product per element of the last sphere and generator."""
@@ -161,10 +166,9 @@ class GroupDescriptor:
                     h = self.multiply(g, s)
                     if h not in lengths:
                         nxt.add(h)
-            if len(lengths) + len(nxt) > budget:
-                raise BudgetExceededError(
-                    f"ball budget {budget} exceeded at radius {len(spheres)}"
-                )
+            if len(lengths) + len(nxt) > DEFAULT_BALL_BUDGET:
+                raise BudgetExceededError(f"ball budget {DEFAULT_BALL_BUDGET} "
+                                          f"exceeded at radius {len(spheres)}")
             lengths.update(dict.fromkeys(nxt, len(spheres)))
             spheres.append(sorted(nxt, key=self.sort_key))
         return spheres, lengths
@@ -385,7 +389,7 @@ class LatticeGroup(GroupDescriptor):
     def sort_key(self, a):
         return _lattice_key(a)
 
-    def word_length(self, a, max_radius=DEFAULT_BFS_RADIUS):
+    def word_length(self, a):
         self.check(a)
         return sum(abs(c) for c in a)
 
@@ -483,7 +487,7 @@ class FreeGroup(GroupDescriptor):
         # letter rank: a_i before a_i^-1, letters in index order
         return tuple(2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in a)
 
-    def word_length(self, a, max_radius=DEFAULT_BFS_RADIUS):
+    def word_length(self, a):
         self.check(a)
         return len(a)
 
@@ -633,10 +637,11 @@ class LamplighterGroup(GroupDescriptor):
             tuple(_lattice_key(p) for p in lamps),
         )
 
-    def word_length(self, a, max_radius=DEFAULT_BFS_RADIUS):
+    def word_length(self, a):
         """BFS distance, read from the memoized spheres of ``ball``; raises
-        RadiusExhaustedError past ``max_radius``."""
+        RadiusExhaustedError past ``DEFAULT_BFS_RADIUS``."""
         self.check(a)
+        max_radius = DEFAULT_BFS_RADIUS
         for r in range(max_radius + 1):
             length = self._spheres(r)[1].get(a)
             if length is not None:
@@ -789,11 +794,9 @@ class ProductGroup(GroupDescriptor):
     def sort_key(self, a):
         return (self.left.sort_key(a[0]), self.right.sort_key(a[1]))
 
-    def word_length(self, a, max_radius=DEFAULT_BFS_RADIUS):
+    def word_length(self, a):
         self.check(a)
-        return self.left.word_length(a[0], max_radius) + self.right.word_length(
-            a[1], max_radius
-        )
+        return self.left.word_length(a[0]) + self.right.word_length(a[1])
 
     def format(self, a):
         return f"({self.left.format(a[0])}|{self.right.format(a[1])})"

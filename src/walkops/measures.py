@@ -23,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    BudgetExceededError,
     ElementParseError,
     IsotropyError,
     PreconditionError,
@@ -42,15 +41,15 @@ class ScaledMeasure:
     log_scale: float = 0.0
 
     @classmethod
-    def from_values(cls, values, descriptor=None, log_scale=0.0):
-        """Normalize raw values to max-mantissa-1 form; zero entries dropped."""
+    def from_values(cls, values, descriptor, log_scale=0.0):
+        """Normalize raw values to max-mantissa-1 form, in ``descriptor``'s
+        ``sort_key`` order; zero entries dropped."""
         items = [(g, v) for g, v in values.items() if v != 0.0]
         if not items:
             raise ValueError("measure has empty support")
         if any(v < 0 for _, v in items):
             raise ValueError("measure has a negative entry")
-        if descriptor is not None:
-            items.sort(key=lambda gv: descriptor.sort_key(gv[0]))
+        items.sort(key=lambda gv: descriptor.sort_key(gv[0]))
         peak = max(v for _, v in items)
         return cls(
             support={g: v / peak for g, v in items},
@@ -78,8 +77,8 @@ class ScaledMeasure:
         return [(g, m * scale) for g, m in self.support.items()]
 
 
-def convolve(mu: ScaledMeasure, nu: ScaledMeasure, descriptor: GroupDescriptor,
-             support_cap: int | None = None) -> ScaledMeasure:
+def convolve(mu: ScaledMeasure, nu: ScaledMeasure,
+             descriptor: GroupDescriptor) -> ScaledMeasure:
     """(mu * nu)(w) = sum_u mu(u) nu(u^-1 w), on mantissas.
 
     The reference keyed-collection implementation; the cache engines in
@@ -91,10 +90,6 @@ def convolve(mu: ScaledMeasure, nu: ScaledMeasure, descriptor: GroupDescriptor,
         for w, b in nu_items:
             g = descriptor.multiply(u, w)
             out[g] = out.get(g, 0.0) + a * b
-    if support_cap is not None and len(out) > support_cap:
-        raise BudgetExceededError(
-            f"convolution support {len(out)} exceeds cap {support_cap}"
-        )
     return ScaledMeasure.from_values(
         out, descriptor, log_scale=mu.log_scale + nu.log_scale
     )
@@ -185,7 +180,8 @@ def validate_measure(cache) -> MeasureReport:
     period: int | None = None
     aperiodic: bool | None = None
     if not cache.complete:
-        messages.append("aperiodicity probe hit its support cap")
+        messages.append("cache stopped at its support cap: the period reads "
+                        "only the levels it holds")
     try:
         aperiodic, period = cache.aperiodicity()
     except PreconditionError:
@@ -313,13 +309,12 @@ def log_radial_mass(values: np.ndarray, q: int) -> float:
     return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
 
 
-def radial_reduce(mu: ScaledMeasure, descriptor: FreeGroup,
-                  rel_tol: float = 1e-12) -> RadialMeasure:
+def radial_reduce(mu: ScaledMeasure, descriptor: FreeGroup) -> RadialMeasure:
     """Collapse an isotropic measure on F_s to per-radius values.
 
     Raises IsotropyError unless every element of each sphere carries the
-    same mass (within ``rel_tol`` relative); a sphere's value is its
-    smallest element mass.
+    same mass (within 1e-12 relative); a sphere's value is its smallest
+    element mass.
     """
     if not isinstance(descriptor, FreeGroup):
         raise PreconditionError("radial reduction requires a free-group descriptor")
@@ -332,9 +327,9 @@ def radial_reduce(mu: ScaledMeasure, descriptor: FreeGroup,
     for r, entries in by_radius.items():
         vals = [v for _, v in entries]
         lo, hi = min(vals), max(vals)
-        if hi - lo > rel_tol * hi:
+        if hi - lo > 1e-12 * hi:
             raise IsotropyError(
-                f"sphere radius {r}: per-element masses spread beyond {rel_tol}"
+                f"sphere radius {r}: per-element masses spread beyond 1e-12"
             )
         if len(entries) != sphere_size(q, r):
             raise IsotropyError(

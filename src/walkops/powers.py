@@ -202,9 +202,6 @@ class PowersCache:
         """Every level's mass, m = 0..depth, in one ascending pass."""
         raise NotImplementedError
 
-    def level_log_scale(self, m: int) -> float:
-        raise NotImplementedError
-
     # -- shared queries -------------------------------------------------------
 
     def _check_level(self, m: int):
@@ -916,10 +913,6 @@ class GenericPowers(PowersCache):
         return [math.exp(math.log(math.fsum(level.vals)) + level.log_scale)
                 for level in self._levels]
 
-    def level_log_scale(self, m):
-        self._check_level(m)
-        return self._levels[m].log_scale
-
     def level_measure(self, m):
         self._check_level(m)
         level = self._levels[m]
@@ -1172,10 +1165,6 @@ class ArrayPowers(PowersCache):
             masses.append(math.exp(logs + ls) if logs > NEG_INF else 0.0)
         return masses
 
-    def level_log_scale(self, m):
-        self._check_level(m)
-        return self._log_scales[m]
-
     def level_radial(self, m) -> RadialMeasure:
         """A level of a free-group walk as its per-radius values; other
         walks raise CoverageError.  Reading every level in descending
@@ -1321,9 +1310,6 @@ class CartesianPowers(PowersCache):
                           for x in map(c.level_mass, range(self.depth + 1))])
                 for c in (self._tree, self._lattice)]
         return np.exp(self._mix(*logs)).tolist()
-
-    def level_log_scale(self, m):
-        raise CoverageError("a product cache stores no levels, only its factors'")
 
 
 # ---------------------------------------------------------------------------

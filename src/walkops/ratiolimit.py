@@ -3,8 +3,11 @@
 The central object is the kernel H(x,y) = lim_m mu^{*m}(x^-1 y)/mu^{*m}(y),
 estimated from DP ratio tails with geometric-ladder Aitken acceleration in
 the log domain (which cancels the O(1/m) local-limit correction exactly on
-a doubling ladder).  Every entry carries an interval taken over the
-accelerated window; the raw tail is retained so estimates can be re-audited.
+a doubling ladder).  The ladder is fixed by the cache: at most
+``LADDER_POINTS`` (5) levels, halving down from the deepest defined level
+to a floor of max(4, depth // 16).  Every entry carries an interval taken
+over the accelerated window; the raw tail is retained so estimates can be
+re-audited.
 
 On top of the kernel table: the detected radical subgroup, the ratio-limit
 pseudometric with rigorous tail bounds and boundary-ray traces.  The
@@ -24,7 +27,7 @@ from .groups import FreeGroup
 from .measures import NEG_INF
 from .powers import PowersCache
 from .reports import DiagnosticsReport
-from .sequences import aitken_step, halving_ladder, richardson_harmonic
+from .sequences import LADDER_POINTS, aitken_step, halving_ladder
 
 
 # ---------------------------------------------------------------------------
@@ -72,15 +75,15 @@ class KernelEntry:
         return max(self.hi - self.estimate, self.estimate - self.lo)
 
 
-def estimate_H(cache: PowersCache, x, y, ladder_points: int = 5,
-               ladder_floor: int | None = None) -> KernelEntry:
+def estimate_H(cache: PowersCache, x, y) -> KernelEntry:
     """Accelerated tail estimate of H(x,y) with a [min, max] window interval.
 
     The ratio tail is sampled on a doubling ladder of levels ending at the
-    cache depth; Aitken runs on the log-ratios of consecutive ladder
-    triples.  The interval spans all accelerated values (coarse triples are
-    less accurate, so the window is a conservative error band); with fewer
-    than three ladder points the raw tail value is reported unaccelerated.
+    cache depth, floored at max(4, depth // 16); Aitken runs on the
+    log-ratios of consecutive ladder triples.  The interval spans all
+    accelerated values (coarse triples are less accurate, so the window is
+    a conservative error band); with fewer than three ladder points the raw
+    tail value is reported unaccelerated.
     """
     desc = cache.descriptor
     if x == desc.identity():
@@ -88,12 +91,10 @@ def estimate_H(cache: PowersCache, x, y, ladder_points: int = 5,
                            m_window=(0, cache.depth), accelerated=False)
     ms, rs = ratio_sequence(cache, x, y)
     depth = int(ms[-1])
-    floor = ladder_floor if ladder_floor is not None else max(4, depth // 16)
-    floor = max(floor, int(ms[0]))
+    floor = max(4, depth // 16, int(ms[0]))
     # each rung moves up to the first defined level within 3 above it
     # (past parity/presence gaps); a rung with none there is dropped
-    rungs = np.array(halving_ladder(depth, floor, max_points=ladder_points),
-                     dtype=np.intp)
+    rungs = np.array(halving_ladder(depth, floor), dtype=np.intp)
     at = np.searchsorted(ms, rungs)
     found = at < len(ms)
     at, rungs = at[found], rungs[found]
@@ -164,8 +165,7 @@ class KernelTable:
     computed once per key pair of x and x^-1.
     """
 
-    def __init__(self, cache: PowersCache, rho_hat: float | None = None,
-                 ladder_points: int = 5, ladder_floor: int | None = None):
+    def __init__(self, cache: PowersCache, rho_hat: float):
         aperiodic, period = cache.aperiodicity()
         if not aperiodic:
             raise PreconditionError(
@@ -174,8 +174,6 @@ class KernelTable:
         self.cache = cache
         self.descriptor = cache.descriptor
         self.rho_hat = rho_hat
-        self.ladder_points = ladder_points
-        self.ladder_floor = ladder_floor
         self._entries: dict = {}     # (x, y) -> KernelEntry
         self._computed: dict = {}    # key pair, or None for x = e -> KernelEntry
         self._bounds: dict = {}      # key pair of (x, x^-1) -> BoundConstants
@@ -190,17 +188,13 @@ class KernelTable:
                 cache.transition_key(x, y), cache.column_key(y))
             base = self._computed.get(key)
             if base is None:
-                base = estimate_H(self.cache, x, y,
-                                  ladder_points=self.ladder_points,
-                                  ladder_floor=self.ladder_floor)
+                base = estimate_H(self.cache, x, y)
                 base.raw_tail.flags.writeable = False
                 self._computed[key] = base
             entry = self._entries[(x, y)] = replace(base, x=x, y=y)
         return entry
 
     def bound_constant(self, x) -> BoundConstants:
-        if self.rho_hat is None:
-            raise PreconditionError("bound constants need rho_hat on the table")
         key_of = self.cache.column_key
         key = (key_of(x), key_of(self.descriptor.inverse(x)))
         base = self._bounds.get(key)
@@ -217,7 +211,7 @@ class KernelTable:
             "M": self.cache.depth,
             "rho_hat": self.rho_hat,
             "acceleration": "aitken-log-halving-ladder",
-            "ladder_points": self.ladder_points,
+            "ladder_points": LADDER_POINTS,
             "engine": self.cache.engine_name,
         }
 
@@ -379,8 +373,10 @@ def boundary_trace(table, sequence: list, probe_radius: int,
     limits = {}
     for x, tr in traces.items():
         if len(tr) >= 2 and len(set(tr)) > 1 and ks[-1] > ks[-2]:
-            # trace tails carry O(1/k) corrections; Richardson removes them
-            limits[fmt(x)] = float(richardson_harmonic(ks, tr)[-1])
+            # trace tails carry O(1/k) corrections; a Richardson step on
+            # the last two points removes them
+            (k1, k2), (t1, t2) = ks[-2:], tr[-2:]
+            limits[fmt(x)] = (k2 * t2 - k1 * t1) / (k2 - k1)
         else:
             limits[fmt(x)] = tr[-1]
     return DiagnosticsReport(

@@ -41,16 +41,13 @@ class DiagnosticsReport:
             doc["extra"] = self.extra
         return doc
 
-    def to_json(self) -> str:
-        return dumps(self.as_dict())
-
 
 def _jsonable(obj):
-    if isinstance(obj, (tuple, set)):
-        return list(obj)
+    """json's fallback encoder: an object with ``as_dict`` encodes as that
+    dict; anything else json cannot encode is a TypeError, never a repr."""
     if hasattr(obj, "as_dict"):
         return obj.as_dict()
-    return repr(obj)
+    raise TypeError(f"{type(obj).__name__} object is not JSON serializable")
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=_jsonable)
@@ -92,7 +89,7 @@ def _umask() -> int:
 
 
 def write_json(path: str, payload) -> None:
-    # a DiagnosticsReport encodes as its as_dict(), like its to_json()
+    # a DiagnosticsReport encodes as its as_dict()
     write_text_atomic(path, dumps(payload) + "\n")
 
 

@@ -47,11 +47,15 @@ def fit_harmonic(ms, rs) -> tuple[float, float]:
     return float(coef[0]), float(coef[1])
 
 
-def halving_ladder(top: int, floor: int, max_points: int = 5) -> list[int]:
-    """Indices top, top/2, top/4, ... (>= floor), returned increasing."""
+LADDER_POINTS = 5
+
+
+def halving_ladder(top: int, floor: int) -> list[int]:
+    """Indices top, top/2, top/4, ... (>= floor, at most ``LADDER_POINTS``
+    of them), returned increasing."""
     out = []
     h = top
-    while h >= max(floor, 1) and len(out) < max_points:
+    while h >= max(floor, 1) and len(out) < LADDER_POINTS:
         out.append(h)
         h //= 2
     out.reverse()

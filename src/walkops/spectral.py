@@ -5,6 +5,12 @@ reports the oscillation of its extrapolated tail, Green values carry a
 rigorous truncation bound from a geometric/polynomial tail model, and
 Martin kernel entries carry an interval propagated from those bounds (or
 from ladder spread when evaluation at the radius is not justified).
+
+Green and Martin values are fixed by the cache and the walk's spectral
+data: every Green series sums all levels 0..M of the cache, and takes
+rho_hat and the local-limit exponent alpha from its caller (a Martin
+table passes its own).  A shorter sum is the sum on a shallower cache,
+whose columns are prefixes of the deeper cache's, bit for bit.
 """
 
 from __future__ import annotations
@@ -90,15 +96,13 @@ def spectral_radius(cache: PowersCache) -> SpectralEstimate:
     )
 
 
-def local_limit_exponent(cache: PowersCache, estimate: SpectralEstimate | None = None):
+def local_limit_exponent(cache: PowersCache, estimate: SpectralEstimate):
     """Fit alpha in mu^{*m}(e) ~ C rho^m m^{-alpha} from the ratio tail.
 
     Fits r_m = a + b/m on the deepest half of the return-ratio sequence;
     alpha = -b / (a * period).  Used by truncation-error models and by the
     decision to evaluate Green series at the radius.
     """
-    if estimate is None:
-        estimate = spectral_radius(cache)
     period = estimate.period
     ms, rs = _return_ratio_tail(cache, period)
     half = np.searchsorted(ms, ms[-1] // 2)
@@ -122,9 +126,10 @@ class GreenValue:
     reliable: bool = True
 
 
-def green(cache: PowersCache, x, y, z: float, terms: int | None = None,
-          rho_hat: float | None = None, alpha: float | None = None) -> GreenValue:
-    """Partial sum of G(x,y|z) = sum_n P^(n)_{x,y} z^n with a tail bound.
+def green(cache: PowersCache, x, y, z: float, rho_hat: float,
+          alpha: float) -> GreenValue:
+    """Partial sum of G(x,y|z) = sum_n P^(n)_{x,y} z^n, n = 0..M (the
+    cache depth), with a tail bound.
 
     The bound uses the geometric model t_{T+j} <= t_T (z rho)^j, tightened
     by the fitted polynomial factor when summing at the radius z rho = 1
@@ -132,11 +137,11 @@ def green(cache: PowersCache, x, y, z: float, terms: int | None = None,
     """
     if z < 0:
         raise PreconditionError("Green kernel is evaluated for z >= 0 only")
-    top = cache.depth if terms is None else min(terms, cache.depth)
-    col = cache.transition_column(x, y)[: max(top + 1, 0)]
+    top = cache.depth
+    col = cache.transition_column(x, y)
     if z == 0.0:
         # only the n = 0 term survives
-        total = math.exp(col[0]) if len(col) and col[0] > NEG_INF else 0.0
+        total = math.exp(col[0]) if col[0] > NEG_INF else 0.0
         return GreenValue(value=total, truncation_bound=0.0, terms_used=top, z=z)
     # absent entries contribute nothing; presence may resume later
     ns = np.flatnonzero(col > NEG_INF)
@@ -154,13 +159,11 @@ def green(cache: PowersCache, x, y, z: float, terms: int | None = None,
     t_ref = max(tail_terms) if tail_terms else 0.0
     if t_ref == 0.0:
         return GreenValue(value=total, truncation_bound=0.0, terms_used=top, z=z)
-    if rho_hat is None:
-        rho_hat = spectral_radius(cache).rho_hat
     w = z * rho_hat
     if w < 1.0 - 1e-12:
         bound = t_ref * w / (1.0 - w)
         reliable = True
-    elif w <= 1.0 + 1e-9 and alpha is not None and alpha > 1.0:
+    elif w <= 1.0 + 1e-9 and alpha > 1.0:
         bound = t_ref * top / (alpha - 1.0)
         reliable = True
     else:
@@ -190,7 +193,7 @@ class MartinEntry:
 
 
 def martin_kernel(cache: PowersCache, x, y, rho_hat: float, alpha: float,
-                  terms: int | None = None, policy: str = "auto") -> MartinEntry:
+                  policy: str = "auto") -> MartinEntry:
     """K(x,y) = lim_{z -> 1/rho} G(x,y|z) / G(e,y|z), base point e.
 
     Evaluation policy: with ``auto``, the ratio is evaluated directly at
@@ -206,8 +209,8 @@ def martin_kernel(cache: PowersCache, x, y, rho_hat: float, alpha: float,
     at_radius = alpha > 1.0 if policy == "auto" else policy == "at-radius"
     if at_radius:
         z = 1.0 / rho_hat
-        g1 = green(cache, x, y, z, terms=terms, rho_hat=rho_hat, alpha=alpha)
-        g2 = green(cache, e, y, z, terms=terms, rho_hat=rho_hat, alpha=alpha)
+        g1 = green(cache, x, y, z, rho_hat, alpha)
+        g2 = green(cache, e, y, z, rho_hat, alpha)
         est = g1.value / g2.value
         lo = g1.value / (g2.value + g2.truncation_bound)
         hi = (g1.value + g1.truncation_bound) / g2.value
@@ -216,8 +219,8 @@ def martin_kernel(cache: PowersCache, x, y, rho_hat: float, alpha: float,
     vals = []
     for k in range(2, 10):
         z = (1.0 - 2.0 ** (-k)) / rho_hat
-        g1 = green(cache, x, y, z, terms=terms, rho_hat=rho_hat, alpha=alpha)
-        g2 = green(cache, e, y, z, terms=terms, rho_hat=rho_hat, alpha=alpha)
+        g1 = green(cache, x, y, z, rho_hat, alpha)
+        g2 = green(cache, e, y, z, rho_hat, alpha)
         vals.append(g1.value / g2.value)
     acc = [aitken_step(vals[i], vals[i + 1], vals[i + 2]) for i in range(len(vals) - 2)]
     tail = acc[-3:]
@@ -237,11 +240,10 @@ class MartinTable:
     """
 
     def __init__(self, cache: PowersCache, rho_hat: float, alpha: float,
-                 terms: int | None = None, policy: str = "auto"):
+                 policy: str = "auto"):
         self.cache = cache
         self.rho_hat = rho_hat
         self.alpha = alpha
-        self.terms = terms
         self.policy = policy
         self._entries: dict = {}
 
@@ -251,8 +253,7 @@ class MartinTable:
         base = self._entries.get(key)
         if base is None:
             base = self._entries[key] = martin_kernel(
-                self.cache, x, y, self.rho_hat, self.alpha, terms=self.terms,
-                policy=self.policy,
+                self.cache, x, y, self.rho_hat, self.alpha, policy=self.policy,
             )
         return replace(base, x=x, y=y)
 
@@ -262,6 +263,6 @@ class MartinTable:
             "M": self.cache.depth,
             "rho_hat": self.rho_hat,
             "alpha": self.alpha,
-            "terms": self.terms or self.cache.depth,
+            "terms": self.cache.depth,
             "policy": self.policy,
         }

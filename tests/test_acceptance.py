@@ -227,7 +227,8 @@ def test_criterion_4_free_group_closed_form(f2_cache, f2_table, free2):
 
 def test_criterion_5_cartesian_factorization(cartesian_cache, product_f2z,
                                              f2_table, free2):
-    table = w.KernelTable(cartesian_cache)
+    table = w.KernelTable(cartesian_cache,
+                          rho_hat=w.spectral_radius(cartesian_cache).rho_hat)
     worst = 0.0
     for w1 in free2.ball(2):
         for v1 in range(-2, 3):
@@ -366,7 +367,7 @@ def test_criterion_7_quotient_norms(f2_cache, f2_table, free2):
         for x, y in factors:
             hop = fk.build_Hop(window, e, x, y, f2_table)
             op = hop if op is None else op @ hop
-        q = fk.quotient_norm_estimate(window, op, z_samples=window.z_elems)
+        q = fk.quotient_norm_estimate(window, op)
         expected, unc = 0.0, 0.0
         for z in window.z_elems:
             prod, prod_unc = 1.0, 0.0
@@ -383,13 +384,13 @@ def test_criterion_7_quotient_norms(f2_cache, f2_table, free2):
         details.append(f"{diff:.1e}")
 
     hop = fk.build_Hop(window, e, (1,), (2,), f2_table)
-    base = fk.quotient_norm_estimate(window, hop, z_samples=window.z_elems)
+    base = fk.quotient_norm_estimate(window, hop)
     target = np.full(window.size, -1, dtype=np.intp)
     weight = np.zeros(window.size)
     j = window.position(0, (), ())
     target[j], weight[j] = window.position(2, (1,), ()), 3.0
     bumped = hop + fk.PartialPermutation(target, weight)
-    q_pert = fk.quotient_norm_estimate(window, bumped, z_samples=window.z_elems)
+    q_pert = fk.quotient_norm_estimate(window, bumped)
     pert_ok = abs(q_pert.estimate - base.estimate) <= 1e-6
 
     _record(

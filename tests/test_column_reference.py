@@ -4,7 +4,9 @@ The reference functions below read the cache one ``log_value`` call per
 level, as ``ratio_sequence``, ``estimate_H``,
 ``bound_constants``, ``spectral._return_ratio_tail`` and ``green`` did
 before they read ``PowersCache.log_column``.  The column code must return
-equal results, field by field and bit for bit.
+equal results, field by field and bit for bit.  A Green sum over fewer
+levels is checked on a shallower cache of the same walk, whose columns
+are prefixes of the deeper cache's.
 """
 
 import math
@@ -50,7 +52,7 @@ def _ref_ratio_sequence(cache, x, y):
     return np.array(ms), np.array(rs)
 
 
-def _ref_estimate_H(cache, x, y, ladder_points=5, ladder_floor=None):
+def _ref_estimate_H(cache, x, y):
     """(estimate, lo, hi, m_window, accelerated, raw_tail as (m, r) tuples)."""
     desc = cache.descriptor
     if x == desc.identity():
@@ -58,10 +60,9 @@ def _ref_estimate_H(cache, x, y, ladder_points=5, ladder_floor=None):
     ms, rs = _ref_ratio_sequence(cache, x, y)
     defined = dict(zip(ms.tolist(), rs.tolist()))
     depth = int(ms[-1])
-    floor = ladder_floor if ladder_floor is not None else max(4, depth // 16)
-    floor = max(floor, int(ms[0]))
+    floor = max(4, depth // 16, int(ms[0]))
     ladder = []
-    for h in halving_ladder(depth, floor, max_points=ladder_points):
+    for h in halving_ladder(depth, floor):
         for probe in range(h, min(h + 4, depth + 1)):
             if probe in defined:
                 if not ladder or ladder[-1][0] != probe:
@@ -113,8 +114,8 @@ def _ref_return_ratio_tail(cache, period):
     return np.array(ms), np.array(rs)
 
 
-def _ref_green(cache, x, y, z, terms=None, rho_hat=None, alpha=None):
-    top = cache.depth if terms is None else min(terms, cache.depth)
+def _ref_green(cache, x, y, z, rho_hat, alpha):
+    top = cache.depth
     g = cache.descriptor.multiply(cache.descriptor.inverse(x), y)
     log_z = math.log(z) if z > 0 else NEG_INF
     total = 0.0
@@ -143,7 +144,7 @@ def _ref_green(cache, x, y, z, terms=None, rho_hat=None, alpha=None):
     if wz < 1.0 - 1e-12:
         return GreenValue(value=total, truncation_bound=t_ref * wz / (1.0 - wz),
                           terms_used=top, z=z)
-    if wz <= 1.0 + 1e-9 and alpha is not None and alpha > 1.0:
+    if wz <= 1.0 + 1e-9 and alpha > 1.0:
         return GreenValue(value=total, truncation_bound=t_ref * top / (alpha - 1.0),
                           terms_used=top, z=z)
     return GreenValue(value=total, truncation_bound=math.inf, terms_used=top,
@@ -165,7 +166,7 @@ def _same_array(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _check_kernel(cache, pairs, **kw):
+def _check_kernel(cache, pairs):
     """ratio_sequence and estimate_H against the references on ``pairs``;
     returns the number of accelerated entries."""
     accelerated = 0
@@ -176,12 +177,12 @@ def _check_kernel(cache, pairs, **kw):
             with pytest.raises(CoverageError):
                 w.ratio_sequence(cache, x, y)
             with pytest.raises(CoverageError):
-                w.estimate_H(cache, x, y, **kw)
+                w.estimate_H(cache, x, y)
             continue
         ms, rs = w.ratio_sequence(cache, x, y)
         assert _same_array(ms, ref_seq[0]) and _same_array(rs, ref_seq[1]), (x, y)
-        est, lo, hi, window, acc, tail = _ref_estimate_H(cache, x, y, **kw)
-        entry = w.estimate_H(cache, x, y, **kw)
+        est, lo, hi, window, acc, tail = _ref_estimate_H(cache, x, y)
+        entry = w.estimate_H(cache, x, y)
         assert (entry.x, entry.y) == (x, y)
         assert (entry.estimate, entry.lo, entry.hi) == (est, lo, hi), (x, y)
         assert entry.m_window == window and all(type(m) is int for m in entry.m_window)
@@ -191,8 +192,10 @@ def _check_kernel(cache, pairs, **kw):
     return accelerated
 
 
-def _check_scans(cache, xs, rho_hat, alpha, zs, terms_list):
-    """bound_constants, _return_ratio_tail and green against the references."""
+def _check_scans(cache, xs, rho_hat, alpha, zs, shallow_depths):
+    """bound_constants, _return_ratio_tail and green against the references;
+    green also on caches of the walk at each of ``shallow_depths``, whose
+    transition columns are prefixes of ``cache``'s."""
     for x in xs:
         bc = w.bound_constants(cache, x, rho_hat)
         assert (bc.c, bc.C, bc.n_plus, bc.n_minus) == _ref_bound_constants(cache, x, rho_hat)
@@ -203,13 +206,17 @@ def _check_scans(cache, xs, rho_hat, alpha, zs, terms_list):
         ref_ms, ref_rs = _ref_return_ratio_tail(cache, p)
         assert _same_array(ms, ref_ms) and _same_array(rs, ref_rs)
     e = cache.descriptor.identity()
+    shallow = [w.convolution_powers(cache.descriptor, cache.mu, depth,
+                                    engine=cache.engine_name)
+               for depth in shallow_depths]
     for x in xs:
         for y in (e, x):
-            for z in zs:
-                for terms in terms_list:
-                    kw = dict(terms=terms, rho_hat=rho_hat, alpha=alpha)
-                    assert (w.green(cache, x, y, z, **kw)
-                            == _ref_green(cache, x, y, z, **kw)), (x, y, z, terms)
+            deep = cache.transition_column(x, y)
+            for c in [cache, *shallow]:
+                assert c.transition_column(x, y).tobytes() == deep[: c.depth + 1].tobytes()
+                for z in zs:
+                    assert (w.green(c, x, y, z, rho_hat, alpha)
+                            == _ref_green(c, x, y, z, rho_hat, alpha)), (x, y, z, c.depth)
 
 
 def test_f2_radial_matches_per_level_scan(f2_cache, f2_spectral, free2):
@@ -218,7 +225,7 @@ def test_f2_radial_matches_per_level_scan(f2_cache, f2_spectral, free2):
     pairs = [(x, y) for x in ball for y in ys]
     assert _check_kernel(f2_cache, pairs) == len(pairs) - len(ys)  # all but x = e
     rho = f2_spectral.rho_hat
-    _check_scans(f2_cache, ball[:6], rho, 1.5, [0.0, 0.5, 1.0 / rho], [None, 40, 1, 0])
+    _check_scans(f2_cache, ball[:6], rho, 1.5, [0.0, 0.5, 1.0 / rho], [40, 1, 0])
 
 
 def test_f2z_radial_lattice_matches_per_level_scan(cartesian_cache, product_f2z):
@@ -228,7 +235,7 @@ def test_f2z_radial_lattice_matches_per_level_scan(cartesian_cache, product_f2z)
     pairs = [(x, y) for x in elems for y in elems[::2]]
     assert _check_kernel(cartesian_cache, pairs) > 0
     rho = w.spectral_radius(cartesian_cache).rho_hat
-    _check_scans(cartesian_cache, elems[:4], rho, 1.5, [0.3, 1.0 / rho], [None, 100])
+    _check_scans(cartesian_cache, elems[:4], rho, 1.5, [0.3, 1.0 / rho], [100])
 
 
 def test_lazy_z_dense_matches_per_level_scan(lazy_z_cache, lattice1):
@@ -236,14 +243,15 @@ def test_lazy_z_dense_matches_per_level_scan(lazy_z_cache, lattice1):
     pairs = [(x, y) for x in pts for y in pts] + [((1,), (500,))]  # unreached y
     assert _check_kernel(lazy_z_cache, pairs) > 0
     rho = w.spectral_radius(lazy_z_cache).rho_hat
-    _check_scans(lazy_z_cache, pts, rho, 0.5, [0.0, 0.7, 1.0 / rho], [None, 64, 3])
+    _check_scans(lazy_z_cache, pts, rho, 0.5, [0.0, 0.7, 1.0 / rho], [64, 3])
 
 
 def test_generic_gapped_walk_matches_per_level_scan(lattice1):
     """A generic-engine walk whose entries come and go: (1,) is present at
     m = 3, 4, 5 and 7 but absent at m = 6, and the ratio sequence for
-    x = (-8,), y = (-2,) jumps from m = 2 to m = 6, so its first ladder
-    rung (3) moves up by the full three levels."""
+    x = (-8,), y = (-2,) jumps from m = 2 to m = 6, so at depth 40 (ladder
+    40, 20, 10, 5 over the floor max(4, 40 // 16)) its first rung (5)
+    moves up to 6."""
     mu = w.parse_measure(GAPPED_Z, lattice1)
     cache = w.convolution_powers(lattice1, mu, 48, engine="generic")
     assert [m for m in range(1, 9) if cache.log_value(m, (1,)) > NEG_INF] == [3, 4, 5, 7, 8]
@@ -252,9 +260,12 @@ def test_generic_gapped_walk_matches_per_level_scan(lattice1):
     pts = [(v,) for v in range(-8, 9)]
     pairs = [(x, y) for x in pts for y in pts]
     assert _check_kernel(cache, pairs) > 0
-    assert _check_kernel(cache, pairs, ladder_points=7, ladder_floor=1) > 0
+    at40 = w.convolution_powers(lattice1, mu, 40, engine="generic")
+    assert _check_kernel(at40, pairs) > 0
+    entry = w.estimate_H(at40, (-8,), (-2,))
+    assert entry.accelerated and entry.m_window == (6, 40)
     rho = w.spectral_radius(cache).rho_hat
-    _check_scans(cache, pts, rho, 0.5, [0.0, 0.9, 1.0 / rho], [None, 30, 4])
+    _check_scans(cache, pts, rho, 0.5, [0.0, 0.9, 1.0 / rho], [30, 4])
 
 
 def test_shallow_cache_unaccelerated_matches_per_level_scan(lattice1, lazy_z):
@@ -264,7 +275,7 @@ def test_shallow_cache_unaccelerated_matches_per_level_scan(lattice1, lazy_z):
     pts = [(v,) for v in range(-3, 4)]
     pairs = [(x, y) for x in pts for y in pts]
     assert _check_kernel(cache, pairs) == 0
-    _check_scans(cache, pts, 1.0, 0.5, [0.0, 0.5, 1.0], [None, 2])
+    _check_scans(cache, pts, 1.0, 0.5, [0.0, 0.5, 1.0], [2])
 
 
 def test_periodic_walk_rejected_like_per_level_scan(lattice1):
@@ -274,4 +285,4 @@ def test_periodic_walk_rejected_like_per_level_scan(lattice1):
         _ref_ratio_sequence(cache, (1,), (0,))
     with pytest.raises(PreconditionError):
         w.ratio_sequence(cache, (1,), (0,))
-    _check_scans(cache, [(v,) for v in range(-2, 3)], 1.0, 0.5, [0.0, 0.5], [None])
+    _check_scans(cache, [(v,) for v in range(-2, 3)], 1.0, 0.5, [0.0, 0.5], [])

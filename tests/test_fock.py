@@ -660,10 +660,7 @@ def test_per_level_f2_t_vs_w_small(f2_cache, f2_spectral, f2_table, free2):
 
 
 def test_quotient_norm_projection(f2_window):
-    q = fk.quotient_norm_estimate(
-        f2_window, fk.build_projection(f2_window, ()),
-        z_samples=f2_window.z_elems,
-    )
+    q = fk.quotient_norm_estimate(f2_window, fk.build_projection(f2_window, ()))
     assert q.estimate == pytest.approx(1.0, abs=1e-12)
     assert q.stabilized
 
@@ -683,7 +680,7 @@ def test_quotient_norm_monomials_match_spectrum_formula(f2_window, f2_table, fre
         for x, y in factors:
             hop = fk.build_Hop(f2_window, e, x, y, f2_table)
             op = hop if op is None else op @ hop
-        q = fk.quotient_norm_estimate(f2_window, op, z_samples=f2_window.z_elems)
+        q = fk.quotient_norm_estimate(f2_window, op)
         expected = 0.0
         for z in f2_window.z_elems:
             prod = 1.0
@@ -698,13 +695,13 @@ def test_quotient_norm_monomials_match_spectrum_formula(f2_window, f2_table, fre
 
 def test_quotient_norm_finite_rank_invariance(f2_window, f2_table):
     hop = fk.build_Hop(f2_window, (), (1,), (2,), f2_table)
-    base = fk.quotient_norm_estimate(f2_window, hop, z_samples=f2_window.z_elems)
+    base = fk.quotient_norm_estimate(f2_window, hop)
     pert = _zero_operator(f2_window)
     i = f2_window.position(1, (1,), ())
     j = f2_window.position(0, (), ())
     pert.target[j], pert.weight[j] = i, 7.5
     bumped = hop + pert
-    q = fk.quotient_norm_estimate(f2_window, bumped, z_samples=f2_window.z_elems)
+    q = fk.quotient_norm_estimate(f2_window, bumped)
     assert abs(q.estimate - base.estimate) <= 1e-6
 
 
@@ -715,7 +712,7 @@ def test_linear_combination_quotient_norm(f2_window, f2_table, free2):
     h1 = fk.build_Hop(f2_window, e, (1,), (2,), f2_table)
     h2 = fk.build_Hop(f2_window, e, (2,), (1,), f2_table)
     op = 2.0 * h1 + -1.0 * h2
-    q = fk.quotient_norm_estimate(f2_window, op, z_samples=f2_window.z_elems)
+    q = fk.quotient_norm_estimate(f2_window, op)
     desc = free2
     expected = 0.0
     for z in f2_window.z_elems:

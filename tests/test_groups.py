@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import walkops as w
+from walkops import groups
 from walkops.config import RunConfig
 from walkops.errors import (
     DescriptorMismatchError,
@@ -53,14 +54,15 @@ def test_group_axioms_on_samples(desc):
 
 
 @pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=lambda d: d.spec_string())
-def test_word_length_subadditive(desc):
+def test_word_length_subadditive(desc, monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_BFS_RADIUS", 14)
     rng = random.Random(999)
     xs = _samples(desc, rng, count=20)
     for _ in range(40):
         a, b = rng.choice(xs), rng.choice(xs)
-        la = desc.word_length(a, max_radius=14)
-        lb = desc.word_length(b, max_radius=14)
-        lab = desc.word_length(desc.multiply(a, b), max_radius=14)
+        la = desc.word_length(a)
+        lb = desc.word_length(b)
+        lab = desc.word_length(desc.multiply(a, b))
         assert lab <= la + lb
     assert desc.word_length(desc.identity()) == 0
 
@@ -267,12 +269,14 @@ def test_lamplighter_inverse_by_brute_force(lamp1):
     assert lamp1.inverse(g) == ((-1,), ((-1,),))
 
 
-def test_lamplighter_word_length_bfs(lamp1):
+def test_lamplighter_word_length_bfs(lamp1, monkeypatch):
     # toggle the lamp at +1: go right, toggle, come back
     g = ((0,), ((1,),))
-    assert lamp1.word_length(g, max_radius=4) == 3
-    with pytest.raises(RadiusExhaustedError):
-        lamp1.word_length(((9,), ()), max_radius=3)
+    monkeypatch.setattr(groups, "DEFAULT_BFS_RADIUS", 4)
+    assert lamp1.word_length(g) == 3
+    monkeypatch.setattr(groups, "DEFAULT_BFS_RADIUS", 3)
+    with pytest.raises(RadiusExhaustedError, match="exceeds BFS radius 3"):
+        lamp1.word_length(((9,), ()))
 
 
 def test_lamplighter_word_length_reads_ball_spheres(monkeypatch):
@@ -463,11 +467,12 @@ def test_ball_deterministic_across_instances():
     assert a == b
 
 
-def test_ball_budget():
+def test_ball_budget(monkeypatch):
     from walkops.errors import BudgetExceededError
 
+    monkeypatch.setattr(groups, "DEFAULT_BALL_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
-        w.FreeGroup(2).ball(8, budget=100)
+        w.FreeGroup(2).ball(8)
 
 
 def test_lamplighter_d2_arithmetic():

@@ -151,7 +151,7 @@ def test_radial_levels_match_reference_step(free2, iso_f2):
             level = cache.level_radial(m)
             assert level.values.dtype == vals.dtype
             assert level.values.tobytes() == vals.tobytes(), (desc, m)
-            assert cache.level_log_scale(m) == ls, (desc, m)
+            assert cache._log_scales[m] == ls, (desc, m)
 
 
 def _dense_reference(desc, mu, depth):
@@ -226,7 +226,7 @@ def test_dense_levels_match_reference_step(lattice1, lattice2, lazy_z, lazy_z2):
             row[tuple(slice(a - t, b - t + 1) for a, b, t in zip(clo, chi, tlo))] = \
                 arr[tuple(slice(a - l, b - l + 1) for a, b, l in zip(clo, chi, lo))]
             assert cache._block[m].tobytes() == row.tobytes(), (desc, m)
-            assert cache.level_log_scale(m) == ls, (desc, m)
+            assert cache._log_scales[m] == ls, (desc, m)
             assert cache.level_mass(m) == mass, (desc, m)
         far = [tuple(-depth - 1 if i == 0 else 0 for i in range(desc.dimension)),
                tuple(depth // 2 if i == 0 else 0 for i in range(desc.dimension))]
@@ -676,7 +676,7 @@ def test_boxed_cache_equals_full(lattice1, lattice2, lazy_z, lazy_z2):
             math.exp(math.log(ref[m][1].sum()) + ref[m][2]) for m in levels]
         for m in levels:
             lo, arr, ls = ref[m]
-            assert lattice.level_log_scale(m) == ls
+            assert lattice._log_scales[m] == ls
             got = lattice.level_measure(m)
             assert (got.support, got.log_scale) == (_reference_support(lo, arr), ls)
         back = w.import_cache_json(w.export_cache_json(cache))
@@ -777,11 +777,11 @@ def _eager_level_masses(cache):
 def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2,
                                       iso_f2):
     """level_mass, computed on first request, equals the eager log_radial_mass
-    of every reference level bit for bit, and level_log_scale is unchanged:
-    radial and dense caches and their re-imports.  A radial-lattice cache
-    stores no levels: its two factor caches are checked the same way, and
-    its own masses, fresh and re-imported, are equal and within 1e-12 of
-    1, while level_log_scale raises CoverageError."""
+    of every reference level bit for bit, and the stored log scales are
+    unchanged: radial and dense caches and their re-imports.  A
+    radial-lattice cache stores no levels: its two factor caches are
+    checked the same way, and its own masses, fresh and re-imported, are
+    equal and within 1e-12 of 1."""
     product = w.ProductGroup(w.FreeGroup(2), w.LatticeGroup(1))
     cartesian = w.parse_measure(
         "(e|(0)) 0.35\n(a|(0)) 1/10\n(A|(0)) 1/10\n(b|(0)) 1/10\n(B|(0)) 1/10\n"
@@ -802,18 +802,17 @@ def test_lazy_level_mass_equals_eager(lattice1, lattice2, lazy_z, lazy_z2, free2
     assert max(abs(x - 1.0) for x in masses) <= 1e-12
     for cache in (*products, w.import_cache_json(w.export_cache_json(products[0]))):
         assert [cache.level_mass(m) for m in range(40, -1, -1)] == masses[::-1]
-        with pytest.raises(CoverageError):
-            cache.level_log_scale(3)
     for fresh in cases:
         eager = _eager_level_masses(fresh)
-        scales = [fresh.level_log_scale(m) for m in range(fresh.depth + 1)]
+        scales = list(fresh._log_scales)
+        assert len(scales) == fresh.depth + 1
         back = w.import_cache_json(w.export_cache_json(fresh))
         for cache in (fresh, back):
             assert cache.depth == fresh.depth
             levels = range(cache.depth, -1, -1)  # first requests out of order
             assert [cache.level_mass(m) for m in levels] == eager[::-1]
             assert [cache.level_mass(m) for m in levels] == eager[::-1]
-            assert [cache.level_log_scale(m) for m in levels] == scales[::-1]
+            assert list(cache._log_scales) == scales
 
 
 def _column_cases(lattice1, lattice2, lazy_z, lazy_z2, free2, iso_f2, lamp1, lamp_mu):
@@ -942,11 +941,12 @@ def test_export_import_round_trip(lattice1, lamp1, free2, lazy_z, lamp_mu, iso_f
                     == [cache.log_value(m, g) for g in ball])
             assert back.level_mass(m) == cache.level_mass(m)
             if cache.engine_name == "radial-lattice":
-                for query in (back.level_log_scale, back.level_measure):
-                    with pytest.raises(CoverageError):
-                        query(m)
+                with pytest.raises(CoverageError):
+                    back.level_measure(m)
+            elif cache.engine_name == "generic":
+                assert back._levels[m].log_scale == cache._levels[m].log_scale
             else:
-                assert back.level_log_scale(m) == cache.level_log_scale(m)
+                assert back._log_scales[m] == cache._log_scales[m]
             if cache.engine_name in ("dense", "generic"):
                 assert back.level_measure(m) == cache.level_measure(m)
         assert json.loads(text)["format"] == "walkops-powers-cache"
@@ -994,7 +994,7 @@ def test_generic_round_trip_exact(lamp1, lamp_mu, free2):
             assert ([back.log_value(m, g) for g in ball]
                     == [cache.log_value(m, g) for g in ball])
             assert back.level_mass(m) == cache.level_mass(m)
-            assert back.level_log_scale(m) == cache.level_log_scale(m)
+            assert back._levels[m].log_scale == cache._levels[m].log_scale
             assert back.support_size(m) == cache.support_size(m)
             assert back.level_measure(m).support == cache.level_measure(m).support
 

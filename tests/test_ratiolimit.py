@@ -117,10 +117,10 @@ def test_kernel_entry_bookkeeping(f2_table):
     assert r0 > 0
 
 
-def test_kernel_table_entries_match_fresh_estimates(f2_cache, free2):
+def test_kernel_table_entries_match_fresh_estimates(f2_cache, f2_spectral, free2):
     """Entries shared per pair of column keys carry the numbers a fresh
     estimate_H gives for the caller's own (x, y), and name that x and y."""
-    table = w.KernelTable(f2_cache)
+    table = w.KernelTable(f2_cache, rho_hat=f2_spectral.rho_hat)
     ball = free2.ball(2)
     for x in ball:
         for y in ball:
@@ -135,12 +135,12 @@ def test_kernel_table_entries_match_fresh_estimates(f2_cache, free2):
             assert table.get(x, y) is entry
 
 
-def test_kernel_table_identity_entry_kept_apart(f2_cache):
+def test_kernel_table_identity_entry_kept_apart(f2_cache, f2_spectral):
     """x = e is the exact 1 entry; x = ab, y = a has the key pair of
     (e, a) but still goes through the ladder, in either order."""
     e, a, ab = (), (1,), (1, 2)
     for order in ((e, ab), (ab, e)):
-        table = w.KernelTable(f2_cache)
+        table = w.KernelTable(f2_cache, rho_hat=f2_spectral.rho_hat)
         got = {x: table.get(x, a) for x in order}
         exact = got[e]
         assert [exact.lo, exact.hi] == [1.0, 1.0] and exact.estimate == 1.0
@@ -155,16 +155,18 @@ def test_kernel_table_identity_entry_on_tracked_cache(lattice1, lazy_z):
     answers it for a y outside its box; an x != e entry there replays the
     box and equals the fully retained cache's entry bit for bit."""
     cache = w.convolution_powers(lattice1, lazy_z, 32, engine="dense", memory_budget_mb=0)
-    table = w.KernelTable(cache)
-    full = w.KernelTable(w.convolution_powers(lattice1, lazy_z, 32))
+    full_cache = w.convolution_powers(lattice1, lazy_z, 32)
+    rho = w.spectral_radius(full_cache).rho_hat
+    table = w.KernelTable(cache, rho_hat=rho)
+    full = w.KernelTable(full_cache, rho_hat=rho)
     assert table.get((0,), (9,)).estimate == 1.0
     got, want = table.get((1,), (9,)), full.get((1,), (9,))
     assert (got.estimate, got.lo, got.hi) == (want.estimate, want.lo, want.hi)
     assert got.raw_tail.tobytes() == want.raw_tail.tobytes()
 
 
-def test_kernel_table_raw_tail_read_only(f2_cache):
-    table = w.KernelTable(f2_cache)
+def test_kernel_table_raw_tail_read_only(f2_cache, f2_spectral):
+    table = w.KernelTable(f2_cache, rho_hat=f2_spectral.rho_hat)
     entry = table.get((1,), (1, 2))
     assert not entry.raw_tail.flags.writeable
     with pytest.raises(ValueError):
@@ -173,7 +175,8 @@ def test_kernel_table_raw_tail_read_only(f2_cache):
     assert table.get((1, 2, 2), (1, 2)).raw_tail is entry.raw_tail
 
 
-def test_kernel_table_one_ratio_sequence_per_key_pair(f2_cache, free2, monkeypatch):
+def test_kernel_table_one_ratio_sequence_per_key_pair(f2_cache, f2_spectral, free2,
+                                                     monkeypatch):
     desc, key_of = f2_cache.descriptor, f2_cache.column_key
     seen = []
     real = w.ratiolimit.ratio_sequence
@@ -183,7 +186,7 @@ def test_kernel_table_one_ratio_sequence_per_key_pair(f2_cache, free2, monkeypat
         return real(cache, x, y)
 
     monkeypatch.setattr(w.ratiolimit, "ratio_sequence", counted)
-    table = w.KernelTable(f2_cache)
+    table = w.KernelTable(f2_cache, rho_hat=f2_spectral.rho_hat)
     ball = free2.ball(2)
     for x in ball:
         for y in ball:
@@ -212,7 +215,7 @@ def test_kernel_table_rejects_periodic(lattice1):
     srw = w.parse_measure("(1) 1/2\n(-1) 1/2", lattice1)
     cache = w.convolution_powers(lattice1, srw, 32)
     with pytest.raises(PreconditionError):
-        w.KernelTable(cache)
+        w.KernelTable(cache, rho_hat=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +332,7 @@ def test_boundary_trace_word_length_fallback(f2_table, monkeypatch):
 
     ref = trace()
 
-    def exhausted(a, max_radius=None):
+    def exhausted(a):
         raise RadiusExhaustedError("word length exceeds the BFS radius")
 
     monkeypatch.setattr(f2_table.descriptor, "word_length", exhausted)
@@ -339,12 +342,30 @@ def test_boundary_trace_word_length_fallback(f2_table, monkeypatch):
         by_position = float(richardson_harmonic(list(range(1, len(seq) + 1)), tr)[-1])
         assert rep.extra["limits"][x] == by_position, x
 
-    def broken(a, max_radius=None):
+    def broken(a):
         raise KeyError("a fault inside word_length")
 
     monkeypatch.setattr(f2_table.descriptor, "word_length", broken)
     with pytest.raises(KeyError, match="a fault inside word_length"):
         trace()
+
+
+def test_boundary_trace_equal_word_lengths(lazy_z2_table):
+    """Points of equal word length earlier in the sequence ((1,0) and
+    (0,1), both of length 1) do not enter the limit: it is the Richardson
+    step on the last two points alone, with no division by zero (a
+    RuntimeWarning, an error under the test settings)."""
+    seq = [(1, 0), (0, 1), (2, 0)]
+    rep = w.boundary_trace(lazy_z2_table, seq, probe_radius=1,
+                           metric_ball_radius=1, tol=1.0)
+    extrapolated = 0
+    for x, tr in rep.extra["traces"].items():
+        if len(set(tr)) > 1:
+            extrapolated += 1
+            assert rep.extra["limits"][x] == (2 * tr[2] - 1 * tr[1]) / (2 - 1), x
+        else:
+            assert rep.extra["limits"][x] == tr[-1], x
+    assert extrapolated > 0
 
 
 def test_boundary_trace_rejects_empty_sequence(f2_table):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import walkops
 from walkops.reports import DiagnosticsReport, _jsonable, dumps
 from walkops.spectral import SpectralEstimate
@@ -63,5 +65,17 @@ def test_dumps_matches_json_dumps():
     }
     assert dumps(payload) == json.dumps(payload, sort_keys=True, indent=2,
                                         default=_jsonable)
-    assert report.to_json() == json.dumps(report.as_dict(), sort_keys=True,
-                                          indent=2, default=_jsonable)
+    # a report encodes as its as_dict(), which write_json relies on
+    assert dumps(report) == json.dumps(report.as_dict(), sort_keys=True,
+                                       indent=2, default=_jsonable)
+
+
+@pytest.mark.parametrize("value", [{"b", "a"}, object(), 1j],
+                         ids=["set", "object", "complex"])
+def test_dumps_rejects_values_without_as_dict(value):
+    """Only objects with as_dict encode: a set (whose order is arbitrary)
+    or any other object is a TypeError, never its repr."""
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        dumps({"value": value})
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _jsonable(value)

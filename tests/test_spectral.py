@@ -63,48 +63,57 @@ def test_rho_lamplighter_generic_engine(lamp1, lamp_mu):
     assert est.spread > 0.0
 
 
-def test_local_limit_exponents(lazy_z_cache, lazy_z2_cache, f2_cache):
-    assert local_limit_exponent(lazy_z_cache) == pytest.approx(0.5, abs=0.05)
-    assert local_limit_exponent(lazy_z2_cache) == pytest.approx(1.0, abs=0.05)
-    assert 1.2 <= local_limit_exponent(f2_cache) <= 1.8
+def test_local_limit_exponents(lazy_z_cache, lazy_z_spectral, lazy_z2_cache,
+                               lazy_z2_spectral, f2_cache, f2_spectral):
+    assert local_limit_exponent(lazy_z_cache, lazy_z_spectral) == pytest.approx(
+        0.5, abs=0.05)
+    assert local_limit_exponent(lazy_z2_cache, lazy_z2_spectral) == pytest.approx(
+        1.0, abs=0.05)
+    assert 1.2 <= local_limit_exponent(f2_cache, f2_spectral) <= 1.8
 
 
-def test_green_z_zero(lazy_z_cache):
-    gv = green(lazy_z_cache, (0,), (0,), 0.0)
+def test_green_z_zero(lazy_z_cache, lazy_z_spectral):
+    rho = lazy_z_spectral.rho_hat
+    gv = green(lazy_z_cache, (0,), (0,), 0.0, rho, 0.5)
     assert gv.value == 1.0 and gv.truncation_bound == 0.0
-    gv = green(lazy_z_cache, (0,), (1,), 0.0)
+    gv = green(lazy_z_cache, (0,), (1,), 0.0, rho, 0.5)
     assert gv.value == 0.0
 
 
-def test_green_rejects_negative_z(lazy_z_cache):
+def test_green_rejects_negative_z(lazy_z_cache, lazy_z_spectral):
     with pytest.raises(PreconditionError):
-        green(lazy_z_cache, (0,), (0,), -0.5)
+        green(lazy_z_cache, (0,), (0,), -0.5, lazy_z_spectral.rho_hat, 0.5)
 
 
-def test_green_partial_sums_monotone_and_converged(lazy_z_cache, lazy_z_spectral):
+def test_green_partial_sums_monotone_and_converged(lattice1, lazy_z, lazy_z_cache,
+                                                   lazy_z_spectral):
+    """A Green sum to t terms is the sum on the depth-t cache, whose column
+    is the first t + 1 entries of the deeper cache's column, bit for bit."""
     rho = lazy_z_spectral.rho_hat
-    values = [
-        green(lazy_z_cache, (0,), (0,), 0.5, terms=t, rho_hat=rho).value
-        for t in range(1, 101)
-    ]
+    caches = {t: w.convolution_powers(lattice1, lazy_z, t) for t in range(1, 101)}
+    for t in (1, 64, 100):
+        assert (caches[t].log_column((0,)).tobytes()
+                == lazy_z_cache.log_column((0,))[: t + 1].tobytes())
+    values = [green(caches[t], (0,), (0,), 0.5, rho, 0.5).value for t in range(1, 101)]
     assert all(b >= a for a, b in zip(values, values[1:]))
-    g100 = green(lazy_z_cache, (0,), (0,), 0.5, terms=100, rho_hat=rho)
+    g100 = green(caches[100], (0,), (0,), 0.5, rho, 0.5)
     # exact value for the lazy walk: G(0,0|1/2) of SRW at z' = z/(2-z)
     assert g100.truncation_bound <= 1e-8
-    g_more = green(lazy_z_cache, (0,), (0,), 0.5, terms=200, rho_hat=rho)
+    g_more = green(w.convolution_powers(lattice1, lazy_z, 200), (0,), (0,), 0.5, rho, 0.5)
     assert abs(g_more.value - g100.value) <= g100.truncation_bound
 
 
-def test_green_invariance(lazy_z_cache, lazy_z_spectral):
+def test_green_invariance(lattice1, lazy_z, lazy_z_spectral):
     rho = lazy_z_spectral.rho_hat
-    a = green(lazy_z_cache, (2,), (3,), 0.4, terms=64, rho_hat=rho)
-    b = green(lazy_z_cache, (0,), (1,), 0.4, terms=64, rho_hat=rho)
+    cache = w.convolution_powers(lattice1, lazy_z, 64)
+    a = green(cache, (2,), (3,), 0.4, rho, 0.5)
+    b = green(cache, (0,), (1,), 0.4, rho, 0.5)
     assert a.value == b.value  # exact: both read the same cache entries
 
 
-def test_green_unreliable_past_radius(f2_cache, f2_spectral):
-    gv = green(f2_cache, (), (), 1.5, terms=500, rho_hat=f2_spectral.rho_hat,
-               alpha=1.5)
+def test_green_unreliable_past_radius(free2, iso_f2, f2_spectral):
+    gv = green(w.convolution_powers(free2, iso_f2, 500), (), (), 1.5,
+               f2_spectral.rho_hat, 1.5)
     assert not gv.reliable and gv.truncation_bound == math.inf
 
 
