@@ -24,7 +24,6 @@ from .errors import (
     PreconditionError,
     WalkopsError,
 )
-from .groups import FreeGroup
 from .measures import validate_measure
 from .powers import (
     convolution_powers,
@@ -342,12 +341,21 @@ _JOBS = {
 }
 
 
+def _closed_form_holds(cfg: RunConfig) -> bool:
+    """Whether ``closed_form_H_free_isotropic`` is this walk's kernel: an
+    isotropic free-group walk (the ``radial`` engine) on ``ball(1)``."""
+    desc, mu = cfg.descriptor, cfg.measure
+    return (pick_engine(desc, mu) == "radial"
+            and set(mu.support) <= set(desc.ball(1)))
+
+
 def _check_jobs(cfg: RunConfig, jobs) -> None:
     """Reject unknown job names and unset keys a listed job needs."""
     cov = cfg.covariance
     needs = [  # (job, the key it needs, whether the config gives it)
-        ("kernel", "[kernel] closed_form_compare on a free-group walk only",
-         not cfg.kernel.closed_form_compare or isinstance(cfg.descriptor, FreeGroup)),
+        ("kernel", "[kernel] closed_form_compare on an isotropic nearest-neighbour "
+         "free-group walk only",
+         not cfg.kernel.closed_form_compare or _closed_form_holds(cfg)),
         ("metric", "[metric] pairs", cfg.metric.pairs),
         ("boundary", "[boundary] ray or elements", cfg.boundary.sequence),
         ("fock", "[fock] x", cfg.fock.x is not None),
@@ -392,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-depth", default=None, help="override [walk] depth")
     parser.add_argument("--tolerance", default=None, help="override [tolerances] exact")
     parser.add_argument("--closed-form-compare", action="store_const", const="true",
-                        help="add closed-form comparison columns (free groups)")
+                        help="add closed-form comparison columns (isotropic "
+                             "nearest-neighbour free-group walks)")
     parser.add_argument("--seed", type=int, default=7,
                         help="label for the run, recorded as provenance seed; "
                              "no computation reads it")

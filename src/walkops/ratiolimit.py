@@ -11,8 +11,8 @@ re-audited.
 
 On top of the kernel table: the detected radical subgroup, the ratio-limit
 pseudometric with rigorous tail bounds and boundary-ray traces.  The
-free-group closed form is the exact kernel the ``kernel`` job compares
-against.
+closed form of an isotropic nearest-neighbour free-group walk is the
+exact kernel the ``kernel`` job compares against, on such walks only.
 """
 
 from __future__ import annotations

@@ -121,7 +121,6 @@ def local_limit_exponent(cache: PowersCache, estimate: SpectralEstimate):
 class GreenValue:
     value: float
     truncation_bound: float
-    terms_used: int
     z: float
     reliable: bool = True
 
@@ -142,7 +141,7 @@ def green(cache: PowersCache, x, y, z: float, rho_hat: float,
     if z == 0.0:
         # only the n = 0 term survives
         total = math.exp(col[0]) if col[0] > NEG_INF else 0.0
-        return GreenValue(value=total, truncation_bound=0.0, terms_used=top, z=z)
+        return GreenValue(value=total, truncation_bound=0.0, z=z)
     # absent entries contribute nothing; presence may resume later
     ns = np.flatnonzero(col > NEG_INF)
     # n * log z is 0.0 at n = 0, so that term is exp(log mu^{*0}(g))
@@ -154,11 +153,10 @@ def green(cache: PowersCache, x, y, z: float, rho_hat: float,
     if total == 0.0:
         # y not reached within the summed terms: nothing to anchor a tail
         # model on, so the partial sum bounds nothing
-        return GreenValue(value=0.0, truncation_bound=math.inf, terms_used=top,
-                          z=z, reliable=False)
+        return GreenValue(value=0.0, truncation_bound=math.inf, z=z, reliable=False)
     t_ref = max(tail_terms) if tail_terms else 0.0
     if t_ref == 0.0:
-        return GreenValue(value=total, truncation_bound=0.0, terms_used=top, z=z)
+        return GreenValue(value=total, truncation_bound=0.0, z=z)
     w = z * rho_hat
     if w < 1.0 - 1e-12:
         bound = t_ref * w / (1.0 - w)
@@ -169,8 +167,7 @@ def green(cache: PowersCache, x, y, z: float, rho_hat: float,
     else:
         bound = math.inf
         reliable = False
-    return GreenValue(value=total, truncation_bound=bound, terms_used=top,
-                      z=z, reliable=reliable)
+    return GreenValue(value=total, truncation_bound=bound, z=z, reliable=reliable)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -415,36 +416,99 @@ jobs = spectrum kernel radical metric boundary fock covariance
 """
 
 
+LAMP_DEPTH18_CFG = """
+[group]
+family = lamplighter(1)
+
+[measure]
+inline =
+    (0,{}) 1/4
+    (1,{}) 1/4
+    (-1,{}) 1/4
+    (0,{0}) 1/4
+
+[walk]
+depth = 18
+
+[kernel]
+x_radius = 1
+y_radius = 1
+
+[radical]
+ball_radius = 1
+probe_radius = 1
+"""
+
+# sha256 of LAMP_DEPTH18_CFG's version-7 artifact (468,571 B), computed with
+# zlib 1.2.13.  The engine keeps its element table at the packed width and
+# its ids in int32, and the export is json.dumps of the header and the packed
+# arrays, so no in-memory width may leak into these bytes.  Another zlib build
+# may deflate to other bytes (import reads either exactly): if the size cap
+# holds but the pin does not, look at the zlib version first.
+LAMP_ARTIFACT_SHA256 = "5db8615415981cc84fc186c8f667ae2e0ca9269f59e0cadfb36c4da300986fa4"
+
+# a lattice(2) report whose boundary elements lie past its cache's box of
+# each level (half-width 8), so each run replays the build
+BOXED_Z2_CFG = AMENABLE_Z2_CFG.replace("ball_radius = 2", "ball_radius = 1") + """
+[kernel]
+x_radius = 1
+y_radius = 1
+
+[boundary]
+elements = (9,0), (10,0), (11,0)
+
+[report]
+jobs = spectrum kernel radical boundary
+"""
+
+CACHE_REUSE_INPUTS = {  # name: (config, job, the artifact's pinned sha256)
+    "product": (PRODUCT_CFG, "report", None),  # radial-lattice
+    "z2": (AMENABLE_Z2_CFG, "radical", None),  # dense
+    "boxed_z2": (BOXED_Z2_CFG, "report", None),  # dense, replaying
+    "free2": (FREE2_CFG, "report", None),  # radial
+    "lamp": (LAMP_DEPTH18_CFG, "report", LAMP_ARTIFACT_SHA256),  # generic
+}
+
+
 def test_product_cache_full_pipeline(tmp_path, capsys):
     """A deep Cartesian-product run supports every command, including the
-    Fock window.  Every array cache, a product's two factors and a
-    lattice(2) cache included, keeps a box and is exportable: each run
-    writes its recipe artifact (under 4 KiB) to ``--cache-dir`` and prints
-    nothing, and a second run reads it (the file is not replaced) and
-    writes the same output tree."""
-    z2 = tmp_path / "z2.ini"
-    z2.write_text(AMENABLE_Z2_CFG, encoding="utf-8")
-    cfg = tmp_path / "deep.ini"
-    cfg.write_text(PRODUCT_CFG, encoding="utf-8")
-    for config, job in ((cfg, "report"), (z2, "radical")):
-        cache_dir = tmp_path / f"{job}-cache"
-        outs = [tmp_path / f"{job}1", tmp_path / f"{job}2"]
+    Fock window.  On every engine (the product, a lattice(2) walk, one whose
+    boundary elements make each run replay its build, the free group and
+    the lamplighter), each run writes its cache artifact to ``--cache-dir``
+    and prints nothing, and a second run reads it (the file is not
+    replaced) and writes the same output tree.  Every array cache keeps a
+    box and exports as its recipe, under 4 KiB.  The generic lamplighter
+    artifact at depth 18 (85,806 elements) packs its integers, stores its
+    ids as deltas and deflates each array, so it stays under 600,000 B, and
+    its bytes are pinned."""
+    for name, (text, job, pin) in CACHE_REUSE_INPUTS.items():
+        config = tmp_path / f"{name}.ini"
+        config.write_text(text, encoding="utf-8")
+        cache_dir = tmp_path / f"{name}-cache"
+        outs = [tmp_path / f"{name}1", tmp_path / f"{name}2"]
         inodes = []
         for out in outs:
             assert main([job, "--config", str(config), "--out", str(out),
-                         "--cache-dir", str(cache_dir)]) == 0
-            assert capsys.readouterr().err == ""
+                         "--cache-dir", str(cache_dir)]) == 0, name
+            assert capsys.readouterr().err == "", name
             (artifact,) = cache_dir.glob("powers-*.json")
             inodes.append(artifact.stat().st_ino)
-        assert inodes[0] == inodes[1]
-        assert json.loads(artifact.read_text())["payload"] == {}
-        assert artifact.stat().st_size < 4096
-        assert _tree(outs[0]) == _tree(outs[1])
-    summary = json.loads((tmp_path / "report1" / "report.json").read_text())
+        assert inodes[0] == inodes[1], name
+        assert _tree(outs[0]) == _tree(outs[1]), name
+        if pin is None:
+            assert json.loads(artifact.read_text())["payload"] == {}, name
+            assert artifact.stat().st_size < 4096, name
+            continue
+        assert artifact.stat().st_size < 600_000, name
+        digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
+        assert digest == pin, (
+            f"{name} artifact sha256 {digest}, pinned {pin} with zlib 1.2.13; "
+            f"here zlib.ZLIB_RUNTIME_VERSION is {zlib.ZLIB_RUNTIME_VERSION}")
+    summary = json.loads((tmp_path / "product1" / "report.json").read_text())
     assert summary["all_passed"]
-    rad = json.loads((tmp_path / "report1" / "radical.json").read_text())
+    rad = json.loads((tmp_path / "product1" / "radical.json").read_text())
     assert "(e|(1))" in rad["flagged"] and "(a|(0))" not in rad["flagged"]
-    assert json.loads((tmp_path / "radical1" / "radical.json").read_text())["flags_entire_ball"]
+    assert json.loads((tmp_path / "z21" / "radical.json").read_text())["flags_entire_ball"]
 
 
 def test_track_set_read_only_over_budget(tmp_path, capsys):
@@ -578,16 +642,18 @@ def test_tracked_cache_covers_fock_and_covariance_rows(tmp_path, capsys, monkeyp
 def test_config_degenerate_or_ambiguous_rejected(tmp_path, capsys, edit, named):
     """A boundary run on an empty ray (k_min > k_max) or an empty probe
     ball (negative radius), or a config naming two sources for one input
-    (measure inline and file, boundary ray and elements), exits 2 naming
-    the key instead of crashing, passing vacuously or dropping one."""
+    (measure inline and file, boundary ray and elements), exits 2 with one
+    line naming the key instead of crashing, passing vacuously or dropping
+    one."""
     old, new = edit
     assert old in FREE2_CFG
     cfg = tmp_path / "bad.ini"
     cfg.write_text(FREE2_CFG.replace(old, new, 1), encoding="utf-8")
     (tmp_path / "mu.txt").write_text("a 1/2\nA 1/2\n", encoding="utf-8")
     assert main(["boundary", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("walkops: precondition failure:") and named in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("walkops: precondition failure: ")
+    assert named in err[0]
 
 
 def _set_key(text: str, section: str, key: str, value: str) -> str:
@@ -665,17 +731,28 @@ def test_bad_override_exits_2_before_any_output(cfg_file, tmp_path, capsys, argv
     assert named in err[0] and not out.exists()
 
 
+# a free(2) walk that is not isotropic, so its kernel is not the closed form;
+# the generic engine serves it, so the depth stays small
+ANISOTROPIC_F2_CFG = (FREE2_CFG.replace("    a 1/5\n    A 1/5", "    a 3/10\n    A 1/10")
+                      .replace("depth = 300", "depth = 10"))
+
+
 def test_closed_form_compare_off_free_groups_exits_2_before_any_output(tmp_path, capsys):
-    """The closed-form kernel is the free group's: a lattice report whose
-    kernel job asks for it exits 2 before its spectrum job writes."""
-    cfg = tmp_path / "lazy.ini"
-    cfg.write_text(LAZY_Z_CFG + "\n[kernel]\nclosed_form_compare = yes\n"
-                   "\n[report]\njobs = spectrum kernel\n", encoding="utf-8")
-    out = tmp_path / "out"
-    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "[kernel] closed_form_compare" in err[0]
-    assert not out.exists()
+    """The closed-form kernel is that of an isotropic nearest-neighbour
+    free-group walk: a lattice report, and a free(2) report on a walk that
+    is not isotropic, whose kernel job asks for it exit 2 with one line
+    before the spectrum job writes."""
+    assert ANISOTROPIC_F2_CFG != FREE2_CFG
+    for name, text in (("lazy_z", LAZY_Z_CFG), ("anisotropic_f2", ANISOTROPIC_F2_CFG)):
+        cfg = tmp_path / f"{name}.ini"
+        text = _set_key(text, "kernel", "closed_form_compare", "yes")
+        cfg.write_text(_set_key(text, "report", "jobs", "spectrum kernel"), encoding="utf-8")
+        out = tmp_path / f"{name}-out"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 2, name
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("walkops: precondition failure: "), name
+        assert "[kernel] closed_form_compare" in err[0], name
+        assert not out.exists(), name
 
 
 @pytest.mark.parametrize("text, named", [
@@ -870,12 +947,6 @@ def _as_version_6(text):
         packed["data"] = base64.b64encode(_unpack(packed).tobytes()).decode("ascii")
     doc["version"] = 6
     return json.dumps(doc, sort_keys=True)
-
-
-def _tree(out):
-    """Every file under ``out``, by relative path, with its bytes."""
-    return {str(f.relative_to(out)): f.read_bytes()
-            for f in sorted(out.rglob("*")) if f.is_file()}
 
 
 def test_cache_dir_version_6_generic_artifact_rebuilt(tmp_path, capsys):

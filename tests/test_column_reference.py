@@ -133,22 +133,18 @@ def _ref_green(cache, x, y, z, rho_hat, alpha):
             if n > top - 6 and t > 0.0:
                 tail_terms.append(t)
     if z == 0.0:
-        return GreenValue(value=total, truncation_bound=0.0, terms_used=top, z=z)
+        return GreenValue(value=total, truncation_bound=0.0, z=z)
     if total == 0.0:
-        return GreenValue(value=0.0, truncation_bound=math.inf, terms_used=top,
-                          z=z, reliable=False)
+        return GreenValue(value=0.0, truncation_bound=math.inf, z=z, reliable=False)
     t_ref = max(tail_terms) if tail_terms else 0.0
     if t_ref == 0.0:
-        return GreenValue(value=total, truncation_bound=0.0, terms_used=top, z=z)
+        return GreenValue(value=total, truncation_bound=0.0, z=z)
     wz = z * rho_hat
     if wz < 1.0 - 1e-12:
-        return GreenValue(value=total, truncation_bound=t_ref * wz / (1.0 - wz),
-                          terms_used=top, z=z)
+        return GreenValue(value=total, truncation_bound=t_ref * wz / (1.0 - wz), z=z)
     if wz <= 1.0 + 1e-9 and alpha > 1.0:
-        return GreenValue(value=total, truncation_bound=t_ref * top / (alpha - 1.0),
-                          terms_used=top, z=z)
-    return GreenValue(value=total, truncation_bound=math.inf, terms_used=top,
-                      z=z, reliable=False)
+        return GreenValue(value=total, truncation_bound=t_ref * top / (alpha - 1.0), z=z)
+    return GreenValue(value=total, truncation_bound=math.inf, z=z, reliable=False)
 
 
 # -- the walks ---------------------------------------------------------------------
