@@ -1,6 +1,13 @@
 """walkops: ratio limits, boundary kernels and Fock-window operators of
 random walks on finitely generated groups, at finite truncation."""
 
+import os
+
+# walkops makes no multithreaded BLAS call, and an idle OpenBLAS worker spins
+# for ~0.1 s of CPU after numpy loads: pin one thread before the first import.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from ._backend import BACKEND as kernel_backend
 from .groups import (
     FreeGroup,

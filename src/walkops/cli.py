@@ -7,7 +7,8 @@ acceleration, window, config hash) on every artifact.  Identical configs
 produce byte-identical outputs.
 
 Exit codes: 0 success, 1 acceptance failure (a diagnostic verdict is red),
-2 precondition failure, 3 budget exhaustion.
+2 precondition failure, 3 budget exhaustion (the powers cache stopped at
+its support cap; no job writes then).
 """
 
 from __future__ import annotations
@@ -92,6 +93,10 @@ class Workspace:
                 )
                 if artifact is not None:
                     write_text_atomic(str(artifact), export_cache_json(self._cache))
+        # after the artifact write, so --cache-dir keeps a truncated cache for
+        # reuse; no job reads a cache its budget stopped, so none writes
+        if not self._cache.complete:
+            raise BudgetExceededError(self._cache.budget_note)
         return self._cache
 
     def _cache_mismatch(self, cache, engine: str) -> str:
@@ -164,10 +169,7 @@ class Workspace:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(ws: Workspace) -> int:
-    cache = ws.cache()
-    if not cache.complete:
-        raise BudgetExceededError(cache.budget_note)
-    report = validate_measure(cache)
+    report = validate_measure(ws.cache())
     est = ws.spectral()
     payload = est.as_dict()
     payload["alpha"] = ws.alpha()

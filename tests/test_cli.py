@@ -207,6 +207,36 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert set(report["jobs"]) == {"fock", "covariance"}
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count threads")
+def test_import_pins_one_blas_thread(tmp_path):
+    """Importing walkops sets OPENBLAS_NUM_THREADS=1 before numpy loads, so
+    the process runs one OS thread, after the import and after a report;
+    a thread count the user set is kept."""
+    pins = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in pins}
+    env["PYTHONPATH"] = str(Path(walkops.__file__).parents[1])
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(FREE2_CFG.replace(
+        "jobs = spectrum kernel radical metric boundary fock covariance",
+        "jobs = spectrum fock"), encoding="utf-8")
+    argv = ["report", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = ("import json, os, walkops.cli; "
+            "threads = lambda: len(os.listdir('/proc/self/task')); "
+            f"after_import = threads(); rc = walkops.cli.main({argv!r}); "
+            "print(json.dumps([after_import, rc, threads(), "
+            "os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == [1, 0, 1, "1"]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert set(report["jobs"]) == {"spectrum", "fock"}
+    code = "import os, walkops; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**env, "OPENBLAS_NUM_THREADS": "2"}, check=True)
+    assert run.stdout.strip() == "2"
+
+
 def test_spectrum_artifact_schema(cfg_file, tmp_path):
     out = tmp_path / "spec"
     assert main(["spectrum", "--config", str(cfg_file), "--out", str(out)]) == 0
@@ -753,6 +783,22 @@ def test_closed_form_compare_off_free_groups_exits_2_before_any_output(tmp_path,
         assert len(err) == 1 and err[0].startswith("walkops: precondition failure: "), name
         assert "[kernel] closed_form_compare" in err[0], name
         assert not out.exists(), name
+
+
+@pytest.mark.parametrize("command", ["spectrum", "kernel", "radical", "metric",
+                                     "boundary", "fock", "covariance", "report"])
+def test_budget_truncated_cache_exits_3_before_any_output(tmp_path, capsys, command):
+    """A cache its support_cap stopped (here at level 4, 485 elements) is
+    not complete: every job, and the report, exits 3 with one line before
+    it writes, instead of reading the levels it holds as the whole walk."""
+    cfg = tmp_path / "capped.ini"
+    cfg.write_text(_set_key(ANISOTROPIC_F2_CFG, "walk", "support_cap", "200"),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("walkops: budget exhausted: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, named", [

