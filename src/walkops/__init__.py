@@ -42,7 +42,7 @@ from .ratiolimit import (
     detect_radical,
     estimate_H,
     ratio_metric,
-    ratio_sequence,
+    log_ratio_sequence,
 )
 from .spectral import (
     GreenValue,

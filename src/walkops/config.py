@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, make_dataclass
+from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
@@ -93,12 +93,41 @@ _SCHEMA = {
     "tolerances": {"exact": ("1e-12", _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"))},
     "output": {"directory": ("out", lambda text, desc: text)},
 }
-# one frozen record type per section, a field per key; the boundary record
-# also holds the sequence it names (ray^k_min .. ray^k_max, or the elements)
-_RECORDS = {name: make_dataclass(name.title(), list(keys), frozen=True)
+
+
+class _Record:
+    """A frozen config section: one slot per key, set once by the constructor."""
+
+    __slots__ = ()
+
+    def __init__(self, **values):
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"config records are read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"config records are read-only: cannot delete {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+# one record type per section, a slot per key; the boundary record also
+# holds the sequence it names (ray^k_min .. ray^k_max, or the elements)
+_RECORDS = {name: type(name.title(), (_Record,), {"__slots__": tuple(keys)})
             for name, keys in _SCHEMA.items()}
-_RECORDS["boundary"] = make_dataclass("Boundary", [*_SCHEMA["boundary"], "sequence"],
-                                      frozen=True)
+_RECORDS["boundary"] = type("Boundary", (_Record,),
+                            {"__slots__": (*_SCHEMA["boundary"], "sequence")})
 # the keys each section takes
 _KEYS = {"group": ("family",), "measure": ("inline", "file"), **_SCHEMA}
 

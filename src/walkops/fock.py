@@ -636,6 +636,41 @@ def subproduct_coisometry_check(cache: PowersCache, n: int, m: int,
     )
 
 
+def _translation_defect(window: FockWindow, s_op: PartialPermutation, g, n: int,
+                        x, y) -> tuple:
+    """The largest column norm of V_g S^(n)_{x,y} - S^(n)_{gx,gy} V_g over
+    the g-stable region, and the region's size."""
+    desc = window.descriptor
+    sg_op = build_S(window, n, desc.multiply(g, x), desc.multiply(g, y))
+    vg = build_Vg(window, g)
+    lhs = vg @ s_op
+    rhs = sg_op @ vg
+    # inputs e^(m)_{r,w} with m + n in the window whose image e^(m)_{gr,gw}
+    # under V_g is in the window, and, on row y (the only row S^(n)_{x,y}
+    # moves), whose shifted image e^(m+n)_{gx,gw} under S_g V_g is too
+    stable = (window.level + n <= window.max_level) & (vg.target >= 0)
+    off_y = window.row != window._row_id.get(y, -1)
+    region = np.flatnonzero(stable & ((rhs.target >= 0) | off_y))
+    if len(region) == 0:
+        raise PreconditionError("empty covariance comparison region")
+    return float(defect_norms(lhs, rhs)[region].max(initial=0.0)), int(len(region))
+
+
+def _gauge_defect(window: FockWindow, s_op: PartialPermutation, zeta, n: int) -> float:
+    """The largest column norm of U_zeta S U_zeta^-1 - zeta^n S.  Both sides
+    vanish on the columns S sends to 0, so only the columns S moves are
+    formed: the same products, entry by entry, as on the whole window."""
+    phases = build_Uzeta(window, zeta).weight
+    cols = np.flatnonzero(s_op.target >= 0)
+    rows, weight = s_op.target[cols], s_op.weight[cols]
+    zc = complex(zeta)
+    phase = zc ** n
+    lhs = phases[rows] * weight * (1.0 / phases[cols])
+    rhs = weight * (phase.real if zc.imag == 0.0 else phase)
+    return float(defect_norms(PartialPermutation(rows, lhs),
+                              PartialPermutation(rows, rhs)).max(initial=0.0))
+
+
 def covariance_check(window: FockWindow, g, zeta, n: int, x, y,
                      tol: float = EXACT_TOL) -> DiagnosticsReport:
     """V_g S^(n)_{x,y} V_g^-1 = S^(n)_{gx,gy} on the g-stable part of the
@@ -648,31 +683,11 @@ def covariance_check(window: FockWindow, g, zeta, n: int, x, y,
         )
     desc = window.descriptor
     s_op = build_S(window, n, x, y)
-    gx, gy = desc.multiply(g, x), desc.multiply(g, y)
-    sg_op = build_S(window, n, gx, gy)
-    vg = build_Vg(window, g)
-    lhs = vg @ s_op
-    rhs = sg_op @ vg
-    # inputs e^(m)_{r,w} with m + n in the window whose image e^(m)_{gr,gw}
-    # under V_g is in the window, and, on row y (the only row S^(n)_{x,y}
-    # moves), whose shifted image e^(m+n)_{gx,gw} under S_g V_g is too
-    stable = (window.level + n <= window.max_level) & (vg.target >= 0)
-    off_y = window.row != window._row_id.get(y, -1)
-    region = np.flatnonzero(stable & ((rhs.target >= 0) | off_y))
-    if len(region) == 0:
-        raise PreconditionError("empty covariance comparison region")
-    cov = float(defect_norms(lhs, rhs)[region].max(initial=0.0))
-
-    u_z = build_Uzeta(window, zeta)
-    zc = complex(zeta)
-    u_inv = PartialPermutation(u_z.target, 1.0 / u_z.weight)
-    gauge_lhs = (u_z @ s_op) @ u_inv
-    phase = zc ** n
-    target = (phase.real if zc.imag == 0.0 else phase) * s_op
-    gauge = float(defect_norms(gauge_lhs, target).max(initial=0.0))
+    cov, region_size = _translation_defect(window, s_op, g, n, x, y)
+    gauge = _gauge_defect(window, s_op, zeta, n)
     residuals = [
         {"identity": "V_g S V_g^-1 = S_g", "residual": cov,
-         "region_size": int(len(region))},
+         "region_size": region_size},
         {"identity": "U_zeta S U_zeta^-1 = zeta^n S", "residual": gauge},
     ]
     worst = max(cov, gauge)

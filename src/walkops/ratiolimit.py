@@ -6,8 +6,7 @@ the log domain (which cancels the O(1/m) local-limit correction exactly on
 a doubling ladder).  The ladder is fixed by the cache: at most
 ``LADDER_POINTS`` (5) levels, halving down from the deepest defined level
 to a floor of max(4, depth // 16).  Every entry carries an interval taken
-over the accelerated window; the raw tail is retained so estimates can be
-re-audited.
+over the accelerated window.
 
 On top of the kernel table: the detected radical subgroup, the ratio-limit
 pseudometric with rigorous tail bounds and boundary-ray traces.  The
@@ -18,7 +17,7 @@ exact kernel the ``kernel`` job compares against, on such walks only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,13 +33,13 @@ from .sequences import LADDER_POINTS, aitken_step, halving_ladder
 # ratio sequences and kernel entries
 # ---------------------------------------------------------------------------
 
-def ratio_sequence(cache: PowersCache, x, y):
-    """(ms, rs) with r_m = mu^{*m}(x^-1 y) / mu^{*m}(y) where both exist.
+def log_ratio_sequence(cache: PowersCache, x, y):
+    """(ms, ls) with l_m = log(mu^{*m}(x^-1 y) / mu^{*m}(y)) where both exist.
 
-    Ratios are exact mantissa quotients (shared level log-scale cancels).
-    Requires an aperiodic walk; gaps (levels where the denominator entry is
-    absent) are simply skipped.  Both entries are read from their cache
-    columns.
+    Log-ratios are exact mantissa log differences (the shared level
+    log-scale cancels); the ratio r_m is ``math.exp(l_m)``.  Requires an
+    aperiodic walk; gaps (levels where the denominator entry is absent) are
+    simply skipped.  Both entries are read from their cache columns.
     """
     aperiodic, period = cache.aperiodicity()
     if not aperiodic:
@@ -53,8 +52,12 @@ def ratio_sequence(cache: PowersCache, x, y):
     ms = np.flatnonzero(both) + 1
     if not len(ms):
         raise CoverageError("y never reached within the cache depth")
-    rs = np.array([math.exp(d) for d in (ln[both] - ld[both]).tolist()])
-    return ms, rs
+    return ms, ln[both] - ld[both]
+
+
+def _ratios(logs: np.ndarray) -> list:
+    """The ratios exp(l_m) of log-ratios, as floats."""
+    return [math.exp(v) for v in logs.tolist()]
 
 
 @dataclass
@@ -66,9 +69,6 @@ class KernelEntry:
     hi: float
     m_window: tuple
     accelerated: bool
-    # rows (m, r_m) of the ratio tail from level depth // 4 on
-    raw_tail: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)),
-                                 repr=False, compare=False)
 
     @property
     def uncertainty(self) -> float:
@@ -89,25 +89,25 @@ def estimate_H(cache: PowersCache, x, y) -> KernelEntry:
     if x == desc.identity():
         return KernelEntry(x=x, y=y, estimate=1.0, lo=1.0, hi=1.0,
                            m_window=(0, cache.depth), accelerated=False)
-    ms, rs = ratio_sequence(cache, x, y)
+    ms, ls = log_ratio_sequence(cache, x, y)
     depth = int(ms[-1])
     floor = max(4, depth // 16, int(ms[0]))
     # each rung moves up to the first defined level within 3 above it
-    # (past parity/presence gaps); a rung with none there is dropped
+    # (past parity/presence gaps); a rung with none there is dropped.  The
+    # rungs increase, so their ids are sorted and only neighbours repeat.
     rungs = np.array(halving_ladder(depth, floor), dtype=np.intp)
     at = np.searchsorted(ms, rungs)
     found = at < len(ms)
     at, rungs = at[found], rungs[found]
-    at = np.unique(at[ms[at] < rungs + 4])
-    tail_from = np.searchsorted(ms, max(1, depth // 4))
-    raw_tail = np.column_stack((ms[tail_from:], rs[tail_from:]))
+    at = at[ms[at] < rungs + 4]
+    at = at[np.diff(at, prepend=-1) > 0]
     if len(at) < 3:
-        vals = rs[tail_from:] if tail_from < len(rs) else rs
-        return KernelEntry(x=x, y=y, estimate=float(rs[-1]),
-                           lo=float(vals.min()), hi=float(vals.max()),
-                           m_window=(int(ms[0]), depth), accelerated=False,
-                           raw_tail=raw_tail)
-    logs = [math.log(r) for r in rs[at].tolist()]
+        tail_from = np.searchsorted(ms, max(1, depth // 4))
+        vals = _ratios(ls[tail_from:] if tail_from < len(ls) else ls)
+        return KernelEntry(x=x, y=y, estimate=vals[-1],
+                           lo=min(vals), hi=max(vals),
+                           m_window=(int(ms[0]), depth), accelerated=False)
+    logs = [math.log(r) for r in _ratios(ls[at])]
     acc = [math.exp(aitken_step(logs[i], logs[i + 1], logs[i + 2]))
            for i in range(len(logs) - 2)]
     return KernelEntry(
@@ -117,7 +117,6 @@ def estimate_H(cache: PowersCache, x, y) -> KernelEntry:
         hi=float(max(acc)),
         m_window=(int(ms[at[0]]), int(ms[at[-1]])),
         accelerated=True,
-        raw_tail=raw_tail,
     )
 
 
@@ -159,10 +158,9 @@ class KernelTable:
     An entry reads only the columns of x^-1 y and y, so its numbers are
     computed once per pair of column keys (``cache.transition_key(x, y)``
     and ``cache.column_key(y)``) and shared by every (x, y) with that
-    pair, the read-only raw tail included; each entry still names its own
-    x and y.  Entries with x = e are exactly 1 and share one result of
-    their own.  Bound constants are likewise
-    computed once per key pair of x and x^-1.
+    pair; each entry still names its own x and y.  Entries with x = e are
+    exactly 1 and share one result of their own.  Bound constants are
+    likewise computed once per key pair of x and x^-1.
     """
 
     def __init__(self, cache: PowersCache, rho_hat: float):
@@ -188,9 +186,7 @@ class KernelTable:
                 cache.transition_key(x, y), cache.column_key(y))
             base = self._computed.get(key)
             if base is None:
-                base = estimate_H(self.cache, x, y)
-                base.raw_tail.flags.writeable = False
-                self._computed[key] = base
+                base = self._computed[key] = estimate_H(self.cache, x, y)
             entry = self._entries[(x, y)] = replace(base, x=x, y=y)
         return entry
 

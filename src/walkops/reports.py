@@ -4,6 +4,8 @@ Every report records what was checked (inputs), the individual residuals,
 a machine verdict with its tolerances, and provenance (cache depth,
 rho_hat, acceleration, window parameters) so emitted numbers can be
 re-audited.  Serialization is deterministic: sorted keys, repr floats.
+JSON is encoded and written in chunks, so no report is held whole as text;
+every file appears complete or not at all (temp file + rename).
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import csv
 import io
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 
 @dataclass
@@ -55,24 +57,35 @@ _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=_jsonable)
 dumps = _ENCODER.encode
 
 
-def write_text_atomic(path: str, text: str):
-    """Write via a temp file + rename so partial outputs never appear.
+# chunks joined per write: one write per chunk costs time, one join of them
+# all holds the whole text at once
+_WRITE_BATCH = 4096
+
+
+def _write_atomic(path: str, chunks) -> None:
+    """Write the text chunks via a temp file + rename so partial outputs
+    never appear.
 
     The temp file is unique and sits in the target directory, so concurrent
     writers of one path never share it and the rename stays on one file
-    system; the last rename wins with a complete file.
+    system; the last rename wins with a complete file.  It is created with
+    mode 0o666 less the process umask, as a plain open() would create it.
     """
     target_dir = os.path.dirname(os.path.abspath(path))
     os.makedirs(target_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=target_dir, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
-    )
+    prefix = os.path.join(target_dir, f".{os.path.basename(path)}.")
+    while True:
+        tmp = f"{prefix}{os.urandom(6).hex()}.tmp"
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            # mkstemp creates the file private (0600); give the output the
-            # mode a plain open() would have
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())
-            fh.write(text)
+            chunks = iter(chunks)
+            while batch := list(islice(chunks, _WRITE_BATCH)):
+                fh.write("".join(batch))
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -82,15 +95,15 @@ def write_text_atomic(path: str, text: str):
         raise
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
+def write_text_atomic(path: str, text: str):
+    """Write ``text`` to ``path``, complete or not at all."""
+    _write_atomic(path, (text,))
 
 
 def write_json(path: str, payload) -> None:
-    # a DiagnosticsReport encodes as its as_dict()
-    write_text_atomic(path, dumps(payload) + "\n")
+    # a DiagnosticsReport encodes as its as_dict(); the text is encoded
+    # while it is written, never held whole
+    _write_atomic(path, chain(_ENCODER.iterencode(payload), ("\n",)))
 
 
 def rows_to_csv(rows: list[dict], columns: list[str]) -> str:

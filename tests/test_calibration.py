@@ -32,6 +32,11 @@ def drift_z_cache(lattice1):
     return w.convolution_powers(lattice1, mu, 2000)
 
 
+@pytest.fixture(scope="module")
+def lazy_z_deep_cache(lattice1, lazy_z):
+    return w.convolution_powers(lattice1, lazy_z, 2000)
+
+
 def _rho(exact):
     """The spectral estimate as one interval rho_hat +- spread."""
     def values(cache):
@@ -52,6 +57,26 @@ def _ray_log_values(cache):
     return out
 
 
+def _level_masses(cache):
+    """mu^{*m}(G) = 1 on every level of a probability measure; every tenth
+    level is read (2000 and 1570, where the error first passes 1e-10,
+    among them).  The level's far tail falls below its one log scale's
+    double range and is lost, 8.9e-3 of the mass at m = 2000."""
+    return [(mass, mass, mass, 1.0)
+            for mass in map(cache.level_mass, range(0, cache.depth + 1, 10))]
+
+
+def _lazy_z_log_values(cache):
+    """log mu^{*m}((m,)) = m log(1/4) on the lazy Z walk, (0) 1/2, (+-1) 1/4:
+    the only path to (m,) steps +1 m times.  Exact to 1.6e-16 at m = 500;
+    at m = 600 the entry is absent (-inf), as on the F2 ray."""
+    out = []
+    for m in (100, 500, 600, 1000, 2000):
+        v = cache.log_value(m, (m,))
+        out.append((v, v, v, m * math.log(1 / 4)))
+    return out
+
+
 @dataclass(frozen=True)
 class Row:
     cache: str                # fixture that builds the walk's cache
@@ -69,6 +94,9 @@ ROWS = {
     "rho-lazy-z2-M256": Row("lazy_z2_cache", _rho(RHO_LAZY_Z2), 1.0, 1e-12, math.inf,
                             item=15),
     "ray-log-lazy-f2-M2000": Row("f2_cache", _ray_log_values, 0.0, 0.0, 1e-12, item=1),
+    "level-mass-lazy-f2-M2000": Row("f2_cache", _level_masses, 0.0, 0.0, 1e-10, item=1),
+    "ray-log-lazy-z-M2000": Row("lazy_z_deep_cache", _lazy_z_log_values, 0.0, 0.0, 1e-12,
+                                item=1),
 }
 
 

@@ -207,6 +207,31 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert set(report["jobs"]) == {"fock", "covariance"}
 
 
+def test_report_leaves_numpy_ma_unloaded(tmp_path):
+    """A seven-job report loads no numpy.ma module beyond those ``import
+    numpy`` loads alone (which numpy.ma loads depends on the numpy
+    version; numpy 2.4's np.unique imports it)."""
+    ma_loaded = ("sorted(m for m in sys.modules "
+                 "if m == 'numpy.ma' or m.startswith('numpy.ma.'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(walkops.__file__).parents[1])}
+    code = f"import json, sys, numpy; print(json.dumps({ma_loaded}))"
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    baseline = set(json.loads(run.stdout))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(FREE2_CFG, encoding="utf-8")
+    argv = ["report", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = ("import json, sys; from walkops.cli import main; "
+            f"rc = main({argv!r}); print(json.dumps([rc, {ma_loaded}]))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    rc, loaded = json.loads(run.stdout)
+    assert rc == 0
+    assert set(loaded) <= baseline, sorted(set(loaded) - baseline)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report["jobs"]) == 7
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs /proc/self/task to count threads")
 def test_import_pins_one_blas_thread(tmp_path):

@@ -120,8 +120,8 @@ def test_bound_constant_containment(f2_cache, f2_spectral, free2):
         bc = w.bound_constants(f2_cache, x, f2_spectral.rho_hat)
         assert 0.0 < bc.c <= bc.C
         for y in [(), (1,), (2, 1)]:
-            ms, rs = w.ratio_sequence(f2_cache, x, y)
-            tail = rs[ms >= max(bc.n_plus, bc.n_minus) + 50]
+            ms, ls = w.log_ratio_sequence(f2_cache, x, y)
+            tail = np.exp(ls[ms >= max(bc.n_plus, bc.n_minus) + 50])
             assert np.all(tail <= bc.C * (1 + 1e-9)), (x, y)
             assert np.all(tail >= bc.c * (1 - 1e-9)), (x, y)
 

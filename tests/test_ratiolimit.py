@@ -1,6 +1,7 @@
 """Ratio-limit kernel, radical, metrics, traces and the identity checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ SQRT3 = math.sqrt(3.0)
 # ---------------------------------------------------------------------------
 
 def test_ratio_sequence_identity_row(lazy_z_cache):
-    ms, rs = w.ratio_sequence(lazy_z_cache, (0,), (5,))
-    assert np.all(rs == 1.0)
+    ms, ls = w.log_ratio_sequence(lazy_z_cache, (0,), (5,))
+    assert np.all(ls == 0.0)
 
 
 def test_ratio_sequence_lazy_z_trend(lazy_z_cache):
-    ms, rs = w.ratio_sequence(lazy_z_cache, (1,), (0,))
+    ms, ls = w.log_ratio_sequence(lazy_z_cache, (1,), (0,))
+    rs = np.exp(ls)
     # exact DP: ratios pull toward 1 with the expected monotone trend
     tail = rs[ms >= 200]
     assert abs(tail[-1] - 1.0) < abs(rs[9] - 1.0)
@@ -33,20 +35,20 @@ def test_ratio_sequence_rejects_periodic(lattice1):
     srw = w.parse_measure("(1) 1/2\n(-1) 1/2", lattice1)
     cache = w.convolution_powers(lattice1, srw, 32)
     with pytest.raises(PreconditionError):
-        w.ratio_sequence(cache, (1,), (0,))
+        w.log_ratio_sequence(cache, (1,), (0,))
 
 
 def test_ratio_sequence_unreached(lazy_z_cache):
     with pytest.raises(CoverageError):
-        w.ratio_sequence(lazy_z_cache, (1,), (500,))
+        w.log_ratio_sequence(lazy_z_cache, (1,), (500,))
 
 
 def test_ratio_tail_in_bound_constants(f2_cache, f2_spectral):
     # c_x <= mu^{*m}(x^-1 y)/mu^{*m}(y) <= C_x for large m
     bc = w.bound_constants(f2_cache, (1,), f2_spectral.rho_hat)
     assert 0 < bc.c <= bc.C
-    ms, rs = w.ratio_sequence(f2_cache, (1,), ())
-    tail = rs[ms >= 100]
+    ms, ls = w.log_ratio_sequence(f2_cache, (1,), ())
+    tail = np.exp(ls[ms >= 100])
     assert np.all(tail <= bc.C * (1 + 1e-9))
     assert np.all(tail >= bc.c * (1 - 1e-9))
 
@@ -112,9 +114,9 @@ def test_kernel_entry_bookkeeping(f2_table):
     assert entry.accelerated
     assert entry.lo <= entry.estimate <= entry.hi
     assert entry.m_window[1] == 2000
-    assert len(entry.raw_tail) > 100
-    m0, r0 = entry.raw_tail[0]
-    assert r0 > 0
+    assert entry.lo > 0
+    # the accelerated window spans the ladder: depth // 16 up to the depth
+    assert entry.m_window == (125, 2000)
 
 
 def test_kernel_table_entries_match_fresh_estimates(f2_cache, f2_spectral, free2):
@@ -129,9 +131,7 @@ def test_kernel_table_entries_match_fresh_estimates(f2_cache, f2_spectral, free2
             assert (entry.x, entry.y) == (x, y)
             for name in ("estimate", "lo", "hi", "m_window", "accelerated"):
                 assert getattr(entry, name) == getattr(fresh, name), (x, y, name)
-            assert entry.raw_tail.dtype == fresh.raw_tail.dtype
-            assert entry.raw_tail.shape == fresh.raw_tail.shape
-            assert entry.raw_tail.tobytes() == fresh.raw_tail.tobytes()
+            assert entry == fresh
             assert table.get(x, y) is entry
 
 
@@ -144,10 +144,10 @@ def test_kernel_table_identity_entry_kept_apart(f2_cache, f2_spectral):
         got = {x: table.get(x, a) for x in order}
         exact = got[e]
         assert [exact.lo, exact.hi] == [1.0, 1.0] and exact.estimate == 1.0
-        assert not exact.accelerated and len(exact.raw_tail) == 0
+        assert not exact.accelerated and exact.m_window == (0, f2_cache.depth)
         ladder = got[ab]
-        assert ladder.accelerated and len(ladder.raw_tail) > 100
-        assert ladder.m_window[1] == f2_cache.depth
+        assert ladder.accelerated
+        assert ladder.m_window == (f2_cache.depth // 16, f2_cache.depth)
 
 
 def test_kernel_table_identity_entry_on_tracked_cache(lattice1, lazy_z):
@@ -162,30 +162,31 @@ def test_kernel_table_identity_entry_on_tracked_cache(lattice1, lazy_z):
     assert table.get((0,), (9,)).estimate == 1.0
     got, want = table.get((1,), (9,)), full.get((1,), (9,))
     assert (got.estimate, got.lo, got.hi) == (want.estimate, want.lo, want.hi)
-    assert got.raw_tail.tobytes() == want.raw_tail.tobytes()
+    got_seq = w.log_ratio_sequence(cache, (1,), (9,))
+    want_seq = w.log_ratio_sequence(full_cache, (1,), (9,))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got_seq, want_seq))
 
 
-def test_kernel_table_raw_tail_read_only(f2_cache, f2_spectral):
+def test_kernel_table_entry_shared_per_key_pair(f2_cache, f2_spectral):
     table = w.KernelTable(f2_cache, rho_hat=f2_spectral.rho_hat)
     entry = table.get((1,), (1, 2))
-    assert not entry.raw_tail.flags.writeable
-    with pytest.raises(ValueError):
-        entry.raw_tail[0, 1] = 0.0
-    # (abb, ab) has the key pair of (a, ab): one shared tail
-    assert table.get((1, 2, 2), (1, 2)).raw_tail is entry.raw_tail
+    # (abb, ab) has the key pair of (a, ab): the same numbers, its own x
+    other = table.get((1, 2, 2), (1, 2))
+    assert (other.x, other.y) == ((1, 2, 2), (1, 2))
+    assert replace(other, x=entry.x) == entry
 
 
 def test_kernel_table_one_ratio_sequence_per_key_pair(f2_cache, f2_spectral, free2,
                                                      monkeypatch):
     desc, key_of = f2_cache.descriptor, f2_cache.column_key
     seen = []
-    real = w.ratiolimit.ratio_sequence
+    real = w.ratiolimit.log_ratio_sequence
 
     def counted(cache, x, y):
         seen.append((key_of(desc.multiply(desc.inverse(x), y)), key_of(y)))
         return real(cache, x, y)
 
-    monkeypatch.setattr(w.ratiolimit, "ratio_sequence", counted)
+    monkeypatch.setattr(w.ratiolimit, "log_ratio_sequence", counted)
     table = w.KernelTable(f2_cache, rho_hat=f2_spectral.rho_hat)
     ball = free2.ball(2)
     for x in ball:

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import walkops
-from walkops.reports import DiagnosticsReport, _jsonable, dumps
+from walkops.reports import (DiagnosticsReport, _jsonable, dumps, write_json,
+                             write_text_atomic)
 from walkops.spectral import SpectralEstimate
 
 # each writer rewrites the path for two seconds, far longer than the skew
@@ -50,19 +51,28 @@ def test_two_processes_write_one_path(tmp_path):
     assert os.listdir(tmp_path) == ["shared.json"]
 
 
-def test_dumps_matches_json_dumps():
-    """The encoder writes json.dumps' bytes on a large payload: tuples,
-    nested as_dict objects, non-ASCII text, inf and nan."""
-    report = DiagnosticsReport(
+def _report():
+    return DiagnosticsReport(
         name="n\u00e4me", inputs={"pair": ("a", "b")}, residuals=[],
         passed=True, verdict="ok", tolerances={"t": math.inf}, provenance={},
         extra={"estimate": SpectralEstimate(0.5, "extrapolated", (1, 9), 1e-9)})
-    payload = {
+
+
+def _payload(report):
+    """A large payload: tuples, nested as_dict objects, non-ASCII text,
+    inf and nan."""
+    return {
         "rows": [{"x": (i, -i), "r": i / 7, "w": "\u03c1\u00b2"} for i in range(3000)],
         "report": report,
         "bad": [math.nan, -math.inf, {"deep": ((1, 2), [report])}],
         "empty": ([], {}, ""),
     }
+
+
+def test_dumps_matches_json_dumps():
+    """The encoder writes json.dumps' bytes on a large payload."""
+    report = _report()
+    payload = _payload(report)
     assert dumps(payload) == json.dumps(payload, sort_keys=True, indent=2,
                                         default=_jsonable)
     # a report encodes as its as_dict(), which write_json relies on
@@ -79,3 +89,41 @@ def test_dumps_rejects_values_without_as_dict(value):
         dumps({"value": value})
     with pytest.raises(TypeError, match="is not JSON serializable"):
         _jsonable(value)
+
+
+def test_write_json_matches_json_dumps(tmp_path):
+    """The file write_json writes in chunks holds json.dumps' bytes and a
+    newline, and no temp file is left."""
+    payload = _payload(_report())
+    path = tmp_path / "payload.json"
+    write_json(str(path), payload)
+    want = json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+    assert os.listdir(tmp_path) == ["payload.json"]
+
+
+def test_write_json_encoding_error_leaves_no_file(tmp_path):
+    """A payload that fails to encode part way, after more than one batch
+    of chunks is written, leaves neither the target nor a temp file."""
+    payload = {"a": _payload(_report()), "z": object()}
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        write_json(str(tmp_path / "bad.json"), payload)
+    assert os.listdir(tmp_path) == []
+
+
+def test_atomic_write_applies_umask_without_setting_it(tmp_path, monkeypatch):
+    """Under umask 0o027 an output file has mode 0o640, and the write never
+    calls os.umask (a call would change the mask for every thread)."""
+    old = os.umask(0o027)
+    try:
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        write_text_atomic(str(tmp_path / "out.txt"), "text\n")
+        write_json(str(tmp_path / "out.json"), {"a": 1})
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    for name in ("out.txt", "out.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o640
