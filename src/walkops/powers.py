@@ -18,12 +18,17 @@ level.  Three engines share one query interface:
 * ``generic``    anything else: a table of the descriptor's element
                  arrays, each in the narrowest integer dtype that holds it,
                  with an exact hash index; gathers from it cost O(batch),
-                 widened to int64 for the group law; the frontier is
-                 interned in blocks of 2^13 sources, one ``mul_encoded``
-                 batch per support element per block, narrowed as it is
-                 made, and a lookup gathers and compares 2^13 candidates
-                 at a time; scatter-add over int32 ids, 2^13 level rows at
-                 a time
+                 widened to int64 for the group law; a step table of the
+                 id of each element times each support element, whose
+                 identity entries and inverse entries (g s^-1 = h once
+                 h s = g is interned) the group axioms fill, so only the
+                 rest is multiplied, checked and interned, which moves no
+                 id and no bit; the frontier is interned in blocks of 2^13
+                 sources, one ``mul_encoded`` batch per support element
+                 per block, narrowed as it is made, the step table growing
+                 in place once per block, and a lookup gathers and
+                 compares 2^13 candidates at a time; scatter-add over
+                 int32 ids, 2^13 level rows at a time
 
 An entry of mu^{*m} "exists" exactly when it is present/positive in the
 level storage; zeros are never stored.  Each level keeps mantissas with a
@@ -784,17 +789,27 @@ class GenericPowers(PowersCache):
 
     The element table is the descriptor's element arrays at their packed
     width (``_ElementTable``); ids, level ids and the step table are int32.
-    A step takes the elements of the level that have no row yet in blocks
-    of ``_HASH_BLOCK`` (2^13), in id order; it gathers a block from the
-    table as int64, multiplies it by each support element in one
-    ``mul_encoded`` batch, narrows each batch to the ``_narrowest`` widths
-    of its values, checks the products with ``check_encoded`` and interns
-    them before the next block; the lookup and the appends gather the
-    products ``_HASH_BLOCK`` at a time.  New ids follow first appearance
-    over (source id, support element), row-major, so ids, scatter order
-    and level bits depend neither on the hash nor on the block size.  The
-    step table grows, at most once per level, to the element table's size.
-    The level is then scattered ``_HASH_BLOCK`` rows at a time, in order,
+    The step table holds the id of each element times each support element.
+    The group axioms give some entries without a product: every element
+    times the identity is itself, and when h times support element s is
+    interned as g, g times s^-1 is h, which fills that entry of g's row
+    wherever s^-1 is also in the support.  A step takes the elements of the
+    level whose rows still have unknown entries in blocks of
+    ``_HASH_BLOCK`` (2^13), in id order; for each support element it
+    gathers from the table, as int64, the sources of the block whose entry
+    is unknown, multiplies them in one ``mul_encoded`` batch and narrows
+    the batch to the ``_narrowest`` widths of its values; it checks the
+    products with ``check_encoded`` and interns them before the next block;
+    the lookup and the appends gather the products ``_HASH_BLOCK`` at a
+    time.  New ids follow first appearance over (source id, support
+    element), row-major.  A filled entry names an element already in the
+    table, so skipping it drops no new element and moves none, and ids,
+    scatter order and level bits are those of multiplying every pair; they
+    depend neither on the hash nor on the block size.  A support with
+    neither the identity nor an inverse pair fills nothing.  The step table
+    grows in place (``_grow``) to the element table's size once per block,
+    since a filled entry can name an element its block interned.  The
+    level is then scattered ``_HASH_BLOCK`` rows at a time, in order,
     which adds in the order of one whole-level scatter, into a table-sized
     accumulator that becomes the level's values (``_compact_positive``).
     A level's mass is summed on the first ``level_mass`` call and
@@ -808,11 +823,12 @@ class GenericPowers(PowersCache):
         self._setup()
         self._levels.append(_Level(np.array([0], dtype=np.int32), np.array([1.0]), 0.0))
         # the step table, scratch for the build: rows[i, j] is the id of
-        # element i times support element j, -1 until computed
-        rows = np.full((self._table.size, len(self._mu_elems)), -1, dtype=np.int32)
+        # element i times support element j, -1 until known
+        rows = np.empty((0, len(self._mu_elems)), dtype=np.int32)
+        self._grow(rows)
         for m in range(1, depth + 1):
             try:
-                rows = self._ensure_rows(rows, self._levels[-1].ids)
+                self._ensure_rows(rows, self._levels[-1].ids)
                 self._step(rows, support_cap)
             except BudgetExceededError as exc:
                 self.complete = False
@@ -828,27 +844,45 @@ class GenericPowers(PowersCache):
         desc.check(*self._mu_elems)
         self._mu_vals = np.array([v for _, v in items])
         self._mu_ls = self.mu.log_scale
+        # the support position of each support element's inverse and of the
+        # identity, -1 where the support lacks it
+        position = {g: j for j, g in enumerate(self._mu_elems)}
+        self._mu_inv = [position.get(desc.inverse(g), -1) for g in self._mu_elems]
+        self._mu_identity = position.get(desc.identity(), -1)
         self._table = _ElementTable(desc, desc.encode_elements([desc.identity()]))
         self._levels: list = []
 
+    def _grow(self, rows):
+        """Grow the step table ``rows`` in place to the element table's size.
+        A new row is -1 but for its identity entry, which is its own id.  No
+        view of the table outlives a call (every read of it is a fancy-index
+        copy), so no reference can dangle."""
+        old = len(rows)
+        rows.resize((self._table.size, rows.shape[1]), refcheck=False)
+        rows[old:] = -1
+        if self._mu_identity >= 0:
+            rows[old:, self._mu_identity] = np.arange(old, len(rows))
+
     def _ensure_rows(self, rows, ids):
-        """The step table ``rows`` with a row for every id of ``ids``, grown
-        to the element table's size when the table gains elements.  Missing
-        rows are made ``_HASH_BLOCK`` sources at a time, in id order, so
-        products first appear row-major (by source id, then by support
-        element) as they would in one batch."""
+        """Complete the step table's row of every id of ``ids``.  The
+        entries still -1 are made ``_HASH_BLOCK`` sources at a time, in id
+        order, so products first appear row-major (by source id, then by
+        support element) as they would in one batch: an entry already
+        known names an element already in the table.  Each product h s_j
+        interned as id g also gives rows[g, inv(j)] = h."""
         desc = self.descriptor
-        k = len(self._mu_elems)
-        missing = ids[rows[ids, 0] < 0]
+        missing = ids[(rows[ids] < 0).any(axis=1)]
         for lo in range(0, len(missing), _HASH_BLOCK):
             block = missing[lo:lo + _HASH_BLOCK]
-            frontier = self._table.take(block)
+            # the (support element, source) pairs still unknown; products
+            # are made and joined support element first
+            todo = (rows[block] < 0).T
             # each batch is narrowed as it is made (the group law ran in
             # int64) and its arrays are dropped as they are joined
             batches = [{key: arr.astype(_narrowest(arr), copy=False)
-                        for key, arr in desc.mul_encoded(frontier, s).items()}
-                       for s in self._mu_elems]
-            del frontier
+                        for key, arr in desc.mul_encoded(
+                            self._table.take(block[sources]), s).items()}
+                       for s, sources in zip(self._mu_elems, todo) if sources.any()]
             products = {key: np.concatenate([batch.pop(key) for batch in batches])
                         for key in list(batches[0])}
             try:
@@ -857,18 +891,18 @@ class GenericPowers(PowersCache):
                 raise DescriptorMismatchError(
                     f"the group law of {desc.spec_string()} made a non-canonical "
                     f"element: {exc}") from exc
-            # products[j * n + i] = element block[i] times support element j
-            n = len(block)
-            found = self._table.intern(
-                products, seen=np.arange(n * k).reshape(k, n).T.ravel())
-            # every source id is below the size the table had at the last
-            # growth, so its row is already there
-            rows[block] = found.reshape(k, n).T
-        if self._table.size > rows.shape[0]:
-            grown = np.full((self._table.size, k), -1, dtype=np.int32)
-            grown[: rows.shape[0]] = rows
-            rows = grown
-        return rows
+            # made[j, i]: the position of block[i] times support element j
+            # among the products, then its id
+            made = np.zeros(todo.shape, dtype=np.int32)
+            made[todo] = np.arange(np.count_nonzero(todo), dtype=np.int32)
+            made[todo] = self._table.intern(products, seen=made.T[todo.T])
+            del products
+            # a filled entry can name an element this block interned
+            self._grow(rows)
+            for j, sources in enumerate(todo):
+                rows[block[sources], j] = made[j, sources]
+                if self._mu_inv[j] >= 0:
+                    rows[made[j, sources], self._mu_inv[j]] = block[sources]
 
     def _step(self, rows, support_cap):
         level = self._levels[-1]

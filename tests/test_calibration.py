@@ -77,6 +77,18 @@ def _lazy_z_log_values(cache):
     return out
 
 
+def _H(exact):
+    """Every H(x, y) entry over x, y in ball(2) with its interval, against
+    ``exact(x, y)``; the kernel table reads the spectral estimate of rho,
+    as the CLI's does.  An x = e entry is exactly 1 and holds it."""
+    def values(cache):
+        table = w.KernelTable(cache, rho_hat=w.spectral_radius(cache).rho_hat)
+        ball = cache.descriptor.ball(2)
+        entries = [table.get(x, y) for x in ball for y in ball]
+        return [(e.estimate, e.lo, e.hi, exact(e.x, e.y)) for e in entries]
+    return values
+
+
 @dataclass(frozen=True)
 class Row:
     cache: str                # fixture that builds the walk's cache
@@ -97,6 +109,16 @@ ROWS = {
     "level-mass-lazy-f2-M2000": Row("f2_cache", _level_masses, 0.0, 0.0, 1e-10, item=1),
     "ray-log-lazy-z-M2000": Row("lazy_z_deep_cache", _lazy_z_log_values, 0.0, 0.0, 1e-12,
                                 item=1),
+    # the tree local limit's ratio-limit kernel
+    "H-lazy-f2-M2000": Row("f2_cache", _H(lambda x, y: w.closed_form_H_free_isotropic(2, x, y)),
+                           1.0, 1e-3, math.inf, item=3),
+    # e^(theta* x) with theta* = log(1/2)/2, the tilt minimizing the step's
+    # exponential moment
+    "H-drift-z-M2000": Row("drift_z_cache", _H(lambda x, y: 0.5 ** (x[0] / 2)),
+                           1.0, 1e-3, math.inf, item=3),
+    # a symmetric walk on Z^2: theta* = 0
+    "H-lazy-z2-M256": Row("lazy_z2_cache", _H(lambda x, y: 1.0), 1.0, 1e-3, math.inf,
+                          item=3),
 }
 
 

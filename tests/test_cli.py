@@ -151,6 +151,96 @@ def test_report_tree_is_pinned(cfg_file, tmp_path):
     assert _tree_sha256(out) == REPORT_SHA256
 
 
+# an all-jobs report small enough to run in well under a second; {e} is the
+# identity, {s} the boundary ray and {t} the other end of the metric pair
+ENGINE_REPORT_CFG = """
+[group]
+family = {family}
+
+[measure]
+inline =
+{measure}
+
+[walk]
+depth = {depth}
+
+[kernel]
+x_radius = 1
+y_radius = 1
+
+[radical]
+ball_radius = 1
+probe_radius = 1
+
+[metric]
+pairs = {s} {t}
+ball_radius = 1
+
+[boundary]
+ray = {s}
+k_min = 3
+k_max = 5
+probe_radius = 1
+ball_radius = 1
+tolerance = 0.1
+
+[fock]
+max_level = 4
+x_radius = 1
+z_radius = 1
+interior_margin = 1
+n = 1
+x = {e}
+y = {s}
+
+[covariance]
+g = {s}
+zeta = -1
+n = 1
+x = {e}
+y = {s}
+
+[report]
+jobs = spectrum kernel radical metric boundary fock covariance
+"""
+
+# engine: (its report config, the sha256 of its report tree as
+# ``_tree_sha256`` hashes it, computed when the generic engine still
+# multiplied every (source, support element) pair of its step table)
+ENGINE_REPORT_PINS = {
+    "generic": (ENGINE_REPORT_CFG.format(
+        family="lamplighter(1)", depth=14, e="(0,{})", s="(1,{})", t="(0,{0})",
+        measure="    (0,{}) 1/4\n    (1,{}) 1/4\n    (-1,{}) 1/4\n    (0,{0}) 1/4"),
+        "8d446ac92419d5cf61fa1562723b2d7d9ef3811f3efa21e869b60acd0ee01f1f"),
+    "dense": (ENGINE_REPORT_CFG.format(
+        family="lattice(2)", depth=64, e="(0,0)", s="(1,0)", t="(0,1)",
+        measure="    (0,0) 1/2\n    (1,0) 1/8\n    (-1,0) 1/8\n    (0,1) 1/8\n"
+                "    (0,-1) 1/8"),
+        "a7c8f1a337648f89914c7a313971e0cc9131364e76ab97b25f5c9f72a96bd325"),
+    "radial-lattice": (ENGINE_REPORT_CFG.format(
+        family="product(free(2),lattice(1))", depth=64, e="(e|(0))", s="(a|(0))",
+        t="(e|(1))",
+        measure="    (e|(0)) 0.35\n    (a|(0)) 0.1\n    (A|(0)) 0.1\n    (b|(0)) 0.1\n"
+                "    (B|(0)) 0.1\n    (e|(1)) 0.125\n    (e|(-1)) 0.125"),
+        "ae9cd2adf56e9451f85b4bd4ed9634a5884767e104f0d50ee063abf21073eb64"),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_REPORT_PINS))
+def test_engine_report_tree_is_pinned(engine, tmp_path):
+    """Every engine's report bytes are pinned across source trees, as
+    FREE2_CFG's are for the ``radial`` engine: a change to how an engine
+    stores or steps its levels must leave every output byte as it was."""
+    text, pin = ENGINE_REPORT_PINS[engine]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "report.json").read_text())
+    assert summary["provenance"]["engine"] == engine and summary["all_passed"]
+    assert _tree_sha256(out) == pin, engine
+
+
 def test_report_builds_one_fock_window(cfg_file, tmp_path, monkeypatch):
     """fock and covariance share the run's one window."""
     import walkops.fock as fk

@@ -1712,6 +1712,71 @@ def test_generic_round_trip_peak_is_bounded(lamp1):
         assert back._levels[m].vals.tobytes() == cache._levels[m].vals.tobytes(), m
 
 
+def _counted_products(monkeypatch, desc):
+    """A list that gets the number of elements of each batch handed to
+    ``desc.mul_encoded``."""
+    counts = []
+    law, runs = desc.mul_encoded, desc.codec_runs()
+
+    def counted(arrays, s):
+        counts.append(len(next(arr for key, arr in arrays.items() if key not in runs)))
+        return law(arrays, s)
+
+    monkeypatch.setattr(desc, "mul_encoded", counted)
+    return counts
+
+
+def test_generic_fill_halves_the_products(monkeypatch):
+    """On the benchmark's seed-7 lamplighter(1) walk to depth 18, whose
+    support holds the identity and is closed under inverses, the step
+    table's entries that the group axioms give are not multiplied: at most
+    half of the 209,096 (source, support element) pairs reach the group
+    law."""
+    lamp = w.LamplighterGroup(1)
+    counts = _counted_products(monkeypatch, lamp)
+    cache = w.convolution_powers(lamp, w.parse_measure(LAMP_SEED7, lamp), 18,
+                                 engine="generic")
+    assert cache._table.size == 85_806
+    assert sum(counts) <= 209_096 // 2, sum(counts)
+
+
+@pytest.mark.parametrize("walk", ["no-identity-no-inverse", "symmetric-f2",
+                                  "reversed-product"])
+def test_generic_fill_keeps_levels_and_artifacts(monkeypatch, walk):
+    """Levels equal the ``measures.convolve`` reference and the artifact
+    round-trips, whether the group axioms fill nothing (a lamplighter(1)
+    support with neither the identity nor an inverse pair: every pair of
+    every source's row is multiplied, once) or part of the step table (a
+    symmetric, non-lazy, anisotropic F2 walk and the reversed product walk
+    of ``test_reversed_product_uses_generic_engine``: fewer products than
+    pairs)."""
+    lattice1, free2 = w.LatticeGroup(1), w.FreeGroup(2)
+    desc, text, depth = {
+        "no-identity-no-inverse": (w.LamplighterGroup(1), "(1,{}) 1/2\n(1,{0}) 1/2", 8),
+        "symmetric-f2": (free2, "a 1/3\nA 1/3\nb 1/6\nB 1/6", 6),
+        "reversed-product": (
+            w.ProductGroup(lattice1, free2),
+            "((0)|e) 0.35\n((0)|a) 1/10\n((0)|A) 1/10\n((0)|b) 1/10\n((0)|B) 1/10\n"
+            "((1)|e) 1/8\n((-1)|e) 1/8", 4),
+    }[walk]
+    mu = w.parse_measure(text, desc)
+    counts = _counted_products(monkeypatch, desc)
+    cache = w.convolution_powers(desc, mu, depth, engine="generic")
+    sources = np.unique(np.concatenate([level.ids for level in cache._levels[:-1]]))
+    pairs = len(sources) * len(mu.support)
+    if walk == "no-identity-no-inverse":
+        assert sum(counts) == pairs
+    else:
+        assert sum(counts) < pairs
+    _assert_matches_convolve(cache, desc, mu)
+    text = w.export_cache_json(cache)
+    back = w.import_cache_json(text)
+    assert w.export_cache_json(back) == text
+    for m in range(depth + 1):
+        assert back.level_measure(m) == cache.level_measure(m), m
+        assert back.level_mass(m) == cache.level_mass(m), m
+
+
 def test_generic_import_keeps_packed_width(lamp1, lamp_mu):
     """The artifact packs small integers in 8 bits, and the element table,
     built or imported, keeps them at that width, while the table's ``take``
