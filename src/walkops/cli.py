@@ -177,7 +177,8 @@ def cmd_spectrum(ws: Workspace) -> int:
     payload["measure_symmetric"] = report.symmetric
     payload["provenance"] = ws.provenance(acceleration="richardson-harmonic")
     write_json(ws.path("spectrum.json"), payload)
-    rows = [{"m": m, "ratio": r} for m, r in est.ratios]
+    ms, rs = est.ratios
+    rows = [{"m": m, "ratio": r} for m, r in zip(ms.tolist(), rs.tolist())]
     write_csv(ws.path("ratio_tail.csv"), rows, ["m", "ratio"])
     return 0
 

@@ -40,12 +40,12 @@ from .reports import DiagnosticsReport
 EXACT_TOL = 1e-12
 
 
-_NO_POSITIONS = np.zeros(0, dtype=np.intp)
+_NO_POSITIONS = np.zeros(0, dtype=np.int32)
 
 
 def _positions_by(ids: np.ndarray, count: int) -> list:
-    """Ascending positions of each id in 0..count-1 within ``ids``."""
-    order = np.argsort(ids, kind="stable")
+    """Ascending positions (int32) of each id in 0..count-1 within ``ids``."""
+    order = np.argsort(ids, kind="stable").astype(np.int32)
     return np.split(order, np.cumsum(np.bincount(ids, minlength=count))[:-1])
 
 
@@ -54,7 +54,8 @@ class FockWindow:
 
     The basis lives in integer arrays: ``level``, ``row`` (position of x in
     ``x_elems``) and ``fiber`` (position of z in ``z_elems``), in (m, x, z)
-    order; ``position(m, x, z)`` finds a vector by key.
+    order; ``position(m, x, z)`` finds a vector by key.  These and
+    ``select``'s result are intp; the private position tables are int32.
     """
 
     def __init__(self, cache: PowersCache, max_level: int, x_radius: int,
@@ -84,8 +85,8 @@ class FockWindow:
         self.level, self.row, self.fiber = np.nonzero(present)
         self._basis_log_p = log_p[present]  # P(e^(m)_{x,z}) = P^(m)_{x,z}, in basis order
         # basis position of each present (level, row, fiber), -1 elsewhere
-        self._pos = np.full(present.shape, -1, dtype=np.intp)
-        self._pos[present] = np.arange(len(self.level), dtype=np.intp)
+        self._pos = np.full(present.shape, -1, dtype=np.int32)
+        self._pos[present] = np.arange(len(self.level), dtype=np.int32)
         # ascending basis positions per row and per fiber; the basis is
         # level-major, so levels are non-decreasing along each
         self._by_row = _positions_by(self.row, len(self.x_elems))
@@ -133,13 +134,14 @@ class FockWindow:
 
     def _kernel_weights(self, x, y, table, fibers: np.ndarray, weight) -> np.ndarray:
         """weight(H(x^-1 y, x^-1 z)) for each fiber position, one table
-        lookup per distinct fiber."""
+        lookup per distinct fiber, in ascending fiber order."""
         desc = self.descriptor
         xy = desc.multiply(desc.inverse(x), y)
         quot = self._left_quotients(x)
-        distinct, inverse = np.unique(fibers, return_inverse=True)
-        return np.array([weight(table.get(xy, quot[j]).estimate)
-                         for j in distinct.tolist()], dtype=float)[inverse]
+        by_fiber = np.zeros(len(self.z_elems))
+        for j in np.flatnonzero(np.bincount(fibers, minlength=len(by_fiber))).tolist():
+            by_fiber[j] = weight(table.get(xy, quot[j]).estimate)
+        return by_fiber[fibers]
 
     @property
     def size(self) -> int:
@@ -170,18 +172,19 @@ class FockWindow:
     def select(self, rows=None, fiber=None, level_lo=0, level_hi=None) -> np.ndarray:
         """Basis positions filtered by row set, column fiber and level band."""
         hi = self.max_level if level_hi is None else level_hi
-        if fiber is None:
-            cand = np.arange(self.size, dtype=np.intp)
+        if fiber is None:  # the basis is level-major: the band is a range
+            cand = np.arange(np.searchsorted(self.level, level_lo, "left"),
+                             np.searchsorted(self.level, hi, "right"), dtype=np.intp)
         else:
             j = self._fiber_id.get(fiber)
             cand = _NO_POSITIONS if j is None else self._by_fiber[j]
-        levels = self.level[cand]
-        cand = cand[np.searchsorted(levels, level_lo, "left"):
-                    np.searchsorted(levels, hi, "right")]
+            levels = self.level[cand]
+            cand = cand[np.searchsorted(levels, level_lo, "left"):
+                        np.searchsorted(levels, hi, "right")]
         if rows is not None:
             ids = [self._row_id[r] for r in set(rows) if r in self._row_id]
             cand = cand[np.isin(self.row[cand], ids)]
-        return cand.copy()  # never a view of the window's own tables
+        return cand.astype(np.intp)  # a copy: never a view of the window's tables
 
     def spec_dict(self) -> dict:
         return {
@@ -215,14 +218,22 @@ class PartialPermutation:
     where target[c] = -1 (weight[c] is 0 there).  ``@``, ``.T``, scalar
     ``*`` and ``+`` keep this form, and the norm is exact."""
 
-    target: np.ndarray  # intp, -1 for an empty column
+    target: np.ndarray  # int32 from the builders, -1 for an empty column
     weight: np.ndarray  # float or complex, 0 for an empty column
 
     def __matmul__(self, other: PartialPermutation) -> PartialPermutation:
-        """One gather: column c goes through ``other``, then ``self``."""
-        inner = other.target  # -1 reads the appended empty column
-        return PartialPermutation(np.append(self.target, -1)[inner],
-                                  np.append(self.weight, 0)[inner] * other.weight)
+        """One gather: column c goes through ``other``, then ``self``.  The
+        columns ``other`` empties read self's last column and are then set
+        to -1 and 0 * other.weight, as an empty column of ``self`` gives."""
+        inner = other.target
+        empty = inner < 0
+        target = self.target[inner]
+        target[empty] = -1
+        weight = self.weight[inner].astype(
+            np.result_type(self.weight, other.weight), copy=False)
+        weight *= other.weight
+        np.multiply(other.weight, weight.dtype.type(0), out=weight, where=empty)
+        return PartialPermutation(target, weight)
 
     @property
     def T(self) -> PartialPermutation:
@@ -263,14 +274,18 @@ def defect_norms(a: PartialPermutation, b: PartialPermutation | None = None) -> 
     output norm of each basis vector, exactly: |w_a - w_b| where the two
     share a target, sqrt(|w_a|^2 + |w_b|^2) where they differ, the one
     weight present otherwise.  Squares are (w * conj w).real, summed as a
-    column of the difference matrix sums them."""
-    def squares(w):
-        return (w * w.conj()).real
+    column of the difference matrix sums them.  One output buffer holds
+    the squares and then the norms."""
+    def squares(w):  # in w's own buffer: w must be a fresh array
+        return np.multiply(w, w.conj(), out=w).real
 
     if b is None:
-        return np.sqrt(squares(a.weight))
-    return np.sqrt(np.where(a.target == b.target, squares(a.weight - b.weight),
-                            squares(a.weight) + squares(b.weight)))
+        out = squares(a.weight.copy())
+    else:
+        out = squares(a.weight - b.weight)
+        differ = a.target != b.target
+        out[differ] = squares(a.weight[differ]) + squares(b.weight[differ])
+    return np.sqrt(out, out=out)
 
 
 def operator_payload(window: FockWindow, op: PartialPermutation, label: str,
@@ -294,7 +309,7 @@ def _build(size: int, rows, cols, data) -> PartialPermutation:
     """The operator on ``size`` basis vectors with entries (rows[k], cols[k])
     -> data[k] (or the scalar data), one per column."""
     data = np.asarray(data)
-    target = np.full(size, -1, dtype=np.intp)
+    target = np.full(size, -1, dtype=np.int32)
     weight = np.zeros(size, dtype=data.dtype)
     target[cols] = rows
     weight[cols] = data
@@ -369,32 +384,47 @@ def build_E(window: FockWindow, x, y) -> PartialPermutation:
     return _build(window.size, rows, cols, 1.0)
 
 
+def _position_map(window: FockWindow, src: np.ndarray, dst: np.ndarray) -> PartialPermutation:
+    """The unit-weight map from the positions ``src`` to ``dst``, two
+    same-shaped slices of the position table, where both are in the window."""
+    keep = (src >= 0) & (dst >= 0)
+    return _build(window.size, dst[keep], src[keep], 1.0)
+
+
 def build_U_row(window: FockWindow, x) -> PartialPermutation:
-    """U_x: e^(m)_{x,z} -> e^(m+1)_{x,z} when the target exists."""
-    return build_U(window) @ build_projection(window, x)
+    """U_x = U p_x: e^(m)_{x,z} -> e^(m+1)_{x,z} when the target exists."""
+    i = window._row_id.get(x)
+    rows = [] if i is None else [i]
+    return _position_map(window, window._pos[:-1, rows], window._pos[1:, rows])
 
 
 def build_U(window: FockWindow) -> PartialPermutation:
-    """U = direct sum of the U_x over every row of the window."""
-    target = window.level + 1
-    cols = np.flatnonzero(target <= window.max_level)
-    rows = window._pos[target[cols], window.row[cols], window.fiber[cols]]
-    keep = rows >= 0
-    return _build(window.size, rows[keep], cols[keep], 1.0)
+    """U = direct sum of the U_x over every row of the window: each level
+    of the position table maps to the next."""
+    return _position_map(window, window._pos[:-1], window._pos[1:])
+
+
+def _diagonal_H(window: FockWindow, x, y, table, cols) -> PartialPermutation:
+    """The diagonal weight sqrt(H(x^-1 y, x^-1 w)) on the positions ``cols``
+    (every position when None) at which (y, w) is present."""
+    present_y = window._log_p_table(y) > NEG_INF
+    if cols is None:
+        cols = np.flatnonzero(present_y[window.level, window.fiber])
+    else:
+        cols = cols[present_y[window.level[cols], window.fiber[cols]]]
+    data = window._kernel_weights(x, y, table, window.fiber[cols], math.sqrt)
+    return _build(window.size, cols, cols, data)
 
 
 def build_Hop(window: FockWindow, z0, x, y, table) -> PartialPermutation:
     """H^(z0)_{x,y} = E_{z0,y} R_{x,y} E_{y,z0} = H_{x,y} p_z0: the diagonal
     weight sqrt(H(x^-1 y, x^-1 w)) on row z0, guarded by (y,w) presence."""
-    return build_H_diag(window, x, y, table) @ build_projection(window, z0)
+    return _diagonal_H(window, x, y, table, window._row_positions(z0))
 
 
 def build_H_diag(window: FockWindow, x, y, table) -> PartialPermutation:
     """H_{x,y} = direct sum over z0 of H^(z0)_{x,y} (acts on every row)."""
-    present_y = window._log_p_table(y) > NEG_INF
-    cols = np.flatnonzero(present_y[window.level, window.fiber])
-    data = window._kernel_weights(x, y, table, window.fiber[cols], math.sqrt)
-    return _build(window.size, cols, cols, data)
+    return _diagonal_H(window, x, y, table, None)
 
 
 def build_projection(window: FockWindow, x) -> PartialPermutation:
@@ -408,14 +438,12 @@ def build_Vg(window: FockWindow, g) -> PartialPermutation:
     restricted to pairs whose image stays in the window; one product per
     ball element."""
     mul = window.descriptor.multiply
-    r2 = np.array([window._row_id.get(mul(g, x), -1) for x in window.x_elems],
-                  dtype=np.intp)[window.row]
-    f2 = np.array([window._fiber_id.get(mul(g, z), -1) for z in window.z_elems],
-                  dtype=np.intp)[window.fiber]
-    cols = np.flatnonzero((r2 >= 0) & (f2 >= 0))
-    rows = window._pos[window.level[cols], r2[cols], f2[cols]]
-    keep = rows >= 0
-    return _build(window.size, rows[keep], cols[keep], 1.0)
+    r2 = np.array([window._row_id.get(mul(g, x), -1) for x in window.x_elems], dtype=np.intp)
+    f2 = np.array([window._fiber_id.get(mul(g, z), -1) for z in window.z_elems], dtype=np.intp)
+    rows, fibers = np.flatnonzero(r2 >= 0), np.flatnonzero(f2 >= 0)
+    src = window._pos[:, rows][:, :, fibers]
+    dst = window._pos[:, r2[rows]][:, :, f2[fibers]]
+    return _position_map(window, src, dst)
 
 
 def build_Uzeta(window: FockWindow, zeta) -> PartialPermutation:
@@ -424,12 +452,12 @@ def build_Uzeta(window: FockWindow, zeta) -> PartialPermutation:
     real = zeta.imag == 0.0
     phases = [zeta ** m for m in range(window.max_level + 1)]
     by_level = np.array([p.real for p in phases] if real else phases)
-    cols = np.arange(window.size, dtype=np.intp)
-    return _build(window.size, cols, cols, by_level[window.level])
+    return PartialPermutation(np.arange(window.size, dtype=np.int32),
+                              by_level[window.level])
 
 
 def identity_operator(window: FockWindow) -> PartialPermutation:
-    return PartialPermutation(np.arange(window.size, dtype=np.intp),
+    return PartialPermutation(np.arange(window.size, dtype=np.int32),
                               np.ones(window.size))
 
 
@@ -502,18 +530,26 @@ def matrix_unit_defects(window: FockWindow, triples, tol: float = EXACT_TOL) -> 
     )
 
 
+def _unitary_defects(window: FockWindow, u: PartialPermutation) -> list:
+    """Per-fiber rows for U*U - I and UU* - I above m_0 + 1.  The products
+    are formed one at a time, and U*, I and the products are freed on
+    return."""
+    u_adj, ident = u.T, identity_operator(window)
+    residuals = []
+    for left, right, label in ((u_adj, u, "U*U - I"), (u, u_adj, "UU* - I")):
+        residuals += _interior_defect_by_fiber(
+            window, defect_norms(left @ right, ident), window.x_elems,
+            extra_threshold=1, identity=label)
+    return residuals
+
+
 def unitary_and_commutation_defects(window: FockWindow, pairs, table,
                                     tol: float = EXACT_TOL) -> DiagnosticsReport:
     """U*U = I = UU* (above m_0 + 1), and E- and H-operators commute with U
     and with each other, above the per-fiber thresholds."""
     fmt = window.descriptor.format
     u = build_U(window)
-    ident = identity_operator(window)
-    residuals = []
-    for lhs, label in ((u.T @ u, "U*U - I"), (u @ u.T, "UU* - I")):
-        residuals += _interior_defect_by_fiber(
-            window, defect_norms(lhs, ident), window.x_elems, extra_threshold=1,
-            identity=label)
+    residuals = _unitary_defects(window, u)
     for x, y in pairs:
         e_op = build_E(window, x, y)
         h_op = build_H_diag(window, x, y, table)
@@ -641,19 +677,19 @@ def _translation_defect(window: FockWindow, s_op: PartialPermutation, g, n: int,
     """The largest column norm of V_g S^(n)_{x,y} - S^(n)_{gx,gy} V_g over
     the g-stable region, and the region's size."""
     desc = window.descriptor
-    sg_op = build_S(window, n, desc.multiply(g, x), desc.multiply(g, y))
     vg = build_Vg(window, g)
-    lhs = vg @ s_op
-    rhs = sg_op @ vg
+    rhs = build_S(window, n, desc.multiply(g, x), desc.multiply(g, y)) @ vg
     # inputs e^(m)_{r,w} with m + n in the window whose image e^(m)_{gr,gw}
     # under V_g is in the window, and, on row y (the only row S^(n)_{x,y}
     # moves), whose shifted image e^(m+n)_{gx,gw} under S_g V_g is too
-    stable = (window.level + n <= window.max_level) & (vg.target >= 0)
-    off_y = window.row != window._row_id.get(y, -1)
-    region = np.flatnonzero(stable & ((rhs.target >= 0) | off_y))
-    if len(region) == 0:
+    region = (window.level <= window.max_level - n) & (vg.target >= 0)
+    lhs = vg @ s_op
+    del vg  # freed before the norms are formed
+    region &= (rhs.target >= 0) | (window.row != window._row_id.get(y, -1))
+    size = int(np.count_nonzero(region))
+    if size == 0:
         raise PreconditionError("empty covariance comparison region")
-    return float(defect_norms(lhs, rhs)[region].max(initial=0.0)), int(len(region))
+    return float(defect_norms(lhs, rhs).max(initial=0.0, where=region)), size
 
 
 def _gauge_defect(window: FockWindow, s_op: PartialPermutation, zeta, n: int) -> float:

@@ -33,7 +33,9 @@ class SpectralEstimate:
     m_range: tuple
     spread: float
     period: int = 1
-    ratios: list = field(default_factory=list)  # raw (m, ratio) tail, for plots/audit
+    # the raw return-ratio tail, for plots and audit: two arrays (ms, rs),
+    # m and mu^{*(m+p)}(e)/mu^{*m}(e); left out of == (arrays have no truth value)
+    ratios: tuple = field(default=((), ()), compare=False)
 
     def as_dict(self):
         return {
@@ -67,7 +69,6 @@ def spectral_radius(cache: PowersCache) -> SpectralEstimate:
         raise PreconditionError("cache too shallow for spectral-radius ratios")
     half = np.searchsorted(ms, ms[-1] // 2)
     tail_ms, tail_rs = ms[half:], rs[half:]
-    raw = list(zip(ms.tolist(), rs.tolist()))
     if len(tail_ms) < 2:
         tail_ms, tail_rs = ms, rs
     if len(tail_ms) == 1 or tail_ms[-1] < 8:
@@ -78,7 +79,7 @@ def spectral_radius(cache: PowersCache) -> SpectralEstimate:
             m_range=(int(ms[0]), int(ms[-1])),
             spread=float(tail_rs.max() - tail_rs.min()),
             period=period,
-            ratios=raw,
+            ratios=(ms, rs),
         )
     extr = richardson_harmonic(tail_ms, tail_rs)
     window = max(4, len(extr) // 4)
@@ -92,7 +93,7 @@ def spectral_radius(cache: PowersCache) -> SpectralEstimate:
         m_range=(int(tail_ms[0]), int(tail_ms[-1])),
         spread=spread,
         period=period,
-        ratios=raw,
+        ratios=(ms, rs),
     )
 
 

@@ -24,6 +24,10 @@ RHO_LAZY_F2 = 1 / 5 + (4 / 5) * (math.sqrt(3) / 2)
 RHO_DRIFT_Z = 1 / 4 + 2 * math.sqrt(1 / 8)
 # a symmetric walk on an amenable group (Kesten's criterion)
 RHO_LAZY_Z2 = 1.0
+# the F2 x Z walk of criterion 5 is P = 0.35 I + 0.4 A_F (x) I + 0.25 I (x) A_Z
+# with commuting factors, the simple walk on each: ||A_F|| = sqrt(3)/2 by
+# Kesten and ||A_Z|| = 1
+RHO_CARTESIAN_F2Z = 0.35 + 0.4 * (math.sqrt(3) / 2) + 0.25
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +93,35 @@ def _H(exact):
     return values
 
 
+def _martin_ray_values(cache):
+    """The at-radius Martin kernel K(x, a^k) for x in ball(2) and k = 6..10,
+    against the tree's K(x, y) = sqrt(3)^(d(e,y) - d(x,y)); the table reads
+    the spectral estimate of rho and the fitted local-limit exponent."""
+    est = w.spectral_radius(cache)
+    table = w.MartinTable(cache, est.rho_hat, w.local_limit_exponent(cache, est),
+                          policy="at-radius")
+    desc = cache.descriptor
+    out = []
+    for k in range(6, 11):
+        y = (1,) * k
+        for x in desc.ball(2):
+            e = table.get(x, y)
+            d_xy = len(desc.multiply(desc.inverse(x), y))
+            out.append((e.estimate, e.lo, e.hi, math.sqrt(3) ** (k - d_xy)))
+    return out
+
+
+def _cartesian_H_values(cache):
+    """Criterion 5's grid: H((w1, v1), (w2, v2)) for w1, w2 in the F2 ball(2)
+    and v1, v2 in -2..2, against the F2 factor's closed form H1(w1, w2); the
+    symmetric Z factor's H2 is 1."""
+    table = w.KernelTable(cache, rho_hat=w.spectral_radius(cache).rho_hat)
+    grid = [(word, (v,)) for word in cache.descriptor.left.ball(2) for v in range(-2, 3)]
+    entries = [table.get(x, y) for x in grid for y in grid]
+    return [(e.estimate, e.lo, e.hi, w.closed_form_H_free_isotropic(2, e.x[0], e.y[0]))
+            for e in entries]
+
+
 @dataclass(frozen=True)
 class Row:
     cache: str                # fixture that builds the walk's cache
@@ -105,6 +138,8 @@ ROWS = {
                              item=15),
     "rho-lazy-z2-M256": Row("lazy_z2_cache", _rho(RHO_LAZY_Z2), 1.0, 1e-12, math.inf,
                             item=15),
+    "rho-cartesian-f2z-M500": Row("cartesian_cache", _rho(RHO_CARTESIAN_F2Z), 1.0, 1e-5,
+                                  math.inf, item=15),
     "ray-log-lazy-f2-M2000": Row("f2_cache", _ray_log_values, 0.0, 0.0, 1e-12, item=1),
     "level-mass-lazy-f2-M2000": Row("f2_cache", _level_masses, 0.0, 0.0, 1e-10, item=1),
     "ray-log-lazy-z-M2000": Row("lazy_z_deep_cache", _lazy_z_log_values, 0.0, 0.0, 1e-12,
@@ -119,6 +154,10 @@ ROWS = {
     # a symmetric walk on Z^2: theta* = 0
     "H-lazy-z2-M256": Row("lazy_z2_cache", _H(lambda x, y: 1.0), 1.0, 1e-3, math.inf,
                           item=3),
+    "H-cartesian-f2z-M500": Row("cartesian_cache", _cartesian_H_values, 1.0, 1e-3, math.inf,
+                                item=3),
+    # the Martin kernel at the radius
+    "K-ray-lazy-f2-M2000": Row("f2_cache", _martin_ray_values, 1.0, 0.01, math.inf, item=11),
 }
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -628,6 +629,58 @@ def test_gauge_phase_entrywise(z_window):
     conj = u_z @ s @ inv
     target = 1j * s
     assert np.abs(conj.to_dense() - target.to_dense()).max() <= 1e-12
+
+
+# The report-sized window's check suite: each check's measured peak
+# allocation above its start, in bytes per basis vector.  Every operator is
+# two window-sized arrays (int32 targets: 12 B a vector with float
+# weights), and each check holds as few of them at once as it can.
+_CHECK_PEAK_BYTES_PER_VECTOR = {
+    "matrix-unit-defects": 60.1,
+    "unitary-and-commutation-defects": 73.1,
+    "generator-identity-defect": 64.7,
+    "q0-projection-check": 59.9,
+    "subproduct-coisometry": 3.0,
+    "covariance-check": 53.8,
+}
+
+
+def test_report_window_checks_peak_is_bounded(f2_cache, f2_table, free2):
+    """The five checks of the CLI ``fock`` job and the ``covariance`` check,
+    on the ``report-f2`` benchmark window (19,241 vectors), each allocate at
+    most 10% more per vector above their start than was measured.  Each
+    check runs once before it is measured, so the window's and the kernel
+    table's memo tables are filled and the peak is that of the check's own
+    arrays."""
+    win = fk.FockWindow(f2_cache, max_level=24, x_radius=2, z_radius=3,
+                        interior_margin=4)
+    assert win.size == 19_241
+    e, (g1, g2) = (), free2.ball(1)[1:3]
+    a, b = free2.parse("a"), free2.parse("b")
+    checks = [
+        lambda: fk.matrix_unit_defects(win, [(e, g1, g1, g2), (e, g1, g2, g2)]),
+        lambda: fk.unitary_and_commutation_defects(win, [(e, g1)], f2_table),
+        lambda: fk.generator_identity_defect(win, 1, e, a, f2_table),
+        lambda: fk.q0_projection_check(win, e),
+        lambda: fk.subproduct_coisometry_check(f2_cache, 1, 1, 2, 2),
+        lambda: fk.covariance_check(win, b, 1j, 1, e, a),
+    ]
+    peaks = {}
+    for check in checks:
+        check()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed, report.name
+        peaks[report.name] = (peak - start) / win.size
+    assert peaks.keys() == _CHECK_PEAK_BYTES_PER_VECTOR.keys()
+    over = {name: round(peak, 1) for name, peak in peaks.items()
+            if peak > 1.1 * _CHECK_PEAK_BYTES_PER_VECTOR[name]}
+    assert not over, over
 
 
 # ---------------------------------------------------------------------------
