@@ -3,8 +3,9 @@ random walks on finitely generated groups, at finite truncation."""
 
 import os
 
-# walkops makes no multithreaded BLAS call, and an idle OpenBLAS worker spins
-# for ~0.1 s of CPU after numpy loads: pin one thread before the first import.
+# walkops calls no BLAS or LAPACK routine, but numpy loads OpenBLAS, whose
+# idle workers spin for ~0.1 s of CPU: pin one thread before the first import
+# only so that OpenBLAS starts no idle workers.
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 

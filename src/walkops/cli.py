@@ -178,8 +178,8 @@ def cmd_spectrum(ws: Workspace) -> int:
     payload["provenance"] = ws.provenance(acceleration="richardson-harmonic")
     write_json(ws.path("spectrum.json"), payload)
     ms, rs = est.ratios
-    rows = [{"m": m, "ratio": r} for m, r in zip(ms.tolist(), rs.tolist())]
-    write_csv(ws.path("ratio_tail.csv"), rows, ["m", "ratio"])
+    write_csv(ws.path("ratio_tail.csv"),
+              ({"m": m, "ratio": r} for m, r in zip(ms.tolist(), rs.tolist())), ["m", "ratio"])
     return 0
 
 

@@ -43,10 +43,22 @@ EXACT_TOL = 1e-12
 _NO_POSITIONS = np.zeros(0, dtype=np.int32)
 
 
-def _positions_by(ids: np.ndarray, count: int) -> list:
-    """Ascending positions (int32) of each id in 0..count-1 within ``ids``."""
-    order = np.argsort(ids, kind="stable").astype(np.int32)
-    return np.split(order, np.cumsum(np.bincount(ids, minlength=count))[:-1])
+def _positions_by(pos: np.ndarray, axis: int) -> list:
+    """Ascending basis positions (int32) of each row (axis 1) or fiber
+    (axis 2) of the position table, read off the table in its C order."""
+    grouped = np.moveaxis(pos, axis, 0)
+    present = grouped >= 0
+    order = grouped[present]
+    return np.split(order, np.cumsum(np.count_nonzero(present, axis=(1, 2)))[:-1])
+
+
+def _edge_thresholds(table: np.ndarray) -> np.ndarray:
+    """Per column of a log-P table over (level, column): the first level
+    from which the column stays present to the top, len(table) when its
+    top level is absent."""
+    absent = table == NEG_INF
+    last = len(table) - np.argmax(absent[::-1], axis=0)
+    return np.where(absent.any(axis=0), last, 0)
 
 
 class FockWindow:
@@ -79,19 +91,31 @@ class FockWindow:
         self._fiber_id = {z: j for j, z in enumerate(self.z_elems)}
         self._quotients: dict = {}  # x -> [x^-1 z for z in z_elems]
         self._tables: dict = {}     # x -> log P^(m)_{x,z} over (level, fiber)
-        # log P^(m)_{x,z} over (level, row, fiber); -inf where absent
-        log_p = np.stack([self._log_p_table(x) for x in self.x_elems], axis=1)
-        present = log_p > NEG_INF
+        # (level, row, fiber) -> whether e^(m)_{x,z} is a basis vector,
+        # filled from the per-row tables without a stacked copy of them
+        present = np.empty((max_level + 1, len(self.x_elems), len(self.z_elems)),
+                           dtype=bool)
+        for i, x in enumerate(self.x_elems):
+            np.greater(self._log_p_table(x), NEG_INF, out=present[:, i])
         self.level, self.row, self.fiber = np.nonzero(present)
-        self._basis_log_p = log_p[present]  # P(e^(m)_{x,z}) = P^(m)_{x,z}, in basis order
-        # basis position of each present (level, row, fiber), -1 elsewhere
-        self._pos = np.full(present.shape, -1, dtype=np.int32)
-        self._pos[present] = np.arange(len(self.level), dtype=np.int32)
+        # basis position of each present (level, row, fiber), -1 elsewhere:
+        # the running count of present entries, in the basis's C order
+        self._pos = np.empty(present.shape, dtype=np.int32)
+        np.cumsum(present, dtype=np.int32, out=self._pos.reshape(-1))
+        self._pos -= 1
+        np.putmask(self._pos, ~present, -1)
+        # basis vectors per (level, fiber)
+        self._level_fiber_count = np.count_nonzero(present, axis=1)
         # ascending basis positions per row and per fiber; the basis is
         # level-major, so levels are non-decreasing along each
-        self._by_row = _positions_by(self.row, len(self.x_elems))
-        self._by_fiber = _positions_by(self.fiber, len(self.z_elems))
-        self._thresholds: dict = {}
+        self._by_row = _positions_by(self._pos, 1)
+        self._by_fiber = _positions_by(self._pos, 2)
+        # P(e^(m)_{x,z}) = P^(m)_{x,z}, in basis order, one row at a time
+        self._basis_log_p = np.empty(len(self.level))
+        for i, x in enumerate(self.x_elems):
+            self._basis_log_p[self._by_row[i]] = self._log_p_table(x)[present[:, i]]
+        self._thresholds: dict = {}  # x -> edge threshold per fiber
+        self._fiber_texts = [self.descriptor.format(z) for z in self.z_elems]
 
     def _left_quotients(self, x) -> list:
         """x^-1 z for every z in ``z_elems``: one product per pair, memoized.
@@ -154,20 +178,22 @@ class FockWindow:
             return -1
         return int(self._pos[m, i, j])
 
+    def _row_thresholds(self, r) -> np.ndarray:
+        """The edge threshold of (r, z) for every fiber z, memoized per r."""
+        t = self._thresholds.get(r)
+        if t is None:
+            t = self._thresholds[r] = _edge_thresholds(self._log_p_table(r))
+        return t
+
     def edge_threshold(self, rows, z) -> int:
         """First level from which every (row, z) transition stays present
         up to the window top (max_level + 1 when none does)."""
-        t = 0
-        for r in rows:
-            key = (r, z)
-            if key not in self._thresholds:
-                j = self._fiber_id.get(z)
-                col = (self.cache.transition_column(r, z)[: self.max_level + 1]
-                       if j is None else self._log_p_table(r)[:, j])
-                absent = np.flatnonzero(col == NEG_INF)
-                self._thresholds[key] = int(absent[-1]) + 1 if len(absent) else 0
-            t = max(t, self._thresholds[key])
-        return t
+        j = self._fiber_id.get(z)
+        if j is None:  # a fiber outside the window: one cache column per row
+            columns = (self.cache.transition_column(r, z)[: self.max_level + 1, None]
+                       for r in rows)
+            return max((int(_edge_thresholds(c)[0]) for c in columns), default=0)
+        return max((int(self._row_thresholds(r)[j]) for r in rows), default=0)
 
     def select(self, rows=None, fiber=None, level_lo=0, level_hi=None) -> np.ndarray:
         """Basis positions filtered by row set, column fiber and level band."""
@@ -471,19 +497,34 @@ def _interior_defect_by_fiber(window: FockWindow, norms: np.ndarray, rows_needed
     """Per-fiber max defect, from the ``defect_norms`` of an identity, on
     inputs at interior levels at or above the fiber's edge threshold;
     sub-threshold maxima reported too.  Each row names ``identity`` when
-    one is given."""
+    one is given.
+
+    One pass per identity: the largest norm per (level, fiber) by
+    ``maximum.at``, then each fiber's band maximum over those levels."""
+    m0 = np.zeros(len(window.z_elems), dtype=np.intp)
+    for r in rows_needed:
+        np.maximum(m0, window._row_thresholds(r), out=m0)
+    m0 += extra_threshold
+    top = window.interior_top - level_shift
+    # norms are >= 0, so the 0.0 start is max(initial=0.0); a NaN propagates
+    by_level = np.zeros(window._level_fiber_count.shape)
+    np.maximum.at(by_level, (window.level, window.fiber), norms)
+    levels = np.arange(window.max_level + 1)[:, None]
+    interior = levels <= top
+    above = interior & (levels >= m0)
+    below = interior & (levels < m0)
     per_fiber = []
-    for w in window.z_elems:
-        m0 = window.edge_threshold(rows_needed, w) + extra_threshold
-        top = window.interior_top - level_shift
-        sel = window.select(fiber=w, level_lo=m0, level_hi=top)
-        below = window.select(fiber=w, level_hi=min(m0 - 1, top))
+    for text, t, checked, top_max, low_max in zip(
+            window._fiber_texts, m0.tolist(),
+            np.where(above, window._level_fiber_count, 0).sum(axis=0).tolist(),
+            np.where(above, by_level, 0.0).max(axis=0).tolist(),
+            np.where(below, by_level, 0.0).max(axis=0).tolist()):
         row = {
-            "fiber": window.descriptor.format(w),
-            "m0": m0,
-            "levels_checked": int(len(sel)),  # 0 flags a too-shallow window
-            "defect_above_m0": float(norms[sel].max(initial=0.0)),
-            "defect_below_m0": float(norms[below].max(initial=0.0)),
+            "fiber": text,
+            "m0": t,
+            "levels_checked": checked,  # 0 flags a too-shallow window
+            "defect_above_m0": top_max,
+            "defect_below_m0": low_max,
         }
         if identity is not None:
             row["identity"] = identity
@@ -772,7 +813,7 @@ def quotient_norm_estimate(window: FockWindow,
     sup = 0.0
     stabilized = True
     magnitude = np.abs(op.weight)
-    for z in window.z_elems:
+    for z, text in zip(window.z_elems, window._fiber_texts):
         # the fiber's positions are level-sorted: one selection at the
         # lowest rung, and each higher rung is a suffix of it
         cols = window.select(fiber=z, level_lo=step, level_hi=top)
@@ -784,7 +825,7 @@ def quotient_norm_estimate(window: FockWindow,
             in_rung[rung] = True
             norm = float(magnitude[rung[in_rung[op.target[rung]]]].max(initial=0.0))
             vals.append((m, norm))
-        per_fiber[window.descriptor.format(z)] = vals
+        per_fiber[text] = vals
         tail = [norm for _, norm in vals if norm > 0.0]
         # stabilized: the last two nonzero rung norms agree within 2% relative
         if len(tail) >= 2 and abs(tail[-1] - tail[-2]) > 0.02 * max(tail[-1], 1e-300):

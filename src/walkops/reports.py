@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -106,7 +107,7 @@ def write_json(path: str, payload) -> None:
     _write_atomic(path, chain(_ENCODER.iterencode(payload), ("\n",)))
 
 
-def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
+def rows_to_csv(rows: Iterable[dict], columns: list[str]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -121,5 +122,5 @@ def _csv_cell(v):
     return v
 
 
-def write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
+def write_csv(path: str, rows: Iterable[dict], columns: list[str]) -> None:
     write_text_atomic(path, rows_to_csv(rows, columns))

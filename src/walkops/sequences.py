@@ -10,6 +10,8 @@ noise-free DP data, so no damping or outlier handling is needed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 AITKEN_GUARD = 1e-14
@@ -38,13 +40,20 @@ def richardson_harmonic(ms, rs) -> np.ndarray:
 
 
 def fit_harmonic(ms, rs) -> tuple[float, float]:
-    """Least-squares fit r_m = a + b/m; returns (a, b)."""
-    ms = np.asarray(ms, dtype=float)
-    rs = np.asarray(rs, dtype=float)
-    x = 1.0 / ms
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, rs, rcond=None)
-    return float(coef[0]), float(coef[1])
+    """Least-squares fit r_m = a + b/m; returns (a, b).
+
+    The centred closed form on x = 1/m: b = sum (x - xbar)(r - rbar) /
+    sum (x - xbar)^2 and a = rbar - b xbar, each sum taken by ``math.fsum``,
+    so the result is within an ulp or two of the exact least-squares
+    solution of the same floats and no BLAS or LAPACK routine is called.
+    """
+    x = 1.0 / np.asarray(ms, dtype=float)
+    r = np.asarray(rs, dtype=float)
+    x_bar = math.fsum(x.tolist()) / len(x)
+    r_bar = math.fsum(r.tolist()) / len(r)
+    dx = x - x_bar
+    b = math.fsum((dx * (r - r_bar)).tolist()) / math.fsum((dx * dx).tolist())
+    return r_bar - b * x_bar, b
 
 
 LADDER_POINTS = 5

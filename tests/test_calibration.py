@@ -185,3 +185,18 @@ def test_calibration(request, row):
 def test_score_reads_coverage_width_and_error():
     values = [(1.0, 0.5, 1.5, 1.0), (2.1, 2.05, 2.15, 2.0), (-3.0, -3.0, -3.0, -3.0)]
     assert score(values) == pytest.approx((2 / 3, 1.0, 0.05))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 22")
+def test_radical_anisotropic_f2_M10(free2):
+    """On the symmetric anisotropic F2 walk e 1/5, a 3/10, A 3/10, b 1/10,
+    B 1/10 (the generic engine) at M = 10, the radical of a free group is
+    {e}: ``detect_radical(table, 1, 2)`` may flag no other element unless
+    its verdict says the question is undetermined.  Today the shallow
+    table flags every element of ball(1), with no verdict field at all."""
+    mu = w.parse_measure("e 1/5\na 3/10\nA 3/10\nb 1/10\nB 1/10", free2)
+    cache = w.convolution_powers(free2, mu, 10, engine="generic")
+    table = w.KernelTable(cache, rho_hat=w.spectral_radius(cache).rho_hat)
+    report = w.detect_radical(table, 1, 2)
+    wrong = [y for y in report.flagged if y != free2.identity()]
+    assert not wrong or "undetermined" in getattr(report, "verdict", ""), wrong

@@ -129,8 +129,9 @@ def test_report_runs_all_jobs_and_is_deterministic(cfg_file, tmp_path):
 
 # sha256 of the ``report`` tree for FREE2_CFG (each file's relative path
 # and bytes, in path order, as perfbench's ``tree_digest`` hashes them),
-# computed when a ``radial`` cache still kept every level in full
-REPORT_SHA256 = "08ee8f8a53c11bb5a334287d9447392bfb3a752d17dc8203562b45a9027e4044"
+# computed when ``fit_harmonic`` became the closed form (only
+# spectrum.json's alpha moved then)
+REPORT_SHA256 = "b477e2e9b1b93838044eb3aa40ac48932f988597ff49a754bebe72f1d096b27d"
 
 
 def _tree_sha256(root: Path) -> str:
@@ -142,13 +143,20 @@ def _tree_sha256(root: Path) -> str:
     return h.hexdigest()
 
 
+def _tree_listing(root: Path) -> str:
+    """Each file's path and sha256 prefix, one a line: a failed pin prints
+    it, so two trees' listings name the files that moved."""
+    return "\n".join(f"{rel} {hashlib.sha256(data).hexdigest()[:16]}"
+                     for rel, data in _tree(root).items())
+
+
 def test_report_tree_is_pinned(cfg_file, tmp_path):
     """The report's bytes are pinned across source trees, not only between
     two runs of one: a change to how the engines store levels must leave
     every output byte as it was."""
     out = tmp_path / "o"
     assert main(["report", "--config", str(cfg_file), "--out", str(out)]) == 0
-    assert _tree_sha256(out) == REPORT_SHA256
+    assert _tree_sha256(out) == REPORT_SHA256, _tree_listing(out)
 
 
 # an all-jobs report small enough to run in well under a second; {e} is the
@@ -205,24 +213,24 @@ jobs = spectrum kernel radical metric boundary fock covariance
 """
 
 # engine: (its report config, the sha256 of its report tree as
-# ``_tree_sha256`` hashes it, computed when the generic engine still
-# multiplied every (source, support element) pair of its step table)
+# ``_tree_sha256`` hashes it, computed when ``fit_harmonic`` became the
+# closed form; only spectrum.json's alpha moved then)
 ENGINE_REPORT_PINS = {
     "generic": (ENGINE_REPORT_CFG.format(
         family="lamplighter(1)", depth=14, e="(0,{})", s="(1,{})", t="(0,{0})",
         measure="    (0,{}) 1/4\n    (1,{}) 1/4\n    (-1,{}) 1/4\n    (0,{0}) 1/4"),
-        "8d446ac92419d5cf61fa1562723b2d7d9ef3811f3efa21e869b60acd0ee01f1f"),
+        "3d0f51d1944e6ba81e314bd0b37d9828cdc21184ddb8c679103323705a7d9869"),
     "dense": (ENGINE_REPORT_CFG.format(
         family="lattice(2)", depth=64, e="(0,0)", s="(1,0)", t="(0,1)",
         measure="    (0,0) 1/2\n    (1,0) 1/8\n    (-1,0) 1/8\n    (0,1) 1/8\n"
                 "    (0,-1) 1/8"),
-        "a7c8f1a337648f89914c7a313971e0cc9131364e76ab97b25f5c9f72a96bd325"),
+        "01d9c742b077ee821b09ce9ab2203e0ca63b9279539c98264ed6238a2de2f2f8"),
     "radial-lattice": (ENGINE_REPORT_CFG.format(
         family="product(free(2),lattice(1))", depth=64, e="(e|(0))", s="(a|(0))",
         t="(e|(1))",
         measure="    (e|(0)) 0.35\n    (a|(0)) 0.1\n    (A|(0)) 0.1\n    (b|(0)) 0.1\n"
                 "    (B|(0)) 0.1\n    (e|(1)) 0.125\n    (e|(-1)) 0.125"),
-        "ae9cd2adf56e9451f85b4bd4ed9634a5884767e104f0d50ee063abf21073eb64"),
+        "6e5b31ddf7513ddb714f781d593e08c9d27d4425ccd1ed18796c42f6a8ca4f6a"),
 }
 
 
@@ -238,7 +246,7 @@ def test_engine_report_tree_is_pinned(engine, tmp_path):
     assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "report.json").read_text())
     assert summary["provenance"]["engine"] == engine and summary["all_passed"]
-    assert _tree_sha256(out) == pin, engine
+    assert _tree_sha256(out) == pin, f"{engine}\n{_tree_listing(out)}"
 
 
 def test_report_builds_one_fock_window(cfg_file, tmp_path, monkeypatch):
@@ -320,6 +328,31 @@ def test_report_leaves_numpy_ma_unloaded(tmp_path):
     assert set(loaded) <= baseline, sorted(set(loaded) - baseline)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert len(report["jobs"]) == 7
+
+
+def test_report_runs_without_numpy_linalg(tmp_path):
+    """walkops calls no BLAS or LAPACK routine through numpy.linalg: a
+    seven-job report exits 0 with every function numpy.linalg exports
+    (lstsq, solve, eig, svd, ...) replaced by one that raises."""
+    env = {**os.environ, "PYTHONPATH": str(Path(walkops.__file__).parents[1])}
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(FREE2_CFG, encoding="utf-8")
+    argv = ["report", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = (
+        "import sys, numpy.linalg as la\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('numpy.linalg called')\n"
+        "names = [n for n in la.__all__ if not isinstance(getattr(la, n), type)]\n"
+        "assert 'lstsq' in names and 'solve' in names, names\n"
+        "for n in names:\n"
+        "    setattr(la, n, refuse)\n"
+        "from walkops.cli import main\n"
+        f"sys.exit(main({argv!r}))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report["jobs"]) == 7 and report["all_passed"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),

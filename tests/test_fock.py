@@ -631,11 +631,102 @@ def test_gauge_phase_entrywise(z_window):
     assert np.abs(conj.to_dense() - target.to_dense()).max() <= 1e-12
 
 
-# The report-sized window's check suite: each check's measured peak
-# allocation above its start, in bytes per basis vector.  Every operator is
-# two window-sized arrays (int32 targets: 12 B a vector with float
-# weights), and each check holds as few of them at once as it can.
+def _report_window(cache, **shape):
+    """The ``report-f2`` benchmark's Fock window (19,241 vectors on the
+    lazy isotropic F2 cache), or another shape of it."""
+    return fk.FockWindow(cache, **{"max_level": 24, "x_radius": 2, "z_radius": 3,
+                                   "interior_margin": 4, **shape})
+
+
+def _report_checks(win, cache, table, free2) -> list:
+    """The five checks of the CLI ``fock`` job and the ``covariance``
+    check, as the report runs them on a lazy F2 window."""
+    e, (g1, g2) = (), free2.ball(1)[1:3]
+    a, b = free2.parse("a"), free2.parse("b")
+    return [
+        lambda: fk.matrix_unit_defects(win, [(e, g1, g1, g2), (e, g1, g2, g2)]),
+        lambda: fk.unitary_and_commutation_defects(win, [(e, g1)], table),
+        lambda: fk.generator_identity_defect(win, 1, e, a, table),
+        lambda: fk.q0_projection_check(win, e),
+        lambda: fk.subproduct_coisometry_check(cache, 1, 1, 2, 2),
+        lambda: fk.covariance_check(win, b, 1j, 1, e, a),
+    ]
+
+
+def _interior_defect_reference(win, norms, rows_needed, level_shift=0,
+                               extra_threshold=0, identity=None) -> list:
+    """The per-fiber loop the grouped verdicts replace: one edge_threshold
+    call and one pair of ``select`` calls per fiber."""
+    rows = []
+    for z in win.z_elems:
+        m0 = win.edge_threshold(rows_needed, z) + extra_threshold
+        top = win.interior_top - level_shift
+        sel = win.select(fiber=z, level_lo=m0, level_hi=top)
+        below = win.select(fiber=z, level_hi=min(m0 - 1, top))
+        row = {
+            "fiber": win.descriptor.format(z),
+            "m0": m0,
+            "levels_checked": int(len(sel)),
+            "defect_above_m0": float(norms[sel].max(initial=0.0)),
+            "defect_below_m0": float(norms[below].max(initial=0.0)),
+        }
+        if identity is not None:
+            row["identity"] = identity
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("shape", [
+    {},  # the report window
+    # fibers at distance 3 have m0 = 3 > interior_top - 1 (level_shift 1),
+    # and U*U - I's m0 + 1 = 4 > interior_top: no level is checked
+    {"max_level": 4, "x_radius": 1, "interior_margin": 1},
+], ids=["report", "shallow"])
+def test_grouped_verdicts_match_per_fiber_reference(shape, f2_cache, f2_table, free2,
+                                                    monkeypatch):
+    """Every row of the five ``fock`` checks and the covariance check is
+    the same with the per-fiber reference loop in place of the grouped
+    verdicts, and so is the verdict of norms with NaNs and random values."""
+    win = _report_window(f2_cache, **shape)
+    checks = _report_checks(win, f2_cache, f2_table, free2)
+    grouped = [check() for check in checks]
+    rng = np.random.default_rng(len(shape))
+    norms = rng.random(win.size)
+    norms[rng.choice(win.size, 3, replace=False)] = np.nan
+    direct = [fk._interior_defect_by_fiber(win, norms, rows, level_shift=shift,
+                                           extra_threshold=extra, identity="x")
+              for rows in ([()], win.x_elems) for shift in (0, 1) for extra in (0, 1)]
+    calls = []
+
+    def reference(*args, **kwargs):
+        calls.append(kwargs)
+        return _interior_defect_reference(*args, **kwargs)
+
+    monkeypatch.setattr(fk, "_interior_defect_by_fiber", reference)
+    assert [dumps(check()) for check in checks] == list(map(dumps, grouped))
+    assert len(calls) == 10  # the fiber rows of four checks: 4 + 5 + 1 identities
+    assert {kw.get("level_shift", 0) for kw in calls} == {0, 1}
+    assert {kw.get("extra_threshold", 0) for kw in calls} == {0, 1}
+    assert [dumps(fk._interior_defect_by_fiber(win, norms, rows, level_shift=shift,
+                                               extra_threshold=extra, identity="x"))
+            for rows in ([()], win.x_elems) for shift in (0, 1)
+            for extra in (0, 1)] == list(map(dumps, direct))
+    assert any(math.isnan(r["defect_above_m0"]) for rows in direct for r in rows)
+    fiber_rows = [r for rep in grouped for r in rep.residuals if "m0" in r]
+    shallow = [r for r in fiber_rows if r["levels_checked"] == 0]
+    if shape:
+        assert any(r["m0"] > win.interior_top for r in shallow)
+    else:
+        assert not shallow
+
+
+# The report-sized window and its check suite: the constructor's and each
+# check's measured peak allocation above its start, in bytes per basis
+# vector.  Every operator is two window-sized arrays (int32 targets: 12 B a
+# vector with float weights), and each check holds as few of them at once
+# as it can.  The window keeps about 57 B a vector.
 _CHECK_PEAK_BYTES_PER_VECTOR = {
+    "FockWindow": 60.3,
     "matrix-unit-defects": 60.1,
     "unitary-and-commutation-defects": 73.1,
     "generator-identity-defect": 64.7,
@@ -645,38 +736,33 @@ _CHECK_PEAK_BYTES_PER_VECTOR = {
 }
 
 
+def _traced_peak(run) -> tuple:
+    """``run()``'s result and its peak allocation above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def test_report_window_checks_peak_is_bounded(f2_cache, f2_table, free2):
-    """The five checks of the CLI ``fock`` job and the ``covariance`` check,
-    on the ``report-f2`` benchmark window (19,241 vectors), each allocate at
-    most 10% more per vector above their start than was measured.  Each
-    check runs once before it is measured, so the window's and the kernel
-    table's memo tables are filled and the peak is that of the check's own
-    arrays."""
-    win = fk.FockWindow(f2_cache, max_level=24, x_radius=2, z_radius=3,
-                        interior_margin=4)
+    """The Fock window constructor, the five checks of the CLI ``fock`` job
+    and the ``covariance`` check, on the ``report-f2`` benchmark window
+    (19,241 vectors), each allocate at most 10% more per vector above their
+    start than was measured.  The window is built twice and each check runs
+    once before it is measured, so the cache's columns and the window's and
+    the kernel table's memo tables are filled and the peak is that of the
+    constructor's or the check's own arrays."""
+    win = _report_window(f2_cache)
     assert win.size == 19_241
-    e, (g1, g2) = (), free2.ball(1)[1:3]
-    a, b = free2.parse("a"), free2.parse("b")
-    checks = [
-        lambda: fk.matrix_unit_defects(win, [(e, g1, g1, g2), (e, g1, g2, g2)]),
-        lambda: fk.unitary_and_commutation_defects(win, [(e, g1)], f2_table),
-        lambda: fk.generator_identity_defect(win, 1, e, a, f2_table),
-        lambda: fk.q0_projection_check(win, e),
-        lambda: fk.subproduct_coisometry_check(f2_cache, 1, 1, 2, 2),
-        lambda: fk.covariance_check(win, b, 1j, 1, e, a),
-    ]
-    peaks = {}
-    for check in checks:
+    peaks = {"FockWindow": _traced_peak(lambda: _report_window(f2_cache))[1] / win.size}
+    for check in _report_checks(win, f2_cache, f2_table, free2):
         check()
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            report = check()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = _traced_peak(check)
         assert report.passed, report.name
-        peaks[report.name] = (peak - start) / win.size
+        peaks[report.name] = peak / win.size
     assert peaks.keys() == _CHECK_PEAK_BYTES_PER_VECTOR.keys()
     over = {name: round(peak, 1) for name, peak in peaks.items()
             if peak > 1.1 * _CHECK_PEAK_BYTES_PER_VECTOR[name]}
